@@ -9,7 +9,7 @@ import argparse
 import time
 
 from liegrpd import catalog
-from liegrpd.coadjoint import FlowConfig, open_component_census
+from liegrpd.coadjoint import open_component_census
 
 
 def main() -> None:
@@ -31,9 +31,8 @@ def main() -> None:
     print(header)
     print("-" * len(header))
     for name, L in cases:
-        cfg = FlowConfig(sample_count=args.samples, seed=args.seed)
         t0 = time.perf_counter()
-        census = open_component_census(L, cfg)
+        census = open_component_census(L, samples=args.samples, seed=args.seed)
         dt = time.perf_counter() - t0
         paired = "yes" if census.negation_pairing else "-"
         if census.exponential:

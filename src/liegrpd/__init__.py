@@ -7,7 +7,6 @@ transformation groupoids."""
 from .exact import (
     GaussianRational,
     Matrix,
-    ModeError,
     NumericError,
     gaussian,
     parse_scalar,
@@ -34,7 +33,6 @@ from .weights import (
 )
 from .coadjoint import (
     ComponentCensus,
-    FlowConfig,
     bform,
     coadjoint_flow,
     frobenius_test,

@@ -16,7 +16,6 @@ from fractions import Fraction
 
 from . import catalog
 from .coadjoint import (
-    FlowConfig,
     bform,
     frobenius_test,
     isotropy_algebra,
@@ -24,7 +23,7 @@ from .coadjoint import (
     open_component_census,
     orbit_dimension,
 )
-from .exact import ModeError, format_scalar, parse_scalar
+from .exact import format_scalar, parse_scalar
 from .groupoids import (
     AxiomError,
     NotInvariant,
@@ -277,10 +276,7 @@ def cmd_lie_exptest(args) -> int:
 def cmd_lie_coadjoint(args) -> int:
     L, meta = _load_algebra(args)
     xi = _parse_point(args.point, L.dim)
-    try:
-        iso = isotropy_algebra(L, xi)
-    except ModeError as exc:
-        raise InputError(str(exc)) from exc
+    iso = isotropy_algebra(L, xi)
     b = bform(L, xi)
     report = {
         "command": "lie coadjoint",
@@ -298,8 +294,10 @@ def cmd_lie_coadjoint(args) -> int:
 
 def cmd_lie_census(args) -> int:
     L, meta = _load_algebra(args)
-    cfg = FlowConfig(sample_count=args.samples, seed=args.seed)
-    census = open_component_census(L, cfg)
+    try:
+        census = open_component_census(L, samples=args.samples, seed=args.seed)
+    except ValueError as exc:
+        raise InputError(str(exc)) from exc
     ok, witness = frobenius_test(L, seed=args.seed)
     report = {
         "command": "lie census",
@@ -563,13 +561,23 @@ def cmd_grpd_regrep(args) -> int:
 # parser
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return value
+
+
 def _add_io_flags(p):
     p.add_argument("--name", help="catalog entry name")
     p.add_argument("--in", dest="infile", help="input JSON file")
     p.add_argument("--format", choices=("text", "json"), default="json")
     p.add_argument("--out", help="write the report to this file")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--samples", type=int, default=512)
+    p.add_argument("--samples", type=_positive_int, default=512)
     p.add_argument("--tol", type=float, default=1e-9)
 
 

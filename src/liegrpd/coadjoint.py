@@ -3,10 +3,10 @@
 The census works on exact rational sample points.  Two nondegenerate samples
 are joined only when the determinant of the skew form along the straight
 segment between them, an exact polynomial of degree at most dim, has no root
-in [0, 1] (Sturm count), or when a flow trajectory supplies an exactly
-confirmed rational waypoint.  False merges are therefore impossible; the
-reported count is a lower bound of the true component count of the
-nondegenerate set.
+in [0, 1] (Sturm count).  False merges are therefore impossible: samples from
+different components never share a class, though a connection the straight
+probes miss can split one component into several classes.  Floats appear only
+in the numeric flow and the eigenvalue -1 probe.
 """
 from __future__ import annotations
 
@@ -20,9 +20,8 @@ import numpy as np
 
 from .exact import (
     Matrix,
-    ModeError,
+    NumericError,
     det_exact,
-    is_exact,
     lagrange_interpolate,
     matrix_exp_numeric,
     numeric_rank,
@@ -41,21 +40,16 @@ class FlowError(RuntimeError):
 def bform(L: LieAlgebra, xi: Sequence) -> Matrix:
     """Skew form B(x, y) = xi([x, y]) as a dim x dim matrix over the basis."""
     m = L.dim
-    exact = all(is_exact(v) for v in xi)
     rows = []
     for j in range(m):
         row = []
         for k in range(m):
-            acc = Fraction(0) if exact else 0.0
+            acc = Fraction(0)
             for l in range(m):
                 c = L.tensor[j][k][l]
                 if c == 0:
                     continue
-                if exact:
-                    acc = acc + c * xi[l]
-                else:
-                    cv = to_complex(c)
-                    acc = acc + (cv.real if cv.imag == 0 else cv) * xi[l]
+                acc = acc + c * xi[l]
             row.append(acc)
         rows.append(row)
     return Matrix(rows)
@@ -63,11 +57,7 @@ def bform(L: LieAlgebra, xi: Sequence) -> Matrix:
 
 def orbit_dimension(L: LieAlgebra, xi: Sequence) -> int:
     """Rank of the skew form (always even)."""
-    b = bform(L, xi)
-    if b.exact:
-        rank, _ = rank_kernel(b)
-    else:
-        rank = numeric_rank(b.to_numpy())
+    rank, _ = rank_kernel(bform(L, xi))
     return rank
 
 
@@ -77,10 +67,7 @@ def is_open_orbit(L: LieAlgebra, xi: Sequence) -> bool:
 
 def isotropy_algebra(L: LieAlgebra, xi: Sequence) -> Subspace:
     """Kernel of the skew form; verified to be a subalgebra."""
-    b = bform(L, xi)
-    if not b.exact:
-        raise ModeError("isotropy requires an exact point")
-    _, kernel = rank_kernel(b)
+    _, kernel = rank_kernel(bform(L, xi))
     iso = Subspace.from_vectors(L.dim, kernel)
     for u in iso.rows:
         for v in iso.rows:
@@ -107,15 +94,8 @@ def frobenius_test(L: LieAlgebra, trials: int = 64, seed: int = 0):
     return False, None
 
 
-@dataclass(frozen=True)
-class FlowConfig:
-    """Shared knobs for the integrator and the census."""
-
-    step_size: float = 0.01
-    step_cap: int = 100000
-    sample_count: int = 512
-    connect_tol: float = 0.5
-    seed: int = 0
+FLOW_STEP_SIZE = 0.01
+FLOW_STEP_CAP = 100000
 
 
 @dataclass(frozen=True)
@@ -132,7 +112,6 @@ def coadjoint_flow(
     xi0: Sequence,
     x: Sequence,
     t_final: float,
-    cfg: FlowConfig = FlowConfig(),
     rank_tol: float = 1e-6,
 ) -> FlowResult:
     """Integrate the linear flow d(xi)/dt = -ad(x)^T xi by classical RK4.
@@ -145,9 +124,9 @@ def coadjoint_flow(
     if t_final == 0:
         steps = 0
     else:
-        steps = max(1, math.ceil(abs(t_final) / cfg.step_size))
-    if steps > cfg.step_cap:
-        raise FlowError(f"{steps} steps exceed the cap {cfg.step_cap}")
+        steps = max(1, math.ceil(abs(t_final) / FLOW_STEP_SIZE))
+    if steps > FLOW_STEP_CAP:
+        raise FlowError(f"{steps} steps exceed the cap {FLOW_STEP_CAP}")
     h = t_final / steps if steps else 0.0
     point = np.array([float(v) for v in xi0], dtype=float)
     times = [0.0]
@@ -160,15 +139,21 @@ def coadjoint_flow(
         point = point + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
         times.append((k + 1) * h)
         points.append(tuple(point.tolist()))
+    # B_xi = sum_l xi_l C[:, :, l]: one float copy of the tensor serves every point
+    tensor = np.array([[[to_complex(c) for c in line] for line in plane] for plane in L.tensor])
+    if not tensor.imag.any():
+        tensor = tensor.real
+
+    def numeric_rank_at(p):
+        return numeric_rank(tensor @ np.asarray(p), rank_tol)
+
     exact0 = all(isinstance(v, (int, Fraction)) for v in xi0)
     if exact0:
         initial_rank, _ = rank_kernel(bform(L, tuple(Fraction(v) for v in xi0)))
     else:
-        initial_rank = numeric_rank(bform(L, points[0]).to_numpy(), rank_tol)
+        initial_rank = numeric_rank_at(points[0])
     check_idx = sorted(set(np.linspace(0, len(points) - 1, min(33, len(points))).astype(int)))
-    ranks = tuple(
-        numeric_rank(bform(L, points[i]).to_numpy(), rank_tol) for i in check_idx
-    )
+    ranks = tuple(numeric_rank_at(points[i]) for i in check_idx)
     return FlowResult(
         tuple(times[i] for i in check_idx),
         tuple(points),
@@ -189,22 +174,10 @@ def _det_at(L, xi):
 def _segment_nondegenerate(L: LieAlgebra, a, b) -> bool:
     """Exact check that det B stays nonzero on the segment [a, b].
 
-    A quick numeric scan rejects clear sign changes; the decision is the
-    Sturm root count of the exactly interpolated segment determinant.
+    The segment determinant is interpolated exactly from dim + 1 nodes and
+    its roots in [0, 1] are counted by a Sturm chain.
     """
     m = L.dim
-    # numeric pre-filter: a sign change between comfortably nonzero values
-    # proves a crossing
-    av = np.array([float(v) for v in a])
-    bv = np.array([float(v) for v in b])
-    vals = []
-    for k in range(33):
-        t = k / 32.0
-        d = np.linalg.det(bform(L, tuple(av + t * (bv - av))).to_numpy())
-        vals.append(d)
-    for u, v in zip(vals, vals[1:]):
-        if u * v < 0 and abs(u) > 1e-9 and abs(v) > 1e-9:
-            return False
     pts = []
     for k in range(m + 1):
         t = Fraction(k, m) if m else Fraction(0)
@@ -230,24 +203,23 @@ class ComponentCensus:
     notes: tuple
 
 
-def open_component_census(L: LieAlgebra, cfg: FlowConfig = FlowConfig()) -> ComponentCensus:
+def open_component_census(L: LieAlgebra, samples: int = 512, seed: int = 0) -> ComponentCensus:
     """Census of connected components of the nondegenerate set.
 
-    Integer sample points are closed under negation and kept when the skew
-    form is exactly nondegenerate; connections are established by exact
-    segment probes, with flow trajectories suggesting extra rational
-    waypoints.  The count is a lower bound: probes can miss connections but
-    never create false ones.
+    Up to `samples` integer points, closed under negation, are kept when the
+    skew form is exactly nondegenerate; connections are established by exact
+    segment probes only.  Probes can miss connections but never create false
+    ones, so each class lies inside one component of the nondegenerate set.
     """
     if L.field != "Q":
         raise ValueError("the census works over the rational field; realify first")
     m = L.dim
-    rng = random.Random(cfg.seed)
+    rng = random.Random(seed)
     exp_result = algebra_is_exponential(L)
-    samples = []
+    kept = []
     seen = set()
     attempts = 0
-    while len(samples) < cfg.sample_count and attempts < 40 * cfg.sample_count:
+    while len(kept) < samples and attempts < 40 * samples:
         attempts += 1
         v = tuple(Fraction(rng.randint(-10, 10)) for _ in range(m))
         for w in (v, tuple(-x for x in v)):
@@ -255,19 +227,19 @@ def open_component_census(L: LieAlgebra, cfg: FlowConfig = FlowConfig()) -> Comp
                 continue
             seen.add(w)
             if _det_at(L, w) != 0:
-                samples.append(w)
+                kept.append(w)
     notes = [
-        f"census from {len(samples)} nondegenerate integer samples;"
+        f"census from {len(kept)} nondegenerate integer samples;"
         " component count is a lower bound (probes are exact, merges verified)"
     ]
-    if not samples:
+    if not kept:
         return ComponentCensus(
             0, (), (), (), True, exp_result.verdict and not exp_result.heuristic,
             exp_result.heuristic, 0, tuple(notes),
         )
 
     components: list[list] = []
-    for s in samples:
+    for s in kept:
         joined = False
         for comp in components:
             probes = comp[:2] + comp[-2:]
@@ -309,30 +281,6 @@ def open_component_census(L: LieAlgebra, cfg: FlowConfig = FlowConfig()) -> Comp
         if not merge_pass():
             break
 
-    # flow assist: rational waypoints harvested from trajectories
-    if len(components) > 1:
-        merged_any = True
-        while merged_any and len(components) > 1:
-            merged_any = False
-            for ci in range(len(components)):
-                rep = components[ci][0]
-                for d in range(m):
-                    for sign in (1, -1):
-                        direction = tuple(
-                            Fraction(sign if t == d else 0) for t in range(m)
-                        )
-                        flow = coadjoint_flow(L, rep, direction, 3.0, cfg)
-                        waypoint_hit = _try_flow_merge(
-                            L, components, ci, flow.points, cfg.connect_tol
-                        )
-                        if waypoint_hit:
-                            merged_any = True
-                            break
-                    if merged_any:
-                        break
-                if merged_any:
-                    break
-
     reps = tuple(comp[0] for comp in components)
     sizes = tuple(len(comp) for comp in components)
     index_of = {}
@@ -355,31 +303,9 @@ def open_component_census(L: LieAlgebra, cfg: FlowConfig = FlowConfig()) -> Comp
         even,
         exp_result.verdict and not exp_result.heuristic,
         exp_result.heuristic,
-        len(samples),
+        len(kept),
         tuple(notes),
     )
-
-
-def _try_flow_merge(L, components, ci, trajectory, tol):
-    for cj in range(len(components)):
-        if cj == ci:
-            continue
-        for member in components[cj][:8]:
-            target = np.array([float(v) for v in member])
-            for p in trajectory[:: max(1, len(trajectory) // 64)]:
-                if np.linalg.norm(np.array(p) - target) < tol:
-                    way = tuple(
-                        Fraction(v).limit_denominator(10**4) for v in p
-                    )
-                    if (
-                        _det_at(L, way) != 0
-                        and _segment_nondegenerate(L, components[ci][0], way)
-                        and _segment_nondegenerate(L, way, member)
-                    ):
-                        components[ci].extend(components[cj])
-                        del components[cj]
-                        return True
-    return False
 
 
 # ---------------------------------------------------------------------------
@@ -418,12 +344,10 @@ def minus_one_probe(L: LieAlgebra, seed: int = 0, tol: float = 1e-6) -> MinusOne
         ad = ad_matrix(L, x).to_numpy()
         for t, label in grid:
             try:
-                e = matrix_exp_numeric(
-                    Matrix([[v * t for v in row] for row in ad.tolist()])
-                )
-            except Exception:
+                e = matrix_exp_numeric(ad * t)
+            except NumericError:
                 continue
-            vals = np.linalg.eigvals(e.to_numpy())
+            vals = np.linalg.eigvals(e)
             for lam in vals:
                 if abs(lam + 1.0) < tol:
                     return MinusOneProbe(True, x, label, t, complex(lam))

@@ -1,8 +1,10 @@
 """Exact linear algebra over the rationals and Gaussian rationals.
 
 Scalars are `Fraction` for real values and `GaussianRational` for values with
-a nonzero imaginary part; arithmetic never silently demotes to float.  Float
-matrices are accepted only by the explicitly numeric operations.
+a nonzero imaginary part; arithmetic never silently demotes to float.  A
+`Matrix` holds exact entries only.  The explicitly numeric operations at the
+end of the module take and return `numpy` arrays; `Matrix.to_numpy` is the one
+bridge from the exact side.
 """
 from __future__ import annotations
 
@@ -12,10 +14,6 @@ from fractions import Fraction
 from typing import Iterable, Sequence, Union
 
 import numpy as np
-
-
-class ModeError(TypeError):
-    """Exact and float data were mixed, or the wrong mode was supplied."""
 
 
 class NumericError(ArithmeticError):
@@ -185,32 +183,23 @@ def format_scalar(x: Scalar) -> str:
 
 
 class Matrix:
-    """Immutable dense matrix; all entries exact, or all float/complex."""
+    """Immutable dense matrix with exact entries (`Fraction` or `GaussianRational`)."""
 
-    __slots__ = ("rows", "cols", "data", "exact")
+    __slots__ = ("rows", "cols", "data")
 
     def __init__(self, rows_data: Iterable[Iterable]):
-        data = tuple(tuple(row) for row in rows_data)
+        data = tuple(
+            tuple(x if type(x) is Fraction else _exact_entry(x) for x in row)
+            for row in rows_data
+        )
         if not data or not data[0]:
             raise ValueError("matrix must be nonempty")
         cols = len(data[0])
         if any(len(row) != cols for row in data):
             raise ValueError("ragged rows")
-        flat = [x for row in data for x in row]
-        if all(is_exact(x) for x in flat):
-            data = tuple(
-                tuple(Fraction(x) if isinstance(x, int) else x for x in row)
-                for row in data
-            )
-            exact = True
-        elif all(isinstance(x, (float, complex)) for x in flat):
-            exact = False
-        else:
-            raise ModeError("matrix mixes exact and float entries")
         object.__setattr__(self, "rows", len(data))
         object.__setattr__(self, "cols", cols)
         object.__setattr__(self, "data", data)
-        object.__setattr__(self, "exact", exact)
 
     def __setattr__(self, *a):
         raise AttributeError("Matrix is immutable")
@@ -235,7 +224,7 @@ class Matrix:
         return f"Matrix({[list(r) for r in self.data]})"
 
     def __add__(self, other):
-        self._check_mode(other)
+        self._check_shape(other)
         return Matrix(
             [
                 [a + b for a, b in zip(ra, rb)]
@@ -244,7 +233,7 @@ class Matrix:
         )
 
     def __sub__(self, other):
-        self._check_mode(other)
+        self._check_shape(other)
         return Matrix(
             [
                 [a - b for a, b in zip(ra, rb)]
@@ -255,23 +244,18 @@ class Matrix:
     def __neg__(self):
         return Matrix([[-a for a in row] for row in self.data])
 
-    def _check_mode(self, other):
-        if self.exact != other.exact:
-            raise ModeError("mixed exact/float matrices")
+    def _check_shape(self, other):
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValueError("shape mismatch")
 
     def __matmul__(self, other):
-        if self.exact != other.exact:
-            raise ModeError("mixed exact/float matrices")
         if self.cols != other.rows:
             raise ValueError("shape mismatch")
         tdata = other.data
-        start = Fraction(0) if self.exact else 0.0
         return Matrix(
             [
                 [
-                    sum((a * tdata[k][j] for k, a in enumerate(row) if a), start)
+                    sum((a * tdata[k][j] for k, a in enumerate(row) if a), Fraction(0))
                     for j in range(other.cols)
                 ]
                 for row in self.data
@@ -285,17 +269,16 @@ class Matrix:
         return Matrix(list(zip(*self.data)))
 
     def trace(self):
-        return sum((self.data[i][i] for i in range(min(self.rows, self.cols))), Fraction(0)) \
-            if self.exact else sum(self.data[i][i] for i in range(min(self.rows, self.cols)))
+        return sum((self.data[i][i] for i in range(min(self.rows, self.cols))), Fraction(0))
 
     def apply(self, vec: Sequence) -> tuple:
         if len(vec) != self.cols:
             raise ValueError("vector length mismatch")
-        if self.exact and not all(is_exact(x) for x in vec):
-            raise ModeError("float vector applied to exact matrix")
+        if not all(is_exact(x) for x in vec):
+            raise TypeError("float vector applied to exact matrix")
         out = []
         for row in self.data:
-            acc = Fraction(0) if self.exact else 0.0
+            acc = Fraction(0)
             for a, x in zip(row, vec):
                 acc = acc + a * x
             out.append(acc)
@@ -305,15 +288,17 @@ class Matrix:
         return tuple(row[j] for row in self.data)
 
     def to_numpy(self) -> np.ndarray:
-        if self.exact:
-            if any(scalar_im(x) != 0 for row in self.data for x in row):
-                return np.array([[to_complex(x) for x in row] for row in self.data])
-            return np.array([[float(x) for x in row] for row in self.data], dtype=float)
-        return np.array([[x for x in row] for row in self.data])
+        if any(scalar_im(x) != 0 for row in self.data for x in row):
+            return np.array([[to_complex(x) for x in row] for row in self.data])
+        return np.array([[float(x) for x in row] for row in self.data], dtype=float)
 
 
-def matrix_from_numpy(a: np.ndarray) -> Matrix:
-    return Matrix([[complex(x) if np.iscomplexobj(a) else float(x) for x in row] for row in a])
+def _exact_entry(x) -> Scalar:
+    if isinstance(x, int):
+        return Fraction(x)
+    if isinstance(x, (Fraction, GaussianRational)):
+        return x
+    raise TypeError(f"matrix entries must be exact, got {type(x).__name__}")
 
 
 # ---------------------------------------------------------------------------
@@ -347,9 +332,7 @@ def rref(rows: Sequence[Sequence[Scalar]]):
 
 
 def rank_kernel(m: Matrix):
-    """Exact rank and a kernel basis (list of tuples). Exact matrices only."""
-    if not m.exact:
-        raise ModeError("rank_kernel requires an exact matrix")
+    """Exact rank and a kernel basis (list of tuples)."""
     red, pivots = rref(m.data)
     rank = len(pivots)
     free = [j for j in range(m.cols) if j not in pivots]
@@ -365,8 +348,6 @@ def rank_kernel(m: Matrix):
 
 def det_exact(m: Matrix) -> Scalar:
     """Exact determinant by fraction-based elimination."""
-    if not m.exact:
-        raise ModeError("det_exact requires an exact matrix")
     if m.rows != m.cols:
         raise ValueError("determinant of a non-square matrix")
     a = [list(r) for r in m.data]
@@ -390,8 +371,6 @@ def det_exact(m: Matrix) -> Scalar:
 
 def solve_exact(m: Matrix, rhs: Sequence[Scalar]):
     """Solve m x = rhs exactly; None when inconsistent, a particular solution else."""
-    if not m.exact:
-        raise ModeError("solve_exact requires an exact matrix")
     aug = [list(row) + [v] for row, v in zip(m.data, rhs)]
     red, pivots = rref(aug)
     if m.cols in pivots:
@@ -421,8 +400,6 @@ def charpoly_exact(m: Matrix):
 
     Faddeev-LeVerrier recursion; exact over Q and Q(i).
     """
-    if not m.exact:
-        raise ModeError("charpoly_exact requires an exact matrix")
     if m.rows != m.cols:
         raise ValueError("characteristic polynomial of a non-square matrix")
     n = m.rows
@@ -668,9 +645,9 @@ def _poly_from_roots(roots):
 # numeric operations
 
 
-def eigenvalues_numeric(m: Matrix, tol: float = 1e-9):
+def eigenvalues_numeric(a: np.ndarray, tol: float = 1e-9):
     """Eigenvalues as complex floats, each certified by ||Av - lv|| <= tol*||A||."""
-    a = m.to_numpy().astype(complex)
+    a = np.asarray(a, dtype=complex)
     if a.shape[0] != a.shape[1]:
         raise ValueError("eigenvalues of a non-square matrix")
     try:
@@ -689,14 +666,14 @@ def eigenvalues_numeric(m: Matrix, tol: float = 1e-9):
     return sorted(vals.tolist(), key=lambda z: (z.real, z.imag))
 
 
-def matrix_exp_numeric(m: Matrix, tol: float = 1e-12) -> Matrix:
+def matrix_exp_numeric(a: np.ndarray, tol: float = 1e-12) -> np.ndarray:
     """Matrix exponential by scaling and squaring of a Taylor sum.
 
     The input is scaled by 2^-s until its 1-norm is below 1/2, the series is
     summed until the next term's norm drops below tol, and the result is
     squared s times.
     """
-    a = m.to_numpy()
+    a = np.asarray(a)
     if a.shape[0] != a.shape[1]:
         raise ValueError("exponential of a non-square matrix")
     a = a.astype(complex) if np.iscomplexobj(a) else a.astype(float)
@@ -723,7 +700,7 @@ def matrix_exp_numeric(m: Matrix, tol: float = 1e-12) -> Matrix:
         result = result @ result
     if not np.all(np.isfinite(result)):
         raise NumericError("overflow in matrix exponential")
-    return matrix_from_numpy(result)
+    return result
 
 
 def numeric_rank(a: np.ndarray, tol: float = 1e-9) -> int:

@@ -292,8 +292,6 @@ def make_module(L: LieAlgebra, actions: Sequence[Matrix]) -> LieModule:
     for a in actions:
         if a.rows != n or a.cols != n:
             raise ValueError("action matrices must be square of equal size")
-        if not a.exact:
-            raise ValueError("action matrices must be exact")
     mod = LieModule(L, n, actions)
     for i in range(L.dim):
         for j in range(i + 1, L.dim):

@@ -1,4 +1,14 @@
+import os
 import sys
+
+
+def pytest_configure(config):
+    """Let subprocesses started by tests import the package from this checkout,
+    as `pythonpath` in pyproject.toml does for the test process itself."""
+    src = str(config.rootpath / "src")
+    os.environ["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p
+    )
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

@@ -102,6 +102,21 @@ class TestLieCommands:
         assert doc["component_count"] == 2 and doc["even"]
         assert doc["evenness_asserted"]
 
+    def test_census_complex_field_is_exit_2(self, tmp_path, capsys):
+        code, text = run(["lie", "census", "--name", "complex_borel"], tmp_path)
+        assert code == 2 and text == ""
+        err = capsys.readouterr().err
+        assert "realify first" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("sub", ["census", "stratify"])
+    @pytest.mark.parametrize("samples", ["-5", "0", "two"])
+    def test_bad_samples_is_exit_2(self, sub, samples, tmp_path, capsys):
+        code, text = run(
+            ["lie", sub, "--name", "heisenberg", "--samples", samples], tmp_path
+        )
+        assert code == 2 and text == ""
+        assert "--samples" in capsys.readouterr().err
+
     def test_stratify(self, tmp_path):
         code, doc = run_json(["lie", "stratify", "--name", "heisenberg"], tmp_path)
         assert code == 0

@@ -12,6 +12,8 @@ from fractions import Fraction as Q
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from liegrpd.catalog import (
     axb,
@@ -23,7 +25,7 @@ from liegrpd.catalog import (
 )
 from liegrpd.coadjoint import (
     ComponentCensus,
-    FlowConfig,
+    _segment_nondegenerate,
     bform,
     coadjoint_flow,
     frobenius_test,
@@ -33,8 +35,8 @@ from liegrpd.coadjoint import (
     open_component_census,
     orbit_dimension,
 )
-from liegrpd.exact import ModeError, det_exact
-from liegrpd.lie import Subspace
+from liegrpd.exact import det_exact
+from liegrpd.lie import Subspace, from_brackets
 
 
 class TestSkewForm:
@@ -72,9 +74,8 @@ class TestSkewForm:
 
     def test_float_point(self):
         L = axb()
-        b = bform(L, (0.5, 2.0))
-        assert not b.exact
-        assert b.data[0][1] == 2.0
+        with pytest.raises(TypeError):
+            bform(L, (0.5, 2.0))
 
     def test_realified_borel_det_formula(self):
         L = realified_borel()
@@ -135,7 +136,7 @@ class TestIsotropy:
                         assert iso.contains(L.bracket(u, v))
 
     def test_requires_exact_point(self):
-        with pytest.raises(ModeError):
+        with pytest.raises(TypeError):
             isotropy_algebra(axb(), (0.5, 1.5))
 
 
@@ -183,7 +184,7 @@ class TestFlow:
 
     def test_linear_flow_matches_matrix_exponential(self):
         # integrating the linear field must agree with exp(-t ad(x)^T) xi
-        from liegrpd.exact import matrix_exp_numeric, Matrix
+        from liegrpd.exact import matrix_exp_numeric
         from liegrpd.lie import ad_matrix
 
         L = euclid2()
@@ -191,15 +192,13 @@ class TestFlow:
         t = 1.25
         res = coadjoint_flow(L, (Q(1), Q(2), Q(3)), x, t)
         gen = (-ad_matrix(L, x).transpose()).to_numpy()
-        expected = matrix_exp_numeric(
-            Matrix((gen * t).tolist())
-        ).to_numpy() @ np.array([1.0, 2.0, 3.0])
+        expected = matrix_exp_numeric(gen * t) @ np.array([1.0, 2.0, 3.0])
         assert np.allclose(np.array(res.points[-1]), expected, atol=1e-7)
 
 
 class TestCensus:
     def test_axb_two_components_paired(self):
-        census = open_component_census(axb(), FlowConfig(sample_count=128))
+        census = open_component_census(axb(), samples=128)
         assert census.component_count == 2
         assert census.negation_pairing in (((0, 1), (1, 0)),)
         assert census.even
@@ -209,17 +208,17 @@ class TestCensus:
         assert signs == {1, -1}
 
     def test_heisenberg_empty(self):
-        census = open_component_census(heisenberg(), FlowConfig(sample_count=64))
+        census = open_component_census(heisenberg(), samples=64)
         assert census.component_count == 0
         assert census.nondegenerate_samples == 0
 
     def test_euclid2_empty_and_not_exponential(self):
-        census = open_component_census(euclid2(), FlowConfig(sample_count=64))
+        census = open_component_census(euclid2(), samples=64)
         assert census.component_count == 0
         assert not census.exponential
 
     def test_realified_borel_connected(self):
-        census = open_component_census(realified_borel(), FlowConfig(sample_count=160))
+        census = open_component_census(realified_borel(), samples=160)
         assert census.component_count == 1
         # connected census: the lone component is its own negation image
         assert census.negation_pairing == ((0, 0),)
@@ -228,8 +227,8 @@ class TestCensus:
         assert not census.exponential
 
     def test_census_deterministic(self):
-        a = open_component_census(axb(), FlowConfig(sample_count=96, seed=4))
-        b = open_component_census(axb(), FlowConfig(sample_count=96, seed=4))
+        a = open_component_census(axb(), samples=96, seed=4)
+        b = open_component_census(axb(), samples=96, seed=4)
         assert a == b
 
     def test_complex_field_rejected(self):
@@ -237,10 +236,26 @@ class TestCensus:
             open_component_census(complex_borel())
 
     def test_components_never_mix_axb_signs(self):
-        census = open_component_census(axb(), FlowConfig(sample_count=128, seed=9))
+        census = open_component_census(axb(), samples=128, seed=9)
         assert census.component_count == 2
         assert isinstance(census, ComponentCensus)
         assert sum(census.component_sizes) == census.nondegenerate_samples
+
+
+nonzero = st.integers(-9, 9).filter(bool)
+axb2_points = st.tuples(st.integers(-9, 9), nonzero, st.integers(-9, 9), nonzero)
+
+
+class TestSegmentProbe:
+    @settings(max_examples=60, deadline=None)
+    @given(axb2_points, axb2_points)
+    def test_axb_squared_joins_exactly_same_sign_quadrants(self, a, b):
+        # (ax+b)^2 has det B = xi2^2 xi4^2: a segment between nondegenerate
+        # points avoids the zero set iff it never changes the sign of xi2 or xi4
+        L = from_brackets(4, {(0, 1): {1: 1}, (2, 3): {3: 1}})
+        a, b = tuple(map(Q, a)), tuple(map(Q, b))
+        same_quadrant = a[1] * b[1] > 0 and a[3] * b[3] > 0
+        assert _segment_nondegenerate(L, a, b) is same_quadrant
 
 
 class TestMinusOneProbe:

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from liegrpd.exact import (
     GaussianRational,
     Matrix,
-    ModeError,
     NumericError,
     charpoly_exact,
     charpoly_exact_roots,
@@ -74,11 +73,11 @@ class TestElimination:
         assert rank == 2 and kernel == []
 
     def test_mode_error_on_float(self):
-        with pytest.raises(ModeError):
+        with pytest.raises(TypeError):
             rank_kernel(Matrix([[1.0, 2.0], [2.0, 4.0]]))
 
     def test_mixed_entries_rejected(self):
-        with pytest.raises(ModeError):
+        with pytest.raises(TypeError):
             Matrix([[1, 2.0]])
 
     @settings(max_examples=60)
@@ -211,28 +210,28 @@ class TestPolynomials:
 class TestNumeric:
     def test_exp_of_rotation(self):
         theta = 0.7
-        m = Matrix([[0.0, -theta], [theta, 0.0]])
+        m = np.array([[0.0, -theta], [theta, 0.0]])
         e = matrix_exp_numeric(m, tol=1e-14)
         expect = np.array(
             [[np.cos(theta), -np.sin(theta)], [np.sin(theta), np.cos(theta)]]
         )
-        assert np.allclose(e.to_numpy(), expect, atol=1e-12)
+        assert np.allclose(e, expect, atol=1e-12)
 
     def test_exp_inverse_identity(self):
         rng = np.random.RandomState(7)
         for _ in range(10):
             a = rng.uniform(-3, 3, size=(4, 4))
-            e1 = matrix_exp_numeric(matrix_from_np(a)).to_numpy()
-            e2 = matrix_exp_numeric(matrix_from_np(-a)).to_numpy()
+            e1 = matrix_exp_numeric(a)
+            e2 = matrix_exp_numeric(-a)
             assert np.abs(e1 @ e2 - np.eye(4)).max() < 1e-8
 
     def test_eigenvalues_residual_contract(self):
-        m = Matrix([[0, -1], [1, 0]])
+        m = np.array([[0.0, -1.0], [1.0, 0.0]])
         vals = eigenvalues_numeric(m, tol=1e-9)
         assert np.allclose(sorted(v.imag for v in vals), [-1.0, 1.0], atol=1e-9)
 
     def test_eigenvalues_match_exact_roots(self):
-        m = Matrix([[1, 2], [0, 3]])
+        m = np.array([[1.0, 2.0], [0.0, 3.0]])
         vals = eigenvalues_numeric(m)
         assert np.allclose(sorted(v.real for v in vals), [1.0, 3.0], atol=1e-9)
 
@@ -241,7 +240,3 @@ class TestNumeric:
         assert numeric_rank(a) == 1
         assert numeric_rank(np.eye(3)) == 3
         assert numeric_rank(np.zeros((2, 2))) == 0
-
-
-def matrix_from_np(a):
-    return Matrix([[float(x) for x in row] for row in a])
