@@ -39,8 +39,8 @@ def main() -> int:
             pb = pullback_isomorphism_verify(G)
             bm = equivalence_bimodule_verify(G)
             prof = algebra_profile(G)
-            assert pb.ok, pb.failures
-            assert bm.ok, bm.failures
+            assert pb.ok, pb.failure
+            assert bm.ok, bm.failure
             assert prof.matches_morphism_count
         except Exception as exc:  # noqa: BLE001 - report and keep fuzzing
             failures += 1

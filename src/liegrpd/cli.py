@@ -416,6 +416,8 @@ def cmd_grpd_validate(args) -> int:
         }
         _emit(report, args)
         return 1
+    except ValueError as exc:  # the composable-triple cap
+        raise InputError(str(exc)) from exc
     report = {
         "command": "grpd validate",
         "input": meta,

@@ -29,7 +29,7 @@ from .exact import (
     sturm_root_count,
     to_complex,
 )
-from .lie import LieAlgebra, Subspace, ad_matrix
+from .lie import LieAlgebra, Subspace, ad_matrix, center_of
 from .weights import algebra_is_exponential
 
 
@@ -76,6 +76,12 @@ def isotropy_algebra(L: LieAlgebra, xi: Sequence) -> Subspace:
     return iso
 
 
+def _always_degenerate(L: LieAlgebra) -> bool:
+    """B_xi is singular for every xi: odd dimension, or a nonzero center z
+    (B_xi(z, .) = xi([z, .]) = 0)."""
+    return L.dim % 2 == 1 or center_of(L).dim > 0
+
+
 def frobenius_test(L: LieAlgebra, trials: int = 64, seed: int = 0):
     """Probabilistic search for a nondegenerate functional.
 
@@ -83,10 +89,11 @@ def frobenius_test(L: LieAlgebra, trials: int = 64, seed: int = 0):
     open orbit exists.  After `trials` failures returns (False, None); by the
     Schwartz-Zippel bound a nonzero determinant polynomial vanishes on at most
     a dim/21 fraction of each trial, so false negatives decay geometrically.
+    No point is drawn when every skew form is singular.
     """
     rng = random.Random(seed)
-    if L.dim % 2 == 1:
-        return False, None  # skew forms of odd size are always singular
+    if _always_degenerate(L):
+        return False, None
     for _ in range(trials):
         xi = tuple(Fraction(rng.randint(-10, 10)) for _ in range(L.dim))
         if det_exact(bform(L, xi)) != 0:
@@ -210,6 +217,7 @@ def open_component_census(L: LieAlgebra, samples: int = 512, seed: int = 0) -> C
     skew form is exactly nondegenerate; connections are established by exact
     segment probes only.  Probes can miss connections but never create false
     ones, so each class lies inside one component of the nondegenerate set.
+    No point is drawn when every skew form is singular.
     """
     if L.field != "Q":
         raise ValueError("the census works over the rational field; realify first")
@@ -219,7 +227,8 @@ def open_component_census(L: LieAlgebra, samples: int = 512, seed: int = 0) -> C
     kept = []
     seen = set()
     attempts = 0
-    while len(kept) < samples and attempts < 40 * samples:
+    budget = 0 if _always_degenerate(L) else 40 * samples
+    while len(kept) < samples and attempts < budget:
         attempts += 1
         v = tuple(Fraction(rng.randint(-10, 10)) for _ in range(m))
         for w in (v, tuple(-x for x in v)):
@@ -230,7 +239,8 @@ def open_component_census(L: LieAlgebra, samples: int = 512, seed: int = 0) -> C
                 kept.append(w)
     notes = [
         f"census from {len(kept)} nondegenerate integer samples;"
-        " component count is a lower bound (probes are exact, merges verified)"
+        " no class spans two components (probes are exact), but a missed"
+        " connection can split one component into several classes"
     ]
     if not kept:
         return ComponentCensus(

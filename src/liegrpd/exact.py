@@ -130,10 +130,6 @@ def scalar_im(x) -> Fraction:
     return x.im if isinstance(x, GaussianRational) else Fraction(0)
 
 
-def scalar_conj(x) -> Scalar:
-    return x.conjugate() if isinstance(x, GaussianRational) else Fraction(x)
-
-
 def scalar_key(x):
     """Deterministic sort key for exact scalars: (real, imaginary)."""
     return (scalar_re(x), scalar_im(x))

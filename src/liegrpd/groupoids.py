@@ -15,6 +15,7 @@ import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .exact import Matrix, rank_kernel
 
@@ -179,9 +180,21 @@ class FiniteGroupAction:
 # finite groupoids
 
 
+def _group_by(items, key) -> dict:
+    """key -> tuple of the items with that key, in input order."""
+    groups: dict = {}
+    for item in items:
+        groups.setdefault(key(item), []).append(item)
+    return {k: tuple(v) for k, v in groups.items()}
+
+
 @dataclass(frozen=True, eq=False)
 class FiniteGroupoid:
-    """Explicit-table groupoid; `compose(g, h)` means "h then g"."""
+    """Explicit-table groupoid; `compose(g, h)` means "h then g".
+
+    The hom-set, out-arrow and in-arrow indexes are built on first use and
+    keep morphism input order; the source/target tables must be total first.
+    """
 
     objects: tuple
     morphisms: tuple
@@ -209,12 +222,28 @@ class FiniteGroupoid:
     def inverse(self, g):
         return self.inverses[g]
 
+    @cached_property
+    def homs(self) -> dict:
+        """(d, r) -> morphisms from d to r."""
+        return _group_by(self.morphisms, lambda g: (self.source[g], self.target[g]))
+
+    @cached_property
+    def out_of(self) -> dict:
+        """Object -> morphisms with that source."""
+        return _group_by(self.morphisms, self.source.__getitem__)
+
+    @cached_property
+    def into(self) -> dict:
+        """Object -> morphisms with that target."""
+        return _group_by(self.morphisms, self.target.__getitem__)
+
     def hom(self, x, y) -> tuple:
         """Morphisms from x to y (d = x, r = y) in input order."""
-        return tuple(
-            g for g in self.morphisms
-            if self.source[g] == x and self.target[g] == y
-        )
+        return self.homs.get((x, y), ())
+
+    def composable_pairs(self):
+        """Every (g, h) with d(g) = r(h): g in input order, then h."""
+        return ((g, h) for g in self.morphisms for h in self.into.get(self.source[g], ()))
 
     def isotropy_elements(self, x) -> tuple:
         return self.hom(x, x)
@@ -250,10 +279,9 @@ def validate_groupoid(G: FiniteGroupoid, triple_cap: int = 2_000_000) -> None:
             raise AxiomError("composition defined for non-composable pair", (g, h))
         if G.source[k] != G.source[h] or G.target[k] != G.target[g]:
             raise AxiomError("composite has wrong endpoints", (g, h, k))
-    for g in G.morphisms:
-        for h in G.morphisms:
-            if G.source[g] == G.target[h] and (g, h) not in G.composition:
-                raise AxiomError("composable pair missing from table", (g, h))
+    for g, h in G.composable_pairs():
+        if (g, h) not in G.composition:
+            raise AxiomError("composable pair missing from table", (g, h))
     for g in G.morphisms:
         e_d, e_r = G.identities[G.source[g]], G.identities[G.target[g]]
         if G.composition[(g, e_d)] != g or G.composition[(e_r, g)] != g:
@@ -266,37 +294,38 @@ def validate_groupoid(G: FiniteGroupoid, triple_cap: int = 2_000_000) -> None:
             or G.composition[(ginv, g)] != e_d
         ):
             raise AxiomError("inverse law fails", g)
-    by_target: dict = {}
-    for h in G.morphisms:
-        by_target.setdefault(G.target[h], []).append(h)
-    triples = 0
-    for g in G.morphisms:
-        for h in by_target.get(G.source[g], ()):
-            gh = G.composition[(g, h)]
-            for k in by_target.get(G.source[h], ()):
-                triples += 1
-                if triples > triple_cap:
-                    raise ValueError("too many composable triples for exhaustive check")
-                if G.composition[(gh, k)] != G.composition[(g, G.composition[(h, k)])]:
-                    raise AxiomError("associativity fails", (g, h, k))
+    # triples (g, h, k) through y = d(g): sum over h into y of |into(d(h))|
+    fan = {y: sum(len(G.into[G.source[h]]) for h in hs) for y, hs in G.into.items()}
+    triples = sum(fan[G.source[g]] for g in G.morphisms)
+    if triples > triple_cap:
+        raise ValueError(
+            f"{triples} composable triples exceed the exhaustive-check cap of {triple_cap}"
+        )
+    for g, h in G.composable_pairs():
+        gh = G.composition[(g, h)]
+        for k in G.into[G.source[h]]:
+            if G.composition[(gh, k)] != G.composition[(g, G.composition[(h, k)])]:
+                raise AxiomError("associativity fails", (g, h, k))
+
+
+def _tabulated(objects, mors, source, target, product, identities, inverses):
+    """Groupoid whose table holds product(g, h) on exactly the composable pairs."""
+    G = FiniteGroupoid(objects, mors, source, target, {}, identities, inverses)
+    G.composition.update((pair, product(*pair)) for pair in G.composable_pairs())
+    return G
 
 
 def transformation_groupoid(A: FiniteGroupAction) -> FiniteGroupoid:
     """Morphisms (g, x): x -> g.x; (g2, g1.x) o (g1, x) = (g2 g1, x)."""
     mors = tuple((g, x) for g in A.group.elements for x in A.points)
-    source = {m: m[1] for m in mors}
-    target = {m: A.act(m[0], m[1]) for m in mors}
-    composition = {}
-    for g2, x2 in mors:
-        for g1, x1 in mors:
-            if x2 == A.act(g1, x1):
-                composition[((g2, x2), (g1, x1))] = (A.group.op(g2, g1), x1)
-    identities = {x: (A.group.identity, x) for x in A.points}
-    inverses = {
-        (g, x): (A.group.inv(g), A.act(g, x)) for g, x in mors
-    }
-    return FiniteGroupoid(
-        A.points, mors, source, target, composition, identities, inverses
+    return _tabulated(
+        A.points,
+        mors,
+        {m: m[1] for m in mors},
+        {m: A.act(m[0], m[1]) for m in mors},
+        lambda g2, g1: (A.group.op(g2[0], g1[0]), g1[1]),
+        {x: (A.group.identity, x) for x in A.points},
+        {(g, x): (A.group.inv(g), A.act(g, x)) for g, x in mors},
     )
 
 
@@ -304,34 +333,31 @@ def pair_groupoid(objects) -> FiniteGroupoid:
     """Exactly one morphism (y, x): x -> y between any two objects."""
     objects = tuple(objects)
     mors = tuple((y, x) for y in objects for x in objects)
-    source = {m: m[1] for m in mors}
-    target = {m: m[0] for m in mors}
-    composition = {
-        ((z, y), (w, x)): (z, x)
-        for (z, y) in mors
-        for (w, x) in mors
-        if y == w
-    }
-    identities = {x: (x, x) for x in objects}
-    inverses = {(y, x): (x, y) for (y, x) in mors}
-    return FiniteGroupoid(objects, mors, source, target, composition, identities, inverses)
+    return _tabulated(
+        objects,
+        mors,
+        {m: m[1] for m in mors},
+        {m: m[0] for m in mors},
+        lambda g, h: (g[0], h[1]),
+        {x: (x, x) for x in objects},
+        {(y, x): (x, y) for (y, x) in mors},
+    )
 
 
 def group_bundle(groups: dict, objects) -> FiniteGroupoid:
     """Disjoint union of groups sitting over the given objects (d = r)."""
     objects = tuple(objects)
     mors = tuple((x, a) for x in objects for a in groups[x].elements)
-    source = {m: m[0] for m in mors}
-    target = {m: m[0] for m in mors}
-    composition = {
-        ((x, a), (y, b)): (x, groups[x].op(a, b))
-        for (x, a) in mors
-        for (y, b) in mors
-        if x == y
-    }
-    identities = {x: (x, groups[x].identity) for x in objects}
-    inverses = {(x, a): (x, groups[x].inv(a)) for (x, a) in mors}
-    return FiniteGroupoid(objects, mors, source, target, composition, identities, inverses)
+    base = {m: m[0] for m in mors}
+    return _tabulated(
+        objects,
+        mors,
+        base,
+        base,
+        lambda g, h: (g[0], groups[g[0]].op(g[1], h[1])),
+        {x: (x, groups[x].identity) for x in objects},
+        {(x, a): (x, groups[x].inv(a)) for (x, a) in mors},
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -381,17 +407,12 @@ def reduce_invariant(G: FiniteGroupoid, subset) -> FiniteGroupoid:
         if (G.source[g] in sub) != (G.target[g] in sub):
             raise NotInvariant("subset is not invariant", g, G.source[g], G.target[g])
     mors = tuple(g for g in G.morphisms if G.source[g] in sub)
-    morset = set(mors)
-    return FiniteGroupoid(
+    return _tabulated(
         subset_list,
         mors,
         {g: G.source[g] for g in mors},
         {g: G.target[g] for g in mors},
-        {
-            (g, h): k
-            for (g, h), k in G.composition.items()
-            if g in morset and h in morset
-        },
+        lambda g, h: G.composition[(g, h)],
         {x: G.identities[x] for x in subset_list},
         {g: G.inverses[g] for g in mors},
     )
@@ -448,25 +469,21 @@ def build_pullback(G: FiniteGroupoid):
     element h at the shared representative of x and y.
     """
     theta, _ = canonical_sections(G)
-    iso_elems = {rep: G.isotropy_elements(rep) for rep in set(theta.values())}
+    orbit_of = _group_by(G.objects, theta.__getitem__)
     mors = tuple(
         (x, h, y)
         for x in G.objects
-        for y in G.objects
-        if theta[x] == theta[y]
-        for h in iso_elems[theta[x]]
+        for y in orbit_of[theta[x]]
+        for h in G.isotropy_elements(theta[x])
     )
-    source = {m: m[2] for m in mors}
-    target = {m: m[0] for m in mors}
-    composition = {}
-    for x, h, y in mors:
-        for y2, k, z in mors:
-            if y == y2:
-                composition[((x, h, y), (y2, k, z))] = (x, G.compose(h, k), z)
-    identities = {x: (x, G.identity(theta[x]), x) for x in G.objects}
-    inverses = {(x, h, y): (y, G.inverse(h), x) for (x, h, y) in mors}
-    return FiniteGroupoid(
-        G.objects, mors, source, target, composition, identities, inverses
+    return _tabulated(
+        G.objects,
+        mors,
+        {m: m[2] for m in mors},
+        {m: m[0] for m in mors},
+        lambda a, b: (a[0], G.compose(a[1], b[1]), b[2]),
+        {x: (x, G.identity(theta[x]), x) for x in G.objects},
+        {(x, h, y): (y, G.inverse(h), x) for (x, h, y) in mors},
     )
 
 
@@ -502,32 +519,25 @@ def pullback_isomorphism_verify(G: FiniteGroupoid) -> PullbackReport:
         x, h, y = m
         return G.compose(G.inverse(sigma[x]), G.compose(h, sigma[y]))
 
-    images = [phi(g) for g in G.morphisms]
-    image_set = set(images)
+    images = {g: phi(g) for g in G.morphisms}
+    image_set = set(images.values())
     bijective = (
         len(image_set) == len(G.morphisms) and image_set == set(P.morphisms)
     )
     failure = ()
-    functorial = True
-    for g in G.morphisms:
-        for h in G.morphisms:
-            if G.can_compose(g, h):
-                lhs = phi(G.compose(g, h))
-                rhs = P.compose(phi(g), phi(h))
-                if lhs != rhs:
-                    functorial = False
-                    failure = ("functor", g, h)
-                    break
-        if not functorial:
+    for (g, h), gh in G.composition.items():
+        if images[gh] != P.compose(images[g], images[h]):
+            failure = ("functor", g, h)
             break
+    functorial = not failure
     identities_match = all(
-        phi(G.identity(x)) == P.identity(x) for x in G.objects
+        images[G.identity(x)] == P.identity(x) for x in G.objects
     )
     inverses_match = all(
-        phi(G.inverse(g)) == P.inverse(phi(g)) for g in G.morphisms
+        images[G.inverse(g)] == P.inverse(images[g]) for g in G.morphisms
     )
-    round_trip = all(phi_inv(phi(g)) == g for g in G.morphisms) and all(
-        phi(phi_inv(m)) == m for m in P.morphisms
+    round_trip = all(phi_inv(images[g]) == g for g in G.morphisms) and all(
+        images[phi_inv(m)] == m for m in P.morphisms
     )
     ok = bijective and functorial and identities_match and inverses_match and round_trip
     return PullbackReport(
@@ -570,15 +580,14 @@ def equivalence_bimodule_verify(G: FiniteGroupoid) -> BimoduleReport:
     """
     theta, _ = canonical_sections(G)
     reps = sorted(set(theta.values()), key=list(G.objects).index)
-    Z = tuple(g for g in G.morphisms if G.source[g] in set(reps))
+    rep_set = set(reps)
+    Z = tuple(g for g in G.morphisms if G.source[g] in rep_set)
     iso = {rep: G.isotropy_elements(rep) for rep in reps}
     failure = ()
 
     def check_commute():
         for z in Z:
-            for g in G.morphisms:
-                if not G.can_compose(g, z):
-                    continue
+            for g in G.out_of[G.target[z]]:
                 for b in iso[G.source[z]]:
                     left_then_right = G.compose(G.compose(g, z), b)
                     right_then_left = G.compose(g, G.compose(z, b))
@@ -597,10 +606,8 @@ def equivalence_bimodule_verify(G: FiniteGroupoid) -> BimoduleReport:
         return ok, () if ok else ("right-moment", tuple(set(reps) - sources))
 
     def check_left_free_transitive():
-        by_source: dict = {}
-        for z in Z:
-            by_source.setdefault(G.source[z], []).append(z)
-        for zs in by_source.values():
+        for rep in reps:
+            zs = G.out_of[rep]
             for z1 in zs:
                 for z2 in zs:
                     arrows = [
@@ -613,10 +620,8 @@ def equivalence_bimodule_verify(G: FiniteGroupoid) -> BimoduleReport:
         return True, ()
 
     def check_right_free_transitive():
-        by_target: dict = {}
-        for z in Z:
-            by_target.setdefault(G.target[z], []).append(z)
-        for zs in by_target.values():
+        for y in G.objects:
+            zs = [z for z in G.into[y] if G.source[z] in rep_set]
             for z1 in zs:
                 for z2 in zs:
                     if G.source[z1] != G.source[z2]:
@@ -628,22 +633,15 @@ def equivalence_bimodule_verify(G: FiniteGroupoid) -> BimoduleReport:
                         return False, ("right-torsor", z1, z2, len(arrows))
         return True, ()
 
-    names = (
-        "actions-commute",
-        "left-moment-onto",
-        "right-moment-onto",
-        "left-free-transitive",
-        "right-free-transitive",
-    )
-    funcs = (
-        check_commute,
-        check_left_moment_onto,
-        check_right_moment_onto,
-        check_left_free_transitive,
-        check_right_free_transitive,
+    checks = (
+        ("actions-commute", check_commute),
+        ("left-moment-onto", check_left_moment_onto),
+        ("right-moment-onto", check_right_moment_onto),
+        ("left-free-transitive", check_left_free_transitive),
+        ("right-free-transitive", check_right_free_transitive),
     )
     results = []
-    for name, fn in zip(names, funcs):
+    for name, fn in checks:
         ok, wit = fn()
         results.append((name, ok))
         if not ok and not failure:
@@ -675,11 +673,11 @@ def piecewise_decompose(G: FiniteGroupoid) -> PiecewiseReport:
     rep = orbits_isotropy(G)
     ideal_dims = []
     layer_ok = []
-    cumulative: list = []
+    arrows = 0
     for orbit in rep.orbits:
-        cumulative.extend(orbit)
-        piece = reduce_invariant(G, cumulative)
-        ideal_dims.append(len(piece.morphisms))
+        # a union of orbits is invariant: its arrows are those out of it
+        arrows += sum(len(G.out_of[x]) for x in orbit)
+        ideal_dims.append(arrows)
         layer = reduce_invariant(G, orbit)
         layer_ok.append(pullback_isomorphism_verify(layer).ok)
     return PiecewiseReport(
@@ -738,23 +736,20 @@ def regular_representation_faithful(G: FiniteGroupoid, x) -> RegularRepReport:
     exactly when these matrices are linearly independent, which is decided by
     an exact rank computation and cross-checked against orbit coverage.
     """
-    arrows = [g for g in G.morphisms if G.source[g] == x]
+    arrows = G.out_of.get(x, ())
     index = {a: i for i, a in enumerate(arrows)}
     n = len(arrows)
-    rows = []
-    for g in G.morphisms:
-        flat = [Fraction(0)] * (n * n)
-        for v in arrows:
-            if G.can_compose(g, v):
-                u = G.compose(g, v)
-                flat[index[u] * n + index[v]] = Fraction(1)
-        rows.append(flat)
+    flats = {g: [Fraction(0)] * (n * n) for g in G.morphisms}
+    for v in arrows:
+        for g in G.out_of[G.target[v]]:
+            flats[g][index[G.compose(g, v)] * n + index[v]] = Fraction(1)
+    rows = list(flats.values())
     if rows and any(any(v != 0 for v in row) for row in rows):
         rank, _ = rank_kernel(Matrix(rows))
     else:
         rank = 0
     faithful = rank == len(G.morphisms)
-    orbit = {G.target[g] for g in G.morphisms if G.source[g] == x} | {x}
+    orbit = {G.target[a] for a in arrows} | {x}
     covers = orbit == set(G.objects)
     if faithful != covers:
         raise AssertionError(
@@ -858,8 +853,7 @@ def action_from_json(data: dict) -> FiniteGroupAction:
         for gi, g in enumerate(group.elements)
         for xi, yi in enumerate(table[gi])
     }
-    action = FiniteGroupAction(group, tuple(points), lookup)
-    # revalidate through the factory to reject invalid tables
+    # build through the factory to reject invalid tables
     return FiniteGroupAction.make(group, points, lambda g, x: lookup[(g, x)])
 
 

@@ -40,15 +40,8 @@ class FieldError(ValueError):
 Vector = tuple
 
 
-def _zero_vec(n: int) -> Vector:
-    return (Fraction(0),) * n
-
-
 def vec_add(u: Vector, v: Vector) -> Vector:
     return tuple(a + b for a, b in zip(u, v))
-
-def vec_sub(u: Vector, v: Vector) -> Vector:
-    return tuple(a - b for a, b in zip(u, v))
 
 def vec_scale(c, v: Vector) -> Vector:
     return tuple(c * a for a in v)
@@ -101,9 +94,6 @@ class Subspace:
 
     def sum(self, other: "Subspace") -> "Subspace":
         return Subspace.from_vectors(self.ambient, list(self.rows) + list(other.rows))
-
-    def basis_vectors(self) -> tuple:
-        return self.rows
 
 
 @dataclass(frozen=True)
@@ -228,6 +218,17 @@ class SeriesReport:
     is_nilpotent: bool
 
 
+def center_of(L: LieAlgebra) -> Subspace:
+    """x with [x, Y_j] = 0 for all j; kernel rows indexed by (j, k)."""
+    rows = [
+        tuple(L.tensor[i][j][k] for i in range(L.dim))
+        for j in range(L.dim)
+        for k in range(L.dim)
+    ]
+    _, kernel = rank_kernel(Matrix(rows))
+    return Subspace.from_vectors(L.dim, kernel)
+
+
 def structure_series(L: LieAlgebra) -> SeriesReport:
     """Derived and lower-central series, center, solvability/nilpotency flags."""
     full = Subspace.full(L.dim)
@@ -247,17 +248,10 @@ def structure_series(L: LieAlgebra) -> SeriesReport:
         lower.append(nxt)
         if nxt.dim == 0:
             break
-    # center: x with [x, Y_j] = 0 for all j; rows indexed by (j, k)
-    rows = []
-    for j in range(L.dim):
-        for k in range(L.dim):
-            rows.append(tuple(L.tensor[i][j][k] for i in range(L.dim)))
-    rank, kernel = rank_kernel(Matrix(rows))
-    center = Subspace.from_vectors(L.dim, kernel)
     return SeriesReport(
         tuple(derived),
         tuple(lower),
-        center,
+        center_of(L),
         derived[-1].dim == 0,
         lower[-1].dim == 0,
     )
@@ -315,25 +309,6 @@ def dual_module(M: LieModule) -> LieModule:
 
 def coadjoint_module(L: LieAlgebra) -> LieModule:
     return dual_module(adjoint_module(L))
-
-
-def trivial_module(L: LieAlgebra, n: int = 1) -> LieModule:
-    return make_module(L, [Matrix.zeros(n, n) for _ in range(L.dim)])
-
-
-def direct_sum_module(a: LieModule, b: LieModule) -> LieModule:
-    if a.algebra != b.algebra:
-        raise ValueError("modules over different algebras")
-    n = a.dim + b.dim
-    actions = []
-    for ma, mb in zip(a.actions, b.actions):
-        rows = []
-        for i in range(a.dim):
-            rows.append(list(ma.data[i]) + [Fraction(0)] * b.dim)
-        for i in range(b.dim):
-            rows.append([Fraction(0)] * a.dim + list(mb.data[i]))
-        actions.append(Matrix(rows))
-    return make_module(a.algebra, actions)
 
 
 def semidirect_sum(L: LieAlgebra, M: LieModule) -> LieAlgebra:

@@ -102,9 +102,6 @@ class RootSystem:
     positive_roots: tuple  # sorted by (height, coordinates)
     heights: tuple  # parallel to positive_roots
 
-    def height_of(self, root) -> int:
-        return self.heights[self.positive_roots.index(root)]
-
 
 def build_root_system(family: str, rank: int) -> RootSystem:
     """Construct the named system and generate its positive roots exactly."""

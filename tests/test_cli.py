@@ -1,4 +1,5 @@
 """End-to-end command-line tests: exit codes, report content, determinism."""
+import itertools
 import json
 import subprocess
 import sys
@@ -237,6 +238,23 @@ class TestGrpdCommands:
         assert main(
             ["grpd", "regrep", "--name", "s3_natural", "--object", "9"]
         ) == 2
+
+    def test_validate_over_triple_cap_is_exit_2(self, tmp_path):
+        # S5 on 5 points: 600 morphisms and 8.64M composable triples, over
+        # the 2M cap of the exhaustive associativity check
+        perms = sorted(itertools.permutations(range(5)))
+        doc = {"kind": "group_action", "group": {"family": "symmetric", "n": 5},
+               "points": list(range(5)), "table": [list(p) for p in perms]}
+        p = tmp_path / "s5.json"
+        p.write_text(json.dumps(doc))
+        proc = subprocess.run(
+            [sys.executable, "-m", "liegrpd.cli", "grpd", "validate", "--in", str(p)],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert proc.stderr.startswith("error: 8640000 composable triples")
+        assert "2000000" in proc.stderr and "Traceback" not in proc.stderr
 
 
 class TestOutputContract:

@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from liegrpd import coadjoint
 from liegrpd.catalog import (
     axb,
     complex_borel,
@@ -225,6 +226,21 @@ class TestCensus:
         assert not census.even
         # evenness is not asserted here: the algebra is not exponential
         assert not census.exponential
+
+    def test_no_sampling_without_open_orbit(self, monkeypatch):
+        # odd dimension (heisenberg, e2) or a nonzero center (filiform4)
+        # makes every skew form singular, so the sampler never starts
+        def no_det(*args):
+            raise AssertionError("sampler ran")
+
+        monkeypatch.setattr(coadjoint, "_det_at", no_det)
+        monkeypatch.setattr(coadjoint, "det_exact", no_det)
+        for make in (heisenberg, filiform4, euclid2):
+            census = open_component_census(make(), samples=64)
+            assert census.component_count == 0
+            assert census.nondegenerate_samples == 0
+            assert census.notes[0].startswith("census from 0 nondegenerate")
+            assert frobenius_test(make()) == (False, None)
 
     def test_census_deterministic(self):
         a = open_component_census(axb(), samples=96, seed=4)

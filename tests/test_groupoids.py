@@ -39,6 +39,7 @@ from liegrpd.groupoids import (
     pair_groupoid,
     piecewise_decompose,
     pullback_isomorphism_verify,
+    random_permutation_group,
     random_transformation_groupoid,
     reduce_invariant,
     regular_representation_faithful,
@@ -319,6 +320,61 @@ class TestRandomGroupoids:
                 and algebra_profile(G).blocks[0][4] == 1
             )
             assert single_full_block == c.is_pair
+
+
+def _reference_table(G, product):
+    """Composition by the quadratic definition: every pair, kept iff d(g) = r(h)."""
+    return {
+        (g, h): product(g, h)
+        for g in G.morphisms
+        for h in G.morphisms
+        if G.source[g] == G.target[h]
+    }
+
+
+def _reference_triples(G):
+    return sum(
+        1
+        for g in G.morphisms
+        for h in G.morphisms
+        if G.source[g] == G.target[h]
+        for k in G.morphisms
+        if G.source[h] == G.target[k]
+    )
+
+
+class TestComposablePairTables:
+    """Tables built from indexed composable pairs agree with the M^2 scan."""
+
+    def _check(self, G, product):
+        assert list(G.composition.items()) == list(_reference_table(G, product).items())
+        for x in G.objects:
+            for y in G.objects:
+                scan = tuple(
+                    g for g in G.morphisms
+                    if G.source[g] == x and G.target[g] == y
+                )
+                assert G.hom(x, y) == scan
+        triples = _reference_triples(G)
+        validate_groupoid(G, triple_cap=triples)
+        with pytest.raises(ValueError, match=f"^{triples} composable triples"):
+            validate_groupoid(G, triple_cap=triples - 1)
+
+    def test_fifty_random_actions_and_derived_groupoids(self):
+        for seed in range(50):
+            G = random_transformation_groupoid(random.Random(seed))
+            # the builder draws its group first, so the same seed rebuilds it
+            group = random_permutation_group(random.Random(seed))
+            self._check(G, lambda g, h: (group.op(g[0], h[0]), h[1]))
+            self._check(pair_groupoid(G.objects), lambda g, h: (g[0], h[1]))
+            groups = {x: G.isotropy_group(x) for x in G.objects}
+            self._check(
+                group_bundle(groups, G.objects),
+                lambda g, h: (g[0], groups[g[0]].op(g[1], h[1])),
+            )
+            self._check(
+                build_pullback(G), lambda a, b: (a[0], G.compose(a[1], b[1]), b[2])
+            )
 
 
 class TestJson:
