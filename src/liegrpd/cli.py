@@ -23,7 +23,7 @@ from .coadjoint import (
     open_component_census,
     orbit_dimension,
 )
-from .exact import format_scalar, parse_scalar
+from .exact import NumericError, format_scalar, parse_scalar
 from .groupoids import (
     AxiomError,
     NotInvariant,
@@ -180,28 +180,25 @@ def _emit(report: dict, args) -> None:
 
 
 def cmd_lie_validate(args) -> int:
-    if args.name:
+    if args.name or not args.infile:
         L, meta = _load_algebra(args)
-        report = {"command": "lie validate", "input": meta, "valid": True,
-                  "dim": L.dim, "field": L.field}
-        _emit(report, args)
-        return 0
-    doc, digest = _load_json_file(args.infile)
-    meta = {"path": args.infile, "sha256": digest}
-    try:
-        L = algebra_from_json(doc)
-    except (AntisymmetryError, JacobiError, FieldError) as exc:
-        report = {
-            "command": "lie validate",
-            "input": meta,
-            "valid": False,
-            "violation": type(exc).__name__,
-            "detail": _jsonable(list(exc.args)),
-        }
-        _emit(report, args)
-        return 1
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InputError(f"bad algebra document: {exc}") from exc
+    else:
+        doc, digest = _load_json_file(args.infile)
+        meta = {"path": args.infile, "sha256": digest}
+        try:
+            L = algebra_from_json(doc)
+        except (AntisymmetryError, JacobiError, FieldError) as exc:
+            report = {
+                "command": "lie validate",
+                "input": meta,
+                "valid": False,
+                "violation": type(exc).__name__,
+                "detail": _jsonable(list(exc.args)),
+            }
+            _emit(report, args)
+            return 1
+        except (KeyError, TypeError, ValueError) as exc:
+            raise InputError(f"bad algebra document: {exc}") from exc
     report = {"command": "lie validate", "input": meta, "valid": True,
               "dim": L.dim, "field": L.field}
     _emit(report, args)
@@ -235,12 +232,7 @@ def cmd_lie_roots(args) -> int:
         "command": "lie roots",
         "input": meta,
         "roots": [
-            {
-                "re": [_jsonable(v) for v in r.re],
-                "im": [_jsonable(v) for v in r.im],
-                "multiplicity": r.multiplicity,
-                "exact": r.exact,
-            }
+            {"re": r.re, "im": r.im, "multiplicity": r.multiplicity, "exact": r.exact}
             for r in roots
         ],
     }
@@ -260,12 +252,8 @@ def cmd_lie_exptest(args) -> int:
         "verdict": res.verdict,
         "heuristic": res.heuristic,
         "certificates": [
-            {
-                "weight_re": [_jsonable(v) for v in c.weight.re],
-                "weight_im": [_jsonable(v) for v in c.weight.im],
-                "theta": _jsonable(c.theta),
-                "violation": c.violation,
-            }
+            {"weight_re": c.weight.re, "weight_im": c.weight.im, "theta": c.theta,
+             "violation": c.violation}
             for c in res.certificates
         ],
     }
@@ -281,12 +269,12 @@ def cmd_lie_coadjoint(args) -> int:
     report = {
         "command": "lie coadjoint",
         "input": meta,
-        "point": [_jsonable(v) for v in xi],
-        "skew_form": [[_jsonable(v) for v in row] for row in b.data],
+        "point": xi,
+        "skew_form": b.data,
         "orbit_dimension": orbit_dimension(L, xi),
         "open_orbit": orbit_dimension(L, xi) == L.dim,
         "isotropy_dim": iso.dim,
-        "isotropy_basis": [[_jsonable(v) for v in row] for row in iso.rows],
+        "isotropy_basis": iso.rows,
     }
     _emit(report, args)
     return 0
@@ -307,15 +295,13 @@ def cmd_lie_census(args) -> int:
         "nondegenerate_samples": census.nondegenerate_samples,
         "component_count": census.component_count,
         "component_sizes": list(census.component_sizes),
-        "representatives": [
-            [_jsonable(v) for v in rep] for rep in census.representatives
-        ],
+        "representatives": census.representatives,
         "negation_pairing": [list(p) for p in census.negation_pairing],
         "even": census.even,
         "evenness_asserted": census.exponential,
         "heuristic_weights": census.heuristic_weights,
         "open_orbit_exists": ok,
-        "open_orbit_witness": [_jsonable(v) for v in witness] if witness else None,
+        "open_orbit_witness": witness,
         "notes": list(census.notes),
     }
     _emit(report, args)
@@ -336,12 +322,8 @@ def cmd_lie_stratify(args) -> int:
         "generic_rank": s.generic_rank,
         "exhaustive_grid": s.exhaustive,
         "strata": [
-            {
-                "jump_set": list(st.jump_set),
-                "rank": st.rank,
-                "sample_count": st.sample_count,
-                "representative": [_jsonable(v) for v in st.representative],
-            }
+            {"jump_set": st.jump_set, "rank": st.rank, "sample_count": st.sample_count,
+             "representative": st.representative}
             for st in s.strata
         ],
         "notes": list(s.notes),
@@ -357,7 +339,7 @@ def cmd_lie_probe_minus_one(args) -> int:
         "command": "lie probe-minus-one",
         "input": meta,
         "found": probe.found,
-        "direction": [_jsonable(v) for v in probe.direction] if probe.found else None,
+        "direction": probe.direction if probe.found else None,
         "t": probe.t_label,
         "eigenvalue": _jsonable(probe.eigenvalue) if probe.found else None,
     }
@@ -646,7 +628,7 @@ def main(argv=None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.fn(args)
-    except InputError as exc:
+    except (InputError, NumericError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
     except BrokenPipeError:

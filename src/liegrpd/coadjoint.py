@@ -29,7 +29,7 @@ from .exact import (
     sturm_root_count,
     to_complex,
 )
-from .lie import LieAlgebra, Subspace, ad_matrix, center_of
+from .lie import LieAlgebra, Subspace, ad_matrix, center_of, checked_subalgebra
 from .weights import algebra_is_exponential
 
 
@@ -68,12 +68,7 @@ def is_open_orbit(L: LieAlgebra, xi: Sequence) -> bool:
 def isotropy_algebra(L: LieAlgebra, xi: Sequence) -> Subspace:
     """Kernel of the skew form; verified to be a subalgebra."""
     _, kernel = rank_kernel(bform(L, xi))
-    iso = Subspace.from_vectors(L.dim, kernel)
-    for u in iso.rows:
-        for v in iso.rows:
-            if not iso.contains(L.bracket(u, v)):
-                raise AssertionError("isotropy failed its subalgebra check")
-    return iso
+    return checked_subalgebra(L, kernel, "isotropy")
 
 
 def _always_degenerate(L: LieAlgebra) -> bool:

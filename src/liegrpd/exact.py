@@ -139,13 +139,28 @@ def to_complex(x) -> complex:
     return complex(x) if isinstance(x, GaussianRational) else complex(float(x), 0.0)
 
 
+def _rational(text: str) -> Fraction:
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {text!r}") from None
+
+
 def parse_scalar(text: str) -> Scalar:
-    """Parse "p/q", "p/q+r/s i", "i", "-3i", "1/2-3/4i" into an exact scalar."""
+    """Parse "p/q", "p/q+r/s i", "i", "-3i", "1/2-3/4i" into an exact scalar.
+
+    Exponent notation is rejected: "1e1000000" would build a huge integer
+    before any size check could run.
+    """
+    if not isinstance(text, str):
+        raise TypeError(f"scalar must be a string, got {type(text).__name__}")
     s = text.strip().replace(" ", "")
     if not s:
         raise ValueError("empty scalar")
+    if "e" in s.lower():
+        raise ValueError(f"exponent notation in scalar {text!r}")
     if not s.endswith("i") and not s.endswith("I"):
-        return Fraction(s)
+        return _rational(s)
     body = s[:-1]
     # split off the trailing imaginary term at the last sign not inside
     # an exponent-free rational; scan from the right for +/- at depth 0
@@ -160,8 +175,8 @@ def parse_scalar(text: str) -> Scalar:
     elif im_part == "-":
         im = Fraction(-1)
     else:
-        im = Fraction(im_part)
-    re = Fraction(re_part) if re_part else Fraction(0)
+        im = _rational(im_part)
+    re = _rational(re_part) if re_part else Fraction(0)
     return gaussian(re, im)
 
 
@@ -284,9 +299,18 @@ class Matrix:
         return tuple(row[j] for row in self.data)
 
     def to_numpy(self) -> np.ndarray:
-        if any(scalar_im(x) != 0 for row in self.data for x in row):
-            return np.array([[to_complex(x) for x in row] for row in self.data])
-        return np.array([[float(x) for x in row] for row in self.data], dtype=float)
+        """Float (or complex) copy; NumericError names an entry too large for a float."""
+        is_complex = any(scalar_im(x) != 0 for row in self.data for x in row)
+        out = np.empty((self.rows, self.cols), dtype=complex if is_complex else float)
+        for i, row in enumerate(self.data):
+            for j, x in enumerate(row):
+                try:
+                    out[i, j] = to_complex(x) if is_complex else float(x)
+                except OverflowError:
+                    raise NumericError(
+                        f"matrix entry ({i}, {j}) does not fit a float"
+                    ) from None
+        return out
 
 
 def _exact_entry(x) -> Scalar:

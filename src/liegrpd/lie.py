@@ -7,7 +7,8 @@ touches floats.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Mapping, Sequence
 
@@ -55,7 +56,8 @@ class Subspace:
     """Subspace of an ambient exact coordinate space.
 
     The basis is stored as the reduced row-echelon rows, so two equal
-    subspaces compare equal structurally.
+    subspaces compare equal structurally, and membership is a reduction
+    against those rows.
     """
 
     ambient: int
@@ -75,25 +77,32 @@ class Subspace:
 
     @staticmethod
     def full(ambient: int) -> "Subspace":
-        return Subspace.from_vectors(
-            ambient, [tuple(Fraction(1 if i == j else 0) for j in range(ambient)) for i in range(ambient)]
-        )
+        rows = tuple(tuple(Fraction(int(i == j)) for j in range(ambient)) for i in range(ambient))
+        return Subspace(ambient, rows)
 
     @property
     def dim(self) -> int:
         return len(self.rows)
 
+    @cached_property
+    def pivots(self) -> tuple:
+        """Pivot column of each row; a pivot entry is 1 and every other row is
+        0 there.  The pivot set grows with the subspace."""
+        return tuple(next(i for i, x in enumerate(row) if x != 0) for row in self.rows)
+
+    def reduce(self, v: Vector) -> Vector:
+        """v minus its component at each row's pivot: zero exactly on the span."""
+        for row, p in zip(self.rows, self.pivots):
+            c = v[p]
+            if c != 0:
+                v = tuple(a - c * b for a, b in zip(v, row))
+        return tuple(v)
+
     def contains(self, v: Vector) -> bool:
-        if vec_is_zero(v):
-            return True
-        red, _ = rref(list(self.rows) + [v])
-        return len(red) == self.dim
+        return vec_is_zero(self.reduce(v))
 
     def contains_subspace(self, other: "Subspace") -> bool:
         return all(self.contains(v) for v in other.rows)
-
-    def sum(self, other: "Subspace") -> "Subspace":
-        return Subspace.from_vectors(self.ambient, list(self.rows) + list(other.rows))
 
 
 @dataclass(frozen=True)
@@ -128,23 +137,17 @@ def validate_lie_algebra(
     n = len(tensor)
     if field not in ("Q", "Qi"):
         raise FieldError(f"unknown field {field!r}")
-    t = []
-    for i in range(n):
-        if len(tensor[i]) != n:
+    for i, plane in enumerate(tensor):
+        if len(plane) != n or any(len(row) != n for row in plane):
             raise ValueError("tensor is not cubic")
-        row = []
-        for j in range(n):
-            if len(tensor[i][j]) != n:
-                raise ValueError("tensor is not cubic")
-            entry = []
-            for k in range(n):
-                c = tensor[i][j][k]
+        for j, row in enumerate(plane):
+            for k, c in enumerate(row):
                 if not is_exact(c):
                     raise ValueError(f"entry c[{i}][{j}][{k}] is not exact")
-                entry.append(Fraction(c) if isinstance(c, int) else c)
-            row.append(tuple(entry))
-        t.append(tuple(row))
-    t = tuple(t)
+    t = tuple(
+        tuple(tuple(Fraction(c) if isinstance(c, int) else c for c in row) for row in plane)
+        for plane in tensor
+    )
     for i in range(n):
         for j in range(n):
             for k in range(n):
@@ -187,11 +190,15 @@ def from_brackets(
     Indices are 0-based with i < j; the antisymmetric completion is automatic
     and unlisted brackets vanish.
     """
+    if dim < 1:
+        raise ValueError(f"dimension {dim} is not positive")
     tensor = [[[Fraction(0)] * dim for _ in range(dim)] for _ in range(dim)]
     for (i, j), coeffs in brackets.items():
         if not 0 <= i < j < dim:
             raise ValueError(f"bracket index ({i},{j}) out of range or not i<j")
         for k, c in coeffs.items():
+            if not 0 <= k < dim:
+                raise ValueError(f"coefficient index {k} of bracket ({i},{j}) out of range")
             c = Fraction(c) if isinstance(c, int) else c
             tensor[i][j][k] = c
             tensor[j][i][k] = -c
@@ -218,42 +225,49 @@ class SeriesReport:
     is_nilpotent: bool
 
 
-def center_of(L: LieAlgebra) -> Subspace:
-    """x with [x, Y_j] = 0 for all j; kernel rows indexed by (j, k)."""
-    rows = [
-        tuple(L.tensor[i][j][k] for i in range(L.dim))
-        for j in range(L.dim)
-        for k in range(L.dim)
-    ]
+def centralizer_mod(L: LieAlgebra, s: Subspace) -> Subspace:
+    """{x : [Y_j, x] in s for every j}; kernel rows indexed by (j, k).
+
+    For an ideal s this is the preimage of the center of L/s.
+    """
+    m = L.dim
+    rows = [row for j in range(m) for row in zip(*(s.reduce(L.tensor[j][i]) for i in range(m)))]
     _, kernel = rank_kernel(Matrix(rows))
-    return Subspace.from_vectors(L.dim, kernel)
+    return Subspace.from_vectors(m, kernel)
+
+
+def center_of(L: LieAlgebra) -> Subspace:
+    return centralizer_mod(L, Subspace.zero(L.dim))
+
+
+def checked_subalgebra(L: LieAlgebra, vectors: Sequence[Vector], what: str) -> Subspace:
+    """Span of the vectors, verified closed under the bracket."""
+    s = Subspace.from_vectors(L.dim, vectors)
+    for u in s.rows:
+        for v in s.rows:
+            if not s.contains(L.bracket(u, v)):
+                raise AssertionError(f"{what} failed its subalgebra check")
+    return s
+
+
+def _series(step, start: Subspace) -> tuple:
+    """start, step(start), ... until a term repeats or is zero."""
+    chain = [start]
+    while chain[-1].dim:
+        nxt = step(chain[-1])
+        if nxt == chain[-1]:
+            break
+        chain.append(nxt)
+    return tuple(chain)
 
 
 def structure_series(L: LieAlgebra) -> SeriesReport:
     """Derived and lower-central series, center, solvability/nilpotency flags."""
     full = Subspace.full(L.dim)
-    derived = [full]
-    while True:
-        nxt = subspace_bracket(L, derived[-1], derived[-1])
-        if nxt == derived[-1]:
-            break
-        derived.append(nxt)
-        if nxt.dim == 0:
-            break
-    lower = [full]
-    while True:
-        nxt = subspace_bracket(L, full, lower[-1])
-        if nxt == lower[-1]:
-            break
-        lower.append(nxt)
-        if nxt.dim == 0:
-            break
+    derived = _series(lambda s: subspace_bracket(L, s, s), full)
+    lower = _series(lambda s: subspace_bracket(L, full, s), full)
     return SeriesReport(
-        tuple(derived),
-        tuple(lower),
-        center_of(L),
-        derived[-1].dim == 0,
-        lower[-1].dim == 0,
+        derived, lower, center_of(L), derived[-1].dim == 0, lower[-1].dim == 0
     )
 
 
@@ -413,7 +427,14 @@ def algebra_from_json(doc: dict) -> LieAlgebra:
     sparse = {}
     for entry in doc.get("brackets", []):
         i, j = int(entry["i"]), int(entry["j"])
-        coeffs = {int(k): parse_scalar(v) for k, v in entry["coeffs"].items()}
+        if (i, j) in sparse:
+            raise ValueError(f"bracket ({i},{j}) listed twice")
+        raw = entry["coeffs"]
+        if not isinstance(raw, dict):
+            raise TypeError(f"coeffs of bracket ({i},{j}) is not an object")
+        coeffs = {int(k): parse_scalar(v) for k, v in raw.items()}
+        if len(coeffs) != len(raw):
+            raise ValueError(f"a coefficient index of bracket ({i},{j}) is listed twice")
         sparse[(i, j)] = coeffs
     return from_brackets(dim, sparse, basis, field)
 

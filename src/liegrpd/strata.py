@@ -4,9 +4,10 @@ For a nilpotent algebra a full flag of ideals is built by refining the
 ascending central series deterministically (standard basis vectors in
 descending index order), every intermediate space between consecutive central
 terms being automatically an ideal.  Each functional gets a jump set: the
-flag steps not absorbed by its isotropy.  The size of the jump set always
-equals the rank of the skew form, and the generic jump set is the unique
-minimum in the index order.
+flag steps not absorbed by its isotropy, read off one elimination as the
+pivot columns of B_xi F, where the columns of F form a basis adapted to the
+flag.  The size of the jump set always equals the rank of the skew form, and
+the generic jump set is the unique minimum in the index order.
 """
 from __future__ import annotations
 
@@ -15,43 +16,20 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .coadjoint import bform, isotropy_algebra
-from .exact import Matrix, rank_kernel
-from .lie import LieAlgebra, LieModule, Subspace, ad_matrix, structure_series
-
-
-def _residual_matrix(space: Subspace, dim: int) -> Matrix:
-    """Linear map whose kernel is exactly `space` (reduction mod its rows)."""
-    cols = []
-    for k in range(dim):
-        v = [Fraction(1) if j == k else Fraction(0) for j in range(dim)]
-        for row in space.rows:
-            pivot = next(i for i, x in enumerate(row) if x != 0)
-            if v[pivot] != 0:
-                c = v[pivot] / row[pivot]
-                v = [a - c * b for a, b in zip(v, row)]
-        cols.append(v)
-    return Matrix([[cols[k][j] for k in range(dim)] for j in range(dim)])
+from .coadjoint import bform
+from .exact import Matrix, rank_kernel, rref
+from .lie import LieAlgebra, LieModule, Subspace, centralizer_mod, checked_subalgebra
 
 
 def ascending_central_series(L: LieAlgebra) -> tuple:
     """0 = z_0 < z_1 < ... terminating; reaches the whole algebra iff nilpotent."""
-    m = L.dim
-    ads = [ad_matrix(L, L.basis_vector(i)) for i in range(m)]
-    chain = [Subspace.zero(m)]
-    while True:
-        res = _residual_matrix(chain[-1], m)
-        stacked = []
-        for a in ads:
-            prod = res @ a
-            stacked.extend(prod.data)
-        _, kernel = rank_kernel(Matrix(stacked))
-        nxt = Subspace.from_vectors(m, kernel)
+    chain = [Subspace.zero(L.dim)]
+    while chain[-1].dim < L.dim:
+        nxt = centralizer_mod(L, chain[-1])
         if nxt.dim == chain[-1].dim:
-            return tuple(chain)
+            break
         chain.append(nxt)
-        if nxt.dim == m:
-            return tuple(chain)
+    return tuple(chain)
 
 
 def _is_ideal(L: LieAlgebra, s: Subspace) -> bool:
@@ -71,11 +49,10 @@ def jordan_holder_flag(L: LieAlgebra) -> tuple:
     not lie in the step).  Only nilpotent algebras admit this construction
     over the rationals in general.
     """
-    series = structure_series(L)
-    if not series.is_nilpotent:
-        raise ValueError("full ideal flags are constructed for nilpotent algebras")
     chain = ascending_central_series(L)
     m = L.dim
+    if chain[-1].dim != m:
+        raise ValueError("full ideal flags are constructed for nilpotent algebras")
     flag = [Subspace.zero(m)]
     for upper in chain[1:]:
         cur = flag[-1]
@@ -100,19 +77,22 @@ def jordan_holder_flag(L: LieAlgebra) -> tuple:
 def jump_indices(L: LieAlgebra, flag: tuple, xi) -> tuple:
     """1-based flag steps not absorbed by the isotropy of xi.
 
-    j is a jump when g_j is not inside g_{j-1} + g(xi).  The number of jumps
-    equals the rank of the skew form at xi.
+    j is a jump when g_j is not inside g_{j-1} + ker B_xi.  With f_j the row
+    of g_j whose pivot is not a pivot of g_{j-1} (a basis adapted to the
+    flag), that holds iff B_xi f_j is independent of B_xi f_1, ..., B_xi
+    f_{j-1}: the jumps are the pivot columns of B_xi F, counted from 1.  Their
+    number equals the rank of the skew form at xi.
     """
-    iso = isotropy_algebra(L, xi)
-    jumps = []
-    for j in range(1, len(flag)):
-        absorbed = iso.sum(flag[j - 1])
-        if not absorbed.contains_subspace(flag[j]):
-            jumps.append(j)
-    rank, _ = rank_kernel(bform(L, xi))
-    if len(jumps) != rank:
+    adapted = []
+    for lower, upper in zip(flag, flag[1:]):
+        old = set(lower.pivots)
+        adapted.append(next(r for r, p in zip(upper.rows, upper.pivots) if p not in old))
+    b = bform(L, xi)
+    _, pivots = rref((b @ Matrix(adapted).transpose()).data)
+    rank, _ = rank_kernel(b)
+    if len(pivots) != rank:
         raise AssertionError("jump count disagrees with the skew-form rank")
-    return tuple(jumps)
+    return tuple(p + 1 for p in pivots)
 
 
 def index_order_leq(e: tuple, f: tuple) -> bool:
@@ -248,12 +228,7 @@ def point_isotropy(M: LieModule, v) -> Subspace:
     """Stabilizer subalgebra {x : a(x) v = 0}; verified closed under bracket."""
     cols = [M.actions[i].apply(v) for i in range(M.algebra.dim)]
     _, kernel = rank_kernel(Matrix([[c[j] for c in cols] for j in range(M.dim)]))
-    iso = Subspace.from_vectors(M.algebra.dim, kernel)
-    for u in iso.rows:
-        for w in iso.rows:
-            if not iso.contains(M.algebra.bracket(u, w)):
-                raise AssertionError("point stabilizer failed its subalgebra check")
-    return iso
+    return checked_subalgebra(M.algebra, kernel, "point stabilizer")
 
 
 def stratify_module(

@@ -137,6 +137,61 @@ class TestLieCommands:
         assert code == 0 and not doc["found"]
 
 
+def _write_algebra(tmp_path, dim, brackets, name="alg.json"):
+    p = tmp_path / name
+    p.write_text(json.dumps({"dim": dim, "field": "Q", "brackets": brackets}))
+    return str(p)
+
+
+class TestMalformedAlgebraDocuments:
+    """Documents that describe no algebra exit 2 with one error line."""
+
+    def assert_exit_2(self, subs, path, capsys, message):
+        for sub in subs:
+            assert main(["lie", sub, "--in", path, "--samples", "8"]) == 2
+            out, err = capsys.readouterr()
+            assert out == "" and err.startswith("error: ") and message in err
+            assert "Traceback" not in err
+
+    @pytest.mark.parametrize("k", ["-1", "2", "5"])
+    def test_coefficient_index_out_of_range(self, k, tmp_path, capsys):
+        # "-1" used to wrap to the last basis vector and validate as true
+        path = _write_algebra(tmp_path, 2, [{"i": 0, "j": 1, "coeffs": {k: "1"}}])
+        self.assert_exit_2(["validate", "series", "roots"], path, capsys,
+                           f"coefficient index {k} of bracket (0,1) out of range")
+
+    def test_repeated_bracket(self, tmp_path, capsys):
+        # the last entry used to win silently
+        path = _write_algebra(tmp_path, 2, [{"i": 0, "j": 1, "coeffs": {"1": "1"}},
+                                            {"i": 0, "j": 1, "coeffs": {"1": "2"}}])
+        self.assert_exit_2(["validate", "series"], path, capsys,
+                           "bracket (0,1) listed twice")
+
+    @pytest.mark.parametrize("dim", [0, -3])
+    def test_dimension_below_one(self, dim, tmp_path, capsys):
+        path = _write_algebra(tmp_path, dim, [])
+        self.assert_exit_2(["validate", "series", "roots", "exptest", "census"],
+                           path, capsys, f"dimension {dim} is not positive")
+
+    @pytest.mark.parametrize("text", ["1e5", "1E-3", "1/2+3e2i"])
+    def test_exponent_notation(self, text, tmp_path, capsys):
+        path = _write_algebra(tmp_path, 2, [{"i": 0, "j": 1, "coeffs": {"1": text}}])
+        self.assert_exit_2(["validate", "series"], path, capsys, "exponent notation")
+
+
+class TestNumericBridgeOverflow:
+    def test_float_fallback_overflow_is_exit_2(self, tmp_path, capsys):
+        # a 400-digit coefficient exhausts the exact root search; the float
+        # fallback cannot hold it
+        big = "1" + "0" * 399
+        path = _write_algebra(tmp_path, 2, [{"i": 0, "j": 1, "coeffs": {"1": big}}])
+        for sub in ("roots", "exptest", "census", "probe-minus-one"):
+            assert main(["lie", sub, "--in", path, "--samples", "8"]) == 2
+            out, err = capsys.readouterr()
+            assert out == ""
+            assert err == "error: matrix entry (1, 1) does not fit a float\n"
+
+
 class TestCascadeCommand:
     def test_single_system(self, tmp_path):
         code, doc = run_json(["cascade", "--family", "B", "--rank", "3"], tmp_path)

@@ -1,0 +1,115 @@
+"""CLI contract over many inputs: exit 0, 1 or 2, no escaping exception, and
+identical bytes on a rerun.
+
+Every subcommand runs in-process on the catalog, the corpus and a set of
+malformed documents (out-of-range indices, repeated brackets, nonpositive
+dimension, exponent notation, wrong JSON types, broken groupoid tables) and
+with no input at all.  A coefficient too large for a float is left to
+`test_cli.py::TestNumericBridgeOverflow`: its exact root search alone takes
+about 2.5 s per pass.
+"""
+import contextlib
+import io
+import json
+from pathlib import Path
+
+from liegrpd import catalog
+from liegrpd.cli import main
+
+CORPUS = Path(__file__).resolve().parent.parent / "corpus"
+
+LIE_SUBS = ["validate", "series", "roots", "exptest", "coadjoint", "census",
+            "stratify", "probe-minus-one"]
+GRPD_SUBS = ["validate", "classify", "pullback-verify", "bimodule-verify",
+             "decompose", "profile", "regrep"]
+
+
+def _bracket_doc(dim, coeffs, **extra):
+    doc = {"dim": dim, "field": "Q", "brackets": [{"i": 0, "j": 1, "coeffs": coeffs}]}
+    doc.update(extra)
+    return doc
+
+
+MALFORMED_ALGEBRAS = {
+    "index_minus_one": _bracket_doc(2, {"-1": "1"}),
+    "index_past_dim": _bracket_doc(2, {"5": "1"}),
+    "repeated_bracket": {"dim": 2, "brackets": [{"i": 0, "j": 1, "coeffs": {"1": "1"}},
+                                                {"i": 0, "j": 1, "coeffs": {"1": "2"}}]},
+    "repeated_coefficient": _bracket_doc(2, {"1": "1", "01": "2"}),
+    "dim_zero": {"dim": 0, "brackets": []},
+    "dim_negative": {"dim": -2, "brackets": []},
+    "dim_text": {"dim": "two", "brackets": []},
+    "exponent": _bracket_doc(2, {"1": "1e1000000"}),
+    "number_coefficient": _bracket_doc(2, {"1": 1}),
+    "list_coefficients": _bracket_doc(2, ["1"]),
+    "zero_denominator": _bracket_doc(2, {"1": "1/0"}),
+    "bracket_order": {"dim": 2, "brackets": [{"i": 1, "j": 0, "coeffs": {"1": "1"}}]},
+    "jacobi_violation": {"dim": 3, "brackets": [
+        {"i": 0, "j": 1, "coeffs": {"0": "1", "2": "1"}},
+        {"i": 0, "j": 2, "coeffs": {"1": "1"}},
+        {"i": 1, "j": 2, "coeffs": {"0": "1"}}]},
+    "unknown_field": _bracket_doc(2, {"1": "1"}, field="R"),
+    "not_an_object": [1, 2, 3],
+    "missing_dim": {"brackets": []},
+}
+
+MALFORMED_GROUPOIDS = {
+    "unknown_kind": {"kind": "monoid"},
+    "not_an_object": "groupoid",
+    "action_short_table": {"kind": "group_action", "group": {"family": "symmetric", "n": 3},
+                           "points": [0, 1, 2], "table": [[0, 1, 2]]},
+    "groupoid_missing_tables": {"kind": "groupoid", "objects": [0]},
+}
+
+
+def _capture(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def _cases(tmp_path):
+    flags = ["--samples", "4"]
+    lie_inputs = [["--name", n] for n in catalog.LIE_CATALOG]
+    lie_inputs += [["--in", str(CORPUS / f"{n}.json")]
+                   for n in ("axb", "complex_borel", "e2", "filiform4", "heisenberg")]
+    dims = [make().dim for make in catalog.LIE_CATALOG.values()]
+    dims += [json.loads(Path(inp[1]).read_text())["dim"] for inp in lie_inputs[len(dims):]]
+    grpd_inputs = [["--name", n] for n in catalog.GROUPOID_CATALOG]
+    grpd_inputs += [["--in", str(CORPUS / f"{n}.json")]
+                    for n in ("negation_groupoid", "s3_natural", "z4_parity")]
+    for kind, docs, inputs in (("alg", MALFORMED_ALGEBRAS, lie_inputs),
+                               ("grpd", MALFORMED_GROUPOIDS, grpd_inputs)):
+        for name, doc in docs.items():
+            p = tmp_path / f"{kind}_{name}.json"
+            p.write_text(json.dumps(doc))
+            inputs.append(["--in", str(p)])
+        inputs.append([])
+    for inp, dim in zip(lie_inputs, dims + [2] * len(lie_inputs)):
+        for sub in LIE_SUBS:
+            extra = ["--point", ",".join(["1"] * dim)] if sub == "coadjoint" else []
+            yield ["lie", sub] + inp + flags + extra
+    for inp in grpd_inputs:
+        for sub in GRPD_SUBS:
+            extra = ["--object", "0"] if sub == "regrep" else []
+            yield ["grpd", sub] + inp + extra
+    yield ["cascade", "--family", "B", "--rank", "3"]
+    yield ["cascade", "--table", "--max-rank", "3"]
+    yield ["cascade"]
+    yield ["lie", "coadjoint", "--name", "axb", "--point", "1e99999999,1"]
+
+
+def test_every_subcommand_keeps_the_exit_contract(tmp_path):
+    codes = set()
+    for argv in _cases(tmp_path):
+        try:
+            first = _capture(argv)
+            second = _capture(argv)
+        except Exception as exc:  # the contract: nothing escapes main
+            raise AssertionError(f"{argv} raised {exc!r}") from exc
+        assert first[0] in (0, 1, 2), argv
+        assert first == second, argv
+        assert "Traceback" not in first[2], argv
+        codes.add(first[0])
+    assert codes == {0, 1, 2}

@@ -17,7 +17,7 @@ from liegrpd.catalog import (
     heisenberg,
     realified_borel,
 )
-from liegrpd.exact import Matrix, gaussian
+from liegrpd.exact import Matrix, gaussian, rref
 from liegrpd.lie import (
     AntisymmetryError,
     JacobiError,
@@ -37,6 +37,7 @@ from liegrpd.lie import (
     structure_series,
     subspace_bracket,
     validate_lie_algebra,
+    vec_is_zero,
 )
 
 
@@ -257,3 +258,50 @@ class TestJson:
         }
         L = algebra_from_json(doc)
         assert L.tensor[0][1][1] == gaussian(Q(1, 2), Q(3, 4))
+
+
+# reference membership test: v lies in s iff appending it leaves the rank unchanged
+def _rank_contains(s, v):
+    return len(rref(list(s.rows) + [v])[0]) == s.dim
+
+
+_small = st.builds(Q, st.integers(-3, 3), st.integers(1, 3))
+_scalars = st.one_of(_small, st.builds(gaussian, _small, _small))
+
+
+@st.composite
+def subspace_and_vector(draw, scalars):
+    """A subspace from 0..4 random vectors, and a vector that is half the time
+    a combination of those vectors (so membership is exercised both ways)."""
+    n = draw(st.integers(1, 5))
+    vecs = draw(st.lists(st.lists(scalars, min_size=n, max_size=n), max_size=4))
+    vecs = [tuple(v) for v in vecs]
+    if vecs and draw(st.booleans()):
+        coeffs = draw(st.lists(scalars, min_size=len(vecs), max_size=len(vecs)))
+        v = tuple(sum((c * w[k] for c, w in zip(coeffs, vecs)), Q(0)) for k in range(n))
+    else:
+        v = tuple(draw(st.lists(scalars, min_size=n, max_size=n)))
+    return Subspace.from_vectors(n, vecs), v
+
+
+class TestSubspaceReduction:
+    @settings(max_examples=80)
+    @given(subspace_and_vector(_small))
+    def test_contains_matches_rank_reference_rational(self, case):
+        s, v = case
+        assert s.contains(v) == _rank_contains(s, v)
+
+    @settings(max_examples=80)
+    @given(subspace_and_vector(_scalars))
+    def test_contains_matches_rank_reference_gaussian(self, case):
+        s, v = case
+        assert s.contains(v) == _rank_contains(s, v)
+
+    @settings(max_examples=80)
+    @given(subspace_and_vector(_scalars))
+    def test_reduce_is_v_minus_its_component_in_s(self, case):
+        s, v = case
+        r = s.reduce(v)
+        assert vec_is_zero(r) == _rank_contains(s, v)
+        assert all(r[p] == 0 for p in s.pivots)
+        assert _rank_contains(s, tuple(a - b for a, b in zip(v, r)))

@@ -13,6 +13,7 @@ from fractions import Fraction as Q
 import pytest
 
 from liegrpd.catalog import (
+    LIE_CATALOG,
     abelian,
     axb,
     axb_tautological_module,
@@ -21,8 +22,15 @@ from liegrpd.catalog import (
     heisenberg,
 )
 from liegrpd.coadjoint import bform
-from liegrpd.exact import rank_kernel
-from liegrpd.lie import Subspace, adjoint_module, coadjoint_module
+from liegrpd.exact import Matrix, matrix_inverse, rank_kernel, rref
+from liegrpd.lie import (
+    Subspace,
+    ad_matrix,
+    adjoint_module,
+    center_of,
+    coadjoint_module,
+    from_brackets,
+)
 from liegrpd.strata import (
     ascending_central_series,
     coadjoint_stratification,
@@ -212,3 +220,125 @@ class TestModuleStrata:
         for stratum in s.strata:
             rank, _ = rank_kernel(bform(L, stratum.representative))
             assert stratum.orbit_dim == rank
+
+
+# ---------------------------------------------------------------------------
+# reference definitions kept as oracles for the one-elimination paths
+
+
+def direct_sum(*algs):
+    """Block-diagonal sum of algebras."""
+    dim = sum(a.dim for a in algs)
+    brackets, off = {}, 0
+    for a in algs:
+        for i in range(a.dim):
+            for j in range(i + 1, a.dim):
+                coeffs = {off + k: c for k, c in enumerate(a.tensor[i][j]) if c}
+                if coeffs:
+                    brackets[(off + i, off + j)] = coeffs
+        off += a.dim
+    return from_brackets(dim, brackets)
+
+
+def conjugate(L, seed):
+    """L in the basis Y'_i = sum_a P[a][i] Y_a, P a seeded unimodular integer
+    matrix (one elementary column operation per dimension): same algebra,
+    dense structure tensor."""
+    rng = random.Random(seed)
+    n = L.dim
+    p = [[Q(int(r == c)) for c in range(n)] for r in range(n)]
+    for _ in range(n):
+        i, j = rng.sample(range(n), 2)
+        c = rng.choice((-1, 1))
+        for r in range(n):
+            p[r][j] += c * p[r][i]
+    P = Matrix(p)
+    Pinv = matrix_inverse(P)
+    cols = [P.column(i) for i in range(n)]
+    brackets = {}
+    for i in range(n):
+        for j in range(i + 1, n):
+            new = Pinv.apply(L.bracket(cols[i], cols[j]))
+            coeffs = {k: c for k, c in enumerate(new) if c}
+            if coeffs:
+                brackets[(i, j)] = coeffs
+    return from_brackets(n, brackets)
+
+
+def _rank(rows):
+    return len(rref(rows)[0]) if rows else 0
+
+
+def reference_jump_indices(L, flag, xi):
+    """j is a jump when g_j is not inside g_{j-1} + ker B_xi: the subspace-sum
+    definition, by rank comparison."""
+    _, kernel = rank_kernel(bform(L, xi))
+    jumps = []
+    for j in range(1, len(flag)):
+        absorbed = list(kernel) + list(flag[j - 1].rows)
+        if _rank(absorbed + list(flag[j].rows)) > _rank(absorbed):
+            jumps.append(j)
+    return tuple(jumps)
+
+
+def reference_ascending_central_series(L):
+    """z_{k+1} = kernel of (reduction mod z_k) o ad(Y_i), stacked over i."""
+    m = L.dim
+    ads = [ad_matrix(L, L.basis_vector(i)) for i in range(m)]
+    chain = [Subspace.zero(m)]
+    while True:
+        cols = []
+        for k in range(m):
+            v = [Q(int(j == k)) for j in range(m)]
+            for row in chain[-1].rows:
+                pivot = next(i for i, x in enumerate(row) if x != 0)
+                if v[pivot] != 0:
+                    c = v[pivot] / row[pivot]
+                    v = [a - c * b for a, b in zip(v, row)]
+            cols.append(v)
+        res = Matrix([[cols[k][j] for k in range(m)] for j in range(m)])
+        stacked = [row for a in ads for row in (res @ a).data]
+        _, kernel = rank_kernel(Matrix(stacked))
+        nxt = Subspace.from_vectors(m, kernel)
+        if nxt.dim == chain[-1].dim:
+            return tuple(chain)
+        chain.append(nxt)
+        if nxt.dim == m:
+            return tuple(chain)
+
+
+def _nilpotent_inputs():
+    base = [heisenberg(), filiform4(), direct_sum(heisenberg(), filiform4())]
+    return base + [conjugate(L, seed) for seed, L in enumerate(base, start=7)]
+
+
+def _random_point(rng, dim):
+    """Random rational point; each coordinate is zero half the time so that
+    the lower strata are hit too."""
+    return tuple(
+        Q(rng.randint(-9, 9), rng.randint(1, 6)) if rng.random() < 0.5 else Q(0)
+        for _ in range(dim)
+    )
+
+
+class TestOneEliminationAgainstReferences:
+    def test_jump_sets_match_subspace_sum_definition(self):
+        rng = random.Random(2024)
+        seen = set()
+        for L in _nilpotent_inputs():
+            flag = jordan_holder_flag(L)
+            for _ in range(100):
+                xi = _random_point(rng, L.dim)
+                jumps = jump_indices(L, flag, xi)
+                assert jumps == reference_jump_indices(L, flag, xi)
+                seen.add((L.dim, jumps))
+        # the points reach more than the generic stratum of each algebra
+        assert len(seen) >= 12
+
+    def test_central_series_and_center_match_residual_construction(self):
+        cases = [make() for make in LIE_CATALOG.values()] + _nilpotent_inputs()
+        cases += [conjugate(L, 3) for L in cases if L.field == "Q"]
+        for L in cases:
+            reference = reference_ascending_central_series(L)
+            assert ascending_central_series(L) == reference
+            assert center_of(L) == reference[min(1, len(reference) - 1)]
