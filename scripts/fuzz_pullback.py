@@ -2,7 +2,8 @@
 """Fuzz harness: build random transformation groupoids and check that every
 one of them passes the pullback-isomorphism and equivalence-bimodule
 verifications, and that the matrix-algebra dimension count matches the
-morphism count.
+morphism count.  Each groupoid is also written as an explicit-table JSON
+document and read back; the copy must validate and get the same reports.
 
 Usage:
     python3 scripts/fuzz_pullback.py [--trials N] [--seed S]
@@ -15,10 +16,21 @@ import time
 from liegrpd.groupoids import (
     algebra_profile,
     equivalence_bimodule_verify,
+    groupoid_from_json,
+    groupoid_to_json,
     pullback_isomorphism_verify,
     random_transformation_groupoid,
     validate_groupoid,
 )
+
+
+def verdicts(G):
+    validate_groupoid(G)
+    return (
+        pullback_isomorphism_verify(G),
+        equivalence_bimodule_verify(G),
+        algebra_profile(G),
+    )
 
 
 def main() -> int:
@@ -35,13 +47,12 @@ def main() -> int:
         G = random_transformation_groupoid(rng)
         max_mor = max(max_mor, len(G.morphisms))
         try:
-            validate_groupoid(G)
-            pb = pullback_isomorphism_verify(G)
-            bm = equivalence_bimodule_verify(G)
-            prof = algebra_profile(G)
+            pb, bm, prof = reports = verdicts(G)
             assert pb.ok, pb.failure
             assert bm.ok, bm.failure
             assert prof.matches_morphism_count
+            table = groupoid_from_json(groupoid_to_json(G))
+            assert verdicts(table) == reports, "explicit-table copy disagrees"
         except Exception as exc:  # noqa: BLE001 - report and keep fuzzing
             failures += 1
             print(f"[{k}] FAILED: {type(exc).__name__}: {exc}")

@@ -21,7 +21,6 @@ from .coadjoint import (
     isotropy_algebra,
     minus_one_probe,
     open_component_census,
-    orbit_dimension,
 )
 from .exact import NumericError, format_scalar, parse_scalar
 from .groupoids import (
@@ -265,14 +264,15 @@ def cmd_lie_coadjoint(args) -> int:
     L, meta = _load_algebra(args)
     xi = _parse_point(args.point, L.dim)
     iso = isotropy_algebra(L, xi)
-    b = bform(L, xi)
+    # the isotropy algebra is the kernel of the skew form, so rank = dim - dim ker
+    orbit_dim = L.dim - iso.dim
     report = {
         "command": "lie coadjoint",
         "input": meta,
         "point": xi,
-        "skew_form": b.data,
-        "orbit_dimension": orbit_dimension(L, xi),
-        "open_orbit": orbit_dimension(L, xi) == L.dim,
+        "skew_form": bform(L, xi).data,
+        "orbit_dimension": orbit_dim,
+        "open_orbit": orbit_dim == L.dim,
         "isotropy_dim": iso.dim,
         "isotropy_basis": iso.rows,
     }

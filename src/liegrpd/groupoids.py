@@ -1,6 +1,6 @@
 """Finite groupoids: validation, transformation groupoids, pullback structure.
 
-A finite groupoid is stored with explicit source/target/composition tables
+A finite groupoid is stored as its source/target tables and a product rule
 and validated exhaustively.  `compose(g, h)` is "h then g" and is defined
 exactly when d(g) = r(h).  The central constructions: canonical sections onto
 orbit representatives, the pullback of the isotropy bundle along the
@@ -190,17 +190,18 @@ def _group_by(items, key) -> dict:
 
 @dataclass(frozen=True, eq=False)
 class FiniteGroupoid:
-    """Explicit-table groupoid; `compose(g, h)` means "h then g".
+    """Groupoid given by a product rule; `compose(g, h)` means "h then g".
 
-    The hom-set, out-arrow and in-arrow indexes are built on first use and
-    keep morphism input order; the source/target tables must be total first.
+    `product` is called only on composable pairs.  The hom-set, out-arrow and
+    in-arrow indexes are built on first use and keep morphism input order;
+    the source/target tables must be total first.
     """
 
     objects: tuple
     morphisms: tuple
     source: dict  # d
     target: dict  # r
-    composition: dict  # (g, h) -> g o h, defined iff d(g) = r(h)
+    product: object  # callable (g, h) -> g o h, defined iff d(g) = r(h)
     identities: dict  # object -> morphism
     inverses: dict  # morphism -> morphism
 
@@ -211,7 +212,7 @@ class FiniteGroupoid:
         return self.target[g]
 
     def compose(self, g, h):
-        return self.composition[(g, h)]
+        return self.product(g, h)
 
     def can_compose(self, g, h) -> bool:
         return self.source[g] == self.target[h]
@@ -272,26 +273,21 @@ def validate_groupoid(G: FiniteGroupoid, triple_cap: int = 2_000_000) -> None:
         e = G.identities.get(x)
         if e not in mors or G.source[e] != x or G.target[e] != x:
             raise AxiomError("bad identity", x)
-    for (g, h), k in G.composition.items():
-        if g not in mors or h not in mors or k not in mors:
-            raise AxiomError("composition table mentions unknown morphism", (g, h))
-        if G.source[g] != G.target[h]:
-            raise AxiomError("composition defined for non-composable pair", (g, h))
-        if G.source[k] != G.source[h] or G.target[k] != G.target[g]:
-            raise AxiomError("composite has wrong endpoints", (g, h, k))
     for g, h in G.composable_pairs():
-        if (g, h) not in G.composition:
-            raise AxiomError("composable pair missing from table", (g, h))
+        k = G.compose(g, h)
+        if k not in mors or G.source[k] != G.source[h] or G.target[k] != G.target[g]:
+            raise AxiomError("composite has wrong endpoints", (g, h, k))
     for g in G.morphisms:
         e_d, e_r = G.identities[G.source[g]], G.identities[G.target[g]]
-        if G.composition[(g, e_d)] != g or G.composition[(e_r, g)] != g:
+        if G.compose(g, e_d) != g or G.compose(e_r, g) != g:
             raise AxiomError("identity law fails", g)
         ginv = G.inverses.get(g)
         if ginv not in mors:
             raise AxiomError("missing inverse", g)
         if (
-            G.composition[(g, ginv)] != e_r
-            or G.composition[(ginv, g)] != e_d
+            (G.source[ginv], G.target[ginv]) != (G.target[g], G.source[g])
+            or G.compose(g, ginv) != e_r
+            or G.compose(ginv, g) != e_d
         ):
             raise AxiomError("inverse law fails", g)
     # triples (g, h, k) through y = d(g): sum over h into y of |into(d(h))|
@@ -302,28 +298,24 @@ def validate_groupoid(G: FiniteGroupoid, triple_cap: int = 2_000_000) -> None:
             f"{triples} composable triples exceed the exhaustive-check cap of {triple_cap}"
         )
     for g, h in G.composable_pairs():
-        gh = G.composition[(g, h)]
+        gh = G.compose(g, h)
         for k in G.into[G.source[h]]:
-            if G.composition[(gh, k)] != G.composition[(g, G.composition[(h, k)])]:
+            if G.compose(gh, k) != G.compose(g, G.compose(h, k)):
                 raise AxiomError("associativity fails", (g, h, k))
-
-
-def _tabulated(objects, mors, source, target, product, identities, inverses):
-    """Groupoid whose table holds product(g, h) on exactly the composable pairs."""
-    G = FiniteGroupoid(objects, mors, source, target, {}, identities, inverses)
-    G.composition.update((pair, product(*pair)) for pair in G.composable_pairs())
-    return G
 
 
 def transformation_groupoid(A: FiniteGroupAction) -> FiniteGroupoid:
     """Morphisms (g, x): x -> g.x; (g2, g1.x) o (g1, x) = (g2 g1, x)."""
-    mors = tuple((g, x) for g in A.group.elements for x in A.points)
-    return _tabulated(
+    elements = A.group.elements
+    # one table of the group product: a lookup is cheaper than calling op
+    mult = {a: {b: A.group.op(a, b) for b in elements} for a in elements}
+    mors = tuple((g, x) for g in elements for x in A.points)
+    return FiniteGroupoid(
         A.points,
         mors,
         {m: m[1] for m in mors},
         {m: A.act(m[0], m[1]) for m in mors},
-        lambda g2, g1: (A.group.op(g2[0], g1[0]), g1[1]),
+        lambda g2, g1: (mult[g2[0]][g1[0]], g1[1]),
         {x: (A.group.identity, x) for x in A.points},
         {(g, x): (A.group.inv(g), A.act(g, x)) for g, x in mors},
     )
@@ -333,7 +325,7 @@ def pair_groupoid(objects) -> FiniteGroupoid:
     """Exactly one morphism (y, x): x -> y between any two objects."""
     objects = tuple(objects)
     mors = tuple((y, x) for y in objects for x in objects)
-    return _tabulated(
+    return FiniteGroupoid(
         objects,
         mors,
         {m: m[1] for m in mors},
@@ -349,7 +341,7 @@ def group_bundle(groups: dict, objects) -> FiniteGroupoid:
     objects = tuple(objects)
     mors = tuple((x, a) for x in objects for a in groups[x].elements)
     base = {m: m[0] for m in mors}
-    return _tabulated(
+    return FiniteGroupoid(
         objects,
         mors,
         base,
@@ -407,12 +399,12 @@ def reduce_invariant(G: FiniteGroupoid, subset) -> FiniteGroupoid:
         if (G.source[g] in sub) != (G.target[g] in sub):
             raise NotInvariant("subset is not invariant", g, G.source[g], G.target[g])
     mors = tuple(g for g in G.morphisms if G.source[g] in sub)
-    return _tabulated(
+    return FiniteGroupoid(
         subset_list,
         mors,
         {g: G.source[g] for g in mors},
         {g: G.target[g] for g in mors},
-        lambda g, h: G.composition[(g, h)],
+        G.product,
         {x: G.identities[x] for x in subset_list},
         {g: G.inverses[g] for g in mors},
     )
@@ -476,7 +468,7 @@ def build_pullback(G: FiniteGroupoid):
         for y in orbit_of[theta[x]]
         for h in G.isotropy_elements(theta[x])
     )
-    return _tabulated(
+    return FiniteGroupoid(
         G.objects,
         mors,
         {m: m[2] for m in mors},
@@ -525,8 +517,8 @@ def pullback_isomorphism_verify(G: FiniteGroupoid) -> PullbackReport:
         len(image_set) == len(G.morphisms) and image_set == set(P.morphisms)
     )
     failure = ()
-    for (g, h), gh in G.composition.items():
-        if images[gh] != P.compose(images[g], images[h]):
+    for g, h in G.composable_pairs():
+        if images[G.compose(g, h)] != P.compose(images[g], images[h]):
             failure = ("functor", g, h)
             break
     functorial = not failure
@@ -806,6 +798,13 @@ def _element_to_json(e):
     return list(e) if isinstance(e, tuple) else e
 
 
+def _at(items, index, what: str):
+    """items[index] for an index read from a document; no negative wrap-around."""
+    if not isinstance(index, int) or not 0 <= index < len(items):
+        raise ValueError(f"{what} index {index!r} is outside 0..{len(items) - 1}")
+    return items[index]
+
+
 def group_to_json(G: FiniteGroup) -> dict:
     if G.name.startswith("C") and G.name[1:].isdigit():
         return {"family": "cyclic", "n": int(G.name[1:])}
@@ -849,7 +848,7 @@ def action_from_json(data: dict) -> FiniteGroupAction:
     if len(table) != group.order or any(len(row) != len(points) for row in table):
         raise AxiomError("action table has wrong shape")
     lookup = {
-        (g, points[xi]): points[yi]
+        (g, points[xi]): _at(points, yi, "action table")
         for gi, g in enumerate(group.elements)
         for xi, yi in enumerate(table[gi])
     }
@@ -867,11 +866,8 @@ def groupoid_to_json(G: FiniteGroupoid) -> dict:
         "source": [obj_index[G.source[m]] for m in G.morphisms],
         "target": [obj_index[G.target[m]] for m in G.morphisms],
         "composition": [
-            [mor_index[g], mor_index[h], mor_index[k]]
-            for (g, h), k in sorted(
-                G.composition.items(),
-                key=lambda kv: (mor_index[kv[0][0]], mor_index[kv[0][1]]),
-            )
+            [mor_index[g], mor_index[h], mor_index[G.compose(g, h)]]
+            for g, h in G.composable_pairs()
         ],
         "identities": [mor_index[G.identities[x]] for x in G.objects],
         "inverses": [mor_index[G.inverses[m]] for m in G.morphisms],
@@ -883,14 +879,33 @@ def groupoid_from_json(data: dict) -> FiniteGroupoid:
         raise ValueError("not a groupoid document")
     objects = tuple(tuple(x) if isinstance(x, list) else x for x in data["objects"])
     count = data["morphism_count"]
+    for key, n in (("source", count), ("target", count), ("inverses", count),
+                   ("identities", len(objects))):
+        if len(data[key]) != n:
+            raise ValueError(f"{key} has {len(data[key])} entries, expected {n}")
     mors = tuple(range(count))
-    source = {m: objects[data["source"][m]] for m in mors}
-    target = {m: objects[data["target"][m]] for m in mors}
-    composition = {(g, h): k for g, h, k in data["composition"]}
+    source = {m: _at(objects, data["source"][m], "source") for m in mors}
+    target = {m: _at(objects, data["target"][m], "target") for m in mors}
+    table = {}
+    for g, h, k in data["composition"]:
+        if (g, h) in table:
+            raise ValueError(f"composition lists the pair {[g, h]} twice")
+        table[g, h] = k
     identities = {
         objects[i]: data["identities"][i] for i in range(len(objects))
     }
     inverses = {m: data["inverses"][m] for m in mors}
-    G = FiniteGroupoid(objects, mors, source, target, composition, identities, inverses)
+    # the shape of the table; validate_groupoid checks the product it defines
+    for (g, h), k in table.items():
+        if g not in source or h not in source or k not in source:
+            raise AxiomError("composition table mentions unknown morphism", (g, h))
+        if source[g] != target[h]:
+            raise AxiomError("composition defined for non-composable pair", (g, h))
+    G = FiniteGroupoid(
+        objects, mors, source, target, lambda g, h: table[g, h], identities, inverses
+    )
+    for g, h in G.composable_pairs():
+        if (g, h) not in table:
+            raise AxiomError("composable pair missing from table", (g, h))
     validate_groupoid(G)
     return G

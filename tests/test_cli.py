@@ -8,6 +8,8 @@ from pathlib import Path
 import pytest
 
 from liegrpd.cli import main
+from liegrpd.groupoids import groupoid_to_json, pair_groupoid
+from test_cli_contract import BAD_INDEX_GROUPOIDS
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 
@@ -310,6 +312,35 @@ class TestGrpdCommands:
         assert proc.returncode == 2 and proc.stdout == ""
         assert proc.stderr.startswith("error: 8640000 composable triples")
         assert "2000000" in proc.stderr and "Traceback" not in proc.stderr
+
+
+class TestMalformedGroupoidDocuments:
+    @pytest.mark.parametrize("edit, message", [
+        (lambda comp: comp[:-1], "composable pair missing from table"),
+        (lambda comp: comp + [[0, 2, 0]], "composition defined for non-composable pair"),
+        (lambda comp: [comp[0][:2] + [4]] + comp[1:],
+         "composition table mentions unknown morphism"),
+    ])
+    def test_table_shape_is_a_violation(self, edit, message, tmp_path):
+        # pair groupoid on {0, 1}: morphism 0 starts at 0, morphism 2 ends at 1
+        doc = groupoid_to_json(pair_groupoid((0, 1)))
+        doc["composition"] = edit(doc["composition"])
+        p = tmp_path / "doc.json"
+        p.write_text(json.dumps(doc))
+        code, out = run_json(["grpd", "validate", "--in", str(p)], tmp_path)
+        assert code == 1 and out["violation"] == "AxiomError"
+        assert out["detail"][0] == message
+
+    @pytest.mark.parametrize("name", sorted(BAD_INDEX_GROUPOIDS))
+    def test_bad_index_is_exit_2(self, name, tmp_path, capsys):
+        p = tmp_path / "doc.json"
+        p.write_text(json.dumps(BAD_INDEX_GROUPOIDS[name]))
+        for sub in ("validate", "classify", "pullback-verify", "bimodule-verify",
+                    "decompose", "profile", "regrep"):
+            extra = ["--object", "0"] if sub == "regrep" else []
+            assert main(["grpd", sub, "--in", str(p)] + extra) == 2
+            out, err = capsys.readouterr()
+            assert out == "" and err.startswith("error: bad groupoid document: ")
 
 
 class TestOutputContract:

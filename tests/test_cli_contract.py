@@ -10,11 +10,13 @@ about 2.5 s per pass.
 """
 import contextlib
 import io
+import itertools
 import json
 from pathlib import Path
 
 from liegrpd import catalog
 from liegrpd.cli import main
+from liegrpd.groupoids import groupoid_to_json, pair_groupoid
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 
@@ -53,7 +55,48 @@ MALFORMED_ALGEBRAS = {
     "missing_dim": {"brackets": []},
 }
 
+
+def _s3_action(**changes):
+    doc = {"kind": "group_action", "group": {"family": "symmetric", "n": 3},
+           "points": [0, 1, 2],
+           "table": [list(p) for p in sorted(itertools.permutations(range(3)))]}
+    doc.update(changes)
+    return doc
+
+
+def _pair_on_two(**changes):
+    doc = groupoid_to_json(pair_groupoid((0, 1)))
+    doc.update(changes)
+    return doc
+
+
+def _last_as_minus_one(indices, last):
+    return [-1 if i == last else i for i in indices]
+
+
+_PAIR = _pair_on_two()
+_S3 = _s3_action()
+
+# Indices a document may not hold.  The -1 entries and the repeated pair
+# (wrong composite first, right one last) describe a valid groupoid if -1
+# wraps to the last entry or the last pair wins; the others used to raise
+# IndexError.
+BAD_INDEX_GROUPOIDS = {
+    "action_entry_minus_one": _s3_action(
+        table=[_last_as_minus_one(row, 2) for row in _S3["table"]]),
+    "action_entry_past_points": _s3_action(
+        table=[[3, 1, 2]] + _S3["table"][1:]),
+    "source_minus_one": _pair_on_two(source=_last_as_minus_one(_PAIR["source"], 1)),
+    "target_minus_one": _pair_on_two(target=_last_as_minus_one(_PAIR["target"], 1)),
+    "source_past_objects": _pair_on_two(source=[2] + _PAIR["source"][1:]),
+    "count_above_lists": _pair_on_two(morphism_count=_PAIR["morphism_count"] + 1),
+    "repeated_pair": _pair_on_two(composition=[
+        _PAIR["composition"][0][:2] + [(_PAIR["composition"][0][2] + 1) % 4],
+        *_PAIR["composition"]]),
+}
+
 MALFORMED_GROUPOIDS = {
+    **BAD_INDEX_GROUPOIDS,
     "unknown_kind": {"kind": "monoid"},
     "not_an_object": "groupoid",
     "action_short_table": {"kind": "group_action", "group": {"family": "symmetric", "n": 3},

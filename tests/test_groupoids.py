@@ -135,17 +135,49 @@ class TestGroupoidConstruction:
 
     def test_tampered_composition_caught(self):
         G = negation_groupoid()
-        bad = dict(G.composition)
-        key = next(iter(bad))
-        # replace one entry by a morphism with the wrong endpoints
-        other = next(m for m in G.morphisms if G.source[m] != G.source[bad[key]])
-        bad[key] = other
+        key = next(G.composable_pairs())
+        # replace one product by a morphism with the wrong endpoints
+        other = next(m for m in G.morphisms if G.source[m] != G.source[G.compose(*key)])
         broken = FiniteGroupoid(
-            G.objects, G.morphisms, G.source, G.target, bad,
+            G.objects, G.morphisms, G.source, G.target,
+            lambda g, h: other if (g, h) == key else G.compose(g, h),
             G.identities, G.inverses,
         )
         with pytest.raises(AxiomError):
             validate_groupoid(broken)
+
+
+def _tampered_s3():
+    """s3_natural with one product g o z replaced by the other arrow with its
+    endpoints, for z an arrow out of the orbit representative."""
+    G = s3_natural_groupoid()
+    rep = orbits_isotropy(G).representatives[0]
+    z = next(m for m in G.out_of[rep] if G.target[m] != rep)
+    g = next(
+        m for m in G.out_of[G.target[z]]
+        if G.target[m] not in (rep, G.target[z])
+    )
+    gz = G.compose(g, z)
+    wrong = next(k for k in G.hom(rep, G.target[g]) if k != gz)
+    return FiniteGroupoid(
+        G.objects, G.morphisms, G.source, G.target,
+        lambda a, b: wrong if (a, b) == (g, z) else G.compose(a, b),
+        G.identities, G.inverses,
+    )
+
+
+class TestVerifiersCanFail:
+    """One wrong product with the right endpoints fails every verifier."""
+
+    def test_validate_raises(self):
+        with pytest.raises(AxiomError, match="associativity"):
+            validate_groupoid(_tampered_s3())
+
+    def test_pullback_not_ok(self):
+        assert not pullback_isomorphism_verify(_tampered_s3()).ok
+
+    def test_bimodule_not_ok(self):
+        assert not equivalence_bimodule_verify(_tampered_s3()).ok
 
 
 class TestOrbitsAndReduction:
@@ -343,11 +375,31 @@ def _reference_triples(G):
     )
 
 
+def _reports(G):
+    return (
+        pullback_isomorphism_verify(G),
+        equivalence_bimodule_verify(G),
+        piecewise_decompose(G),
+        algebra_profile(G),
+    )
+
+
 class TestComposablePairTables:
-    """Tables built from indexed composable pairs agree with the M^2 scan."""
+    """Products on the indexed composable pairs agree with the M^2 scan, and a
+    JSON round trip through explicit tables gives the same groupoid."""
 
     def _check(self, G, product):
-        assert list(G.composition.items()) == list(_reference_table(G, product).items())
+        products = {pair: G.compose(*pair) for pair in G.composable_pairs()}
+        assert list(products.items()) == list(_reference_table(G, product).items())
+        index = {m: i for i, m in enumerate(G.morphisms)}
+        H = groupoid_from_json(groupoid_to_json(G))
+        assert H.objects == G.objects and H.morphisms == tuple(range(len(index)))
+        assert list(H.composable_pairs()) == [
+            (index[g], index[h]) for g, h in products
+        ]
+        for (g, h), gh in products.items():
+            assert H.compose(index[g], index[h]) == index[gh]
+        assert _reports(H) == _reports(G)
         for x in G.objects:
             for y in G.objects:
                 scan = tuple(
