@@ -21,6 +21,7 @@ from liegrpd.catalog import (
 )
 from liegrpd.groupoids import (
     AxiomError,
+    BimoduleReport,
     FiniteGroup,
     FiniteGroupAction,
     FiniteGroupoid,
@@ -457,3 +458,138 @@ class TestJson:
             action_from_json({"kind": "groupoid"})
         with pytest.raises(ValueError):
             groupoid_from_json({"kind": "group_action"})
+
+
+def _reference_bimodule_verify(G):
+    """The bimodule checks as exhaustive loops that compose every product
+    they compare; `equivalence_bimodule_verify` must report the same."""
+    theta, _ = canonical_sections(G)
+    reps = sorted(set(theta.values()), key=list(G.objects).index)
+    rep_set = set(reps)
+    Z = tuple(g for g in G.morphisms if G.source[g] in rep_set)
+    iso = {rep: G.isotropy_elements(rep) for rep in reps}
+    failure = ()
+
+    def check_commute():
+        for z in Z:
+            for g in G.out_of[G.target[z]]:
+                for b in iso[G.source[z]]:
+                    left_then_right = G.compose(G.compose(g, z), b)
+                    right_then_left = G.compose(g, G.compose(z, b))
+                    if left_then_right != right_then_left:
+                        return False, ("commute", g, z, b)
+        return True, ()
+
+    def check_left_moment_onto():
+        targets = {G.target[z] for z in Z}
+        ok = targets == set(G.objects)
+        return ok, () if ok else ("left-moment", tuple(set(G.objects) - targets))
+
+    def check_right_moment_onto():
+        sources = {G.source[z] for z in Z}
+        ok = sources == set(reps)
+        return ok, () if ok else ("right-moment", tuple(set(reps) - sources))
+
+    def check_left_free_transitive():
+        for rep in reps:
+            zs = G.out_of[rep]
+            for z1 in zs:
+                for z2 in zs:
+                    arrows = [
+                        g
+                        for g in G.hom(G.target[z1], G.target[z2])
+                        if G.compose(g, z1) == z2
+                    ]
+                    if len(arrows) != 1:
+                        return False, ("left-torsor", z1, z2, len(arrows))
+        return True, ()
+
+    def check_right_free_transitive():
+        for y in G.objects:
+            zs = [z for z in G.into[y] if G.source[z] in rep_set]
+            for z1 in zs:
+                for z2 in zs:
+                    if G.source[z1] != G.source[z2]:
+                        return False, ("right-torsor-sources", z1, z2)
+                    arrows = [
+                        b for b in iso[G.source[z1]] if G.compose(z1, b) == z2
+                    ]
+                    if len(arrows) != 1:
+                        return False, ("right-torsor", z1, z2, len(arrows))
+        return True, ()
+
+    checks = (
+        ("actions-commute", check_commute),
+        ("left-moment-onto", check_left_moment_onto),
+        ("right-moment-onto", check_right_moment_onto),
+        ("left-free-transitive", check_left_free_transitive),
+        ("right-free-transitive", check_right_free_transitive),
+    )
+    results = []
+    for name, fn in checks:
+        ok, wit = fn()
+        results.append((name, ok))
+        if not ok and not failure:
+            failure = wit
+    return BimoduleReport(
+        all(ok for _, ok in results), tuple(results), len(Z), failure
+    )
+
+
+def _with_product(G, product):
+    return FiniteGroupoid(
+        G.objects, G.morphisms, G.source, G.target, product,
+        G.identities, G.inverses,
+    )
+
+
+def _tampered_copies(G, rng):
+    """G with one product g o z, z out of an orbit representative, replaced
+    by another arrow with the same endpoints, by any arrow, and by a label
+    that is no morphism (same shape, so every product rule still applies)."""
+    reps = set(orbits_isotropy(G).representatives)
+    pairs = [(g, z) for g, z in G.composable_pairs() if G.source[z] in reps]
+    swappable = [
+        (g, z) for g, z in pairs if len(G.hom(G.source[z], G.target[g])) > 1
+    ]
+    replacements = []
+    if swappable:
+        key = rng.choice(swappable)
+        right = G.compose(*key)
+        other = rng.choice([k for k in G.hom(G.source[key[1]], G.target[key[0]])
+                            if k != right])
+        replacements.append((key, other))
+    key = rng.choice(pairs)
+    replacements.append((key, rng.choice(G.morphisms)))
+    key = rng.choice(pairs)
+    replacements.append((key, G.compose(*key)[:-1] + ("nowhere",)))
+    for key, value in replacements:
+        wrong_within_hom = value != G.compose(*key) and value in G.hom(
+            G.source[key[1]], G.target[key[0]]
+        )
+        yield _with_product(
+            G, lambda g, h, key=key, value=value:
+            value if (g, h) == key else G.compose(g, h)
+        ), wrong_within_hom
+
+
+class TestBimoduleAgainstReference:
+    """The bimodule verifier reports exactly what the exhaustive loops
+    report, witnesses included, on valid and on tampered groupoids."""
+
+    def test_fifty_seeds_unaltered_and_tampered(self):
+        rng = random.Random(6)
+        not_ok = 0
+        for seed in range(50):
+            G = random_transformation_groupoid(random.Random(seed))
+            for H in (G, build_pullback(G), pair_groupoid(G.objects)):
+                assert repr(equivalence_bimodule_verify(H)) == repr(
+                    _reference_bimodule_verify(H)
+                )
+                for T, wrong_within_hom in _tampered_copies(H, rng):
+                    report = equivalence_bimodule_verify(T)
+                    assert repr(report) == repr(_reference_bimodule_verify(T))
+                    # a wrong arrow within the right hom-set breaks the left torsor
+                    assert not (wrong_within_hom and report.ok)
+                    not_ok += not report.ok
+        assert not_ok >= 300
