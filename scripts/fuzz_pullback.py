@@ -5,6 +5,11 @@ verifications, and that the matrix-algebra dimension count matches the
 morphism count.  Each groupoid is also written as an explicit-table JSON
 document and read back; the copy must validate and get the same reports.
 
+The failure side: one product per groupoid is replaced by another arrow
+with the same endpoints.  A single changed entry cannot keep the groupoid
+laws, so the exhaustive validation must raise AxiomError; the script also
+counts how many of these copies the pullback and bimodule verifiers flag.
+
 Usage:
     python3 scripts/fuzz_pullback.py [--trials N] [--seed S]
 """
@@ -14,6 +19,8 @@ import sys
 import time
 
 from liegrpd.groupoids import (
+    AxiomError,
+    FiniteGroupoid,
     algebra_profile,
     equivalence_bimodule_verify,
     groupoid_from_json,
@@ -33,6 +40,24 @@ def verdicts(G):
     )
 
 
+def tampered(G, rng):
+    """G with one product replaced by another arrow with its endpoints, or
+    None when every hom-set holds a single arrow."""
+    pairs = [(g, h) for g, h in G.composable_pairs()
+             if len(G.hom(G.source[h], G.target[g])) > 1]
+    if not pairs:
+        return None
+    key = rng.choice(pairs)
+    right = G.compose(*key)
+    wrong = rng.choice([k for k in G.hom(G.source[key[1]], G.target[key[0]])
+                        if k != right])
+    return FiniteGroupoid(
+        G.objects, G.morphisms, G.source, G.target,
+        lambda g, h: wrong if (g, h) == key else G.compose(g, h),
+        G.identities, G.inverses,
+    )
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--trials", type=int, default=200)
@@ -40,9 +65,11 @@ def main() -> int:
     args = ap.parse_args()
 
     rng = random.Random(args.seed)
+    tamper_rng = random.Random(f"tamper-{args.seed}")
     t0 = time.perf_counter()
     failures = 0
     max_mor = 0
+    tampered_trials = pullback_flagged = bimodule_flagged = 0
     for k in range(args.trials):
         G = random_transformation_groupoid(rng)
         max_mor = max(max_mor, len(G.morphisms))
@@ -53,6 +80,17 @@ def main() -> int:
             assert prof.matches_morphism_count
             table = groupoid_from_json(groupoid_to_json(G))
             assert verdicts(table) == reports, "explicit-table copy disagrees"
+            T = tampered(G, tamper_rng)
+            if T is not None:
+                tampered_trials += 1
+                pullback_flagged += not pullback_isomorphism_verify(T).ok
+                bimodule_flagged += not equivalence_bimodule_verify(T).ok
+                try:
+                    validate_groupoid(T)
+                except AxiomError:
+                    pass
+                else:
+                    raise AssertionError("a tampered product passed validation")
         except Exception as exc:  # noqa: BLE001 - report and keep fuzzing
             failures += 1
             print(f"[{k}] FAILED: {type(exc).__name__}: {exc}")
@@ -60,6 +98,8 @@ def main() -> int:
     print(f"{args.trials} random transformation groupoids, "
           f"largest had {max_mor} morphisms, "
           f"{failures} failures, {dt:.1f}s")
+    print(f"{tampered_trials} tampered copies: pullback flagged {pullback_flagged}, "
+          f"bimodule flagged {bimodule_flagged}")
     return 1 if failures else 0
 
 

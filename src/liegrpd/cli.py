@@ -103,12 +103,15 @@ def _load_algebra(args):
     raise InputError("provide --name or --in")
 
 
-def _load_groupoid(args, wrap_axioms: bool = True):
+def _load_groupoid(args, validate: bool = False):
     """Load from the catalog or a JSON document (action or explicit tables).
 
-    Axiom violations are wrapped into InputError (exit 2) unless the caller
-    is the validation command itself, which reports them as findings.
+    Explicit tables are validated as they are read.  With `validate` every
+    other input is validated too, and axiom violations propagate to the
+    caller, the validation command, which reports them as findings;
+    otherwise they are wrapped into InputError (exit 2).
     """
+    explicit = False
     if args.name:
         if args.name not in catalog.GROUPOID_CATALOG:
             raise InputError(
@@ -117,8 +120,7 @@ def _load_groupoid(args, wrap_axioms: bool = True):
             )
         G = catalog.GROUPOID_CATALOG[args.name]()
         meta = {"name": args.name}
-        return G, meta
-    if args.infile:
+    elif args.infile:
         doc, digest = _load_json_file(args.infile)
         kind = doc.get("kind") if isinstance(doc, dict) else None
         try:
@@ -126,18 +128,21 @@ def _load_groupoid(args, wrap_axioms: bool = True):
                 G = transformation_groupoid(action_from_json(doc))
             elif kind == "groupoid":
                 G = groupoid_from_json(doc)
+                explicit = True
             else:
                 raise InputError(f"unknown document kind {kind!r}")
         except AxiomError:
-            if wrap_axioms:
+            if not validate:
                 raise InputError("groupoid document violates an axiom") from None
             raise
         except (KeyError, TypeError, ValueError) as exc:
-            if isinstance(exc, InputError):
-                raise
             raise InputError(f"bad groupoid document: {exc}") from exc
-        return G, {"path": args.infile, "sha256": digest}
-    raise InputError("provide --name or --in")
+        meta = {"path": args.infile, "sha256": digest}
+    else:
+        raise InputError("provide --name or --in")
+    if validate and not explicit:
+        validate_groupoid(G)
+    return G, meta
 
 
 def _parse_point(text: str, dim: int):
@@ -387,8 +392,7 @@ def cmd_cascade(args) -> int:
 
 def cmd_grpd_validate(args) -> int:
     try:
-        G, meta = _load_groupoid(args, wrap_axioms=False)
-        validate_groupoid(G)
+        G, meta = _load_groupoid(args, validate=True)
     except (AxiomError, NotInvariant) as exc:
         report = {
             "command": "grpd validate",

@@ -9,7 +9,7 @@ import pytest
 
 from liegrpd.cli import main
 from liegrpd.groupoids import groupoid_to_json, pair_groupoid
-from test_cli_contract import BAD_INDEX_GROUPOIDS
+from test_cli_contract import BAD_INDEX_GROUPOIDS, GRPD_SUBS, REPEATED_POINT_ACTION
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 
@@ -335,12 +335,22 @@ class TestMalformedGroupoidDocuments:
     def test_bad_index_is_exit_2(self, name, tmp_path, capsys):
         p = tmp_path / "doc.json"
         p.write_text(json.dumps(BAD_INDEX_GROUPOIDS[name]))
-        for sub in ("validate", "classify", "pullback-verify", "bimodule-verify",
-                    "decompose", "profile", "regrep"):
+        for sub in GRPD_SUBS:
             extra = ["--object", "0"] if sub == "regrep" else []
             assert main(["grpd", sub, "--in", str(p)] + extra) == 2
             out, err = capsys.readouterr()
             assert out == "" and err.startswith("error: bad groupoid document: ")
+
+    def test_repeated_point_is_exit_2(self, tmp_path, capsys):
+        # classify used to report one object, validate a violation
+        p = tmp_path / "doc.json"
+        p.write_text(json.dumps(REPEATED_POINT_ACTION))
+        for sub in GRPD_SUBS:
+            extra = ["--object", "0"] if sub == "regrep" else []
+            assert main(["grpd", sub, "--in", str(p)] + extra) == 2
+            out, err = capsys.readouterr()
+            assert out == ""
+            assert err == "error: bad groupoid document: point 0 is listed twice\n"
 
 
 class TestOutputContract:

@@ -95,6 +95,10 @@ BAD_INDEX_GROUPOIDS = {
         *_PAIR["composition"]]),
 }
 
+# a valid C2 table on the points [0, 0]: one object listed twice
+REPEATED_POINT_ACTION = {"kind": "group_action", "group": {"family": "cyclic", "n": 2},
+                         "points": [0, 0], "table": [[0, 1], [1, 0]]}
+
 MALFORMED_GROUPOIDS = {
     **BAD_INDEX_GROUPOIDS,
     "unknown_kind": {"kind": "monoid"},
@@ -102,6 +106,7 @@ MALFORMED_GROUPOIDS = {
     "action_short_table": {"kind": "group_action", "group": {"family": "symmetric", "n": 3},
                            "points": [0, 1, 2], "table": [[0, 1, 2]]},
     "groupoid_missing_tables": {"kind": "groupoid", "objects": [0]},
+    "action_repeated_point": REPEATED_POINT_ACTION,
 }
 
 

@@ -593,3 +593,20 @@ class TestBimoduleAgainstReference:
                     assert not (wrong_within_hom and report.ok)
                     not_ok += not report.ok
         assert not_ok >= 300
+    def test_natural_s5_product_count(self):
+        G = transformation_groupoid(
+            FiniteGroupAction.make(
+                FiniteGroup.symmetric(5), range(5), lambda g, x: g[x]
+            )
+        )
+        calls = 0
+
+        def counting(g, h):
+            nonlocal calls
+            calls += 1
+            return G.product(g, h)
+
+        report = equivalence_bimodule_verify(_with_product(G, counting))
+        assert report.ok and report.element_count == 120
+        # |Z| * (|out of r(z)| + |isotropy|) = 120 * (120 + 24)
+        assert calls == 17_280
