@@ -342,7 +342,6 @@ class TestMalformedGroupoidDocuments:
             assert out == "" and err.startswith("error: bad groupoid document: ")
 
     def test_repeated_point_is_exit_2(self, tmp_path, capsys):
-        # classify used to report one object, validate a violation
         p = tmp_path / "doc.json"
         p.write_text(json.dumps(REPEATED_POINT_ACTION))
         for sub in GRPD_SUBS:
