@@ -546,7 +546,7 @@ def _with_product(G, product):
 def _tampered_copies(G, rng):
     """G with one product g o z, z out of an orbit representative, replaced
     by another arrow with the same endpoints, by any arrow, and by a label
-    that is no morphism (same shape, so every product rule still applies)."""
+    that is no morphism (same shape, so the product rules used here still apply)."""
     reps = set(orbits_isotropy(G).representatives)
     pairs = [(g, z) for g, z in G.composable_pairs() if G.source[z] in reps]
     swappable = [
