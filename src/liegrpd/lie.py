@@ -7,6 +7,7 @@ touches floats.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
@@ -128,6 +129,31 @@ class LieAlgebra:
 
     def basis_vector(self, i: int) -> Vector:
         return tuple(Fraction(1 if j == i else 0) for j in range(self.dim))
+
+    @cached_property
+    def sparse_tensor(self) -> tuple:
+        """(j, k, ((l, c), ...)) for each j < k with [Y_j, Y_k] = sum c Y_l
+        nonzero, listing only the c != 0."""
+        out = []
+        for j in range(self.dim):
+            for k in range(j + 1, self.dim):
+                terms = tuple((l, c) for l, c in enumerate(self.tensor[j][k]) if c != 0)
+                if terms:
+                    out.append((j, k, terms))
+        return tuple(out)
+
+    @cached_property
+    def integer_tensor(self) -> tuple:
+        """The sparse tensor times the lcm of its denominators, with int
+        coefficients: D B_xi is integral at integer xi.  Rational field only."""
+        consts = [c for _, _, terms in self.sparse_tensor for _, c in terms]
+        if self.field != "Q" or not all(isinstance(c, Fraction) for c in consts):
+            raise FieldError("integer structure constants need rational coefficients over Q")
+        d = math.lcm(*(c.denominator for c in consts))
+        return tuple(
+            (j, k, tuple((l, int(c * d)) for l, c in terms))
+            for j, k, terms in self.sparse_tensor
+        )
 
 
 def validate_lie_algebra(

@@ -8,6 +8,7 @@ negation; for the realified complex Borel algebra the determinant is
 nondegenerate set is connected.
 """
 import math
+import random
 from fractions import Fraction as Q
 
 import numpy as np
@@ -36,8 +37,15 @@ from liegrpd.coadjoint import (
     open_component_census,
     orbit_dimension,
 )
-from liegrpd.exact import det_exact
-from liegrpd.lie import Subspace, from_brackets
+from liegrpd.catalog import axb_semidirect_plane
+from liegrpd.exact import (
+    Matrix,
+    det_exact,
+    lagrange_interpolate,
+    matrix_inverse,
+    sturm_root_count,
+)
+from liegrpd.lie import FieldError, Subspace, from_brackets
 
 
 class TestSkewForm:
@@ -272,6 +280,121 @@ class TestSegmentProbe:
         a, b = tuple(map(Q, a)), tuple(map(Q, b))
         same_quadrant = a[1] * b[1] > 0 and a[3] * b[3] > 0
         assert _segment_nondegenerate(L, a, b) is same_quadrant
+
+
+# ---------------------------------------------------------------------------
+# The dense determinant path the census ran on before its Pfaffian rewrite,
+# kept as the reference for the sparse form, the Pfaffian probe and the census.
+
+
+def dense_bform(L, xi):
+    m = L.dim
+    rows = []
+    for j in range(m):
+        row = []
+        for k in range(m):
+            acc = Q(0)
+            for l in range(m):
+                c = L.tensor[j][k][l]
+                if c == 0:
+                    continue
+                acc = acc + c * xi[l]
+            row.append(acc)
+        rows.append(row)
+    return Matrix(rows)
+
+
+def reference_det_at(L, xi):
+    return det_exact(dense_bform(L, xi))
+
+
+def reference_segment(L, a, b, ends=None):
+    """det B interpolated from dim + 1 nodes; no Sturm root in [0, 1]."""
+    m = L.dim
+    pts = []
+    for k in range(m + 1):
+        t = Q(k, m)
+        xi = tuple(aa + t * (bb - aa) for aa, bb in zip(a, b))
+        d = reference_det_at(L, xi)
+        if d == 0:
+            return False
+        pts.append((t, d))
+    return sturm_root_count(lagrange_interpolate(pts), Q(0), Q(1)) == 0
+
+
+def axb_squared():
+    return from_brackets(4, {(0, 1): {1: 1}, (2, 3): {3: 1}})
+
+
+def unimodular_conjugate(L, seed):
+    """L in the basis Y'_i = sum_a P[a][i] Y_a, P a seeded product of
+    elementary integer column operations (so P^-1 is integral too)."""
+    rng = random.Random(seed)
+    n = L.dim
+    p = [[Q(int(r == c)) for c in range(n)] for r in range(n)]
+    for _ in range(n):
+        i, j = rng.sample(range(n), 2)
+        c = rng.choice((-1, 1))
+        for row in p:
+            row[j] += c * row[i]
+    q = matrix_inverse(Matrix(p))
+    cols = [tuple(row[i] for row in p) for i in range(n)]
+    brackets = {}
+    for i in range(n):
+        for j in range(i + 1, n):
+            coords = q.apply(L.bracket(cols[i], cols[j]))
+            coeffs = {k: c for k, c in enumerate(coords) if c != 0}
+            if coeffs:
+                brackets[(i, j)] = coeffs
+    return from_brackets(n, brackets)
+
+
+OPEN_ORBIT = {"axb": axb, "axb_semidirect_plane": axb_semidirect_plane,
+              "realified_borel": realified_borel, "axb^2": axb_squared}
+REFERENCE_CASES = dict(OPEN_ORBIT, heisenberg=heisenberg, filiform4=filiform4, e2=euclid2)
+REFERENCE_CASES.update(
+    {f"{name}~{seed}": (lambda make=make, seed=seed: unimodular_conjugate(make(), seed))
+     for name, make in OPEN_ORBIT.items() for seed in range(3)}
+)
+
+
+def _random_point(rng, dim, spread=3, denominators=(1,)):
+    return tuple(Q(rng.randint(-spread, spread), rng.choice(denominators)) for _ in range(dim))
+
+
+@pytest.mark.parametrize("name", sorted(REFERENCE_CASES))
+class TestAgainstDenseReference:
+    def test_sparse_bform_equals_dense(self, name):
+        L, rng = REFERENCE_CASES[name](), random.Random(name)
+        for _ in range(10):
+            xi = _random_point(rng, L.dim, 9, (1, 2, 3, 7))
+            assert bform(L, xi) == dense_bform(L, xi)
+
+    def test_probe_agrees_on_random_point_pairs(self, name):
+        L, rng = REFERENCE_CASES[name](), random.Random(name)
+        for trial in range(40):
+            denominators = (1,) if trial < 30 else (1, 2, 5)
+            a = _random_point(rng, L.dim, denominators=denominators)
+            b = _random_point(rng, L.dim, denominators=denominators)
+            expected = reference_segment(L, a, b)
+            assert _segment_nondegenerate(L, a, b) is expected
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_census_equals_reference_census(self, name, seed, monkeypatch):
+        L = REFERENCE_CASES[name]()
+        census = open_component_census(L, samples=10, seed=seed)
+        with monkeypatch.context() as patch:
+            patch.setattr(coadjoint, "_det_at", reference_det_at)
+            patch.setattr(coadjoint, "_segment_nondegenerate", reference_segment)
+            reference = open_component_census(L, samples=10, seed=seed)
+        assert census == reference
+        assert all(type(x) is Q for rep in census.representatives for x in rep)
+
+
+def test_integer_tensor_needs_the_rational_field():
+    with pytest.raises(FieldError):
+        complex_borel().integer_tensor
+    assert bform(complex_borel(), (Q(1), Q(2))) == dense_bform(complex_borel(), (Q(1), Q(2)))
 
 
 class TestMinusOneProbe:

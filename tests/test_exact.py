@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction as Q
 
 import numpy as np
@@ -21,6 +22,7 @@ from liegrpd.exact import (
     matrix_inverse,
     numeric_rank,
     parse_scalar,
+    pfaffian_int,
     poly_eval,
     rank_kernel,
     rref,
@@ -240,3 +242,81 @@ class TestNumeric:
         assert numeric_rank(a) == 1
         assert numeric_rank(np.eye(3)) == 3
         assert numeric_rank(np.zeros((2, 2))) == 0
+
+
+def pfaffian_by_matchings(a):
+    """Reference Pfaffian: the signed sum over perfect matchings, expanded
+    along the first row (pairing index 0 with the j-th remaining index
+    carries the sign (-1)^(j-1))."""
+    idx = list(range(len(a)))
+
+    def expand(rest):
+        if not rest:
+            return 1
+        first, total = rest[0], 0
+        for pos in range(1, len(rest)):
+            entry = a[first][rest[pos]]
+            if entry:
+                sign = 1 if pos % 2 else -1
+                total += sign * entry * expand(rest[1:pos] + rest[pos + 1:])
+        return total
+
+    return expand(idx) if len(idx) % 2 == 0 else 0
+
+
+def skew_from_upper(n, upper):
+    a = [[0] * n for _ in range(n)]
+    pos = 0
+    for i in range(n):
+        for j in range(i + 1, n):
+            a[i][j], a[j][i] = upper[pos], -upper[pos]
+            pos += 1
+    return a
+
+
+# mostly zero entries: pivots vanish often, so the swaps are exercised
+sparse_ints = st.one_of(st.just(0), st.just(0), st.integers(-5, 5))
+sparse_rationals = st.one_of(st.just(Q(0)), st.just(Q(0)), rationals)
+
+
+@st.composite
+def skew_matrices(draw, entries):
+    n = draw(st.integers(2, 8))
+    upper = draw(st.lists(entries, min_size=n * (n - 1) // 2, max_size=n * (n - 1) // 2))
+    return skew_from_upper(n, upper)
+
+
+class TestPfaffian:
+    @settings(max_examples=150, deadline=None)
+    @given(skew_matrices(sparse_ints))
+    def test_integer_matrices_match_matchings_and_det(self, a):
+        pf = pfaffian_int(a)
+        assert pf == pfaffian_by_matchings(a)
+        assert pf * pf == det_exact(Matrix(a))
+
+    @settings(max_examples=100, deadline=None)
+    @given(skew_matrices(sparse_rationals))
+    def test_rational_matrices_after_clearing_denominators(self, a):
+        # Pf(dA) = d^(n/2) Pf(A) for an even order n
+        n = len(a)
+        d = math.lcm(*(x.denominator for row in a for x in row))
+        pf = Q(pfaffian_int([[int(x * d) for x in row] for row in a]), d ** (n // 2))
+        if n % 2:
+            assert pf == 0
+        else:
+            assert pf == pfaffian_by_matchings(a)
+        assert pf * pf == det_exact(Matrix(a))
+
+    def test_zero_pivot_swaps_and_flips_the_sign(self):
+        # a01 = 0, so index 1 is swapped with index 2: Pf = -a02 a13 = -1
+        a = skew_from_upper(4, [0, 1, 0, 0, 1, 0])
+        assert pfaffian_int(a) == -1 == pfaffian_by_matchings(a)
+
+    def test_zero_row_and_odd_order(self):
+        assert pfaffian_int(skew_from_upper(4, [0, 0, 0, 3, 4, 5])) == 0
+        assert pfaffian_int(skew_from_upper(3, [1, 2, 3])) == 0
+
+    def test_only_the_upper_triangle_is_read(self):
+        a = skew_from_upper(4, [0, 2, 3, 5, 7, 11])
+        garbage = [[99 if j <= i else x for j, x in enumerate(row)] for i, row in enumerate(a)]
+        assert pfaffian_int(garbage) == pfaffian_int(a) == pfaffian_by_matchings(a)

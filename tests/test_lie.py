@@ -106,6 +106,66 @@ class TestValidation:
         assert rejected > 30
 
 
+def dense_jacobi_witness(t):
+    """First basis triple i < j < k whose Jacobiator is nonzero, with that
+    Jacobiator, evaluated on the dense tensor; None for a Lie algebra."""
+    n = len(t)
+
+    def br(x, y):
+        out = [Q(0)] * n
+        for a, xa in enumerate(x):
+            for b, yb in enumerate(y):
+                if xa != 0 and yb != 0:
+                    for c in range(n):
+                        out[c] = out[c] + xa * yb * t[a][b][c]
+        return out
+
+    e = [[Q(int(a == b)) for b in range(n)] for a in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            for k in range(j + 1, n):
+                res = [x + y + z for x, y, z in zip(
+                    br(br(e[i], e[j]), e[k]), br(br(e[j], e[k]), e[i]),
+                    br(br(e[k], e[i]), e[j]))]
+                if any(x != 0 for x in res):
+                    return (i, j, k), tuple(res)
+    return None
+
+
+class TestSparseJacobi:
+    @pytest.mark.parametrize("seed", range(60))
+    def test_first_witness_matches_the_dense_loop(self, seed):
+        # sparse random antisymmetric tensors, rational or Gaussian: some are
+        # Lie algebras, most fail Jacobi somewhere past the first triple
+        rng = random.Random(seed)
+        n = rng.randint(3, 6)
+        field = "Qi" if seed % 4 == 3 else "Q"
+        t = [[[Q(0)] * n for _ in range(n)] for _ in range(n)]
+        for i in range(n):
+            for j in range(i + 1, n):
+                for k in range(n):
+                    if rng.random() < 0.12:
+                        c = gaussian(Q(rng.randint(-2, 2), rng.randint(1, 2)),
+                                     rng.randint(-1, 1) if field == "Qi" else 0)
+                        t[i][j][k], t[j][i][k] = c, -c
+        expected = dense_jacobi_witness(t)
+        if expected is None:
+            assert validate_lie_algebra(t, field=field).dim == n
+        else:
+            with pytest.raises(JacobiError) as err:
+                validate_lie_algebra(t, field=field)
+            assert (err.value.args[1], err.value.args[2]) == expected
+
+    def test_sparse_tensor_lists_the_nonzero_constants(self):
+        L = axb_semidirect_plane()
+        dense = {(j, k, l): c for j, plane in enumerate(L.tensor)
+                 for k, row in enumerate(plane) for l, c in enumerate(row) if c != 0 and j < k}
+        sparse = {(j, k, l): c for j, k, terms in L.sparse_tensor for l, c in terms}
+        assert sparse == dense
+        assert [(j, k, list(terms)) for j, k, terms in L.integer_tensor] == [
+            (j, k, [(l, int(2 * c)) for l, c in terms]) for j, k, terms in L.sparse_tensor]
+
+
 class TestAdAndSeries:
     def test_ad_heisenberg(self):
         L = heisenberg()
