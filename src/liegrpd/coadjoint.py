@@ -1,12 +1,15 @@
 """Coadjoint orbit structure: skew forms, isotropy, flows, open-orbit census.
 
-The census works on exact rational sample points.  Two nondegenerate samples
-are joined only when the determinant of the skew form along the straight
-segment between them, an exact polynomial of degree at most dim, has no root
-in [0, 1] (Sturm count).  False merges are therefore impossible: samples from
-different components never share a class, though a connection the straight
-probes miss can split one component into several classes.  Floats appear only
-in the numeric flow and the eigenvalue -1 probe.
+The census works on integer sample points and integer Pfaffians: det B =
+Pf(B)^2, so both vanish at the same points.  Two nondegenerate samples are
+joined only when the Pfaffian of the skew form along the straight segment
+between them, an exact polynomial of degree at most dim/2, has no root on the
+segment.  Endpoints whose Pfaffians differ in sign are rejected at once, since
+a sign change forces a root; otherwise the roots are counted by a Sturm chain.
+False merges are therefore impossible: samples from different components
+never share a class, though a connection the straight probes miss can split
+one component into several classes.  Floats appear only in the numeric flow
+and the eigenvalue -1 probe.
 """
 from __future__ import annotations
 
@@ -21,10 +24,10 @@ import numpy as np
 from .exact import (
     Matrix,
     NumericError,
-    det_exact,
     lagrange_interpolate,
     matrix_exp_numeric,
     numeric_rank,
+    pfaffian_int,
     rank_kernel,
     sturm_root_count,
     to_complex,
@@ -38,20 +41,17 @@ class FlowError(RuntimeError):
 
 
 def bform(L: LieAlgebra, xi: Sequence) -> Matrix:
-    """Skew form B(x, y) = xi([x, y]) as a dim x dim matrix over the basis."""
+    """Skew form B(x, y) = xi([x, y]) as a dim x dim matrix over the basis,
+    built from the sparse structure tensor."""
     m = L.dim
-    rows = []
-    for j in range(m):
-        row = []
-        for k in range(m):
-            acc = Fraction(0)
-            for l in range(m):
-                c = L.tensor[j][k][l]
-                if c == 0:
-                    continue
-                acc = acc + c * xi[l]
-            row.append(acc)
-        rows.append(row)
+    zero = Fraction(0)
+    rows = [[zero] * m for _ in range(m)]
+    for j, k, terms in L.sparse_tensor:
+        acc = zero
+        for l, c in terms:
+            acc = acc + c * xi[l]
+        rows[j][k] = acc
+        rows[k][j] = -acc
     return Matrix(rows)
 
 
@@ -80,18 +80,19 @@ def _always_degenerate(L: LieAlgebra) -> bool:
 def frobenius_test(L: LieAlgebra, trials: int = 64, seed: int = 0):
     """Probabilistic search for a nondegenerate functional.
 
-    Samples integer points in [-10, 10]^dim; a nonzero determinant proves an
-    open orbit exists.  After `trials` failures returns (False, None); by the
-    Schwartz-Zippel bound a nonzero determinant polynomial vanishes on at most
-    a dim/21 fraction of each trial, so false negatives decay geometrically.
-    No point is drawn when every skew form is singular.
+    Samples integer points in [-10, 10]^dim; a nonzero Pfaffian of the skew
+    form proves an open orbit exists.  After `trials` failures returns (False,
+    None); by the Schwartz-Zippel bound a nonzero Pfaffian, a polynomial of
+    degree dim/2, vanishes on at most a dim/42 fraction of each trial, so
+    false negatives decay geometrically.  No point is drawn when every skew
+    form is singular.
     """
     rng = random.Random(seed)
     if _always_degenerate(L):
         return False, None
     for _ in range(trials):
         xi = tuple(Fraction(rng.randint(-10, 10)) for _ in range(L.dim))
-        if det_exact(bform(L, xi)) != 0:
+        if _det_at(L, xi) != 0:
             return True, xi
     return False, None
 
@@ -169,27 +170,73 @@ def coadjoint_flow(
 # open-component census
 
 
-def _det_at(L, xi):
-    return det_exact(bform(L, xi))
+def _integral(*points):
+    """(d, points times d as int tuples), d the lcm of their denominators."""
+    d = math.lcm(*(x.denominator for p in points for x in p))
+    return d, [tuple(int(x * d) for x in p) for p in points]
 
 
-def _segment_nondegenerate(L: LieAlgebra, a, b) -> bool:
-    """Exact check that det B stays nonzero on the segment [a, b].
+def _form_values(L: LieAlgebra, xi) -> list:
+    """Entries of the integer form D B_xi at an integer point, one per
+    nonzero bracket of `L.integer_tensor`."""
+    out = []
+    for _, _, terms in L.integer_tensor:
+        acc = 0
+        for l, c in terms:
+            acc += c * xi[l]
+        out.append(acc)
+    return out
 
-    The segment determinant is interpolated exactly from dim + 1 nodes and
-    its roots in [0, 1] are counted by a Sturm chain.
-    """
+
+def _pf_of_values(L: LieAlgebra, values) -> int:
     m = L.dim
-    pts = []
-    for k in range(m + 1):
-        t = Fraction(k, m) if m else Fraction(0)
-        xi = tuple(aa + t * (bb - aa) for aa, bb in zip(a, b))
-        d = _det_at(L, xi)
-        if d == 0:
+    rows = [[0] * m for _ in range(m)]
+    for (j, k, _), v in zip(L.integer_tensor, values):
+        rows[j][k] = v
+    return pfaffian_int(rows)
+
+
+def _det_at(L, xi) -> int:
+    """Pf of the integer form D B_{d xi}, d clearing xi's denominators.
+
+    Pf is homogeneous of degree dim/2 and det B = Pf(B)^2, so the value is
+    zero exactly where det B_xi is and has the sign of Pf(B_xi).
+    """
+    _, (p,) = _integral(xi)
+    return _pf_of_values(L, _form_values(L, p))
+
+
+def _segment_nondegenerate(L: LieAlgebra, a, b, ends=None) -> bool:
+    """Exact check that Pf B, hence det B = Pf(B)^2, stays nonzero on [a, b].
+
+    Rational endpoints are first scaled by their positive common denominator,
+    which keeps every zero and sign of the homogeneous Pf.  With h = dim/2,
+    q(k) = Pf(D B) at h a + k (b - a) is a polynomial of degree at most h.
+    Endpoints of opposite sign are rejected at once (intermediate values).
+    Otherwise q is evaluated at the interior nodes k = 1..h-1, stopping at a
+    zero or a sign change; then q is interpolated from its h + 1 node values
+    and its roots in (0, h] are counted by a Sturm chain.  `ends` may carry
+    (_det_at(a), _det_at(b)) for integer endpoints, so a kept sample's
+    Pfaffian is computed once.
+    """
+    h = L.dim // 2
+    d, (ia, ib) = _integral(a, b)
+    if ends is None or d != 1:
+        ends = (_det_at(L, ia), _det_at(L, ib))
+    pa, pb = ends
+    if pa == 0 or pb == 0 or (pa > 0) != (pb > 0):
+        return False
+    scale = h**h  # q(0) = Pf(D B_{h a}) = h^h Pf(D B_a)
+    values = [pa * scale]
+    fa, fb = _form_values(L, ia), _form_values(L, ib)
+    for k in range(1, h):
+        v = _pf_of_values(L, [(h - k) * x + k * y for x, y in zip(fa, fb)])
+        if v == 0 or (v > 0) != (pa > 0):
             return False
-        pts.append((t, d))
-    poly = lagrange_interpolate(pts)
-    return sturm_root_count(poly, Fraction(0), Fraction(1)) == 0
+        values.append(v)
+    values.append(pb * scale)
+    poly = lagrange_interpolate(list(enumerate(values)))
+    return sturm_root_count(poly, Fraction(0), Fraction(h)) == 0
 
 
 @dataclass(frozen=True)
@@ -209,10 +256,10 @@ def open_component_census(L: LieAlgebra, samples: int = 512, seed: int = 0) -> C
     """Census of connected components of the nondegenerate set.
 
     Up to `samples` integer points, closed under negation, are kept when the
-    skew form is exactly nondegenerate; connections are established by exact
-    segment probes only.  Probes can miss connections but never create false
-    ones, so each class lies inside one component of the nondegenerate set.
-    No point is drawn when every skew form is singular.
+    Pfaffian of the skew form is nonzero; connections are established by
+    exact segment probes only.  Probes can miss connections but never create
+    false ones, so each class lies inside one component of the nondegenerate
+    set.  No point is drawn when every skew form is singular.
     """
     if L.field != "Q":
         raise ValueError("the census works over the rational field; realify first")
@@ -220,18 +267,25 @@ def open_component_census(L: LieAlgebra, samples: int = 512, seed: int = 0) -> C
     rng = random.Random(seed)
     exp_result = algebra_is_exponential(L)
     kept = []
+    pf = {}  # kept integer sample -> _det_at value
     seen = set()
     attempts = 0
     budget = 0 if _always_degenerate(L) else 40 * samples
     while len(kept) < samples and attempts < budget:
         attempts += 1
-        v = tuple(Fraction(rng.randint(-10, 10)) for _ in range(m))
+        v = tuple(rng.randint(-10, 10) for _ in range(m))
         for w in (v, tuple(-x for x in v)):
             if w in seen or all(x == 0 for x in w):
                 continue
             seen.add(w)
-            if _det_at(L, w) != 0:
+            p = _det_at(L, w)
+            if p != 0:
                 kept.append(w)
+                pf[w] = p
+
+    def joins(u, v):
+        return _segment_nondegenerate(L, u, v, (pf[u], pf[v]))
+
     notes = [
         f"census from {len(kept)} nondegenerate integer samples;"
         " no class spans two components (probes are exact), but a missed"
@@ -249,7 +303,7 @@ def open_component_census(L: LieAlgebra, samples: int = 512, seed: int = 0) -> C
         for comp in components:
             probes = comp[:2] + comp[-2:]
             for member in probes:
-                if _segment_nondegenerate(L, s, member):
+                if joins(s, member):
                     comp.append(s)
                     joined = True
                     break
@@ -268,7 +322,7 @@ def open_component_census(L: LieAlgebra, samples: int = 512, seed: int = 0) -> C
                 hit = False
                 for u in components[i][:6]:
                     for v in components[j][:6]:
-                        if _segment_nondegenerate(L, u, v):
+                        if joins(u, v):
                             hit = True
                             break
                     if hit:
@@ -286,7 +340,7 @@ def open_component_census(L: LieAlgebra, samples: int = 512, seed: int = 0) -> C
         if not merge_pass():
             break
 
-    reps = tuple(comp[0] for comp in components)
+    reps = tuple(tuple(Fraction(x) for x in comp[0]) for comp in components)
     sizes = tuple(len(comp) for comp in components)
     index_of = {}
     for idx, comp in enumerate(components):

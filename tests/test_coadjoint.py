@@ -27,6 +27,7 @@ from liegrpd.catalog import (
 )
 from liegrpd.coadjoint import (
     ComponentCensus,
+    _det_at,
     _segment_nondegenerate,
     bform,
     coadjoint_flow,
@@ -242,7 +243,7 @@ class TestCensus:
             raise AssertionError("sampler ran")
 
         monkeypatch.setattr(coadjoint, "_det_at", no_det)
-        monkeypatch.setattr(coadjoint, "det_exact", no_det)
+        monkeypatch.setattr(coadjoint, "pfaffian_int", no_det)
         for make in (heisenberg, filiform4, euclid2):
             census = open_component_census(make(), samples=64)
             assert census.component_count == 0
@@ -370,6 +371,15 @@ class TestAgainstDenseReference:
             xi = _random_point(rng, L.dim, 9, (1, 2, 3, 7))
             assert bform(L, xi) == dense_bform(L, xi)
 
+    def test_pfaffian_squared_is_scaled_det(self, name):
+        # _det_at is Pf(D B_xi) at an integer point: its square is D^dim det B_xi
+        import math
+        L, rng = REFERENCE_CASES[name](), random.Random(name)
+        d = math.lcm(*(c.denominator for plane in L.tensor for row in plane for c in row))
+        for _ in range(20):
+            xi = _random_point(rng, L.dim)
+            assert _det_at(L, xi) ** 2 == d**L.dim * reference_det_at(L, xi)
+
     def test_probe_agrees_on_random_point_pairs(self, name):
         L, rng = REFERENCE_CASES[name](), random.Random(name)
         for trial in range(40):
@@ -378,6 +388,9 @@ class TestAgainstDenseReference:
             b = _random_point(rng, L.dim, denominators=denominators)
             expected = reference_segment(L, a, b)
             assert _segment_nondegenerate(L, a, b) is expected
+            if trial < 30:  # the census passes the endpoint Pfaffians along
+                ends = (_det_at(L, a), _det_at(L, b))
+                assert _segment_nondegenerate(L, a, b, ends) is expected
 
     @pytest.mark.parametrize("seed", range(3))
     def test_census_equals_reference_census(self, name, seed, monkeypatch):
