@@ -517,6 +517,8 @@ def _gaussian_divisors(a: int, b: int, budget: _Budget):
     norm = a * a + b * b
     if norm == 0:
         return []
+    if math.isqrt(norm) > budget.left:
+        return None  # the scan of divisors up to sqrt(norm) alone overspends
     divisors_of_norm = []
     d = 1
     while d * d <= norm:
@@ -582,7 +584,7 @@ def gaussian_rational_roots(coeffs: Sequence[Scalar], budget: int = 10**6):
         ints = [(int(scalar_re(c) * d), int(scalar_im(c) * d)) for c in work]
         c0, cn = ints[0], ints[-1]
         nums = _gaussian_divisors(c0[0], c0[1], bud)
-        dens = _gaussian_divisors(cn[0], cn[1], bud)
+        dens = None if nums is None else _gaussian_divisors(cn[0], cn[1], bud)
         if nums is None or dens is None:
             complete = False
         else:
