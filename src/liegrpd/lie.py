@@ -185,22 +185,26 @@ def validate_lie_algebra(
     if len(names) != n:
         raise ValueError("basis name count mismatch")
     alg = LieAlgebra(n, names, t, field)
+    pair = {}  # (a, b) -> nonzero terms of [Y_a, Y_b], both orders
+    for j, k, terms in alg.sparse_tensor:
+        pair[j, k] = terms
+        pair[k, j] = tuple((l, -c) for l, c in terms)
     for i in range(n):
         for j in range(i + 1, n):
             for k in range(j + 1, n):
-                ei, ej, ek = (alg.basis_vector(x) for x in (i, j, k))
-                res = vec_add(
-                    vec_add(
-                        alg.bracket(alg.bracket(ei, ej), ek),
-                        alg.bracket(alg.bracket(ej, ek), ei),
-                    ),
-                    alg.bracket(alg.bracket(ek, ei), ej),
-                )
+                cyclic = ((i, j, k), (j, k, i), (k, i, j))
+                if not any((a, b) in pair for a, b, _ in cyclic):
+                    continue  # all three pair brackets vanish
+                res = [Fraction(0)] * n
+                for a, b, c in cyclic:
+                    for l, x in pair.get((a, b), ()):
+                        for p, y in pair.get((l, c), ()):
+                            res[p] = res[p] + x * y
                 if not vec_is_zero(res):
                     raise JacobiError(
                         f"Jacobi fails on basis triple ({i+1},{j+1},{k+1})",
                         (i, j, k),
-                        res,
+                        tuple(res),
                     )
     return alg
 
@@ -446,8 +450,13 @@ def algebra_to_json(L: LieAlgebra) -> dict:
     }
 
 
+MAX_JSON_DIM = 128
+
+
 def algebra_from_json(doc: dict) -> LieAlgebra:
     dim = int(doc["dim"])
+    if dim > MAX_JSON_DIM:
+        raise ValueError(f"dimension {dim} exceeds the limit {MAX_JSON_DIM}")
     field = doc.get("field", "Q")
     basis = doc.get("basis")
     sparse = {}

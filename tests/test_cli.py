@@ -53,6 +53,15 @@ class TestLieCommands:
         assert code == 1
         assert not doc["valid"] and doc["violation"] == "JacobiError"
 
+    def test_dimension_above_the_limit_is_exit_2(self, tmp_path, capsys):
+        p = tmp_path / "big.json"
+        p.write_text(json.dumps({"dim": 129, "brackets": []}))
+        for sub in ("validate", "series", "census"):
+            assert main(["lie", sub, "--in", str(p)]) == 2
+            out, err = capsys.readouterr()
+            assert out == ""
+            assert err == "error: bad algebra document: dimension 129 exceeds the limit 128\n"
+
     def test_malformed_json_is_exit_2(self, tmp_path):
         p = tmp_path / "mangled.json"
         p.write_text("{not json")

@@ -53,6 +53,7 @@ MALFORMED_ALGEBRAS = {
     "unknown_field": _bracket_doc(2, {"1": "1"}, field="R"),
     "not_an_object": [1, 2, 3],
     "missing_dim": {"brackets": []},
+    "dim_too_large": {"dim": 129, "brackets": []},
 }
 
 
