@@ -42,9 +42,6 @@ class FieldError(ValueError):
 Vector = tuple
 
 
-def vec_add(u: Vector, v: Vector) -> Vector:
-    return tuple(a + b for a, b in zip(u, v))
-
 def vec_scale(c, v: Vector) -> Vector:
     return tuple(c * a for a in v)
 
