@@ -410,6 +410,28 @@ def test_integer_tensor_needs_the_rational_field():
     assert bform(complex_borel(), (Q(1), Q(2))) == dense_bform(complex_borel(), (Q(1), Q(2)))
 
 
+class TestProbeShortcuts:
+    """The sign gate and the interior nodes decide without interpolating."""
+
+    @pytest.fixture(autouse=True)
+    def no_interpolation(self, monkeypatch):
+        def boom(*args):
+            raise AssertionError("probe interpolated")
+
+        monkeypatch.setattr(coadjoint, "lagrange_interpolate", boom)
+
+    def test_endpoints_of_opposite_sign(self):
+        # Pf on (ax+b)^2 is xi2 xi4 (coordinates numbered from 1); the only
+        # interior node, the midpoint, has the sign of the first endpoint
+        assert not _segment_nondegenerate(axb_squared(), (0, 1, 0, 3), (0, 1, 0, -1))
+
+    def test_interior_sign_change(self):
+        # on (ax+b)^3, Pf = xi2 xi4 xi6 runs (1 - 5t)(1 - 2t) from 1 to 4 and
+        # is negative at the node t = 1/3
+        L = from_brackets(6, {(0, 1): {1: 1}, (2, 3): {3: 1}, (4, 5): {5: 1}})
+        assert not _segment_nondegenerate(L, (0, 1, 0, 1, 0, 1), (0, -4, 0, -1, 0, 1))
+
+
 class TestMinusOneProbe:
     def test_euclid2_rotation_witness(self):
         probe = minus_one_probe(euclid2())
