@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 from liegrpd import coadjoint
 from liegrpd.catalog import (
     axb,
+    axb_semidirect_plane,
     complex_borel,
     euclid2,
     filiform4,
@@ -38,7 +39,6 @@ from liegrpd.coadjoint import (
     open_component_census,
     orbit_dimension,
 )
-from liegrpd.catalog import axb_semidirect_plane
 from liegrpd.exact import (
     Matrix,
     det_exact,
@@ -310,7 +310,9 @@ def reference_det_at(L, xi):
 
 
 def reference_segment(L, a, b, ends=None):
-    """det B interpolated from dim + 1 nodes; no Sturm root in [0, 1]."""
+    """det B interpolated from dim + 1 nodes; no Sturm root in [0, 1].
+    `ends` is ignored; it is accepted so the census can call this in place
+    of the Pfaffian probe."""
     m = L.dim
     pts = []
     for k in range(m + 1):

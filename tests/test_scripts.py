@@ -14,8 +14,8 @@ ROOT = Path(__file__).resolve().parent.parent
     [
         ("fuzz_pullback.py", ["--trials", "20"]),
         ("census_demo.py", ["--samples", "16"]),
-        ("census_demo.py", ["--samples", "8", "--axb-max", "2"]),
         ("cascade_table.py", ["--max-rank", "4"]),
+        ("census_demo.py", ["--samples", "8", "--axb-max", "2"]),
     ],
 )
 def test_script_runs(script, args):
