@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dense_reference import COMPLEX_BOREL, DENSE_CATALOG, dense, ref_conjugate, upper
 from liegrpd import coadjoint
 from liegrpd.catalog import (
     axb,
@@ -43,7 +44,6 @@ from liegrpd.exact import (
     Matrix,
     det_exact,
     lagrange_interpolate,
-    matrix_inverse,
     sturm_root_count,
 )
 from liegrpd.lie import FieldError, Subspace, from_brackets
@@ -288,15 +288,15 @@ class TestSegmentProbe:
 # kept as the reference for the sparse form, the Pfaffian probe and the census.
 
 
-def dense_bform(L, xi):
-    m = L.dim
+def dense_bform(t, xi):
+    m = len(t)
     rows = []
     for j in range(m):
         row = []
         for k in range(m):
             acc = Q(0)
             for l in range(m):
-                c = L.tensor[j][k][l]
+                c = t[j][k][l]
                 if c == 0:
                     continue
                 acc = acc + c * xi[l]
@@ -305,59 +305,52 @@ def dense_bform(L, xi):
     return Matrix(rows)
 
 
-def reference_det_at(L, xi):
-    return det_exact(dense_bform(L, xi))
+def reference_det_at(t, xi):
+    return det_exact(dense_bform(t, xi))
 
 
-def reference_segment(L, a, b, ends=None):
-    """det B interpolated from dim + 1 nodes; no Sturm root in [0, 1].
-    `ends` is ignored; it is accepted so the census can call this in place
-    of the Pfaffian probe."""
-    m = L.dim
+def reference_segment(t, a, b):
+    """det B interpolated from dim + 1 nodes; no Sturm root in [0, 1]."""
+    m = len(t)
     pts = []
     for k in range(m + 1):
-        t = Q(k, m)
-        xi = tuple(aa + t * (bb - aa) for aa, bb in zip(a, b))
-        d = reference_det_at(L, xi)
+        s = Q(k, m)
+        xi = tuple(aa + s * (bb - aa) for aa, bb in zip(a, b))
+        d = reference_det_at(t, xi)
         if d == 0:
             return False
-        pts.append((t, d))
+        pts.append((s, d))
     return sturm_root_count(lagrange_interpolate(pts), Q(0), Q(1)) == 0
 
 
+AXB_SQUARED = {(0, 1): {1: 1}, (2, 3): {3: 1}}
+
+
 def axb_squared():
-    return from_brackets(4, {(0, 1): {1: 1}, (2, 3): {3: 1}})
+    return from_brackets(4, AXB_SQUARED)
 
 
-def unimodular_conjugate(L, seed):
-    """L in the basis Y'_i = sum_a P[a][i] Y_a, P a seeded product of
-    elementary integer column operations (so P^-1 is integral too)."""
-    rng = random.Random(seed)
-    n = L.dim
-    p = [[Q(int(r == c)) for c in range(n)] for r in range(n)]
-    for _ in range(n):
-        i, j = rng.sample(range(n), 2)
-        c = rng.choice((-1, 1))
-        for row in p:
-            row[j] += c * row[i]
-    q = matrix_inverse(Matrix(p))
-    cols = [tuple(row[i] for row in p) for i in range(n)]
-    brackets = {}
-    for i in range(n):
-        for j in range(i + 1, n):
-            coords = q.apply(L.bracket(cols[i], cols[j]))
-            coeffs = {k: c for k, c in enumerate(coords) if c != 0}
-            if coeffs:
-                brackets[(i, j)] = coeffs
-    return from_brackets(n, brackets)
-
-
-OPEN_ORBIT = {"axb": axb, "axb_semidirect_plane": axb_semidirect_plane,
-              "realified_borel": realified_borel, "axb^2": axb_squared}
-REFERENCE_CASES = dict(OPEN_ORBIT, heisenberg=heisenberg, filiform4=filiform4, e2=euclid2)
+# each case is (algebra, its dense tensor), the tensor built from the same
+# brackets or by the dense reference builders, never read from the algebra
+OPEN_ORBIT = {name: (make, DENSE_CATALOG[name][0])
+              for name, make in (("axb", axb), ("axb_semidirect_plane", axb_semidirect_plane),
+                                 ("realified_borel", realified_borel))}
+OPEN_ORBIT["axb^2"] = (axb_squared, dense(4, AXB_SQUARED))
+REFERENCE_CASES = {name: (lambda make=make, t=t: (make(), t)) for name, (make, t) in OPEN_ORBIT.items()}
 REFERENCE_CASES.update(
-    {f"{name}~{seed}": (lambda make=make, seed=seed: unimodular_conjugate(make(), seed))
-     for name, make in OPEN_ORBIT.items() for seed in range(3)}
+    {name: (lambda make=make, name=name: (make(), DENSE_CATALOG[name][0]))
+     for name, make in (("heisenberg", heisenberg), ("filiform4", filiform4), ("e2", euclid2))}
+)
+
+
+def _conjugate_case(t, seed):
+    t = ref_conjugate(t, seed)
+    return from_brackets(len(t), upper(t)), t
+
+
+REFERENCE_CASES.update(
+    {f"{name}~{seed}": (lambda t=t, seed=seed: _conjugate_case(t, seed))
+     for name, (_, t) in OPEN_ORBIT.items() for seed in range(3)}
 )
 
 
@@ -368,27 +361,27 @@ def _random_point(rng, dim, spread=3, denominators=(1,)):
 @pytest.mark.parametrize("name", sorted(REFERENCE_CASES))
 class TestAgainstDenseReference:
     def test_sparse_bform_equals_dense(self, name):
-        L, rng = REFERENCE_CASES[name](), random.Random(name)
+        (L, t), rng = REFERENCE_CASES[name](), random.Random(name)
         for _ in range(10):
             xi = _random_point(rng, L.dim, 9, (1, 2, 3, 7))
-            assert bform(L, xi) == dense_bform(L, xi)
+            assert bform(L, xi) == dense_bform(t, xi)
 
     def test_pfaffian_squared_is_scaled_det(self, name):
         # _det_at is Pf(D B_xi) at an integer point: its square is D^dim det B_xi
         import math
-        L, rng = REFERENCE_CASES[name](), random.Random(name)
-        d = math.lcm(*(c.denominator for plane in L.tensor for row in plane for c in row))
+        (L, t), rng = REFERENCE_CASES[name](), random.Random(name)
+        d = math.lcm(*(c.denominator for plane in t for row in plane for c in row))
         for _ in range(20):
             xi = _random_point(rng, L.dim)
-            assert _det_at(L, xi) ** 2 == d**L.dim * reference_det_at(L, xi)
+            assert _det_at(L, xi) ** 2 == d**L.dim * reference_det_at(t, xi)
 
     def test_probe_agrees_on_random_point_pairs(self, name):
-        L, rng = REFERENCE_CASES[name](), random.Random(name)
+        (L, t), rng = REFERENCE_CASES[name](), random.Random(name)
         for trial in range(40):
             denominators = (1,) if trial < 30 else (1, 2, 5)
             a = _random_point(rng, L.dim, denominators=denominators)
             b = _random_point(rng, L.dim, denominators=denominators)
-            expected = reference_segment(L, a, b)
+            expected = reference_segment(t, a, b)
             assert _segment_nondegenerate(L, a, b) is expected
             if trial < 30:  # the census passes the endpoint Pfaffians along
                 ends = (_det_at(L, a), _det_at(L, b))
@@ -396,11 +389,12 @@ class TestAgainstDenseReference:
 
     @pytest.mark.parametrize("seed", range(3))
     def test_census_equals_reference_census(self, name, seed, monkeypatch):
-        L = REFERENCE_CASES[name]()
+        L, t = REFERENCE_CASES[name]()
         census = open_component_census(L, samples=10, seed=seed)
         with monkeypatch.context() as patch:
-            patch.setattr(coadjoint, "_det_at", reference_det_at)
-            patch.setattr(coadjoint, "_segment_nondegenerate", reference_segment)
+            patch.setattr(coadjoint, "_det_at", lambda _, xi: reference_det_at(t, xi))
+            patch.setattr(coadjoint, "_segment_nondegenerate",
+                          lambda _, a, b, ends=None: reference_segment(t, a, b))
             reference = open_component_census(L, samples=10, seed=seed)
         assert census == reference
         assert all(type(x) is Q for rep in census.representatives for x in rep)
@@ -409,7 +403,7 @@ class TestAgainstDenseReference:
 def test_integer_tensor_needs_the_rational_field():
     with pytest.raises(FieldError):
         complex_borel().integer_tensor
-    assert bform(complex_borel(), (Q(1), Q(2))) == dense_bform(complex_borel(), (Q(1), Q(2)))
+    assert bform(complex_borel(), (Q(1), Q(2))) == dense_bform(COMPLEX_BOREL, (Q(1), Q(2)))
 
 
 class TestProbeShortcuts:

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dense_reference import DENSE_CATALOG, random_tensor
 from liegrpd.catalog import (
     abelian,
     axb,
@@ -135,19 +136,8 @@ def dense_jacobi_witness(t):
 class TestSparseJacobi:
     @pytest.mark.parametrize("seed", range(60))
     def test_first_witness_matches_the_dense_loop(self, seed):
-        # sparse random antisymmetric tensors, rational or Gaussian: some are
-        # Lie algebras, most fail Jacobi somewhere past the first triple
-        rng = random.Random(seed)
-        n = rng.randint(3, 6)
-        field = "Qi" if seed % 4 == 3 else "Q"
-        t = [[[Q(0)] * n for _ in range(n)] for _ in range(n)]
-        for i in range(n):
-            for j in range(i + 1, n):
-                for k in range(n):
-                    if rng.random() < 0.12:
-                        c = gaussian(Q(rng.randint(-2, 2), rng.randint(1, 2)),
-                                     rng.randint(-1, 1) if field == "Qi" else 0)
-                        t[i][j][k], t[j][i][k] = c, -c
+        t, field = random_tensor(seed)
+        n = len(t)
         expected = dense_jacobi_witness(t)
         if expected is None:
             assert validate_lie_algebra(t, field=field).dim == n
@@ -157,8 +147,8 @@ class TestSparseJacobi:
             assert (err.value.args[1], err.value.args[2]) == expected
 
     def test_sparse_tensor_lists_the_nonzero_constants(self):
-        L = axb_semidirect_plane()
-        dense = {(j, k, l): c for j, plane in enumerate(L.tensor)
+        L, t = axb_semidirect_plane(), DENSE_CATALOG["axb_semidirect_plane"][0]
+        dense = {(j, k, l): c for j, plane in enumerate(t)
                  for k, row in enumerate(plane) for l, c in enumerate(row) if c != 0 and j < k}
         sparse = {(j, k, l): c for j, k, terms in L.sparse_tensor for l, c in terms}
         assert sparse == dense
@@ -317,7 +307,7 @@ class TestJson:
             "brackets": [{"i": 0, "j": 1, "coeffs": {"1": "1/2+3/4i"}}],
         }
         L = algebra_from_json(doc)
-        assert L.tensor[0][1][1] == gaussian(Q(1, 2), Q(3, 4))
+        assert L.bracket(L.basis_vector(0), L.basis_vector(1)) == (Q(0), gaussian(Q(1, 2), Q(3, 4)))
 
 
 # reference membership test: v lies in s iff appending it leaves the rank unchanged
