@@ -1,0 +1,81 @@
+#!/usr/bin/env python3
+"""Print a digest of the CLI's output over a fixed ladder of runs.
+
+Each run calls `liegrpd.cli.main` in process and prints one line: the argv,
+the exit code and the sha256 of stdout followed by stderr.  The ladder is
+every `lie` subcommand in JSON and text on the catalog and corpus algebras
+(`coadjoint` at two fixed points, `census` and `stratify` at
+`--samples 48 --seed 1`), `cascade --table`, and every `grpd` subcommand on
+the catalog and corpus groupoids.  Corpus paths are given relative to the
+checkout, so two checkouts print comparable lines:
+
+    PYTHONPATH=<checkout>/src python3 scripts/cli_digest.py > digest.txt
+
+and `diff` two such files to see which reports changed.
+"""
+import contextlib
+import hashlib
+import io
+import json
+import os
+from pathlib import Path
+
+from liegrpd import catalog
+from liegrpd.cli import main as cli_main
+
+ROOT = Path(__file__).resolve().parent.parent
+CORPUS_ALGEBRAS = ("axb", "complex_borel", "e2", "filiform4", "heisenberg")
+CORPUS_GROUPOIDS = ("negation_groupoid", "s3_natural", "z4_parity")
+LIE_SUBS = ("validate", "series", "roots", "exptest", "coadjoint", "census", "stratify",
+            "probe-minus-one")
+GRPD_SUBS = ("validate", "classify", "pullback-verify", "bimodule-verify", "decompose",
+             "profile", "regrep")
+
+
+def ladder():
+    algebras = [(["--name", n], make().dim) for n, make in catalog.LIE_CATALOG.items()]
+    for n in CORPUS_ALGEBRAS:
+        path = f"corpus/{n}.json"
+        algebras.append((["--in", path], json.loads((ROOT / path).read_text())["dim"]))
+    for inp, dim in algebras:
+        points = [",".join(["1"] * dim), ",".join(str(i + 1) for i in range(dim))]
+        for fmt in ("json", "text"):
+            for sub in LIE_SUBS:
+                argv = ["lie", sub] + inp + ["--format", fmt]
+                if sub == "coadjoint":
+                    for point in points:
+                        yield argv + ["--point", point]
+                elif sub in ("census", "stratify"):
+                    yield argv + ["--samples", "48", "--seed", "1"]
+                else:
+                    yield argv
+    yield ["cascade", "--table"]
+    groupoids = [["--name", n] for n in catalog.GROUPOID_CATALOG]
+    groupoids += [["--in", f"corpus/{n}.json"] for n in CORPUS_GROUPOIDS]
+    for inp in groupoids:
+        for fmt in ("json", "text"):
+            for sub in GRPD_SUBS:
+                extra = ["--object", "0"] if sub == "regrep" else []
+                yield ["grpd", sub] + inp + ["--format", fmt] + extra
+
+
+def run(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli_main(argv)
+        except SystemExit as exc:  # argparse rejects the command line
+            code = exc.code
+    digest = hashlib.sha256((out.getvalue() + err.getvalue()).encode()).hexdigest()
+    return code, digest
+
+
+def main() -> None:
+    os.chdir(ROOT)
+    for argv in ladder():
+        code, digest = run(argv)
+        print(f"{' '.join(argv)}\t{code}\t{digest}")
+
+
+if __name__ == "__main__":
+    main()

@@ -39,13 +39,11 @@ from .groupoids import (
     validate_groupoid,
 )
 from .lie import (
-    AntisymmetryError,
     FieldError,
     JacobiError,
     algebra_from_json,
     algebra_to_json,
     structure_series,
-    validate_lie_algebra,
 )
 from .rootsystems import build_root_system, cascade_classification, open_orbit_rank_test
 from .strata import coadjoint_stratification
@@ -191,7 +189,7 @@ def cmd_lie_validate(args) -> int:
         meta = {"path": args.infile, "sha256": digest}
         try:
             L = algebra_from_json(doc)
-        except (AntisymmetryError, JacobiError, FieldError) as exc:
+        except (JacobiError, FieldError) as exc:
             report = {
                 "command": "lie validate",
                 "input": meta,

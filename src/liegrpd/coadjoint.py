@@ -42,11 +42,11 @@ class FlowError(RuntimeError):
 
 def bform(L: LieAlgebra, xi: Sequence) -> Matrix:
     """Skew form B(x, y) = xi([x, y]) as a dim x dim matrix over the basis,
-    built from the sparse structure tensor."""
+    built from the bracket table."""
     m = L.dim
     zero = Fraction(0)
     rows = [[zero] * m for _ in range(m)]
-    for j, k, terms in L.sparse_tensor:
+    for j, k, terms in L.brackets:
         acc = zero
         for l, c in terms:
             acc = acc + c * xi[l]
@@ -142,13 +142,20 @@ def coadjoint_flow(
         point = point + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
         times.append((k + 1) * h)
         points.append(tuple(point.tolist()))
-    # B_xi = sum_l xi_l C[:, :, l]: one float copy of the tensor serves every point
-    tensor = np.array([[[to_complex(c) for c in line] for line in plane] for plane in L.tensor])
-    if not tensor.imag.any():
-        tensor = tensor.real
+    # B_xi[j, k] = sum_l c_jkl xi_l over the bracket table: one float copy of
+    # the constants, a row per bracket, serves every point
+    consts = np.zeros((len(L.brackets), L.dim), dtype=complex)
+    for r, (_, _, terms) in enumerate(L.brackets):
+        for l, c in terms:
+            consts[r, l] = to_complex(c)
+    if not consts.imag.any():
+        consts = consts.real
+    js, ks = np.array([(j, k) for j, k, _ in L.brackets], dtype=int).reshape(-1, 2).T
 
     def numeric_rank_at(p):
-        return numeric_rank(tensor @ np.asarray(p), rank_tol)
+        form = np.zeros((L.dim, L.dim), dtype=consts.dtype)
+        form[js, ks] = consts @ np.asarray(p)
+        return numeric_rank(form - form.T, rank_tol)
 
     exact0 = all(isinstance(v, (int, Fraction)) for v in xi0)
     if exact0:

@@ -1,8 +1,12 @@
-"""Lie algebras as exact structure-constant tensors, with modules.
+"""Lie algebras as exact sparse bracket tables, with modules.
 
-A bracket tensor c[i][j][k] means [Y_i, Y_j] = sum_k c[i][j][k] Y_k over the
-chosen basis.  Validation (antisymmetry, Jacobi) is exact; nothing here
-touches floats.
+An algebra stores its structure constants once, as the table of nonzero
+brackets (j, k, ((l, c), ...)) for j < k, meaning [Y_j, Y_k] = sum c Y_l over
+the chosen basis; [Y_k, Y_j] is the negative and unlisted brackets vanish.
+`from_brackets` builds every algebra.  A dense tensor c[i][j][k] appears only
+as the input of `validate_lie_algebra`, which checks its antisymmetry and
+hands the upper triangle on.  Validation (field, Jacobi) is exact; nothing
+here touches floats.
 """
 from __future__ import annotations
 
@@ -14,6 +18,7 @@ from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .exact import (
+    GaussianRational,
     Matrix,
     Scalar,
     format_scalar,
@@ -107,56 +112,59 @@ class Subspace:
 class LieAlgebra:
     dim: int
     basis: tuple
-    tensor: tuple  # c[i][j][k]
+    brackets: tuple  # (j, k, ((l, c), ...)) for j < k, nonzero c only, in (j, k, l) order
     field: str  # "Q" or "Qi"
 
+    @cached_property
+    def pair_terms(self) -> dict:
+        """(a, b) -> the nonzero terms of [Y_a, Y_b], for both orders."""
+        out = {}
+        for j, k, terms in self.brackets:
+            out[j, k] = terms
+            out[k, j] = tuple((l, -c) for l, c in terms)
+        return out
+
     def bracket(self, x: Vector, y: Vector) -> Vector:
+        pairs = self.pair_terms
+        ys = [(j, yj) for j, yj in enumerate(y) if yj != 0]
         out = [Fraction(0)] * self.dim
         for i, xi in enumerate(x):
             if xi == 0:
                 continue
-            for j, yj in enumerate(y):
-                if yj == 0:
-                    continue
-                cij = self.tensor[i][j]
-                for k in range(self.dim):
-                    if cij[k] != 0:
-                        out[k] = out[k] + xi * yj * cij[k]
+            for j, yj in ys:
+                for l, c in pairs.get((i, j), ()):
+                    out[l] = out[l] + xi * yj * c
+        return tuple(out)
+
+    def basis_bracket(self, a: int, b: int) -> Vector:
+        """[Y_a, Y_b] as a coordinate vector."""
+        out = [Fraction(0)] * self.dim
+        for l, c in self.pair_terms.get((a, b), ()):
+            out[l] = c
         return tuple(out)
 
     def basis_vector(self, i: int) -> Vector:
         return tuple(Fraction(1 if j == i else 0) for j in range(self.dim))
 
     @cached_property
-    def sparse_tensor(self) -> tuple:
-        """(j, k, ((l, c), ...)) for each j < k with [Y_j, Y_k] = sum c Y_l
-        nonzero, listing only the c != 0."""
-        out = []
-        for j in range(self.dim):
-            for k in range(j + 1, self.dim):
-                terms = tuple((l, c) for l, c in enumerate(self.tensor[j][k]) if c != 0)
-                if terms:
-                    out.append((j, k, terms))
-        return tuple(out)
-
-    @cached_property
     def integer_tensor(self) -> tuple:
-        """The sparse tensor times the lcm of its denominators, with int
-        coefficients: D B_xi is integral at integer xi.  Rational field only."""
-        consts = [c for _, _, terms in self.sparse_tensor for _, c in terms]
-        if self.field != "Q" or not all(isinstance(c, Fraction) for c in consts):
+        """The bracket table times the lcm of its denominators, with int
+        coefficients: D B_xi is integral at integer xi.  Rational field only;
+        `from_brackets` makes every constant of a Q algebra rational."""
+        if self.field != "Q":
             raise FieldError("integer structure constants need rational coefficients over Q")
-        d = math.lcm(*(c.denominator for c in consts))
+        d = math.lcm(*(c.denominator for _, _, terms in self.brackets for _, c in terms))
         return tuple(
             (j, k, tuple((l, int(c * d)) for l, c in terms))
-            for j, k, terms in self.sparse_tensor
+            for j, k, terms in self.brackets
         )
 
 
 def validate_lie_algebra(
     tensor: Sequence, basis: Sequence[str] | None = None, field: str = "Q"
 ) -> LieAlgebra:
-    """Check shape, exactness, antisymmetry and Jacobi; return the algebra."""
+    """Check a dense tensor c[i][j][k] for shape, exactness and antisymmetry,
+    then build the algebra from its upper triangle with `from_brackets`."""
     n = len(tensor)
     if field not in ("Q", "Qi"):
         raise FieldError(f"unknown field {field!r}")
@@ -167,32 +175,62 @@ def validate_lie_algebra(
             for k, c in enumerate(row):
                 if not is_exact(c):
                     raise ValueError(f"entry c[{i}][{j}][{k}] is not exact")
-    t = tuple(
-        tuple(tuple(Fraction(c) if isinstance(c, int) else c for c in row) for row in plane)
-        for plane in tensor
-    )
     for i in range(n):
         for j in range(n):
             for k in range(n):
-                if t[i][j][k] != -t[j][i][k]:
+                if tensor[i][j][k] != -tensor[j][i][k]:
                     raise AntisymmetryError(
                         f"c[{i}][{j}][{k}] != -c[{j}][{i}][{k}]", (i, j, k)
                     )
-    names = tuple(basis) if basis else tuple(f"Y{i+1}" for i in range(n))
-    if len(names) != n:
+    upper = {(i, j): dict(enumerate(tensor[i][j])) for i in range(n) for j in range(i + 1, n)}
+    return from_brackets(n, upper, basis, field)
+
+
+def from_brackets(
+    dim: int,
+    brackets: Mapping[tuple, Mapping[int, Scalar]],
+    basis: Sequence[str] | None = None,
+    field: str = "Q",
+) -> LieAlgebra:
+    """Build an algebra from sparse upper-triangular brackets {(i,j): {k: c}}.
+
+    Indices are 0-based with i < j; the antisymmetric completion is implicit
+    and unlisted brackets vanish.  Checks index ranges, the field name, that
+    every constant is exact (and rational over Q), the basis names and the
+    Jacobi identity, in that order.
+    """
+    if dim < 1:
+        raise ValueError(f"dimension {dim} is not positive")
+    for (i, j), coeffs in brackets.items():
+        if not 0 <= i < j < dim:
+            raise ValueError(f"bracket index ({i},{j}) out of range or not i<j")
+        for k in coeffs:
+            if not 0 <= k < dim:
+                raise ValueError(f"coefficient index {k} of bracket ({i},{j}) out of range")
+    if field not in ("Q", "Qi"):
+        raise FieldError(f"unknown field {field!r}")
+    entries = sorted(((i, j, k), c) for (i, j), coeffs in brackets.items() for k, c in coeffs.items())
+    for (i, j, k), c in entries:
+        if not is_exact(c):
+            raise ValueError(f"entry c[{i}][{j}][{k}] is not exact")
+        if field == "Q" and isinstance(c, GaussianRational):
+            raise FieldError(f"entry c[{i}][{j}][{k}] = {format_scalar(c)} is not rational over Q")
+    names = tuple(basis) if basis else tuple(f"Y{i+1}" for i in range(dim))
+    if len(names) != dim:
         raise ValueError("basis name count mismatch")
-    alg = LieAlgebra(n, names, t, field)
-    pair = {}  # (a, b) -> nonzero terms of [Y_a, Y_b], both orders
-    for j, k, terms in alg.sparse_tensor:
-        pair[j, k] = terms
-        pair[k, j] = tuple((l, -c) for l, c in terms)
-    for i in range(n):
-        for j in range(i + 1, n):
-            for k in range(j + 1, n):
+    table = {}
+    for (i, j, k), c in entries:
+        if c != 0:
+            table.setdefault((i, j), []).append((k, Fraction(c) if isinstance(c, int) else c))
+    alg = LieAlgebra(dim, names, tuple((i, j, tuple(t)) for (i, j), t in table.items()), field)
+    pair = alg.pair_terms
+    for i in range(dim):
+        for j in range(i + 1, dim):
+            for k in range(j + 1, dim):
                 cyclic = ((i, j, k), (j, k, i), (k, i, j))
                 if not any((a, b) in pair for a, b, _ in cyclic):
                     continue  # all three pair brackets vanish
-                res = [Fraction(0)] * n
+                res = [Fraction(0)] * dim
                 for a, b, c in cyclic:
                     for l, x in pair.get((a, b), ()):
                         for p, y in pair.get((l, c), ()):
@@ -204,32 +242,6 @@ def validate_lie_algebra(
                         tuple(res),
                     )
     return alg
-
-
-def from_brackets(
-    dim: int,
-    brackets: Mapping[tuple, Mapping[int, Scalar]],
-    basis: Sequence[str] | None = None,
-    field: str = "Q",
-) -> LieAlgebra:
-    """Build an algebra from sparse upper-triangular brackets {(i,j): {k: c}}.
-
-    Indices are 0-based with i < j; the antisymmetric completion is automatic
-    and unlisted brackets vanish.
-    """
-    if dim < 1:
-        raise ValueError(f"dimension {dim} is not positive")
-    tensor = [[[Fraction(0)] * dim for _ in range(dim)] for _ in range(dim)]
-    for (i, j), coeffs in brackets.items():
-        if not 0 <= i < j < dim:
-            raise ValueError(f"bracket index ({i},{j}) out of range or not i<j")
-        for k, c in coeffs.items():
-            if not 0 <= k < dim:
-                raise ValueError(f"coefficient index {k} of bracket ({i},{j}) out of range")
-            c = Fraction(c) if isinstance(c, int) else c
-            tensor[i][j][k] = c
-            tensor[j][i][k] = -c
-    return validate_lie_algebra(tensor, basis, field)
 
 
 def ad_matrix(L: LieAlgebra, x: Vector) -> Matrix:
@@ -258,7 +270,9 @@ def centralizer_mod(L: LieAlgebra, s: Subspace) -> Subspace:
     For an ideal s this is the preimage of the center of L/s.
     """
     m = L.dim
-    rows = [row for j in range(m) for row in zip(*(s.reduce(L.tensor[j][i]) for i in range(m)))]
+    rows = [
+        row for j in range(m) for row in zip(*(s.reduce(L.basis_bracket(j, i)) for i in range(m)))
+    ]
     _, kernel = rank_kernel(Matrix(rows))
     return Subspace.from_vectors(m, kernel)
 
@@ -330,7 +344,7 @@ def make_module(L: LieAlgebra, actions: Sequence[Matrix]) -> LieModule:
     mod = LieModule(L, n, actions)
     for i in range(L.dim):
         for j in range(i + 1, L.dim):
-            lhs = mod.action_of(L.bracket(L.basis_vector(i), L.basis_vector(j)))
+            lhs = mod.action_of(L.basis_bracket(i, j))
             rhs = actions[i] @ actions[j] - actions[j] @ actions[i]
             if lhs != rhs:
                 raise RepresentationError(
@@ -360,21 +374,12 @@ def semidirect_sum(L: LieAlgebra, M: LieModule) -> LieAlgebra:
     if M.algebra != L:
         raise ValueError("module is not over the given algebra")
     m, n = L.dim, M.dim
-    d = m + n
-    tensor = [[[Fraction(0)] * d for _ in range(d)] for _ in range(d)]
+    brackets = {(j, k): dict(terms) for j, k, terms in L.brackets}
     for i in range(m):
-        for j in range(m):
-            for k in range(m):
-                tensor[i][j][k] = L.tensor[i][j][k]
-    for i in range(m):
-        ai = M.actions[i]
         for b in range(n):
-            col = ai.column(b)
-            for t in range(n):
-                tensor[i][m + b][m + t] = col[t]
-                tensor[m + b][i][m + t] = -col[t]
+            brackets[i, m + b] = {m + t: c for t, c in enumerate(M.actions[i].column(b))}
     names = tuple(L.basis) + tuple(f"V{t+1}" for t in range(n))
-    return validate_lie_algebra(tensor, names, L.field)
+    return from_brackets(m + n, brackets, names, L.field)
 
 
 def realify(L: LieAlgebra) -> LieAlgebra:
@@ -385,28 +390,22 @@ def realify(L: LieAlgebra) -> LieAlgebra:
     if L.field != "Qi":
         raise FieldError("realify expects a Qi algebra")
     m = L.dim
-    d = 2 * m
-    tensor = [[[Fraction(0)] * d for _ in range(d)] for _ in range(d)]
-    for i in range(m):
-        for j in range(m):
-            for k in range(m):
-                c = L.tensor[i][j][k]
-                p, q = scalar_re(c), scalar_im(c)
-                if p == 0 and q == 0:
-                    continue
-                # [Y_i, Y_j] = p Y_k + q (iY_k)
-                tensor[i][j][k] += p
-                tensor[i][j][m + k] += q
-                # [Y_i, iY_j] = i [Y_i, Y_j] = -q Y_k + p (iY_k)
-                tensor[i][m + j][k] += -q
-                tensor[i][m + j][m + k] += p
-                tensor[m + i][j][k] += -q
-                tensor[m + i][j][m + k] += p
-                # [iY_i, iY_j] = -[Y_i, Y_j]
-                tensor[m + i][m + j][k] += -p
-                tensor[m + i][m + j][m + k] += -q
+
+    def real_coords(terms, w):
+        """Real coordinates of w [Y_a, Y_b], given the terms of [Y_a, Y_b]."""
+        out = {}
+        for l, c in terms:
+            out[l], out[m + l] = scalar_re(w * c), scalar_im(w * c)
+        return out
+
+    brackets = {}
+    for (a, b), terms in L.pair_terms.items():
+        brackets[a, m + b] = real_coords(terms, gaussian(0, 1))  # [Y_a, iY_b] = i [Y_a, Y_b]
+        if a < b:
+            brackets[a, b] = real_coords(terms, 1)
+            brackets[m + a, m + b] = real_coords(terms, -1)  # [iY_a, iY_b] = -[Y_a, Y_b]
     names = tuple(L.basis) + tuple("i" + b for b in L.basis)
-    return validate_lie_algebra(tensor, names, "Q")
+    return from_brackets(2 * m, brackets, names, "Q")
 
 
 def realify_vector(v: Vector) -> Vector:
@@ -429,21 +428,14 @@ def realify_subspace(s: Subspace) -> Subspace:
 
 
 def algebra_to_json(L: LieAlgebra) -> dict:
-    brackets = []
-    for i in range(L.dim):
-        for j in range(i + 1, L.dim):
-            coeffs = {
-                str(k): format_scalar(L.tensor[i][j][k])
-                for k in range(L.dim)
-                if L.tensor[i][j][k] != 0
-            }
-            if coeffs:
-                brackets.append({"i": i, "j": j, "coeffs": coeffs})
     return {
         "dim": L.dim,
         "field": L.field,
         "basis": list(L.basis),
-        "brackets": brackets,
+        "brackets": [
+            {"i": j, "j": k, "coeffs": {str(l): format_scalar(c) for l, c in terms}}
+            for j, k, terms in L.brackets
+        ],
     }
 
 

@@ -9,7 +9,7 @@ import pytest
 
 from liegrpd.cli import main
 from liegrpd.groupoids import groupoid_to_json, pair_groupoid
-from test_cli_contract import BAD_INDEX_GROUPOIDS, GRPD_SUBS, REPEATED_POINT_ACTION
+from test_cli_contract import BAD_INDEX_GROUPOIDS, GRPD_SUBS, LIE_SUBS, REPEATED_POINT_ACTION
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 
@@ -61,6 +61,12 @@ class TestLieCommands:
             out, err = capsys.readouterr()
             assert out == ""
             assert err == "error: bad algebra document: dimension 129 exceeds the limit 128\n"
+
+    def test_dimension_at_the_limit_validates(self, tmp_path):
+        p = tmp_path / "limit.json"
+        p.write_text(json.dumps({"dim": 128, "brackets": []}))
+        code, doc = run_json(["lie", "validate", "--in", str(p)], tmp_path)
+        assert code == 0 and doc["valid"] and doc["dim"] == 128
 
     def test_malformed_json_is_exit_2(self, tmp_path):
         p = tmp_path / "mangled.json"
@@ -188,6 +194,20 @@ class TestMalformedAlgebraDocuments:
     def test_exponent_notation(self, text, tmp_path, capsys):
         path = _write_algebra(tmp_path, 2, [{"i": 0, "j": 1, "coeffs": {"1": text}}])
         self.assert_exit_2(["validate", "series"], path, capsys, "exponent notation")
+
+
+    def test_non_real_constant_over_q(self, tmp_path, capsys):
+        # validated as true, and run by every subcommand but the census, before
+        # the field was checked against the constants
+        path = _write_algebra(tmp_path, 2, [{"i": 0, "j": 1, "coeffs": {"1": "i"}}])
+        code, doc = run_json(["lie", "validate", "--in", path], tmp_path)
+        assert code == 1 and not doc["valid"] and doc["violation"] == "FieldError"
+        assert doc["detail"] == ["entry c[0][1][1] = 0+1i is not rational over Q"]
+        self.assert_exit_2([s for s in LIE_SUBS if s not in ("validate", "coadjoint")],
+                           path, capsys, "bad algebra document: entry c[0][1][1]")
+        assert main(["lie", "coadjoint", "--in", path, "--point", "1,1"]) == 2
+        assert capsys.readouterr() == ("", "error: bad algebra document: entry c[0][1][1]"
+                                           " = 0+1i is not rational over Q\n")
 
 
 class TestNumericBridgeOverflow:

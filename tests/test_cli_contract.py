@@ -51,6 +51,7 @@ MALFORMED_ALGEBRAS = {
         {"i": 0, "j": 2, "coeffs": {"1": "1"}},
         {"i": 1, "j": 2, "coeffs": {"0": "1"}}]},
     "unknown_field": _bracket_doc(2, {"1": "1"}, field="R"),
+    "non_real_over_q": _bracket_doc(2, {"1": "i"}),
     "not_an_object": [1, 2, 3],
     "missing_dim": {"brackets": []},
     "dim_too_large": {"dim": 129, "brackets": []},

@@ -150,10 +150,10 @@ class TestSparseJacobi:
         L, t = axb_semidirect_plane(), DENSE_CATALOG["axb_semidirect_plane"][0]
         dense = {(j, k, l): c for j, plane in enumerate(t)
                  for k, row in enumerate(plane) for l, c in enumerate(row) if c != 0 and j < k}
-        sparse = {(j, k, l): c for j, k, terms in L.sparse_tensor for l, c in terms}
+        sparse = {(j, k, l): c for j, k, terms in L.brackets for l, c in terms}
         assert sparse == dense
         assert [(j, k, list(terms)) for j, k, terms in L.integer_tensor] == [
-            (j, k, [(l, int(2 * c)) for l, c in terms]) for j, k, terms in L.sparse_tensor]
+            (j, k, [(l, int(2 * c)) for l, c in terms]) for j, k, terms in L.brackets]
 
 
 class TestAdAndSeries:

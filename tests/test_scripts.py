@@ -16,6 +16,7 @@ ROOT = Path(__file__).resolve().parent.parent
         ("census_demo.py", ["--samples", "16"]),
         ("cascade_table.py", ["--max-rank", "4"]),
         ("census_demo.py", ["--samples", "8", "--axb-max", "2"]),
+        ("cli_digest.py", []),
     ],
 )
 def test_script_runs(script, args):

@@ -231,11 +231,8 @@ def direct_sum(*algs):
     dim = sum(a.dim for a in algs)
     brackets, off = {}, 0
     for a in algs:
-        for i in range(a.dim):
-            for j in range(i + 1, a.dim):
-                coeffs = {off + k: c for k, c in enumerate(a.tensor[i][j]) if c}
-                if coeffs:
-                    brackets[(off + i, off + j)] = coeffs
+        for i, j, terms in a.brackets:
+            brackets[(off + i, off + j)] = {off + k: c for k, c in terms}
         off += a.dim
     return from_brackets(dim, brackets)
 
