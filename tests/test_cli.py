@@ -197,8 +197,7 @@ class TestMalformedAlgebraDocuments:
 
 
     def test_non_real_constant_over_q(self, tmp_path, capsys):
-        # validated as true, and run by every subcommand but the census, before
-        # the field was checked against the constants
+        # a Q document with a non-real constant describes no real algebra
         path = _write_algebra(tmp_path, 2, [{"i": 0, "j": 1, "coeffs": {"1": "i"}}])
         code, doc = run_json(["lie", "validate", "--in", path], tmp_path)
         assert code == 1 and not doc["valid"] and doc["violation"] == "FieldError"

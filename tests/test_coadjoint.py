@@ -45,6 +45,7 @@ from liegrpd.exact import (
     det_exact,
     lagrange_interpolate,
     sturm_root_count,
+    to_complex,
 )
 from liegrpd.lie import FieldError, Subspace, from_brackets
 
@@ -398,6 +399,21 @@ class TestAgainstDenseReference:
             reference = open_component_census(L, samples=10, seed=seed)
         assert census == reference
         assert all(type(x) is Q for rep in census.representatives for x in rep)
+
+
+@pytest.mark.parametrize("name", sorted(REFERENCE_CASES) + ["complex_borel"])
+def test_flow_float_form_equals_dense_reference(name, monkeypatch):
+    # the flow's float skew forms against the dense float tensor times xi
+    L, t = (complex_borel(), COMPLEX_BOREL) if name == "complex_borel" else REFERENCE_CASES[name]()
+    rng = random.Random(name)
+    xi = tuple(rng.uniform(-3, 3) for _ in range(L.dim))
+    forms = []
+    monkeypatch.setattr(coadjoint, "numeric_rank", lambda a, tol: forms.append(a) or 0)
+    coadjoint_flow(L, xi, (Q(0),) * L.dim, 0.0)  # float xi0: both ranks are numeric
+    dense_float = np.array([[[to_complex(c) for c in row] for row in plane] for plane in t])
+    assert len(forms) == 2
+    for a in forms:
+        assert np.allclose(a, dense_float @ np.array(xi), rtol=1e-12, atol=1e-12)
 
 
 def test_integer_tensor_needs_the_rational_field():
