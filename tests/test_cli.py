@@ -195,7 +195,6 @@ class TestMalformedAlgebraDocuments:
         path = _write_algebra(tmp_path, 2, [{"i": 0, "j": 1, "coeffs": {"1": text}}])
         self.assert_exit_2(["validate", "series"], path, capsys, "exponent notation")
 
-
     def test_non_real_constant_over_q(self, tmp_path, capsys):
         # a Q document with a non-real constant describes no real algebra
         path = _write_algebra(tmp_path, 2, [{"i": 0, "j": 1, "coeffs": {"1": "i"}}])

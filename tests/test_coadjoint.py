@@ -331,27 +331,25 @@ def axb_squared():
     return from_brackets(4, AXB_SQUARED)
 
 
-# each case is (algebra, its dense tensor), the tensor built from the same
-# brackets or by the dense reference builders, never read from the algebra
-OPEN_ORBIT = {name: (make, DENSE_CATALOG[name][0])
-              for name, make in (("axb", axb), ("axb_semidirect_plane", axb_semidirect_plane),
-                                 ("realified_borel", realified_borel))}
-OPEN_ORBIT["axb^2"] = (axb_squared, dense(4, AXB_SQUARED))
-REFERENCE_CASES = {name: (lambda make=make, t=t: (make(), t)) for name, (make, t) in OPEN_ORBIT.items()}
-REFERENCE_CASES.update(
-    {name: (lambda make=make, name=name: (make(), DENSE_CATALOG[name][0]))
-     for name, make in (("heisenberg", heisenberg), ("filiform4", filiform4), ("e2", euclid2))}
-)
-
-
 def _conjugate_case(t, seed):
     t = ref_conjugate(t, seed)
     return from_brackets(len(t), upper(t)), t
 
 
+# each case is (algebra, its dense tensor); the tensor comes from the same
+# brackets or from the dense reference builders, never from the algebra
+DENSE = {name: t for name, (t, _, _) in DENSE_CATALOG.items()}
+DENSE["axb^2"] = dense(4, AXB_SQUARED)
+OPEN_ORBIT = {"axb": axb, "axb_semidirect_plane": axb_semidirect_plane,
+              "realified_borel": realified_borel, "axb^2": axb_squared}
+REFERENCE_CASES = {
+    name: (lambda make=make, name=name: (make(), DENSE[name]))
+    for name, make in dict(OPEN_ORBIT, heisenberg=heisenberg, filiform4=filiform4,
+                           e2=euclid2).items()
+}
 REFERENCE_CASES.update(
-    {f"{name}~{seed}": (lambda t=t, seed=seed: _conjugate_case(t, seed))
-     for name, (_, t) in OPEN_ORBIT.items() for seed in range(3)}
+    {f"{name}~{seed}": (lambda name=name, seed=seed: _conjugate_case(DENSE[name], seed))
+     for name in OPEN_ORBIT for seed in range(3)}
 )
 
 
