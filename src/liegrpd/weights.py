@@ -250,9 +250,8 @@ def module_weights(L: LieAlgebra, M: LieModule, tol: float = _FLOAT_TOL):
             im = tuple(scalar_im(x) for x in lam)
             if derived is not None:
                 for w in derived.rows:
-                    vre = sum(a * b for a, b in zip(re, w))
-                    vim = sum(a * b for a, b in zip(im, w))
-                    assert vre == 0 and vim == 0, "weight does not vanish on [L, L]"
+                    v = sum(a * b for a, b in zip(lam, w))
+                    assert v == 0, "weight does not vanish on [L, L]"
         else:
             re = tuple(float(x.real) for x in lam)
             im = tuple(float(x.imag) for x in lam)

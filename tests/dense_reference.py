@@ -6,14 +6,19 @@ dense triple loops `lie.py` ran when an algebra stored the whole cube.  Every
 tensor is built from bracket inputs or by these builders, never read back from
 an algebra, so a comparison against them checks two independent
 constructions.
+
+The weight search `ref_weights_exact` is the depth-first joint-eigenvector
+search over full action matrices that `weights.py` ran before it searched the
+joint kernel of the derived algebra's actions; it is kept unchanged.
 """
 import random
 from fractions import Fraction as Q
 
 from liegrpd.catalog import axb_tautological_module
-from liegrpd.exact import Matrix, format_scalar, gaussian, matrix_inverse, rank_kernel
-from liegrpd.exact import scalar_im, scalar_re
+from liegrpd.exact import Matrix, charpoly_exact_roots, format_scalar, gaussian, matrix_inverse
+from liegrpd.exact import rank_kernel, scalar_im, scalar_key, scalar_re
 from liegrpd.lie import Subspace
+from liegrpd.weights import InexactSpectrum
 
 
 def dense(dim, brackets):
@@ -202,3 +207,85 @@ DENSE_CATALOG = {
     "axb_semidirect_plane": (ref_semidirect_sum(AXB, axb_tautological_module().actions),
                              ("Y1", "Y2", "V1", "V2"), "Q"),
 }
+
+
+def ref_common_eigenvector_exact(mats):
+    """Depth-first search for a joint eigenvector with Gaussian-rational
+    eigenvalues.  Returns (eigenvalue tuple, vector) or None."""
+    n = mats[0].rows
+    eye = Matrix.identity(n)
+
+    def descend(idx, space_rows):
+        if idx == len(mats):
+            return (), space_rows[0]
+        a = mats[idx]
+        _, roots, _ = charpoly_exact_roots(a)
+        for lam, _mult in sorted(roots, key=lambda rm: scalar_key(rm[0])):
+            shifted = a - eye.scale(lam)
+            _, ker = rank_kernel(shifted)
+            if not ker:
+                continue
+            if space_rows is None:
+                new_rows = ker
+            else:
+                new_rows = ref_intersect(space_rows, ker, n)
+            if not new_rows:
+                continue
+            deeper = descend(idx + 1, new_rows)
+            if deeper is not None:
+                tail, vec = deeper
+                return (lam,) + tail, vec
+        return None
+
+    return descend(0, None)
+
+
+def ref_intersect(rows_a, rows_b, n):
+    """Intersection of two row-spans inside an n-dim exact space."""
+    k, l = len(rows_a), len(rows_b)
+    cols = []
+    for r in range(n):
+        cols.append(
+            [rows_a[i][r] for i in range(k)] + [-rows_b[j][r] for j in range(l)]
+        )
+    _, ker = rank_kernel(Matrix(cols))
+    vecs = []
+    for coeff in ker:
+        v = [Q(0)] * n
+        for i in range(k):
+            if coeff[i] != 0:
+                for r in range(n):
+                    v[r] = v[r] + coeff[i] * rows_a[i][r]
+        if any(x != 0 for x in v):
+            vecs.append(tuple(v))
+    return list(Subspace.from_vectors(n, vecs).rows)
+
+
+def ref_quotient_exact(mats, v):
+    n = mats[0].rows
+    pivot = next(i for i, x in enumerate(v) if x != 0)
+    cols = [list(v)] + [
+        [Q(1) if r == j else Q(0) for r in range(n)]
+        for j in range(n)
+        if j != pivot
+    ]
+    p = Matrix(list(zip(*cols)))
+    p_inv = matrix_inverse(p)
+    out = []
+    for a in mats:
+        conj = p_inv @ a @ p
+        out.append(Matrix([row[1:] for row in conj.data[1:]]) if n > 1 else None)
+    return out
+
+
+def ref_weights_exact(mats):
+    n = mats[0].rows
+    if n == 0:
+        return []
+    found = ref_common_eigenvector_exact(mats)
+    if found is None:
+        raise InexactSpectrum("no joint eigenvector over the Gaussian rationals")
+    lam, vec = found
+    if n == 1:
+        return [lam]
+    return [lam] + ref_weights_exact(ref_quotient_exact(mats, vec))

@@ -153,6 +153,17 @@ class TestLieCommands:
         )
         assert code == 0 and not doc["found"]
 
+    def test_roots_with_a_non_real_derived_basis(self, tmp_path):
+        # a conjugate of complex_borel: [L, L] is spanned by Y1 - (1+i) Y2
+        p = tmp_path / "borel.json"
+        p.write_text(json.dumps({"dim": 2, "field": "Qi", "brackets": [
+            {"i": 0, "j": 1, "coeffs": {"0": "-2", "1": "2+2i"}}]}))
+        code, doc = run_json(["lie", "roots", "--in", str(p)], tmp_path)
+        assert code == 0 and all(r["exact"] for r in doc["roots"])
+        assert sorted(r["multiplicity"] for r in doc["roots"]) == [1, 1]
+        code, _ = run_json(["lie", "exptest", "--in", str(p)], tmp_path)
+        assert code == 0
+
 
 def _write_algebra(tmp_path, dim, brackets, name="alg.json"):
     p = tmp_path / name

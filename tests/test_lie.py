@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dense_reference import DENSE_CATALOG, random_tensor
+from dense_reference import DENSE_CATALOG, random_tensor, ref_adjoint_actions, ref_brackets
 from liegrpd.catalog import (
     abelian,
     axb,
@@ -22,6 +22,7 @@ from liegrpd.exact import Matrix, gaussian, rref
 from liegrpd.lie import (
     AntisymmetryError,
     JacobiError,
+    LieAlgebra,
     RepresentationError,
     Subspace,
     ad_matrix,
@@ -214,6 +215,24 @@ class TestModules:
         bad = [Matrix([[1, 0], [0, 1]]), Matrix([[0, 1], [1, 0]])]
         with pytest.raises(RepresentationError):
             make_module(L, bad)
+
+    @pytest.mark.parametrize("seed", range(200))
+    def test_adjoint_law_fails_exactly_where_jacobi_does(self, seed):
+        # ad is a representation iff Jacobi holds, so `from_brackets` refuses
+        # every table whose adjoint actions would fail the law; the actions of
+        # an unchecked table show the law still catching them
+        t, field = random_tensor(seed)
+        n = len(t)
+        unchecked = LieAlgebra(n, tuple(f"Y{i+1}" for i in range(n)), ref_brackets(t), field)
+        if dense_jacobi_witness(t) is None:
+            L = validate_lie_algebra(t, field=field)
+            make_module(L, adjoint_module(L).actions)
+            make_module(unchecked, ref_adjoint_actions(t))
+        else:
+            with pytest.raises(JacobiError):
+                validate_lie_algebra(t, field=field)
+            with pytest.raises(RepresentationError):
+                make_module(unchecked, ref_adjoint_actions(t))
 
     def test_adjoint_is_module(self):
         for L in (heisenberg(), axb(), euclid2(), filiform4(), realified_borel()):
