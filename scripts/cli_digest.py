@@ -6,8 +6,11 @@ the exit code and the sha256 of stdout followed by stderr.  The ladder is
 every `lie` subcommand in JSON and text on the catalog and corpus algebras
 (`coadjoint` at two fixed points, `census` and `stratify` at
 `--samples 48 --seed 1`), `cascade --table`, and every `grpd` subcommand on
-the catalog and corpus groupoids.  Corpus paths are given relative to the
-checkout, so two checkouts print comparable lines:
+the catalog and corpus groupoids.  A second ladder runs `roots`, `exptest`
+and `census` (JSON and text) on (ax+b)^2, (ax+b)^3 and the dimension-8 sum
+realified_borel + axb_semidirect_plane, written by this script under fixed
+names in a temporary directory.  Every path is relative (corpus paths to the
+checkout, the sums to that directory), so two checkouts print comparable lines:
 
     PYTHONPATH=<checkout>/src python3 scripts/cli_digest.py > digest.txt
 
@@ -18,10 +21,12 @@ import hashlib
 import io
 import json
 import os
+import tempfile
 from pathlib import Path
 
 from liegrpd import catalog
 from liegrpd.cli import main as cli_main
+from liegrpd.lie import algebra_to_json, from_brackets
 
 ROOT = Path(__file__).resolve().parent.parent
 CORPUS_ALGEBRAS = ("axb", "complex_borel", "e2", "filiform4", "heisenberg")
@@ -59,6 +64,34 @@ def ladder():
                 yield ["grpd", sub] + inp + ["--format", fmt] + extra
 
 
+def direct_sum(*algebras):
+    brackets, off = {}, 0
+    for L in algebras:
+        for j, k, terms in L.brackets:
+            brackets[off + j, off + k] = {off + l: c for l, c in terms}
+        off += L.dim
+    return from_brackets(off, brackets)
+
+
+def sums():
+    """file name -> direct sum for the second ladder."""
+    axb = catalog.axb()
+    return {
+        "axb^2.json": direct_sum(axb, axb),
+        "axb^3.json": direct_sum(axb, axb, axb),
+        "realified_borel+axb_semidirect_plane.json":
+            direct_sum(catalog.realified_borel(), catalog.axb_semidirect_plane()),
+    }
+
+
+def sum_ladder(names):
+    for name in names:
+        for fmt in ("json", "text"):
+            for sub in ("roots", "exptest", "census"):
+                argv = ["lie", sub, "--in", name, "--format", fmt]
+                yield argv + (["--samples", "48", "--seed", "1"] if sub == "census" else [])
+
+
 def run(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -75,6 +108,15 @@ def main() -> None:
     for argv in ladder():
         code, digest = run(argv)
         print(f"{' '.join(argv)}\t{code}\t{digest}")
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)
+        algebras = sums()
+        for name, L in algebras.items():
+            Path(name).write_text(json.dumps(algebra_to_json(L)))
+        for argv in sum_ladder(algebras):
+            code, digest = run(argv)
+            print(f"{' '.join(argv)}\t{code}\t{digest}")
+        os.chdir(ROOT)
 
 
 if __name__ == "__main__":

@@ -224,23 +224,21 @@ def from_brackets(
             table.setdefault((i, j), []).append((k, Fraction(c) if isinstance(c, int) else c))
     alg = LieAlgebra(dim, names, tuple((i, j, tuple(t)) for (i, j), t in table.items()), field)
     pair = alg.pair_terms
-    for i in range(dim):
-        for j in range(i + 1, dim):
-            for k in range(j + 1, dim):
-                cyclic = ((i, j, k), (j, k, i), (k, i, j))
-                if not any((a, b) in pair for a, b, _ in cyclic):
-                    continue  # all three pair brackets vanish
-                res = [Fraction(0)] * dim
-                for a, b, c in cyclic:
-                    for l, x in pair.get((a, b), ()):
-                        for p, y in pair.get((l, c), ()):
-                            res[p] = res[p] + x * y
-                if not vec_is_zero(res):
-                    raise JacobiError(
-                        f"Jacobi fails on basis triple ({i+1},{j+1},{k+1})",
-                        (i, j, k),
-                        tuple(res),
-                    )
+    # a triple whose three pair brackets all vanish has nothing to check
+    triples = {tuple(sorted((i, j, k))) for i, j, _ in alg.brackets for k in range(dim)
+               if k != i and k != j}
+    for i, j, k in sorted(triples):
+        res = [Fraction(0)] * dim
+        for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
+            for l, x in pair.get((a, b), ()):
+                for p, y in pair.get((l, c), ()):
+                    res[p] = res[p] + x * y
+        if not vec_is_zero(res):
+            raise JacobiError(
+                f"Jacobi fails on basis triple ({i+1},{j+1},{k+1})",
+                (i, j, k),
+                tuple(res),
+            )
     return alg
 
 
@@ -354,7 +352,9 @@ def make_module(L: LieAlgebra, actions: Sequence[Matrix]) -> LieModule:
 
 
 def adjoint_module(L: LieAlgebra) -> LieModule:
-    return make_module(L, [ad_matrix(L, L.basis_vector(i)) for i in range(L.dim)])
+    """ad(Y_i) per basis vector, unchecked: its representation law is the
+    Jacobi identity, which `from_brackets` verified."""
+    return LieModule(L, L.dim, tuple(ad_matrix(L, L.basis_vector(i)) for i in range(L.dim)))
 
 
 def dual_module(M: LieModule) -> LieModule:

@@ -17,14 +17,12 @@ import numpy as np
 from .exact import (
     Matrix,
     charpoly_exact_roots,
-    gaussian,
-    matrix_inverse,
     rank_kernel,
     scalar_im,
     scalar_key,
     scalar_re,
 )
-from .lie import LieAlgebra, LieModule, adjoint_module, structure_series
+from .lie import LieAlgebra, LieModule, Subspace, adjoint_module, structure_series
 
 _FLOAT_TOL = 1e-9
 
@@ -63,88 +61,69 @@ class RootFunctional:
         return re, im
 
 
-def _common_eigenvector_exact(mats: Sequence[Matrix]):
-    """Depth-first search for a joint eigenvector with Gaussian-rational
-    eigenvalues.  Returns (eigenvalue tuple, vector) or None."""
-    n = mats[0].rows
-    eye = Matrix.identity(n)
+def _eigenline(d_acts, c_acts):
+    """A vector on which every action is scalar, and the scalars of c_acts.
 
-    def descend(idx, space_rows):
-        if idx == len(mats):
-            return (), space_rows[0]
-        a = mats[idx]
-        _, roots, _ = charpoly_exact_roots(a)
-        for lam, _mult in sorted(roots, key=lambda rm: scalar_key(rm[0])):
-            shifted = a - eye.scale(lam)
-            _, ker = rank_kernel(shifted)
-            if not ker:
-                continue
-            if space_rows is None:
-                new_rows = ker
-            else:
-                new_rows = _intersect(space_rows, ker, n)
-            if not new_rows:
-                continue
-            deeper = descend(idx + 1, new_rows)
-            if deeper is not None:
-                tail, vec = deeper
-                return (lam,) + tail, vec
-        return None
-
-    return descend(0, None)
+    The joint kernel of d_acts is invariant and c_acts commute on it; each
+    c_act in turn shrinks it to the eigenspace of its least root.
+    """
+    n = c_acts[0].rows
+    if d_acts:
+        _, ker = rank_kernel(Matrix([row for a in d_acts for row in a.data]))
+        space = Subspace.from_vectors(n, ker)
+    else:
+        space = Subspace.full(n)
+    lams = []
+    for a in c_acts:
+        images = [a.apply(v) for v in space.rows]
+        r = Matrix([[img[p] for img in images] for p in space.pivots])
+        _, roots, _ = charpoly_exact_roots(r)
+        if not roots:
+            raise InexactSpectrum("no eigenvalue over the Gaussian rationals")
+        lam = roots[0][0]
+        _, ker = rank_kernel(r - Matrix.identity(r.rows).scale(lam))
+        space = Subspace.from_vectors(
+            n, [tuple(sum((c * v[t] for c, v in zip(k, space.rows)), Fraction(0))
+                      for t in range(n)) for k in ker])
+        lams.append(lam)
+    return lams, space.rows[0]
 
 
-def _intersect(rows_a, rows_b, n):
-    """Intersection of two row-spans inside an n-dim exact space."""
-    k, l = len(rows_a), len(rows_b)
-    cols = []
-    for r in range(n):
-        cols.append(
-            [rows_a[i][r] for i in range(k)] + [-rows_b[j][r] for j in range(l)]
-        )
-    _, ker = rank_kernel(Matrix(cols))
-    vecs = []
-    for coeff in ker:
-        v = [Fraction(0)] * n
-        for i in range(k):
-            if coeff[i] != 0:
-                for r in range(n):
-                    v[r] = v[r] + coeff[i] * rows_a[i][r]
-        if any(x != 0 for x in v):
-            vecs.append(tuple(v))
-    from .lie import Subspace
-
-    return list(Subspace.from_vectors(n, vecs).rows)
+def _quotient(a, v, p):
+    """The action on V/<v> in the basis e_j, j != p (v[p] != 0): the rank-one
+    update A[i][j] - v[i] A[p][j] / v[p], which is P^-1 A P for
+    P = (v, e_j for j != p) without its first row and column."""
+    ap = a.data[p]
+    return Matrix([[x - f * y for j, (x, y) in enumerate(zip(row, ap)) if j != p]
+                   for i, (row, f) in enumerate(zip(a.data, (x / v[p] for x in v))) if i != p])
 
 
-def _quotient_exact(mats, v):
-    n = mats[0].rows
-    pivot = next(i for i, x in enumerate(v) if x != 0)
-    cols = [list(v)] + [
-        [Fraction(1) if r == j else Fraction(0) for r in range(n)]
-        for j in range(n)
-        if j != pivot
-    ]
-    p = Matrix(list(zip(*cols)))
-    p_inv = matrix_inverse(p)
+def _weights_exact(actions, derived):
+    """The weight of each step of a flag, as its values on the basis.
+
+    Values on the complement of [L, L] (the non-pivot columns of `derived`)
+    are eigenvalues; on each pivot column p the weight is fixed by vanishing
+    on the derived row w_p: lambda(e_p) = -sum_j w_pj lambda(e_j).
+    """
+    n = actions[0].rows
+    free = [j for j in range(len(actions)) if j not in derived.pivots]
+    d_acts = [sum((a.scale(c) for c, a in zip(w, actions) if c != 0), Matrix.zeros(n, n))
+              for w in derived.rows]
+    c_acts = [actions[j] for j in free]
     out = []
-    for a in mats:
-        conj = p_inv @ a @ p
-        out.append(Matrix([row[1:] for row in conj.data[1:]]) if n > 1 else None)
-    return out
-
-
-def _weights_exact(mats):
-    n = mats[0].rows
-    if n == 0:
-        return []
-    found = _common_eigenvector_exact(mats)
-    if found is None:
-        raise InexactSpectrum("no joint eigenvector over the Gaussian rationals")
-    lam, vec = found
-    if n == 1:
-        return [lam]
-    return [lam] + _weights_exact(_quotient_exact(mats, vec))
+    while True:
+        lams, v = _eigenline(d_acts, c_acts)
+        lam = [Fraction(0)] * len(actions)
+        for j, x in zip(free, lams):
+            lam[j] = x
+        for w, p in zip(derived.rows, derived.pivots):
+            lam[p] = -sum((w[j] * lam[j] for j in free), Fraction(0))
+        out.append(tuple(lam))
+        if c_acts[0].rows == 1:
+            return out
+        p = next(i for i, x in enumerate(v) if x != 0)
+        d_acts = [_quotient(a, v, p) for a in d_acts]
+        c_acts = [_quotient(a, v, p) for a in c_acts]
 
 
 # ---------------------------------------------------------------------------
@@ -235,9 +214,8 @@ def module_weights(L: LieAlgebra, M: LieModule, tol: float = _FLOAT_TOL):
         raise SolvabilityError("weights require a solvable algebra")
     if M.dim == 0:
         return []
-    derived = report.derived_series[1] if len(report.derived_series) > 1 else None
     try:
-        tuples = _weights_exact(list(M.actions))
+        tuples = _weights_exact(list(M.actions), report.derived_series[1])
         exact = True
     except InexactSpectrum:
         mats = [a.to_numpy().astype(complex) for a in M.actions]
@@ -248,10 +226,6 @@ def module_weights(L: LieAlgebra, M: LieModule, tol: float = _FLOAT_TOL):
         if exact:
             re = tuple(scalar_re(x) for x in lam)
             im = tuple(scalar_im(x) for x in lam)
-            if derived is not None:
-                for w in derived.rows:
-                    v = sum(a * b for a, b in zip(lam, w))
-                    assert v == 0, "weight does not vanish on [L, L]"
         else:
             re = tuple(float(x.real) for x in lam)
             im = tuple(float(x.imag) for x in lam)

@@ -147,6 +147,25 @@ class TestSparseJacobi:
                 validate_lie_algebra(t, field=field)
             assert (err.value.args[1], err.value.args[2]) == expected
 
+    @pytest.mark.parametrize("seed", range(30))
+    def test_first_witness_in_a_padded_table(self, seed):
+        # the draw's basis scattered, in shuffled order, among idle basis vectors
+        t, field = random_tensor(seed)
+        n = len(t) + 5
+        place = random.Random(seed).sample(range(n), len(t))
+        big = [[[Q(0)] * n for _ in range(n)] for _ in range(n)]
+        for a, plane in enumerate(t):
+            for b, row in enumerate(plane):
+                for c, x in enumerate(row):
+                    big[place[a]][place[b]][place[c]] = x
+        expected = dense_jacobi_witness(big)
+        if expected is None:
+            assert validate_lie_algebra(big, field=field).dim == n
+        else:
+            with pytest.raises(JacobiError) as err:
+                validate_lie_algebra(big, field=field)
+            assert (err.value.args[1], err.value.args[2]) == expected
+
     def test_sparse_tensor_lists_the_nonzero_constants(self):
         L, t = axb_semidirect_plane(), DENSE_CATALOG["axb_semidirect_plane"][0]
         dense = {(j, k, l): c for j, plane in enumerate(t)
