@@ -1,16 +1,30 @@
 """Module weights of solvable Lie algebras and the exponential-type test.
 
-Weights are extracted by the constructive triangularization argument: find a
-common eigenvector of all action matrices over the complexified space, record
-the eigenvalue functional, pass to the quotient, repeat.  The search is exact
-over the Gaussian rationals; when a characteristic polynomial does not split
-there, a float path takes over and the results carry exact=False.
+Weights are read off a flag of the module, one step at a time, by Lie's
+theorem.  Write D = [L, L].  D acts nilpotently, so the joint kernel V0 of the
+D-actions is nonzero; V0 is invariant because D is an ideal; and on V0 the
+complement directions (the basis vectors off the pivot columns of D's echelon
+basis) commute, since their brackets lie in D.  A step takes V0 with one
+kernel, restricts each complement action in turn to the current subspace and
+shrinks the subspace to the eigenspace of the least Gaussian-rational root of
+the restricted characteristic polynomial.  The later actions commute with the
+earlier ones on it, so they keep it invariant and the search never
+backtracks.  A vector of the last subspace is a joint eigenvector.  The weight
+on a pivot column follows from vanishing on D; every action then passes to
+the quotient by that vector with a rank-one update, and the next step repeats.
+
+The search is exact over the Gaussian rationals.  When a restricted
+characteristic polynomial has no root there, a float path takes over and the
+results carry exact=False.  Every step yields one weight of the module's
+multiset, so this happens exactly when some weight is not Gaussian-rational
+on the complement, as it did for the earlier depth-first search over the full
+action matrices; only the root search's budget is spent on different
+polynomials (restricted ones here, full ones there).
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
 
 import numpy as np
 
@@ -19,7 +33,6 @@ from .exact import (
     charpoly_exact_roots,
     rank_kernel,
     scalar_im,
-    scalar_key,
     scalar_re,
 )
 from .lie import LieAlgebra, LieModule, Subspace, adjoint_module, structure_series
@@ -80,7 +93,7 @@ def _eigenline(d_acts, c_acts):
         _, roots, _ = charpoly_exact_roots(r)
         if not roots:
             raise InexactSpectrum("no eigenvalue over the Gaussian rationals")
-        lam = roots[0][0]
+        lam = roots[0][0]  # the roots come sorted by scalar_key
         _, ker = rank_kernel(r - Matrix.identity(r.rows).scale(lam))
         space = Subspace.from_vectors(
             n, [tuple(sum((c * v[t] for c, v in zip(k, space.rows)), Fraction(0))
@@ -98,22 +111,20 @@ def _quotient(a, v, p):
                    for i, (row, f) in enumerate(zip(a.data, (x / v[p] for x in v))) if i != p])
 
 
-def _weights_exact(actions, derived):
-    """The weight of each step of a flag, as its values on the basis.
+def _weights_exact(M, derived):
+    """The weight of each step of a flag of M, as its values on the basis.
 
     Values on the complement of [L, L] (the non-pivot columns of `derived`)
     are eigenvalues; on each pivot column p the weight is fixed by vanishing
     on the derived row w_p: lambda(e_p) = -sum_j w_pj lambda(e_j).
     """
-    n = actions[0].rows
-    free = [j for j in range(len(actions)) if j not in derived.pivots]
-    d_acts = [sum((a.scale(c) for c, a in zip(w, actions) if c != 0), Matrix.zeros(n, n))
-              for w in derived.rows]
-    c_acts = [actions[j] for j in free]
+    free = [j for j in range(M.algebra.dim) if j not in derived.pivots]
+    d_acts = [M.action_of(w) for w in derived.rows]
+    c_acts = [M.actions[j] for j in free]
     out = []
     while True:
         lams, v = _eigenline(d_acts, c_acts)
-        lam = [Fraction(0)] * len(actions)
+        lam = [Fraction(0)] * M.algebra.dim
         for j, x in zip(free, lams):
             lam[j] = x
         for w, p in zip(derived.rows, derived.pivots):
@@ -206,8 +217,12 @@ def module_weights(L: LieAlgebra, M: LieModule, tol: float = _FLOAT_TOL):
     """All weights of a module over a solvable algebra, with multiplicity.
 
     Returns RootFunctionals sorted deterministically; multiplicities sum to
-    the module dimension.  Exact when every characteristic polynomial along
-    the flag splits over the Gaussian rationals, float-tagged otherwise.
+    the module dimension.  The flag search on the joint kernel of the
+    [L, L]-actions (see the module docstring) needs no backtracking.  Exact
+    when every weight is Gaussian-rational on the complement of [L, L] and
+    the root search stays within its budget, float-tagged otherwise: the same
+    decision as a search over the full action matrices, because both yield
+    the whole weight multiset.
     """
     report = structure_series(L)
     if not report.is_solvable:
@@ -215,7 +230,7 @@ def module_weights(L: LieAlgebra, M: LieModule, tol: float = _FLOAT_TOL):
     if M.dim == 0:
         return []
     try:
-        tuples = _weights_exact(list(M.actions), report.derived_series[1])
+        tuples = _weights_exact(M, report.derived_series[1])
         exact = True
     except InexactSpectrum:
         mats = [a.to_numpy().astype(complex) for a in M.actions]

@@ -4,9 +4,10 @@ Each case computes the weights twice: with the weight search in `weights.py`
 and with `ref_weights_exact` from `dense_reference.py` patched in its place.
 Both must give the same functionals (`re`, `im`), the same exactness flag, the
 same multiplicities and the same order, on the catalog, Gaussian-rational and
-irrational-spectrum algebras, the tautological module of the affine line,
-coadjoint and dual modules, seeded conjugates, direct sums up to dimension 8
-and the valid draws of the random-tensor generator.
+irrational-spectrum algebras, the tautological module of the affine line, a
+module on which the depth-first search backtracked, coadjoint and dual
+modules, seeded conjugates, direct sums up to dimension 8 and the valid draws
+of the random-tensor generator.
 """
 import functools
 import itertools
@@ -29,12 +30,13 @@ from dense_reference import (
 from liegrpd import weights
 from liegrpd.catalog import (
     LIE_CATALOG,
+    abelian,
     axb_tautological_module,
     complex_heisenberg,
     irrational_spectrum_algebra,
     realified_heisenberg,
 )
-from liegrpd.exact import gaussian
+from liegrpd.exact import Matrix, gaussian
 from liegrpd.lie import adjoint_module, coadjoint_module, dual_module, from_brackets, make_module
 from liegrpd.weights import SolvabilityError, module_weights
 
@@ -90,7 +92,7 @@ def _summary(L, M):
 
 
 def _reference_summary(L, M):
-    with mock.patch.object(weights, "_weights_exact", lambda mats, *_: ref_weights_exact(mats)):
+    with mock.patch.object(weights, "_weights_exact", lambda M, *_: ref_weights_exact(list(M.actions))):
         return _summary(L, M)
 
 
@@ -102,9 +104,20 @@ def test_weights_equal_reference_search(name, module):
     assert _summary(L, M) == _reference_summary(L, M)
 
 
+def _plane_on_space():
+    """The abelian plane acting on Q^3 by diag(0, 0, 1) and a commuting
+    matrix with eigenvalues +-sqrt(2) on the first two coordinates: the least
+    root of the first action leads to an irrational eigenvalue of the second,
+    where the depth-first search backtracked to the root 1 first."""
+    a = Matrix([[0, 0, 0], [0, 0, 0], [0, 0, 1]])
+    b = Matrix([[0, 2, 0], [1, 0, 0], [0, 0, 1]])
+    return make_module(abelian(2), [a, b])
+
+
 @pytest.mark.parametrize("make", [axb_tautological_module,
-                                  lambda: dual_module(axb_tautological_module())])
-def test_tautological_module_weights_equal_reference_search(make):
+                                  lambda: dual_module(axb_tautological_module()),
+                                  _plane_on_space])
+def test_module_weights_equal_reference_search(make):
     M = make()
     assert _summary(M.algebra, M) == _reference_summary(M.algebra, M)
 
