@@ -10,8 +10,13 @@ constructions.
 The weight search `ref_weights_exact` is the depth-first joint-eigenvector
 search over full action matrices that `weights.py` ran before it searched the
 joint kernel of the derived algebra's actions; it is kept unchanged.
+
+`ref_build_root_system` and `ref_kostant_cascade` are the root generation and
+cascade that `rootsystems.py` ran on `Fraction` coordinates before it worked on
+doubled integer coordinates; they are kept unchanged.
 """
 import random
+from dataclasses import dataclass
 from fractions import Fraction as Q
 
 from liegrpd.catalog import axb_tautological_module
@@ -289,3 +294,198 @@ def ref_weights_exact(mats):
     if n == 1:
         return [lam]
     return [lam] + ref_weights_exact(ref_quotient_exact(mats, vec))
+
+
+# ---------------------------------------------------------------------------
+# Root systems on Fraction coordinates
+
+
+_EXPECTED_POSITIVE_COUNTS = {
+    "A": lambda l: l * (l + 1) // 2,
+    "B": lambda l: l * l,
+    "C": lambda l: l * l,
+    "D": lambda l: l * (l - 1),
+    "E": lambda l: {6: 36, 7: 63, 8: 120}[l],
+    "F": lambda l: 24,
+    "G": lambda l: 6,
+}
+
+_RANK_RANGE = {
+    "A": (1, None),
+    "B": (2, None),
+    "C": (2, None),
+    "D": (3, None),
+    "E": (6, 8),
+    "F": (4, 4),
+    "G": (2, 2),
+}
+
+
+def _e(i: int, n: int) -> tuple:
+    return tuple(Q(1) if j == i else Q(0) for j in range(n))
+
+
+def _add(a, b):
+    return tuple(x + y for x, y in zip(a, b))
+
+
+def _sub(a, b):
+    return tuple(x - y for x, y in zip(a, b))
+
+
+def _dot(a, b):
+    return sum(x * y for x, y in zip(a, b))
+
+
+def _simple_roots(family: str, rank: int):
+    l = rank
+    if family == "A":
+        n = l + 1
+        return [_sub(_e(i, n), _e(i + 1, n)) for i in range(l)]
+    if family == "B":
+        roots = [_sub(_e(i, l), _e(i + 1, l)) for i in range(l - 1)]
+        roots.append(_e(l - 1, l))
+        return roots
+    if family == "C":
+        roots = [_sub(_e(i, l), _e(i + 1, l)) for i in range(l - 1)]
+        roots.append(tuple(2 * x for x in _e(l - 1, l)))
+        return roots
+    if family == "D":
+        roots = [_sub(_e(i, l), _e(i + 1, l)) for i in range(l - 1)]
+        roots.append(_add(_e(l - 2, l), _e(l - 1, l)))
+        return roots
+    if family == "E":
+        half = Q(1, 2)
+        a1 = (half, -half, -half, -half, -half, -half, -half, half)
+        a2 = _add(_e(0, 8), _e(1, 8))
+        chain = [_sub(_e(i + 1, 8), _e(i, 8)) for i in range(6)]  # e_{i+1}-e_i
+        full = [a1, a2] + chain
+        return full[:rank] if rank < 8 else full
+    if family == "F":
+        return [
+            _sub(_e(1, 4), _e(2, 4)),
+            _sub(_e(2, 4), _e(3, 4)),
+            _e(3, 4),
+            (Q(1, 2), Q(-1, 2), Q(-1, 2), Q(-1, 2)),
+        ]
+    if family == "G":
+        return [
+            (Q(1), Q(-1), Q(0)),
+            (Q(-2), Q(1), Q(1)),
+        ]
+    raise ValueError(f"unknown family {family!r}")
+
+
+@dataclass(frozen=True)
+class RootSystem:
+    name: str
+    family: str
+    rank: int
+    ambient_dim: int
+    simple_roots: tuple
+    positive_roots: tuple  # sorted by (height, coordinates)
+    heights: tuple  # parallel to positive_roots
+
+
+def ref_build_root_system(family: str, rank: int) -> RootSystem:
+    """Construct the named system and generate its positive roots exactly."""
+    family = family.upper()
+    if family not in _RANK_RANGE:
+        raise ValueError(f"unknown family {family!r}")
+    lo, hi = _RANK_RANGE[family]
+    if rank < lo or (hi is not None and rank > hi):
+        raise ValueError(f"{family}{rank} is out of range (rank >= {lo}"
+                         + (f", <= {hi})" if hi is not None else ")"))
+    simples = [tuple(r) for r in _simple_roots(family, rank)]
+    height = {r: 1 for r in simples}
+    frontier = list(simples)
+    while frontier:
+        nxt = []
+        for beta in frontier:
+            for alpha in simples:
+                cartan = 2 * _dot(beta, alpha) / _dot(alpha, alpha)
+                p = 0
+                probe = _sub(beta, alpha)
+                while probe in height:
+                    p += 1
+                    probe = _sub(probe, alpha)
+                q = p - cartan
+                if q > 0:
+                    cand = _add(beta, alpha)
+                    if cand not in height:
+                        height[cand] = height[beta] + 1
+                        nxt.append(cand)
+        frontier = nxt
+    positives = sorted(height, key=lambda r: (height[r], r))
+    expected = _EXPECTED_POSITIVE_COUNTS[family](rank)
+    if len(positives) != expected:
+        raise AssertionError(
+            f"{family}{rank}: generated {len(positives)} positive roots, "
+            f"expected {expected}"
+        )
+    return RootSystem(
+        f"{family}{rank}",
+        family,
+        rank,
+        len(simples[0]),
+        tuple(simples),
+        tuple(positives),
+        tuple(height[r] for r in positives),
+    )
+
+
+def _components(roots):
+    """Connected components under non-orthogonality, sorted by least root."""
+    remaining = set(roots)
+    comps = []
+    while remaining:
+        seed = min(remaining)
+        comp = {seed}
+        remaining.discard(seed)
+        grew = True
+        while grew:
+            grew = False
+            for r in list(remaining):
+                if any(_dot(r, c) != 0 for c in comp):
+                    comp.add(r)
+                    remaining.discard(r)
+                    grew = True
+        comps.append(comp)
+    return sorted(comps, key=min)
+
+
+def ref_kostant_cascade(rs: RootSystem) -> tuple:
+    """Strongly orthogonal set built from recursive highest roots.
+
+    Components are visited in order of their least root; within each the
+    unique root of maximal height is taken and the recursion continues on the
+    roots orthogonal to it.  The result is validated: pairwise orthogonal,
+    and no sum or difference of two members is a root.
+    """
+    hmap = dict(zip(rs.positive_roots, rs.heights))
+
+    def recurse(roots):
+        out = []
+        for comp in _components(roots):
+            top = max(hmap[r] for r in comp)
+            maxima = [r for r in comp if hmap[r] == top]
+            if len(maxima) != 1:
+                raise AssertionError(
+                    f"component has {len(maxima)} height maxima; expected one"
+                )
+            mu = maxima[0]
+            out.append(mu)
+            rest = [r for r in comp if r != mu and _dot(r, mu) == 0]
+            out.extend(recurse(rest))
+        return out
+
+    cascade = tuple(recurse(list(rs.positive_roots)))
+    rootset = set(rs.positive_roots)
+    for i, a in enumerate(cascade):
+        for b in cascade[i + 1 :]:
+            if _dot(a, b) != 0:
+                raise AssertionError("cascade members are not orthogonal")
+            for comb in (_add(a, b), _sub(a, b), _sub(b, a)):
+                if comb in rootset or tuple(-x for x in comb) in rootset:
+                    raise AssertionError("cascade members are not strongly orthogonal")
+    return cascade

@@ -4,12 +4,16 @@ The classical families are cross-checked against directly enumerated root
 lists (independent of the string-based generator), and the cascade against
 hand-computed sets; the classification table records which split Borel
 subalgebras carry an open coadjoint orbit (cascade as large as the rank).
+Every system of rank <= 8, and A-D up to rank 10, is also built by the
+`Fraction` reference in `dense_reference.py`, which must give the same roots,
+heights and cascade in the same order.
 """
 import itertools
 from fractions import Fraction as Q
 
 import pytest
 
+from dense_reference import ref_build_root_system, ref_kostant_cascade
 from liegrpd.rootsystems import (
     build_root_system,
     cascade_classification,
@@ -197,3 +201,25 @@ class TestClassification:
         assert rep.positive_count == 63
         rep = open_orbit_rank_test(build_root_system("E", 6))
         assert rep.cascade_size == 4 and not rep.has_open_orbit
+
+
+REFERENCE_SYSTEMS = [(family, rank) for family, lo in (("A", 1), ("B", 2), ("C", 2), ("D", 3))
+                     for rank in range(lo, 11)]
+REFERENCE_SYSTEMS += [("E", 6), ("E", 7), ("E", 8), ("F", 4), ("G", 2)]
+
+
+@pytest.mark.parametrize("family,rank", REFERENCE_SYSTEMS,
+                         ids=[f"{f}{r}" for f, r in REFERENCE_SYSTEMS])
+def test_matches_the_fraction_reference(family, rank):
+    rs = build_root_system(family, rank)
+    ref = ref_build_root_system(family, rank)
+    assert (rs.name, rs.family, rs.rank, rs.ambient_dim) == (
+        ref.name, ref.family, ref.rank, ref.ambient_dim)
+    assert rs.simple_roots == ref.simple_roots
+    assert rs.positive_roots == ref.positive_roots
+    assert rs.heights == ref.heights
+    cascade = kostant_cascade(rs)
+    assert cascade == ref_kostant_cascade(ref)
+    # the reports format Fraction coordinates; an int would change their bytes
+    for root in rs.simple_roots + rs.positive_roots + cascade:
+        assert all(type(x) is Q for x in root), root
