@@ -8,7 +8,7 @@ Usage:
 """
 import argparse
 
-from liegrpd.rootsystems import build_root_system, kostant_cascade
+from liegrpd.rootsystems import build_root_system, kostant_cascade, systems_up_to
 
 
 def fmt_root(r):
@@ -22,20 +22,10 @@ def main() -> None:
                     help="also print the cascade roots for each system")
     args = ap.parse_args()
 
-    systems = []
-    for ell in range(1, args.max_rank + 1):
-        systems.append(("A", ell))
-    for fam, lo in (("B", 2), ("C", 2), ("D", 3)):
-        for ell in range(lo, args.max_rank + 1):
-            systems.append((fam, ell))
-    for fam, ell in (("E", 6), ("E", 7), ("E", 8), ("F", 4), ("G", 2)):
-        if ell <= args.max_rank:
-            systems.append((fam, ell))
-
     header = f"{'system':>7}  {'rank':>4}  {'#roots+':>7}  {'cascade':>7}  open orbit"
     print(header)
     print("-" * len(header))
-    for fam, ell in systems:
+    for fam, ell in systems_up_to(args.max_rank):
         rs = build_root_system(fam, ell)
         cas = kostant_cascade(rs)
         verdict = "yes" if len(cas) == ell else "no"
