@@ -353,9 +353,13 @@ def cmd_lie_probe_minus_one(args) -> int:
 # ---------------------------------------------------------------------------
 # cascade subcommand
 
+MAX_RANK = 24  # the rank-24 table takes about 1.5 s; time grows faster than rank^4
+
 
 def cmd_cascade(args) -> int:
     if args.table:
+        if not 1 <= args.max_rank <= MAX_RANK:
+            raise InputError(f"--max-rank must lie in 1..{MAX_RANK}, not {args.max_rank}")
         table = cascade_classification(max_rank=args.max_rank)
         report = {
             "command": "cascade",
@@ -366,6 +370,8 @@ def cmd_cascade(args) -> int:
         return 0
     if not args.family or not args.rank:
         raise InputError("provide --family and --rank, or --table")
+    if args.rank > MAX_RANK:
+        raise InputError(f"--rank {args.rank} is above the limit {MAX_RANK}")
     try:
         rs = build_root_system(args.family, args.rank)
     except ValueError as exc:

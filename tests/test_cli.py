@@ -161,8 +161,11 @@ class TestLieCommands:
         code, doc = run_json(["lie", "roots", "--in", str(p)], tmp_path)
         assert code == 0 and all(r["exact"] for r in doc["roots"])
         assert sorted(r["multiplicity"] for r in doc["roots"]) == [1, 1]
-        code, _ = run_json(["lie", "exptest", "--in", str(p)], tmp_path)
-        assert code == 0
+        code, doc = run_json(["lie", "exptest", "--in", str(p)], tmp_path)
+        assert code == 0 and doc["verdict"] is False
+        # the same real group: the verdict used to be True in this basis
+        code, doc = run_json(["lie", "exptest", "--name", "complex_borel"], tmp_path)
+        assert code == 0 and doc["verdict"] is False
 
 
 def _write_algebra(tmp_path, dim, brackets, name="alg.json"):
@@ -251,6 +254,22 @@ class TestCascadeCommand:
 
     def test_missing_args(self):
         assert main(["cascade"]) == 2
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--family", "A", "--rank", "1000"], "--rank 1000 is above the limit 24"),
+        (["--family", "D", "--rank", "25"], "--rank 25 is above the limit 24"),
+        (["--table", "--max-rank", "0"], "--max-rank must lie in 1..24, not 0"),
+        (["--table", "--max-rank", "-1"], "--max-rank must lie in 1..24, not -1"),
+        (["--table", "--max-rank", "25"], "--max-rank must lie in 1..24, not 25"),
+    ])
+    def test_oversized_request_is_exit_2(self, argv, message, capsys):
+        # --rank 1000 used to run for minutes; --max-rank 0 printed an empty table
+        assert main(["cascade", *argv]) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
+    def test_largest_allowed_rank(self, tmp_path):
+        code, doc = run_json(["cascade", "--family", "D", "--rank", "24"], tmp_path)
+        assert code == 0 and doc["cascade_size"] == 24 and doc["has_open_orbit"]
 
 
 class TestGrpdCommands:

@@ -146,6 +146,9 @@ def _cases(tmp_path):
             yield ["grpd", sub] + inp + extra
     yield ["cascade", "--family", "B", "--rank", "3"]
     yield ["cascade", "--table", "--max-rank", "3"]
+    yield ["cascade", "--family", "A", "--rank", "1000"]
+    yield ["cascade", "--table", "--max-rank", "0"]
+    yield ["cascade", "--table", "--max-rank", "25"]
     yield ["cascade"]
     yield ["lie", "coadjoint", "--name", "axb", "--point", "1e99999999,1"]
 
