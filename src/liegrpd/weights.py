@@ -35,7 +35,7 @@ from .exact import (
     scalar_im,
     scalar_re,
 )
-from .lie import LieAlgebra, LieModule, Subspace, adjoint_module, structure_series
+from .lie import LieAlgebra, LieModule, Subspace, adjoint_module, realify, structure_series
 
 _FLOAT_TOL = 1e-9
 
@@ -343,5 +343,8 @@ def exponential_type_test(L: LieAlgebra, M: LieModule, tol: float = _FLOAT_TOL):
 
 
 def algebra_is_exponential(L: LieAlgebra, tol: float = _FLOAT_TOL):
-    """Exponential-type verdict for the adjoint module (group exponentiality)."""
+    """Exponential-type verdict for the adjoint module (group exponentiality);
+    a Q(i) algebra is tested as its realification, whose verdict is basis-free."""
+    if L.field == "Qi":
+        L = realify(L)
     return exponential_type_test(L, adjoint_module(L), tol)

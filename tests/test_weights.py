@@ -1,5 +1,7 @@
+import json
 import random
 from fractions import Fraction as Q
+from pathlib import Path
 
 import pytest
 
@@ -18,6 +20,7 @@ from liegrpd.catalog import (
 from liegrpd.exact import Matrix
 from liegrpd.lie import (
     adjoint_module,
+    algebra_from_json,
     dual_module,
     make_module,
     realify,
@@ -175,6 +178,19 @@ class TestExponentialType:
     def test_realified_nilpotent_is_exponential(self):
         res = algebra_is_exponential(realify(complex_heisenberg()))
         assert res.verdict and not res.heuristic
+
+    def test_complex_verdict_does_not_depend_on_the_basis(self):
+        # complex_borel and a Q(i)-conjugate: their weights' real and imaginary
+        # parts differ, but both describe the same real group
+        corpus = Path(__file__).resolve().parent.parent / "corpus"
+        docs = [json.loads((corpus / "complex_borel.json").read_text()),
+                {"dim": 2, "field": "Qi", "brackets": [
+                    {"i": 0, "j": 1, "coeffs": {"0": "-2", "1": "2+2i"}}]}]
+        for doc in docs:
+            L = algebra_from_json(doc)
+            for M in (L, realify(L)):
+                res = algebra_is_exponential(M)
+                assert not res.verdict and not res.heuristic, (doc, M.field)
 
     def test_certificate_reconstructs_weight(self):
         res = algebra_is_exponential(axb())
