@@ -5,11 +5,13 @@ Each run calls `liegrpd.cli.main` in process and prints one line: the argv,
 the exit code and the sha256 of stdout followed by stderr.  The ladder is
 every `lie` subcommand in JSON and text on the catalog and corpus algebras
 (`coadjoint` at two fixed points, `census` and `stratify` at
-`--samples 48 --seed 1`), `cascade --table`, and every `grpd` subcommand on
-the catalog and corpus groupoids.  A second ladder runs `roots`, `exptest`
-and `census` (JSON and text) on (ax+b)^2, (ax+b)^3 and the dimension-8 sum
-realified_borel + axb_semidirect_plane, written by this script under fixed
-names in a temporary directory.  Every path is relative (corpus paths to the
+`--samples 48 --seed 1`), `cascade --table` and `cascade --family F --rank r`
+for every system of the rank-8 table (JSON and text), two requests beyond the
+cascade's rank limit, and every `grpd` subcommand on the catalog and corpus
+groupoids.  A second ladder runs `roots`, `exptest` and `census` (JSON and
+text) on (ax+b)^2, (ax+b)^3 and the dimension-8 sum realified_borel +
+axb_semidirect_plane, written by this script under fixed names in a temporary
+directory.  Every path is relative (corpus paths to the
 checkout, the sums to that directory), so two checkouts print comparable lines:
 
     PYTHONPATH=<checkout>/src python3 scripts/cli_digest.py > digest.txt
@@ -27,6 +29,7 @@ from pathlib import Path
 from liegrpd import catalog
 from liegrpd.cli import main as cli_main
 from liegrpd.lie import algebra_to_json, from_brackets
+from liegrpd.rootsystems import cascade_classification
 
 ROOT = Path(__file__).resolve().parent.parent
 CORPUS_ALGEBRAS = ("axb", "complex_borel", "e2", "filiform4", "heisenberg")
@@ -54,7 +57,12 @@ def ladder():
                     yield argv + ["--samples", "48", "--seed", "1"]
                 else:
                     yield argv
-    yield ["cascade", "--table"]
+    for fmt in ("json", "text"):
+        yield ["cascade", "--table", "--format", fmt]
+        for name in cascade_classification(8):
+            yield ["cascade", "--family", name[0], "--rank", name[1:], "--format", fmt]
+    yield ["cascade", "--family", "A", "--rank", "25"]
+    yield ["cascade", "--table", "--max-rank", "0"]
     groupoids = [["--name", n] for n in catalog.GROUPOID_CATALOG]
     groupoids += [["--in", f"corpus/{n}.json"] for n in CORPUS_GROUPOIDS]
     for inp in groupoids:
