@@ -368,7 +368,7 @@ def cmd_cascade(args) -> int:
         }
         _emit(report, args)
         return 0
-    if not args.family or not args.rank:
+    if not args.family or args.rank is None:
         raise InputError("provide --family and --rank, or --table")
     if args.rank > MAX_RANK:
         raise InputError(f"--rank {args.rank} is above the limit {MAX_RANK}")

@@ -261,9 +261,11 @@ class TestCascadeCommand:
         (["--table", "--max-rank", "0"], "--max-rank must lie in 1..24, not 0"),
         (["--table", "--max-rank", "-1"], "--max-rank must lie in 1..24, not -1"),
         (["--table", "--max-rank", "25"], "--max-rank must lie in 1..24, not 25"),
+        (["--family", "A", "--rank", "0"], "A0 is out of range (rank >= 1)"),
     ])
-    def test_oversized_request_is_exit_2(self, argv, message, capsys):
-        # --rank 1000 used to run for minutes; --max-rank 0 printed an empty table
+    def test_rank_out_of_range_is_exit_2(self, argv, message, capsys):
+        # --rank 1000 used to run for minutes; --max-rank 0 printed an empty
+        # table; --rank 0 was reported as a missing --rank
         assert main(["cascade", *argv]) == 2
         assert capsys.readouterr() == ("", f"error: {message}\n")
 
