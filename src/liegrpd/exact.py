@@ -485,7 +485,7 @@ def charpoly_exact(m: Matrix):
 
 
 def poly_eval(coeffs: Sequence[Scalar], x: Scalar) -> Scalar:
-    acc = Fraction(0)
+    acc = 0
     for c in reversed(coeffs):
         acc = acc * x + c
     return acc
@@ -710,6 +710,71 @@ def _poly_from_roots(roots):
         for k in range(len(p) - 1):
             p[k] = p[k] - r * p[k + 1]
     return p
+
+
+def newton_interpolate(values) -> list:
+    """h! q, q the polynomial of degree <= h through (k, values[k]), k = 0..h.
+
+    Newton's forward form q(t) = sum_k D^k q(0) C(t, k) has integer forward
+    differences D^k q(0) for integer values, and h! C(t, k) is the integer
+    polynomial (h!/k!) t (t - 1) ... (t - k + 1), so h! q is integral.
+    """
+    h = len(values) - 1
+    out = [0] * (h + 1)
+    diffs, falling, scale = list(values), [1], math.factorial(h)
+    for k in range(h + 1):
+        c = diffs[0] * scale
+        for i, f in enumerate(falling):
+            out[i] += c * f
+        diffs = [y - x for x, y in zip(diffs, diffs[1:])]
+        falling = [0] + falling  # times (t - k)
+        for i in range(k + 1):
+            falling[i] -= k * falling[i + 1]
+        scale //= k + 1
+    return out
+
+
+def _prem(a, b):
+    """Pseudo-remainder lc(b)^(deg a - deg b + 1) a mod b of integer polynomials."""
+    a, lead, db = list(a), b[-1], len(b) - 1
+    for k in range(len(a) - len(b), -1, -1):
+        c = a.pop()
+        a = [lead * x for x in a]
+        for i in range(db):
+            a[k + i] -= c * b[i]
+    while len(a) > 1 and a[-1] == 0:
+        a.pop()
+    return a
+
+
+def sturm_root_count_int(p, a: int, b: int) -> int:
+    """Number of distinct real roots of the integer polynomial p in (a, b].
+
+    The chain p, p', ... continues with -rem(s_{i-1}, s_i) taken as the
+    pseudo-remainder lc(s_i)^(d+1) s_{i-1} mod s_i, d the degree drop, negated
+    unless that factor is negative and divided by its positive content: a
+    positive multiple of the rational chain's element, so every sign agrees.
+    """
+    p = list(p)
+    while len(p) > 1 and p[-1] == 0:
+        p.pop()
+    if len(p) == 1:
+        return 0
+    chain = [p, [i * c for i, c in enumerate(p)][1:]]
+    while len(chain[-1]) > 1:
+        s, t = chain[-2], chain[-1]
+        rem = _prem(s, t)
+        if rem == [0]:
+            break
+        g = math.gcd(*rem)
+        negative = t[-1] < 0 and (len(s) - len(t)) % 2 == 0
+        chain.append([x // g if negative else -x // g for x in rem])
+
+    def variations(x):
+        signs = [v > 0 for v in (poly_eval(q, x) for q in chain) if v]
+        return sum(u != w for u, w in zip(signs, signs[1:]))
+
+    return variations(a) - variations(b)
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,10 @@ joint kernel of the derived algebra's actions; it is kept unchanged.
 `ref_build_root_system` and `ref_kostant_cascade` are the root generation and
 cascade that `rootsystems.py` ran on `Fraction` coordinates before it worked on
 doubled integer coordinates; they are kept unchanged.
+
+`ref_lagrange_interpolate` and `ref_sturm_root_count` are the `Fraction`
+interpolation and Sturm chain that the census segment probe ran before it
+interpolated and counted roots on integers; they are kept unchanged.
 """
 import random
 from dataclasses import dataclass
@@ -21,7 +25,7 @@ from fractions import Fraction as Q
 
 from liegrpd.catalog import axb_tautological_module
 from liegrpd.exact import Matrix, charpoly_exact_roots, format_scalar, gaussian, matrix_inverse
-from liegrpd.exact import rank_kernel, scalar_im, scalar_key, scalar_re
+from liegrpd.exact import poly_eval, rank_kernel, scalar_im, scalar_key, scalar_re
 from liegrpd.lie import Subspace
 from liegrpd.weights import InexactSpectrum
 
@@ -489,3 +493,83 @@ def ref_kostant_cascade(rs: RootSystem) -> tuple:
                 if comb in rootset or tuple(-x for x in comb) in rootset:
                     raise AssertionError("cascade members are not strongly orthogonal")
     return cascade
+
+
+def _poly_trim(p):
+    p = list(p)
+    while len(p) > 1 and p[-1] == 0:
+        p.pop()
+    return p
+
+
+def _poly_derivative(p):
+    return _poly_trim([i * c for i, c in enumerate(p)][1:]) if len(p) > 1 else [Q(0)]
+
+
+def _poly_rem(a, b):
+    """Remainder of a / b over Fractions."""
+    a, b = _poly_trim(a), _poly_trim(b)
+    if b == [Q(0)] or b == [0]:
+        raise ZeroDivisionError("polynomial division by zero")
+    a = list(a)
+    db, lead = len(b) - 1, b[-1]
+    while len(a) - 1 >= db and _poly_trim(a) != [Q(0)]:
+        a = _poly_trim(a)
+        if len(a) - 1 < db:
+            break
+        f = a[-1] / lead
+        shift = len(a) - 1 - db
+        for i, c in enumerate(b):
+            a[shift + i] -= f * c
+        a.pop()
+    return _poly_trim(a)
+
+
+def ref_sturm_root_count(p, a: Q, b: Q) -> int:
+    """Number of distinct real roots of p in the half-open interval (a, b]."""
+    p = _poly_trim([Q(c) for c in p])
+    if len(p) == 1:
+        return 0
+    chain = [p, _poly_derivative(p)]
+    while _poly_trim(chain[-1]) != [Q(0)] and len(chain[-1]) > 1:
+        rem = _poly_rem(chain[-2], chain[-1])
+        if rem == [Q(0)]:
+            break
+        chain.append([-c for c in rem])
+    if _poly_trim(chain[-1]) == [Q(0)]:
+        chain.pop()
+
+    def variations(x):
+        signs = []
+        for q in chain:
+            v = poly_eval(q, x)
+            if v != 0:
+                signs.append(1 if v > 0 else -1)
+        return sum(1 for s, t in zip(signs, signs[1:]) if s != t)
+
+    return variations(a) - variations(b)
+
+
+def ref_lagrange_interpolate(points):
+    """Exact polynomial coefficients through (x, y) pairs, degree < #points."""
+    n = len(points)
+    coeffs = [Q(0)] * n
+    for i, (xi, yi) in enumerate(points):
+        others = [xj for j, (xj, _) in enumerate(points) if j != i]
+        denom = Q(1)
+        for xj in others:
+            denom *= xi - xj
+        basis = _poly_from_roots(others)
+        scale = yi / denom
+        for k, c in enumerate(basis):
+            coeffs[k] += scale * c
+    return _poly_trim(coeffs)
+
+
+def _poly_from_roots(roots):
+    p = [Q(1)]
+    for r in roots:
+        p = [Q(0)] + p
+        for k in range(len(p) - 1):
+            p[k] = p[k] - r * p[k + 1]
+    return p

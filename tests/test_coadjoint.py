@@ -16,7 +16,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dense_reference import COMPLEX_BOREL, DENSE_CATALOG, dense, ref_conjugate, upper
+from dense_reference import (
+    COMPLEX_BOREL,
+    DENSE_CATALOG,
+    dense,
+    ref_conjugate,
+    ref_lagrange_interpolate,
+    ref_sturm_root_count,
+    upper,
+)
 from liegrpd import coadjoint
 from liegrpd.catalog import (
     axb,
@@ -43,8 +51,6 @@ from liegrpd.coadjoint import (
 from liegrpd.exact import (
     Matrix,
     det_exact,
-    lagrange_interpolate,
-    sturm_root_count,
     to_complex,
 )
 from liegrpd.lie import FieldError, Subspace, from_brackets
@@ -321,7 +327,7 @@ def reference_segment(t, a, b):
         if d == 0:
             return False
         pts.append((s, d))
-    return sturm_root_count(lagrange_interpolate(pts), Q(0), Q(1)) == 0
+    return ref_sturm_root_count(ref_lagrange_interpolate(pts), Q(0), Q(1)) == 0
 
 
 AXB_SQUARED = {(0, 1): {1: 1}, (2, 3): {3: 1}}

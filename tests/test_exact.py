@@ -3,9 +3,10 @@ from fractions import Fraction as Q
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from dense_reference import ref_lagrange_interpolate, ref_sturm_root_count
 from liegrpd.exact import (
     GaussianRational,
     Matrix,
@@ -20,6 +21,7 @@ from liegrpd.exact import (
     lagrange_interpolate,
     matrix_exp_numeric,
     matrix_inverse,
+    newton_interpolate,
     numeric_rank,
     parse_scalar,
     pfaffian_int,
@@ -29,6 +31,7 @@ from liegrpd.exact import (
     scalar_key,
     solve_exact,
     sturm_root_count,
+    sturm_root_count_int,
 )
 
 rationals = st.builds(Q, st.integers(-6, 6), st.integers(1, 4))
@@ -183,7 +186,62 @@ class TestCharpoly:
         assert complete and found == [(Q(0), 2)]
 
 
+def _times(p, q):
+    out = [0] * (len(p) + len(q) - 1)
+    for i, x in enumerate(p):
+        for j, y in enumerate(q):
+            out[i + j] += x * y
+    return out
+
+
+@st.composite
+def node_vectors(draw):
+    """Integer values at the nodes 0..h, h = 1..7, with nonzero endpoints.
+
+    Half are arbitrary.  The rest are values of integer polynomials of degree
+    at most h: products of factors u t - w, whose roots lie on nodes, between
+    nodes or outside [0, h] and may be doubled, or sparse shifts
+    A (t - c)^n + B (t - c) + D, whose Sturm chain drops n - 2 degrees in one
+    step, so for even n the pseudo-remainder factor lc^(n-1) can be negative.
+    """
+    h = draw(st.integers(1, 7))
+    kind = draw(st.sampled_from(["free", "roots", "free", "sparse"]))
+    if kind == "free":
+        ends = st.integers(-50, 50).filter(bool)
+        return [draw(ends)] + draw(st.lists(st.integers(-50, 50), min_size=h - 1,
+                                            max_size=h - 1)) + [draw(ends)]
+    if kind == "roots":
+        p = [draw(st.sampled_from([-3, -1, 1, 2]))]
+        for _ in range(draw(st.integers(1, h))):
+            u = draw(st.integers(1, 3))
+            w = draw(st.integers(-u, u * (h + 1)).filter(lambda w: w not in (0, u * h)))
+            for _ in range(draw(st.integers(1, 2))):
+                if len(p) <= h:
+                    p = _times(p, [-w, u])
+    else:
+        h = max(h, 4)
+        n, c = draw(st.integers(4, h)), draw(st.integers(0, h))
+        a, b, d = draw(st.sampled_from([-2, -1, 1, 2])), draw(st.integers(-9, 9)), draw(st.integers(-9, 9))
+        p = [a]
+        for _ in range(n):
+            p = _times(p, [-c, 1])
+        p[0] += d - b * c
+        p[1] += b
+    values = [poly_eval(p, k) for k in range(h + 1)]
+    assume(values[0] and values[-1])
+    return values
+
+
 class TestPolynomials:
+    @settings(max_examples=300, deadline=None)
+    @given(node_vectors())
+    def test_integer_pair_matches_the_fraction_reference(self, values):
+        h = len(values) - 1
+        poly = newton_interpolate(values)
+        ref = ref_lagrange_interpolate(list(enumerate(values)))
+        assert poly == [math.factorial(h) * c for c in ref] + [0] * (h + 1 - len(ref))
+        assert sturm_root_count_int(poly, 0, h) == ref_sturm_root_count(ref, Q(0), Q(h))
+
     def test_sturm_counts(self):
         # (t - 1/2)^2: one distinct root in (0,1)
         p = [Q(1, 4), Q(-1), Q(1)]
