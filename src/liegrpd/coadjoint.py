@@ -5,7 +5,8 @@ Pf(B)^2, so both vanish at the same points.  Two nondegenerate samples are
 joined only when the Pfaffian of the skew form along the straight segment
 between them, an exact polynomial of degree at most dim/2, has no root on the
 segment.  Endpoints whose Pfaffians differ in sign are rejected at once, since
-a sign change forces a root; otherwise the roots are counted by a Sturm chain.
+a sign change forces a root; otherwise the polynomial is interpolated and its
+roots are counted by a Sturm chain, both on integers.
 False merges are therefore impossible: samples from different components
 never share a class, though a connection the straight probes miss can split
 one component into several classes.  Floats appear only in the numeric flow
@@ -24,8 +25,8 @@ import numpy as np
 from .exact import (
     Matrix,
     NumericError,
-    lagrange_interpolate,
     matrix_exp_numeric,
+    newton_interpolate,
     numeric_rank,
     pfaffian_int,
     rank_kernel,
@@ -221,10 +222,10 @@ def _segment_nondegenerate(L: LieAlgebra, a, b, ends=None) -> bool:
     q(k) = Pf(D B) at h a + k (b - a) is a polynomial of degree at most h.
     Endpoints of opposite sign are rejected at once (intermediate values).
     Otherwise q is evaluated at the interior nodes k = 1..h-1, stopping at a
-    zero or a sign change; then q is interpolated from its h + 1 node values
-    and its roots in (0, h] are counted by a Sturm chain.  `ends` may carry
-    (_det_at(a), _det_at(b)) for integer endpoints, so a kept sample's
-    Pfaffian is computed once.
+    zero or a sign change; then the integer polynomial h! q is interpolated
+    from the h + 1 node values and its roots in (0, h] are counted by an
+    integer Sturm chain.  `ends` may carry (_det_at(a), _det_at(b)) for
+    integer endpoints, so a kept sample's Pfaffian is computed once.
     """
     h = L.dim // 2
     d, (ia, ib) = _integral(a, b)
@@ -242,8 +243,7 @@ def _segment_nondegenerate(L: LieAlgebra, a, b, ends=None) -> bool:
             return False
         values.append(v)
     values.append(pb * scale)
-    poly = lagrange_interpolate(list(enumerate(values)))
-    return sturm_root_count(poly, Fraction(0), Fraction(h)) == 0
+    return sturm_root_count(newton_interpolate(values), 0, h) == 0
 
 
 @dataclass(frozen=True)

@@ -2,9 +2,10 @@
 
 Scalars are `Fraction` for real values and `GaussianRational` for values with
 a nonzero imaginary part; arithmetic never silently demotes to float.  A
-`Matrix` holds exact entries only.  The explicitly numeric operations at the
-end of the module take and return `numpy` arrays; `Matrix.to_numpy` is the one
-bridge from the exact side.
+`Matrix` holds exact entries only.  Pfaffians, interpolation and Sturm counts
+work on plain integers.  The explicitly numeric operations at the end of the
+module take and return `numpy` arrays; `Matrix.to_numpy` is the one bridge
+from the exact side.
 """
 from __future__ import annotations
 
@@ -629,87 +630,7 @@ def charpoly_exact_roots(m: Matrix, budget: int = 10**6):
 
 
 # ---------------------------------------------------------------------------
-# univariate real polynomials: Sturm chains and interpolation
-
-
-def poly_trim(p):
-    p = list(p)
-    while len(p) > 1 and p[-1] == 0:
-        p.pop()
-    return p
-
-
-def poly_derivative(p):
-    return poly_trim([i * c for i, c in enumerate(p)][1:]) if len(p) > 1 else [Fraction(0)]
-
-
-def poly_rem(a, b):
-    """Remainder of a / b over Fractions."""
-    a, b = poly_trim(a), poly_trim(b)
-    if b == [Fraction(0)] or b == [0]:
-        raise ZeroDivisionError("polynomial division by zero")
-    a = list(a)
-    db, lead = len(b) - 1, b[-1]
-    while len(a) - 1 >= db and poly_trim(a) != [Fraction(0)]:
-        a = poly_trim(a)
-        if len(a) - 1 < db:
-            break
-        f = a[-1] / lead
-        shift = len(a) - 1 - db
-        for i, c in enumerate(b):
-            a[shift + i] -= f * c
-        a.pop()
-    return poly_trim(a)
-
-
-def sturm_root_count(p, a: Fraction, b: Fraction) -> int:
-    """Number of distinct real roots of p in the half-open interval (a, b]."""
-    p = poly_trim([Fraction(c) for c in p])
-    if len(p) == 1:
-        return 0
-    chain = [p, poly_derivative(p)]
-    while poly_trim(chain[-1]) != [Fraction(0)] and len(chain[-1]) > 1:
-        rem = poly_rem(chain[-2], chain[-1])
-        if rem == [Fraction(0)]:
-            break
-        chain.append([-c for c in rem])
-    if poly_trim(chain[-1]) == [Fraction(0)]:
-        chain.pop()
-
-    def variations(x):
-        signs = []
-        for q in chain:
-            v = poly_eval(q, x)
-            if v != 0:
-                signs.append(1 if v > 0 else -1)
-        return sum(1 for s, t in zip(signs, signs[1:]) if s != t)
-
-    return variations(a) - variations(b)
-
-
-def lagrange_interpolate(points):
-    """Exact polynomial coefficients through (x, y) pairs, degree < #points."""
-    n = len(points)
-    coeffs = [Fraction(0)] * n
-    for i, (xi, yi) in enumerate(points):
-        others = [xj for j, (xj, _) in enumerate(points) if j != i]
-        denom = Fraction(1)
-        for xj in others:
-            denom *= xi - xj
-        basis = _poly_from_roots(others)
-        scale = yi / denom
-        for k, c in enumerate(basis):
-            coeffs[k] += scale * c
-    return poly_trim(coeffs)
-
-
-def _poly_from_roots(roots):
-    p = [Fraction(1)]
-    for r in roots:
-        p = [Fraction(0)] + p
-        for k in range(len(p) - 1):
-            p[k] = p[k] - r * p[k + 1]
-    return p
+# univariate integer polynomials: interpolation and Sturm counts
 
 
 def newton_interpolate(values) -> list:
@@ -747,7 +668,7 @@ def _prem(a, b):
     return a
 
 
-def sturm_root_count_int(p, a: int, b: int) -> int:
+def sturm_root_count(p, a: int, b: int) -> int:
     """Number of distinct real roots of the integer polynomial p in (a, b].
 
     The chain p, p', ... continues with -rem(s_{i-1}, s_i) taken as the

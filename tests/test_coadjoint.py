@@ -434,7 +434,7 @@ class TestProbeShortcuts:
         def boom(*args):
             raise AssertionError("probe interpolated")
 
-        monkeypatch.setattr(coadjoint, "lagrange_interpolate", boom)
+        monkeypatch.setattr(coadjoint, "newton_interpolate", boom)
 
     def test_endpoints_of_opposite_sign(self):
         # Pf on (ax+b)^2 is xi2 xi4 (coordinates numbered from 1); the only

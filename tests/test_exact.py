@@ -18,7 +18,6 @@ from liegrpd.exact import (
     format_scalar,
     gaussian,
     gaussian_rational_roots,
-    lagrange_interpolate,
     matrix_exp_numeric,
     matrix_inverse,
     newton_interpolate,
@@ -31,7 +30,6 @@ from liegrpd.exact import (
     scalar_key,
     solve_exact,
     sturm_root_count,
-    sturm_root_count_int,
 )
 
 rationals = st.builds(Q, st.integers(-6, 6), st.integers(1, 4))
@@ -240,31 +238,29 @@ class TestPolynomials:
         poly = newton_interpolate(values)
         ref = ref_lagrange_interpolate(list(enumerate(values)))
         assert poly == [math.factorial(h) * c for c in ref] + [0] * (h + 1 - len(ref))
-        assert sturm_root_count_int(poly, 0, h) == ref_sturm_root_count(ref, Q(0), Q(h))
+        assert sturm_root_count(poly, 0, h) == ref_sturm_root_count(ref, Q(0), Q(h))
 
     def test_sturm_counts(self):
-        # (t - 1/2)^2: one distinct root in (0,1)
-        p = [Q(1, 4), Q(-1), Q(1)]
-        assert sturm_root_count(p, Q(0), Q(1)) == 1
+        # 4t^2 - 4t + 1 = 4(t - 1/2)^2: one distinct root in (0,1)
+        p = [1, -4, 4]
+        assert sturm_root_count(p, 0, 1) == 1
         # t^2 - 2: no roots in (0,1), one in (1,2)
-        p = [Q(-2), Q(0), Q(1)]
-        assert sturm_root_count(p, Q(0), Q(1)) == 0
-        assert sturm_root_count(p, Q(1), Q(2)) == 1
+        p = [-2, 0, 1]
+        assert sturm_root_count(p, 0, 1) == 0
+        assert sturm_root_count(p, 1, 2) == 1
         # t^2 + 1: none anywhere real
-        assert sturm_root_count([Q(1), Q(0), Q(1)], Q(-10), Q(10)) == 0
+        assert sturm_root_count([1, 0, 1], -10, 10) == 0
 
     def test_sturm_linear(self):
-        assert sturm_root_count([Q(-1, 3), Q(1)], Q(0), Q(1)) == 1
+        # 3t - 1 = 3(t - 1/3)
+        assert sturm_root_count([-1, 3], 0, 1) == 1
 
     @settings(max_examples=30)
-    @given(st.lists(rationals, min_size=1, max_size=4))
-    def test_lagrange_recovers_polynomial(self, coeffs):
-        pts = [(Q(k), poly_eval(list(coeffs), Q(k))) for k in range(len(coeffs))]
-        rec = lagrange_interpolate(pts)
-        assert rec == list(coeffs) or (
-            len(rec) <= len(coeffs)
-            and all(poly_eval(rec, x) == y for x, y in pts)
-        )
+    @given(st.lists(st.integers(-6, 6), min_size=1, max_size=4))
+    def test_newton_recovers_polynomial(self, coeffs):
+        h = len(coeffs) - 1
+        values = [poly_eval(coeffs, k) for k in range(h + 1)]
+        assert newton_interpolate(values) == [math.factorial(h) * c for c in coeffs]
 
 
 class TestNumeric:
