@@ -367,29 +367,6 @@ def rank_kernel(m: Matrix):
     return rank, kernel
 
 
-def det_exact(m: Matrix) -> Scalar:
-    """Exact determinant by fraction-based elimination."""
-    if m.rows != m.cols:
-        raise ValueError("determinant of a non-square matrix")
-    a = [list(r) for r in m.data]
-    n = m.rows
-    det = Fraction(1)
-    for c in range(n):
-        pivot = next((i for i in range(c, n) if a[i][c] != 0), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != c:
-            a[c], a[pivot] = a[pivot], a[c]
-            det = -det
-        det = det * a[c][c]
-        inv = a[c][c]
-        for i in range(c + 1, n):
-            if a[i][c] != 0:
-                f = a[i][c] / inv
-                a[i] = [x - f * y for x, y in zip(a[i], a[c])]
-    return det
-
-
 def pfaffian_int(rows: Sequence[Sequence[int]]) -> int:
     """Pfaffian of a skew-symmetric integer matrix; only the entries above the
     diagonal are read.
@@ -437,28 +414,6 @@ def _swap_skew_index(a, k: int, u: int, v: int) -> None:
     for r in range(k, n):
         row = a[r]
         row[u], row[v] = row[v], row[u]
-
-
-def solve_exact(m: Matrix, rhs: Sequence[Scalar]):
-    """Solve m x = rhs exactly; None when inconsistent, a particular solution else."""
-    aug = [list(row) + [v] for row, v in zip(m.data, rhs)]
-    red, pivots = rref(aug)
-    if m.cols in pivots:
-        return None
-    x = [Fraction(0)] * m.cols
-    for row_idx, p in enumerate(pivots):
-        x[p] = red[row_idx][-1]
-    return tuple(x)
-
-
-def matrix_inverse(m: Matrix) -> Matrix:
-    if m.rows != m.cols:
-        raise ValueError("inverse of a non-square matrix")
-    aug = [list(row) + list(ident_row) for row, ident_row in zip(m.data, Matrix.identity(m.rows).data)]
-    red, pivots = rref(aug)
-    if pivots != list(range(m.rows)):
-        raise ValueError("matrix is singular")
-    return Matrix([row[m.rows:] for row in red])
 
 
 # ---------------------------------------------------------------------------

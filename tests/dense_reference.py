@@ -18,13 +18,17 @@ doubled integer coordinates; they are kept unchanged.
 `ref_lagrange_interpolate` and `ref_sturm_root_count` are the `Fraction`
 interpolation and Sturm chain that the census segment probe ran before it
 interpolated and counted roots on integers; they are kept unchanged.
+
+`det_exact`, `solve_exact` and `matrix_inverse` are the `Fraction`
+elimination helpers that `exact.py` kept without a caller in the package;
+the tests still use them as independent exact references.
 """
 import random
 from dataclasses import dataclass
 from fractions import Fraction as Q
 
 from liegrpd.catalog import axb_tautological_module
-from liegrpd.exact import Matrix, charpoly_exact_roots, format_scalar, gaussian, matrix_inverse
+from liegrpd.exact import Matrix, charpoly_exact_roots, format_scalar, gaussian, rref
 from liegrpd.exact import poly_eval, rank_kernel, scalar_im, scalar_key, scalar_re
 from liegrpd.lie import Subspace
 from liegrpd.weights import InexactSpectrum
@@ -573,3 +577,48 @@ def _poly_from_roots(roots):
         for k in range(len(p) - 1):
             p[k] = p[k] - r * p[k + 1]
     return p
+
+
+def det_exact(m: Matrix):
+    """Exact determinant by fraction-based elimination."""
+    if m.rows != m.cols:
+        raise ValueError("determinant of a non-square matrix")
+    a = [list(r) for r in m.data]
+    n = m.rows
+    det = Q(1)
+    for c in range(n):
+        pivot = next((i for i in range(c, n) if a[i][c] != 0), None)
+        if pivot is None:
+            return Q(0)
+        if pivot != c:
+            a[c], a[pivot] = a[pivot], a[c]
+            det = -det
+        det = det * a[c][c]
+        inv = a[c][c]
+        for i in range(c + 1, n):
+            if a[i][c] != 0:
+                f = a[i][c] / inv
+                a[i] = [x - f * y for x, y in zip(a[i], a[c])]
+    return det
+
+
+def solve_exact(m: Matrix, rhs):
+    """Solve m x = rhs exactly; None when inconsistent, a particular solution else."""
+    aug = [list(row) + [v] for row, v in zip(m.data, rhs)]
+    red, pivots = rref(aug)
+    if m.cols in pivots:
+        return None
+    x = [Q(0)] * m.cols
+    for row_idx, p in enumerate(pivots):
+        x[p] = red[row_idx][-1]
+    return tuple(x)
+
+
+def matrix_inverse(m: Matrix) -> Matrix:
+    if m.rows != m.cols:
+        raise ValueError("inverse of a non-square matrix")
+    aug = [list(row) + list(ident_row) for row, ident_row in zip(m.data, Matrix.identity(m.rows).data)]
+    red, pivots = rref(aug)
+    if pivots != list(range(m.rows)):
+        raise ValueError("matrix is singular")
+    return Matrix([row[m.rows:] for row in red])

@@ -20,6 +20,7 @@ from dense_reference import (
     COMPLEX_BOREL,
     DENSE_CATALOG,
     dense,
+    det_exact,
     ref_conjugate,
     ref_lagrange_interpolate,
     ref_sturm_root_count,
@@ -48,11 +49,7 @@ from liegrpd.coadjoint import (
     open_component_census,
     orbit_dimension,
 )
-from liegrpd.exact import (
-    Matrix,
-    det_exact,
-    to_complex,
-)
+from liegrpd.exact import Matrix, to_complex
 from liegrpd.lie import FieldError, Subspace, from_brackets
 
 

@@ -6,20 +6,24 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from dense_reference import ref_lagrange_interpolate, ref_sturm_root_count
+from dense_reference import (
+    det_exact,
+    matrix_inverse,
+    ref_lagrange_interpolate,
+    ref_sturm_root_count,
+    solve_exact,
+)
 from liegrpd.exact import (
     GaussianRational,
     Matrix,
     NumericError,
     charpoly_exact,
     charpoly_exact_roots,
-    det_exact,
     eigenvalues_numeric,
     format_scalar,
     gaussian,
     gaussian_rational_roots,
     matrix_exp_numeric,
-    matrix_inverse,
     newton_interpolate,
     numeric_rank,
     parse_scalar,
@@ -28,7 +32,6 @@ from liegrpd.exact import (
     rank_kernel,
     rref,
     scalar_key,
-    solve_exact,
     sturm_root_count,
 )
 

@@ -12,6 +12,7 @@ from fractions import Fraction as Q
 
 import pytest
 
+from dense_reference import matrix_inverse
 from liegrpd.catalog import (
     LIE_CATALOG,
     abelian,
@@ -22,7 +23,7 @@ from liegrpd.catalog import (
     heisenberg,
 )
 from liegrpd.coadjoint import bform
-from liegrpd.exact import Matrix, matrix_inverse, rank_kernel, rref
+from liegrpd.exact import Matrix, rank_kernel, rref
 from liegrpd.lie import (
     Subspace,
     ad_matrix,
