@@ -563,14 +563,31 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _add_io_flags(p):
-    p.add_argument("--name", help="catalog entry name")
-    p.add_argument("--in", dest="infile", help="input JSON file")
+def _add_io_flags(p, source=True):
+    if source:
+        p.add_argument("--name", help="catalog entry name")
+        p.add_argument("--in", dest="infile", help="input JSON file")
     p.add_argument("--format", choices=("text", "json"), default="json")
     p.add_argument("--out", help="write the report to this file")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--samples", type=_positive_int, default=512)
-    p.add_argument("--tol", type=float, default=1e-9)
+
+
+# every other flag, registered only on the subcommands that read it
+_FLAGS = {
+    "--seed": dict(type=int, default=0),
+    "--samples": dict(type=_positive_int, default=512),
+    "--tol": dict(type=float, default=1e-9),
+    "--point": dict(required=True, help="comma-separated rational coordinates"),
+    "--object": dict(required=True, help="base object label"),
+}
+
+
+def _add_subcommands(sub, table):
+    for name, fn, flags in table:
+        p = sub.add_parser(name)
+        _add_io_flags(p)
+        for flag in flags:
+            p.add_argument(flag, **_FLAGS[flag])
+        p.set_defaults(fn=fn)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -582,25 +599,19 @@ def build_parser() -> argparse.ArgumentParser:
 
     lie = sub.add_parser("lie", help="solvable Lie algebra analysis")
     lie_sub = lie.add_subparsers(dest="subcommand", required=True)
-    for name, fn in [
-        ("validate", cmd_lie_validate),
-        ("series", cmd_lie_series),
-        ("roots", cmd_lie_roots),
-        ("exptest", cmd_lie_exptest),
-        ("coadjoint", cmd_lie_coadjoint),
-        ("census", cmd_lie_census),
-        ("stratify", cmd_lie_stratify),
-        ("probe-minus-one", cmd_lie_probe_minus_one),
-    ]:
-        p = lie_sub.add_parser(name)
-        _add_io_flags(p)
-        if name == "coadjoint":
-            p.add_argument("--point", required=True,
-                           help="comma-separated rational coordinates")
-        p.set_defaults(fn=fn)
+    _add_subcommands(lie_sub, [
+        ("validate", cmd_lie_validate, ()),
+        ("series", cmd_lie_series, ()),
+        ("roots", cmd_lie_roots, ("--tol",)),
+        ("exptest", cmd_lie_exptest, ("--tol",)),
+        ("coadjoint", cmd_lie_coadjoint, ("--point",)),
+        ("census", cmd_lie_census, ("--seed", "--samples")),
+        ("stratify", cmd_lie_stratify, ("--seed", "--samples")),
+        ("probe-minus-one", cmd_lie_probe_minus_one, ("--seed", "--tol")),
+    ])
 
     cas = sub.add_parser("cascade", help="root-system cascade rank test")
-    _add_io_flags(cas)
+    _add_io_flags(cas, source=False)
     cas.add_argument("--family", help="A, B, C, D, E, F, or G")
     cas.add_argument("--rank", type=int)
     cas.add_argument("--table", action="store_true",
@@ -610,20 +621,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     grpd = sub.add_parser("grpd", help="finite groupoid checks")
     grpd_sub = grpd.add_subparsers(dest="subcommand", required=True)
-    for name, fn in [
-        ("validate", cmd_grpd_validate),
-        ("classify", cmd_grpd_classify),
-        ("pullback-verify", cmd_grpd_pullback_verify),
-        ("bimodule-verify", cmd_grpd_bimodule_verify),
-        ("decompose", cmd_grpd_decompose),
-        ("profile", cmd_grpd_profile),
-        ("regrep", cmd_grpd_regrep),
-    ]:
-        p = grpd_sub.add_parser(name)
-        _add_io_flags(p)
-        if name == "regrep":
-            p.add_argument("--object", required=True, help="base object label")
-        p.set_defaults(fn=fn)
+    _add_subcommands(grpd_sub, [
+        ("validate", cmd_grpd_validate, ()),
+        ("classify", cmd_grpd_classify, ()),
+        ("pullback-verify", cmd_grpd_pullback_verify, ()),
+        ("bimodule-verify", cmd_grpd_bimodule_verify, ()),
+        ("decompose", cmd_grpd_decompose, ()),
+        ("profile", cmd_grpd_profile, ()),
+        ("regrep", cmd_grpd_regrep, ("--object",)),
+    ])
 
     return parser
 

@@ -179,7 +179,8 @@ class TestMalformedAlgebraDocuments:
 
     def assert_exit_2(self, subs, path, capsys, message):
         for sub in subs:
-            assert main(["lie", sub, "--in", path, "--samples", "8"]) == 2
+            extra = ["--samples", "8"] if sub in ("census", "stratify") else []
+            assert main(["lie", sub, "--in", path] + extra) == 2
             out, err = capsys.readouterr()
             assert out == "" and err.startswith("error: ") and message in err
             assert "Traceback" not in err
@@ -229,7 +230,8 @@ class TestNumericBridgeOverflow:
         big = "1" + "0" * 399
         path = _write_algebra(tmp_path, 2, [{"i": 0, "j": 1, "coeffs": {"1": big}}])
         for sub in ("roots", "exptest", "census", "probe-minus-one"):
-            assert main(["lie", sub, "--in", path, "--samples", "8"]) == 2
+            extra = ["--samples", "8"] if sub == "census" else []
+            assert main(["lie", sub, "--in", path] + extra) == 2
             out, err = capsys.readouterr()
             assert out == ""
             assert err == "error: matrix entry (1, 1) does not fit a float\n"
@@ -409,6 +411,18 @@ class TestMalformedGroupoidDocuments:
             out, err = capsys.readouterr()
             assert out == ""
             assert err == "error: bad groupoid document: point 0 is listed twice\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["grpd", "classify", "--name", "s3_natural", "--seed", "1"],
+    ["cascade", "--table", "--samples", "4"],
+    ["cascade", "--table", "--in", "alg.json"],
+    ["lie", "series", "--name", "axb", "--tol", "1e-3"],
+])
+def test_flags_a_subcommand_does_not_read_are_refused(argv, capsys):
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "unrecognized arguments: " + " ".join(argv[-2:]) in err
 
 
 class TestOutputContract:

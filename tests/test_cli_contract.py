@@ -120,7 +120,6 @@ def _capture(argv):
 
 
 def _cases(tmp_path):
-    flags = ["--samples", "4"]
     lie_inputs = [["--name", n] for n in catalog.LIE_CATALOG]
     lie_inputs += [["--in", str(CORPUS / f"{n}.json")]
                    for n in ("axb", "complex_borel", "e2", "filiform4", "heisenberg")]
@@ -139,7 +138,9 @@ def _cases(tmp_path):
     for inp, dim in zip(lie_inputs, dims + [2] * len(lie_inputs)):
         for sub in LIE_SUBS:
             extra = ["--point", ",".join(["1"] * dim)] if sub == "coadjoint" else []
-            yield ["lie", sub] + inp + flags + extra
+            if sub in ("census", "stratify"):
+                extra = ["--samples", "4"]
+            yield ["lie", sub] + inp + extra
     for inp in grpd_inputs:
         for sub in GRPD_SUBS:
             extra = ["--object", "0"] if sub == "regrep" else []
