@@ -222,7 +222,8 @@ def node_vectors(draw):
     else:
         h = max(h, 4)
         n, c = draw(st.integers(4, h)), draw(st.integers(0, h))
-        a, b, d = draw(st.sampled_from([-2, -1, 1, 2])), draw(st.integers(-9, 9)), draw(st.integers(-9, 9))
+        a = draw(st.sampled_from([-2, -1, 1, 2]))
+        b, d = draw(st.integers(-9, 9)), draw(st.integers(-9, 9))
         p = [a]
         for _ in range(n):
             p = _times(p, [-c, 1])
