@@ -10,9 +10,13 @@ for every system of the rank-8 table (JSON and text), two requests beyond the
 cascade's rank limit, and every `grpd` subcommand on the catalog and corpus
 groupoids.  A second ladder runs `roots`, `exptest` and `census` (JSON and
 text) on (ax+b)^2, (ax+b)^3 and the dimension-8 sum realified_borel +
-axb_semidirect_plane, written by this script under fixed names in a temporary
-directory.  Every path is relative (corpus paths to the
-checkout, the sums to that directory), so two checkouts print comparable lines:
+axb_semidirect_plane.  A third runs `stratify` (JSON and text, `--samples 48
+--seed 1`) on a fixed unimodular conjugate of filiform4, on heisenberg +
+filiform4 and on a Q(i) algebra, and `grpd regrep --object 0` on the natural
+S4 action.  The second and third ladders' documents are written by this
+script under fixed names in a temporary directory.  Every path is relative
+(corpus paths to the checkout, the written documents to that directory), so
+two checkouts print comparable lines:
 
     PYTHONPATH=<checkout>/src python3 scripts/cli_digest.py > digest.txt
 
@@ -21,6 +25,7 @@ and `diff` two such files to see which reports changed.
 import contextlib
 import hashlib
 import io
+import itertools
 import json
 import os
 import tempfile
@@ -92,6 +97,56 @@ def sums():
     }
 
 
+def conjugate(L, ops):
+    """L in the basis Y'_j = Y_j + c Y_i, one step per (i, j, c) in ops: a
+    unimodular change of basis, so the structure tensor becomes dense."""
+    n = L.dim
+    p = [[int(r == c) for c in range(n)] for r in range(n)]
+    q = [row[:] for row in p]  # p^-1
+    for i, j, c in ops:
+        for row in p:
+            row[j] += c * row[i]
+        q[i] = [x - c * y for x, y in zip(q[i], q[j])]
+    cols = [tuple(row[a] for row in p) for a in range(n)]
+    brackets = {}
+    for a in range(n):
+        for b in range(a + 1, n):
+            old = L.bracket(cols[a], cols[b])
+            new = [sum(x * y for x, y in zip(row, old)) for row in q]
+            brackets[a, b] = {k: c for k, c in enumerate(new) if c}
+    return from_brackets(n, brackets)
+
+
+def stratify_docs():
+    """file name -> document for the third ladder."""
+    return {
+        "filiform4~.json": algebra_to_json(
+            conjugate(catalog.filiform4(), [(0, 1, 1), (2, 3, -1), (1, 3, 1), (3, 0, 1), (2, 1, -1)])
+        ),
+        "heisenberg+filiform4.json": algebra_to_json(
+            direct_sum(catalog.heisenberg(), catalog.filiform4())
+        ),
+        "qi.json": {"dim": 3, "field": "Qi",
+                    "brackets": [{"i": 0, "j": 1, "coeffs": {"2": "1+1i"}}]},
+    }
+
+
+S4_NATURAL = {
+    "kind": "group_action",
+    "group": {"family": "symmetric", "n": 4},
+    "points": list(range(4)),
+    "table": [list(g) for g in itertools.permutations(range(4))],
+}
+
+
+def third_ladder(names):
+    for name in names:
+        for fmt in ("json", "text"):
+            yield ["lie", "stratify", "--in", name, "--format", fmt, "--samples", "48",
+                   "--seed", "1"]
+    yield ["grpd", "regrep", "--in", "s4_natural.json", "--object", "0"]
+
+
 def sum_ladder(names):
     for name in names:
         for fmt in ("json", "text"):
@@ -121,7 +176,11 @@ def main() -> None:
         algebras = sums()
         for name, L in algebras.items():
             Path(name).write_text(json.dumps(algebra_to_json(L)))
-        for argv in sum_ladder(algebras):
+        docs = stratify_docs()
+        for name, doc in docs.items():
+            Path(name).write_text(json.dumps(doc))
+        Path("s4_natural.json").write_text(json.dumps(S4_NATURAL))
+        for argv in itertools.chain(sum_ladder(algebras), third_ladder(docs)):
             code, digest = run(argv)
             print(f"{' '.join(argv)}\t{code}\t{digest}")
         os.chdir(ROOT)

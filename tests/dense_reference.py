@@ -22,6 +22,10 @@ interpolated and counted roots on integers; they are kept unchanged.
 `det_exact`, `solve_exact` and `matrix_inverse` are the `Fraction`
 elimination helpers that `exact.py` kept without a caller in the package;
 the tests still use them as independent exact references.
+
+`ref_rref` is the generic `Fraction` Gauss-Jordan elimination that `rref` ran
+on rational rows before it scaled them to integers and eliminated
+fraction-free; it is kept unchanged.
 """
 import random
 from dataclasses import dataclass
@@ -622,3 +626,29 @@ def matrix_inverse(m: Matrix) -> Matrix:
     if pivots != list(range(m.rows)):
         raise ValueError("matrix is singular")
     return Matrix([row[m.rows:] for row in red])
+
+
+def ref_rref(rows):
+    """Reduced row-echelon form. Returns (rref rows, pivot column list)."""
+    m = [list(r) for r in rows]
+    if not m:
+        return [], []
+    ncols = len(m[0])
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pivot = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
+        if pivot is None:
+            continue
+        m[r], m[pivot] = m[pivot], m[r]
+        inv = m[r][c]
+        m[r] = [x / inv for x in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][c] != 0:
+                f = m[i][c]
+                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(m):
+            break
+    return [tuple(row) for row in m[:r]], pivots

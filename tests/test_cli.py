@@ -1,4 +1,5 @@
 """End-to-end command-line tests: exit codes, report content, determinism."""
+import hashlib
 import itertools
 import json
 import subprocess
@@ -140,6 +141,23 @@ class TestLieCommands:
         assert code == 0
         assert doc["generic_jump_set"] == [2, 3]
         assert doc["flag_dims"] == [0, 1, 2, 3]
+
+    def test_stratify_gaussian_field(self, tmp_path, monkeypatch, capsys):
+        # pinned bytes: a Q(i) algebra stays on the generic elimination
+        (tmp_path / "qi.json").write_text(
+            '{"dim":3,"field":"Qi","brackets":[{"i":0,"j":1,"coeffs":{"2":"1+1i"}}]}'
+        )
+        monkeypatch.chdir(tmp_path)
+        assert main(["lie", "stratify", "--in", "qi.json"]) == 0
+        out = capsys.readouterr().out
+        doc = json.loads(out)
+        assert doc["generic_jump_set"] == [2, 3] and doc["generic_rank"] == 2
+        assert [(s["jump_set"], s["sample_count"]) for s in doc["strata"]] == [
+            ([2, 3], 100), ([], 25)
+        ]
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "ac1a402bb00176bed338a473dca189694a41c1621caa4f38d256a229b2e34f62"
+        )
 
     def test_stratify_non_nilpotent_is_exit_2(self):
         assert main(["lie", "stratify", "--name", "axb"]) == 2

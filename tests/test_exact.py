@@ -10,6 +10,7 @@ from dense_reference import (
     det_exact,
     matrix_inverse,
     ref_lagrange_interpolate,
+    ref_rref,
     ref_sturm_root_count,
     solve_exact,
 )
@@ -119,6 +120,85 @@ class TestElimination:
         rank, kernel = rank_kernel(Matrix([[1, i], [i, -1]]))
         assert rank == 1
         assert len(kernel) == 1
+
+
+# about two thirds zeros, both signs, denominators up to 12
+sparse_entries = st.tuples(st.integers(0, 2), st.integers(-9, 9), st.integers(1, 12)).map(
+    lambda t: Q(t[1], t[2]) if t[0] == 0 else Q(0)
+)
+
+
+@st.composite
+def elimination_rows(draw, entries=sparse_entries, max_rows=8, max_cols=9):
+    """Rows with zero rows and rational combinations of earlier rows mixed in."""
+    nrows, ncols = draw(st.integers(1, max_rows)), draw(st.integers(1, max_cols))
+    rows = [draw(st.lists(entries, min_size=ncols, max_size=ncols)) for _ in range(nrows)]
+    for i in range(1, nrows):
+        kind = draw(st.integers(0, 3))
+        if kind == 1:
+            rows[i] = [Q(0)] * ncols
+        elif kind == 2:
+            j, k = draw(st.integers(0, i - 1)), draw(st.integers(0, i - 1))
+            a, b = draw(rationals), draw(rationals)
+            rows[i] = [a * x + b * y for x, y in zip(rows[j], rows[k])]
+    return rows
+
+
+# regular-representation-like incidence matrices
+zero_one_rows = elimination_rows(st.sampled_from((Q(0), Q(1))), max_rows=12, max_cols=16)
+
+
+@st.composite
+def gaussian_rows(draw):
+    """Rational rows with one Gaussian entry: the generic elimination."""
+    rows = draw(elimination_rows())
+    i, j = draw(st.integers(0, len(rows) - 1)), draw(st.integers(0, len(rows[0]) - 1))
+    rows[i][j] = gaussian(draw(rationals), draw(rationals.filter(bool)))
+    return rows
+
+
+def ref_rank_kernel(rows):
+    red, pivots = ref_rref(rows)
+    ncols = len(rows[0])
+    kernel = []
+    for j in (j for j in range(ncols) if j not in pivots):
+        v = [Q(0)] * ncols
+        v[j] = Q(1)
+        for r, p in enumerate(pivots):
+            v[p] = -red[r][j]
+        kernel.append(tuple(v))
+    return len(pivots), kernel
+
+
+class TestEliminationAgainstReference:
+    """`rref` and `rank_kernel` against the generic `Fraction` elimination."""
+
+    def check(self, rows):
+        red, pivots = rref(rows)
+        assert (red, pivots) == ref_rref(rows)
+        assert all(type(x) in (Q, GaussianRational) for row in red for x in row)
+        assert rank_kernel(Matrix(rows)) == ref_rank_kernel(rows)
+
+    @settings(max_examples=300, deadline=None)
+    @given(elimination_rows())
+    def test_sparse_rational_rows(self, rows):
+        self.check(rows)
+
+    @settings(max_examples=100, deadline=None)
+    @given(zero_one_rows)
+    def test_zero_one_rows(self, rows):
+        self.check(rows)
+
+    @settings(max_examples=60, deadline=None)
+    @given(gaussian_rows())
+    def test_rows_with_a_gaussian_entry(self, rows):
+        self.check(rows)
+
+    def test_negative_pivots_and_a_zero_factor_row(self):
+        for rows in ([[Q(-2), Q(1)]],
+                     [[Q(2), Q(1), Q(0)], [Q(0), Q(3), Q(1)], [Q(1), Q(0), Q(-5, 7)]],
+                     [[Q(0), Q(-3, 4)], [Q(-1, 2), Q(5)], [Q(0), Q(0)]]):
+            self.check(rows)
 
 
 class TestCharpoly:

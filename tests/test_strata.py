@@ -12,7 +12,10 @@ from fractions import Fraction as Q
 
 import pytest
 
-from dense_reference import matrix_inverse
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from dense_reference import matrix_inverse, ref_rref
 from liegrpd.catalog import (
     LIE_CATALOG,
     abelian,
@@ -279,6 +282,27 @@ def reference_jump_indices(L, flag, xi):
     return tuple(jumps)
 
 
+def reference_pivot_jump_indices(L, flag, xi):
+    """The pivot columns of B_xi F by generic `Fraction` elimination, with the
+    skew-form rank as cross-check."""
+    adapted = []
+    for lower, upper in zip(flag, flag[1:]):
+        old = set(lower.pivots)
+        adapted.append(next(r for r, p in zip(upper.rows, upper.pivots) if p not in old))
+    b = bform(L, xi)
+    _, pivots = ref_rref((b @ Matrix(adapted).transpose()).data)
+    assert len(pivots) == len(ref_rref(b.data)[1])
+    return tuple(p + 1 for p in pivots)
+
+
+def rescale(L, factors):
+    """L in the basis Y'_i = factors[i] Y_i: rational structure constants."""
+    brackets = {}
+    for i, j, terms in L.brackets:
+        brackets[(i, j)] = {k: c * factors[i] * factors[j] / factors[k] for k, c in terms}
+    return from_brackets(L.dim, brackets)
+
+
 def reference_ascending_central_series(L):
     """z_{k+1} = kernel of (reduction mod z_k) o ad(Y_i), stacked over i."""
     m = L.dim
@@ -332,6 +356,33 @@ class TestOneEliminationAgainstReferences:
                 seen.add((L.dim, jumps))
         # the points reach more than the generic stratum of each algebra
         assert len(seen) >= 12
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.integers(0, 10**6),
+        st.booleans(),
+        st.lists(st.sampled_from((Q(1), Q(-1), Q(2), Q(1, 3), Q(-3, 2))), min_size=7, max_size=7),
+        st.lists(
+            st.lists(
+                st.tuples(st.integers(0, 1), st.integers(-9, 9), st.integers(1, 6)).map(
+                    lambda t: Q(t[1], t[2]) if t[0] else Q(0)
+                ),
+                min_size=7, max_size=7,
+            ),
+            min_size=5, max_size=5,
+        ),
+    )
+    def test_pivot_elimination_on_conjugates(self, seed, summed, factors, points):
+        """Conjugates of filiform4 and heisenberg + filiform4, optionally
+        rescaled to rational structure constants, at rational points."""
+        base = direct_sum(heisenberg(), filiform4()) if summed else filiform4()
+        L = conjugate(base, seed)
+        if factors[0] != 1:
+            L = rescale(L, factors)
+        flag = jordan_holder_flag(L)
+        for point in points:
+            xi = tuple(point[:L.dim])
+            assert jump_indices(L, flag, xi) == reference_pivot_jump_indices(L, flag, xi)
 
     def test_central_series_and_center_match_residual_construction(self):
         cases = [make() for make in LIE_CATALOG.values()] + _nilpotent_inputs()
