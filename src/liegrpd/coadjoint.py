@@ -178,7 +178,7 @@ def coadjoint_flow(
 # open-component census
 
 
-def _integral(*points):
+def clear_denominators(*points):
     """(d, points times d as int tuples), d the lcm of their denominators."""
     d = math.lcm(*(x.denominator for p in points for x in p))
     return d, [tuple(int(x * d) for x in p) for p in points]
@@ -204,13 +204,23 @@ def _pf_of_values(L: LieAlgebra, values) -> int:
     return pfaffian_int(rows)
 
 
+def integer_bform(L: LieAlgebra, xi) -> list:
+    """The integer form D B_{d xi} as int rows, d clearing xi's denominators:
+    a nonzero multiple of B_xi, so it has the same rank and pivots."""
+    _, (p,) = clear_denominators(xi)
+    rows = [[0] * L.dim for _ in range(L.dim)]
+    for (j, k, _), v in zip(L.integer_tensor, _form_values(L, p)):
+        rows[j][k], rows[k][j] = v, -v
+    return rows
+
+
 def _det_at(L, xi) -> int:
     """Pf of the integer form D B_{d xi}, d clearing xi's denominators.
 
     Pf is homogeneous of degree dim/2 and det B = Pf(B)^2, so the value is
     zero exactly where det B_xi is and has the sign of Pf(B_xi).
     """
-    _, (p,) = _integral(xi)
+    _, (p,) = clear_denominators(xi)
     return _pf_of_values(L, _form_values(L, p))
 
 
@@ -228,7 +238,7 @@ def _segment_nondegenerate(L: LieAlgebra, a, b, ends=None) -> bool:
     integer endpoints, so a kept sample's Pfaffian is computed once.
     """
     h = L.dim // 2
-    d, (ia, ib) = _integral(a, b)
+    d, (ia, ib) = clear_denominators(a, b)
     if ends is None or d != 1:
         ends = (_det_at(L, ia), _det_at(L, ib))
     pa, pb = ends

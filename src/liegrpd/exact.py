@@ -326,8 +326,61 @@ def _exact_entry(x) -> Scalar:
 # exact elimination
 
 
+def rref_int(rows: Sequence[Sequence[int]]):
+    """Fraction-free Gauss-Jordan elimination of integer rows (Bareiss).
+
+    Returns (rows, d, pivots): the nonzero rows of d times the reduced
+    row-echelon form as int lists, the common denominator d (the last pivot,
+    of either sign; 1 without pivots) and the pivot columns.  With pivot p
+    and previous pivot p_prev, every other row becomes
+    (p row - row[c] pivot_row) / p_prev, also when row[c] is 0: each entry is
+    then a minor of the input, so the division is exact and every pivot
+    entry equals the current pivot.
+    """
+    m = [list(r) for r in rows]
+    ncols = len(m[0]) if m else 0
+    pivots, prev, r = [], 1, 0
+    for c in range(ncols):
+        pivot = next((i for i in range(r, len(m)) if m[i][c]), None)
+        if pivot is None:
+            continue
+        m[r], m[pivot] = m[pivot], m[r]
+        top = m[r]
+        p = top[c]
+        for i, row in enumerate(m):
+            if i == r:
+                continue
+            f = row[c]
+            if f:
+                m[i] = [(p * x - f * y) // prev for x, y in zip(row, top)]
+            elif p != prev:
+                m[i] = [p * x // prev for x in row]
+        pivots.append(c)
+        prev = p
+        r += 1
+        if r == len(m):
+            break
+    return m[:r], prev, pivots
+
+
 def rref(rows: Sequence[Sequence[Scalar]]):
-    """Reduced row-echelon form. Returns (rref rows, pivot column list)."""
+    """Reduced row-echelon form. Returns (rref rows, pivot column list).
+
+    Rational rows are each scaled by the lcm of their denominators, which
+    keeps the RREF, and eliminated by `rref_int`; rows holding a
+    `GaussianRational` take the generic elimination.
+    """
+    if any(type(x) is GaussianRational for row in rows for x in row):
+        return _rref_generic(rows)
+    ints = []
+    for row in rows:
+        d = math.lcm(*(x.denominator for x in row))
+        ints.append([x.numerator * (d // x.denominator) for x in row])
+    red, d, pivots = rref_int(ints)
+    return [tuple(Fraction(x, d) for x in row) for row in red], pivots
+
+
+def _rref_generic(rows):
     m = [list(r) for r in rows]
     if not m:
         return [], []

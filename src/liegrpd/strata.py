@@ -16,8 +16,8 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .coadjoint import bform
-from .exact import Matrix, rank_kernel, rref
+from .coadjoint import bform, clear_denominators, integer_bform
+from .exact import Matrix, rank_kernel, rref, rref_int
 from .lie import LieAlgebra, LieModule, Subspace, centralizer_mod, checked_subalgebra
 
 
@@ -87,9 +87,15 @@ def jump_indices(L: LieAlgebra, flag: tuple, xi) -> tuple:
     for lower, upper in zip(flag, flag[1:]):
         old = set(lower.pivots)
         adapted.append(next(r for r, p in zip(upper.rows, upper.pivots) if p not in old))
-    b = bform(L, xi)
-    _, pivots = rref((b @ Matrix(adapted).transpose()).data)
-    rank, _ = rank_kernel(b)
+    if L.field == "Q":
+        b = integer_bform(L, xi)
+        _, cols = clear_denominators(*adapted)
+        _, _, pivots = rref_int([[sum(x * y for x, y in zip(row, f)) for f in cols] for row in b])
+        rank = len(rref_int(b)[2])
+    else:
+        b = bform(L, xi)
+        _, pivots = rref((b @ Matrix(adapted).transpose()).data)
+        rank, _ = rank_kernel(b)
     if len(pivots) != rank:
         raise AssertionError("jump count disagrees with the skew-form rank")
     return tuple(p + 1 for p in pivots)

@@ -32,6 +32,7 @@ from liegrpd.exact import (
     poly_eval,
     rank_kernel,
     rref,
+    rref_int,
     scalar_key,
     sturm_root_count,
 )
@@ -196,9 +197,17 @@ class TestEliminationAgainstReference:
 
     def test_negative_pivots_and_a_zero_factor_row(self):
         for rows in ([[Q(-2), Q(1)]],
+                     [[Q(1), Q(0)], [Q(0), Q(-1)]],
                      [[Q(2), Q(1), Q(0)], [Q(0), Q(3), Q(1)], [Q(1), Q(0), Q(-5, 7)]],
                      [[Q(0), Q(-3, 4)], [Q(-1, 2), Q(5)], [Q(0), Q(0)]]):
             self.check(rows)
+
+
+    def test_integer_routine_returns_the_last_pivot_as_denominator(self):
+        # d = det for a square nonsingular input, every pivot entry equal to d
+        assert rref_int([[2, 1], [4, 3]]) == ([[2, 0], [0, 2]], 2, [0, 1])
+        assert rref_int([[0, -3, 6], [0, 1, 1]]) == ([[0, -9, 0], [0, 0, -9]], -9, [1, 2])
+        assert rref_int([[0, 0], [0, 0]]) == ([], 1, [])
 
 
 class TestCharpoly:
