@@ -181,7 +181,7 @@ def coadjoint_flow(
 def clear_denominators(*points):
     """(d, points times d as int tuples), d the lcm of their denominators."""
     d = math.lcm(*(x.denominator for p in points for x in p))
-    return d, [tuple(int(x * d) for x in p) for p in points]
+    return d, [tuple(x.numerator * (d // x.denominator) for x in p) for p in points]
 
 
 def _form_values(L: LieAlgebra, xi) -> list:
