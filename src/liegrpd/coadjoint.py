@@ -196,22 +196,20 @@ def _form_values(L: LieAlgebra, xi) -> list:
     return out
 
 
-def _pf_of_values(L: LieAlgebra, values) -> int:
+def _form_rows(L: LieAlgebra, values) -> list:
+    """The skew integer form with the entries `values`, as int rows."""
     m = L.dim
     rows = [[0] * m for _ in range(m)]
     for (j, k, _), v in zip(L.integer_tensor, values):
-        rows[j][k] = v
-    return pfaffian_int(rows)
+        rows[j][k], rows[k][j] = v, -v
+    return rows
 
 
 def integer_bform(L: LieAlgebra, xi) -> list:
     """The integer form D B_{d xi} as int rows, d clearing xi's denominators:
     a nonzero multiple of B_xi, so it has the same rank and pivots."""
     _, (p,) = clear_denominators(xi)
-    rows = [[0] * L.dim for _ in range(L.dim)]
-    for (j, k, _), v in zip(L.integer_tensor, _form_values(L, p)):
-        rows[j][k], rows[k][j] = v, -v
-    return rows
+    return _form_rows(L, _form_values(L, p))
 
 
 def _det_at(L, xi) -> int:
@@ -220,8 +218,7 @@ def _det_at(L, xi) -> int:
     Pf is homogeneous of degree dim/2 and det B = Pf(B)^2, so the value is
     zero exactly where det B_xi is and has the sign of Pf(B_xi).
     """
-    _, (p,) = clear_denominators(xi)
-    return _pf_of_values(L, _form_values(L, p))
+    return pfaffian_int(integer_bform(L, xi))
 
 
 def _segment_nondegenerate(L: LieAlgebra, a, b, ends=None) -> bool:
@@ -248,7 +245,7 @@ def _segment_nondegenerate(L: LieAlgebra, a, b, ends=None) -> bool:
     values = [pa * scale]
     fa, fb = _form_values(L, ia), _form_values(L, ib)
     for k in range(1, h):
-        v = _pf_of_values(L, [(h - k) * x + k * y for x, y in zip(fa, fb)])
+        v = pfaffian_int(_form_rows(L, [(h - k) * x + k * y for x, y in zip(fa, fb)]))
         if v == 0 or (v > 0) != (pa > 0):
             return False
         values.append(v)
