@@ -377,7 +377,8 @@ def rref(rows: Sequence[Sequence[Scalar]]):
         d = math.lcm(*(x.denominator for x in row))
         ints.append([x.numerator * (d // x.denominator) for x in row])
     red, d, pivots = rref_int(ints)
-    return [tuple(Fraction(x, d) for x in row) for row in red], pivots
+    zero = Fraction(0)
+    return [tuple(Fraction(x, d) if x else zero for x in row) for row in red], pivots
 
 
 def _rref_generic(rows):
@@ -409,13 +410,16 @@ def rank_kernel(m: Matrix):
     """Exact rank and a kernel basis (list of tuples)."""
     red, pivots = rref(m.data)
     rank = len(pivots)
-    free = [j for j in range(m.cols) if j not in pivots]
+    pivot_set = set(pivots)
     kernel = []
-    for j in free:
+    for j in range(m.cols):
+        if j in pivot_set:
+            continue
         v = [Fraction(0)] * m.cols
         v[j] = Fraction(1)
         for row_idx, p in enumerate(pivots):
-            v[p] = -red[row_idx][j]
+            if red[row_idx][j]:
+                v[p] = -red[row_idx][j]
         kernel.append(tuple(v))
     return rank, kernel
 
