@@ -9,6 +9,7 @@ the input it was computed from.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import sys
@@ -592,7 +593,9 @@ def _add_subcommands(sub, table):
         p.set_defaults(fn=fn)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="liegrpd",
         description="Exact coadjoint-orbit structure and finite groupoid checks",

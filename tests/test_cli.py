@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from liegrpd.cli import main
+from liegrpd.cli import build_parser, main
 from liegrpd.groupoids import groupoid_to_json, pair_groupoid
 from test_cli_contract import BAD_INDEX_GROUPOIDS, GRPD_SUBS, LIE_SUBS, REPEATED_POINT_ACTION
 
@@ -441,6 +441,29 @@ def test_flags_a_subcommand_does_not_read_are_refused(argv, capsys):
     assert main(argv) == 2
     out, err = capsys.readouterr()
     assert out == "" and "unrecognized arguments: " + " ".join(argv[-2:]) in err
+
+
+class TestParserBuiltOnce:
+    """`main` reuses one parser per process; no call leaks into the next."""
+
+    def test_defaults_return_after_an_override(self, tmp_path):
+        assert build_parser() is build_parser()
+        code, doc = run_json(["lie", "census", "--name", "axb", "--samples", "4"], tmp_path)
+        assert code == 0 and doc["samples_requested"] == 4
+        code, doc = run_json(["lie", "census", "--name", "axb"], tmp_path)
+        assert code == 0 and doc["samples_requested"] == 512
+
+    def test_a_refused_flag_leaves_no_trace(self, capsys):
+        refused = ["lie", "census", "--name", "axb", "--samples", "8", "--tol", "1"]
+        assert main(refused) == 2
+        capsys.readouterr()
+        argv = ["lie", "census", "--name", "axb", "--format", "text"]
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        fresh = subprocess.run(
+            [sys.executable, "-m", "liegrpd.cli", *argv], capture_output=True, text=True
+        )
+        assert fresh.returncode == 0 and out == fresh.stdout and "512" in out
 
 
 class TestOutputContract:
