@@ -6,8 +6,9 @@ descending index order), every intermediate space between consecutive central
 terms being automatically an ideal.  Each functional gets a jump set: the
 flag steps not absorbed by its isotropy, read off one elimination as the
 pivot columns of B_xi F, where the columns of F form a basis adapted to the
-flag.  The size of the jump set always equals the rank of the skew form, and
-the generic jump set is the unique minimum in the index order.
+flag.  Over Q that elimination runs fraction-free on integers.  The size of
+the jump set always equals the rank of the skew form, and the generic jump
+set is the unique minimum in the index order.
 """
 from __future__ import annotations
 
@@ -82,6 +83,11 @@ def jump_indices(L: LieAlgebra, flag: tuple, xi) -> tuple:
     flag), that holds iff B_xi f_j is independent of B_xi f_1, ..., B_xi
     f_{j-1}: the jumps are the pivot columns of B_xi F, counted from 1.  Their
     number equals the rank of the skew form at xi.
+
+    Over Q, B_xi is taken as the integer form D B_{d xi} and the columns of
+    F are scaled to integers; nonzero scalings keep the pivot columns and
+    the rank, so both come from `rref_int` on integer matrices.  A Q(i)
+    algebra takes the generic elimination of B_xi F.
     """
     adapted = []
     for lower, upper in zip(flag, flag[1:]):
@@ -90,7 +96,8 @@ def jump_indices(L: LieAlgebra, flag: tuple, xi) -> tuple:
     if L.field == "Q":
         b = integer_bform(L, xi)
         _, cols = clear_denominators(*adapted)
-        _, _, pivots = rref_int([[sum(x * y for x, y in zip(row, f)) for f in cols] for row in b])
+        product = [[sum(x * y for x, y in zip(row, f)) for f in cols] for row in b]
+        _, _, pivots = rref_int(product)
         rank = len(rref_int(b)[2])
     else:
         b = bform(L, xi)
