@@ -383,8 +383,6 @@ def rref(rows: Sequence[Sequence[Scalar]]):
 
 def _rref_generic(rows):
     m = [list(r) for r in rows]
-    if not m:
-        return [], []
     ncols = len(m[0])
     pivots = []
     r = 0
