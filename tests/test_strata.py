@@ -11,7 +11,6 @@ import random
 from fractions import Fraction as Q
 
 import pytest
-
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
