@@ -408,16 +408,14 @@ def rank_kernel(m: Matrix):
     """Exact rank and a kernel basis (list of tuples)."""
     red, pivots = rref(m.data)
     rank = len(pivots)
-    pivot_set = set(pivots)
+    free = [j for j in range(m.cols) if j not in pivots]
     kernel = []
-    for j in range(m.cols):
-        if j in pivot_set:
-            continue
+    for j in free:
         v = [Fraction(0)] * m.cols
         v[j] = Fraction(1)
-        for row_idx, p in enumerate(pivots):
-            if red[row_idx][j]:
-                v[p] = -red[row_idx][j]
+        for row, p in zip(red, pivots):
+            if row[j]:
+                v[p] = -row[j]
         kernel.append(tuple(v))
     return rank, kernel
 
