@@ -13,8 +13,12 @@ text) on (ax+b)^2, (ax+b)^3 and the dimension-8 sum realified_borel +
 axb_semidirect_plane.  A third runs `stratify` (JSON and text, `--samples 48
 --seed 1`) on a fixed unimodular conjugate of filiform4, on heisenberg +
 filiform4 and on a Q(i) algebra, and `grpd regrep --object 0` on the natural
-S4 action.  The second and third ladders' documents are written by this
-script under fixed names in a temporary directory.  Every path is relative
+S4 action.  A fourth runs `grpd validate` (JSON and text) on two invalid
+action documents, C4 acting on 3 points by x -> x + g mod 3 and natural S4
+with its last row repeated in place of the one before, and
+`grpd pullback-verify` and `grpd decompose` on the natural S5 action.  The
+documents of the second to fourth ladders are written by this script under
+fixed names in a temporary directory.  Every path is relative
 (corpus paths to the checkout, the written documents to that directory), so
 two checkouts print comparable lines:
 
@@ -131,12 +135,39 @@ def stratify_docs():
     }
 
 
-S4_NATURAL = {
-    "kind": "group_action",
-    "group": {"family": "symmetric", "n": 4},
-    "points": list(range(4)),
-    "table": [list(g) for g in itertools.permutations(range(4))],
-}
+def natural_action(n):
+    return {
+        "kind": "group_action",
+        "group": {"family": "symmetric", "n": n},
+        "points": list(range(n)),
+        "table": [list(g) for g in itertools.permutations(range(n))],
+    }
+
+
+S4_NATURAL = natural_action(4)
+
+
+def action_docs():
+    """file name -> action document for the fourth ladder."""
+    s4_rows = S4_NATURAL["table"]
+    return {
+        "c4_on_3.json": {
+            "kind": "group_action",
+            "group": {"family": "cyclic", "n": 4},
+            "points": [0, 1, 2],
+            "table": [[(x + g) % 3 for x in range(3)] for g in range(4)],
+        },
+        "s4_repeated_row.json": dict(S4_NATURAL, table=s4_rows[:-2] + [s4_rows[-1]] * 2),
+        "s5_natural.json": natural_action(5),
+    }
+
+
+def fourth_ladder():
+    for name in ("c4_on_3.json", "s4_repeated_row.json"):
+        for fmt in ("json", "text"):
+            yield ["grpd", "validate", "--in", name, "--format", fmt]
+    for sub in ("pullback-verify", "decompose"):
+        yield ["grpd", sub, "--in", "s5_natural.json"]
 
 
 def third_ladder(names):
@@ -180,7 +211,10 @@ def main() -> None:
         for name, doc in docs.items():
             Path(name).write_text(json.dumps(doc))
         Path("s4_natural.json").write_text(json.dumps(S4_NATURAL))
-        for argv in itertools.chain(sum_ladder(algebras), third_ladder(docs)):
+        for name, doc in action_docs().items():
+            Path(name).write_text(json.dumps(doc))
+        for argv in itertools.chain(sum_ladder(algebras), third_ladder(docs),
+                                    fourth_ladder()):
             code, digest = run(argv)
             print(f"{' '.join(argv)}\t{code}\t{digest}")
         os.chdir(ROOT)

@@ -26,6 +26,13 @@ the tests still use them as independent exact references.
 `ref_rref` is the generic `Fraction` Gauss-Jordan elimination that `rref` ran
 on rational rows before it scaled them to integers and eliminated
 fraction-free; it is kept unchanged.
+
+`ref_pullback_isomorphism_verify` is the pullback verifier that
+`groupoids.py` ran before its functor loop read the isotropy products from
+a table: every product through `FiniteGroupoid.compose` and the pullback's
+own product.  `ref_action_make` is `FiniteGroupAction.make` as it was before
+it checked compatibility on generators: every pair (g, h) at every point.
+Both are kept unchanged.
 """
 import random
 from dataclasses import dataclass
@@ -34,6 +41,15 @@ from fractions import Fraction as Q
 from liegrpd.catalog import axb_tautological_module
 from liegrpd.exact import Matrix, charpoly_exact_roots, format_scalar, gaussian, rref
 from liegrpd.exact import poly_eval, rank_kernel, scalar_im, scalar_key, scalar_re
+from liegrpd.groupoids import (
+    AxiomError,
+    FiniteGroup,
+    FiniteGroupAction,
+    FiniteGroupoid,
+    PullbackReport,
+    build_pullback,
+    canonical_sections,
+)
 from liegrpd.lie import Subspace
 from liegrpd.weights import InexactSpectrum
 
@@ -652,3 +668,78 @@ def ref_rref(rows):
         if r == len(m):
             break
     return [tuple(row) for row in m[:r]], pivots
+
+
+def ref_pullback_isomorphism_verify(G: FiniteGroupoid) -> PullbackReport:
+    """Exhaustively verify G ~ pullback of its isotropy bundle.
+
+    Phi(g) = (r(g), sigma(r(g)) o g o sigma(d(g))^{-1}, d(g)) and the inverse
+    map is (x, h, y) -> sigma(x)^{-1} o h o sigma(y); both directions, the
+    functor law, identities, and inverses are checked on every morphism.
+    """
+    theta, sigma = canonical_sections(G)
+    P = build_pullback(G)
+
+    def phi(g):
+        a = G.compose(sigma[G.target[g]], g)
+        h = G.compose(a, G.inverse(sigma[G.source[g]]))
+        return (G.target[g], h, G.source[g])
+
+    def phi_inv(m):
+        x, h, y = m
+        return G.compose(G.inverse(sigma[x]), G.compose(h, sigma[y]))
+
+    images = {g: phi(g) for g in G.morphisms}
+    image_set = set(images.values())
+    bijective = (
+        len(image_set) == len(G.morphisms) and image_set == set(P.morphisms)
+    )
+    failure = ()
+    for g, h in G.composable_pairs():
+        if images[G.compose(g, h)] != P.compose(images[g], images[h]):
+            failure = ("functor", g, h)
+            break
+    functorial = not failure
+    identities_match = all(
+        images[G.identity(x)] == P.identity(x) for x in G.objects
+    )
+    inverses_match = all(
+        images[G.inverse(g)] == P.inverse(images[g]) for g in G.morphisms
+    )
+    round_trip = all(phi_inv(images[g]) == g for g in G.morphisms) and all(
+        images[phi_inv(m)] == m for m in P.morphisms
+    )
+    ok = bijective and functorial and identities_match and inverses_match and round_trip
+    return PullbackReport(
+        ok,
+        len(G.morphisms),
+        len(P.morphisms),
+        bijective,
+        functorial,
+        identities_match,
+        inverses_match,
+        round_trip,
+        failure,
+    )
+
+
+def ref_action_make(group: FiniteGroup, points, act) -> FiniteGroupAction:
+    """Build and validate the action table from a callable or a mapping."""
+    points = tuple(points)
+    fn = act if callable(act) else lambda g, x: act[(g, x)]
+    table = {
+        (g, x): fn(g, x) for g in group.elements for x in points
+    }
+    pointset = set(points)
+    for (g, x), y in table.items():
+        if y not in pointset:
+            raise AxiomError("action leaves the point set", (g, x, y))
+    for x in points:
+        if table[(group.identity, x)] != x:
+            raise AxiomError("identity moves a point", x)
+    for g, row in group.table.items():
+        for h, gh in row.items():
+            for x in points:
+                if table[(g, table[(h, x)])] != table[(gh, x)]:
+                    raise AxiomError("action is not compatible", (g, h, x))
+    return FiniteGroupAction(group, points, table)

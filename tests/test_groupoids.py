@@ -8,8 +8,10 @@ Reference values, computed by hand from the action tables:
 - S3 on {0, 1, 2}: 18 morphisms, one orbit, isotropy of order 2.
 """
 import random
+from fractions import Fraction
 
 import pytest
+from dense_reference import ref_action_make, ref_pullback_isomorphism_verify
 
 from liegrpd.catalog import (
     negation_action,
@@ -48,6 +50,7 @@ from liegrpd.groupoids import (
     validate_group,
     validate_groupoid,
 )
+from liegrpd.exact import Matrix, rank_kernel
 
 
 class TestGroups:
@@ -610,3 +613,153 @@ class TestBimoduleAgainstReference:
         assert report.ok and report.element_count == 120
         # |Z| * (|out of r(z)| + |isotropy|) = 120 * (120 + 24)
         assert calls == 17_280
+
+
+def _outcome(fn, *args):
+    """repr of fn(*args), or the type and args of the exception it raises."""
+    try:
+        return repr(fn(*args))
+    except Exception as exc:  # noqa: BLE001 - compared, never swallowed
+        return type(exc).__name__, exc.args
+
+
+class TestPullbackAgainstReference:
+    """The pullback verifier reports exactly what the verifier that composed
+    every product through the pullback reported, witnesses included."""
+
+    def test_fifty_seeds_unaltered_and_tampered(self):
+        rng = random.Random(13)
+        not_ok = 0
+        for seed in range(50):
+            G = random_transformation_groupoid(random.Random(seed))
+            for H in (G, build_pullback(G), pair_groupoid(G.objects)):
+                assert repr(pullback_isomorphism_verify(H)) == repr(
+                    ref_pullback_isomorphism_verify(H)
+                )
+                for T, wrong_within_hom in _tampered_copies(H, rng):
+                    outcome = _outcome(pullback_isomorphism_verify, T)
+                    assert outcome == _outcome(ref_pullback_isomorphism_verify, T)
+                    if wrong_within_hom:
+                        not_ok += not pullback_isomorphism_verify(T).ok
+        # the pullback is built with T's own product, so a wrong product can
+        # be consistent with it: 46 of these 79 tampered copies fail
+        assert not_ok >= 40
+
+    def test_tampered_s3_witness(self):
+        T = _tampered_s3()
+        report = pullback_isomorphism_verify(T)
+        assert report == ref_pullback_isomorphism_verify(T)
+        assert report.failure[0] == "functor"
+
+
+def _random_action_parts(rng):
+    """(group, points, act) for a small action: a random permutation group or
+    S3/S4 on their points plus fixed points, a cyclic group on its residues
+    plus fixed points, or S3/S4 on themselves by conjugation."""
+    kind = rng.randrange(4)
+    if kind == 0:
+        group = random_permutation_group(rng)
+    elif kind == 1:
+        group = FiniteGroup.cyclic(rng.randint(1, 8))
+    else:
+        group = FiniteGroup.symmetric(rng.randint(3, 4))
+        if kind == 3:
+            return group, list(group.elements), (
+                lambda g, x: group.op(group.op(g, x), group.inv(g))
+            )
+    if isinstance(group.identity, tuple):
+        n = len(group.identity)
+        return group, list(range(n + rng.randint(0, 2))), (
+            lambda g, x: g[x] if x < n else x
+        )
+    m = group.order
+    return group, list(range(m + rng.randint(0, 2))), (
+        lambda g, x: (x + g) % m if x < m else x
+    )
+
+
+class TestActionAgainstReference:
+    """`FiniteGroupAction.make` accepts exactly the tables the exhaustive
+    |G|^2 |X| loop accepts and raises the same AxiomError witness."""
+
+    def test_random_actions_and_one_changed_entry(self):
+        rng = random.Random(17)
+        rejected = incompatible = 0
+        for _ in range(120):
+            group, points, act = _random_action_parts(rng)
+            table = {(g, x): act(g, x) for g in group.elements for x in points}
+            assert _outcome(FiniteGroupAction.make, group, points, table) == _outcome(
+                ref_action_make, group, points, table
+            )
+            for _ in range(3):
+                changed = dict(table)
+                key = rng.choice(list(changed))
+                changed[key] = rng.choice([y for y in points if y != changed[key]]
+                                          or points)
+                outcome = _outcome(FiniteGroupAction.make, group, points, changed)
+                assert outcome == _outcome(ref_action_make, group, points, changed)
+                if outcome[0] == "AxiomError":
+                    rejected += 1
+                    incompatible += outcome[1][0] == "action is not compatible"
+        assert rejected >= 300 and incompatible >= 200
+
+    def test_json_documents(self):
+        docs = [
+            # C4 acting on 3 points by x -> x + g mod 3
+            {"kind": "group_action", "group": {"family": "cyclic", "n": 4},
+             "points": [0, 1, 2],
+             "table": [[(x + g) % 3 for x in range(3)] for g in range(4)]},
+            # natural S4 with the last row repeated in place of the one before
+            {"kind": "group_action", "group": {"family": "symmetric", "n": 4},
+             "points": [0, 1, 2, 3],
+             "table": [list(g) for g in FiniteGroup.symmetric(4).elements[:-2]]
+             + [list(FiniteGroup.symmetric(4).elements[-1])] * 2},
+        ]
+        for doc in docs:
+            with pytest.raises(AxiomError) as caught:
+                action_from_json(doc)
+            group = FiniteGroup.cyclic(4) if doc["group"]["family"] == "cyclic" \
+                else FiniteGroup.symmetric(4)
+            lookup = {(g, x): doc["table"][i][x] for i, g in enumerate(group.elements)
+                      for x in doc["points"]}
+            assert _outcome(ref_action_make, group, doc["points"], lookup) == (
+                "AxiomError", caught.value.args
+            )
+
+
+def _reference_regrep_rank(G, x):
+    """Rank of the regular representation at x by `rank_kernel` on the
+    Fraction 0/1 matrices, as the regular representation test computed it."""
+    arrows = G.out_of.get(x, ())
+    index = {a: i for i, a in enumerate(arrows)}
+    n = len(arrows)
+    rows = {g: [Fraction(0)] * (n * n) for g in G.morphisms}
+    for v in arrows:
+        for g in G.out_of[G.target[v]]:
+            rows[g][index[G.compose(g, v)] * n + index[v]] = Fraction(1)
+    if any(any(row) for row in rows.values()):
+        return rank_kernel(Matrix(list(rows.values())))[0]
+    return 0
+
+
+class TestRegularRepresentationRank:
+    def _natural(self, n):
+        return transformation_groupoid(
+            FiniteGroupAction.make(FiniteGroup.symmetric(n), range(n), lambda g, x: g[x])
+        )
+
+    def test_natural_s3_s4_every_object(self):
+        for n in (3, 4):
+            G = self._natural(n)
+            for x in G.objects:
+                assert regular_representation_faithful(G, x).rank == (
+                    _reference_regrep_rank(G, x)
+                )
+
+    def test_random_actions_every_object(self):
+        for seed in range(30):
+            G = random_transformation_groupoid(random.Random(seed))
+            for x in G.objects:
+                assert regular_representation_faithful(G, x).rank == (
+                    _reference_regrep_rank(G, x)
+                )
