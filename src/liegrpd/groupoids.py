@@ -15,10 +15,9 @@ import itertools
 import random
 from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 
-from .exact import Matrix, rank_kernel
+from .exact import rref_int
 
 
 class AxiomError(ValueError):
@@ -35,13 +34,19 @@ class NotInvariant(ValueError):
 
 @dataclass(frozen=True, eq=False)
 class FiniteGroup:
-    """Finite group with explicit element list and callable operations."""
+    """Finite group with explicit element list and callable operations.
+
+    `generators`, when given, is a tuple of elements whose closure under `op`
+    is `elements`; `FiniteGroupAction.make` then checks compatibility on
+    them.  The default None stands for every element.
+    """
 
     name: str
     elements: tuple
     op: object  # callable (a, b) -> ab
     inv: object  # callable a -> a^{-1}
     identity: object
+    generators: tuple | None = None
 
     @property
     def order(self) -> int:
@@ -50,7 +55,12 @@ class FiniteGroup:
     @cached_property
     def table(self) -> dict:
         """a -> b -> ab, the product tabulated once: a lookup is cheaper than op."""
-        return {a: {b: self.op(a, b) for b in self.elements} for a in self.elements}
+        return {a: self.rows[a] for a in self.elements}
+
+    @cached_property
+    def rows(self) -> dict:
+        """a -> b -> ab like `table`, each row tabulated on its first lookup."""
+        return _ProductRows(self.op, self.elements)
 
     @staticmethod
     def cyclic(n: int) -> "FiniteGroup":
@@ -62,6 +72,7 @@ class FiniteGroup:
             lambda a, b: (a + b) % n,
             lambda a: (-a) % n,
             0,
+            (1 % n,),
         )
 
     @staticmethod
@@ -69,20 +80,24 @@ class FiniteGroup:
         if n < 1:
             raise ValueError("symmetric group needs n >= 1")
         elements = tuple(sorted(itertools.permutations(range(n))))
+        # the n-cycle i -> i + 1 and the transposition (0 1) generate S_n
+        cycle = tuple((i + 1) % n for i in range(n))
+        swap = (1, 0) + tuple(range(2, n))
         return FiniteGroup(
             f"S{n}",
             elements,
-            lambda p, q: tuple(p[q[i]] for i in range(n)),
+            lambda p, q: tuple(map(p.__getitem__, q)),
             lambda p: tuple(sorted(range(n), key=lambda i: p[i])),
             tuple(range(n)),
+            (cycle, swap) if n > 2 else (cycle,),
         )
 
     @staticmethod
     def from_permutations(generators, n: int, name: str = "perm") -> "FiniteGroup":
         """Subgroup of the symmetric group generated by the given permutations."""
         identity = tuple(range(n))
-        compose = lambda p, q: tuple(p[q[i]] for i in range(n))
-        gens = [tuple(g) for g in generators]
+        compose = lambda p, q: tuple(map(p.__getitem__, q))
+        gens = tuple(tuple(g) for g in generators)
         for g in gens:
             if sorted(g) != list(range(n)):
                 raise AxiomError("generator is not a permutation", g)
@@ -103,6 +118,7 @@ class FiniteGroup:
             compose,
             lambda p: tuple(sorted(range(n), key=lambda i: p[i])),
             identity,
+            gens,
         )
 
     def conjugacy_class_count(self) -> int:
@@ -122,6 +138,24 @@ class FiniteGroup:
             for a in self.elements
             for b in self.elements
         )
+
+
+class _ProductRows(dict):
+    """a -> b -> ab, a row filled on its first lookup.
+
+    It holds op and the elements, not the group: a reference back to the
+    group would be a cycle that keeps the table alive until the cycle
+    collector runs.
+    """
+
+    def __init__(self, op, elements):
+        super().__init__()
+        self.op, self.elements = op, elements
+
+    def __missing__(self, a):
+        op = self.op
+        row = self[a] = {b: op(a, b) for b in self.elements}
+        return row
 
 
 def validate_group(G: FiniteGroup) -> None:
@@ -149,6 +183,18 @@ def validate_group(G: FiniteGroup) -> None:
 # group actions
 
 
+def _compatible_on_generators(group: FiniteGroup, points, table) -> bool:
+    """pi(g s) = pi(g) pi(s) for every g, every generator s and every point."""
+    op = group.op
+    for g in group.elements:
+        for s in group.generators:
+            gs = op(g, s)
+            for x in points:
+                if table[(g, table[(s, x)])] != table[(gs, x)]:
+                    return False
+    return True
+
+
 @dataclass(frozen=True, eq=False)
 class FiniteGroupAction:
     group: FiniteGroup
@@ -160,7 +206,16 @@ class FiniteGroupAction:
 
     @staticmethod
     def make(group: FiniteGroup, points, act) -> "FiniteGroupAction":
-        """Build and validate the action table from a callable or a mapping."""
+        """Build and validate the action table from a callable or a mapping.
+
+        Compatibility pi(g h) = pi(g) pi(h) is checked for every g, every
+        generator h of the group and every point.  With pi(e) = id, checked
+        first, that decides it for every pair (g, h), by induction on the
+        length of h as a word in the generators.  A group without
+        generators is checked on every pair.  When the generator check
+        fails, the check on every pair reruns, so the AxiomError witness
+        (g, h, x) is its first violation.
+        """
         points = tuple(points)
         fn = act if callable(act) else lambda g, x: act[(g, x)]
         table = {
@@ -173,11 +228,15 @@ class FiniteGroupAction:
         for x in points:
             if table[(group.identity, x)] != x:
                 raise AxiomError("identity moves a point", x)
+        if group.generators is not None and _compatible_on_generators(group, points, table):
+            return FiniteGroupAction(group, points, table)
         for g, row in group.table.items():
             for h, gh in row.items():
                 for x in points:
                     if table[(g, table[(h, x)])] != table[(gh, x)]:
                         raise AxiomError("action is not compatible", (g, h, x))
+        if group.generators is not None:
+            raise AssertionError("the generator check failed on a compatible action")
         return FiniteGroupAction(group, points, table)
 
 
@@ -278,49 +337,52 @@ def validate_groupoid(G: FiniteGroupoid, triple_cap: int = 2_000_000) -> None:
         e = G.identities.get(x)
         if e not in mors or G.source[e] != x or G.target[e] != x:
             raise AxiomError("bad identity", x)
+    product, source, target, into = G.product, G.source, G.target, G.into
     for g, h in G.composable_pairs():
-        k = G.compose(g, h)
-        if k not in mors or G.source[k] != G.source[h] or G.target[k] != G.target[g]:
+        k = product(g, h)
+        if k not in mors or source[k] != source[h] or target[k] != target[g]:
             raise AxiomError("composite has wrong endpoints", (g, h, k))
     for g in G.morphisms:
-        e_d, e_r = G.identities[G.source[g]], G.identities[G.target[g]]
-        if G.compose(g, e_d) != g or G.compose(e_r, g) != g:
+        e_d, e_r = G.identities[source[g]], G.identities[target[g]]
+        if product(g, e_d) != g or product(e_r, g) != g:
             raise AxiomError("identity law fails", g)
         ginv = G.inverses.get(g)
         if ginv not in mors:
             raise AxiomError("missing inverse", g)
         if (
-            (G.source[ginv], G.target[ginv]) != (G.target[g], G.source[g])
-            or G.compose(g, ginv) != e_r
-            or G.compose(ginv, g) != e_d
+            (source[ginv], target[ginv]) != (target[g], source[g])
+            or product(g, ginv) != e_r
+            or product(ginv, g) != e_d
         ):
             raise AxiomError("inverse law fails", g)
     # triples (g, h, k) through y = d(g): sum over h into y of |into(d(h))|
-    fan = {y: sum(len(G.into[G.source[h]]) for h in hs) for y, hs in G.into.items()}
-    triples = sum(fan[G.source[g]] for g in G.morphisms)
+    fan = {y: sum(len(into[source[h]]) for h in hs) for y, hs in into.items()}
+    triples = sum(fan[source[g]] for g in G.morphisms)
     if triples > triple_cap:
         raise ValueError(
             f"{triples} composable triples exceed the exhaustive-check cap of {triple_cap}"
         )
     for g, h in G.composable_pairs():
-        gh = G.compose(g, h)
-        for k in G.into[G.source[h]]:
-            if G.compose(gh, k) != G.compose(g, G.compose(h, k)):
+        gh = product(g, h)
+        for k in into[source[h]]:
+            if product(gh, k) != product(g, product(h, k)):
                 raise AxiomError("associativity fails", (g, h, k))
 
 
 def transformation_groupoid(A: FiniteGroupAction) -> FiniteGroupoid:
     """Morphisms (g, x): x -> g.x; (g2, g1.x) o (g1, x) = (g2 g1, x)."""
-    mult = A.group.table
-    mors = tuple((g, x) for g in A.group.elements for x in A.points)
+    group, act = A.group, A.table
+    mult = group.rows
+    inv = {g: group.inv(g) for g in group.elements}
+    mors = tuple((g, x) for g in group.elements for x in A.points)
     return FiniteGroupoid(
         A.points,
         mors,
         {m: m[1] for m in mors},
-        {m: A.act(m[0], m[1]) for m in mors},
+        {m: act[m] for m in mors},
         lambda g2, g1: (mult[g2[0]][g1[0]], g1[1]),
-        {x: (A.group.identity, x) for x in A.points},
-        {(g, x): (A.group.inv(g), A.act(g, x)) for g, x in mors},
+        {x: (group.identity, x) for x in A.points},
+        {m: (inv[m[0]], act[m]) for m in mors},
     )
 
 
@@ -501,28 +563,47 @@ def pullback_isomorphism_verify(G: FiniteGroupoid) -> PullbackReport:
     Phi(g) = (r(g), sigma(r(g)) o g o sigma(d(g))^{-1}, d(g)) and the inverse
     map is (x, h, y) -> sigma(x)^{-1} o h o sigma(y); both directions, the
     functor law, identities, and inverses are checked on every morphism.
+
+    The functor law is checked on every composable pair (g, h) in order.
+    The pullback composite of Phi(g) = (x, a, y) and Phi(h) = (y, b, z) is
+    (x, a o b, z); a o b is read from the isotropy groups' products,
+    tabulated once, and composed directly when a or b lies outside them.
     """
     theta, sigma = canonical_sections(G)
     P = build_pullback(G)
+    product, source, target, inverses = G.product, G.source, G.target, G.inverses
 
     def phi(g):
-        a = G.compose(sigma[G.target[g]], g)
-        h = G.compose(a, G.inverse(sigma[G.source[g]]))
-        return (G.target[g], h, G.source[g])
+        a = product(sigma[target[g]], g)
+        h = product(a, inverses[sigma[source[g]]])
+        return (target[g], h, source[g])
 
     def phi_inv(m):
         x, h, y = m
-        return G.compose(G.inverse(sigma[x]), G.compose(h, sigma[y]))
+        return product(inverses[sigma[x]], product(h, sigma[y]))
 
     images = {g: phi(g) for g in G.morphisms}
     image_set = set(images.values())
     bijective = (
         len(image_set) == len(G.morphisms) and image_set == set(P.morphisms)
     )
+    # a -> b -> a o b on the isotropy group of each representative
+    iso_product = {}
+    for rep in set(theta.values()):
+        iso = G.isotropy_elements(rep)
+        iso_product.update((a, {b: product(a, b) for b in iso}) for a in iso)
     failure = ()
-    for g, h in G.composable_pairs():
-        if images[G.compose(g, h)] != P.compose(images[g], images[h]):
-            failure = ("functor", g, h)
+    into = G.into
+    for g in G.morphisms:
+        x, a, _ = images[g]
+        row = iso_product.get(a, {})
+        for h in into.get(source[g], ()):
+            gh = images[product(g, h)]
+            _, b, z = images[h]
+            if gh != (x, row[b] if b in row else product(a, b), z):
+                failure = ("functor", g, h)
+                break
+        if failure:
             break
     functorial = not failure
     identities_match = all(
@@ -588,7 +669,7 @@ def equivalence_bimodule_verify(G: FiniteGroupoid) -> BimoduleReport:
     rep_set = set(reps)
     Z = tuple(g for g in G.morphisms if G.source[g] in rep_set)
     iso = {rep: G.isotropy_elements(rep) for rep in reps}
-    compose, source, target = G.compose, G.source, G.target
+    compose, source, target = G.product, G.source, G.target
     # products are stored as G's own labels, so equal entries are one object
     # and the row comparisons below stop at identity
     label = {m: m for m in G.morphisms}.get
@@ -752,20 +833,17 @@ def regular_representation_faithful(G: FiniteGroupoid, x) -> RegularRepReport:
     Each morphism g becomes a 0/1 matrix on the arrows out of x (a(g)[u, v] = 1
     iff u = g o v); the representation of the groupoid algebra is faithful
     exactly when these matrices are linearly independent, which is decided by
-    an exact rank computation and cross-checked against orbit coverage.
+    an exact rank computation on integers and cross-checked against orbit
+    coverage.
     """
     arrows = G.out_of.get(x, ())
     index = {a: i for i, a in enumerate(arrows)}
     n = len(arrows)
-    flats = {g: [Fraction(0)] * (n * n) for g in G.morphisms}
+    flats = {g: [0] * (n * n) for g in G.morphisms}
     for v in arrows:
         for g in G.out_of[G.target[v]]:
-            flats[g][index[G.compose(g, v)] * n + index[v]] = Fraction(1)
-    rows = list(flats.values())
-    if rows and any(any(v != 0 for v in row) for row in rows):
-        rank, _ = rank_kernel(Matrix(rows))
-    else:
-        rank = 0
+            flats[g][index[G.compose(g, v)] * n + index[v]] = 1
+    rank = len(rref_int(list(flats.values()))[2])
     faithful = rank == len(G.morphisms)
     orbit = {G.target[a] for a in arrows} | {x}
     covers = orbit == set(G.objects)

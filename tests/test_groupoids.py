@@ -7,6 +7,7 @@ Reference values, computed by hand from the action tables:
   single block of dimension 2^2 * 2 = 8, two dual classes;
 - S3 on {0, 1, 2}: 18 morphisms, one orbit, isotropy of order 2.
 """
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -77,6 +78,68 @@ class TestGroups:
     def test_bad_generator(self):
         with pytest.raises(AxiomError):
             FiniteGroup.from_permutations([(0, 0, 1)], 3)
+
+
+def _generated(group):
+    """The elements reached from the identity by multiplying by generators."""
+    seen, frontier = {group.identity}, [group.identity]
+    while frontier:
+        nxt = []
+        for a in frontier:
+            for s in group.generators:
+                b = group.op(a, s)
+                if b not in seen:
+                    seen.add(b)
+                    nxt.append(b)
+        frontier = nxt
+    return seen
+
+
+class TestGenerators:
+    """Each factory's generators close to its element set."""
+
+    def test_cyclic_and_symmetric(self):
+        for group in [FiniteGroup.cyclic(n) for n in range(1, 9)] + [
+            FiniteGroup.symmetric(n) for n in range(1, 7)
+        ]:
+            assert set(group.generators) <= set(group.elements)
+            assert _generated(group) == set(group.elements), group.name
+        assert len(FiniteGroup.symmetric(5).generators) == 2
+
+    def test_random_from_permutations(self):
+        rng = random.Random(23)
+        for _ in range(50):
+            n = rng.randint(1, 6)
+            gens = [tuple(rng.sample(range(n), n)) for _ in range(rng.randint(0, 3))]
+            group = FiniteGroup.from_permutations(gens, n)
+            assert group.generators == tuple(gens)
+            assert _generated(group) == set(group.elements)
+            group = random_permutation_group(rng)
+            assert _generated(group) == set(group.elements)
+
+    def test_product_rows_match_op(self):
+        group = FiniteGroup.symmetric(4)
+        a, b = group.elements[5], group.elements[17]
+        assert group.rows[a][b] == group.op(a, b) == group.table[a][b]
+        assert list(group.table) == list(group.elements)
+
+    def test_table_compatible_on_a_subgroup_generator(self):
+        """pi(g) = g on A3 and (0 1) o g on the odd coset is compatible on
+        the 3-cycle, which generates A3 only; checked on S3's generators it
+        is rejected with the exhaustive loop's witness."""
+        group = FiniteGroup.symmetric(3)
+        cycle, swap = (1, 2, 0), (1, 0, 2)
+        even = {group.identity, cycle, group.op(cycle, cycle)}
+        assert _generated(dataclasses.replace(group, generators=(cycle,))) == even
+        twisted = {
+            (g, x): (g if g in even else group.op(swap, g))[x]
+            for g in group.elements for x in range(3)
+        }
+        with pytest.raises(AxiomError) as caught:
+            FiniteGroupAction.make(group, range(3), twisted)
+        assert _outcome(ref_action_make, group, range(3), twisted) == (
+            "AxiomError", caught.value.args
+        )
 
 
 class TestActions:
@@ -644,6 +707,26 @@ class TestPullbackAgainstReference:
         # the pullback is built with T's own product, so a wrong product can
         # be consistent with it: 46 of these 79 tampered copies fail
         assert not_ok >= 40
+
+    def test_images_outside_the_isotropy(self):
+        """k o e, for e an identity and k a loop at its object, replaced by
+        an arrow between other objects: some Phi(g) then leaves the isotropy
+        groups, and their products are composed directly."""
+        for seed in (11, 16):
+            P = build_pullback(random_transformation_groupoid(random.Random(seed)))
+            for y in P.objects:
+                e = P.identities[y]
+                for k in P.hom(y, y):
+                    for v in P.morphisms:
+                        if k == e or P.source[v] == P.target[v] == y:
+                            continue
+                        T = _with_product(
+                            P, lambda g, h, v=v, key=(k, e): v if (g, h) == key
+                            else P.compose(g, h)
+                        )
+                        assert _outcome(pullback_isomorphism_verify, T) == _outcome(
+                            ref_pullback_isomorphism_verify, T
+                        )
 
     def test_tampered_s3_witness(self):
         T = _tampered_s3()
