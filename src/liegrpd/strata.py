@@ -75,7 +75,23 @@ def jordan_holder_flag(L: LieAlgebra) -> tuple:
     return tuple(flag)
 
 
-def jump_indices(L: LieAlgebra, flag: tuple, xi) -> tuple:
+def _adapted_columns(L: LieAlgebra, flag: tuple):
+    """The columns F of `jump_indices`, which depend on the flag only.
+
+    Column j is the row f_j of g_j whose pivot is not a pivot of g_{j-1}.
+    Over Q the columns are scaled to integers and returned as int tuples; a
+    Q(i) algebra gets F as a `Matrix`.
+    """
+    adapted = []
+    for lower, upper in zip(flag, flag[1:]):
+        old = set(lower.pivots)
+        adapted.append(next(r for r, p in zip(upper.rows, upper.pivots) if p not in old))
+    if L.field == "Q":
+        return clear_denominators(*adapted)[1]
+    return Matrix(adapted).transpose()
+
+
+def jump_indices(L: LieAlgebra, flag: tuple, xi, columns=None) -> tuple:
     """1-based flag steps not absorbed by the isotropy of xi.
 
     j is a jump when g_j is not inside g_{j-1} + ker B_xi.  With f_j the row
@@ -87,21 +103,19 @@ def jump_indices(L: LieAlgebra, flag: tuple, xi) -> tuple:
     Over Q, B_xi is taken as the integer form D B_{d xi} and the columns of
     F are scaled to integers; nonzero scalings keep the pivot columns and
     the rank, so both come from `rref_int` on integer matrices.  A Q(i)
-    algebra takes the generic elimination of B_xi F.
+    algebra takes the generic elimination of B_xi F.  `columns` is
+    `_adapted_columns(L, flag)`, computed here when not passed in.
     """
-    adapted = []
-    for lower, upper in zip(flag, flag[1:]):
-        old = set(lower.pivots)
-        adapted.append(next(r for r, p in zip(upper.rows, upper.pivots) if p not in old))
+    if columns is None:
+        columns = _adapted_columns(L, flag)
     if L.field == "Q":
         b = integer_bform(L, xi)
-        _, cols = clear_denominators(*adapted)
-        product = [[sum(x * y for x, y in zip(row, f)) for f in cols] for row in b]
+        product = [[sum(x * y for x, y in zip(row, f)) for f in columns] for row in b]
         _, _, pivots = rref_int(product)
         rank = len(rref_int(b)[2])
     else:
         b = bform(L, xi)
-        _, pivots = rref((b @ Matrix(adapted).transpose()).data)
+        _, pivots = rref((b @ columns).data)
         rank, _ = rank_kernel(b)
     if len(pivots) != rank:
         raise AssertionError("jump count disagrees with the skew-form rank")
@@ -164,10 +178,11 @@ def coadjoint_stratification(
     disagreement is a hard error rather than a silent repair.
     """
     flag = jordan_holder_flag(L)
+    columns = _adapted_columns(L, flag)
     pts, exhaustive = _sample_points(L.dim, grid_radius, samples, seed)
     buckets: dict = {}
     for p in pts:
-        js = jump_indices(L, flag, p)
+        js = jump_indices(L, flag, p, columns)
         if js not in buckets:
             buckets[js] = [0, p]
         buckets[js][0] += 1

@@ -35,6 +35,7 @@ from liegrpd.lie import (
     from_brackets,
 )
 from liegrpd.strata import (
+    _adapted_columns,
     ascending_central_series,
     coadjoint_stratification,
     index_order_leq,
@@ -379,9 +380,12 @@ class TestOneEliminationAgainstReferences:
         if factors[0] != 1:
             L = rescale(L, factors)
         flag = jordan_holder_flag(L)
+        columns = _adapted_columns(L, flag)
         for point in points:
             xi = tuple(point[:L.dim])
-            assert jump_indices(L, flag, xi) == reference_pivot_jump_indices(L, flag, xi)
+            expected = reference_pivot_jump_indices(L, flag, xi)
+            assert jump_indices(L, flag, xi) == expected
+            assert jump_indices(L, flag, xi, columns) == expected
 
     def test_central_series_and_center_match_residual_construction(self):
         cases = [make() for make in LIE_CATALOG.values()] + _nilpotent_inputs()
