@@ -589,7 +589,7 @@ def pullback_isomorphism_verify(G: FiniteGroupoid) -> PullbackReport:
     )
     # a -> b -> a o b on the isotropy group of each representative
     iso_product = {}
-    for rep in set(theta.values()):
+    for rep in dict.fromkeys(theta.values()):
         iso = G.isotropy_elements(rep)
         iso_product.update((a, {b: product(a, b) for b in iso}) for a in iso)
     failure = ()
