@@ -22,6 +22,7 @@ from liegrpd.catalog import (
     z4_parity_action,
     z4_parity_groupoid,
 )
+from liegrpd.exact import Matrix, rank_kernel
 from liegrpd.groupoids import (
     AxiomError,
     BimoduleReport,
@@ -51,7 +52,6 @@ from liegrpd.groupoids import (
     validate_group,
     validate_groupoid,
 )
-from liegrpd.exact import Matrix, rank_kernel
 
 
 class TestGroups:
