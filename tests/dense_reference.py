@@ -27,6 +27,10 @@ the tests still use them as independent exact references.
 on rational rows before it scaled them to integers and eliminated
 fraction-free; it is kept unchanged.
 
+`ref_frobenius_test` is the seeded open-orbit search that `lie census` ran
+beside the census before it took the witness from the census's own first
+kept sample; it is kept unchanged.
+
 `ref_pullback_isomorphism_verify` is the pullback verifier that
 `groupoids.py` ran before its functor loop read the isotropy products from
 a table: every product through `FiniteGroupoid.compose` and the pullback's
@@ -36,9 +40,11 @@ Both are kept unchanged.
 """
 import random
 from dataclasses import dataclass
+from fractions import Fraction
 from fractions import Fraction as Q
 
 from liegrpd.catalog import axb_tautological_module
+from liegrpd.coadjoint import _always_degenerate, _det_at
 from liegrpd.exact import Matrix, charpoly_exact_roots, format_scalar, gaussian, rref
 from liegrpd.exact import poly_eval, rank_kernel, scalar_im, scalar_key, scalar_re
 from liegrpd.groupoids import (
@@ -50,7 +56,7 @@ from liegrpd.groupoids import (
     build_pullback,
     canonical_sections,
 )
-from liegrpd.lie import Subspace
+from liegrpd.lie import LieAlgebra, Subspace
 from liegrpd.weights import InexactSpectrum
 
 
@@ -743,3 +749,23 @@ def ref_action_make(group: FiniteGroup, points, act) -> FiniteGroupAction:
                 if table[(g, table[(h, x)])] != table[(gh, x)]:
                     raise AxiomError("action is not compatible", (g, h, x))
     return FiniteGroupAction(group, points, table)
+
+
+def ref_frobenius_test(L: LieAlgebra, trials: int = 64, seed: int = 0):
+    """Probabilistic search for a nondegenerate functional.
+
+    Samples integer points in [-10, 10]^dim; a nonzero Pfaffian of the skew
+    form proves an open orbit exists.  After `trials` failures returns (False,
+    None); by the Schwartz-Zippel bound a nonzero Pfaffian, a polynomial of
+    degree dim/2, vanishes on at most a dim/42 fraction of each trial, so
+    false negatives decay geometrically.  No point is drawn when every skew
+    form is singular.
+    """
+    rng = random.Random(seed)
+    if _always_degenerate(L):
+        return False, None
+    for _ in range(trials):
+        xi = tuple(Fraction(rng.randint(-10, 10)) for _ in range(L.dim))
+        if _det_at(L, xi) != 0:
+            return True, xi
+    return False, None

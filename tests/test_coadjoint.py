@@ -22,6 +22,7 @@ from dense_reference import (
     dense,
     det_exact,
     ref_conjugate,
+    ref_frobenius_test,
     ref_lagrange_interpolate,
     ref_sturm_root_count,
     upper,
@@ -42,14 +43,13 @@ from liegrpd.coadjoint import (
     _segment_nondegenerate,
     bform,
     coadjoint_flow,
-    frobenius_test,
     is_open_orbit,
     isotropy_algebra,
     minus_one_probe,
     open_component_census,
     orbit_dimension,
 )
-from liegrpd.exact import Matrix, to_complex
+from liegrpd.exact import Matrix, gaussian, to_complex
 from liegrpd.lie import FieldError, Subspace, from_brackets
 
 
@@ -155,22 +155,26 @@ class TestIsotropy:
 
 
 class TestFrobenius:
+    # the census's first kept sample is the open-orbit witness; with one
+    # sample v and -v may stay in separate classes, so counts are lower bounds
     def test_axb_has_open_orbit(self):
-        ok, xi = frobenius_test(axb(), seed=0)
-        assert ok and det_exact(bform(axb(), xi)) != 0
+        census = open_component_census(axb(), samples=1, seed=0)
+        assert census.component_count >= 1
+        assert det_exact(bform(axb(), census.representatives[0])) != 0
 
     def test_odd_dimension_never(self):
-        assert frobenius_test(heisenberg(), seed=0) == (False, None)
-        assert frobenius_test(euclid2(), seed=0) == (False, None)
+        for make in (heisenberg, euclid2):
+            census = open_component_census(make(), samples=1, seed=0)
+            assert census.component_count == 0 and census.representatives == ()
 
     def test_realified_borel(self):
-        ok, xi = frobenius_test(realified_borel(), seed=1)
-        assert ok
+        census = open_component_census(realified_borel(), samples=1, seed=1)
+        assert census.component_count >= 1
 
     def test_filiform_never(self):
         # det of the 4x4 skew form vanishes identically (nilpotent, index 2)
-        ok, _ = frobenius_test(filiform4(), trials=64, seed=5)
-        assert not ok
+        census = open_component_census(filiform4(), samples=2, seed=5)
+        assert census.component_count == 0
 
 
 class TestFlow:
@@ -253,7 +257,7 @@ class TestCensus:
             assert census.component_count == 0
             assert census.nondegenerate_samples == 0
             assert census.notes[0].startswith("census from 0 nondegenerate")
-            assert frobenius_test(make()) == (False, None)
+            assert census.representatives == ()
 
     def test_census_deterministic(self):
         a = open_component_census(axb(), samples=96, seed=4)
@@ -402,6 +406,22 @@ class TestAgainstDenseReference:
         assert all(type(x) is Q for rep in census.representatives for x in rep)
 
 
+def axb_power(k):
+    return from_brackets(2 * k, {(2 * i, 2 * i + 1): {2 * i + 1: 1} for i in range(k)})
+
+
+@pytest.mark.parametrize("name", sorted(REFERENCE_CASES) + ["axb^3", "axb^4"])
+def test_census_first_sample_is_the_reference_witness(name):
+    # the first draw with Pf != 0 is the census's first kept sample, and it
+    # stays the first representative through every merge
+    L = axb_power(int(name[-1])) if name in ("axb^3", "axb^4") else REFERENCE_CASES[name]()[0]
+    for seed in range(3):
+        for samples in (1, 2, 8):
+            census = open_component_census(L, samples=samples, seed=seed)
+            witness = census.representatives[0] if census.representatives else None
+            assert (census.component_count > 0, witness) == ref_frobenius_test(L, seed=seed)
+
+
 @pytest.mark.parametrize("name", sorted(REFERENCE_CASES) + ["complex_borel"])
 def test_flow_float_form_equals_dense_reference(name, monkeypatch):
     # the flow's float skew forms against the dense float tensor times xi
@@ -420,7 +440,8 @@ def test_flow_float_form_equals_dense_reference(name, monkeypatch):
 def test_integer_tensor_needs_the_rational_field():
     with pytest.raises(FieldError):
         complex_borel().integer_tensor
-    assert bform(complex_borel(), (Q(1), Q(2))) == dense_bform(COMPLEX_BOREL, (Q(1), Q(2)))
+    for xi in [(Q(1), Q(2)), (gaussian(1, 1), gaussian(2, -3)), (gaussian(0, 1), Q(-5, 3))]:
+        assert bform(complex_borel(), xi) == dense_bform(COMPLEX_BOREL, xi)
 
 
 class TestProbeShortcuts:
