@@ -35,7 +35,6 @@ from .coadjoint import (
     ComponentCensus,
     bform,
     coadjoint_flow,
-    frobenius_test,
     isotropy_algebra,
     minus_one_probe,
     open_component_census,

@@ -18,7 +18,6 @@ from fractions import Fraction
 from . import catalog
 from .coadjoint import (
     bform,
-    frobenius_test,
     isotropy_algebra,
     minus_one_probe,
     open_component_census,
@@ -290,7 +289,6 @@ def cmd_lie_census(args) -> int:
         census = open_component_census(L, samples=args.samples, seed=args.seed)
     except ValueError as exc:
         raise InputError(str(exc)) from exc
-    ok, witness = frobenius_test(L, seed=args.seed)
     report = {
         "command": "lie census",
         "input": meta,
@@ -304,8 +302,8 @@ def cmd_lie_census(args) -> int:
         "even": census.even,
         "evenness_asserted": census.exponential,
         "heuristic_weights": census.heuristic_weights,
-        "open_orbit_exists": ok,
-        "open_orbit_witness": witness,
+        "open_orbit_exists": census.component_count > 0,
+        "open_orbit_witness": census.representatives[0] if census.representatives else None,
         "notes": list(census.notes),
     }
     _emit(report, args)

@@ -25,6 +25,7 @@ import numpy as np
 from .exact import (
     Matrix,
     NumericError,
+    clear_denominators,
     matrix_exp_numeric,
     newton_interpolate,
     numeric_rank,
@@ -44,16 +45,30 @@ class FlowError(RuntimeError):
 def bform(L: LieAlgebra, xi: Sequence) -> Matrix:
     """Skew form B(x, y) = xi([x, y]) as a dim x dim matrix over the basis,
     built from the bracket table."""
-    m = L.dim
-    zero = Fraction(0)
-    rows = [[zero] * m for _ in range(m)]
-    for j, k, terms in L.brackets:
-        acc = zero
+    return Matrix(_form_rows(L, _form_values(L.brackets, xi)))
+
+
+def _form_values(table, xi) -> list:
+    """Entries sum_l c_jkl xi_l of the skew form at xi, one per (j, k) of
+    `table`: `L.brackets`, or `L.integer_tensor` for the integer form D B_xi
+    at an integer point."""
+    out = []
+    for _, _, terms in table:
+        acc = 0
         for l, c in terms:
-            acc = acc + c * xi[l]
-        rows[j][k] = acc
-        rows[k][j] = -acc
-    return Matrix(rows)
+            acc += c * xi[l]
+        out.append(acc)
+    return out
+
+
+def _form_rows(L: LieAlgebra, values) -> list:
+    """The skew form with the entries `values` at the (j, k) slots of
+    `L.brackets` (which `L.integer_tensor` lists in the same order), as rows."""
+    m = L.dim
+    rows = [[0] * m for _ in range(m)]
+    for (j, k, _), v in zip(L.brackets, values):
+        rows[j][k], rows[k][j] = v, -v
+    return rows
 
 
 def orbit_dimension(L: LieAlgebra, xi: Sequence) -> int:
@@ -76,26 +91,6 @@ def _always_degenerate(L: LieAlgebra) -> bool:
     """B_xi is singular for every xi: odd dimension, or a nonzero center z
     (B_xi(z, .) = xi([z, .]) = 0)."""
     return L.dim % 2 == 1 or center_of(L).dim > 0
-
-
-def frobenius_test(L: LieAlgebra, trials: int = 64, seed: int = 0):
-    """Probabilistic search for a nondegenerate functional.
-
-    Samples integer points in [-10, 10]^dim; a nonzero Pfaffian of the skew
-    form proves an open orbit exists.  After `trials` failures returns (False,
-    None); by the Schwartz-Zippel bound a nonzero Pfaffian, a polynomial of
-    degree dim/2, vanishes on at most a dim/42 fraction of each trial, so
-    false negatives decay geometrically.  No point is drawn when every skew
-    form is singular.
-    """
-    rng = random.Random(seed)
-    if _always_degenerate(L):
-        return False, None
-    for _ in range(trials):
-        xi = tuple(Fraction(rng.randint(-10, 10)) for _ in range(L.dim))
-        if _det_at(L, xi) != 0:
-            return True, xi
-    return False, None
 
 
 FLOW_STEP_SIZE = 0.01
@@ -151,12 +146,9 @@ def coadjoint_flow(
             consts[r, l] = to_complex(c)
     if not consts.imag.any():
         consts = consts.real
-    js, ks = np.array([(j, k) for j, k, _ in L.brackets], dtype=int).reshape(-1, 2).T
 
     def numeric_rank_at(p):
-        form = np.zeros((L.dim, L.dim), dtype=consts.dtype)
-        form[js, ks] = consts @ np.asarray(p)
-        return numeric_rank(form - form.T, rank_tol)
+        return numeric_rank(np.array(_form_rows(L, consts @ np.asarray(p))), rank_tol)
 
     exact0 = all(isinstance(v, (int, Fraction)) for v in xi0)
     if exact0:
@@ -178,38 +170,11 @@ def coadjoint_flow(
 # open-component census
 
 
-def clear_denominators(*points):
-    """(d, points times d as int tuples), d the lcm of their denominators."""
-    d = math.lcm(*(x.denominator for p in points for x in p))
-    return d, [tuple(x.numerator * (d // x.denominator) for x in p) for p in points]
-
-
-def _form_values(L: LieAlgebra, xi) -> list:
-    """Entries of the integer form D B_xi at an integer point, one per
-    nonzero bracket of `L.integer_tensor`."""
-    out = []
-    for _, _, terms in L.integer_tensor:
-        acc = 0
-        for l, c in terms:
-            acc += c * xi[l]
-        out.append(acc)
-    return out
-
-
-def _form_rows(L: LieAlgebra, values) -> list:
-    """The skew integer form with the entries `values`, as int rows."""
-    m = L.dim
-    rows = [[0] * m for _ in range(m)]
-    for (j, k, _), v in zip(L.integer_tensor, values):
-        rows[j][k], rows[k][j] = v, -v
-    return rows
-
-
 def integer_bform(L: LieAlgebra, xi) -> list:
     """The integer form D B_{d xi} as int rows, d clearing xi's denominators:
     a nonzero multiple of B_xi, so it has the same rank and pivots."""
     _, (p,) = clear_denominators(xi)
-    return _form_rows(L, _form_values(L, p))
+    return _form_rows(L, _form_values(L.integer_tensor, p))
 
 
 def _det_at(L, xi) -> int:
@@ -243,7 +208,7 @@ def _segment_nondegenerate(L: LieAlgebra, a, b, ends=None) -> bool:
         return False
     scale = h**h  # q(0) = Pf(D B_{h a}) = h^h Pf(D B_a)
     values = [pa * scale]
-    fa, fb = _form_values(L, ia), _form_values(L, ib)
+    fa, fb = _form_values(L.integer_tensor, ia), _form_values(L.integer_tensor, ib)
     for k in range(1, h):
         v = pfaffian_int(_form_rows(L, [(h - k) * x + k * y for x, y in zip(fa, fb)]))
         if v == 0 or (v > 0) != (pa > 0):

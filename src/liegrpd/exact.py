@@ -363,6 +363,12 @@ def rref_int(rows: Sequence[Sequence[int]]):
     return m[:r], prev, pivots
 
 
+def clear_denominators(*points):
+    """(d, points times d as int tuples), d the lcm of their denominators."""
+    d = math.lcm(*(x.denominator for p in points for x in p))
+    return d, [tuple(x.numerator * (d // x.denominator) for x in p) for p in points]
+
+
 def rref(rows: Sequence[Sequence[Scalar]]):
     """Reduced row-echelon form. Returns (rref rows, pivot column list).
 
@@ -372,11 +378,7 @@ def rref(rows: Sequence[Sequence[Scalar]]):
     """
     if any(type(x) is GaussianRational for row in rows for x in row):
         return _rref_generic(rows)
-    ints = []
-    for row in rows:
-        d = math.lcm(*(x.denominator for x in row))
-        ints.append([x.numerator * (d // x.denominator) for x in row])
-    red, d, pivots = rref_int(ints)
+    red, d, pivots = rref_int([clear_denominators(row)[1][0] for row in rows])
     zero = Fraction(0)
     return [tuple(Fraction(x, d) if x else zero for x in row) for row in red], pivots
 

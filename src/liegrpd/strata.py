@@ -17,8 +17,8 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .coadjoint import bform, clear_denominators, integer_bform
-from .exact import Matrix, rank_kernel, rref, rref_int
+from .coadjoint import _form_rows, _form_values, integer_bform
+from .exact import Matrix, clear_denominators, rank_kernel, rref, rref_int
 from .lie import LieAlgebra, LieModule, Subspace, centralizer_mod, checked_subalgebra
 
 
@@ -79,16 +79,14 @@ def _adapted_columns(L: LieAlgebra, flag: tuple):
     """The columns F of `jump_indices`, which depend on the flag only.
 
     Column j is the row f_j of g_j whose pivot is not a pivot of g_{j-1}.
-    Over Q the columns are scaled to integers and returned as int tuples; a
-    Q(i) algebra gets F as a `Matrix`.
+    The columns are returned as rows, scaled to int tuples over Q and
+    unchanged over Q(i).
     """
     adapted = []
     for lower, upper in zip(flag, flag[1:]):
         old = set(lower.pivots)
         adapted.append(next(r for r, p in zip(upper.rows, upper.pivots) if p not in old))
-    if L.field == "Q":
-        return clear_denominators(*adapted)[1]
-    return Matrix(adapted).transpose()
+    return clear_denominators(*adapted)[1] if L.field == "Q" else adapted
 
 
 def jump_indices(L: LieAlgebra, flag: tuple, xi, columns=None) -> tuple:
@@ -102,22 +100,18 @@ def jump_indices(L: LieAlgebra, flag: tuple, xi, columns=None) -> tuple:
 
     Over Q, B_xi is taken as the integer form D B_{d xi} and the columns of
     F are scaled to integers; nonzero scalings keep the pivot columns and
-    the rank, so both come from `rref_int` on integer matrices.  A Q(i)
-    algebra takes the generic elimination of B_xi F.  `columns` is
-    `_adapted_columns(L, flag)`, computed here when not passed in.
+    the rank, so both come from `rref_int` on integer matrices.  Over Q(i)
+    both come from `rref`.  `columns` is `_adapted_columns(L, flag)`,
+    computed here when not passed in.
     """
     if columns is None:
         columns = _adapted_columns(L, flag)
     if L.field == "Q":
-        b = integer_bform(L, xi)
-        product = [[sum(x * y for x, y in zip(row, f)) for f in columns] for row in b]
-        _, _, pivots = rref_int(product)
-        rank = len(rref_int(b)[2])
+        b, pivots_of = integer_bform(L, xi), lambda rows: rref_int(rows)[2]
     else:
-        b = bform(L, xi)
-        _, pivots = rref((b @ columns).data)
-        rank, _ = rank_kernel(b)
-    if len(pivots) != rank:
+        b, pivots_of = _form_rows(L, _form_values(L.brackets, xi)), lambda rows: rref(rows)[1]
+    pivots = pivots_of([[sum(x * y for x, y in zip(row, f)) for f in columns] for row in b])
+    if len(pivots) != len(pivots_of(b)):
         raise AssertionError("jump count disagrees with the skew-form rank")
     return tuple(p + 1 for p in pivots)
 
