@@ -16,8 +16,11 @@ filiform4 and on a Q(i) algebra, and `grpd regrep --object 0` on the natural
 S4 action.  A fourth runs `grpd validate` (JSON and text) on two invalid
 action documents, C4 acting on 3 points by x -> x + g mod 3 and natural S4
 with its last row repeated in place of the one before, and
-`grpd pullback-verify` and `grpd decompose` on the natural S5 action.  The
-documents of the second to fourth ladders are written by this script under
+`grpd pullback-verify` and `grpd decompose` on the natural S5 action.  A
+fifth runs `census` (JSON) at `--samples 1` and `--samples 2` on the catalog
+Q-algebras and (ax+b)^2, where the open-orbit witness comes from the
+fewest samples, and `coadjoint` on complex_borel at the Gaussian point
+(1+i, 2-3i).  The documents of the second to fifth ladders are written by this script under
 fixed names in a temporary directory.  Every path is relative
 (corpus paths to the checkout, the written documents to that directory), so
 two checkouts print comparable lines:
@@ -170,6 +173,14 @@ def fourth_ladder():
         yield ["grpd", sub, "--in", "s5_natural.json"]
 
 
+def fifth_ladder():
+    names = [["--name", n] for n, make in catalog.LIE_CATALOG.items() if make().field == "Q"]
+    for inp in names + [["--in", "axb^2.json"]]:
+        for samples in ("1", "2"):
+            yield ["lie", "census"] + inp + ["--samples", samples]
+    yield ["lie", "coadjoint", "--name", "complex_borel", "--point", "1+1i,2-3i"]
+
+
 def third_ladder(names):
     for name in names:
         for fmt in ("json", "text"):
@@ -214,7 +225,7 @@ def main() -> None:
         for name, doc in action_docs().items():
             Path(name).write_text(json.dumps(doc))
         for argv in itertools.chain(sum_ladder(algebras), third_ladder(docs),
-                                    fourth_ladder()):
+                                    fourth_ladder(), fifth_ladder()):
             code, digest = run(argv)
             print(f"{' '.join(argv)}\t{code}\t{digest}")
         os.chdir(ROOT)
