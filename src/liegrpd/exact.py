@@ -564,7 +564,10 @@ def _gaussian_divisors(a: int, b: int, budget: _Budget):
     return sorted(found)
 
 
-def gaussian_rational_roots(coeffs: Sequence[Scalar], budget: int = 10**6):
+ROOT_SEARCH_BUDGET = 10**6  # candidate divisors and ratios one root search may try
+
+
+def gaussian_rational_roots(coeffs: Sequence[Scalar]):
     """All Gaussian-rational roots of an exact polynomial, with multiplicity.
 
     Returns (roots, complete) where roots is a list of (root, multiplicity)
@@ -583,7 +586,7 @@ def gaussian_rational_roots(coeffs: Sequence[Scalar], budget: int = 10**6):
     while len(work) > 1 and work[0] == 0:
         roots[Fraction(0)] = roots.get(Fraction(0), 0) + 1
         work = work[1:]
-    bud = _Budget(budget)
+    bud = _Budget(ROOT_SEARCH_BUDGET)
     complete = True
     if len(work) > 1:
         # clear denominators: integer-Gaussian coefficients
@@ -632,10 +635,10 @@ def gaussian_rational_roots(coeffs: Sequence[Scalar], budget: int = 10**6):
     return out, complete
 
 
-def charpoly_exact_roots(m: Matrix, budget: int = 10**6):
+def charpoly_exact_roots(m: Matrix):
     """(monic charpoly coeffs, [(root, mult)], complete flag)."""
     poly = charpoly_exact(m)
-    roots, complete = gaussian_rational_roots(poly, budget)
+    roots, complete = gaussian_rational_roots(poly)
     return poly, roots, complete
 
 

@@ -324,7 +324,10 @@ class FiniteGroupoid:
         )
 
 
-def validate_groupoid(G: FiniteGroupoid, triple_cap: int = 2_000_000) -> None:
+TRIPLE_CAP = 2_000_000  # composable triples the associativity check visits at most
+
+
+def validate_groupoid(G: FiniteGroupoid) -> None:
     """Exhaustive axiom check; AxiomError carries a witness tuple."""
     objs = set(G.objects)
     mors = set(G.morphisms)
@@ -358,9 +361,9 @@ def validate_groupoid(G: FiniteGroupoid, triple_cap: int = 2_000_000) -> None:
     # triples (g, h, k) through y = d(g): sum over h into y of |into(d(h))|
     fan = {y: sum(len(into[source[h]]) for h in hs) for y, hs in into.items()}
     triples = sum(fan[source[g]] for g in G.morphisms)
-    if triples > triple_cap:
+    if triples > TRIPLE_CAP:
         raise ValueError(
-            f"{triples} composable triples exceed the exhaustive-check cap of {triple_cap}"
+            f"{triples} composable triples exceed the exhaustive-check cap of {TRIPLE_CAP}"
         )
     for g, h in G.composable_pairs():
         gh = product(g, h)
@@ -858,18 +861,21 @@ def regular_representation_faithful(G: FiniteGroupoid, x) -> RegularRepReport:
 # random instances
 
 
-def random_permutation_group(rng: random.Random, max_points: int = 6,
-                             max_order: int = 8) -> FiniteGroup:
+RANDOM_GROUP_MAX_POINTS = 6
+RANDOM_GROUP_MAX_ORDER = 8
+
+
+def random_permutation_group(rng: random.Random) -> FiniteGroup:
     """Small subgroup of a symmetric group from random generators."""
     for _ in range(200):
-        n = rng.randint(2, max_points)
+        n = rng.randint(2, RANDOM_GROUP_MAX_POINTS)
         gens = []
         for _ in range(rng.randint(1, 2)):
             p = list(range(n))
             rng.shuffle(p)
             gens.append(tuple(p))
         group = FiniteGroup.from_permutations(gens, n, name=f"rand{n}")
-        if group.order <= max_order:
+        if group.order <= RANDOM_GROUP_MAX_ORDER:
             return group
     return FiniteGroup.cyclic(rng.randint(2, 4))
 

@@ -144,18 +144,22 @@ class CoadjointStratification:
     notes: tuple
 
 
-def _sample_points(dim, grid_radius, extra_samples, seed, bound=9):
-    grid_size = (2 * grid_radius + 1) ** dim
+GRID_RADIUS = 2  # the exhaustive grid is {-2..2}^dim
+SAMPLE_BOUND = 9  # seeded samples lie in {-9..9}^dim
+
+
+def _sample_points(dim, extra_samples, seed):
+    grid_size = (2 * GRID_RADIUS + 1) ** dim
     if grid_size <= 4000:
         pts = [
             tuple(Fraction(v) for v in p)
-            for p in itertools.product(range(-grid_radius, grid_radius + 1), repeat=dim)
+            for p in itertools.product(range(-GRID_RADIUS, GRID_RADIUS + 1), repeat=dim)
         ]
         return pts, True
     rng = random.Random(seed)
     pts, seen = [], set()
     while len(pts) < extra_samples:
-        p = tuple(Fraction(rng.randint(-bound, bound)) for _ in range(dim))
+        p = tuple(Fraction(rng.randint(-SAMPLE_BOUND, SAMPLE_BOUND)) for _ in range(dim))
         if p not in seen:
             seen.add(p)
             pts.append(p)
@@ -163,7 +167,7 @@ def _sample_points(dim, grid_radius, extra_samples, seed, bound=9):
 
 
 def coadjoint_stratification(
-    L: LieAlgebra, grid_radius: int = 2, samples: int = 400, seed: int = 0
+    L: LieAlgebra, samples: int = 400, seed: int = 0
 ) -> CoadjointStratification:
     """Group sample functionals by jump set and identify the generic stratum.
 
@@ -173,7 +177,7 @@ def coadjoint_stratification(
     """
     flag = jordan_holder_flag(L)
     columns = _adapted_columns(L, flag)
-    pts, exhaustive = _sample_points(L.dim, grid_radius, samples, seed)
+    pts, exhaustive = _sample_points(L.dim, samples, seed)
     buckets: dict = {}
     for p in pts:
         js = jump_indices(L, flag, p, columns)
@@ -254,7 +258,7 @@ def point_isotropy(M: LieModule, v) -> Subspace:
 
 
 def stratify_module(
-    M: LieModule, grid_radius: int = 2, samples: int = 400, seed: int = 0
+    M: LieModule, samples: int = 400, seed: int = 0
 ) -> ModuleStratification:
     """Layer module points by orbit dimension with openness probes.
 
@@ -263,7 +267,7 @@ def stratify_module(
     below the layer on a small enough step, and the top layer is flagged open
     when all its probes stay in the layer.
     """
-    pts, exhaustive = _sample_points(M.dim, grid_radius, samples, seed)
+    pts, exhaustive = _sample_points(M.dim, samples, seed)
     buckets: dict = {}
     for p in pts:
         d = orbit_tangent_rank(M, p)

@@ -173,7 +173,7 @@ def test_05_jump_stratification():
     h3 = catalog.heisenberg()
 
     # exhaustive {-2..2}^3 slice: the generic stratum is cut out by xi_3 != 0
-    strat = coadjoint_stratification(h3, grid_radius=2)
+    strat = coadjoint_stratification(h3)
     assert strat.exhaustive
     assert strat.generic_jump_set == (2, 3)
     from itertools import product

@@ -14,6 +14,7 @@ from fractions import Fraction
 import pytest
 from dense_reference import ref_action_make, ref_pullback_isomorphism_verify
 
+from liegrpd import groupoids
 from liegrpd.catalog import (
     negation_action,
     negation_groupoid,
@@ -475,9 +476,12 @@ class TestComposablePairTables:
                 )
                 assert G.hom(x, y) == scan
         triples = _reference_triples(G)
-        validate_groupoid(G, triple_cap=triples)
-        with pytest.raises(ValueError, match=f"^{triples} composable triples"):
-            validate_groupoid(G, triple_cap=triples - 1)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(groupoids, "TRIPLE_CAP", triples)
+            validate_groupoid(G)
+            patch.setattr(groupoids, "TRIPLE_CAP", triples - 1)
+            with pytest.raises(ValueError, match=f"^{triples} composable triples"):
+                validate_groupoid(G)
 
     def test_fifty_random_actions_and_derived_groupoids(self):
         for seed in range(50):
