@@ -53,13 +53,8 @@ class FiniteGroup:
         return len(self.elements)
 
     @cached_property
-    def table(self) -> dict:
-        """a -> b -> ab, the product tabulated once: a lookup is cheaper than op."""
-        return {a: self.rows[a] for a in self.elements}
-
-    @cached_property
     def rows(self) -> dict:
-        """a -> b -> ab like `table`, each row tabulated on its first lookup."""
+        """a -> b -> ab, each row tabulated on its first lookup."""
         return _ProductRows(self.op, self.elements)
 
     @staticmethod
@@ -183,16 +178,17 @@ def validate_group(G: FiniteGroup) -> None:
 # group actions
 
 
-def _compatible_on_generators(group: FiniteGroup, points, table) -> bool:
-    """pi(g s) = pi(g) pi(s) for every g, every generator s and every point."""
+def _first_incompatible(group: FiniteGroup, hs, points, table):
+    """The first (g, h, x) with pi(g h) x != pi(g) pi(h) x, over every element
+    g, every h in `hs` and every point, or None."""
     op = group.op
     for g in group.elements:
-        for s in group.generators:
-            gs = op(g, s)
+        for h in hs:
+            gh = op(g, h)
             for x in points:
-                if table[(g, table[(s, x)])] != table[(gs, x)]:
-                    return False
-    return True
+                if table[(g, table[(h, x)])] != table[(gh, x)]:
+                    return g, h, x
+    return None
 
 
 @dataclass(frozen=True, eq=False)
@@ -213,8 +209,8 @@ class FiniteGroupAction:
         first, that decides it for every pair (g, h), by induction on the
         length of h as a word in the generators.  A group without
         generators is checked on every pair.  When the generator check
-        fails, the check on every pair reruns, so the AxiomError witness
-        (g, h, x) is its first violation.
+        fails, the check reruns on every pair, so the AxiomError witness
+        (g, h, x) is the first violation over all pairs.
         """
         points = tuple(points)
         fn = act if callable(act) else lambda g, x: act[(g, x)]
@@ -228,15 +224,11 @@ class FiniteGroupAction:
         for x in points:
             if table[(group.identity, x)] != x:
                 raise AxiomError("identity moves a point", x)
-        if group.generators is not None and _compatible_on_generators(group, points, table):
-            return FiniteGroupAction(group, points, table)
-        for g, row in group.table.items():
-            for h, gh in row.items():
-                for x in points:
-                    if table[(g, table[(h, x)])] != table[(gh, x)]:
-                        raise AxiomError("action is not compatible", (g, h, x))
-        if group.generators is not None:
-            raise AssertionError("the generator check failed on a compatible action")
+        if _first_incompatible(group, group.generators or group.elements, points, table):
+            witness = _first_incompatible(group, group.elements, points, table)
+            if witness is None:
+                raise AssertionError("the generator check failed on a compatible action")
+            raise AxiomError("action is not compatible", witness)
         return FiniteGroupAction(group, points, table)
 
 

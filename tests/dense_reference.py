@@ -743,8 +743,8 @@ def ref_action_make(group: FiniteGroup, points, act) -> FiniteGroupAction:
     for x in points:
         if table[(group.identity, x)] != x:
             raise AxiomError("identity moves a point", x)
-    for g, row in group.table.items():
-        for h, gh in row.items():
+    for g in group.elements:
+        for h, gh in group.rows[g].items():
             for x in points:
                 if table[(g, table[(h, x)])] != table[(gh, x)]:
                     raise AxiomError("action is not compatible", (g, h, x))

@@ -121,8 +121,8 @@ class TestGenerators:
     def test_product_rows_match_op(self):
         group = FiniteGroup.symmetric(4)
         a, b = group.elements[5], group.elements[17]
-        assert group.rows[a][b] == group.op(a, b) == group.table[a][b]
-        assert list(group.table) == list(group.elements)
+        assert group.rows[a][b] == group.op(a, b)
+        assert list(group.rows[a]) == list(group.elements)
 
     def test_table_compatible_on_a_subgroup_generator(self):
         """pi(g) = g on A3 and (0 1) o g on the odd coset is compatible on
