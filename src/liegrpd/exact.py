@@ -181,6 +181,14 @@ def parse_scalar(text: str) -> Scalar:
     return gaussian(re, im)
 
 
+def document_int(value, what: str) -> int:
+    """An integer field of a JSON document; floats, booleans and strings are
+    refused with a ValueError naming the field."""
+    if type(value) is not int:
+        raise ValueError(f"{what} {value!r} is not an integer")
+    return value
+
+
 def format_scalar(x: Scalar) -> str:
     """Serialize an exact scalar as "p/q" or "p/q+r/si"."""
     re, im = scalar_re(x), scalar_im(x)

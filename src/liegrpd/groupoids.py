@@ -17,7 +17,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 
-from .exact import rref_int
+from .exact import document_int, rref_int
 
 
 class AxiomError(ValueError):
@@ -902,7 +902,7 @@ def _element_to_json(e):
 
 def _at(items, index, what: str):
     """items[index] for an index read from a document; no negative wrap-around."""
-    if not isinstance(index, int) or not 0 <= index < len(items):
+    if not 0 <= document_int(index, f"{what} index") < len(items):
         raise ValueError(f"{what} index {index!r} is outside 0..{len(items) - 1}")
     return items[index]
 
@@ -919,12 +919,13 @@ def group_to_json(G: FiniteGroup) -> dict:
 
 def group_from_json(data: dict) -> FiniteGroup:
     family = data["family"]
+    n = document_int(data["n"], "group n")
     if family == "cyclic":
-        return FiniteGroup.cyclic(data["n"])
+        return FiniteGroup.cyclic(n)
     if family == "symmetric":
-        return FiniteGroup.symmetric(data["n"])
+        return FiniteGroup.symmetric(n)
     if family == "permutations":
-        return FiniteGroup.from_permutations(data["generators"], data["n"])
+        return FiniteGroup.from_permutations(data["generators"], n)
     raise ValueError(f"unknown group family {family!r}")
 
 
@@ -983,7 +984,7 @@ def groupoid_from_json(data: dict) -> FiniteGroupoid:
     if data.get("kind") != "groupoid":
         raise ValueError("not a groupoid document")
     objects = tuple(tuple(x) if isinstance(x, list) else x for x in data["objects"])
-    count = data["morphism_count"]
+    count = document_int(data["morphism_count"], "morphism_count")
     for key, n in (("source", count), ("target", count), ("inverses", count),
                    ("identities", len(objects))):
         if len(data[key]) != n:
@@ -992,14 +993,16 @@ def groupoid_from_json(data: dict) -> FiniteGroupoid:
     source = {m: _at(objects, data["source"][m], "source") for m in mors}
     target = {m: _at(objects, data["target"][m], "target") for m in mors}
     table = {}
-    for g, h, k in data["composition"]:
+    for entry in data["composition"]:
+        g, h, k = (document_int(x, "composition entry") for x in entry)
         if (g, h) in table:
             raise ValueError(f"composition lists the pair {[g, h]} twice")
         table[g, h] = k
     identities = {
-        objects[i]: data["identities"][i] for i in range(len(objects))
+        objects[i]: document_int(data["identities"][i], "identity")
+        for i in range(len(objects))
     }
-    inverses = {m: data["inverses"][m] for m in mors}
+    inverses = {m: document_int(data["inverses"][m], "inverse") for m in mors}
     # the shape of the table; validate_groupoid checks the product it defines
     for (g, h), k in table.items():
         if g not in source or h not in source or k not in source:

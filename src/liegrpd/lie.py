@@ -21,6 +21,7 @@ from .exact import (
     GaussianRational,
     Matrix,
     Scalar,
+    document_int,
     format_scalar,
     gaussian,
     is_exact,
@@ -443,14 +444,14 @@ MAX_JSON_DIM = 128
 
 
 def algebra_from_json(doc: dict) -> LieAlgebra:
-    dim = int(doc["dim"])
+    dim = document_int(doc["dim"], "dim")
     if dim > MAX_JSON_DIM:
         raise ValueError(f"dimension {dim} exceeds the limit {MAX_JSON_DIM}")
     field = doc.get("field", "Q")
     basis = doc.get("basis")
     sparse = {}
     for entry in doc.get("brackets", []):
-        i, j = int(entry["i"]), int(entry["j"])
+        i, j = document_int(entry["i"], "bracket i"), document_int(entry["j"], "bracket j")
         if (i, j) in sparse:
             raise ValueError(f"bracket ({i},{j}) listed twice")
         raw = entry["coeffs"]

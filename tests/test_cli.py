@@ -10,7 +10,13 @@ import pytest
 
 from liegrpd.cli import build_parser, main
 from liegrpd.groupoids import groupoid_to_json, pair_groupoid
-from test_cli_contract import BAD_INDEX_GROUPOIDS, GRPD_SUBS, LIE_SUBS, REPEATED_POINT_ACTION
+from test_cli_contract import (
+    BAD_INDEX_GROUPOIDS,
+    GRPD_SUBS,
+    LIE_SUBS,
+    NON_INTEGER_ALGEBRAS,
+    REPEATED_POINT_ACTION,
+)
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 
@@ -228,6 +234,20 @@ class TestMalformedAlgebraDocuments:
         path = _write_algebra(tmp_path, 2, [{"i": 0, "j": 1, "coeffs": {"1": text}}])
         self.assert_exit_2(["validate", "series"], path, capsys, "exponent notation")
 
+    @pytest.mark.parametrize("name, message", [
+        ("dim_float", "dim 2.5 is not an integer"),
+        ("dim_true", "dim True is not an integer"),
+        ("dim_numeric_text", "dim '2' is not an integer"),
+        ("index_float", "bracket i 0.0 is not an integer"),
+        ("index_false", "bracket i False is not an integer"),
+        ("index_text", "bracket i '0' is not an integer"),
+    ])
+    def test_non_integer_field(self, name, message, tmp_path, capsys):
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(NON_INTEGER_ALGEBRAS[name]))
+        self.assert_exit_2(["validate", "series", "census"], str(path), capsys,
+                           f"bad algebra document: {message}")
+
     def test_non_real_constant_over_q(self, tmp_path, capsys):
         # a Q document with a non-real constant describes no real algebra
         path = _write_algebra(tmp_path, 2, [{"i": 0, "j": 1, "coeffs": {"1": "i"}}])
@@ -419,6 +439,21 @@ class TestMalformedGroupoidDocuments:
             assert main(["grpd", sub, "--in", str(p)] + extra) == 2
             out, err = capsys.readouterr()
             assert out == "" and err.startswith("error: bad groupoid document: ")
+
+    @pytest.mark.parametrize("name, message", [
+        ("source_true", "source index True is not an integer"),
+        ("composition_float", "composition entry 0.0 is not an integer"),
+        ("identity_float", "identity 3.0 is not an integer"),
+        ("inverse_true", "inverse True is not an integer"),
+        ("count_float", "morphism_count 4.0 is not an integer"),
+        ("action_entry_text", "action table index '0' is not an integer"),
+        ("group_n_true", "group n True is not an integer"),
+    ])
+    def test_non_integer_field_is_named(self, name, message, tmp_path, capsys):
+        p = tmp_path / "doc.json"
+        p.write_text(json.dumps(BAD_INDEX_GROUPOIDS[name]))
+        assert main(["grpd", "validate", "--in", str(p)]) == 2
+        assert capsys.readouterr() == ("", f"error: bad groupoid document: {message}\n")
 
     def test_repeated_point_is_exit_2(self, tmp_path, capsys):
         p = tmp_path / "doc.json"

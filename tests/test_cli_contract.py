@@ -57,6 +57,18 @@ MALFORMED_ALGEBRAS = {
     "dim_too_large": {"dim": 129, "brackets": []},
 }
 
+# Integer fields holding a JSON float, boolean or string: `dim` 2.5 and
+# `true` used to load as axb and as a 1-dimensional algebra.
+NON_INTEGER_ALGEBRAS = {
+    "dim_float": {"dim": 2.5, "brackets": [{"i": 0.9, "j": 1.2, "coeffs": {"1": "1"}}]},
+    "dim_true": {"dim": True, "brackets": []},
+    "dim_numeric_text": {"dim": "2", "brackets": []},
+    "index_float": {"dim": 2, "brackets": [{"i": 0.0, "j": 1, "coeffs": {"1": "1"}}]},
+    "index_false": {"dim": 2, "brackets": [{"i": False, "j": True, "coeffs": {"1": "1"}}]},
+    "index_text": {"dim": 2, "brackets": [{"i": "0", "j": "1", "coeffs": {"1": "1"}}]},
+}
+MALFORMED_ALGEBRAS.update(NON_INTEGER_ALGEBRAS)
+
 
 def _s3_action(**changes):
     doc = {"kind": "group_action", "group": {"family": "symmetric", "n": 3},
@@ -81,8 +93,10 @@ _S3 = _s3_action()
 
 # Indices a document may not hold.  The -1 entries and the repeated pair
 # (wrong composite first, right one last) describe a valid groupoid if -1
-# wraps to the last entry or the last pair wins; the others used to raise
-# IndexError.
+# wraps to the last entry or the last pair wins; the past-the-end ones used
+# to raise IndexError.  The float, boolean and string entries equal a valid
+# index or count; `true` as a source and 0.0 as a composition entry used to
+# load as 1 and 0.
 BAD_INDEX_GROUPOIDS = {
     "action_entry_minus_one": _s3_action(
         table=[_last_as_minus_one(row, 2) for row in _S3["table"]]),
@@ -95,6 +109,17 @@ BAD_INDEX_GROUPOIDS = {
     "repeated_pair": _pair_on_two(composition=[
         _PAIR["composition"][0][:2] + [(_PAIR["composition"][0][2] + 1) % 4],
         *_PAIR["composition"]]),
+    "source_true": _pair_on_two(source=[0, True, 0, 1]),
+    "composition_float": _pair_on_two(composition=[[0.0, 0, 0], *_PAIR["composition"][1:]]),
+    "identity_float": _pair_on_two(identities=[0, 3.0]),
+    "inverse_true": _pair_on_two(inverses=[0, 2, True, 3]),
+    "count_float": _pair_on_two(morphism_count=4.0),
+    "count_text": _pair_on_two(morphism_count="4"),
+    "action_entry_float": _s3_action(table=[[0.0, 1, 2]] + _S3["table"][1:]),
+    "action_entry_text": _s3_action(table=[["0", 1, 2]] + _S3["table"][1:]),
+    "group_n_float": _s3_action(group={"family": "symmetric", "n": 3.0}),
+    "group_n_true": {"kind": "group_action", "group": {"family": "cyclic", "n": True},
+                     "points": [0], "table": [[0]]},
 }
 
 # a valid C2 table on the points [0, 0]: one object listed twice
