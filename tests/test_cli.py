@@ -126,6 +126,12 @@ class TestLieCommands:
         assert code == 0
         assert doc["component_count"] == 2 and doc["even"]
         assert doc["evenness_asserted"]
+        # the witness is the first representative; none without a component
+        assert doc["open_orbit_exists"]
+        assert doc["open_orbit_witness"] == doc["representatives"][0]
+        code, doc = run_json(["lie", "census", "--name", "heisenberg"], tmp_path)
+        assert code == 0 and doc["component_count"] == 0
+        assert not doc["open_orbit_exists"] and doc["open_orbit_witness"] is None
 
     def test_census_complex_field_is_exit_2(self, tmp_path, capsys):
         code, text = run(["lie", "census", "--name", "complex_borel"], tmp_path)
