@@ -1,5 +1,10 @@
 """Coadjoint orbit structure: skew forms, isotropy, flows, open-orbit census.
 
+Every skew form B_xi = xi([., .]) is laid out by `_form_rows` from one value
+per entry of the bracket table.  `_form_values` computes the values from the
+exact table or its integer multiple; the flow takes them from a float copy
+of the constants.
+
 The census works on integer sample points and integer Pfaffians: det B =
 Pf(B)^2, so both vanish at the same points.  Two nondegenerate samples are
 joined only when the Pfaffian of the skew form along the straight segment
@@ -9,8 +14,9 @@ a sign change forces a root; otherwise the polynomial is interpolated and its
 roots are counted by a Sturm chain, both on integers.
 False merges are therefore impossible: samples from different components
 never share a class, though a connection the straight probes miss can split
-one component into several classes.  Floats appear only in the numeric flow
-and the eigenvalue -1 probe.
+one component into several classes.  The census's first kept sample is
+the open-orbit witness.  Floats appear only in the numeric flow and the
+eigenvalue -1 probe.
 """
 from __future__ import annotations
 
@@ -220,6 +226,10 @@ def _segment_nondegenerate(L: LieAlgebra, a, b, ends=None) -> bool:
 
 @dataclass(frozen=True)
 class ComponentCensus:
+    """The classes `open_component_census` found.  `representatives[0]`, when
+    there is one, is the first kept sample: a point with a nonzero Pfaffian,
+    so it witnesses an open orbit."""
+
     component_count: int
     representatives: tuple  # one exact point per component
     component_sizes: tuple
@@ -234,11 +244,19 @@ class ComponentCensus:
 def open_component_census(L: LieAlgebra, samples: int = 512, seed: int = 0) -> ComponentCensus:
     """Census of connected components of the nondegenerate set.
 
-    Up to `samples` integer points, closed under negation, are kept when the
-    Pfaffian of the skew form is nonzero; connections are established by
-    exact segment probes only.  Probes can miss connections but never create
-    false ones, so each class lies inside one component of the nondegenerate
-    set.  No point is drawn when every skew form is singular.
+    Integer points in [-10, 10]^dim, each with its negation, are kept when
+    the Pfaffian of the skew form is nonzero, until `samples` are kept or
+    40 * samples points are drawn; connections are established by exact
+    segment probes only.  Probes can miss connections but never create false
+    ones, so each class lies inside one component of the nondegenerate set.
+    No point is drawn when every skew form is singular.
+
+    Merges only extend earlier classes, so the first kept sample stays the
+    first representative and witnesses an open orbit.  A census that keeps
+    nothing proves nothing: by the Schwartz-Zippel bound a Pfaffian that is
+    not identically zero, a polynomial of degree dim/2, vanishes at each
+    draw with probability at most dim/42, so such misses decay geometrically
+    in the number of draws.
     """
     if L.field != "Q":
         raise ValueError("the census works over the rational field; realify first")

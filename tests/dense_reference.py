@@ -36,7 +36,8 @@ kept sample; it is kept unchanged.
 a table: every product through `FiniteGroupoid.compose` and the pullback's
 own product.  `ref_action_make` is `FiniteGroupAction.make` as it was before
 it checked compatibility on generators: every pair (g, h) at every point.
-Both are kept unchanged.
+Both are kept unchanged, except that `ref_action_make` reads the products
+from `FiniteGroup.rows`, since `FiniteGroup.table` is gone.
 """
 import random
 from dataclasses import dataclass
