@@ -107,11 +107,12 @@ def jump_indices(L: LieAlgebra, flag: tuple, xi, columns=None) -> tuple:
     if columns is None:
         columns = _adapted_columns(L, flag)
     if L.field == "Q":
-        b, pivots_of = integer_bform(L, xi), lambda rows: rref_int(rows)[2]
+        b, eliminate = integer_bform(L, xi), rref_int
     else:
-        b, pivots_of = _form_rows(L, _form_values(L.brackets, xi)), lambda rows: rref(rows)[1]
-    pivots = pivots_of([[sum(x * y for x, y in zip(row, f)) for f in columns] for row in b])
-    if len(pivots) != len(pivots_of(b)):
+        b, eliminate = _form_rows(L, _form_values(L.brackets, xi)), rref
+    # both eliminations return the pivot columns last
+    pivots = eliminate([[sum(x * y for x, y in zip(row, f)) for f in columns] for row in b])[-1]
+    if len(pivots) != len(eliminate(b)[-1]):
         raise AssertionError("jump count disagrees with the skew-form rank")
     return tuple(p + 1 for p in pivots)
 
