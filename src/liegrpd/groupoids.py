@@ -925,7 +925,8 @@ def group_from_json(data: dict) -> FiniteGroup:
     if family == "symmetric":
         return FiniteGroup.symmetric(n)
     if family == "permutations":
-        return FiniteGroup.from_permutations(data["generators"], n)
+        gens = [[document_int(x, "generator entry") for x in g] for g in data["generators"]]
+        return FiniteGroup.from_permutations(gens, n)
     raise ValueError(f"unknown group family {family!r}")
 
 

@@ -454,6 +454,7 @@ class TestMalformedGroupoidDocuments:
         ("count_float", "morphism_count 4.0 is not an integer"),
         ("action_entry_text", "action table index '0' is not an integer"),
         ("group_n_true", "group n True is not an integer"),
+        ("generator_bools", "generator entry True is not an integer"),
     ])
     def test_non_integer_field_is_named(self, name, message, tmp_path, capsys):
         p = tmp_path / "doc.json"

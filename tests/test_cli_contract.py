@@ -120,6 +120,9 @@ BAD_INDEX_GROUPOIDS = {
     "group_n_float": _s3_action(group={"family": "symmetric", "n": 3.0}),
     "group_n_true": {"kind": "group_action", "group": {"family": "cyclic", "n": True},
                      "points": [0], "table": [[0]]},
+    "generator_bools": {"kind": "group_action",
+                        "group": {"family": "permutations", "n": 2, "generators": [[True, False]]},
+                        "points": [0, 1], "table": [[0, 1], [1, 0]]},
 }
 
 # a valid C2 table on the points [0, 0]: one object listed twice
