@@ -199,6 +199,103 @@ def format_scalar(x: Scalar) -> str:
 
 
 # ---------------------------------------------------------------------------
+# Gaussian integers
+
+
+class GaussInt:
+    """A Gaussian integer with nonzero imaginary part.
+
+    Real values are plain `int`; `zi` collapses to `int` whenever the
+    imaginary part vanishes, as `gaussian` does for `Fraction`.  The type has
+    just what the integer eliminations need: `+`, `-`, `*`, exact `//` and
+    truth (always true, since the value is nonzero), mixed freely with `int`.
+    """
+
+    __slots__ = ("re", "im")
+
+    def __init__(self, re: int, im: int):
+        self.re, self.im = re, im
+
+    def conjugate(self) -> "GaussInt":
+        return GaussInt(self.re, -self.im)
+
+    def __add__(self, other):
+        if type(other) is int:
+            return GaussInt(self.re + other, self.im)
+        return zi(self.re + other.re, self.im + other.im)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return GaussInt(-self.re, -self.im)
+
+    def __sub__(self, other):
+        if type(other) is int:
+            return GaussInt(self.re - other, self.im)
+        return zi(self.re - other.re, self.im - other.im)
+
+    def __rsub__(self, other):
+        return GaussInt(other - self.re, -self.im)
+
+    def __mul__(self, other):
+        a, b = self.re, self.im
+        if type(other) is int:
+            return GaussInt(a * other, b * other) if other else 0
+        c, d = other.re, other.im
+        return zi(a * c - b * d, a * d + b * c)
+
+    __rmul__ = __mul__
+
+    def __floordiv__(self, other):
+        """Exact division; the quotient of a non-multiple is meaningless."""
+        a, b = self.re, self.im
+        if type(other) is int:
+            return zi(a // other, b // other)
+        c, d = other.re, other.im
+        n = c * c + d * d
+        return zi((a * c + b * d) // n, (b * c - a * d) // n)
+
+    def __rfloordiv__(self, other):
+        c, d = self.re, self.im
+        n = c * c + d * d
+        return zi(other * c // n, -other * d // n)
+
+    def __eq__(self, other):
+        return type(other) is GaussInt and self.re == other.re and self.im == other.im
+
+    def __hash__(self):
+        return hash((self.re, self.im))
+
+    def __repr__(self):
+        return f"({self.re}{'+' if self.im >= 0 else '-'}{abs(self.im)}i)"
+
+
+def zi(re: int, im: int = 0):
+    """The Gaussian integer re + im i: an `int` when im is 0, else a `GaussInt`."""
+    return GaussInt(re, im) if im else re
+
+
+def zi_parts(x) -> tuple:
+    """(re, im) of an int or GaussInt."""
+    return (x.re, x.im) if type(x) is GaussInt else (x, 0)
+
+
+def zi_content(values) -> int:
+    """The gcd of the real and imaginary parts of Gaussian integers (0 when all vanish)."""
+    return math.gcd(*(p for x in values for p in zi_parts(x)))
+
+
+def zi_rows(rows):
+    """(s, rows times s as int or GaussInt entries), s the least positive
+    integer that clears every denominator of the exact rows."""
+    parts = [[(x.re, x.im) if type(x) is GaussianRational else (x, 0) for x in row]
+             for row in rows]
+    s = math.lcm(*(p.denominator for row in parts for pair in row for p in pair))
+    return s, [[zi(a.numerator * (s // a.denominator), b.numerator * (s // b.denominator))
+                for a, b in row] for row in parts]
+
+
+# ---------------------------------------------------------------------------
 # matrices
 
 
@@ -503,6 +600,28 @@ def charpoly_exact(m: Matrix):
     return coeffs
 
 
+def charpoly_int(a):
+    """Monic characteristic polynomial [c0, ..., c_{n-1}, 1] of a square
+    matrix over Z or Z[i], given as rows of int or GaussInt entries.
+
+    Faddeev-LeVerrier: with B_1 = A, c_{n-k} = -tr(B_k) / k and
+    B_{k+1} = A (B_k + c_{n-k} I).  The coefficients of an integral matrix
+    are integral, so every division by k is exact.
+    """
+    n = len(a)
+    out = [0] * n + [1]
+    b = [list(row) for row in a]
+    for k in range(1, n + 1):
+        c = -sum(b[i][i] for i in range(n)) // k
+        out[n - k] = c
+        if k < n:
+            for i in range(n):
+                b[i][i] += c
+            cols = list(zip(*b))
+            b = [[sum(x * y for x, y in zip(row, col) if x) for col in cols] for row in a]
+    return out
+
+
 def poly_eval(coeffs: Sequence[Scalar], x: Scalar) -> Scalar:
     acc = 0
     for c in reversed(coeffs):
@@ -578,69 +697,109 @@ ROOT_SEARCH_BUDGET = 10**6  # candidate divisors and ratios one root search may 
 def gaussian_rational_roots(coeffs: Sequence[Scalar]):
     """All Gaussian-rational roots of an exact polynomial, with multiplicity.
 
-    Returns (roots, complete) where roots is a list of (root, multiplicity)
-    sorted by (re, im) and complete is True when the multiplicities sum to
-    the degree.  A search that exhausts the candidate budget returns the
-    roots found so far with complete=False.
+    Coefficients come lowest degree first, as int, Fraction,
+    GaussianRational or GaussInt.  Returns (roots, complete) where roots is a
+    list of (root, multiplicity) sorted by (re, im) and complete is True when
+    the multiplicities sum to the degree.
+
+    The coefficients are scaled to primitive Gaussian integers c_0..c_n and
+    the zero roots split off.  What is left of degree 1 or 2 is solved in
+    closed form: a Gaussian-rational root of c_2 t^2 + c_1 t + c_0 needs a
+    square root of the discriminant in Q(i), hence in Z[i].  Higher degrees
+    test every candidate p/q, p dividing c_0 and q dividing c_n in Z[i], by
+    the homogeneous value sum_k c_k p^k q^(n-k), and the multiplicity by the
+    derivatives' values.  A search whose divisor scans exhaust
+    ROOT_SEARCH_BUDGET returns no roots beyond zero with complete=False.
     """
-    coeffs = [Fraction(c) if isinstance(c, int) else c for c in coeffs]
-    while len(coeffs) > 1 and coeffs[-1] == 0:
-        coeffs.pop()
-    n = len(coeffs) - 1
+    c = _zi_coeffs(coeffs)
+    while len(c) > 1 and not c[-1]:
+        c.pop()
+    n = len(c) - 1
     if n <= 0:
         return [], True
-    roots = {}
-    work = list(coeffs)
-    while len(work) > 1 and work[0] == 0:
-        roots[Fraction(0)] = roots.get(Fraction(0), 0) + 1
-        work = work[1:]
+    zeros = next(k for k, x in enumerate(c) if x)
+    c = c[zeros:]
+    found = {(0, 0, 1): zeros} if zeros else {}
+    if len(c) == 2:
+        found[_zi_ratio(-c[0], c[1])] = 1
+    elif len(c) == 3:
+        r = _zi_sqrt(c[1] * c[1] - 4 * c[2] * c[0])
+        if r == 0:
+            found[_zi_ratio(-c[1], 2 * c[2])] = 2
+        elif r is not None:
+            found[_zi_ratio(r - c[1], 2 * c[2])] = 1
+            found[_zi_ratio(-r - c[1], 2 * c[2])] = 1
+    elif len(c) > 3:
+        for a, b, q in _zi_root_candidates(c[0], c[-1]):
+            p, f, mult = zi(a, b), c, 0
+            while len(f) > 1 and not _homogeneous_value(f, p, q):
+                mult += 1
+                f = [k * x for k, x in enumerate(f)][1:]
+            if mult:
+                found[a, b, q] = mult
+    roots = sorted(((gaussian(Fraction(a, q), Fraction(b, q)), m)
+                    for (a, b, q), m in found.items()), key=lambda rm: scalar_key(rm[0]))
+    return roots, sum(found.values()) == n
+
+
+def _zi_coeffs(coeffs) -> list:
+    """The coefficients times the lcm of their denominators, divided by the
+    content: primitive Gaussian integers."""
+    if not all(type(x) is int or type(x) is GaussInt for x in coeffs):
+        coeffs = zi_rows([coeffs])[1][0]
+    g = zi_content(coeffs)
+    return [x // g for x in coeffs] if g > 1 else list(coeffs)
+
+
+def _zi_ratio(u, w) -> tuple:
+    """u / w for Gaussian integers, w != 0, as (a, b, q): (a + b i) / q in
+    lowest terms with q > 0."""
+    (ur, ui), (wr, wi) = zi_parts(u), zi_parts(w)
+    a, b, q = ur * wr + ui * wi, ui * wr - ur * wi, wr * wr + wi * wi
+    g = math.gcd(a, b, q)
+    return a // g, b // g, q // g
+
+
+def _zi_sqrt(x):
+    """A square root of a Gaussian integer in Z[i], or None when it has none:
+    (a + b i)^2 = x + y i with a^2 = (x + m) / 2, b^2 = (m - x) / 2 for
+    m = |x + y i| and ab of the sign of y."""
+    x, y = zi_parts(x)
+    m = math.isqrt(x * x + y * y)
+    if m * m != x * x + y * y or (x + m) % 2:
+        return None
+    a, b = math.isqrt((x + m) // 2), math.isqrt((m - x) // 2)
+    if a * a != (x + m) // 2 or b * b != (m - x) // 2:
+        return None
+    return zi(a, b if y >= 0 else -b)
+
+
+def _homogeneous_value(c, p, q: int):
+    """q^n f(p/q) = sum_k c_k p^k q^(n-k) for f = sum_k c_k t^k of degree n."""
+    acc, qk = 0, 1
+    for x in reversed(c):
+        acc = acc * p + x * qk
+        qk *= q
+    return acc
+
+
+def _zi_root_candidates(c0, cn) -> set:
+    """Every ratio p/q in lowest terms, as (a, b, q), with p a divisor of c0
+    and q one of cn in Z[i] (one q per class of associates); empty when the
+    divisor scans or the pairs exceed ROOT_SEARCH_BUDGET."""
     bud = _Budget(ROOT_SEARCH_BUDGET)
-    complete = True
-    if len(work) > 1:
-        # clear denominators: integer-Gaussian coefficients
-        denoms = []
-        for c in work:
-            denoms.append(scalar_re(c).denominator)
-            denoms.append(scalar_im(c).denominator)
-        d = math.lcm(*denoms)
-        ints = [(int(scalar_re(c) * d), int(scalar_im(c) * d)) for c in work]
-        c0, cn = ints[0], ints[-1]
-        nums = _gaussian_divisors(c0[0], c0[1], bud)
-        dens = None if nums is None else _gaussian_divisors(cn[0], cn[1], bud)
-        if nums is None or dens is None:
-            complete = False
-        else:
-            # one denominator per associate class: rotate into re>0, im>=0
-            canon = set()
-            for (da, db) in dens:
-                while not (da > 0 and db >= 0):
-                    da, db = -db, da
-                canon.add((da, db))
-            candidates = set()
-            for (ua, ub) in nums:
-                for (da, db) in canon:
-                    if not bud.spend():
-                        complete = False
-                        break
-                    candidates.add(gaussian(Fraction(ua), Fraction(ub)) / gaussian(Fraction(da), Fraction(db)))
-                if not complete:
-                    break
-            for z in sorted(candidates, key=scalar_key):
-                if poly_eval(work, z) == 0:
-                    mult = 0
-                    q = work
-                    while True:
-                        q2, rem = poly_divide_linear(q, z)
-                        if rem != 0 or len(q2) == 0:
-                            break
-                        mult += 1
-                        q = q2
-                    roots[z] = mult
-    total = sum(roots.values())
-    if total < n:
-        complete = False
-    out = sorted(roots.items(), key=lambda kv: scalar_key(kv[0]))
-    return out, complete
+    nums = _gaussian_divisors(*zi_parts(c0), bud)
+    dens = None if nums is None else _gaussian_divisors(*zi_parts(cn), bud)
+    if dens is None:
+        return set()
+    canon = set()
+    for da, db in dens:
+        while not (da > 0 and db >= 0):
+            da, db = -db, da
+        canon.add((da, db))
+    if not bud.spend(len(nums) * len(canon)):
+        return set()
+    return {_zi_ratio(zi(*u), zi(*w)) for u in nums for w in canon}
 
 
 def charpoly_exact_roots(m: Matrix):

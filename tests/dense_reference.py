@@ -23,6 +23,12 @@ interpolated and counted roots on integers; they are kept unchanged.
 elimination helpers that `exact.py` kept without a caller in the package;
 the tests still use them as independent exact references.
 
+`ref_charpoly_exact` and `ref_gaussian_rational_roots` are the `Fraction`
+Faddeev-LeVerrier recursion and the root search that `exact.py` ran before
+the weight search worked on integer matrices: every candidate tried by
+`GaussianRational` evaluation and deflation by `poly_divide_linear`; they are
+kept unchanged, and `ref_weights_exact` runs on them.
+
 `ref_rref` is the generic `Fraction` Gauss-Jordan elimination that `rref` ran
 on rational rows before it scaled them to integers and eliminated
 fraction-free; it is kept unchanged.
@@ -39,15 +45,18 @@ it checked compatibility on generators: every pair (g, h) at every point.
 Both are kept unchanged, except that `ref_action_make` reads the products
 from `FiniteGroup.rows`, since `FiniteGroup.table` is gone.
 """
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 from fractions import Fraction as Q
+from typing import Sequence
 
 from liegrpd.catalog import axb_tautological_module
 from liegrpd.coadjoint import _always_degenerate, _det_at
-from liegrpd.exact import Matrix, charpoly_exact_roots, format_scalar, gaussian, rref
-from liegrpd.exact import poly_eval, rank_kernel, scalar_im, scalar_key, scalar_re
+from liegrpd.exact import ROOT_SEARCH_BUDGET, Matrix, Scalar, _Budget, _gaussian_divisors
+from liegrpd.exact import format_scalar, gaussian, poly_eval, rank_kernel, rref
+from liegrpd.exact import scalar_im, scalar_key, scalar_re
 from liegrpd.groupoids import (
     AxiomError,
     FiniteGroup,
@@ -249,6 +258,113 @@ DENSE_CATALOG = {
 }
 
 
+def ref_charpoly_exact(m: Matrix):
+    """Monic characteristic polynomial coefficients [c0, ..., c_{n-1}, 1].
+
+    Faddeev-LeVerrier recursion; exact over Q and Q(i).
+    """
+    if m.rows != m.cols:
+        raise ValueError("characteristic polynomial of a non-square matrix")
+    n = m.rows
+    coeffs = [Fraction(0)] * (n + 1)
+    coeffs[n] = Fraction(1)
+    mk = Matrix.identity(n)
+    for k in range(1, n + 1):
+        mk = m @ mk
+        ck = -mk.trace() / k
+        coeffs[n - k] = ck
+        if k < n:
+            mk = mk + Matrix.identity(n).scale(ck)
+    return coeffs
+
+
+def poly_divide_linear(coeffs: Sequence[Scalar], root: Scalar):
+    """Divide p(t) by (t - root); returns (quotient coeffs, remainder)."""
+    acc = Fraction(0)
+    out = []
+    for c in reversed(coeffs):
+        acc = acc * root + c
+        out.append(acc)
+    rem = out.pop()
+    quots = list(reversed(out))
+    return quots, rem
+
+
+def ref_gaussian_rational_roots(coeffs: Sequence[Scalar]):
+    """All Gaussian-rational roots of an exact polynomial, with multiplicity.
+
+    Returns (roots, complete) where roots is a list of (root, multiplicity)
+    sorted by (re, im) and complete is True when the multiplicities sum to
+    the degree.  A search that exhausts the candidate budget returns the
+    roots found so far with complete=False.
+    """
+    coeffs = [Fraction(c) if isinstance(c, int) else c for c in coeffs]
+    while len(coeffs) > 1 and coeffs[-1] == 0:
+        coeffs.pop()
+    n = len(coeffs) - 1
+    if n <= 0:
+        return [], True
+    roots = {}
+    work = list(coeffs)
+    while len(work) > 1 and work[0] == 0:
+        roots[Fraction(0)] = roots.get(Fraction(0), 0) + 1
+        work = work[1:]
+    bud = _Budget(ROOT_SEARCH_BUDGET)
+    complete = True
+    if len(work) > 1:
+        # clear denominators: integer-Gaussian coefficients
+        denoms = []
+        for c in work:
+            denoms.append(scalar_re(c).denominator)
+            denoms.append(scalar_im(c).denominator)
+        d = math.lcm(*denoms)
+        ints = [(int(scalar_re(c) * d), int(scalar_im(c) * d)) for c in work]
+        c0, cn = ints[0], ints[-1]
+        nums = _gaussian_divisors(c0[0], c0[1], bud)
+        dens = None if nums is None else _gaussian_divisors(cn[0], cn[1], bud)
+        if nums is None or dens is None:
+            complete = False
+        else:
+            # one denominator per associate class: rotate into re>0, im>=0
+            canon = set()
+            for (da, db) in dens:
+                while not (da > 0 and db >= 0):
+                    da, db = -db, da
+                canon.add((da, db))
+            candidates = set()
+            for (ua, ub) in nums:
+                for (da, db) in canon:
+                    if not bud.spend():
+                        complete = False
+                        break
+                    candidates.add(gaussian(Fraction(ua), Fraction(ub)) / gaussian(Fraction(da), Fraction(db)))
+                if not complete:
+                    break
+            for z in sorted(candidates, key=scalar_key):
+                if poly_eval(work, z) == 0:
+                    mult = 0
+                    q = work
+                    while True:
+                        q2, rem = poly_divide_linear(q, z)
+                        if rem != 0 or len(q2) == 0:
+                            break
+                        mult += 1
+                        q = q2
+                    roots[z] = mult
+    total = sum(roots.values())
+    if total < n:
+        complete = False
+    out = sorted(roots.items(), key=lambda kv: scalar_key(kv[0]))
+    return out, complete
+
+
+def ref_charpoly_exact_roots(m: Matrix):
+    """(monic charpoly coeffs, [(root, mult)], complete flag)."""
+    poly = ref_charpoly_exact(m)
+    roots, complete = ref_gaussian_rational_roots(poly)
+    return poly, roots, complete
+
+
 def ref_common_eigenvector_exact(mats):
     """Depth-first search for a joint eigenvector with Gaussian-rational
     eigenvalues.  Returns (eigenvalue tuple, vector) or None."""
@@ -259,7 +375,7 @@ def ref_common_eigenvector_exact(mats):
         if idx == len(mats):
             return (), space_rows[0]
         a = mats[idx]
-        _, roots, _ = charpoly_exact_roots(a)
+        _, roots, _ = ref_charpoly_exact_roots(a)
         for lam, _mult in sorted(roots, key=lambda rm: scalar_key(rm[0])):
             shifted = a - eye.scale(lam)
             _, ker = rank_kernel(shifted)

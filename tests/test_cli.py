@@ -269,16 +269,33 @@ class TestMalformedAlgebraDocuments:
 
 class TestNumericBridgeOverflow:
     def test_float_fallback_overflow_is_exit_2(self, tmp_path, capsys):
-        # a 400-digit coefficient exhausts the exact root search; the float
-        # fallback cannot hold it
-        big = "1" + "0" * 399
-        path = _write_algebra(tmp_path, 2, [{"i": 0, "j": 1, "coeffs": {"1": big}}])
+        # irrational_spectrum_algebra scaled by 10^399: its weights
+        # 10^399 (1 +- sqrt 2) send the search to the float fallback, which
+        # cannot hold the coefficients
+        big, twice = "1" + "0" * 399, "2" + "0" * 399
+        path = _write_algebra(tmp_path, 3, [{"i": 0, "j": 1, "coeffs": {"1": big, "2": big}},
+                                            {"i": 0, "j": 2, "coeffs": {"1": twice, "2": big}}])
         for sub in ("roots", "exptest", "census", "probe-minus-one"):
             extra = ["--samples", "8"] if sub == "census" else []
             assert main(["lie", sub, "--in", path] + extra) == 2
             out, err = capsys.readouterr()
             assert out == ""
             assert err == "error: matrix entry (1, 1) does not fit a float\n"
+
+    def test_huge_rational_weight_is_exact(self, tmp_path, capsys):
+        # [Y1, Y2] = 10^399 Y2: the weight 10^399 on Y1 is a degree-1 root,
+        # solved in closed form, where the divisor scan once ran out of budget
+        big = "1" + "0" * 399
+        path = _write_algebra(tmp_path, 2, [{"i": 0, "j": 1, "coeffs": {"1": big}}])
+        code, doc = run_json(["lie", "roots", "--in", path], tmp_path)
+        assert code == 0
+        assert [(r["re"], r["exact"]) for r in doc["roots"]] == [(["0", "0"], True),
+                                                                 ([big, "0"], True)]
+        code, doc = run_json(["lie", "exptest", "--in", path], tmp_path)
+        assert code == 0 and doc["verdict"] and not doc["heuristic"]
+        # the probe still works on floats
+        assert main(["lie", "probe-minus-one", "--in", path]) == 2
+        assert capsys.readouterr()[1] == "error: matrix entry (1, 1) does not fit a float\n"
 
 
 class TestCascadeCommand:
