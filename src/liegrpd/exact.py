@@ -580,26 +580,6 @@ def _swap_skew_index(a, k: int, u: int, v: int) -> None:
 # characteristic polynomial and exact roots
 
 
-def charpoly_exact(m: Matrix):
-    """Monic characteristic polynomial coefficients [c0, ..., c_{n-1}, 1].
-
-    Faddeev-LeVerrier recursion; exact over Q and Q(i).
-    """
-    if m.rows != m.cols:
-        raise ValueError("characteristic polynomial of a non-square matrix")
-    n = m.rows
-    coeffs = [Fraction(0)] * (n + 1)
-    coeffs[n] = Fraction(1)
-    mk = Matrix.identity(n)
-    for k in range(1, n + 1):
-        mk = m @ mk
-        ck = -mk.trace() / k
-        coeffs[n - k] = ck
-        if k < n:
-            mk = mk + Matrix.identity(n).scale(ck)
-    return coeffs
-
-
 def charpoly_int(a):
     """Monic characteristic polynomial [c0, ..., c_{n-1}, 1] of a square
     matrix over Z or Z[i], given as rows of int or GaussInt entries.
@@ -627,18 +607,6 @@ def poly_eval(coeffs: Sequence[Scalar], x: Scalar) -> Scalar:
     for c in reversed(coeffs):
         acc = acc * x + c
     return acc
-
-
-def poly_divide_linear(coeffs: Sequence[Scalar], root: Scalar):
-    """Divide p(t) by (t - root); returns (quotient coeffs, remainder)."""
-    acc = Fraction(0)
-    out = []
-    for c in reversed(coeffs):
-        acc = acc * root + c
-        out.append(acc)
-    rem = out.pop()
-    quots = list(reversed(out))
-    return quots, rem
 
 
 class _Budget:
@@ -800,13 +768,6 @@ def _zi_root_candidates(c0, cn) -> set:
     if not bud.spend(len(nums) * len(canon)):
         return set()
     return {_zi_ratio(zi(*u), zi(*w)) for u in nums for w in canon}
-
-
-def charpoly_exact_roots(m: Matrix):
-    """(monic charpoly coeffs, [(root, mult)], complete flag)."""
-    poly = charpoly_exact(m)
-    roots, complete = gaussian_rational_roots(poly)
-    return poly, roots, complete
 
 
 # ---------------------------------------------------------------------------

@@ -301,10 +301,20 @@ def _series(step, start: Subspace) -> tuple:
     return tuple(chain)
 
 
+def derived_series(L: LieAlgebra) -> tuple:
+    """L, [L, L], ... until a term repeats or is zero; L is solvable exactly
+    when the last term is zero.  [L, L] is the span of the listed brackets."""
+    full = Subspace.full(L.dim)
+    first = Subspace.from_vectors(L.dim, [L.basis_bracket(j, k) for j, k, _ in L.brackets])
+    if first == full:
+        return (full,)
+    return (full,) + _series(lambda s: subspace_bracket(L, s, s), first)
+
+
 def structure_series(L: LieAlgebra) -> SeriesReport:
     """Derived and lower-central series, center, solvability/nilpotency flags."""
     full = Subspace.full(L.dim)
-    derived = _series(lambda s: subspace_bracket(L, s, s), full)
+    derived = derived_series(L)
     lower = _series(lambda s: subspace_bracket(L, full, s), full)
     return SeriesReport(
         derived, lower, center_of(L), derived[-1].dim == 0, lower[-1].dim == 0
@@ -353,9 +363,13 @@ def make_module(L: LieAlgebra, actions: Sequence[Matrix]) -> LieModule:
 
 
 def adjoint_module(L: LieAlgebra) -> LieModule:
-    """ad(Y_i) per basis vector, unchecked: its representation law is the
-    Jacobi identity, which `from_brackets` verified."""
-    return LieModule(L, L.dim, tuple(ad_matrix(L, L.basis_vector(i)) for i in range(L.dim)))
+    """ad(Y_i) per basis vector, read off the bracket table, unchecked: its
+    representation law is the Jacobi identity, which `from_brackets` verified."""
+    mats = [[[Fraction(0)] * L.dim for _ in range(L.dim)] for _ in range(L.dim)]
+    for (i, j), terms in L.pair_terms.items():
+        for l, c in terms:
+            mats[i][l][j] = c
+    return LieModule(L, L.dim, tuple(Matrix(m) for m in mats))
 
 
 def dual_module(M: LieModule) -> LieModule:

@@ -13,6 +13,13 @@ backtracks.  A vector of the last subspace is a joint eigenvector.  The weight
 on a pivot column follows from vanishing on D; every action then passes to
 the quotient by that vector with a rank-one update, and the next step repeats.
 
+The search runs on integers.  Each action is an integer or Gaussian-integer
+matrix N with a positive integer scale s, the action being N / s; kernels and
+eigenspaces come from the fraction-free `rref_int`, the restricted
+characteristic polynomials from `charpoly_int`, and every scale stays a
+positive integer, so the least root of the scaled polynomial is the least
+eigenvalue.
+
 The search is exact over the Gaussian rationals.  When a restricted
 characteristic polynomial has no root there, a float path takes over and the
 results carry exact=False.  Every step yields one weight of the module's
@@ -29,13 +36,17 @@ from fractions import Fraction
 import numpy as np
 
 from .exact import (
-    Matrix,
-    charpoly_exact_roots,
-    rank_kernel,
+    GaussInt,
+    charpoly_int,
+    gaussian_rational_roots,
+    rref_int,
     scalar_im,
     scalar_re,
+    zi,
+    zi_content,
+    zi_rows,
 )
-from .lie import LieAlgebra, LieModule, Subspace, adjoint_module, realify, structure_series
+from .lie import LieAlgebra, LieModule, adjoint_module, derived_series, realify
 
 _FLOAT_TOL = 1e-9
 
@@ -74,41 +85,85 @@ class RootFunctional:
         return re, im
 
 
+def _scaled(rows, s):
+    """(rows, s) divided by their common content: the same matrix rows / s
+    in lowest terms, s > 0."""
+    g = s
+    for row in rows:
+        g = zi_content([g, *row])
+        if g == 1:
+            return rows, s
+    return [[x // g for x in row] for row in rows], s // g
+
+
+def _positive(d):
+    """A unit or conjugate f with d * f a positive integer, for d != 0 in Z[i]."""
+    return d.conjugate() if type(d) is GaussInt else (1 if d > 0 else -1)
+
+
+def _kernel(rows, n):
+    """A kernel basis of integer rows of length n, as (vectors, coordinates,
+    e): vector k is e > 0 at coordinates[k] and 0 at the other coordinates,
+    which are the free columns of the echelon form."""
+    red, d, pivots = rref_int(rows)
+    f = _positive(d)
+    free = [j for j in range(n) if j not in pivots]
+    vecs = []
+    for j in free:
+        v = [0] * n
+        v[j] = d * f
+        for row, p in zip(red, pivots):
+            if row[j]:
+                v[p] = -row[j] * f
+        vecs.append(v)
+    return vecs, free, d * f
+
+
 def _eigenline(d_acts, c_acts):
     """A vector on which every action is scalar, and the scalars of c_acts.
 
-    The joint kernel of d_acts is invariant and c_acts commute on it; each
-    c_act in turn shrinks it to the eigenspace of its least root.
+    Actions are pairs (N, s) of an integer matrix and a scale, the action
+    being N / s.  The joint kernel of d_acts is invariant and c_acts commute
+    on it; each c_act in turn shrinks it to the eigenspace of its least root.
+    The space is kept as integer vectors W_k that are e at coordinate c_k and
+    0 at the other coordinates, so the action restricted to it is R / (s e)
+    with R[j][k] = (N W_k)[c_j]: its eigenvalues are mu / (s e) for the
+    Gaussian-integer eigenvalues mu of R.
     """
-    n = c_acts[0].rows
-    if d_acts:
-        _, ker = rank_kernel(Matrix([row for a in d_acts for row in a.data]))
-        space = Subspace.from_vectors(n, ker)
-    else:
-        space = Subspace.full(n)
+    n = len(c_acts[0][0])
+    vecs, coords, e = _kernel([row for a, _ in d_acts for row in a], n)
     lams = []
-    for a in c_acts:
-        images = [a.apply(v) for v in space.rows]
-        r = Matrix([[img[p] for img in images] for p in space.pivots])
-        _, roots, _ = charpoly_exact_roots(r)
+    for a, s in c_acts:
+        images = [[sum(x * y for x, y in zip(row, v) if x) for row in a] for v in vecs]
+        r = [[img[c] for img in images] for c in coords]
+        sigma = s * e
+        # P(sigma t) for P the char. polynomial of R: its roots are mu / sigma
+        roots, _ = gaussian_rational_roots(
+            [x * sigma**k for k, x in enumerate(charpoly_int(r))])
         if not roots:
             raise InexactSpectrum("no eigenvalue over the Gaussian rationals")
         lam = roots[0][0]  # the roots come sorted by scalar_key
-        _, ker = rank_kernel(r - Matrix.identity(r.rows).scale(lam))
-        space = Subspace.from_vectors(
-            n, [tuple(sum((c * v[t] for c, v in zip(k, space.rows)), Fraction(0))
-                      for t in range(n)) for k in ker])
+        mu = zi(int(scalar_re(lam) * sigma), int(scalar_im(lam) * sigma))
+        ker, free, e2 = _kernel([[x - mu if i == j else x for j, x in enumerate(row)]
+                                 for i, row in enumerate(r)], len(r))
+        vecs = [[sum(c * v[t] for c, v in zip(k, vecs) if c) for t in range(n)] for k in ker]
+        coords, e = [coords[j] for j in free], e * e2
+        vecs, e = _scaled(vecs, e)
         lams.append(lam)
-    return lams, space.rows[0]
+    return lams, vecs[0]
 
 
-def _quotient(a, v, p):
-    """The action on V/<v> in the basis e_j, j != p (v[p] != 0): the rank-one
-    update A[i][j] - v[i] A[p][j] / v[p], which is P^-1 A P for
-    P = (v, e_j for j != p) without its first row and column."""
-    ap = a.data[p]
-    return Matrix([[x - f * y for j, (x, y) in enumerate(zip(row, ap)) if j != p]
-                   for i, (row, f) in enumerate(zip(a.data, (x / v[p] for x in v))) if i != p])
+def _quotient(act, v, p):
+    """The action N / s on V/<v> in the basis e_j, j != p (v[p] != 0): the
+    rank-one update v_p N[i][j] - v[i] N[p][j] with scale v_p s, which is
+    P^-1 A P for P = (v, e_j for j != p) without its first row and column.
+    Both are multiplied by the conjugate of v_p, or its sign, so that the
+    scale stays a positive integer."""
+    a, s = act
+    vp, top = v[p], a[p]
+    f = _positive(vp)
+    return _scaled([[(vp * x - vi * y) * f for j, (x, y) in enumerate(zip(row, top)) if j != p]
+                    for i, (row, vi) in enumerate(zip(a, v)) if i != p], vp * f * s)
 
 
 def _weights_exact(M, derived):
@@ -116,11 +171,17 @@ def _weights_exact(M, derived):
 
     Values on the complement of [L, L] (the non-pivot columns of `derived`)
     are eigenvalues; on each pivot column p the weight is fixed by vanishing
-    on the derived row w_p: lambda(e_p) = -sum_j w_pj lambda(e_j).
+    on the derived row w_p: lambda(e_p) = -sum_j w_pj lambda(e_j).  The
+    actions are scaled to integer matrices once: A_i = N_i / S.
     """
     free = [j for j in range(M.algebra.dim) if j not in derived.pivots]
-    d_acts = [M.action_of(w) for w in derived.rows]
-    c_acts = [M.actions[j] for j in free]
+    S, stacked = zi_rows([row for a in M.actions for row in a.data])
+    ints = [stacked[i * M.dim:(i + 1) * M.dim] for i in range(M.algebra.dim)]
+    d_acts = []
+    for w in zi_rows(derived.rows)[1]:
+        d_acts.append(_scaled([[sum(c * a[i][j] for c, a in zip(w, ints) if c)
+                                for j in range(M.dim)] for i in range(M.dim)], S))
+    c_acts = [_scaled(ints[j], S) for j in free]
     out = []
     while True:
         lams, v = _eigenline(d_acts, c_acts)
@@ -130,9 +191,9 @@ def _weights_exact(M, derived):
         for w, p in zip(derived.rows, derived.pivots):
             lam[p] = -sum((w[j] * lam[j] for j in free), Fraction(0))
         out.append(tuple(lam))
-        if c_acts[0].rows == 1:
+        if len(v) == 1:
             return out
-        p = next(i for i, x in enumerate(v) if x != 0)
+        p = next(i for i, x in enumerate(v) if x)
         d_acts = [_quotient(a, v, p) for a in d_acts]
         c_acts = [_quotient(a, v, p) for a in c_acts]
 
@@ -224,13 +285,13 @@ def module_weights(L: LieAlgebra, M: LieModule, tol: float = _FLOAT_TOL):
     decision as a search over the full action matrices, because both yield
     the whole weight multiset.
     """
-    report = structure_series(L)
-    if not report.is_solvable:
+    derived = derived_series(L)
+    if derived[-1].dim:
         raise SolvabilityError("weights require a solvable algebra")
     if M.dim == 0:
         return []
     try:
-        tuples = _weights_exact(M, report.derived_series[1])
+        tuples = _weights_exact(M, derived[1])
         exact = True
     except InexactSpectrum:
         mats = [a.to_numpy().astype(complex) for a in M.actions]

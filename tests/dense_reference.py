@@ -27,7 +27,10 @@ the tests still use them as independent exact references.
 Faddeev-LeVerrier recursion and the root search that `exact.py` ran before
 the weight search worked on integer matrices: every candidate tried by
 `GaussianRational` evaluation and deflation by `poly_divide_linear`; they are
-kept unchanged, and `ref_weights_exact` runs on them.
+kept unchanged, and `ref_weights_exact` runs on them.  `ref_weights_joint_kernel`
+with `ref_eigenline` and `ref_quotient` is the joint-kernel flag search that
+`weights.py` ran on `Fraction` and `GaussianRational` matrices before it ran
+on integer matrices; it is kept unchanged.
 
 `ref_rref` is the generic `Fraction` Gauss-Jordan elimination that `rref` ran
 on rational rows before it scaled them to integers and eliminated
@@ -445,6 +448,69 @@ def ref_weights_exact(mats):
     if n == 1:
         return [lam]
     return [lam] + ref_weights_exact(ref_quotient_exact(mats, vec))
+
+
+def ref_eigenline(d_acts, c_acts):
+    """A vector on which every action is scalar, and the scalars of c_acts.
+
+    The joint kernel of d_acts is invariant and c_acts commute on it; each
+    c_act in turn shrinks it to the eigenspace of its least root.
+    """
+    n = c_acts[0].rows
+    if d_acts:
+        _, ker = rank_kernel(Matrix([row for a in d_acts for row in a.data]))
+        space = Subspace.from_vectors(n, ker)
+    else:
+        space = Subspace.full(n)
+    lams = []
+    for a in c_acts:
+        images = [a.apply(v) for v in space.rows]
+        r = Matrix([[img[p] for img in images] for p in space.pivots])
+        _, roots, _ = ref_charpoly_exact_roots(r)
+        if not roots:
+            raise InexactSpectrum("no eigenvalue over the Gaussian rationals")
+        lam = roots[0][0]  # the roots come sorted by scalar_key
+        _, ker = rank_kernel(r - Matrix.identity(r.rows).scale(lam))
+        space = Subspace.from_vectors(
+            n, [tuple(sum((c * v[t] for c, v in zip(k, space.rows)), Fraction(0))
+                      for t in range(n)) for k in ker])
+        lams.append(lam)
+    return lams, space.rows[0]
+
+
+def ref_quotient(a, v, p):
+    """The action on V/<v> in the basis e_j, j != p (v[p] != 0): the rank-one
+    update A[i][j] - v[i] A[p][j] / v[p], which is P^-1 A P for
+    P = (v, e_j for j != p) without its first row and column."""
+    ap = a.data[p]
+    return Matrix([[x - f * y for j, (x, y) in enumerate(zip(row, ap)) if j != p]
+                   for i, (row, f) in enumerate(zip(a.data, (x / v[p] for x in v))) if i != p])
+
+
+def ref_weights_joint_kernel(M, derived):
+    """The weight of each step of a flag of M, as its values on the basis.
+
+    Values on the complement of [L, L] (the non-pivot columns of `derived`)
+    are eigenvalues; on each pivot column p the weight is fixed by vanishing
+    on the derived row w_p: lambda(e_p) = -sum_j w_pj lambda(e_j).
+    """
+    free = [j for j in range(M.algebra.dim) if j not in derived.pivots]
+    d_acts = [M.action_of(w) for w in derived.rows]
+    c_acts = [M.actions[j] for j in free]
+    out = []
+    while True:
+        lams, v = ref_eigenline(d_acts, c_acts)
+        lam = [Fraction(0)] * M.algebra.dim
+        for j, x in zip(free, lams):
+            lam[j] = x
+        for w, p in zip(derived.rows, derived.pivots):
+            lam[p] = -sum((w[j] * lam[j] for j in free), Fraction(0))
+        out.append(tuple(lam))
+        if c_acts[0].rows == 1:
+            return out
+        p = next(i for i, x in enumerate(v) if x != 0)
+        d_acts = [ref_quotient(a, v, p) for a in d_acts]
+        c_acts = [ref_quotient(a, v, p) for a in c_acts]
 
 
 # ---------------------------------------------------------------------------

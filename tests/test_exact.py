@@ -18,8 +18,7 @@ from liegrpd.exact import (
     GaussianRational,
     Matrix,
     NumericError,
-    charpoly_exact,
-    charpoly_exact_roots,
+    charpoly_int,
     eigenvalues_numeric,
     format_scalar,
     gaussian,
@@ -210,30 +209,35 @@ class TestEliminationAgainstReference:
         assert rref_int([[0, 0], [0, 0]]) == ([], 1, [])
 
 
+def charpoly_int_roots(rows):
+    """(monic charpoly, roots, complete) of an integer matrix."""
+    poly = charpoly_int(rows)
+    return (poly, *gaussian_rational_roots(poly))
+
+
 class TestCharpoly:
     def test_rotation_generator(self):
         # [[0,-1],[1,0]]: t^2 + 1, roots +-i
-        poly, roots, complete = charpoly_exact_roots(Matrix([[0, -1], [1, 0]]))
+        poly, roots, complete = charpoly_int_roots([[0, -1], [1, 0]])
         assert poly == [Q(1), Q(0), Q(1)]
         assert complete
         assert roots == [(gaussian(0, -1), 1), (gaussian(0, 1), 1)]
 
     def test_irrational_spectrum_flagged_incomplete(self):
         # [[0,1],[2,0]]: t^2 - 2, no Gaussian-rational roots
-        poly, roots, complete = charpoly_exact_roots(Matrix([[0, 1], [2, 0]]))
+        poly, roots, complete = charpoly_int_roots([[0, 1], [2, 0]])
         assert poly == [Q(-2), Q(0), Q(1)]
         assert roots == []
         assert not complete
 
     def test_diagonal(self):
-        poly, roots, complete = charpoly_exact_roots(Matrix([[1, 0], [0, -1]]))
+        poly, roots, complete = charpoly_int_roots([[1, 0], [0, -1]])
         assert poly == [Q(-1), Q(0), Q(1)]
         assert complete
         assert dict(roots) == {Q(1): 1, Q(-1): 1}
 
     def test_repeated_root_multiplicity(self):
-        m = Matrix([[2, 1], [0, 2]])
-        _, roots, complete = charpoly_exact_roots(m)
+        _, roots, complete = charpoly_int_roots([[2, 1], [0, 2]])
         assert roots == [(Q(2), 2)] and complete
 
     @settings(max_examples=40)
@@ -241,13 +245,12 @@ class TestCharpoly:
     def test_companion_matrix_recovers_polynomial(self, low):
         # companion of monic t^n + a_{n-1} t^{n-1} + ... + a_0
         n = len(low)
-        comp = [[Q(0)] * n for _ in range(n)]
+        comp = [[0] * n for _ in range(n)]
         for i in range(1, n):
-            comp[i][i - 1] = Q(1)
+            comp[i][i - 1] = 1
         for i in range(n):
-            comp[i][n - 1] = Q(-low[i])
-        poly = charpoly_exact(Matrix(comp))
-        assert poly == [Q(c) for c in low] + [Q(1)]
+            comp[i][n - 1] = -low[i]
+        assert charpoly_int(comp) == low + [1]
 
     @settings(max_examples=30)
     @given(st.lists(st.builds(Q, st.integers(-3, 3), st.integers(1, 2)), min_size=1, max_size=4))

@@ -7,7 +7,9 @@ closed form and tests divisor candidates by homogeneous integer evaluation
 above; it must return what `ref_gaussian_rational_roots` returns whenever that
 search stays within its budget, and it completes the degree <= 2 searches that
 used to exhaust it.  `GaussInt` arithmetic and `rref_int` on Gaussian-integer
-rows are checked against `GaussianRational` and `ref_rref`.
+rows are checked against `GaussianRational` and `ref_rref`.  The flag search
+on integer matrices, `weights._weights_exact`, finds the weights of
+`ref_weights_joint_kernel`, the same search on `Fraction` matrices.
 """
 from fractions import Fraction as Q
 
@@ -15,7 +17,27 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dense_reference import ref_charpoly_exact, ref_gaussian_rational_roots, ref_rref
+from dense_reference import (
+    COMPLEX_BOREL,
+    DENSE_CATALOG,
+    VALID_GAUSSIAN_DRAWS,
+    VALID_RATIONAL_DRAWS,
+    random_tensor,
+    ref_charpoly_exact,
+    ref_conjugate,
+    ref_direct_sum,
+    ref_gaussian_rational_roots,
+    ref_rref,
+    ref_weights_joint_kernel,
+    upper,
+)
+from liegrpd import weights
+from liegrpd.catalog import (
+    LIE_CATALOG,
+    axb_tautological_module,
+    complex_heisenberg,
+    irrational_spectrum_algebra,
+)
 from liegrpd.exact import (
     GaussInt,
     Matrix,
@@ -24,10 +46,22 @@ from liegrpd.exact import (
     gaussian_rational_roots,
     rref_int,
     scalar_im,
+    scalar_key,
     scalar_re,
     zi,
     zi_rows,
 )
+from liegrpd.lie import (
+    Subspace,
+    ad_matrix,
+    adjoint_module,
+    coadjoint_module,
+    derived_series,
+    dual_module,
+    from_brackets,
+    subspace_bracket,
+)
+from liegrpd.weights import InexactSpectrum
 
 I = gaussian(0, 1)
 
@@ -182,3 +216,82 @@ def test_gaussian_integer_elimination_equals_reference_rref(rows):
     ref, ref_pivots = ref_rref([[_as_exact(x) for x in row] for row in rows])
     assert pivots == ref_pivots
     assert [[_as_exact(x) / _as_exact(d) for x in row] for row in red] == [list(r) for r in ref]
+
+
+# ---------------------------------------------------------------------------
+# the flag search on integer matrices against the Fraction one
+
+
+def _key(weight):
+    return tuple(scalar_key(x) for x in weight)
+
+
+def _flag_cases():
+    """(name, module): every solvable algebra of the weight-search cases
+    (catalog, seeded conjugates over Q and Q(i), sums, random draws) with its
+    adjoint, coadjoint and dual adjoint module, and the modules of the affine
+    line."""
+    cases = [("axb_tautological", axb_tautological_module()),
+             ("axb_tautological*", dual_module(axb_tautological_module()))]
+    algebras = dict(LIE_CATALOG_CASES)
+    for seed in range(2):
+        for name in ("axb_semidirect_plane", "e2", "realified_borel", "filiform4"):
+            t, _, _ = DENSE_CATALOG[name]
+            algebras[f"{name}~{seed}"] = from_brackets(len(t), upper(ref_conjugate(t, seed)))
+        algebras[f"complex_borel~{seed}"] = from_brackets(
+            2, upper(ref_conjugate(COMPLEX_BOREL, seed, (1, -1, I, -I))), field="Qi")
+    axb, e2 = DENSE_CATALOG["axb"][0], DENSE_CATALOG["e2"][0]
+    algebras["axb+e2"] = from_brackets(5, upper(ref_direct_sum(axb, e2)))
+    algebras["axb^3"] = from_brackets(6, upper(ref_direct_sum(axb, axb, axb)))
+    for seed in VALID_RATIONAL_DRAWS + VALID_GAUSSIAN_DRAWS:
+        t, field = random_tensor(seed)
+        algebras[f"draw{seed}"] = from_brackets(len(t), upper(t), field=field)
+    for name, L in sorted(algebras.items()):
+        if derived_series(L)[-1].dim == 0:
+            for module in (adjoint_module, coadjoint_module):
+                cases.append((f"{module.__name__}:{name}", module(L)))
+    return cases
+
+
+LIE_CATALOG_CASES = [(n, make()) for n, make in sorted(LIE_CATALOG.items())] + [
+    ("complex_heisenberg", complex_heisenberg()), ("irrational", irrational_spectrum_algebra())]
+FLAG_CASES = _flag_cases()
+
+
+def _flag(search, M):
+    try:
+        return sorted(search(M, derived_series(M.algebra)[1]), key=_key)
+    except InexactSpectrum:
+        return InexactSpectrum
+
+
+@pytest.mark.parametrize("name, M", FLAG_CASES, ids=[n for n, _ in FLAG_CASES])
+def test_integer_flag_search_equals_fraction_search(name, M):
+    assert _flag(weights._weights_exact, M) == _flag(ref_weights_joint_kernel, M)
+
+
+def test_flag_cases_cover_both_fields_and_the_float_path():
+    assert {M.algebra.field for _, M in FLAG_CASES} == {"Q", "Qi"}
+    M = dict(FLAG_CASES)["adjoint_module:irrational"]
+    assert _flag(weights._weights_exact, M) is InexactSpectrum
+    # e2's eigenvalues +-i come from a rational matrix and continue over Z[i]
+    assert {x for w in _flag(weights._weights_exact, dict(FLAG_CASES)["adjoint_module:e2"])
+            for x in w} == {Q(0), I, -I}
+
+
+def test_derived_series_equals_the_series_of_brackets():
+    for _, L in LIE_CATALOG_CASES + [(n, M.algebra) for n, M in FLAG_CASES]:
+        full = Subspace.full(L.dim)
+        chain = [full]
+        while chain[-1].dim:
+            nxt = subspace_bracket(L, chain[-1], chain[-1])
+            if nxt == chain[-1]:
+                break
+            chain.append(nxt)
+        assert derived_series(L) == tuple(chain)
+
+
+def test_adjoint_module_equals_ad_matrices():
+    for _, L in LIE_CATALOG_CASES + [(n, M.algebra) for n, M in FLAG_CASES]:
+        assert adjoint_module(L).actions == tuple(
+            ad_matrix(L, L.basis_vector(i)) for i in range(L.dim))
