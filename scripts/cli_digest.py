@@ -20,7 +20,11 @@ with its last row repeated in place of the one before, and
 fifth runs `census` (JSON) at `--samples 1` and `--samples 2` on the catalog
 Q-algebras and (ax+b)^2, where the open-orbit witness comes from the
 fewest samples, and `coadjoint` on complex_borel at the Gaussian point
-(1+i, 2-3i).  The documents of the second to fifth ladders are written by this script under
+(1+i, 2-3i).  A sixth runs `roots` and `exptest` (JSON) where the weight
+search meets Gaussian weights or reaches its weights only mid-search: on
+e2 + axb, a fixed unimodular conjugate of realified_borel, the Q(i) sum
+complex_borel + complex_borel, and irrational_spectrum_algebra, which takes
+the float path.  The documents of the second to sixth ladders are written by this script under
 fixed names in a temporary directory.  Every path is relative
 (corpus paths to the checkout, the written documents to that directory), so
 two checkouts print comparable lines:
@@ -90,7 +94,7 @@ def direct_sum(*algebras):
         for j, k, terms in L.brackets:
             brackets[off + j, off + k] = {off + l: c for l, c in terms}
         off += L.dim
-    return from_brackets(off, brackets)
+    return from_brackets(off, brackets, field=algebras[0].field)
 
 
 def sums():
@@ -181,6 +185,24 @@ def fifth_ladder():
     yield ["lie", "coadjoint", "--name", "complex_borel", "--point", "1+1i,2-3i"]
 
 
+def weight_docs():
+    """file name -> algebra for the sixth ladder."""
+    return {
+        "e2+axb.json": direct_sum(catalog.euclid2(), catalog.axb()),
+        "realified_borel~.json": conjugate(
+            catalog.realified_borel(), [(0, 2, 1), (3, 1, -1), (1, 0, 2), (2, 3, 1)]),
+        "complex_borel+complex_borel.json":
+            direct_sum(catalog.complex_borel(), catalog.complex_borel()),
+        "irrational_spectrum.json": catalog.irrational_spectrum_algebra(),
+    }
+
+
+def sixth_ladder(names):
+    for name in names:
+        for sub in ("roots", "exptest"):
+            yield ["lie", sub, "--in", name]
+
+
 def third_ladder(names):
     for name in names:
         for fmt in ("json", "text"):
@@ -224,8 +246,11 @@ def main() -> None:
         Path("s4_natural.json").write_text(json.dumps(S4_NATURAL))
         for name, doc in action_docs().items():
             Path(name).write_text(json.dumps(doc))
+        weighted = weight_docs()
+        for name, L in weighted.items():
+            Path(name).write_text(json.dumps(algebra_to_json(L)))
         for argv in itertools.chain(sum_ladder(algebras), third_ladder(docs),
-                                    fourth_ladder(), fifth_ladder()):
+                                    fourth_ladder(), fifth_ladder(), sixth_ladder(weighted)):
             code, digest = run(argv)
             print(f"{' '.join(argv)}\t{code}\t{digest}")
         os.chdir(ROOT)

@@ -3,9 +3,10 @@
 Scalars are `Fraction` for real values and `GaussianRational` for values with
 a nonzero imaginary part; arithmetic never silently demotes to float.  A
 `Matrix` holds exact entries only.  Pfaffians, interpolation and Sturm counts
-work on plain integers.  The explicitly numeric operations at the end of the
-module take and return `numpy` arrays; `Matrix.to_numpy` is the one bridge
-from the exact side.
+work on plain integers; the eliminations, characteristic polynomials and root
+searches on integers and Gaussian integers (`GaussInt`).  The explicitly
+numeric operations at the end of the module take and return `numpy` arrays;
+`Matrix.to_numpy` is the one bridge from the exact side.
 """
 from __future__ import annotations
 
@@ -477,38 +478,18 @@ def clear_denominators(*points):
 def rref(rows: Sequence[Sequence[Scalar]]):
     """Reduced row-echelon form. Returns (rref rows, pivot column list).
 
-    Rational rows are each scaled by the lcm of their denominators, which
-    keeps the RREF, and eliminated by `rref_int`; rows holding a
-    `GaussianRational` take the generic elimination.
+    Each row is scaled by the lcm of its denominators, which keeps the RREF,
+    and eliminated by `rref_int` over Z, or over Z[i] when a row holds a
+    `GaussianRational`.
     """
-    if any(type(x) is GaussianRational for row in rows for x in row):
-        return _rref_generic(rows)
-    red, d, pivots = rref_int([clear_denominators(row)[1][0] for row in rows])
     zero = Fraction(0)
-    return [tuple(Fraction(x, d) if x else zero for x in row) for row in red], pivots
-
-
-def _rref_generic(rows):
-    m = [list(r) for r in rows]
-    ncols = len(m[0])
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pivot = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
-        if pivot is None:
-            continue
-        m[r], m[pivot] = m[pivot], m[r]
-        inv = m[r][c]
-        m[r] = [x / inv for x in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(m):
-            break
-    return [tuple(row) for row in m[:r]], pivots
+    if not any(type(x) is GaussianRational for row in rows for x in row):
+        red, d, pivots = rref_int([clear_denominators(row)[1][0] for row in rows])
+        return [tuple(Fraction(x, d) if x else zero for x in row) for row in red], pivots
+    red, d, pivots = rref_int([zi_rows([row])[1][0] for row in rows])
+    f = d.conjugate() if type(d) is GaussInt else 1  # d f is a nonzero integer
+    return [tuple(gaussian(*(Fraction(p, d * f) for p in zi_parts(x * f))) if x else zero
+                  for x in row) for row in red], pivots
 
 
 def rank_kernel(m: Matrix):
@@ -841,27 +822,6 @@ def sturm_root_count(p, a: int, b: int) -> int:
 
 # ---------------------------------------------------------------------------
 # numeric operations
-
-
-def eigenvalues_numeric(a: np.ndarray, tol: float = 1e-9):
-    """Eigenvalues as complex floats, each certified by ||Av - lv|| <= tol*||A||."""
-    a = np.asarray(a, dtype=complex)
-    if a.shape[0] != a.shape[1]:
-        raise ValueError("eigenvalues of a non-square matrix")
-    try:
-        vals, vecs = np.linalg.eig(a)
-    except np.linalg.LinAlgError as e:
-        raise NumericError(f"eigenvalue iteration failed: {e}") from e
-    scale = max(np.linalg.norm(a, 2), 1.0)
-    for i, lam in enumerate(vals):
-        v = vecs[:, i]
-        nv = np.linalg.norm(v)
-        if nv == 0:
-            raise NumericError("zero eigenvector returned")
-        res = np.linalg.norm(a @ v - lam * v) / nv
-        if res > tol * scale:
-            raise NumericError(f"eigenpair residual {res:.3e} exceeds {tol:.1e}*||A||")
-    return sorted(vals.tolist(), key=lambda z: (z.real, z.imag))
 
 
 def matrix_exp_numeric(a: np.ndarray, tol: float = 1e-12) -> np.ndarray:

@@ -32,6 +32,9 @@ with `ref_eigenline` and `ref_quotient` is the joint-kernel flag search that
 `weights.py` ran on `Fraction` and `GaussianRational` matrices before it ran
 on integer matrices; it is kept unchanged.
 
+`eigenvalues_numeric` is the residual-certified float eigenvalue routine
+that `exact.py` kept without a caller in the package; it is kept unchanged.
+
 `ref_rref` is the generic `Fraction` Gauss-Jordan elimination that `rref` ran
 on rational rows before it scaled them to integers and eliminated
 fraction-free; it is kept unchanged.
@@ -55,9 +58,12 @@ from fractions import Fraction
 from fractions import Fraction as Q
 from typing import Sequence
 
+import numpy as np
+
 from liegrpd.catalog import axb_tautological_module
 from liegrpd.coadjoint import _always_degenerate, _det_at
-from liegrpd.exact import ROOT_SEARCH_BUDGET, Matrix, Scalar, _Budget, _gaussian_divisors
+from liegrpd.exact import ROOT_SEARCH_BUDGET, Matrix, NumericError, Scalar, _Budget
+from liegrpd.exact import _gaussian_divisors
 from liegrpd.exact import format_scalar, gaussian, poly_eval, rank_kernel, rref
 from liegrpd.exact import scalar_im, scalar_key, scalar_re
 from liegrpd.groupoids import (
@@ -511,6 +517,27 @@ def ref_weights_joint_kernel(M, derived):
         p = next(i for i, x in enumerate(v) if x != 0)
         d_acts = [ref_quotient(a, v, p) for a in d_acts]
         c_acts = [ref_quotient(a, v, p) for a in c_acts]
+
+
+def eigenvalues_numeric(a: np.ndarray, tol: float = 1e-9):
+    """Eigenvalues as complex floats, each certified by ||Av - lv|| <= tol*||A||."""
+    a = np.asarray(a, dtype=complex)
+    if a.shape[0] != a.shape[1]:
+        raise ValueError("eigenvalues of a non-square matrix")
+    try:
+        vals, vecs = np.linalg.eig(a)
+    except np.linalg.LinAlgError as e:
+        raise NumericError(f"eigenvalue iteration failed: {e}") from e
+    scale = max(np.linalg.norm(a, 2), 1.0)
+    for i, lam in enumerate(vals):
+        v = vecs[:, i]
+        nv = np.linalg.norm(v)
+        if nv == 0:
+            raise NumericError("zero eigenvector returned")
+        res = np.linalg.norm(a @ v - lam * v) / nv
+        if res > tol * scale:
+            raise NumericError(f"eigenpair residual {res:.3e} exceeds {tol:.1e}*||A||")
+    return sorted(vals.tolist(), key=lambda z: (z.real, z.imag))
 
 
 # ---------------------------------------------------------------------------

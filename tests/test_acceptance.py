@@ -14,7 +14,7 @@ import numpy as np
 
 from liegrpd import catalog
 from liegrpd.coadjoint import coadjoint_flow, open_component_census
-from liegrpd.exact import eigenvalues_numeric, matrix_exp_numeric
+from liegrpd.exact import matrix_exp_numeric
 from liegrpd.groupoids import (
     FiniteGroup,
     algebra_profile,
@@ -42,6 +42,7 @@ sys.path.insert(0, str(__import__("pathlib").Path(__file__).resolve().parent))
 # alias: a Test-prefixed import would be re-collected as a test class here
 from test_weights import TestRandomTriangularPairs as _RandomPairs  # noqa: E402
 from test_weights import weight_multiset  # noqa: E402
+from dense_reference import eigenvalues_numeric  # noqa: E402
 
 
 RESULTS = []  # (criterion number, description, passed) — printed by conftest

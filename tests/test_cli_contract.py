@@ -4,9 +4,10 @@ identical bytes on a rerun.
 Every subcommand runs in-process on the catalog, the corpus and a set of
 malformed documents (out-of-range indices, repeated brackets, nonpositive
 dimension, exponent notation, wrong JSON types, broken groupoid tables) and
-with no input at all.  A coefficient too large for a float is left to
-`test_cli.py::TestNumericBridgeOverflow`: its exact root search alone takes
-about 2.5 s per pass.
+with no input at all.  A malformed document, and a run with no document,
+exits 2 under every subcommand, except the four `validate` runs named in
+`VERIFIED_VIOLATIONS`, which exit 1.  A coefficient too large for a float is
+left to `test_cli.py::TestNumericBridgeOverflow`.
 """
 import contextlib
 import io
@@ -147,51 +148,74 @@ def _capture(argv):
     return code, out.getvalue(), err.getvalue()
 
 
+# the malformed documents that `validate` reports as a verified violation
+# (exit 1); every other run on a malformed document, or on none, exits 2
+VERIFIED_VIOLATIONS = {
+    ("lie", "validate", "jacobi_violation"),
+    ("lie", "validate", "non_real_over_q"),
+    ("lie", "validate", "unknown_field"),
+    ("grpd", "validate", "action_short_table"),
+}
+
+
 def _cases(tmp_path):
-    lie_inputs = [["--name", n] for n in catalog.LIE_CATALOG]
-    lie_inputs += [["--in", str(CORPUS / f"{n}.json")]
+    """(argv, expected exit code); the code is None on the catalog, the
+    corpus and the cascade, where 0, 1 and 2 are all allowed."""
+    lie_inputs = [(["--name", n], None) for n in catalog.LIE_CATALOG]
+    lie_inputs += [(["--in", str(CORPUS / f"{n}.json")], None)
                    for n in ("axb", "complex_borel", "e2", "filiform4", "heisenberg")]
     dims = [make().dim for make in catalog.LIE_CATALOG.values()]
-    dims += [json.loads(Path(inp[1]).read_text())["dim"] for inp in lie_inputs[len(dims):]]
-    grpd_inputs = [["--name", n] for n in catalog.GROUPOID_CATALOG]
-    grpd_inputs += [["--in", str(CORPUS / f"{n}.json")]
+    dims += [json.loads(Path(inp[1]).read_text())["dim"] for inp, _ in lie_inputs[len(dims):]]
+    grpd_inputs = [(["--name", n], None) for n in catalog.GROUPOID_CATALOG]
+    grpd_inputs += [(["--in", str(CORPUS / f"{n}.json")], None)
                     for n in ("negation_groupoid", "s3_natural", "z4_parity")]
     for kind, docs, inputs in (("alg", MALFORMED_ALGEBRAS, lie_inputs),
                                ("grpd", MALFORMED_GROUPOIDS, grpd_inputs)):
         for name, doc in docs.items():
             p = tmp_path / f"{kind}_{name}.json"
             p.write_text(json.dumps(doc))
-            inputs.append(["--in", str(p)])
-        inputs.append([])
-    for inp, dim in zip(lie_inputs, dims + [2] * len(lie_inputs)):
+            inputs.append((["--in", str(p)], name))
+        inputs.append(([], ""))
+
+    def expected(argv, doc):
+        if doc is None:
+            return None
+        return 1 if (argv[0], argv[1], doc) in VERIFIED_VIOLATIONS else 2
+
+    for (inp, doc), dim in zip(lie_inputs, dims + [2] * len(lie_inputs)):
         for sub in LIE_SUBS:
             extra = ["--point", ",".join(["1"] * dim)] if sub == "coadjoint" else []
             if sub in ("census", "stratify"):
                 extra = ["--samples", "4"]
-            yield ["lie", sub] + inp + extra
-    for inp in grpd_inputs:
+            yield ["lie", sub] + inp + extra, expected(["lie", sub], doc)
+    for inp, doc in grpd_inputs:
         for sub in GRPD_SUBS:
             extra = ["--object", "0"] if sub == "regrep" else []
-            yield ["grpd", sub] + inp + extra
-    yield ["cascade", "--family", "B", "--rank", "3"]
-    yield ["cascade", "--table", "--max-rank", "3"]
-    yield ["cascade", "--family", "A", "--rank", "1000"]
-    yield ["cascade", "--table", "--max-rank", "0"]
-    yield ["cascade", "--table", "--max-rank", "25"]
-    yield ["cascade"]
-    yield ["lie", "coadjoint", "--name", "axb", "--point", "1e99999999,1"]
+            yield ["grpd", sub] + inp + extra, expected(["grpd", sub], doc)
+    yield ["cascade", "--family", "B", "--rank", "3"], None
+    yield ["cascade", "--table", "--max-rank", "3"], None
+    yield ["cascade", "--family", "A", "--rank", "1000"], None
+    yield ["cascade", "--table", "--max-rank", "0"], None
+    yield ["cascade", "--table", "--max-rank", "25"], None
+    yield ["cascade"], None
+    yield ["lie", "coadjoint", "--name", "axb", "--point", "1e99999999,1"], None
 
 
 def test_every_subcommand_keeps_the_exit_contract(tmp_path):
-    codes = set()
-    for argv in _cases(tmp_path):
+    codes, violations = set(), set()
+    for argv, code in _cases(tmp_path):
         try:
             first = _capture(argv)
             second = _capture(argv)
         except Exception as exc:  # the contract: nothing escapes main
             raise AssertionError(f"{argv} raised {exc!r}") from exc
         assert first[0] in (0, 1, 2), argv
+        if code is not None:
+            assert first[0] == code, argv
+            if code == 1:
+                violations.add((argv[0], argv[1], Path(argv[3]).stem.split("_", 1)[1]))
         assert first == second, argv
         assert "Traceback" not in first[2], argv
         codes.add(first[0])
     assert codes == {0, 1, 2}
+    assert violations == VERIFIED_VIOLATIONS

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from dense_reference import (
     det_exact,
+    eigenvalues_numeric,
     matrix_inverse,
     ref_lagrange_interpolate,
     ref_rref,
@@ -19,7 +20,6 @@ from liegrpd.exact import (
     Matrix,
     NumericError,
     charpoly_int,
-    eigenvalues_numeric,
     format_scalar,
     gaussian,
     gaussian_rational_roots,

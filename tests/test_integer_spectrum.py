@@ -44,6 +44,7 @@ from liegrpd.exact import (
     charpoly_int,
     gaussian,
     gaussian_rational_roots,
+    rref,
     rref_int,
     scalar_im,
     scalar_key,
@@ -295,3 +296,10 @@ def test_adjoint_module_equals_ad_matrices():
     for _, L in LIE_CATALOG_CASES + [(n, M.algebra) for n, M in FLAG_CASES]:
         assert adjoint_module(L).actions == tuple(
             ad_matrix(L, L.basis_vector(i)) for i in range(L.dim))
+
+
+@settings(max_examples=100, deadline=None)
+@given(gaussian_rows(), st.integers(1, 6))
+def test_gaussian_rational_rref_equals_reference(rows, den):
+    rows = [[_as_exact(x) / den for x in row] for row in rows]
+    assert rref(rows) == ref_rref(rows)
