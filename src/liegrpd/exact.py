@@ -660,7 +660,10 @@ def gaussian_rational_roots(coeffs: Sequence[Scalar]):
     derivatives' values.  A search whose divisor scans exhaust
     ROOT_SEARCH_BUDGET returns no roots beyond zero with complete=False.
     """
-    c = _zi_coeffs(coeffs)
+    if not all(type(x) is int or type(x) is GaussInt for x in coeffs):
+        coeffs = zi_rows([coeffs])[1][0]
+    g = zi_content(coeffs)
+    c = [x // g for x in coeffs] if g > 1 else list(coeffs)
     while len(c) > 1 and not c[-1]:
         c.pop()
     n = len(c) - 1
@@ -689,15 +692,6 @@ def gaussian_rational_roots(coeffs: Sequence[Scalar]):
     roots = sorted(((gaussian(Fraction(a, q), Fraction(b, q)), m)
                     for (a, b, q), m in found.items()), key=lambda rm: scalar_key(rm[0]))
     return roots, sum(found.values()) == n
-
-
-def _zi_coeffs(coeffs) -> list:
-    """The coefficients times the lcm of their denominators, divided by the
-    content: primitive Gaussian integers."""
-    if not all(type(x) is int or type(x) is GaussInt for x in coeffs):
-        coeffs = zi_rows([coeffs])[1][0]
-    g = zi_content(coeffs)
-    return [x // g for x in coeffs] if g > 1 else list(coeffs)
 
 
 def _zi_ratio(u, w) -> tuple:

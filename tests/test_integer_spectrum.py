@@ -227,11 +227,14 @@ def _key(weight):
     return tuple(scalar_key(x) for x in weight)
 
 
+LIE_CATALOG_CASES = [(n, make()) for n, make in sorted(LIE_CATALOG.items())] + [
+    ("complex_heisenberg", complex_heisenberg()), ("irrational", irrational_spectrum_algebra())]
+
+
 def _flag_cases():
-    """(name, module): every solvable algebra of the weight-search cases
-    (catalog, seeded conjugates over Q and Q(i), sums, random draws) with its
-    adjoint, coadjoint and dual adjoint module, and the modules of the affine
-    line."""
+    """(name, module): the solvable catalog algebras, seeded conjugates over
+    Q and Q(i), sums and random draws, each with its adjoint and coadjoint
+    module, and the tautological module of the affine line and its dual."""
     cases = [("axb_tautological", axb_tautological_module()),
              ("axb_tautological*", dual_module(axb_tautological_module()))]
     algebras = dict(LIE_CATALOG_CASES)
@@ -254,8 +257,6 @@ def _flag_cases():
     return cases
 
 
-LIE_CATALOG_CASES = [(n, make()) for n, make in sorted(LIE_CATALOG.items())] + [
-    ("complex_heisenberg", complex_heisenberg()), ("irrational", irrational_spectrum_algebra())]
 FLAG_CASES = _flag_cases()
 
 
