@@ -4,7 +4,9 @@
 Each run calls `liegrpd.cli.main` in process and prints one line: the argv,
 the exit code and the sha256 of stdout followed by stderr.  The ladder is
 every `lie` subcommand in JSON and text on the catalog and corpus algebras
-(`coadjoint` at two fixed points, `census` and `stratify` at
+(`coadjoint` at the integer points (1, ..., 1) and (1, 2, ..., n), and on the
+catalog Q-algebras also at (1/2, -2/3, 3/4, ...), whose skew form has
+denominators and both signs; `census` and `stratify` at
 `--samples 48 --seed 1`), `cascade --table` and `cascade --family F --rank r`
 for every system of the rank-8 table (JSON and text), two requests beyond the
 cascade's rank limit, and every `grpd` subcommand on the catalog and corpus
@@ -58,11 +60,14 @@ GRPD_SUBS = ("validate", "classify", "pullback-verify", "bimodule-verify", "deco
 
 def ladder():
     algebras = [(["--name", n], make().dim) for n, make in catalog.LIE_CATALOG.items()]
+    rational = {n for n, make in catalog.LIE_CATALOG.items() if make().field == "Q"}
     for n in CORPUS_ALGEBRAS:
         path = f"corpus/{n}.json"
         algebras.append((["--in", path], json.loads((ROOT / path).read_text())["dim"]))
     for inp, dim in algebras:
         points = [",".join(["1"] * dim), ",".join(str(i + 1) for i in range(dim))]
+        if inp[1] in rational:  # (-1)^k (k+1)/(k+2): denominators and both signs
+            points.append(",".join(f"{(-1) ** k * (k + 1)}/{k + 2}" for k in range(dim)))
         for fmt in ("json", "text"):
             for sub in LIE_SUBS:
                 argv = ["lie", sub] + inp + ["--format", fmt]
