@@ -43,6 +43,13 @@ fraction-free; it is kept unchanged.
 beside the census before it took the witness from the census's own first
 kept sample; it is kept unchanged.
 
+`DenseMatrix` is the `Matrix` that `exact.py` kept before it stored scaled
+integer rows: `Fraction` and `GaussianRational` entries with `identity`,
+`zeros`, `trace`, `+`, `-`, `@`, `scale` and `apply`.  `ref_action_of` is
+`LieModule.action_of` and `ref_law_failure` the representation-law check
+`make_module` ran on them.  They are kept unchanged, except that the class is
+renamed and `action_of` takes the module as an argument.
+
 `ref_pullback_isomorphism_verify` is the pullback verifier that
 `groupoids.py` ran before its functor loop read the isotropy products from
 a table: every product through `FiniteGroupoid.compose` and the pullback's
@@ -56,7 +63,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from fractions import Fraction as Q
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -64,7 +71,8 @@ from liegrpd.catalog import axb_tautological_module
 from liegrpd.coadjoint import _always_degenerate, _det_at
 from liegrpd.exact import ROOT_SEARCH_BUDGET, Matrix, NumericError, Scalar, _Budget
 from liegrpd.exact import _gaussian_divisors
-from liegrpd.exact import format_scalar, gaussian, poly_eval, rank_kernel, rref
+from liegrpd.exact import GaussianRational, format_scalar, gaussian, is_exact, poly_eval
+from liegrpd.exact import rank_kernel, rref, to_complex
 from liegrpd.exact import scalar_im, scalar_key, scalar_re
 from liegrpd.groupoids import (
     AxiomError,
@@ -75,8 +83,159 @@ from liegrpd.groupoids import (
     build_pullback,
     canonical_sections,
 )
-from liegrpd.lie import LieAlgebra, Subspace
+from liegrpd.lie import LieAlgebra, LieModule, Subspace
 from liegrpd.weights import InexactSpectrum
+
+
+class DenseMatrix:
+    """Immutable dense matrix with exact entries (`Fraction` or `GaussianRational`)."""
+
+    __slots__ = ("rows", "cols", "data")
+
+    def __init__(self, rows_data: Iterable[Iterable]):
+        data = tuple(
+            tuple(x if type(x) is Fraction else _exact_entry(x) for x in row)
+            for row in rows_data
+        )
+        if not data or not data[0]:
+            raise ValueError("matrix must be nonempty")
+        cols = len(data[0])
+        if any(len(row) != cols for row in data):
+            raise ValueError("ragged rows")
+        object.__setattr__(self, "rows", len(data))
+        object.__setattr__(self, "cols", cols)
+        object.__setattr__(self, "data", data)
+
+    def __setattr__(self, *a):
+        raise AttributeError("Matrix is immutable")
+
+    @staticmethod
+    def identity(n: int) -> "DenseMatrix":
+        one, zero = Fraction(1), Fraction(0)
+        return DenseMatrix([[one if i == j else zero for j in range(n)] for i in range(n)])
+
+    @staticmethod
+    def zeros(r: int, c: int) -> "DenseMatrix":
+        zero = Fraction(0)
+        return DenseMatrix([[zero] * c for _ in range(r)])
+
+    def __eq__(self, other):
+        return isinstance(other, DenseMatrix) and self.data == other.data
+
+    def __hash__(self):
+        return hash(self.data)
+
+    def __repr__(self):
+        return f"Matrix({[list(r) for r in self.data]})"
+
+    def __add__(self, other):
+        self._check_shape(other)
+        return DenseMatrix(
+            [
+                [a + b for a, b in zip(ra, rb)]
+                for ra, rb in zip(self.data, other.data)
+            ]
+        )
+
+    def __sub__(self, other):
+        self._check_shape(other)
+        return DenseMatrix(
+            [
+                [a - b for a, b in zip(ra, rb)]
+                for ra, rb in zip(self.data, other.data)
+            ]
+        )
+
+    def __neg__(self):
+        return DenseMatrix([[-a for a in row] for row in self.data])
+
+    def _check_shape(self, other):
+        if (self.rows, self.cols) != (other.rows, other.cols):
+            raise ValueError("shape mismatch")
+
+    def __matmul__(self, other):
+        if self.cols != other.rows:
+            raise ValueError("shape mismatch")
+        tdata = other.data
+        return DenseMatrix(
+            [
+                [
+                    sum((a * tdata[k][j] for k, a in enumerate(row) if a), Fraction(0))
+                    for j in range(other.cols)
+                ]
+                for row in self.data
+            ]
+        )
+
+    def scale(self, c) -> "DenseMatrix":
+        return DenseMatrix([[c * a for a in row] for row in self.data])
+
+    def transpose(self) -> "DenseMatrix":
+        return DenseMatrix(list(zip(*self.data)))
+
+    def trace(self):
+        return sum((self.data[i][i] for i in range(min(self.rows, self.cols))), Fraction(0))
+
+    def apply(self, vec: Sequence) -> tuple:
+        if len(vec) != self.cols:
+            raise ValueError("vector length mismatch")
+        if not all(is_exact(x) for x in vec):
+            raise TypeError("float vector applied to exact matrix")
+        out = []
+        for row in self.data:
+            acc = Fraction(0)
+            for a, x in zip(row, vec):
+                acc = acc + a * x
+            out.append(acc)
+        return tuple(out)
+
+    def column(self, j: int) -> tuple:
+        return tuple(row[j] for row in self.data)
+
+    def to_numpy(self) -> np.ndarray:
+        """Float (or complex) copy; NumericError names an entry too large for a float."""
+        is_complex = any(scalar_im(x) != 0 for row in self.data for x in row)
+        out = np.empty((self.rows, self.cols), dtype=complex if is_complex else float)
+        for i, row in enumerate(self.data):
+            for j, x in enumerate(row):
+                try:
+                    out[i, j] = to_complex(x) if is_complex else float(x)
+                except OverflowError:
+                    raise NumericError(
+                        f"matrix entry ({i}, {j}) does not fit a float"
+                    ) from None
+        return out
+
+
+def _exact_entry(x) -> Scalar:
+    if isinstance(x, int):
+        return Fraction(x)
+    if isinstance(x, (Fraction, GaussianRational)):
+        return x
+    raise TypeError(f"matrix entries must be exact, got {type(x).__name__}")
+
+
+def ref_action_of(M, x) -> DenseMatrix:
+    """a(x) of the module M as a dense matrix."""
+    out = DenseMatrix.zeros(M.dim, M.dim)
+    for i, xi in enumerate(x):
+        if xi != 0:
+            out = out + DenseMatrix(M.actions[i].data).scale(xi)
+    return out
+
+
+def ref_law_failure(L: LieAlgebra, actions):
+    """The first basis pair (i, j), i < j, with a([Y_i, Y_j]) != [a(Y_i), a(Y_j)],
+    or None: the check `make_module` ran on dense matrices."""
+    actions = [DenseMatrix(a.data) for a in actions]
+    mod = LieModule(L, actions[0].rows, tuple(actions))
+    for i in range(L.dim):
+        for j in range(i + 1, L.dim):
+            lhs = ref_action_of(mod, L.basis_bracket(i, j))
+            rhs = actions[i] @ actions[j] - actions[j] @ actions[i]
+            if lhs != rhs:
+                return i, j
+    return None
 
 
 def dense(dim, brackets):
