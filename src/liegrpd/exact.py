@@ -300,119 +300,97 @@ def zi_rows(rows):
 # matrices
 
 
-class Matrix:
-    """Immutable dense matrix with exact entries (`Fraction` or `GaussianRational`)."""
+def zi_over(x, s: int) -> Scalar:
+    """x / s as a `Fraction` or `GaussianRational`, for an int or GaussInt x
+    and a positive integer s."""
+    if type(x) is GaussInt:
+        return gaussian(Fraction(x.re, s), Fraction(x.im, s))
+    return Fraction(x, s)
 
-    __slots__ = ("rows", "cols", "data")
+
+def lowest_terms(rows, s: int):
+    """(rows, s) divided by their common content: the same matrix rows / s,
+    of int or GaussInt entries over a positive integer s, in lowest terms."""
+    g = s
+    for row in rows:
+        g = zi_content([g, *row])
+        if g == 1:
+            return rows, s
+    return [[x // g for x in row] for row in rows], s // g
+
+
+class Matrix:
+    """Immutable exact matrix N / s.
+
+    `ints` holds N as rows of int or `GaussInt` entries and `scale` the
+    positive integer s, in lowest terms (no integer above 1 divides s and
+    every entry of N), so equal matrices have equal fields.  The constructor
+    takes exact entries (int, `Fraction`, `GaussianRational`) and refuses
+    floats; `data` gives the entries back as `Fraction` and
+    `GaussianRational` rows.
+    """
+
+    __slots__ = ("rows", "cols", "ints", "scale")
 
     def __init__(self, rows_data: Iterable[Iterable]):
-        data = tuple(
-            tuple(x if type(x) is Fraction else _exact_entry(x) for x in row)
-            for row in rows_data
-        )
-        if not data or not data[0]:
+        s, ints = zi_rows([[x if type(x) is Fraction or type(x) is int else _exact_entry(x)
+                            for x in row] for row in rows_data])
+        self._store(ints, s)
+
+    @staticmethod
+    def scaled(ints, scale: int = 1) -> "Matrix":
+        """The matrix ints / scale, for rows of int or GaussInt entries and a
+        positive integer scale."""
+        m = object.__new__(Matrix)
+        m._store(*lowest_terms(ints, scale))
+        return m
+
+    def _store(self, ints, scale: int):
+        ints = tuple(map(tuple, ints))
+        if not ints or not ints[0]:
             raise ValueError("matrix must be nonempty")
-        cols = len(data[0])
-        if any(len(row) != cols for row in data):
+        cols = len(ints[0])
+        if any(len(row) != cols for row in ints):
             raise ValueError("ragged rows")
-        object.__setattr__(self, "rows", len(data))
-        object.__setattr__(self, "cols", cols)
-        object.__setattr__(self, "data", data)
+        for name, value in zip(Matrix.__slots__, (len(ints), cols, ints, scale)):
+            object.__setattr__(self, name, value)
 
     def __setattr__(self, *a):
         raise AttributeError("Matrix is immutable")
 
-    @staticmethod
-    def identity(n: int) -> "Matrix":
-        one, zero = Fraction(1), Fraction(0)
-        return Matrix([[one if i == j else zero for j in range(n)] for i in range(n)])
-
-    @staticmethod
-    def zeros(r: int, c: int) -> "Matrix":
-        zero = Fraction(0)
-        return Matrix([[zero] * c for _ in range(r)])
+    @property
+    def data(self) -> tuple:
+        return tuple(tuple(zi_over(x, self.scale) for x in row) for row in self.ints)
 
     def __eq__(self, other):
-        return isinstance(other, Matrix) and self.data == other.data
+        return isinstance(other, Matrix) and self.scale == other.scale and self.ints == other.ints
 
     def __hash__(self):
-        return hash(self.data)
+        return hash((self.scale, self.ints))
 
     def __repr__(self):
         return f"Matrix({[list(r) for r in self.data]})"
 
-    def __add__(self, other):
-        self._check_shape(other)
-        return Matrix(
-            [
-                [a + b for a, b in zip(ra, rb)]
-                for ra, rb in zip(self.data, other.data)
-            ]
-        )
-
-    def __sub__(self, other):
-        self._check_shape(other)
-        return Matrix(
-            [
-                [a - b for a, b in zip(ra, rb)]
-                for ra, rb in zip(self.data, other.data)
-            ]
-        )
-
     def __neg__(self):
-        return Matrix([[-a for a in row] for row in self.data])
-
-    def _check_shape(self, other):
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ValueError("shape mismatch")
-
-    def __matmul__(self, other):
-        if self.cols != other.rows:
-            raise ValueError("shape mismatch")
-        tdata = other.data
-        return Matrix(
-            [
-                [
-                    sum((a * tdata[k][j] for k, a in enumerate(row) if a), Fraction(0))
-                    for j in range(other.cols)
-                ]
-                for row in self.data
-            ]
-        )
-
-    def scale(self, c) -> "Matrix":
-        return Matrix([[c * a for a in row] for row in self.data])
+        return Matrix.scaled([[-x for x in row] for row in self.ints], self.scale)
 
     def transpose(self) -> "Matrix":
-        return Matrix(list(zip(*self.data)))
-
-    def trace(self):
-        return sum((self.data[i][i] for i in range(min(self.rows, self.cols))), Fraction(0))
-
-    def apply(self, vec: Sequence) -> tuple:
-        if len(vec) != self.cols:
-            raise ValueError("vector length mismatch")
-        if not all(is_exact(x) for x in vec):
-            raise TypeError("float vector applied to exact matrix")
-        out = []
-        for row in self.data:
-            acc = Fraction(0)
-            for a, x in zip(row, vec):
-                acc = acc + a * x
-            out.append(acc)
-        return tuple(out)
+        return Matrix.scaled(list(zip(*self.ints)), self.scale)
 
     def column(self, j: int) -> tuple:
-        return tuple(row[j] for row in self.data)
+        return tuple(zi_over(row[j], self.scale) for row in self.ints)
 
     def to_numpy(self) -> np.ndarray:
-        """Float (or complex) copy; NumericError names an entry too large for a float."""
-        is_complex = any(scalar_im(x) != 0 for row in self.data for x in row)
+        """Float (or complex) copy, each entry one exact int / int division;
+        NumericError names an entry too large for a float."""
+        s = self.scale
+        is_complex = any(type(x) is GaussInt for row in self.ints for x in row)
         out = np.empty((self.rows, self.cols), dtype=complex if is_complex else float)
-        for i, row in enumerate(self.data):
+        for i, row in enumerate(self.ints):
             for j, x in enumerate(row):
+                re, im = zi_parts(x)
                 try:
-                    out[i, j] = to_complex(x) if is_complex else float(x)
+                    out[i, j] = complex(re / s, im / s) if is_complex else re / s
                 except OverflowError:
                     raise NumericError(
                         f"matrix entry ({i}, {j}) does not fit a float"
@@ -421,9 +399,7 @@ class Matrix:
 
 
 def _exact_entry(x) -> Scalar:
-    if isinstance(x, int):
-        return Fraction(x)
-    if isinstance(x, (Fraction, GaussianRational)):
+    if isinstance(x, (int, Fraction, GaussianRational)):
         return x
     raise TypeError(f"matrix entries must be exact, got {type(x).__name__}")
 
@@ -492,20 +468,34 @@ def rref(rows: Sequence[Sequence[Scalar]]):
                   for x in row) for row in red], pivots
 
 
-def rank_kernel(m: Matrix):
-    """Exact rank and a kernel basis (list of tuples)."""
-    red, pivots = rref(m.data)
-    rank = len(pivots)
-    free = [j for j in range(m.cols) if j not in pivots]
-    kernel = []
+def positive_multiplier(d):
+    """A unit or conjugate f with d * f a positive integer, for d != 0 in Z[i]."""
+    return d.conjugate() if type(d) is GaussInt else (1 if d > 0 else -1)
+
+
+def kernel_int(rows, n: int):
+    """A kernel basis of n-column rows over Z or Z[i], as (vectors, free, e):
+    vector k is the positive integer e at free[k] and 0 at the other free
+    columns, which are the non-pivot columns of the echelon form."""
+    red, d, pivots = rref_int(rows)
+    f = positive_multiplier(d)
+    free = [j for j in range(n) if j not in pivots]
+    vecs = []
     for j in free:
-        v = [Fraction(0)] * m.cols
-        v[j] = Fraction(1)
+        v = [0] * n
+        v[j] = d * f
         for row, p in zip(red, pivots):
             if row[j]:
-                v[p] = -row[j]
-        kernel.append(tuple(v))
-    return rank, kernel
+                v[p] = -row[j] * f
+        vecs.append(v)
+    return vecs, free, d * f
+
+
+def rank_kernel(m: Matrix):
+    """Exact rank and a kernel basis (list of tuples), each vector 1 at its
+    own free column, from `kernel_int` on the integer rows."""
+    vecs, free, e = kernel_int(m.ints, m.cols)
+    return m.cols - len(free), [tuple(zi_over(x, e) for x in v) for v in vecs]
 
 
 def pfaffian_int(rows: Sequence[Sequence[int]]) -> int:
@@ -578,9 +568,14 @@ def charpoly_int(a):
         if k < n:
             for i in range(n):
                 b[i][i] += c
-            cols = list(zip(*b))
-            b = [[sum(x * y for x, y in zip(row, col) if x) for col in cols] for row in a]
+            b = matmul_int(a, b)
     return out
+
+
+def matmul_int(a, b) -> list:
+    """The product of two matrices given as rows of int or GaussInt entries."""
+    cols = list(zip(*b))
+    return [[sum(x * y for x, y in zip(row, col) if x) for col in cols] for row in a]
 
 
 def poly_eval(coeffs: Sequence[Scalar], x: Scalar) -> Scalar:

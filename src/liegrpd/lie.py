@@ -25,11 +25,13 @@ from .exact import (
     format_scalar,
     gaussian,
     is_exact,
+    matmul_int,
     parse_scalar,
     rank_kernel,
     rref,
     scalar_im,
     scalar_re,
+    zi_rows,
 )
 
 
@@ -329,20 +331,18 @@ class LieModule:
     dim: int
     actions: tuple  # Matrix per basis element
 
-    def action_of(self, x: Vector) -> Matrix:
-        out = Matrix.zeros(self.dim, self.dim)
-        for i, xi in enumerate(x):
-            if xi != 0:
-                out = out + self.actions[i].scale(xi)
-        return out
-
 
 class RepresentationError(ValueError):
     """a([x,y]) != [a(x), a(y)] for some basis pair."""
 
 
 def make_module(L: LieAlgebra, actions: Sequence[Matrix]) -> LieModule:
-    """Validate the representation law exactly and build the module."""
+    """Validate the representation law exactly and build the module.
+
+    On integer rows: with a(Y_k) = N_k / S over the common scale S and the
+    bracket constants C / D over their common denominator D, the law on
+    (Y_i, Y_j) reads S sum_l C_ijl N_l = D (N_i N_j - N_j N_i).
+    """
     actions = tuple(actions)
     if len(actions) != L.dim:
         raise ValueError("one action matrix per basis element required")
@@ -350,16 +350,22 @@ def make_module(L: LieAlgebra, actions: Sequence[Matrix]) -> LieModule:
     for a in actions:
         if a.rows != n or a.cols != n:
             raise ValueError("action matrices must be square of equal size")
-    mod = LieModule(L, n, actions)
+    s = math.lcm(*(a.scale for a in actions))
+    ints = [[[x * (s // a.scale) for x in row] for row in a.ints] for a in actions]
+    d, (consts,) = zi_rows([[c for _, _, terms in L.brackets for _, c in terms]])
+    consts = iter(consts)
+    table = {(j, k): [(l, next(consts)) for l, _ in terms] for j, k, terms in L.brackets}
     for i in range(L.dim):
         for j in range(i + 1, L.dim):
-            lhs = mod.action_of(L.basis_bracket(i, j))
-            rhs = actions[i] @ actions[j] - actions[j] @ actions[i]
-            if lhs != rhs:
+            terms = table.get((i, j), ())
+            lhs = [[s * sum(c * ints[l][r][t] for l, c in terms) for t in range(n)]
+                   for r in range(n)]
+            ab, ba = matmul_int(ints[i], ints[j]), matmul_int(ints[j], ints[i])
+            if lhs != [[d * (x - y) for x, y in zip(u, w)] for u, w in zip(ab, ba)]:
                 raise RepresentationError(
                     f"representation law fails on basis pair ({i+1},{j+1})"
                 )
-    return mod
+    return LieModule(L, n, actions)
 
 
 def adjoint_module(L: LieAlgebra) -> LieModule:

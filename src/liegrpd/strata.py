@@ -13,12 +13,13 @@ set is the unique minimum in the index order.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .coadjoint import _form_rows, _form_values, integer_bform
-from .exact import Matrix, clear_denominators, rank_kernel, rref, rref_int
+from .exact import Matrix, clear_denominators, rank_kernel, rref, rref_int, zi_rows
 from .lie import LieAlgebra, LieModule, Subspace, centralizer_mod, checked_subalgebra
 
 
@@ -244,17 +245,24 @@ class ModuleStratification:
     notes: tuple
 
 
+def _orbit_rows(M: LieModule, v) -> list:
+    """The matrix of x -> a(x) v, one column per basis element, as integer
+    rows: a positive multiple of it, with the same rank and kernel."""
+    s = math.lcm(*(a.scale for a in M.actions))
+    w = zi_rows([v])[1][0]
+    cols = [[sum(x * y for x, y in zip(row, w) if x) * (s // a.scale) for row in a.ints]
+            for a in M.actions]
+    return list(zip(*cols))
+
+
 def orbit_tangent_rank(M: LieModule, v) -> int:
     """Dimension of the orbit through v: rank of x -> a(x) v."""
-    cols = [M.actions[i].apply(v) for i in range(M.algebra.dim)]
-    rank, _ = rank_kernel(Matrix([[c[j] for c in cols] for j in range(M.dim)]))
-    return rank
+    return len(rref_int(_orbit_rows(M, v))[2])
 
 
 def point_isotropy(M: LieModule, v) -> Subspace:
     """Stabilizer subalgebra {x : a(x) v = 0}; verified closed under bracket."""
-    cols = [M.actions[i].apply(v) for i in range(M.algebra.dim)]
-    _, kernel = rank_kernel(Matrix([[c[j] for c in cols] for j in range(M.dim)]))
+    _, kernel = rank_kernel(Matrix.scaled(_orbit_rows(M, v)))
     return checked_subalgebra(M.algebra, kernel, "point stabilizer")
 
 

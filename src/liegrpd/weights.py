@@ -30,20 +30,21 @@ polynomials (restricted ones here, full ones there).
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
 from .exact import (
-    GaussInt,
     charpoly_int,
     gaussian_rational_roots,
-    rref_int,
+    kernel_int,
+    lowest_terms,
+    positive_multiplier,
     scalar_im,
     scalar_re,
     zi,
-    zi_content,
     zi_rows,
 )
 from .lie import LieAlgebra, LieModule, adjoint_module, derived_series, realify
@@ -85,40 +86,6 @@ class RootFunctional:
         return re, im
 
 
-def _scaled(rows, s):
-    """(rows, s) divided by their common content: the same matrix rows / s
-    in lowest terms, s > 0."""
-    g = s
-    for row in rows:
-        g = zi_content([g, *row])
-        if g == 1:
-            return rows, s
-    return [[x // g for x in row] for row in rows], s // g
-
-
-def _positive(d):
-    """A unit or conjugate f with d * f a positive integer, for d != 0 in Z[i]."""
-    return d.conjugate() if type(d) is GaussInt else (1 if d > 0 else -1)
-
-
-def _kernel(rows, n):
-    """A kernel basis of integer rows of length n, as (vectors, coordinates,
-    e): vector k is e > 0 at coordinates[k] and 0 at the other coordinates,
-    which are the free columns of the echelon form."""
-    red, d, pivots = rref_int(rows)
-    f = _positive(d)
-    free = [j for j in range(n) if j not in pivots]
-    vecs = []
-    for j in free:
-        v = [0] * n
-        v[j] = d * f
-        for row, p in zip(red, pivots):
-            if row[j]:
-                v[p] = -row[j] * f
-        vecs.append(v)
-    return vecs, free, d * f
-
-
 def _eigenline(d_acts, c_acts):
     """A vector on which every action is scalar, and the scalars of c_acts.
 
@@ -131,7 +98,7 @@ def _eigenline(d_acts, c_acts):
     Gaussian-integer eigenvalues mu of R.
     """
     n = len(c_acts[0][0])
-    vecs, coords, e = _kernel([row for a, _ in d_acts for row in a], n)
+    vecs, coords, e = kernel_int([row for a, _ in d_acts for row in a], n)
     lams = []
     for a, s in c_acts:
         images = [[sum(x * y for x, y in zip(row, v) if x) for row in a] for v in vecs]
@@ -144,11 +111,11 @@ def _eigenline(d_acts, c_acts):
             raise InexactSpectrum("no eigenvalue over the Gaussian rationals")
         lam = roots[0][0]  # the roots come sorted by scalar_key
         mu = zi(int(scalar_re(lam) * sigma), int(scalar_im(lam) * sigma))
-        ker, free, e2 = _kernel([[x - mu if i == j else x for j, x in enumerate(row)]
+        ker, free, e2 = kernel_int([[x - mu if i == j else x for j, x in enumerate(row)]
                                  for i, row in enumerate(r)], len(r))
         vecs = [[sum(c * v[t] for c, v in zip(k, vecs) if c) for t in range(n)] for k in ker]
         coords, e = [coords[j] for j in free], e * e2
-        vecs, e = _scaled(vecs, e)
+        vecs, e = lowest_terms(vecs, e)
         lams.append(lam)
     return lams, vecs[0]
 
@@ -161,8 +128,8 @@ def _quotient(act, v, p):
     scale stays a positive integer."""
     a, s = act
     vp, top = v[p], a[p]
-    f = _positive(vp)
-    return _scaled([[(vp * x - vi * y) * f for j, (x, y) in enumerate(zip(row, top)) if j != p]
+    f = positive_multiplier(vp)
+    return lowest_terms([[(vp * x - vi * y) * f for j, (x, y) in enumerate(zip(row, top)) if j != p]
                     for i, (row, vi) in enumerate(zip(a, v)) if i != p], vp * f * s)
 
 
@@ -171,17 +138,18 @@ def _weights_exact(M, derived):
 
     Values on the complement of [L, L] (the non-pivot columns of `derived`)
     are eigenvalues; on each pivot column p the weight is fixed by vanishing
-    on the derived row w_p: lambda(e_p) = -sum_j w_pj lambda(e_j).  The
-    actions are scaled to integer matrices once: A_i = N_i / S.
+    on the derived row w_p: lambda(e_p) = -sum_j w_pj lambda(e_j).  Each
+    action enters as its integer rows and scale; the [L, L]-actions are
+    combined over the common scale S of all actions, A_i = N_i / S.
     """
     free = [j for j in range(M.algebra.dim) if j not in derived.pivots]
-    S, stacked = zi_rows([row for a in M.actions for row in a.data])
-    ints = [stacked[i * M.dim:(i + 1) * M.dim] for i in range(M.algebra.dim)]
+    S = math.lcm(*(a.scale for a in M.actions))
+    ints = [[[x * (S // a.scale) for x in row] for row in a.ints] for a in M.actions]
     d_acts = []
     for w in zi_rows(derived.rows)[1]:
-        d_acts.append(_scaled([[sum(c * a[i][j] for c, a in zip(w, ints) if c)
-                                for j in range(M.dim)] for i in range(M.dim)], S))
-    c_acts = [_scaled(ints[j], S) for j in free]
+        d_acts.append(lowest_terms([[sum(c * a[i][j] for c, a in zip(w, ints) if c)
+                                     for j in range(M.dim)] for i in range(M.dim)], S))
+    c_acts = [(M.actions[j].ints, M.actions[j].scale) for j in free]
     out = []
     while True:
         lams, v = _eigenline(d_acts, c_acts)

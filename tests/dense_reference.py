@@ -48,7 +48,10 @@ integer rows: `Fraction` and `GaussianRational` entries with `identity`,
 `zeros`, `trace`, `+`, `-`, `@`, `scale` and `apply`.  `ref_action_of` is
 `LieModule.action_of` and `ref_law_failure` the representation-law check
 `make_module` ran on them.  They are kept unchanged, except that the class is
-renamed and `action_of` takes the module as an argument.
+renamed and `action_of` takes the module as an argument.  The oracles above
+that compute with matrices run on `DenseMatrix`: `ref_weights_exact` and
+`ref_weights_joint_kernel` copy the library's actions into it on entry, and
+every `rank_kernel` call gets a library `Matrix` of the same entries.
 
 `ref_pullback_isomorphism_verify` is the pullback verifier that
 `groupoids.py` ran before its functor loop read the isotropy products from
@@ -426,7 +429,7 @@ DENSE_CATALOG = {
 }
 
 
-def ref_charpoly_exact(m: Matrix):
+def ref_charpoly_exact(m: DenseMatrix):
     """Monic characteristic polynomial coefficients [c0, ..., c_{n-1}, 1].
 
     Faddeev-LeVerrier recursion; exact over Q and Q(i).
@@ -436,13 +439,13 @@ def ref_charpoly_exact(m: Matrix):
     n = m.rows
     coeffs = [Fraction(0)] * (n + 1)
     coeffs[n] = Fraction(1)
-    mk = Matrix.identity(n)
+    mk = DenseMatrix.identity(n)
     for k in range(1, n + 1):
         mk = m @ mk
         ck = -mk.trace() / k
         coeffs[n - k] = ck
         if k < n:
-            mk = mk + Matrix.identity(n).scale(ck)
+            mk = mk + DenseMatrix.identity(n).scale(ck)
     return coeffs
 
 
@@ -526,7 +529,7 @@ def ref_gaussian_rational_roots(coeffs: Sequence[Scalar]):
     return out, complete
 
 
-def ref_charpoly_exact_roots(m: Matrix):
+def ref_charpoly_exact_roots(m: DenseMatrix):
     """(monic charpoly coeffs, [(root, mult)], complete flag)."""
     poly = ref_charpoly_exact(m)
     roots, complete = ref_gaussian_rational_roots(poly)
@@ -537,7 +540,7 @@ def ref_common_eigenvector_exact(mats):
     """Depth-first search for a joint eigenvector with Gaussian-rational
     eigenvalues.  Returns (eigenvalue tuple, vector) or None."""
     n = mats[0].rows
-    eye = Matrix.identity(n)
+    eye = DenseMatrix.identity(n)
 
     def descend(idx, space_rows):
         if idx == len(mats):
@@ -546,7 +549,7 @@ def ref_common_eigenvector_exact(mats):
         _, roots, _ = ref_charpoly_exact_roots(a)
         for lam, _mult in sorted(roots, key=lambda rm: scalar_key(rm[0])):
             shifted = a - eye.scale(lam)
-            _, ker = rank_kernel(shifted)
+            _, ker = rank_kernel(Matrix(shifted.data))
             if not ker:
                 continue
             if space_rows is None:
@@ -593,16 +596,17 @@ def ref_quotient_exact(mats, v):
         for j in range(n)
         if j != pivot
     ]
-    p = Matrix(list(zip(*cols)))
+    p = DenseMatrix(list(zip(*cols)))
     p_inv = matrix_inverse(p)
     out = []
     for a in mats:
         conj = p_inv @ a @ p
-        out.append(Matrix([row[1:] for row in conj.data[1:]]) if n > 1 else None)
+        out.append(DenseMatrix([row[1:] for row in conj.data[1:]]) if n > 1 else None)
     return out
 
 
 def ref_weights_exact(mats):
+    mats = [DenseMatrix(m.data) for m in mats]
     n = mats[0].rows
     if n == 0:
         return []
@@ -630,12 +634,12 @@ def ref_eigenline(d_acts, c_acts):
     lams = []
     for a in c_acts:
         images = [a.apply(v) for v in space.rows]
-        r = Matrix([[img[p] for img in images] for p in space.pivots])
+        r = DenseMatrix([[img[p] for img in images] for p in space.pivots])
         _, roots, _ = ref_charpoly_exact_roots(r)
         if not roots:
             raise InexactSpectrum("no eigenvalue over the Gaussian rationals")
         lam = roots[0][0]  # the roots come sorted by scalar_key
-        _, ker = rank_kernel(r - Matrix.identity(r.rows).scale(lam))
+        _, ker = rank_kernel(Matrix((r - DenseMatrix.identity(r.rows).scale(lam)).data))
         space = Subspace.from_vectors(
             n, [tuple(sum((c * v[t] for c, v in zip(k, space.rows)), Fraction(0))
                       for t in range(n)) for k in ker])
@@ -648,7 +652,7 @@ def ref_quotient(a, v, p):
     update A[i][j] - v[i] A[p][j] / v[p], which is P^-1 A P for
     P = (v, e_j for j != p) without its first row and column."""
     ap = a.data[p]
-    return Matrix([[x - f * y for j, (x, y) in enumerate(zip(row, ap)) if j != p]
+    return DenseMatrix([[x - f * y for j, (x, y) in enumerate(zip(row, ap)) if j != p]
                    for i, (row, f) in enumerate(zip(a.data, (x / v[p] for x in v))) if i != p])
 
 
@@ -660,8 +664,8 @@ def ref_weights_joint_kernel(M, derived):
     on the derived row w_p: lambda(e_p) = -sum_j w_pj lambda(e_j).
     """
     free = [j for j in range(M.algebra.dim) if j not in derived.pivots]
-    d_acts = [M.action_of(w) for w in derived.rows]
-    c_acts = [M.actions[j] for j in free]
+    d_acts = [ref_action_of(M, w) for w in derived.rows]
+    c_acts = [DenseMatrix(M.actions[j].data) for j in free]
     out = []
     while True:
         lams, v = ref_eigenline(d_acts, c_acts)
@@ -974,7 +978,7 @@ def _poly_from_roots(roots):
     return p
 
 
-def det_exact(m: Matrix):
+def det_exact(m: DenseMatrix):
     """Exact determinant by fraction-based elimination."""
     if m.rows != m.cols:
         raise ValueError("determinant of a non-square matrix")
@@ -997,7 +1001,7 @@ def det_exact(m: Matrix):
     return det
 
 
-def solve_exact(m: Matrix, rhs):
+def solve_exact(m: DenseMatrix, rhs):
     """Solve m x = rhs exactly; None when inconsistent, a particular solution else."""
     aug = [list(row) + [v] for row, v in zip(m.data, rhs)]
     red, pivots = rref(aug)
@@ -1009,14 +1013,14 @@ def solve_exact(m: Matrix, rhs):
     return tuple(x)
 
 
-def matrix_inverse(m: Matrix) -> Matrix:
+def matrix_inverse(m: DenseMatrix) -> DenseMatrix:
     if m.rows != m.cols:
         raise ValueError("inverse of a non-square matrix")
-    aug = [list(row) + list(ident_row) for row, ident_row in zip(m.data, Matrix.identity(m.rows).data)]
+    aug = [list(row) + list(ident_row) for row, ident_row in zip(m.data, DenseMatrix.identity(m.rows).data)]
     red, pivots = rref(aug)
     if pivots != list(range(m.rows)):
         raise ValueError("matrix is singular")
-    return Matrix([row[m.rows:] for row in red])
+    return DenseMatrix([row[m.rows:] for row in red])
 
 
 def ref_rref(rows):

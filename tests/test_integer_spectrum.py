@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 from dense_reference import (
     COMPLEX_BOREL,
     DENSE_CATALOG,
+    DenseMatrix,
     VALID_GAUSSIAN_DRAWS,
     VALID_RATIONAL_DRAWS,
     random_tensor,
@@ -99,7 +100,7 @@ def test_integer_charpoly_equals_reference(rows):
     s, ints = zi_rows(rows)
     n = len(rows)
     got = [_as_exact(c) / s ** (n - k) for k, c in enumerate(charpoly_int(ints))]
-    assert got == ref_charpoly_exact(Matrix(rows))
+    assert got == ref_charpoly_exact(DenseMatrix(rows))
 
 
 def test_integer_charpoly_of_nilpotent_and_zero_matrices():

@@ -5,7 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dense_reference import DENSE_CATALOG, random_tensor, ref_adjoint_actions, ref_brackets
+from dense_reference import (
+    DENSE_CATALOG,
+    DenseMatrix,
+    random_tensor,
+    ref_adjoint_actions,
+    ref_brackets,
+)
 from liegrpd.catalog import (
     abelian,
     axb,
@@ -189,9 +195,9 @@ class TestAdAndSeries:
         for _ in range(10):
             x = tuple(Q(rng.randint(-3, 3)) for _ in range(L.dim))
             y = tuple(Q(rng.randint(-3, 3)) for _ in range(L.dim))
-            lhs = ad_matrix(L, L.bracket(x, y))
-            rhs = ad_matrix(L, x) @ ad_matrix(L, y) - ad_matrix(L, y) @ ad_matrix(L, x)
-            assert lhs == rhs
+            lhs = DenseMatrix(ad_matrix(L, L.bracket(x, y)).data)
+            ax, ay = (DenseMatrix(ad_matrix(L, v).data) for v in (x, y))
+            assert lhs == ax @ ay - ay @ ax
 
     def test_heisenberg_series(self):
         rep = structure_series(heisenberg())

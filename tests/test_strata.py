@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dense_reference import matrix_inverse, ref_rref
+from dense_reference import DenseMatrix, matrix_inverse, ref_rref
 from liegrpd.catalog import (
     LIE_CATALOG,
     abelian,
@@ -290,7 +290,7 @@ def reference_pivot_jump_indices(L, flag, xi):
         old = set(lower.pivots)
         adapted.append(next(r for r, p in zip(upper.rows, upper.pivots) if p not in old))
     b = bform(L, xi)
-    _, pivots = ref_rref((b @ Matrix(adapted).transpose()).data)
+    _, pivots = ref_rref((DenseMatrix(b.data) @ DenseMatrix(adapted).transpose()).data)
     assert len(pivots) == len(ref_rref(b.data)[1])
     return tuple(p + 1 for p in pivots)
 
@@ -306,7 +306,7 @@ def rescale(L, factors):
 def reference_ascending_central_series(L):
     """z_{k+1} = kernel of (reduction mod z_k) o ad(Y_i), stacked over i."""
     m = L.dim
-    ads = [ad_matrix(L, L.basis_vector(i)) for i in range(m)]
+    ads = [DenseMatrix(ad_matrix(L, L.basis_vector(i)).data) for i in range(m)]
     chain = [Subspace.zero(m)]
     while True:
         cols = []
@@ -318,7 +318,7 @@ def reference_ascending_central_series(L):
                     c = v[pivot] / row[pivot]
                     v = [a - c * b for a, b in zip(v, row)]
             cols.append(v)
-        res = Matrix([[cols[k][j] for k in range(m)] for j in range(m)])
+        res = DenseMatrix([[cols[k][j] for k in range(m)] for j in range(m)])
         stacked = [row for a in ads for row in (res @ a).data]
         _, kernel = rank_kernel(Matrix(stacked))
         nxt = Subspace.from_vectors(m, kernel)
