@@ -320,7 +320,8 @@ TRIPLE_CAP = 2_000_000  # composable triples the associativity check visits at m
 
 
 def validate_groupoid(G: FiniteGroupoid) -> None:
-    """Exhaustive axiom check; AxiomError carries a witness tuple."""
+    """Exhaustive axiom check; AxiomError carries a witness tuple.  More than
+    TRIPLE_CAP composable triples are refused before any product is computed."""
     objs = set(G.objects)
     mors = set(G.morphisms)
     if len(objs) != len(G.objects) or len(mors) != len(G.morphisms):
@@ -333,6 +334,13 @@ def validate_groupoid(G: FiniteGroupoid) -> None:
         if e not in mors or G.source[e] != x or G.target[e] != x:
             raise AxiomError("bad identity", x)
     product, source, target, into = G.product, G.source, G.target, G.into
+    # triples (g, h, k) through y = d(g): sum over h into y of |into(d(h))|
+    fan = {y: sum(len(into[source[h]]) for h in hs) for y, hs in into.items()}
+    triples = sum(fan[source[g]] for g in G.morphisms)
+    if triples > TRIPLE_CAP:
+        raise ValueError(
+            f"{triples} composable triples exceed the exhaustive-check cap of {TRIPLE_CAP}"
+        )
     for g, h in G.composable_pairs():
         k = product(g, h)
         if k not in mors or source[k] != source[h] or target[k] != target[g]:
@@ -350,13 +358,6 @@ def validate_groupoid(G: FiniteGroupoid) -> None:
             or product(ginv, g) != e_d
         ):
             raise AxiomError("inverse law fails", g)
-    # triples (g, h, k) through y = d(g): sum over h into y of |into(d(h))|
-    fan = {y: sum(len(into[source[h]]) for h in hs) for y, hs in into.items()}
-    triples = sum(fan[source[g]] for g in G.morphisms)
-    if triples > TRIPLE_CAP:
-        raise ValueError(
-            f"{triples} composable triples exceed the exhaustive-check cap of {TRIPLE_CAP}"
-        )
     for g, h in G.composable_pairs():
         gh = product(g, h)
         for k in into[source[h]]:
