@@ -2,11 +2,14 @@
 
 Scalars are `Fraction` for real values and `GaussianRational` for values with
 a nonzero imaginary part; arithmetic never silently demotes to float.  A
-`Matrix` holds exact entries only.  Pfaffians, interpolation and Sturm counts
-work on plain integers; the eliminations, characteristic polynomials and root
-searches on integers and Gaussian integers (`GaussInt`).  The explicitly
-numeric operations at the end of the module take and return `numpy` arrays;
-`Matrix.to_numpy` is the one bridge from the exact side.
+`Matrix` takes exact entries only and stores them as an integer or
+Gaussian-integer (`GaussInt`) matrix N with one positive integer scale s, in
+lowest terms; its `Fraction` rows are rebuilt only for reports.  Pfaffians,
+interpolation and Sturm counts work on plain integers; the eliminations,
+kernels, characteristic polynomials and root searches on integers and
+Gaussian integers.  The explicitly numeric operations at the end of the
+module take and return `numpy` arrays; `Matrix.to_numpy` is the one bridge
+from the exact side.
 """
 from __future__ import annotations
 
@@ -349,10 +352,9 @@ class Matrix:
         ints = tuple(map(tuple, ints))
         if not ints or not ints[0]:
             raise ValueError("matrix must be nonempty")
-        cols = len(ints[0])
-        if any(len(row) != cols for row in ints):
+        if any(len(row) != len(ints[0]) for row in ints):
             raise ValueError("ragged rows")
-        for name, value in zip(Matrix.__slots__, (len(ints), cols, ints, scale)):
+        for name, value in zip(Matrix.__slots__, (len(ints), len(ints[0]), ints, scale)):
             object.__setattr__(self, name, value)
 
     def __setattr__(self, *a):
@@ -392,10 +394,15 @@ class Matrix:
                 try:
                     out[i, j] = complex(re / s, im / s) if is_complex else re / s
                 except OverflowError:
-                    raise NumericError(
-                        f"matrix entry ({i}, {j}) does not fit a float"
-                    ) from None
+                    raise NumericError(f"matrix entry ({i}, {j}) does not fit a float") from None
         return out
+
+
+def common_scale(mats) -> tuple:
+    """(S, rows): the matrices over their least common scale S, as the
+    integer rows S times each."""
+    s = math.lcm(*(m.scale for m in mats))
+    return s, [[[x * (s // m.scale) for x in row] for row in m.ints] for m in mats]
 
 
 def _exact_entry(x) -> Scalar:
@@ -463,9 +470,8 @@ def rref(rows: Sequence[Sequence[Scalar]]):
         red, d, pivots = rref_int([clear_denominators(row)[1][0] for row in rows])
         return [tuple(Fraction(x, d) if x else zero for x in row) for row in red], pivots
     red, d, pivots = rref_int([zi_rows([row])[1][0] for row in rows])
-    f = d.conjugate() if type(d) is GaussInt else 1  # d f is a nonzero integer
-    return [tuple(gaussian(*(Fraction(p, d * f) for p in zi_parts(x * f))) if x else zero
-                  for x in row) for row in red], pivots
+    f = positive_multiplier(d)
+    return [tuple(zi_over(x * f, d * f) if x else zero for x in row) for row in red], pivots
 
 
 def positive_multiplier(d):

@@ -21,6 +21,7 @@ from .exact import (
     GaussianRational,
     Matrix,
     Scalar,
+    common_scale,
     document_int,
     format_scalar,
     gaussian,
@@ -350,8 +351,7 @@ def make_module(L: LieAlgebra, actions: Sequence[Matrix]) -> LieModule:
     for a in actions:
         if a.rows != n or a.cols != n:
             raise ValueError("action matrices must be square of equal size")
-    s = math.lcm(*(a.scale for a in actions))
-    ints = [[[x * (s // a.scale) for x in row] for row in a.ints] for a in actions]
+    s, ints = common_scale(actions)
     d, (consts,) = zi_rows([[c for _, _, terms in L.brackets for _, c in terms]])
     consts = iter(consts)
     table = {(j, k): [(l, next(consts)) for l, _ in terms] for j, k, terms in L.brackets}
@@ -362,9 +362,7 @@ def make_module(L: LieAlgebra, actions: Sequence[Matrix]) -> LieModule:
                    for r in range(n)]
             ab, ba = matmul_int(ints[i], ints[j]), matmul_int(ints[j], ints[i])
             if lhs != [[d * (x - y) for x, y in zip(u, w)] for u, w in zip(ab, ba)]:
-                raise RepresentationError(
-                    f"representation law fails on basis pair ({i+1},{j+1})"
-                )
+                raise RepresentationError(f"representation law fails on basis pair ({i+1},{j+1})")
     return LieModule(L, n, actions)
 
 

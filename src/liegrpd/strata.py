@@ -13,13 +13,12 @@ set is the unique minimum in the index order.
 from __future__ import annotations
 
 import itertools
-import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .coadjoint import _form_rows, _form_values, integer_bform
-from .exact import Matrix, clear_denominators, rank_kernel, rref, rref_int, zi_rows
+from .exact import Matrix, clear_denominators, common_scale, rank_kernel, rref, rref_int, zi_rows
 from .lie import LieAlgebra, LieModule, Subspace, centralizer_mod, checked_subalgebra
 
 
@@ -248,11 +247,9 @@ class ModuleStratification:
 def _orbit_rows(M: LieModule, v) -> list:
     """The matrix of x -> a(x) v, one column per basis element, as integer
     rows: a positive multiple of it, with the same rank and kernel."""
-    s = math.lcm(*(a.scale for a in M.actions))
+    _, ints = common_scale(M.actions)
     w = zi_rows([v])[1][0]
-    cols = [[sum(x * y for x, y in zip(row, w) if x) * (s // a.scale) for row in a.ints]
-            for a in M.actions]
-    return list(zip(*cols))
+    return list(zip(*([sum(x * y for x, y in zip(row, w) if x) for row in a] for a in ints)))
 
 
 def orbit_tangent_rank(M: LieModule, v) -> int:

@@ -13,12 +13,13 @@ backtracks.  A vector of the last subspace is a joint eigenvector.  The weight
 on a pivot column follows from vanishing on D; every action then passes to
 the quotient by that vector with a rank-one update, and the next step repeats.
 
-The search runs on integers.  Each action is an integer or Gaussian-integer
-matrix N with a positive integer scale s, the action being N / s; kernels and
-eigenspaces come from the fraction-free `rref_int`, the restricted
-characteristic polynomials from `charpoly_int`, and every scale stays a
-positive integer, so the least root of the scaled polynomial is the least
-eigenvalue.
+The search runs on integers.  Each action enters as the integer or
+Gaussian-integer rows N and positive integer scale s that its `Matrix`
+stores, the action being N / s, and every step keeps such a pair, reduced to
+lowest terms by `lowest_terms`; kernels and eigenspaces come from
+`kernel_int`, which `rank_kernel` uses too, the restricted characteristic
+polynomials from `charpoly_int`, and every scale stays a positive integer,
+so the least root of the scaled polynomial is the least eigenvalue.
 
 The search is exact over the Gaussian rationals.  When a restricted
 characteristic polynomial has no root there, a float path takes over and the
@@ -30,7 +31,6 @@ polynomials (restricted ones here, full ones there).
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -38,6 +38,7 @@ import numpy as np
 
 from .exact import (
     charpoly_int,
+    common_scale,
     gaussian_rational_roots,
     kernel_int,
     lowest_terms,
@@ -143,8 +144,7 @@ def _weights_exact(M, derived):
     combined over the common scale S of all actions, A_i = N_i / S.
     """
     free = [j for j in range(M.algebra.dim) if j not in derived.pivots]
-    S = math.lcm(*(a.scale for a in M.actions))
-    ints = [[[x * (S // a.scale) for x in row] for row in a.ints] for a in M.actions]
+    S, ints = common_scale(M.actions)
     d_acts = []
     for w in zi_rows(derived.rows)[1]:
         d_acts.append(lowest_terms([[sum(c * a[i][j] for c, a in zip(w, ints) if c)

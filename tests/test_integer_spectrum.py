@@ -41,7 +41,6 @@ from liegrpd.catalog import (
 )
 from liegrpd.exact import (
     GaussInt,
-    Matrix,
     charpoly_int,
     gaussian,
     gaussian_rational_roots,

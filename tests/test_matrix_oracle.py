@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from dense_reference import DenseMatrix, ref_law_failure
 from liegrpd.catalog import LIE_CATALOG, axb, axb_tautological_module
-from liegrpd.exact import Matrix, NumericError, gaussian
+from liegrpd.exact import GaussInt, Matrix, NumericError, gaussian, zi_content
 from liegrpd.lie import RepresentationError, adjoint_module, coadjoint_module, make_module
 
 rationals = st.builds(Q, st.integers(-30, 30), st.integers(1, 12))
@@ -79,6 +79,17 @@ def test_equality_and_hash_match_the_oracle(pair):
     if equal:
         assert hash(Matrix(a)) == hash(Matrix(b))
     assert Matrix(a) == Matrix(a) and hash(Matrix(a)) == hash(Matrix(a))
+
+
+@settings(max_examples=200, deadline=None)
+@given(exact_rows(), st.integers(1, 60))
+def test_storage_is_in_lowest_terms(rows, k):
+    m = Matrix(rows)
+    assert m.scale > 0 and zi_content([m.scale, *(x for row in m.ints for x in row)]) == 1
+    assert all(type(x) in (int, GaussInt) for row in m.ints for x in row)
+    # the same matrix given as k N / (k s) is reduced to the same fields
+    assert Matrix.scaled([[k * x for x in row] for row in m.ints], k * m.scale) == m
+    assert Matrix.scaled(m.ints, m.scale).ints == m.ints
 
 
 def test_entries_must_be_exact():
