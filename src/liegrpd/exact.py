@@ -3,8 +3,8 @@
 Scalars are `Fraction` for real values and `GaussianRational` for values with
 a nonzero imaginary part; arithmetic never silently demotes to float.  A
 `Matrix` takes exact entries only and stores them as an integer or
-Gaussian-integer (`GaussInt`) matrix N with one positive integer scale s, in
-lowest terms; its `Fraction` rows are rebuilt only for reports.  Pfaffians,
+Gaussian-integer (`GaussInt`) matrix N over one positive integer denominator
+s, in lowest terms; its `Fraction` rows are rebuilt only for reports.  Pfaffians,
 interpolation and Sturm counts work on plain integers; the eliminations,
 kernels, characteristic polynomials and root searches on integers and
 Gaussian integers.  The explicitly numeric operations at the end of the
@@ -325,7 +325,7 @@ def lowest_terms(rows, s: int):
 class Matrix:
     """Immutable exact matrix N / s.
 
-    `ints` holds N as rows of int or `GaussInt` entries and `scale` the
+    `ints` holds N as rows of int or `GaussInt` entries and `denominator` the
     positive integer s, in lowest terms (no integer above 1 divides s and
     every entry of N), so equal matrices have equal fields.  The constructor
     takes exact entries (int, `Fraction`, `GaussianRational`) and refuses
@@ -333,7 +333,7 @@ class Matrix:
     `GaussianRational` rows.
     """
 
-    __slots__ = ("rows", "cols", "ints", "scale")
+    __slots__ = ("rows", "cols", "ints", "denominator")
 
     def __init__(self, rows_data: Iterable[Iterable]):
         s, ints = zi_rows([[x if type(x) is Fraction or type(x) is int else _exact_entry(x)
@@ -341,20 +341,20 @@ class Matrix:
         self._store(ints, s)
 
     @staticmethod
-    def scaled(ints, scale: int = 1) -> "Matrix":
-        """The matrix ints / scale, for rows of int or GaussInt entries and a
-        positive integer scale."""
+    def scaled(ints, denominator: int = 1) -> "Matrix":
+        """The matrix ints / denominator, for rows of int or GaussInt entries
+        and a positive integer denominator."""
         m = object.__new__(Matrix)
-        m._store(*lowest_terms(ints, scale))
+        m._store(*lowest_terms(ints, denominator))
         return m
 
-    def _store(self, ints, scale: int):
+    def _store(self, ints, denominator: int):
         ints = tuple(map(tuple, ints))
         if not ints or not ints[0]:
             raise ValueError("matrix must be nonempty")
         if any(len(row) != len(ints[0]) for row in ints):
             raise ValueError("ragged rows")
-        for name, value in zip(Matrix.__slots__, (len(ints), len(ints[0]), ints, scale)):
+        for name, value in zip(Matrix.__slots__, (len(ints), len(ints[0]), ints, denominator)):
             object.__setattr__(self, name, value)
 
     def __setattr__(self, *a):
@@ -362,30 +362,31 @@ class Matrix:
 
     @property
     def data(self) -> tuple:
-        return tuple(tuple(zi_over(x, self.scale) for x in row) for row in self.ints)
+        return tuple(tuple(zi_over(x, self.denominator) for x in row) for row in self.ints)
 
     def __eq__(self, other):
-        return isinstance(other, Matrix) and self.scale == other.scale and self.ints == other.ints
+        return (isinstance(other, Matrix) and self.denominator == other.denominator
+                and self.ints == other.ints)
 
     def __hash__(self):
-        return hash((self.scale, self.ints))
+        return hash((self.denominator, self.ints))
 
     def __repr__(self):
         return f"Matrix({[list(r) for r in self.data]})"
 
     def __neg__(self):
-        return Matrix.scaled([[-x for x in row] for row in self.ints], self.scale)
+        return Matrix.scaled([[-x for x in row] for row in self.ints], self.denominator)
 
     def transpose(self) -> "Matrix":
-        return Matrix.scaled(list(zip(*self.ints)), self.scale)
+        return Matrix.scaled(list(zip(*self.ints)), self.denominator)
 
     def column(self, j: int) -> tuple:
-        return tuple(zi_over(row[j], self.scale) for row in self.ints)
+        return tuple(zi_over(row[j], self.denominator) for row in self.ints)
 
     def to_numpy(self) -> np.ndarray:
         """Float (or complex) copy, each entry one exact int / int division;
         NumericError names an entry too large for a float."""
-        s = self.scale
+        s = self.denominator
         is_complex = any(type(x) is GaussInt for row in self.ints for x in row)
         out = np.empty((self.rows, self.cols), dtype=complex if is_complex else float)
         for i, row in enumerate(self.ints):
@@ -398,11 +399,11 @@ class Matrix:
         return out
 
 
-def common_scale(mats) -> tuple:
-    """(S, rows): the matrices over their least common scale S, as the
+def common_denominator(mats) -> tuple:
+    """(S, rows): the matrices over their least common denominator S, as the
     integer rows S times each."""
-    s = math.lcm(*(m.scale for m in mats))
-    return s, [[[x * (s // m.scale) for x in row] for row in m.ints] for m in mats]
+    s = math.lcm(*(m.denominator for m in mats))
+    return s, [[[x * (s // m.denominator) for x in row] for row in m.ints] for m in mats]
 
 
 def _exact_entry(x) -> Scalar:

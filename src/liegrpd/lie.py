@@ -21,7 +21,7 @@ from .exact import (
     GaussianRational,
     Matrix,
     Scalar,
-    common_scale,
+    common_denominator,
     document_int,
     format_scalar,
     gaussian,
@@ -340,8 +340,8 @@ class RepresentationError(ValueError):
 def make_module(L: LieAlgebra, actions: Sequence[Matrix]) -> LieModule:
     """Validate the representation law exactly and build the module.
 
-    On integer rows: with a(Y_k) = N_k / S over the common scale S and the
-    bracket constants C / D over their common denominator D, the law on
+    On integer rows: with a(Y_k) = N_k / S over the actions' common
+    denominator S and the bracket constants C / D over theirs, D, the law on
     (Y_i, Y_j) reads S sum_l C_ijl N_l = D (N_i N_j - N_j N_i).
     """
     actions = tuple(actions)
@@ -351,7 +351,7 @@ def make_module(L: LieAlgebra, actions: Sequence[Matrix]) -> LieModule:
     for a in actions:
         if a.rows != n or a.cols != n:
             raise ValueError("action matrices must be square of equal size")
-    s, ints = common_scale(actions)
+    s, ints = common_denominator(actions)
     d, (consts,) = zi_rows([[c for _, _, terms in L.brackets for _, c in terms]])
     consts = iter(consts)
     table = {(j, k): [(l, next(consts)) for l, _ in terms] for j, k, terms in L.brackets}

@@ -18,7 +18,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .coadjoint import _form_rows, _form_values, integer_bform
-from .exact import Matrix, clear_denominators, common_scale, rank_kernel, rref, rref_int, zi_rows
+from .exact import Matrix, clear_denominators, common_denominator, rank_kernel, rref, rref_int
+from .exact import zi_rows
 from .lie import LieAlgebra, LieModule, Subspace, centralizer_mod, checked_subalgebra
 
 
@@ -247,7 +248,7 @@ class ModuleStratification:
 def _orbit_rows(M: LieModule, v) -> list:
     """The matrix of x -> a(x) v, one column per basis element, as integer
     rows: a positive multiple of it, with the same rank and kernel."""
-    _, ints = common_scale(M.actions)
+    _, ints = common_denominator(M.actions)
     w = zi_rows([v])[1][0]
     return list(zip(*([sum(x * y for x, y in zip(row, w) if x) for row in a] for a in ints)))
 

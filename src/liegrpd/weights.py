@@ -14,7 +14,7 @@ on a pivot column follows from vanishing on D; every action then passes to
 the quotient by that vector with a rank-one update, and the next step repeats.
 
 The search runs on integers.  Each action enters as the integer or
-Gaussian-integer rows N and positive integer scale s that its `Matrix`
+Gaussian-integer rows N and positive integer denominator s that its `Matrix`
 stores, the action being N / s, and every step keeps such a pair, reduced to
 lowest terms by `lowest_terms`; kernels and eigenspaces come from
 `kernel_int`, which `rank_kernel` uses too, the restricted characteristic
@@ -38,7 +38,7 @@ import numpy as np
 
 from .exact import (
     charpoly_int,
-    common_scale,
+    common_denominator,
     gaussian_rational_roots,
     kernel_int,
     lowest_terms,
@@ -144,12 +144,12 @@ def _weights_exact(M, derived):
     combined over the common scale S of all actions, A_i = N_i / S.
     """
     free = [j for j in range(M.algebra.dim) if j not in derived.pivots]
-    S, ints = common_scale(M.actions)
+    S, ints = common_denominator(M.actions)
     d_acts = []
     for w in zi_rows(derived.rows)[1]:
         d_acts.append(lowest_terms([[sum(c * a[i][j] for c, a in zip(w, ints) if c)
                                      for j in range(M.dim)] for i in range(M.dim)], S))
-    c_acts = [(M.actions[j].ints, M.actions[j].scale) for j in free]
+    c_acts = [(M.actions[j].ints, M.actions[j].denominator) for j in free]
     out = []
     while True:
         lams, v = _eigenline(d_acts, c_acts)

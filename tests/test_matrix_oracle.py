@@ -85,11 +85,12 @@ def test_equality_and_hash_match_the_oracle(pair):
 @given(exact_rows(), st.integers(1, 60))
 def test_storage_is_in_lowest_terms(rows, k):
     m = Matrix(rows)
-    assert m.scale > 0 and zi_content([m.scale, *(x for row in m.ints for x in row)]) == 1
+    assert m.denominator > 0
+    assert zi_content([m.denominator, *(x for row in m.ints for x in row)]) == 1
     assert all(type(x) in (int, GaussInt) for row in m.ints for x in row)
     # the same matrix given as k N / (k s) is reduced to the same fields
-    assert Matrix.scaled([[k * x for x in row] for row in m.ints], k * m.scale) == m
-    assert Matrix.scaled(m.ints, m.scale).ints == m.ints
+    assert Matrix.scaled([[k * x for x in row] for row in m.ints], k * m.denominator) == m
+    assert Matrix.scaled(m.ints, m.denominator).ints == m.ints
 
 
 def test_entries_must_be_exact():
