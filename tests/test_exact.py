@@ -85,8 +85,13 @@ class TestElimination:
             rank_kernel(Matrix([[1.0, 2.0], [2.0, 4.0]]))
 
     def test_mixed_entries_rejected(self):
-        with pytest.raises(TypeError):
-            Matrix([[1, 2.0]])
+        for rows in ([[1, 2.0]], [[Q(1, 2)], [0.5]], [[1j]]):
+            with pytest.raises(TypeError, match="matrix entries must be exact"):
+                Matrix(rows)
+        with pytest.raises(ValueError, match="nonempty"):
+            Matrix([])
+        with pytest.raises(ValueError, match="ragged"):
+            Matrix([[1, 2], [3]])
 
     @settings(max_examples=60)
     @given(rational_matrix(3))

@@ -93,16 +93,6 @@ def test_storage_is_in_lowest_terms(rows, k):
     assert Matrix.scaled(m.ints, m.denominator).ints == m.ints
 
 
-def test_entries_must_be_exact():
-    for rows in ([[1, 2.0]], [[Q(1, 2)], [0.5]], [[1j]]):
-        with pytest.raises(TypeError, match="matrix entries must be exact"):
-            Matrix(rows)
-    with pytest.raises(ValueError, match="nonempty"):
-        Matrix([])
-    with pytest.raises(ValueError, match="ragged"):
-        Matrix([[1, 2], [3]])
-
-
 class TestToNumpyOnHugeEntries:
     """Each entry is converted by one exact division, as `float(Fraction)` does."""
 
