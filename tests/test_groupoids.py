@@ -499,6 +499,26 @@ class TestComposablePairTables:
                 build_pullback(G), lambda a, b: (a[0], G.compose(a[1], b[1]), b[2])
             )
 
+    def test_natural_s5_is_refused_at_the_triple_cap_before_any_product(self):
+        G = transformation_groupoid(
+            FiniteGroupAction.make(
+                FiniteGroup.symmetric(5), range(5), lambda g, x: g[x]
+            )
+        )
+        calls = 0
+
+        def counting(g, h):
+            nonlocal calls
+            calls += 1
+            return G.product(g, h)
+
+        # 600 morphisms, each with 120 arrows into its source and 120 into theirs
+        triples = 600 * 120 * 120
+        assert triples > groupoids.TRIPLE_CAP
+        with pytest.raises(ValueError, match=f"^{triples} composable triples exceed"):
+            validate_groupoid(_with_product(G, counting))
+        assert calls == 0
+
 
 class TestJson:
     def test_action_round_trip(self):
@@ -680,26 +700,6 @@ class TestBimoduleAgainstReference:
         assert report.ok and report.element_count == 120
         # |Z| * (|out of r(z)| + |isotropy|) = 120 * (120 + 24)
         assert calls == 17_280
-
-    def test_natural_s5_is_refused_at_the_triple_cap_before_any_product(self):
-        G = transformation_groupoid(
-            FiniteGroupAction.make(
-                FiniteGroup.symmetric(5), range(5), lambda g, x: g[x]
-            )
-        )
-        calls = 0
-
-        def counting(g, h):
-            nonlocal calls
-            calls += 1
-            return G.product(g, h)
-
-        # 600 morphisms, each with 120 arrows into its source and 120 into theirs
-        triples = 600 * 120 * 120
-        assert triples > groupoids.TRIPLE_CAP
-        with pytest.raises(ValueError, match=f"^{triples} composable triples exceed"):
-            validate_groupoid(_with_product(G, counting))
-        assert calls == 0
 
 
 def _outcome(fn, *args):
