@@ -26,7 +26,13 @@ fewest samples, and `coadjoint` on complex_borel at the Gaussian point
 search meets Gaussian weights or reaches its weights only mid-search: on
 e2 + axb, a fixed unimodular conjugate of realified_borel, the Q(i) sum
 complex_borel + complex_borel, and irrational_spectrum_algebra, which takes
-the float path.  The documents of the second to sixth ladders are written by this script under
+the float path.  A seventh runs every `grpd` subcommand (JSON and text) on
+the natural S4 and S5 actions (S5 `validate` is refused at the triple cap,
+exit 2), on S4 acting on itself by conjugation (five orbits; `regrep` at the
+transposition (0 1)), and on one explicit-table document of each family the
+groupoid benchmark validates: a pair groupoid, a bundle of cyclic groups and
+the transformation groupoid of a permutation-group action with a fixed
+point.  The documents of the second to seventh ladders are written by this script under
 fixed names in a temporary directory.  Every path is relative
 (corpus paths to the checkout, the written documents to that directory), so
 two checkouts print comparable lines:
@@ -46,6 +52,14 @@ from pathlib import Path
 
 from liegrpd import catalog
 from liegrpd.cli import main as cli_main
+from liegrpd.groupoids import (
+    FiniteGroup,
+    FiniteGroupAction,
+    group_bundle,
+    groupoid_to_json,
+    pair_groupoid,
+    transformation_groupoid,
+)
 from liegrpd.lie import algebra_to_json, from_brackets
 from liegrpd.rootsystems import cascade_classification
 
@@ -224,6 +238,44 @@ def sum_ladder(names):
                 yield argv + (["--samples", "48", "--seed", "1"] if sub == "census" else [])
 
 
+def conjugation_action(n):
+    """S_n acting on its own elements by g . x = g x g^-1."""
+    elements = sorted(itertools.permutations(range(n)))
+    index = {p: i for i, p in enumerate(elements)}
+    def conj(g, x):
+        inv = sorted(range(n), key=g.__getitem__)
+        return tuple(g[x[inv[i]]] for i in range(n))
+    return {
+        "kind": "group_action",
+        "group": {"family": "symmetric", "n": n},
+        "points": [list(x) for x in elements],
+        "table": [[index[conj(g, x)] for x in elements] for g in elements],
+    }
+
+
+def seventh_docs():
+    """file name -> (document, regrep base object) for the seventh ladder."""
+    cyclic = {x: FiniteGroup.cyclic(k) for x, k in enumerate((3, 1, 4))}
+    group = FiniteGroup.from_permutations([(1, 2, 0, 3), (0, 1, 3, 2)], 4)
+    action = FiniteGroupAction.make(group, range(5), lambda g, x: g[x] if x < 4 else x)
+    return {
+        "s4_natural.json": (S4_NATURAL, "0"),
+        "s5_natural.json": (natural_action(5), "0"),
+        "s4_conjugation.json": (conjugation_action(4), "[1, 0, 2, 3]"),
+        "pair4.json": (groupoid_to_json(pair_groupoid(range(4))), "0"),
+        "cyclic_bundle.json": (groupoid_to_json(group_bundle(cyclic, range(3))), "0"),
+        "action_table.json": (groupoid_to_json(transformation_groupoid(action)), "0"),
+    }
+
+
+def seventh_ladder(docs):
+    for name, (_, base) in docs.items():
+        for fmt in ("json", "text"):
+            for sub in GRPD_SUBS:
+                extra = ["--object", base] if sub == "regrep" else []
+                yield ["grpd", sub, "--in", name, "--format", fmt] + extra
+
+
 def run(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -254,8 +306,12 @@ def main() -> None:
         weighted = weight_docs()
         for name, L in weighted.items():
             Path(name).write_text(json.dumps(algebra_to_json(L)))
+        grpd_docs = seventh_docs()
+        for name, (doc, _) in grpd_docs.items():
+            Path(name).write_text(json.dumps(doc))
         for argv in itertools.chain(sum_ladder(algebras), third_ladder(docs),
-                                    fourth_ladder(), fifth_ladder(), sixth_ladder(weighted)):
+                                    fourth_ladder(), fifth_ladder(), sixth_ladder(weighted),
+                                    seventh_ladder(grpd_docs)):
             code, digest = run(argv)
             print(f"{' '.join(argv)}\t{code}\t{digest}")
         os.chdir(ROOT)

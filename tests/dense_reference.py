@@ -60,6 +60,13 @@ own product.  `ref_action_make` is `FiniteGroupAction.make` as it was before
 it checked compatibility on generators: every pair (g, h) at every point.
 Both are kept unchanged, except that `ref_action_make` reads the products
 from `FiniteGroup.rows`, since `FiniteGroup.table` is gone.
+
+`ref_validate_groupoid` is the axiom check that `groupoids.py` ran as loops
+over labelled morphisms, every product through `FiniteGroupoid.product`:
+endpoints on every composable pair, identity and inverse laws per morphism,
+then associativity on every composable triple, refused above
+`TRIPLE_CAP` triples before any product.  It is kept unchanged, except that
+it reads the cap from the module, so a test can lower it.
 """
 import math
 import random
@@ -77,6 +84,7 @@ from liegrpd.exact import _gaussian_divisors
 from liegrpd.exact import GaussianRational, format_scalar, gaussian, is_exact, poly_eval
 from liegrpd.exact import rank_kernel, rref, to_complex
 from liegrpd.exact import scalar_im, scalar_key, scalar_re
+from liegrpd import groupoids
 from liegrpd.groupoids import (
     AxiomError,
     FiniteGroup,
@@ -1142,3 +1150,49 @@ def ref_frobenius_test(L: LieAlgebra, trials: int = 64, seed: int = 0):
         if _det_at(L, xi) != 0:
             return True, xi
     return False, None
+
+
+def ref_validate_groupoid(G: FiniteGroupoid) -> None:
+    """Exhaustive axiom check; AxiomError carries a witness tuple.  More than
+    TRIPLE_CAP composable triples are refused before any product is computed."""
+    objs = set(G.objects)
+    mors = set(G.morphisms)
+    if len(objs) != len(G.objects) or len(mors) != len(G.morphisms):
+        raise AxiomError("duplicate object or morphism labels")
+    for g in G.morphisms:
+        if G.source.get(g) not in objs or G.target.get(g) not in objs:
+            raise AxiomError("source/target outside objects", g)
+    for x in G.objects:
+        e = G.identities.get(x)
+        if e not in mors or G.source[e] != x or G.target[e] != x:
+            raise AxiomError("bad identity", x)
+    product, source, target, into = G.product, G.source, G.target, G.into
+    # triples (g, h, k) through y = d(g): sum over h into y of |into(d(h))|
+    fan = {y: sum(len(into[source[h]]) for h in hs) for y, hs in into.items()}
+    triples = sum(fan[source[g]] for g in G.morphisms)
+    if triples > groupoids.TRIPLE_CAP:
+        raise ValueError(
+            f"{triples} composable triples exceed the exhaustive-check cap of {groupoids.TRIPLE_CAP}"
+        )
+    for g, h in G.composable_pairs():
+        k = product(g, h)
+        if k not in mors or source[k] != source[h] or target[k] != target[g]:
+            raise AxiomError("composite has wrong endpoints", (g, h, k))
+    for g in G.morphisms:
+        e_d, e_r = G.identities[source[g]], G.identities[target[g]]
+        if product(g, e_d) != g or product(e_r, g) != g:
+            raise AxiomError("identity law fails", g)
+        ginv = G.inverses.get(g)
+        if ginv not in mors:
+            raise AxiomError("missing inverse", g)
+        if (
+            (source[ginv], target[ginv]) != (target[g], source[g])
+            or product(g, ginv) != e_r
+            or product(ginv, g) != e_d
+        ):
+            raise AxiomError("inverse law fails", g)
+    for g, h in G.composable_pairs():
+        gh = product(g, h)
+        for k in into[source[h]]:
+            if product(gh, k) != product(g, product(h, k)):
+                raise AxiomError("associativity fails", (g, h, k))

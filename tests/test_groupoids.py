@@ -12,7 +12,11 @@ import random
 from fractions import Fraction
 
 import pytest
-from dense_reference import ref_action_make, ref_pullback_isomorphism_verify
+from dense_reference import (
+    ref_action_make,
+    ref_pullback_isomorphism_verify,
+    ref_validate_groupoid,
+)
 
 from liegrpd import groupoids
 from liegrpd.catalog import (
@@ -870,3 +874,93 @@ class TestRegularRepresentationRank:
                 assert regular_representation_faithful(G, x).rank == (
                     _reference_regrep_rank(G, x)
                 )
+
+
+def _natural(n):
+    return transformation_groupoid(
+        FiniteGroupAction.make(FiniteGroup.symmetric(n), range(n), lambda g, x: g[x])
+    )
+
+
+def _conjugation(n):
+    group = FiniteGroup.symmetric(n)
+    return transformation_groupoid(FiniteGroupAction.make(
+        group, group.elements, lambda g, x: group.op(group.op(g, x), group.inv(g))
+    ))
+
+
+VERIFIERS = (
+    (validate_groupoid, ref_validate_groupoid),
+    (pullback_isomorphism_verify, ref_pullback_isomorphism_verify),
+    (equivalence_bimodule_verify, _reference_bimodule_verify),
+)
+
+
+class TestVerifiersAgainstReferences:
+    """Each verifier's outcome, the report repr or the exception type and
+    args, is its reference loop's outcome: on valid groupoids of every
+    construction, their JSON round trips, and every tampered copy."""
+
+    def _same(self, G, raising_order=False):
+        for verify, reference in VERIFIERS:
+            mine, theirs = _outcome(verify, G), _outcome(reference, G)
+            if raising_order and verify is equivalence_bimodule_verify:
+                # the tabled rows compose a raising product in another order
+                if isinstance(mine, tuple) and isinstance(theirs, tuple):
+                    continue
+            assert mine == theirs, verify.__name__
+
+    def test_random_groupoids_round_trips_and_tampered_copies(self):
+        rng = random.Random(29)
+        for seed in range(50):
+            G = random_transformation_groupoid(random.Random(seed))
+            groups = {x: G.isotropy_group(x) for x in G.objects}
+            bundle = group_bundle(groups, G.objects)
+            for H in (G, build_pullback(G), pair_groupoid(G.objects), bundle):
+                self._same(H)
+                self._same(groupoid_from_json(groupoid_to_json(H)))
+                for T, _ in _tampered_copies(H, rng):
+                    self._same(T, raising_order=H is bundle)
+
+    def test_conjugation_actions(self):
+        rng = random.Random(31)
+        for n in (3, 4):
+            G = _conjugation(n)
+            assert len(orbits_isotropy(G).representatives) == {3: 3, 4: 5}[n]
+            self._same(G)
+            self._same(build_pullback(G))
+            for T, _ in _tampered_copies(G, rng):
+                self._same(T)
+
+    def test_triple_cap(self):
+        G = _natural(5)
+        outcome = _outcome(validate_groupoid, G)
+        assert outcome[0] == "ValueError"
+        assert outcome == _outcome(ref_validate_groupoid, G)
+
+
+class TestProductCallCounts:
+    """Calls of a groupoid's product callable per verifier on natural S4,
+    as many as the loops over labelled morphisms made."""
+
+    # validate: 2,304 pairs twice, 4 per morphism, 3 per composable triple;
+    # pullback: Phi and its inverse (2 per morphism each way), the isotropy
+    # products (36) and every composable pair; bimodule: 24 * (24 + 6)
+    CALLS = {
+        "validate_groupoid": 170_880,
+        "pullback_isomorphism_verify": 2_916,
+        "equivalence_bimodule_verify": 720,
+    }
+
+    def test_natural_s4(self):
+        G = _natural(4)
+        for verify, _ in VERIFIERS:
+            calls = 0
+
+            def counting(g, h):
+                nonlocal calls
+                calls += 1
+                return G.product(g, h)
+
+            verify(_with_product(G, counting))
+            assert calls == self.CALLS[verify.__name__], verify.__name__
