@@ -13,6 +13,7 @@ from dense_reference import (
     ref_brackets,
 )
 from liegrpd.catalog import (
+    LIE_CATALOG,
     abelian,
     axb,
     axb_semidirect_plane,
@@ -266,6 +267,25 @@ class TestModules:
     def test_dual_dual_is_original(self):
         M = axb_tautological_module()
         assert dual_module(dual_module(M)).actions == M.actions
+
+    def test_dual_passes_the_representation_law(self):
+        """`dual_module` builds -a^T unchecked; the law check it no longer
+        runs accepts every dual built here."""
+        sums = [[realified_borel(), axb_semidirect_plane(), filiform4()]]
+        modules = [adjoint_module(make()) for make in LIE_CATALOG.values()]
+        modules += [axb_tautological_module()]
+        for parts in sums:
+            brackets, off = {}, 0
+            for L in parts:
+                for j, k, terms in L.brackets:
+                    brackets[off + j, off + k] = {off + l: c for l, c in terms}
+                off += L.dim
+            modules.append(adjoint_module(from_brackets(off, brackets)))
+        assert modules[-1].dim == 12
+        for M in modules:
+            dual = dual_module(M)
+            assert dual.actions == tuple((-a).transpose() for a in M.actions)
+            assert make_module(M.algebra, dual.actions) == dual
 
     def test_coadjoint_is_negative_transpose_of_adjoint(self):
         L = heisenberg()
