@@ -266,14 +266,15 @@ def cmd_lie_exptest(args) -> int:
 def cmd_lie_coadjoint(args) -> int:
     L, meta = _load_algebra(args)
     xi = _parse_point(args.point, L.dim)
-    iso = isotropy_algebra(L, xi)
+    form = bform(L, xi)
+    iso = isotropy_algebra(L, xi, form)
     # the isotropy algebra is the kernel of the skew form, so rank = dim - dim ker
     orbit_dim = L.dim - iso.dim
     report = {
         "command": "lie coadjoint",
         "input": meta,
         "point": xi,
-        "skew_form": bform(L, xi).data,
+        "skew_form": form.data,
         "orbit_dimension": orbit_dim,
         "open_orbit": orbit_dim == L.dim,
         "isotropy_dim": iso.dim,

@@ -87,9 +87,10 @@ def is_open_orbit(L: LieAlgebra, xi: Sequence) -> bool:
     return orbit_dimension(L, xi) == L.dim
 
 
-def isotropy_algebra(L: LieAlgebra, xi: Sequence) -> Subspace:
-    """Kernel of the skew form; verified to be a subalgebra."""
-    _, kernel = rank_kernel(bform(L, xi))
+def isotropy_algebra(L: LieAlgebra, xi: Sequence, form: Matrix | None = None) -> Subspace:
+    """Kernel of the skew form `form` = bform(L, xi), built here when not
+    given; verified to be a subalgebra."""
+    _, kernel = rank_kernel(bform(L, xi) if form is None else form)
     return checked_subalgebra(L, kernel, "isotropy")
 
 

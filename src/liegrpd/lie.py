@@ -377,8 +377,9 @@ def adjoint_module(L: LieAlgebra) -> LieModule:
 
 
 def dual_module(M: LieModule) -> LieModule:
-    """Contragredient module: x acts by minus the transpose."""
-    return make_module(M.algebra, [(-a).transpose() for a in M.actions])
+    """Contragredient module: x acts by minus the transpose, unchecked:
+    [-a(x)^T, -a(y)^T] = -[a(x), a(y)]^T = -a([x, y])^T follows from M's law."""
+    return LieModule(M.algebra, M.dim, tuple((-a).transpose() for a in M.actions))
 
 
 def coadjoint_module(L: LieAlgebra) -> LieModule:

@@ -115,6 +115,24 @@ class TestLieCommands:
         assert doc["orbit_dimension"] == 2 and doc["open_orbit"]
         assert doc["skew_form"] == [["0", "1"], ["-1", "0"]]
 
+    def test_coadjoint_builds_the_skew_form_once(self, tmp_path, monkeypatch):
+        from liegrpd import cli, coadjoint
+
+        calls = []
+        original = coadjoint.bform
+
+        def counting(L, xi):
+            calls.append(xi)
+            return original(L, xi)
+
+        monkeypatch.setattr(coadjoint, "bform", counting)
+        monkeypatch.setattr(cli, "bform", counting)
+        code, doc = run_json(
+            ["lie", "coadjoint", "--name", "filiform4", "--point", "1,2,3,4"], tmp_path
+        )
+        assert code == 0 and doc["isotropy_dim"] == 2
+        assert len(calls) == 1
+
     def test_coadjoint_bad_point(self, tmp_path):
         assert main(["lie", "coadjoint", "--name", "axb", "--point", "1,2,3"]) == 2
         assert main(["lie", "coadjoint", "--name", "axb", "--point", "x,y"]) == 2
