@@ -58,8 +58,9 @@ every `rank_kernel` call gets a library `Matrix` of the same entries.
 a table: every product through `FiniteGroupoid.compose` and the pullback's
 own product.  `ref_action_make` is `FiniteGroupAction.make` as it was before
 it checked compatibility on generators: every pair (g, h) at every point.
-Both are kept unchanged, except that `ref_action_make` reads the products
-from `FiniteGroup.rows`, since `FiniteGroup.table` is gone.
+Both are kept unchanged, except that `ref_action_make` composes the
+products with `FiniteGroup.op`, since the tabulated `FiniteGroup.rows` are
+gone.
 
 `ref_validate_groupoid` is the axiom check that `groupoids.py` ran as loops
 over labelled morphisms, every product through `FiniteGroupoid.product`:
@@ -1125,7 +1126,8 @@ def ref_action_make(group: FiniteGroup, points, act) -> FiniteGroupAction:
         if table[(group.identity, x)] != x:
             raise AxiomError("identity moves a point", x)
     for g in group.elements:
-        for h, gh in group.rows[g].items():
+        for h in group.elements:
+            gh = group.op(g, h)
             for x in points:
                 if table[(g, table[(h, x)])] != table[(gh, x)]:
                     raise AxiomError("action is not compatible", (g, h, x))
