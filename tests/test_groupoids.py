@@ -989,3 +989,24 @@ class TestProductCallCounts:
             verify(_with_product(G, counting))
             assert calls == self.CALLS[verify.__name__], verify.__name__
             assert calls <= self.LABEL_LOOPS[verify.__name__]
+
+
+class TestNaturalS6:
+    """The exhaustive verifiers on natural S6: 4,320 morphisms, 3.1M
+    composable pairs, one orbit with isotropy S5."""
+
+    @pytest.fixture(scope="class")
+    def s6(self):
+        return _natural(6)
+
+    def test_pullback(self, s6):
+        report = pullback_isomorphism_verify(s6)
+        assert report.ok and report.pullback_count == 4320
+
+    def test_bimodule(self, s6):
+        report = equivalence_bimodule_verify(s6)
+        assert report.ok and report.element_count == 720
+
+    def test_decompose(self, s6):
+        report = piecewise_decompose(s6)
+        assert report.layer_pullback_ok == (True,) and report.ideal_dims == (4320,)
