@@ -453,8 +453,6 @@ def pair_groupoid(objects) -> FiniteGroupoid:
         lambda g, h: (g[0], h[1]),
         {x: (x, x) for x in objects},
         {(y, x): (x, y) for (y, x) in mors},
-        # (y, x) has id i n + j for y, x the i-th and j-th objects
-        lambda g, h: g - g % len(objects) + h % len(objects),
     )
 
 
