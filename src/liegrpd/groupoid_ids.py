@@ -161,6 +161,14 @@ class GroupoidIds:
         return {r: [g for g in out[r] if self.targets[g] == r] for r in dict.fromkeys(self.rep)}
 
     @cached_property
+    def sigma(self) -> list:
+        """sigma[x], the first morphism from x to rep[x]: the identity on
+        representatives, -1 where there is none."""
+        out = self.out[0]
+        return [self.identities[x] if x == r else next(
+            (g for g in out[x] if self.targets[g] == r), -1) for x, r in enumerate(self.rep)]
+
+    @cached_property
     def pair_index(self):
         """(ptr, items, pos, fan, start): the morphisms into y are listed
         from items[ptr[y]] on, and the composable pair (g, h) is number
@@ -218,9 +226,7 @@ class PullbackIds:
         for r, ids in V.loops.items():
             for k, h in enumerate(ids):
                 self.loop_at[h], self.slot[h] = r, k
-        out = V.out[0]
-        self.sigma = [V.identities[x] if x == r else next(
-            (g for g in out[x] if V.targets[g] == r), -1) for x, r in enumerate(rep)]
+        self.sigma = V.sigma
         self.size = [len(V.loops[r]) for r in rep]
         self.base, self.target, self.source, self.middle = [], [], [], []
         for x, r in enumerate(rep):
@@ -476,7 +482,7 @@ def equivalence_bimodule_verify(G: FiniteGroupoid) -> BimoduleReport:
     found[:n][found[:n] < 0], found[n:][found[n:] < 0] = -5, -6
     gs, bs, left, right = padded(gs), padded(bs), padded(gs), padded(bs)
     left[gs >= 0], right[bs >= 0] = found[:n], found[n:]
-    zs, place, tz, sz = (np.array(v, dtype=np.intp) for v in (z, place, tz, sz))
+    place, tz, sz = (np.array(v, dtype=np.intp) for v in (place, tz, sz))
     # left[k] leaves z_k's source, right[k] z_k's target: no row is read there
     off_left, off_right = d[left] != sz[:, None], r[right] != tz[:, None]
 

@@ -40,6 +40,7 @@ from .groupoid_ids import (
     chunks,
     cyclic_table,
     equivalence_bimodule_verify,
+    grouped,
     permutation_table,
     pullback_isomorphism_verify,
 )
@@ -485,30 +486,15 @@ class OrbitReport:
 
 
 def orbits_isotropy(G: FiniteGroupoid) -> OrbitReport:
-    order = {x: i for i, x in enumerate(G.objects)}
-    parent = {x: x for x in G.objects}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for g in G.morphisms:
-        a, b = find(G.source[g]), find(G.target[g])
-        if a != b:
-            if order[a] < order[b]:
-                parent[b] = a
-            else:
-                parent[a] = b
-    groups: dict = {}
-    for x in G.objects:
-        groups.setdefault(find(x), []).append(x)
-    reps = sorted(groups, key=order.get)
-    orbits = tuple(tuple(groups[rep]) for rep in reps)
-    rep_of = tuple((x, find(x)) for x in G.objects)
-    iso_orders = tuple(len(G.isotropy_elements(rep)) for rep in reps)
-    return OrbitReport(tuple(reps), orbits, rep_of, iso_orders)
+    V, objects = G.ids, G.objects
+    orbits = grouped(V.rep, len(objects))[0]
+    reps = list(V.loops)
+    return OrbitReport(
+        tuple(objects[r] for r in reps),
+        tuple(tuple(objects[x] for x in orbits[r]) for r in reps),
+        tuple((x, objects[r]) for x, r in zip(objects, V.rep)),
+        tuple(len(V.loops[r]) for r in reps),
+    )
 
 
 def reduce_invariant(G: FiniteGroupoid, subset) -> FiniteGroupoid:
@@ -580,18 +566,17 @@ def canonical_sections(G: FiniteGroupoid):
     sigma(x) is the first morphism in input order from x to its orbit
     representative; on representatives the identity is chosen.
     """
-    rep_of = dict(orbits_isotropy(G).representative_of)
-    sigma = {}
-    for x in G.objects:
-        rep = rep_of[x]
-        if x == rep:
+    V, objects = G.ids, G.objects
+    theta, sigma = {}, {}
+    for i, (x, r, s) in enumerate(zip(objects, V.rep, V.sigma)):
+        theta[x] = objects[r]
+        if i == r:
             sigma[x] = G.identity(x)
+        elif s < 0:
+            raise AxiomError("no morphism from object to its representative", x)
         else:
-            arrows = G.hom(x, rep)
-            if not arrows:
-                raise AxiomError("no morphism from object to its representative", x)
-            sigma[x] = arrows[0]
-    return rep_of, sigma
+            sigma[x] = G.morphisms[s]
+    return theta, sigma
 
 
 def build_pullback(G: FiniteGroupoid):
