@@ -22,7 +22,6 @@ they replaced, so a failure reports the same label witness.
 from __future__ import annotations
 
 import itertools
-import math
 import random
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -30,7 +29,7 @@ from functools import cached_property
 import numpy as np
 
 from .exact import document_int, rref_int
-from .groupoid_ids import (
+from .groupoid_ids import (  # the verifiers and reports are part of this module's API
     AxiomError,
     BimoduleReport,
     GroupoidIds,
