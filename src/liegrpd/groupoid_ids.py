@@ -10,6 +10,7 @@ entries; `groupoids` exports them with the rest of the groupoid API.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -175,10 +176,11 @@ class GroupoidIds:
         start[g] + pos[h], g in input order, then h; fan[g] counts the
         pairs of g."""
         into, pos = self.into
-        fan_in = np.array([len(ids) for ids in into], dtype=np.intp)
-        fan = fan_in[self.ends[0][:len(self.sources)]]
-        return (fan_in.cumsum() - fan_in, np.array([g for ids in into for g in ids], dtype=np.intp),
-                np.array(pos, dtype=np.intp), fan, np.concatenate(([0], fan.cumsum())))
+        fan_in = [len(ids) for ids in into]
+        fan = [fan_in[y] for y in self.sources]
+        return tuple(np.array(v, dtype=np.intp) for v in (
+            [0, *itertools.accumulate(fan_in)][:-1], [g for ids in into for g in ids], pos, fan,
+            [0, *itertools.accumulate(fan)]))
 
     def pairs(self, lo: int, hi: int):
         """(g, h) over the composable pairs with lo <= g < hi, in loop order."""
@@ -480,7 +482,8 @@ def equivalence_bimodule_verify(G: FiniteGroupoid) -> BimoduleReport:
     found = V.compose(np.array(firsts, dtype=np.intp), np.array(seconds, dtype=np.intp))
     n = len(found) - sum(map(len, bs))
     found[:n][found[:n] < 0], found[n:][found[n:] < 0] = -5, -6
-    gs, bs, left, right = padded(gs), padded(bs), padded(gs), padded(bs)
+    gs, bs = padded(gs), padded(bs)
+    left, right = gs.copy(), bs.copy()
     left[gs >= 0], right[bs >= 0] = found[:n], found[n:]
     place, tz, sz = (np.array(v, dtype=np.intp) for v in (place, tz, sz))
     # left[k] leaves z_k's source, right[k] z_k's target: no row is read there
@@ -525,22 +528,21 @@ def equivalence_bimodule_verify(G: FiniteGroupoid) -> BimoduleReport:
 
     def first_wrong(order, widths, hits, also=False):
         """(row, column, count) at the first place, rows z1 = z[order[row]],
-        where the count is not 1 or `also` holds, or None; row k has widths[k]
-        columns of z2 and hits[k] holds the column hit by each entry of
-        z_k's row, -1 for none.  Rows as wide as `hits` that hit each column
-        once, in some order, pass at once."""
-        width = max(widths, default=0)
-        if also is False and all(w == hits.shape[1] for w in widths):
-            if not np.count_nonzero(np.sort(hits, axis=1) != np.arange(width)):
-                return None
+        where the count is not 1 or `also` holds, or None; the row of z_k
+        has widths[k] columns of z2 and hits[k] holds the column hit by
+        each entry of z_k's row, -1 for none.  Rows that hit each of their
+        columns once, in some order, pass at once."""
+        widths, width = np.array(widths, dtype=np.intp), max(widths, default=0)
+        ranked = np.arange(hits.shape[1]) - (hits.shape[1] - widths)[:, None]
+        if also is False and not np.count_nonzero(np.sort(hits, axis=1) != np.maximum(ranked, -1)):
+            return None
         rows, cols = (hits >= 0).nonzero()
         counts = np.bincount(rows * width + hits[rows, cols], minlength=len(z) * width)
-        counts = counts.reshape(len(z), width)[order]
-        wrong = (np.arange(width) < np.array(widths)[:, None]) & ((counts != 1) | also)
-        if not np.count_nonzero(wrong):
+        wrong = (np.arange(width) < widths[:, None]) & ((counts.reshape(len(z), width) != 1) | also)
+        if not np.count_nonzero(wrong[order]):
             return None
-        row, col = divmod(int(wrong.argmax()), width)
-        return row, col, int(counts[row, col])
+        row, col = divmod(int(wrong[order].argmax()), width)
+        return row, col, int(counts[order[row] * width + col])
 
     def check_left_free_transitive():
         # z1 and z2 run over out_of(rep), rep in order; g o z1 = z2 is
@@ -548,7 +550,7 @@ def equivalence_bimodule_verify(G: FiniteGroupoid) -> BimoduleReport:
         order = place[[k for x in loops for k in out[x]]]
         hits = np.array(out_pos + [-1] * 7)[left]
         hits[off_left | (r[gs] != r[left])] = -1
-        found = first_wrong(order, [len(out[x]) for x in sz[order].tolist()], hits)
+        found = first_wrong(order, [len(out[x]) for x in sz.tolist()], hits)
         if found is None:
             return True, ()
         row, col, n = found
@@ -567,13 +569,13 @@ def equivalence_bimodule_verify(G: FiniteGroupoid) -> BimoduleReport:
         # pair's sources are compared
         mismatch = False
         if any(sources[ks[0]] != sources[k] for ks in into_z for k in ks):
-            mismatch = sz[order][:, None] != np.append(sz, -1)[padded(columns)]
-        found = first_wrong(order, [len(c) for c in columns], hits, mismatch)
+            mismatch = sz[:, None] != np.append(sz, -1)[padded([into_z[y] for y in tz.tolist()])]
+        found = first_wrong(order, [len(into_z[y]) for y in tz.tolist()], hits, mismatch)
         if found is None:
             return True, ()
         row, col, n = found
         z1, z2 = labels[z[order[row]]], labels[z[columns[row][col]]]
-        if mismatch is not False and mismatch[row, col]:
+        if mismatch is not False and mismatch[order[row], col]:
             return False, ("right-torsor-sources", z1, z2)
         return False, ("right-torsor", z1, z2, n)
 
