@@ -122,10 +122,17 @@ class GroupoidIds:
         oid = {x: i for i, x in enumerate(G.objects)}
         self.sources = [oid[G.source[g]] for g in G.morphisms]
         self.targets = [oid[G.target[g]] for g in G.morphisms]
-        self.identities = [index.get(G.identities.get(x), -1) for x in G.objects]
-        self.inverses = [index.get(G.inverses.get(g), -1) for g in G.morphisms]
+        self._identities, self._inverses = G.identities, G.inverses
         self.odd = {}  # (g, h) -> a product label that is no morphism
         self.compose = G.compose_ids or self._call_product
+
+    @cached_property
+    def identities(self) -> list:
+        return [self.index.get(self._identities.get(x), -1) for x in self.objects]
+
+    @cached_property
+    def inverses(self) -> list:
+        return [self.index.get(self._inverses.get(g), -1) for g in self.morphisms]
 
     @cached_property
     def ends(self):
@@ -302,9 +309,10 @@ def pullback_isomorphism_verify(G: FiniteGroupoid) -> PullbackReport:
     m = len(labels)
     # the products of all composable pairs, read as products(g, h) below
     _, _, _, fan, start = V.pair_index
-    table = np.empty(start[-1], dtype=np.int32)
-    for lo, hi in chunks(fan):
-        table[start[lo]:start[hi]] = V.compose(*V.pairs(lo, hi))
+    table, spans = np.empty(start[-1], dtype=np.int32), list(chunks(fan))
+    for lo, hi in spans:
+        pairs = V.pairs(lo, hi)
+        table[start[lo]:start[hi]] = V.compose(*pairs)
     found, at, pos = memoryview(table), start.tolist(), V.into[1]
 
     def products(g, h):
@@ -366,8 +374,8 @@ def pullback_isomorphism_verify(G: FiniteGroupoid) -> PullbackReport:
         dtype=np.int64).reshape(5, m)
     ids, square = np.array(image + [-2], dtype=np.int64), np.array(square, dtype=np.int64)
     failure = ()
-    for lo, hi in chunks(fan):
-        g, h = V.pairs(lo, hi)
+    for lo, hi in spans:
+        g, h = pairs if len(spans) == 1 else V.pairs(lo, hi)  # one span: its pairs are at hand
         gh = table[start[lo]:start[hi]]
         wrong = ids[gh] != base[g] + spot[h] * size[g] + square[row[g] + col[h]]
         if np.count_nonzero(wrong):
