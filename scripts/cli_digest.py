@@ -14,8 +14,9 @@ groupoids.  A second ladder runs `roots`, `exptest` and `census` (JSON and
 text) on (ax+b)^2, (ax+b)^3 and the dimension-8 sum realified_borel +
 axb_semidirect_plane.  A third runs `stratify` (JSON and text, `--samples 48
 --seed 1`) on a fixed unimodular conjugate of filiform4, on heisenberg +
-filiform4 and on a Q(i) algebra, and `grpd regrep --object 0` on the natural
-S4 action.  A fourth runs `grpd validate` (JSON and text) on two invalid
+filiform4, on a Q(i) algebra, on filiform4 rescaled to rational structure
+constants and on a 5-dim filiform algebra (its whole 3,125-point grid), and
+`grpd regrep --object 0` on the natural S4 action.  A fourth runs `grpd validate` (JSON and text) on two invalid
 action documents, C4 acting on 3 points by x -> x + g mod 3 and natural S4
 with its last row repeated in place of the one before, and
 `grpd pullback-verify` and `grpd decompose` on the natural S5 action.  A
@@ -48,6 +49,7 @@ import itertools
 import json
 import os
 import tempfile
+from fractions import Fraction
 from pathlib import Path
 
 from liegrpd import catalog
@@ -147,8 +149,16 @@ def conjugate(L, ops):
     return from_brackets(n, brackets)
 
 
+def rescale(L, factors):
+    """L in the basis Y'_i = factors[i] Y_i: rational structure constants."""
+    brackets = {(j, k): {l: c * factors[j] * factors[k] / factors[l] for l, c in terms}
+                for j, k, terms in L.brackets}
+    return from_brackets(L.dim, brackets)
+
+
 def stratify_docs():
     """file name -> document for the third ladder."""
+    filiform5 = from_brackets(5, {(0, 1): {2: 1}, (0, 2): {3: 1}, (0, 3): {4: 1}, (1, 2): {4: 1}})
     return {
         "filiform4~.json": algebra_to_json(
             conjugate(catalog.filiform4(), [(0, 1, 1), (2, 3, -1), (1, 3, 1), (3, 0, 1), (2, 1, -1)])
@@ -158,6 +168,10 @@ def stratify_docs():
         ),
         "qi.json": {"dim": 3, "field": "Qi",
                     "brackets": [{"i": 0, "j": 1, "coeffs": {"2": "1+1i"}}]},
+        "filiform4*.json": algebra_to_json(
+            rescale(catalog.filiform4(), [Fraction(1, 2), Fraction(-3), Fraction(2, 3), Fraction(5, 4)])
+        ),
+        "filiform5.json": algebra_to_json(filiform5),
     }
 
 

@@ -68,7 +68,17 @@ endpoints on every composable pair, identity and inverse laws per morphism,
 then associativity on every composable triple, refused above
 `TRIPLE_CAP` triples before any product.  It is kept unchanged, except that
 it reads the cap from the module, so a test can lower it.
+
+`ref_coadjoint_stratification` is the jump-index stratification that
+`strata.py` ran before it computed one jump set per line through the origin:
+`ref_jump_indices` at every sample point, on the integer form D B_{d xi} and
+the m^2 products with the flag-adapted columns, over points drawn by
+`ref_sample_points` as `Fraction` tuples.  `ref_is_ideal` is the `Fraction`
+bracket-and-membership loop that `jordan_holder_flag` ran on every flag
+member before it checked ideals over the integers.  They are kept unchanged,
+except for their names.
 """
+import itertools
 import math
 import random
 from dataclasses import dataclass
@@ -79,11 +89,11 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from liegrpd.catalog import axb_tautological_module
-from liegrpd.coadjoint import _always_degenerate, _det_at
+from liegrpd.coadjoint import _always_degenerate, _det_at, _form_rows, _form_values, integer_bform
 from liegrpd.exact import ROOT_SEARCH_BUDGET, Matrix, NumericError, Scalar, _Budget
 from liegrpd.exact import _gaussian_divisors
 from liegrpd.exact import GaussianRational, format_scalar, gaussian, is_exact, poly_eval
-from liegrpd.exact import rank_kernel, rref, to_complex
+from liegrpd.exact import rank_kernel, rref, rref_int, to_complex
 from liegrpd.exact import scalar_im, scalar_key, scalar_re
 from liegrpd import groupoids
 from liegrpd.groupoids import (
@@ -96,6 +106,15 @@ from liegrpd.groupoids import (
     canonical_sections,
 )
 from liegrpd.lie import LieAlgebra, LieModule, Subspace
+from liegrpd.strata import (
+    GRID_RADIUS,
+    SAMPLE_BOUND,
+    CoadjointStratification,
+    CoadjointStratum,
+    _adapted_columns,
+    index_order_leq,
+    jordan_holder_flag,
+)
 from liegrpd.weights import InexactSpectrum
 
 
@@ -1198,3 +1217,98 @@ def ref_validate_groupoid(G: FiniteGroupoid) -> None:
         for k in into[source[h]]:
             if product(gh, k) != product(g, product(h, k)):
                 raise AxiomError("associativity fails", (g, h, k))
+
+
+def ref_is_ideal(L: LieAlgebra, s: Subspace) -> bool:
+    for i in range(L.dim):
+        for v in s.rows:
+            if not s.contains(L.bracket(L.basis_vector(i), v)):
+                return False
+    return True
+
+
+def ref_jump_indices(L: LieAlgebra, flag: tuple, xi, columns=None) -> tuple:
+    """1-based flag steps not absorbed by the isotropy of xi: the pivot
+    columns of B_xi F, with the skew-form rank as cross-check."""
+    if columns is None:
+        columns = _adapted_columns(L, flag)
+    if L.field == "Q":
+        b, eliminate = integer_bform(L, xi), rref_int
+    else:
+        b, eliminate = _form_rows(L, _form_values(L.brackets, xi)), rref
+    # both eliminations return the pivot columns last
+    pivots = eliminate([[sum(x * y for x, y in zip(row, f)) for f in columns] for row in b])[-1]
+    if len(pivots) != len(eliminate(b)[-1]):
+        raise AssertionError("jump count disagrees with the skew-form rank")
+    return tuple(p + 1 for p in pivots)
+
+
+def ref_sample_points(dim, extra_samples, seed):
+    grid_size = (2 * GRID_RADIUS + 1) ** dim
+    if grid_size <= 4000:
+        pts = [
+            tuple(Fraction(v) for v in p)
+            for p in itertools.product(range(-GRID_RADIUS, GRID_RADIUS + 1), repeat=dim)
+        ]
+        return pts, True
+    rng = random.Random(seed)
+    pts, seen = [], set()
+    while len(pts) < extra_samples:
+        p = tuple(Fraction(rng.randint(-SAMPLE_BOUND, SAMPLE_BOUND)) for _ in range(dim))
+        if p not in seen:
+            seen.add(p)
+            pts.append(p)
+    return pts, False
+
+
+def ref_coadjoint_stratification(
+    L: LieAlgebra, samples: int = 400, seed: int = 0
+) -> CoadjointStratification:
+    """Group sample functionals by jump set and identify the generic stratum.
+
+    When the integer grid is small enough it is enumerated exhaustively and
+    the generic set is cross-checked against the index-order minimum; any
+    disagreement is a hard error rather than a silent repair.
+    """
+    flag = jordan_holder_flag(L)
+    columns = _adapted_columns(L, flag)
+    pts, exhaustive = ref_sample_points(L.dim, samples, seed)
+    buckets: dict = {}
+    for p in pts:
+        js = ref_jump_indices(L, flag, p, columns)
+        if js not in buckets:
+            buckets[js] = [0, p]
+        buckets[js][0] += 1
+    strata = [
+        CoadjointStratum(js, len(js), count, rep)
+        for js, (count, rep) in buckets.items()
+    ]
+    strata.sort(key=lambda s: (-s.rank, s.jump_set))
+    max_rank = strata[0].rank
+    top_sets = [s.jump_set for s in strata if s.rank == max_rank]
+    minima = [
+        e for e in top_sets if all(index_order_leq(e, f) for f in top_sets)
+    ]
+    if len(minima) != 1:
+        raise AssertionError(
+            f"no unique index-order minimum among top jump sets {top_sets}"
+        )
+    generic = minima[0]
+    all_sets = [s.jump_set for s in strata]
+    if not all(index_order_leq(generic, f) for f in all_sets):
+        raise AssertionError(
+            "generic jump set is not an index-order lower bound of the census"
+        )
+    strata.sort(key=lambda s: (s.jump_set != generic, -s.rank, s.jump_set))
+    notes = (
+        f"{len(pts)} sample functionals, "
+        + ("exhaustive integer grid" if exhaustive else "seeded integer samples"),
+    )
+    return CoadjointStratification(
+        tuple(s.dim for s in flag),
+        tuple(strata),
+        generic,
+        max_rank,
+        exhaustive,
+        notes,
+    )

@@ -14,15 +14,24 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dense_reference import DenseMatrix, matrix_inverse, ref_rref
+from dense_reference import (
+    DenseMatrix,
+    matrix_inverse,
+    ref_coadjoint_stratification,
+    ref_is_ideal,
+    ref_rref,
+    ref_sample_points,
+)
 from liegrpd.catalog import (
     LIE_CATALOG,
     abelian,
     axb,
     axb_tautological_module,
+    complex_heisenberg,
     euclid2,
     filiform4,
     heisenberg,
+    realified_heisenberg,
 )
 from liegrpd.coadjoint import bform
 from liegrpd.exact import Matrix, rank_kernel, rref
@@ -36,6 +45,7 @@ from liegrpd.lie import (
 )
 from liegrpd.strata import (
     _adapted_columns,
+    _is_ideal,
     ascending_central_series,
     coadjoint_stratification,
     index_order_leq,
@@ -394,3 +404,94 @@ class TestOneEliminationAgainstReferences:
             reference = reference_ascending_central_series(L)
             assert ascending_central_series(L) == reference
             assert center_of(L) == reference[min(1, len(reference) - 1)]
+
+
+# ---------------------------------------------------------------------------
+# the stratifications against the per-point loops they replace
+
+
+def filiform5():
+    """5-dim filiform algebra [Y1, Yi] = Y(i+1) for i = 2, 3, 4, [Y2, Y3] = Y5."""
+    return from_brackets(5, {(0, 1): {2: 1}, (0, 2): {3: 1}, (0, 3): {4: 1}, (1, 2): {4: 1}})
+
+
+def _is_nilpotent(L):
+    return ascending_central_series(L)[-1].dim == L.dim
+
+
+RATIONAL_FACTORS = (Q(1), Q(1, 2), Q(-3), Q(2, 3), Q(5, 4), Q(-1, 6), Q(7))
+
+
+def _stratified_inputs():
+    """(id, algebra): the catalog's nilpotent algebras, the complex
+    Heisenberg algebra (over Q(i)) and its realification, heisenberg +
+    filiform4, seeded unimodular conjugates, rational rescalings (D > 1) and
+    filiform5, whose exhaustive grid has 3,125 points."""
+    cases = [(n, make()) for n, make in LIE_CATALOG.items() if _is_nilpotent(make())]
+    cases += [("complex_heisenberg", complex_heisenberg()),
+              ("realified_heisenberg", realified_heisenberg())]
+    cases.append(("heisenberg+filiform4", direct_sum(heisenberg(), filiform4())))
+    cases += [(f"{n}~{seed}", conjugate(L, seed))
+              for seed, (n, L) in enumerate(list(cases), start=3) if L.field == "Q"]
+    cases += [(f"{n}*", rescale(L, RATIONAL_FACTORS)) for n, L in list(cases) if L.field == "Q"]
+    cases += [("filiform5", filiform5()), ("filiform5*", rescale(filiform5(), RATIONAL_FACTORS))]
+    return cases
+
+
+STRATIFIED = _stratified_inputs()
+
+
+class TestStratificationAgainstReference:
+    @pytest.mark.parametrize("name,L", STRATIFIED, ids=[n for n, _ in STRATIFIED])
+    def test_matches_per_point_reference(self, name, L):
+        assert coadjoint_stratification(L) == ref_coadjoint_stratification(L)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_seeded_samples_match_reference(self, seed):
+        L = conjugate(direct_sum(heisenberg(), filiform4()), seed)
+        for samples in (1, 64, 300):
+            got = coadjoint_stratification(L, samples=samples, seed=seed)
+            assert got == ref_coadjoint_stratification(L, samples=samples, seed=seed)
+
+    def test_integer_ideal_check_matches_fraction_check(self):
+        rng = random.Random(41)
+        outcomes = []
+        algebras = [L for _, L in STRATIFIED] + [make() for make in LIE_CATALOG.values()]
+        for L in algebras:
+            if _is_nilpotent(L):
+                for member in jordan_holder_flag(L):
+                    assert _is_ideal(L, member) and ref_is_ideal(L, member)
+            for _ in range(12):
+                vecs = [
+                    tuple(Q(rng.randint(-3, 3), rng.randint(1, 3)) if rng.random() < 0.4 else Q(0)
+                          for _ in range(L.dim))
+                    for _ in range(rng.randint(1, L.dim))
+                ]
+                s = Subspace.from_vectors(L.dim, vecs)
+                expected = ref_is_ideal(L, s)
+                assert _is_ideal(L, s) == expected
+                outcomes.append(expected)
+        assert not _is_ideal(heisenberg(), span(3, (1, 0, 0)))
+        # the random subspaces reach both answers
+        assert outcomes.count(True) >= 20 and outcomes.count(False) >= 100
+
+    @pytest.mark.parametrize("make", [
+        axb_tautological_module,
+        lambda: coadjoint_module(heisenberg()),
+        lambda: coadjoint_module(filiform4()),
+        lambda: adjoint_module(filiform5()),
+        lambda: coadjoint_module(direct_sum(heisenberg(), heisenberg())),
+    ])
+    def test_module_layers_match_per_point_ranks(self, make):
+        M = make()
+        pts, exhaustive = ref_sample_points(M.dim, 64, 3)
+        buckets = {}
+        for p in pts:
+            buckets.setdefault(orbit_tangent_rank(M, p), []).append(p)
+        s = stratify_module(M, samples=64, seed=3)
+        assert s.exhaustive == exhaustive
+        assert [x.orbit_dim for x in s.strata] == sorted(buckets, reverse=True)
+        for x in s.strata:
+            assert x.sample_count == len(buckets[x.orbit_dim])
+            assert x.representative == buckets[x.orbit_dim][0]
+            assert all(type(c) is Q for c in x.representative)
