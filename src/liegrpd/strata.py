@@ -3,21 +3,26 @@
 For a nilpotent algebra a full flag of ideals is built by refining the
 ascending central series deterministically (standard basis vectors in
 descending index order), every intermediate space between consecutive central
-terms being automatically an ideal.  Each functional gets a jump set: the
-flag steps not absorbed by its isotropy, read off one elimination as the
-pivot columns of B_xi F, where the columns of F form a basis adapted to the
-flag.  Over Q that elimination runs fraction-free on integers.  The size of
-the jump set always equals the rank of the skew form, and the generic jump
-set is the unique minimum in the index order.
+terms being automatically an ideal (each is checked, over Q by one integer
+elimination).  Each functional gets a jump set: the flag steps not absorbed
+by its isotropy, read off one elimination as the pivot columns of B_xi F,
+where the columns of F form a basis adapted to the flag.  Over Q, B_p and
+B_p F at integer p are sums of p_l times integer tables built once per
+algebra, and the elimination runs fraction-free.  The size of the jump set
+always equals the rank of the skew form, and the generic jump set is the
+unique minimum in the index order.  Since B_{c xi} = c B_xi and a(x)(c v) =
+c a(x) v, both stratifications compute one value per line through the
+origin, but count every sample point; a layer's representative is its first.
 """
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .coadjoint import _form_rows, _form_values, integer_bform
+from .coadjoint import _form_rows, _form_values
 from .exact import Matrix, clear_denominators, common_denominator, rank_kernel, rref, rref_int
 from .exact import zi_rows
 from .lie import LieAlgebra, LieModule, Subspace, centralizer_mod, checked_subalgebra
@@ -35,11 +40,21 @@ def ascending_central_series(L: LieAlgebra) -> tuple:
 
 
 def _is_ideal(L: LieAlgebra, s: Subspace) -> bool:
-    for i in range(L.dim):
-        for v in s.rows:
-            if not s.contains(L.bracket(L.basis_vector(i), v)):
-                return False
-    return True
+    """[Y_i, v] lies in s for every basis vector Y_i and row v of s.  Over Q
+    the rows are scaled to integers and bracketed through `L.integer_tensor`;
+    s is an ideal iff stacking the brackets under the rows keeps the rank."""
+    if L.field != "Q":
+        return all(s.contains(L.bracket(L.basis_vector(i), v)) for i in range(L.dim) for v in s.rows)
+    _, rows = clear_denominators(*s.rows)
+    images = []
+    for v in rows:
+        out = [[0] * L.dim for _ in range(L.dim)]  # out[i] = D [Y_i, v]
+        for j, k, terms in L.integer_tensor:
+            for l, c in terms:
+                out[j][l] += c * v[k]
+                out[k][l] -= c * v[j]
+        images += [w for w in out if any(w)]
+    return len(rref_int(rows + images)[2]) == len(rows)
 
 
 def jordan_holder_flag(L: LieAlgebra) -> tuple:
@@ -90,7 +105,25 @@ def _adapted_columns(L: LieAlgebra, flag: tuple):
     return clear_denominators(*adapted)[1] if L.field == "Q" else adapted
 
 
-def jump_indices(L: LieAlgebra, flag: tuple, xi, columns=None) -> tuple:
+def _integer_tables(L: LieAlgebra, columns) -> tuple:
+    """Per coordinate l, the nonzero entries (j, k, c) of C_l and of C_l F,
+    where D B_p = sum_l p_l C_l at integer p (`L.integer_tensor`) and F has
+    the int columns `columns`."""
+    forms = [[] for _ in range(L.dim)]
+    for j, k, terms in L.integer_tensor:
+        for l, c in terms:
+            forms[l] += [(j, k, c), (k, j, -c)]
+    tables = []
+    for form in forms:
+        prod: dict = {}
+        for j, k, c in form:
+            for i, f in enumerate(columns):
+                prod[j, i] = prod.get((j, i), 0) + c * f[k]
+        tables.append((form, [(j, i, c) for (j, i), c in prod.items() if c]))
+    return tables
+
+
+def jump_indices(L: LieAlgebra, flag: tuple, xi, columns=None, tables=None) -> tuple:
     """1-based flag steps not absorbed by the isotropy of xi.
 
     j is a jump when g_j is not inside g_{j-1} + ker B_xi.  With f_j the row
@@ -101,18 +134,30 @@ def jump_indices(L: LieAlgebra, flag: tuple, xi, columns=None) -> tuple:
 
     Over Q, B_xi is taken as the integer form D B_{d xi} and the columns of
     F are scaled to integers; nonzero scalings keep the pivot columns and
-    the rank, so both come from `rref_int` on integer matrices.  Over Q(i)
-    both come from `rref`.  `columns` is `_adapted_columns(L, flag)`,
-    computed here when not passed in.
+    the rank, so both come from `rref_int` on the integer matrices summed
+    from `tables` = `_integer_tables(L, columns)`.  Over Q(i) both come from
+    `rref`.  `columns` = `_adapted_columns(L, flag)` and `tables` are computed
+    here when not passed in.
     """
     if columns is None:
         columns = _adapted_columns(L, flag)
     if L.field == "Q":
-        b, eliminate = integer_bform(L, xi), rref_int
+        if tables is None:
+            tables = _integer_tables(L, columns)
+        _, (p,) = clear_denominators(xi)
+        b, bf = [[0] * L.dim for _ in columns], [[0] * L.dim for _ in columns]
+        for pl, (form, prod) in zip(p, tables):
+            if pl:
+                for j, k, c in form:
+                    b[j][k] += pl * c
+                for j, i, c in prod:
+                    bf[j][i] += pl * c
+        eliminate = rref_int
     else:
         b, eliminate = _form_rows(L, _form_values(L.brackets, xi)), rref
+        bf = [[sum(x * y for x, y in zip(row, f)) for f in columns] for row in b]
     # both eliminations return the pivot columns last
-    pivots = eliminate([[sum(x * y for x, y in zip(row, f)) for f in columns] for row in b])[-1]
+    pivots = eliminate(bf)[-1]
     if len(pivots) != len(eliminate(b)[-1]):
         raise AssertionError("jump count disagrees with the skew-form rank")
     return tuple(p + 1 for p in pivots)
@@ -151,21 +196,41 @@ SAMPLE_BOUND = 9  # seeded samples lie in {-9..9}^dim
 
 
 def _sample_points(dim, extra_samples, seed):
+    """(integer points, exhaustive): the whole grid {-2..2}^dim when it has at
+    most 4,000 points, else `extra_samples` distinct seeded points."""
     grid_size = (2 * GRID_RADIUS + 1) ** dim
     if grid_size <= 4000:
-        pts = [
-            tuple(Fraction(v) for v in p)
-            for p in itertools.product(range(-GRID_RADIUS, GRID_RADIUS + 1), repeat=dim)
-        ]
-        return pts, True
+        return list(itertools.product(range(-GRID_RADIUS, GRID_RADIUS + 1), repeat=dim)), True
     rng = random.Random(seed)
     pts, seen = [], set()
     while len(pts) < extra_samples:
-        p = tuple(Fraction(rng.randint(-SAMPLE_BOUND, SAMPLE_BOUND)) for _ in range(dim))
+        p = tuple(rng.randint(-SAMPLE_BOUND, SAMPLE_BOUND) for _ in range(dim))
         if p not in seen:
             seen.add(p)
             pts.append(p)
     return pts, False
+
+
+def _line_key(p: tuple) -> tuple:
+    """The primitive multiple of the integer point p whose first nonzero
+    entry is positive (p itself when p = 0): one key per line through 0."""
+    g = math.gcd(*p)
+    if g and next(x for x in p if x) < 0:
+        g = -g
+    return tuple(x // g for x in p) if g else p
+
+
+def _layers_by_line(points, value) -> dict:
+    """value -> [number of points, first point as Fractions], with `value`
+    called once per line through the origin, at its `_line_key`."""
+    per_line: dict = {}
+    layers: dict = {}
+    for p in points:
+        key = _line_key(p)
+        if key not in per_line:
+            per_line[key] = value(key)
+        layers.setdefault(per_line[key], [0, p])[0] += 1
+    return {v: (n, tuple(Fraction(x) for x in p)) for v, (n, p) in layers.items()}
 
 
 def coadjoint_stratification(
@@ -179,13 +244,9 @@ def coadjoint_stratification(
     """
     flag = jordan_holder_flag(L)
     columns = _adapted_columns(L, flag)
+    tables = _integer_tables(L, columns) if L.field == "Q" else None
     pts, exhaustive = _sample_points(L.dim, samples, seed)
-    buckets: dict = {}
-    for p in pts:
-        js = jump_indices(L, flag, p, columns)
-        if js not in buckets:
-            buckets[js] = [0, p]
-        buckets[js][0] += 1
+    buckets = _layers_by_line(pts, lambda p: jump_indices(L, flag, p, columns, tables))
     strata = [
         CoadjointStratum(js, len(js), count, rep)
         for js, (count, rep) in buckets.items()
@@ -275,12 +336,7 @@ def stratify_module(
     when all its probes stay in the layer.
     """
     pts, exhaustive = _sample_points(M.dim, samples, seed)
-    buckets: dict = {}
-    for p in pts:
-        d = orbit_tangent_rank(M, p)
-        if d not in buckets:
-            buckets[d] = [0, p]
-        buckets[d][0] += 1
+    buckets = _layers_by_line(pts, lambda p: orbit_tangent_rank(M, p))
     eps = Fraction(1, 16)
     strata = []
     generic_dim = max(buckets)

@@ -43,9 +43,11 @@ from liegrpd.lie import (
     coadjoint_module,
     from_brackets,
 )
+from liegrpd import strata
 from liegrpd.strata import (
     _adapted_columns,
     _is_ideal,
+    _line_key,
     ascending_central_series,
     coadjoint_stratification,
     index_order_leq,
@@ -495,3 +497,26 @@ class TestStratificationAgainstReference:
             assert x.sample_count == len(buckets[x.orbit_dim])
             assert x.representative == buckets[x.orbit_dim][0]
             assert all(type(c) is Q for c in x.representative)
+
+
+class TestLineCache:
+    def test_line_key_is_primitive_with_positive_lead(self):
+        assert _line_key((0, -2, 4)) == (0, 1, -2)
+        assert _line_key((0, 2, -4)) == (0, 1, -2)
+        assert _line_key((3, 0, -6)) == (1, 0, -2)
+        assert _line_key((0, 0, 0)) == (0, 0, 0)
+
+    @pytest.mark.parametrize("make,pairs", [(heisenberg, 50), (filiform4, 273), (filiform5, 1442)])
+    def test_one_elimination_pair_per_line(self, monkeypatch, make, pairs):
+        """The grid {-2..2}^dim has 5^dim points on `pairs` lines through 0
+        (the origin is its own line): one jump set, that is two eliminations,
+        per line, plus one elimination per flag member for its ideal check."""
+        L = make()
+        jumps, eliminations = [], []
+        real_jumps, real_rref = strata.jump_indices, strata.rref_int
+        monkeypatch.setattr(strata, "jump_indices", lambda *a: jumps.append(a) or real_jumps(*a))
+        monkeypatch.setattr(strata, "rref_int", lambda rows: eliminations.append(1) or real_rref(rows))
+        s = coadjoint_stratification(L)
+        assert len(jumps) == pairs
+        assert len(eliminations) == 2 * pairs + L.dim + 1
+        assert sum(x.sample_count for x in s.strata) == 5 ** L.dim
