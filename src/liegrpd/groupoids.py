@@ -221,6 +221,9 @@ class FiniteGroupAction:
     def make(group: FiniteGroup, points, act) -> "FiniteGroupAction":
         """Build and validate the action table from a callable or a mapping.
 
+        A callable is tabulated at every (g, x), elements before points; a
+        mapping is copied as the table, so it must hold those keys in order.
+
         Compatibility pi(g h) = pi(g) pi(h) is checked for every g, every
         generator h of the group and every point.  With pi(e) = id, checked
         first, that decides it for every pair (g, h), by induction on the
@@ -230,10 +233,10 @@ class FiniteGroupAction:
         (g, h, x) is the first violation over all pairs.
         """
         points = tuple(points)
-        fn = act if callable(act) else lambda g, x: act[(g, x)]
-        table = {
-            (g, x): fn(g, x) for g in group.elements for x in points
-        }
+        if callable(act):
+            table = {(g, x): act(g, x) for g in group.elements for x in points}
+        else:
+            table = dict(act)
         pointset = set(points)
         for (g, x), y in table.items():
             if y not in pointset:
@@ -828,8 +831,8 @@ def action_from_json(data: dict) -> FiniteGroupAction:
         for gi, g in enumerate(group.elements)
         for xi, yi in enumerate(table[gi])
     }
-    # build through the factory to reject invalid tables
-    return FiniteGroupAction.make(group, points, lambda g, x: lookup[(g, x)])
+    # validate through the factory, which takes the checked table as it is
+    return FiniteGroupAction.make(group, points, lookup)
 
 
 def groupoid_to_json(G: FiniteGroupoid) -> dict:

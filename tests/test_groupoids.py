@@ -8,6 +8,7 @@ Reference values, computed by hand from the action tables:
 - S3 on {0, 1, 2}: 18 morphisms, one orbit, isotropy of order 2.
 """
 import dataclasses
+import json
 import random
 from fractions import Fraction
 
@@ -862,6 +863,15 @@ class TestActionAgainstReference:
             assert _outcome(ref_action_make, group, doc["points"], lookup) == (
                 "AxiomError", caught.value.args
             )
+
+    def test_valid_json_documents_keep_the_table_and_its_order(self):
+        rng = random.Random(23)
+        for _ in range(20):
+            group, points, act = _random_action_parts(rng)
+            action = action_from_json(json.loads(json.dumps(
+                action_to_json(ref_action_make(group, points, act)))))
+            expected = ref_action_make(action.group, points, act)
+            assert list(action.table.items()) == list(expected.table.items())
 
 
 def _reference_regrep_rank(G, x):
