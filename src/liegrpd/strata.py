@@ -105,7 +105,7 @@ def _adapted_columns(L: LieAlgebra, flag: tuple):
     return clear_denominators(*adapted)[1] if L.field == "Q" else adapted
 
 
-def _integer_tables(L: LieAlgebra, columns) -> tuple:
+def _integer_tables(L: LieAlgebra, columns) -> list:
     """Per coordinate l, the nonzero entries (j, k, c) of C_l and of C_l F,
     where D B_p = sum_l p_l C_l at integer p (`L.integer_tensor`) and F has
     the int columns `columns`."""
