@@ -16,9 +16,10 @@ axb_semidirect_plane.  A third runs `stratify` (JSON and text, `--samples 48
 --seed 1`) on a fixed unimodular conjugate of filiform4, on heisenberg +
 filiform4, on a Q(i) algebra, on filiform4 rescaled to rational structure
 constants and on a 5-dim filiform algebra (its whole 3,125-point grid), and
-`grpd regrep --object 0` on the natural S4 action.  A fourth runs `grpd validate` (JSON and text) on two invalid
-action documents, C4 acting on 3 points by x -> x + g mod 3 and natural S4
-with its last row repeated in place of the one before, and
+`grpd regrep --object 0` on the natural S4 action.  A fourth runs `grpd
+validate` (JSON and text) on two invalid action documents, C4 acting on 3
+points by x -> x + g mod 3 and natural S4 with its last row repeated in
+place of the one before, and
 `grpd pullback-verify` and `grpd decompose` on the natural S5 action.  A
 fifth runs `census` (JSON) at `--samples 1` and `--samples 2` on the catalog
 Q-algebras and (ax+b)^2, where the open-orbit witness comes from the
