@@ -26,8 +26,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-import numpy as np
-
 from .exact import (
     Matrix,
     NumericError,
@@ -126,6 +124,7 @@ def coadjoint_flow(
     form is checked along the way; it is conserved because the flow stays in
     one orbit.
     """
+    import numpy as np
     gen = (-ad_matrix(L, x).transpose()).to_numpy()
     if t_final == 0:
         steps = 0
@@ -384,6 +383,7 @@ def minus_one_probe(L: LieAlgebra, seed: int = 0, tol: float = 1e-6) -> MinusOne
     The grid includes rational multiples of pi, where rotation generators hit
     -1 exactly.  Exponential algebras produce no witness.
     """
+    import numpy as np
     m = L.dim
     rng = random.Random(seed)
     directions = [

@@ -9,7 +9,8 @@ interpolation and Sturm counts work on plain integers; the eliminations,
 kernels, characteristic polynomials and root searches on integers and
 Gaussian integers.  The explicitly numeric operations at the end of the
 module take and return `numpy` arrays; `Matrix.to_numpy` is the one bridge
-from the exact side.
+from the exact side.  These three functions import numpy when first called,
+so the exact side never loads it.
 """
 from __future__ import annotations
 
@@ -17,8 +18,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
-
-import numpy as np
 
 
 class NumericError(ArithmeticError):
@@ -386,6 +385,7 @@ class Matrix:
     def to_numpy(self) -> np.ndarray:
         """Float (or complex) copy, each entry one exact int / int division;
         NumericError names an entry too large for a float."""
+        import numpy as np
         s = self.denominator
         is_complex = any(type(x) is GaussInt for row in self.ints for x in row)
         out = np.empty((self.rows, self.cols), dtype=complex if is_complex else float)
@@ -827,6 +827,7 @@ def matrix_exp_numeric(a: np.ndarray, tol: float = 1e-12) -> np.ndarray:
     summed until the next term's norm drops below tol, and the result is
     squared s times.
     """
+    import numpy as np
     a = np.asarray(a)
     if a.shape[0] != a.shape[1]:
         raise ValueError("exponential of a non-square matrix")
@@ -859,6 +860,7 @@ def matrix_exp_numeric(a: np.ndarray, tol: float = 1e-12) -> np.ndarray:
 
 def numeric_rank(a: np.ndarray, tol: float = 1e-9) -> int:
     """Rank by singular-value threshold relative to the largest value."""
+    import numpy as np
     if a.size == 0:
         return 0
     svals = np.linalg.svd(a, compute_uv=False)

@@ -15,8 +15,6 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 
-import numpy as np
-
 
 class AxiomError(ValueError):
     """A groupoid/group/action table violates an axiom; args carry a witness."""
@@ -31,6 +29,7 @@ CHUNK = 1 << 13  # index entries per numpy step of a table build or verifier loo
 
 def cyclic_table(elements) -> np.ndarray:
     """(a + b) mod n on the residues 0..n-1."""
+    import numpy as np
     residues = np.arange(len(elements), dtype=np.int32)
     return (residues[:, None] + residues) % len(elements)
 
@@ -46,6 +45,7 @@ def permutation_table(elements) -> np.ndarray:
     before each further block the code so far is replaced by its rank among
     the elements' codes, so no code overflows for any n.
     """
+    import numpy as np
     perms = np.array(elements, dtype=np.int64).reshape(len(elements), -1)
     order, n = perms.shape
     width = max(1, int((62 - math.log2(max(order, 2))) // math.log2(max(n, 2))))
@@ -82,6 +82,7 @@ def grouped(keys, n: int):
 
 def padded(rows) -> np.ndarray:
     """Lists of ids as the rows of one array, padded with -1."""
+    import numpy as np
     width = max(map(len, rows), default=0)
     return np.array([g for row in rows for g in row + [-1] * (width - len(row))],
                     dtype=np.intp).reshape(len(rows), width)
@@ -138,6 +139,7 @@ class GroupoidIds:
     def ends(self):
         """(d, r): sources and targets as arrays followed by seven entries
         -2 and -3, so that d[g] == r[h] is false where an id is -1 to -7."""
+        import numpy as np
         return (np.array(self.sources + [-2] * 7, dtype=np.intp),
                 np.array(self.targets + [-3] * 7, dtype=np.intp))
 
@@ -182,6 +184,7 @@ class GroupoidIds:
         from items[ptr[y]] on, and the composable pair (g, h) is number
         start[g] + pos[h], g in input order, then h; fan[g] counts the
         pairs of g."""
+        import numpy as np
         into, pos = self.into
         fan_in = [len(ids) for ids in into]
         fan = [fan_in[y] for y in self.sources]
@@ -191,11 +194,13 @@ class GroupoidIds:
 
     def pairs(self, lo: int, hi: int):
         """(g, h) over the composable pairs with lo <= g < hi, in loop order."""
+        import numpy as np
         ptr, items, _, fan, start = self.pair_index
         g = np.arange(lo, hi).repeat(fan[lo:hi])
         return g, items[np.arange(start[lo], start[hi]) - start[g] + ptr[self.ends[0][g]]]
 
     def _call_product(self, g, h) -> np.ndarray:
+        import numpy as np
         mors, index, odd = self.morphisms, self.index, self.odd
         out = []
         for a, b in zip(g.tolist(), h.tolist()):
@@ -254,12 +259,14 @@ class PullbackIds:
 
     @cached_property
     def arrays(self):
+        import numpy as np
         return [np.array(v, dtype=np.intp) for v in (
             self.rep, self.base, self.spot, self.size, self.loop_at, self.slot,
             self.target, self.middle, self.source)]
 
     def place(self, x, h, y):
         """`pid` on arrays."""
+        import numpy as np
         rep, base, spot, size, loop_at, slot = self.arrays[:6]
         return np.where(loop_at[h] == rep[x], base[x] + spot[y] * size[x] + slot[h], -1)
 
@@ -299,6 +306,7 @@ def pullback_isomorphism_verify(G: FiniteGroupoid) -> PullbackReport:
     label computation the loops made, in their order, so verdicts,
     witnesses and raised errors are theirs.
     """
+    import numpy as np
     V = G.ids
     P = PullbackIds(V)
     if -1 in P.sigma:
@@ -473,6 +481,7 @@ def equivalence_bimodule_verify(G: FiniteGroupoid) -> BimoduleReport:
     loops' order, so verdicts, witnesses and raised errors are theirs for
     any deterministic product.
     """
+    import numpy as np
     V = G.ids
     labels, compose, loops = G.morphisms, G.product, V.loops
     (d, r), (out, out_pos) = V.ends, V.out

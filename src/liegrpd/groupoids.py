@@ -26,8 +26,6 @@ import random
 from dataclasses import dataclass, field
 from functools import cached_property
 
-import numpy as np
-
 from .exact import document_int, rref_int
 from .groupoid_ids import (  # the verifiers and reports are part of this module's API
     AxiomError,
@@ -75,6 +73,7 @@ class FiniteGroup:
     @cached_property
     def table(self) -> np.ndarray:
         """mult[a, b] = index of ab, for elements numbered in input order."""
+        import numpy as np
         if self.tabulate is not None:
             return self.tabulate(self.elements)
         index = {e: i for i, e in enumerate(self.elements)}
@@ -359,6 +358,7 @@ def validate_groupoid(G: FiniteGroupoid) -> None:
     visits its items in the order of the label loops it replaced, so the
     first failure gives their witness.
     """
+    import numpy as np
     objs = set(G.objects)
     mors = set(G.morphisms)
     if len(objs) != len(G.objects) or len(mors) != len(G.morphisms):
@@ -422,6 +422,7 @@ def transformation_groupoid(A: FiniteGroupAction) -> FiniteGroupoid:
     (g, x) has id i |X| + j for g the i-th element and x the j-th point, so
     products of ids are mult[i2, i1] |X| + j, read from the group's table.
     """
+    import numpy as np
     group, act = A.group, A.table
     op = group.op
     inv = {g: group.inv(g) for g in group.elements}
@@ -522,6 +523,7 @@ def reduce_invariant(G: FiniteGroupoid, subset) -> FiniteGroupoid:
 def _restricted_compose(G: FiniteGroupoid, mors):
     """compose_ids on the morphisms `mors` of G, read from G's: each id maps
     to G's id and back, and a product outside `mors` is no morphism."""
+    import numpy as np
     maps = []
 
     def compose(g, h):
@@ -854,6 +856,7 @@ def groupoid_to_json(G: FiniteGroupoid) -> dict:
 
 
 def groupoid_from_json(data: dict) -> FiniteGroupoid:
+    import numpy as np
     if data.get("kind") != "groupoid":
         raise ValueError("not a groupoid document")
     objects = tuple(tuple(x) if isinstance(x, list) else x for x in data["objects"])

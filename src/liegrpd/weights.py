@@ -34,8 +34,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from .exact import (
     charpoly_int,
     common_denominator,
@@ -171,6 +169,7 @@ def _weights_exact(M, derived):
 
 
 def _nullspace_float(a, tol):
+    import numpy as np
     u, s, vh = np.linalg.svd(a)
     scale = max(s[0], 1.0) if len(s) else 1.0
     null_mask = np.concatenate([s, np.zeros(a.shape[1] - len(s))]) <= tol * scale
@@ -178,6 +177,7 @@ def _nullspace_float(a, tol):
 
 
 def _intersect_float(q1, q2, tol):
+    import numpy as np
     stacked = np.hstack([q1, -q2])
     ker = _nullspace_float(stacked, tol)
     if ker.shape[1] == 0:
@@ -189,6 +189,7 @@ def _intersect_float(q1, q2, tol):
 
 
 def _common_eigenvector_float(mats, tol):
+    import numpy as np
     n = mats[0].shape[0]
 
     def eig_candidates(a):
@@ -221,6 +222,7 @@ def _common_eigenvector_float(mats, tol):
 
 
 def _weights_float(mats, tol):
+    import numpy as np
     n = mats[0].shape[0]
     if n == 0:
         return []
