@@ -306,22 +306,26 @@ class ModuleStratification:
     notes: tuple
 
 
-def _orbit_rows(M: LieModule, v) -> list:
+def _orbit_rows(ints, v) -> list:
     """The matrix of x -> a(x) v, one column per basis element, as integer
-    rows: a positive multiple of it, with the same rank and kernel."""
-    _, ints = common_denominator(M.actions)
+    rows: a positive multiple of it, with the same rank and kernel.  `ints`
+    are the action matrices' integer rows, `common_denominator(M.actions)`."""
     w = zi_rows([v])[1][0]
     return list(zip(*([sum(x * y for x, y in zip(row, w) if x) for row in a] for a in ints)))
 
 
+def _tangent_rank(ints, v) -> int:
+    return len(rref_int(_orbit_rows(ints, v))[2])
+
+
 def orbit_tangent_rank(M: LieModule, v) -> int:
     """Dimension of the orbit through v: rank of x -> a(x) v."""
-    return len(rref_int(_orbit_rows(M, v))[2])
+    return _tangent_rank(common_denominator(M.actions)[1], v)
 
 
 def point_isotropy(M: LieModule, v) -> Subspace:
     """Stabilizer subalgebra {x : a(x) v = 0}; verified closed under bracket."""
-    _, kernel = rank_kernel(Matrix.scaled(_orbit_rows(M, v)))
+    _, kernel = rank_kernel(Matrix.scaled(_orbit_rows(common_denominator(M.actions)[1], v)))
     return checked_subalgebra(M.algebra, kernel, "point stabilizer")
 
 
@@ -336,7 +340,8 @@ def stratify_module(
     when all its probes stay in the layer.
     """
     pts, exhaustive = _sample_points(M.dim, samples, seed)
-    buckets = _layers_by_line(pts, lambda p: orbit_tangent_rank(M, p))
+    _, ints = common_denominator(M.actions)
+    buckets = _layers_by_line(pts, lambda p: _tangent_rank(ints, p))
     eps = Fraction(1, 16)
     strata = []
     generic_dim = max(buckets)
@@ -349,7 +354,7 @@ def stratify_module(
                 q = tuple(
                     rep[j] + s if j == k else rep[j] for j in range(M.dim)
                 )
-                probes.append(orbit_tangent_rank(M, q))
+                probes.append(_tangent_rank(ints, q))
         open_layer = d == generic_dim and all(pd == d for pd in probes)
         strata.append(
             ModuleStratum(d, iso.dim, count, rep, iso.rows, open_layer)
