@@ -15,8 +15,11 @@ text) on (ax+b)^2, (ax+b)^3 and the dimension-8 sum realified_borel +
 axb_semidirect_plane.  A third runs `stratify` (JSON and text, `--samples 48
 --seed 1`) on a fixed unimodular conjugate of filiform4, on heisenberg +
 filiform4, on a Q(i) algebra, on filiform4 rescaled to rational structure
-constants and on a 5-dim filiform algebra (its whole 3,125-point grid), and
-`grpd regrep --object 0` on the natural S4 action.  A fourth runs `grpd
+constants, on a 5-dim filiform algebra (its whole 3,125-point grid) and on a
+nilpotent Q(i) algebra whose constants have imaginary parts and
+denominators; it also runs `validate`, `series` and `coadjoint` at
+(1/2+i, 2, -3i, 1) (JSON and text) on that Q(i) algebra, and `grpd regrep
+--object 0` on the natural S4 action.  A fourth runs `grpd
 validate` (JSON and text) on two invalid action documents, C4 acting on 3
 points by x -> x + g mod 3 and natural S4 with its last row repeated in
 place of the one before, and
@@ -157,6 +160,9 @@ def rescale(L, factors):
     return from_brackets(L.dim, brackets)
 
 
+QI_NILPOTENT = "qi_nilpotent.json"
+
+
 def stratify_docs():
     """file name -> document for the third ladder."""
     filiform5 = from_brackets(5, {(0, 1): {2: 1}, (0, 2): {3: 1}, (0, 3): {4: 1}, (1, 2): {4: 1}})
@@ -173,6 +179,9 @@ def stratify_docs():
             rescale(catalog.filiform4(), [Fraction(1, 2), Fraction(-3), Fraction(2, 3), Fraction(5, 4)])
         ),
         "filiform5.json": algebra_to_json(filiform5),
+        QI_NILPOTENT: {"dim": 4, "field": "Qi", "brackets": [
+            {"i": 0, "j": 1, "coeffs": {"2": "1/2+1/3i", "3": "-3/7"}},
+            {"i": 0, "j": 2, "coeffs": {"3": "-2/5i"}}]},
     }
 
 
@@ -242,6 +251,11 @@ def third_ladder(names):
         for fmt in ("json", "text"):
             yield ["lie", "stratify", "--in", name, "--format", fmt, "--samples", "48",
                    "--seed", "1"]
+    for fmt in ("json", "text"):
+        for sub in ("validate", "series"):
+            yield ["lie", sub, "--in", QI_NILPOTENT, "--format", fmt]
+        yield ["lie", "coadjoint", "--in", QI_NILPOTENT, "--format", fmt,
+               "--point", "1/2+i,2,-3i,1"]
     yield ["grpd", "regrep", "--in", "s4_natural.json", "--object", "0"]
 
 

@@ -29,7 +29,6 @@ from typing import Sequence
 from .exact import (
     Matrix,
     NumericError,
-    clear_denominators,
     matrix_exp_numeric,
     newton_interpolate,
     numeric_rank,
@@ -37,6 +36,7 @@ from .exact import (
     rank_kernel,
     sturm_root_count,
     to_complex,
+    zi_rows,
 )
 from .lie import LieAlgebra, Subspace, ad_matrix, center_of, checked_subalgebra
 from .weights import algebra_is_exponential
@@ -179,7 +179,7 @@ def coadjoint_flow(
 def integer_bform(L: LieAlgebra, xi) -> list:
     """The integer form D B_{d xi} as int rows, d clearing xi's denominators:
     a nonzero multiple of B_xi, so it has the same rank and pivots."""
-    _, (p,) = clear_denominators(xi)
+    _, (p,) = zi_rows([xi])
     return _form_rows(L, _form_values(L.integer_tensor, p))
 
 
@@ -206,7 +206,7 @@ def _segment_nondegenerate(L: LieAlgebra, a, b, ends=None) -> bool:
     integer endpoints, so a kept sample's Pfaffian is computed once.
     """
     h = L.dim // 2
-    d, (ia, ib) = clear_denominators(a, b)
+    d, (ia, ib) = zi_rows([a, b])
     if ends is None or d != 1:
         ends = (_det_at(L, ia), _det_at(L, ib))
     pa, pb = ends

@@ -5,9 +5,10 @@ a nonzero imaginary part; arithmetic never silently demotes to float.  A
 `Matrix` takes exact entries only and stores them as an integer or
 Gaussian-integer (`GaussInt`) matrix N over one positive integer denominator
 s, in lowest terms; its `Fraction` rows are rebuilt only for reports.  Pfaffians,
-interpolation and Sturm counts work on plain integers; the eliminations,
-kernels, characteristic polynomials and root searches on integers and
-Gaussian integers.  The explicitly numeric operations at the end of the
+interpolation and Sturm counts work on plain integers.  One elimination,
+`rref_int`, serves every echelon form and kernel, over the integers or the
+Gaussian integers; the characteristic polynomials and root searches work on
+them too.  The explicitly numeric operations at the end of the
 module take and return `numpy` arrays; `Matrix.to_numpy` is the one bridge
 from the exact side.  These three functions import numpy when first called,
 so the exact side never loads it.
@@ -290,9 +291,12 @@ def zi_content(values) -> int:
 
 def zi_rows(rows):
     """(s, rows times s as int or GaussInt entries), s the least positive
-    integer that clears every denominator of the exact rows."""
-    parts = [[(x.re, x.im) if type(x) is GaussianRational else (x, 0) for x in row]
-             for row in rows]
+    integer that clears every denominator of the exact rows; rows of int and
+    GaussInt entries come back unchanged, with s = 1."""
+    if all(type(x) is int or type(x) is GaussInt for row in rows for x in row):
+        return 1, rows
+    parts = [[(x.re, x.im) if type(x) is GaussianRational or type(x) is GaussInt else (x, 0)
+              for x in row] for row in rows]
     s = math.lcm(*(p.denominator for row in parts for pair in row for p in pair))
     return s, [[zi(a.numerator * (s // a.denominator), b.numerator * (s // b.denominator))
                 for a, b in row] for row in parts]
@@ -453,28 +457,6 @@ def rref_int(rows: Sequence[Sequence[int]]):
     return m[:r], prev, pivots
 
 
-def clear_denominators(*points):
-    """(d, points times d as int tuples), d the lcm of their denominators."""
-    d = math.lcm(*(x.denominator for p in points for x in p))
-    return d, [tuple(x.numerator * (d // x.denominator) for x in p) for p in points]
-
-
-def rref(rows: Sequence[Sequence[Scalar]]):
-    """Reduced row-echelon form. Returns (rref rows, pivot column list).
-
-    Each row is scaled by the lcm of its denominators, which keeps the RREF,
-    and eliminated by `rref_int` over Z, or over Z[i] when a row holds a
-    `GaussianRational`.
-    """
-    zero = Fraction(0)
-    if not any(type(x) is GaussianRational for row in rows for x in row):
-        red, d, pivots = rref_int([clear_denominators(row)[1][0] for row in rows])
-        return [tuple(Fraction(x, d) if x else zero for x in row) for row in red], pivots
-    red, d, pivots = rref_int([zi_rows([row])[1][0] for row in rows])
-    f = positive_multiplier(d)
-    return [tuple(zi_over(x * f, d * f) if x else zero for x in row) for row in red], pivots
-
-
 def positive_multiplier(d):
     """A unit or conjugate f with d * f a positive integer, for d != 0 in Z[i]."""
     return d.conjugate() if type(d) is GaussInt else (1 if d > 0 else -1)
@@ -580,9 +562,16 @@ def charpoly_int(a):
 
 
 def matmul_int(a, b) -> list:
-    """The product of two matrices given as rows of int or GaussInt entries."""
-    cols = list(zip(*b))
-    return [[sum(x * y for x, y in zip(row, col) if x) for col in cols] for row in a]
+    """The product of two matrices given as rows of int or GaussInt entries,
+    each row a combination of the rows of b (sparse rows of a cost less)."""
+    out = []
+    for row in a:
+        w = [0] * len(b[0])
+        for x, b_row in zip(row, b):
+            if x:
+                w = [s + x * y for s, y in zip(w, b_row)]
+        out.append(w)
+    return out
 
 
 def poly_eval(coeffs: Sequence[Scalar], x: Scalar) -> Scalar:

@@ -26,7 +26,7 @@ import random
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from .exact import document_int, rref_int
+from .exact import document_int
 from .groupoid_ids import (  # the verifiers and reports are part of this module's API
     AxiomError,
     BimoduleReport,
@@ -701,26 +701,29 @@ def regular_representation_faithful(G: FiniteGroupoid, x) -> RegularRepReport:
 
     Each morphism g becomes a 0/1 matrix on the arrows out of x (a(g)[u, v] = 1
     iff u = g o v); the representation of the groupoid algebra is faithful
-    exactly when these matrices are linearly independent, which is decided by
-    an exact rank computation on integers and cross-checked against orbit
-    coverage.
+    exactly when these matrices are linearly independent.  In a groupoid
+    g o v = g' o v forces g = g', so the matrices have pairwise disjoint
+    supports and their rank is the number of nonzero ones: the cells (g o v, v)
+    are counted in a set, where a repeated cell raises AxiomError.  The
+    verdict is cross-checked against orbit coverage.
     """
     arrows = G.out_of.get(x, ())
-    index = {a: i for i, a in enumerate(arrows)}
-    n = len(arrows)
-    flats = {g: [0] * (n * n) for g in G.morphisms}
+    cells, used = set(), set()
     for v in arrows:
         for g in G.out_of[G.target[v]]:
-            flats[g][index[G.compose(g, v)] * n + index[v]] = 1
-    rank = len(rref_int(list(flats.values()))[2])
-    faithful = rank == len(G.morphisms)
+            cell = (G.compose(g, v), v)
+            if cell in cells:
+                raise AxiomError("left cancellation fails", (g, v))
+            cells.add(cell)
+            used.add(g)
+    faithful = len(used) == len(G.morphisms)
     orbit = {G.target[a] for a in arrows} | {x}
     covers = orbit == set(G.objects)
     if faithful != covers:
         raise AssertionError(
             "regular representation rank disagrees with orbit coverage"
         )
-    return RegularRepReport(x, faithful, rank, len(G.morphisms), covers)
+    return RegularRepReport(x, faithful, len(used), len(G.morphisms), covers)
 
 
 # ---------------------------------------------------------------------------

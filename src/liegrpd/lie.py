@@ -5,13 +5,14 @@ brackets (j, k, ((l, c), ...)) for j < k, meaning [Y_j, Y_k] = sum c Y_l over
 the chosen basis; [Y_k, Y_j] is the negative and unlisted brackets vanish.
 `from_brackets` builds every algebra.  A dense tensor c[i][j][k] appears only
 as the input of `validate_lie_algebra`, which checks its antisymmetry and
-hands the upper triangle on.  Validation (field, Jacobi) is exact; nothing
-here touches floats.
+hands the upper triangle on.  A subspace keeps its echelon form as integer
+or Gaussian-integer rows, and the series, centralizers and subalgebra checks
+bracket those rows through `LieAlgebra.integer_brackets`.  Validation (field,
+Jacobi) is exact; nothing here touches floats.
 """
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
@@ -26,12 +27,15 @@ from .exact import (
     format_scalar,
     gaussian,
     is_exact,
+    kernel_int,
+    lowest_terms,
     matmul_int,
     parse_scalar,
-    rank_kernel,
-    rref,
+    positive_multiplier,
+    rref_int,
     scalar_im,
     scalar_re,
+    zi_over,
     zi_rows,
 )
 
@@ -51,9 +55,6 @@ class FieldError(ValueError):
 Vector = tuple
 
 
-def vec_scale(c, v: Vector) -> Vector:
-    return tuple(c * a for a in v)
-
 def vec_is_zero(v: Vector) -> bool:
     return all(a == 0 for a in v)
 
@@ -62,21 +63,27 @@ def vec_is_zero(v: Vector) -> bool:
 class Subspace:
     """Subspace of an ambient exact coordinate space.
 
-    The basis is stored as the reduced row-echelon rows, so two equal
-    subspaces compare equal structurally, and membership is a reduction
-    against those rows.
+    The basis is the reduced row-echelon form R, stored as the int or
+    `GaussInt` rows `ints` = s R over the least positive integer s,
+    `denominator`, so two equal subspaces compare equal structurally.  `rows`
+    rebuilds R as exact rows; membership is a reduction against `ints`.
     """
 
     ambient: int
-    rows: tuple
+    ints: tuple
+    denominator: int = 1
 
     @staticmethod
     def from_vectors(ambient: int, vectors: Sequence[Vector]) -> "Subspace":
-        vectors = [v for v in vectors if not vec_is_zero(v)]
+        """The span of exact, int or GaussInt vectors: each nonzero one is
+        scaled to integers, which keeps the span, and eliminated by `rref_int`."""
+        vectors = [zi_rows([v])[1][0] for v in vectors if not vec_is_zero(v)]
         if not vectors:
             return Subspace(ambient, ())
-        red, _ = rref(vectors)
-        return Subspace(ambient, tuple(red))
+        red, d, _ = rref_int(vectors)
+        f = positive_multiplier(d)
+        ints, s = lowest_terms([[x * f for x in row] for row in red], d * f)
+        return Subspace(ambient, tuple(map(tuple, ints)), s)
 
     @staticmethod
     def zero(ambient: int) -> "Subspace":
@@ -84,32 +91,40 @@ class Subspace:
 
     @staticmethod
     def full(ambient: int) -> "Subspace":
-        rows = tuple(tuple(Fraction(int(i == j)) for j in range(ambient)) for i in range(ambient))
-        return Subspace(ambient, rows)
+        return Subspace(ambient, tuple(tuple(int(i == j) for j in range(ambient))
+                                       for i in range(ambient)))
 
     @property
     def dim(self) -> int:
-        return len(self.rows)
+        return len(self.ints)
+
+    @cached_property
+    def rows(self) -> tuple:
+        """R as `Fraction` and `GaussianRational` rows."""
+        return tuple(tuple(zi_over(x, self.denominator) for x in row) for row in self.ints)
 
     @cached_property
     def pivots(self) -> tuple:
         """Pivot column of each row; a pivot entry is 1 and every other row is
         0 there.  The pivot set grows with the subspace."""
-        return tuple(next(i for i, x in enumerate(row) if x != 0) for row in self.rows)
+        return tuple(next(i for i, x in enumerate(row) if x) for row in self.ints)
 
     def reduce(self, v: Vector) -> Vector:
-        """v minus its component at each row's pivot: zero exactly on the span."""
-        for row, p in zip(self.rows, self.pivots):
-            c = v[p]
-            if c != 0:
-                v = tuple(a - c * b for a, b in zip(v, row))
-        return tuple(v)
+        """s (v minus its component at each row's pivot), for an int or
+        GaussInt vector v: zero exactly on the span.  The rows of R vanish at
+        each other's pivots, so the component is sum_p v[p] R_p."""
+        out = [self.denominator * a for a in v]
+        for row, p in zip(self.ints, self.pivots):
+            if v[p]:
+                out = [a - v[p] * b for a, b in zip(out, row)]
+        return tuple(out)
 
     def contains(self, v: Vector) -> bool:
-        return vec_is_zero(self.reduce(v))
+        """Membership of an exact, int or GaussInt vector."""
+        return vec_is_zero(self.reduce(zi_rows([v])[1][0]))
 
     def contains_subspace(self, other: "Subspace") -> bool:
-        return all(self.contains(v) for v in other.rows)
+        return all(self.contains(v) for v in other.ints)
 
 
 @dataclass(frozen=True)
@@ -140,28 +155,33 @@ class LieAlgebra:
                     out[l] = out[l] + xi * yj * c
         return tuple(out)
 
-    def basis_bracket(self, a: int, b: int) -> Vector:
-        """[Y_a, Y_b] as a coordinate vector."""
-        out = [Fraction(0)] * self.dim
-        for l, c in self.pair_terms.get((a, b), ()):
-            out[l] = c
-        return tuple(out)
-
     def basis_vector(self, i: int) -> Vector:
         return tuple(Fraction(1 if j == i else 0) for j in range(self.dim))
 
     @cached_property
     def integer_tensor(self) -> tuple:
-        """The bracket table times the lcm of its denominators, with int
-        coefficients: D B_xi is integral at integer xi.  Rational field only;
-        `from_brackets` makes every constant of a Q algebra rational."""
-        if self.field != "Q":
-            raise FieldError("integer structure constants need rational coefficients over Q")
-        d = math.lcm(*(c.denominator for _, _, terms in self.brackets for _, c in terms))
-        return tuple(
-            (j, k, tuple((l, int(c * d)) for l, c in terms))
-            for j, k, terms in self.brackets
-        )
+        """The bracket table times D, the least positive integer that clears
+        every denominator of its constants, with int or GaussInt coefficients:
+        D B_xi is integral at an integral xi."""
+        _, (consts,) = zi_rows([[c for _, _, terms in self.brackets for _, c in terms]])
+        consts = iter(consts)
+        return tuple((j, k, tuple((l, next(consts)) for l, _ in terms))
+                     for j, k, terms in self.brackets)
+
+    def integer_brackets(self, v: Vector) -> list:
+        """D [Y_i, v] for each basis vector Y_i, as int or GaussInt lists, at
+        an int or GaussInt vector v; D is the scale of `integer_tensor`.
+        `matmul_int(rows, L.integer_brackets(v))` holds D [u, v] per row u."""
+        out = [[0] * self.dim for _ in range(self.dim)]
+        for j, k, terms in self.integer_tensor:
+            vj, vk = v[j], v[k]
+            if vk:
+                for l, c in terms:
+                    out[j][l] += c * vk
+            if vj:
+                for l, c in terms:
+                    out[k][l] -= c * vj
+        return out
 
 
 def validate_lie_algebra(
@@ -253,8 +273,8 @@ def ad_matrix(L: LieAlgebra, x: Vector) -> Matrix:
 
 
 def subspace_bracket(L: LieAlgebra, a: Subspace, b: Subspace) -> Subspace:
-    vecs = [L.bracket(u, v) for u in a.rows for v in b.rows]
-    return Subspace.from_vectors(L.dim, vecs)
+    return Subspace.from_vectors(
+        L.dim, [w for v in b.ints for w in matmul_int(a.ints, L.integer_brackets(v))])
 
 
 @dataclass(frozen=True)
@@ -267,16 +287,15 @@ class SeriesReport:
 
 
 def centralizer_mod(L: LieAlgebra, s: Subspace) -> Subspace:
-    """{x : [Y_j, x] in s for every j}; kernel rows indexed by (j, k).
+    """{x : [Y_j, x] in s for every j}: the kernel of the rows indexed by
+    (j, k) whose entry i is coordinate k of s.reduce(D [Y_j, Y_i]).
 
     For an ideal s this is the preimage of the center of L/s.
     """
     m = L.dim
-    rows = [
-        row for j in range(m) for row in zip(*(s.reduce(L.basis_bracket(j, i)) for i in range(m)))
-    ]
-    _, kernel = rank_kernel(Matrix(rows))
-    return Subspace.from_vectors(m, kernel)
+    images = [[s.reduce(w) for w in L.integer_brackets(e)] for e in Subspace.full(m).ints]
+    rows = [row for j in range(m) for row in zip(*(images[i][j] for i in range(m)))]
+    return Subspace.from_vectors(m, kernel_int(rows, m)[0])
 
 
 def center_of(L: LieAlgebra) -> Subspace:
@@ -286,10 +305,8 @@ def center_of(L: LieAlgebra) -> Subspace:
 def checked_subalgebra(L: LieAlgebra, vectors: Sequence[Vector], what: str) -> Subspace:
     """Span of the vectors, verified closed under the bracket."""
     s = Subspace.from_vectors(L.dim, vectors)
-    for u in s.rows:
-        for v in s.rows:
-            if not s.contains(L.bracket(u, v)):
-                raise AssertionError(f"{what} failed its subalgebra check")
+    if not all(s.contains(w) for v in s.ints for w in matmul_int(s.ints, L.integer_brackets(v))):
+        raise AssertionError(f"{what} failed its subalgebra check")
     return s
 
 
@@ -306,12 +323,8 @@ def _series(step, start: Subspace) -> tuple:
 
 def derived_series(L: LieAlgebra) -> tuple:
     """L, [L, L], ... until a term repeats or is zero; L is solvable exactly
-    when the last term is zero.  [L, L] is the span of the listed brackets."""
-    full = Subspace.full(L.dim)
-    first = Subspace.from_vectors(L.dim, [L.basis_bracket(j, k) for j, k, _ in L.brackets])
-    if first == full:
-        return (full,)
-    return (full,) + _series(lambda s: subspace_bracket(L, s, s), first)
+    when the last term is zero."""
+    return _series(lambda s: subspace_bracket(L, s, s), Subspace.full(L.dim))
 
 
 def structure_series(L: LieAlgebra) -> SeriesReport:
@@ -352,9 +365,8 @@ def make_module(L: LieAlgebra, actions: Sequence[Matrix]) -> LieModule:
         if a.rows != n or a.cols != n:
             raise ValueError("action matrices must be square of equal size")
     s, ints = common_denominator(actions)
-    d, (consts,) = zi_rows([[c for _, _, terms in L.brackets for _, c in terms]])
-    consts = iter(consts)
-    table = {(j, k): [(l, next(consts)) for l, _ in terms] for j, k, terms in L.brackets}
+    d = zi_rows([[c for _, _, terms in L.brackets for _, c in terms]])[0]
+    table = {(j, k): terms for j, k, terms in L.integer_tensor}
     for i in range(L.dim):
         for j in range(i + 1, L.dim):
             terms = table.get((i, j), ())
@@ -435,12 +447,8 @@ def realify_vector(v: Vector) -> Vector:
 
 def realify_subspace(s: Subspace) -> Subspace:
     """Real span of {v, iv} for v in a complex subspace, in doubled coordinates."""
-    i = gaussian(0, 1)
-    vecs = []
-    for v in s.rows:
-        vecs.append(realify_vector(v))
-        vecs.append(realify_vector(vec_scale(i, v)))
-    return Subspace.from_vectors(2 * s.ambient, vecs)
+    return Subspace.from_vectors(2 * s.ambient, [realify_vector(tuple(c * a for a in v))
+                                                 for v in s.rows for c in (1, gaussian(0, 1))])
 
 
 # ---------------------------------------------------------------------------

@@ -3,15 +3,16 @@
 For a nilpotent algebra a full flag of ideals is built by refining the
 ascending central series deterministically (standard basis vectors in
 descending index order), every intermediate space between consecutive central
-terms being automatically an ideal (each is checked, over Q by one integer
-elimination).  Each functional gets a jump set: the flag steps not absorbed
-by its isotropy, read off one elimination as the pivot columns of B_xi F,
-where the columns of F form a basis adapted to the flag.  Over Q, B_p and
-B_p F at integer p are sums of p_l times integer tables built once per
-algebra, and the elimination runs fraction-free.  The size of the jump set
-always equals the rank of the skew form, and the generic jump set is the
-unique minimum in the index order.  Since B_{c xi} = c B_xi and a(x)(c v) =
-c a(x) v, both stratifications compute one value per line through the
+terms being automatically an ideal (each is checked: every integer bracket
+D [Y_i, v] of a basis row v must lie in the member).  Each functional gets a
+jump set: the flag steps not absorbed by its isotropy, read off one
+elimination as the pivot columns of B_xi F, where the columns of F form a
+basis adapted to the flag.  Over Q and Q(i) alike, B_p and B_p F at an
+integral p are sums of p_l times integer or Gaussian-integer tables built
+once per algebra, and the elimination runs fraction-free.  The size of the
+jump set always equals the rank of the skew form, and the generic jump set is
+the unique minimum in the index order.  Since B_{c xi} = c B_xi and a(x)(c v)
+= c a(x) v, both stratifications compute one value per line through the
 origin, but count every sample point; a layer's representative is its first.
 """
 from __future__ import annotations
@@ -22,9 +23,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .coadjoint import _form_rows, _form_values
-from .exact import Matrix, clear_denominators, common_denominator, rank_kernel, rref, rref_int
-from .exact import zi_rows
+from .exact import common_denominator, kernel_int, rref_int, zi_rows
 from .lie import LieAlgebra, LieModule, Subspace, centralizer_mod, checked_subalgebra
 
 
@@ -40,21 +39,8 @@ def ascending_central_series(L: LieAlgebra) -> tuple:
 
 
 def _is_ideal(L: LieAlgebra, s: Subspace) -> bool:
-    """[Y_i, v] lies in s for every basis vector Y_i and row v of s.  Over Q
-    the rows are scaled to integers and bracketed through `L.integer_tensor`;
-    s is an ideal iff stacking the brackets under the rows keeps the rank."""
-    if L.field != "Q":
-        return all(s.contains(L.bracket(L.basis_vector(i), v)) for i in range(L.dim) for v in s.rows)
-    _, rows = clear_denominators(*s.rows)
-    images = []
-    for v in rows:
-        out = [[0] * L.dim for _ in range(L.dim)]  # out[i] = D [Y_i, v]
-        for j, k, terms in L.integer_tensor:
-            for l, c in terms:
-                out[j][l] += c * v[k]
-                out[k][l] -= c * v[j]
-        images += [w for w in out if any(w)]
-    return len(rref_int(rows + images)[2]) == len(rows)
+    """D [Y_i, v] lies in s for every basis vector Y_i and integer row v of s."""
+    return all(s.contains(w) for v in s.ints for w in L.integer_brackets(v))
 
 
 def jordan_holder_flag(L: LieAlgebra) -> tuple:
@@ -74,14 +60,13 @@ def jordan_holder_flag(L: LieAlgebra) -> tuple:
     for upper in chain[1:]:
         cur = flag[-1]
         candidates = [
-            tuple(Fraction(1) if j == idx else Fraction(0) for j in range(m))
-            for idx in range(m - 1, -1, -1)
-        ] + list(upper.rows)
+            tuple(int(j == idx) for j in range(m)) for idx in range(m - 1, -1, -1)
+        ] + list(upper.ints)
         for v in candidates:
             if cur.dim == upper.dim:
                 break
             if upper.contains(v) and not cur.contains(v):
-                cur = Subspace.from_vectors(m, cur.rows + (v,))
+                cur = Subspace.from_vectors(m, cur.ints + (v,))
                 flag.append(cur)
         if cur.dim != upper.dim:
             raise AssertionError("flag refinement failed to reach the next term")
@@ -91,24 +76,23 @@ def jordan_holder_flag(L: LieAlgebra) -> tuple:
     return tuple(flag)
 
 
-def _adapted_columns(L: LieAlgebra, flag: tuple):
+def _adapted_columns(flag: tuple) -> list:
     """The columns F of `jump_indices`, which depend on the flag only.
 
-    Column j is the row f_j of g_j whose pivot is not a pivot of g_{j-1}.
-    The columns are returned as rows, scaled to int tuples over Q and
-    unchanged over Q(i).
+    Column j is the row f_j of g_j whose pivot is not a pivot of g_{j-1},
+    returned as its integer row in `ints`, a positive multiple of it.
     """
     adapted = []
     for lower, upper in zip(flag, flag[1:]):
         old = set(lower.pivots)
-        adapted.append(next(r for r, p in zip(upper.rows, upper.pivots) if p not in old))
-    return clear_denominators(*adapted)[1] if L.field == "Q" else adapted
+        adapted.append(next(r for r, p in zip(upper.ints, upper.pivots) if p not in old))
+    return adapted
 
 
 def _integer_tables(L: LieAlgebra, columns) -> list:
     """Per coordinate l, the nonzero entries (j, k, c) of C_l and of C_l F,
-    where D B_p = sum_l p_l C_l at integer p (`L.integer_tensor`) and F has
-    the int columns `columns`."""
+    where D B_p = sum_l p_l C_l at integral p (`L.integer_tensor`) and F has
+    the integer columns `columns`."""
     forms = [[] for _ in range(L.dim)]
     for j, k, terms in L.integer_tensor:
         for l, c in terms:
@@ -132,33 +116,26 @@ def jump_indices(L: LieAlgebra, flag: tuple, xi, columns=None, tables=None) -> t
     f_{j-1}: the jumps are the pivot columns of B_xi F, counted from 1.  Their
     number equals the rank of the skew form at xi.
 
-    Over Q, B_xi is taken as the integer form D B_{d xi} and the columns of
-    F are scaled to integers; nonzero scalings keep the pivot columns and
-    the rank, so both come from `rref_int` on the integer matrices summed
-    from `tables` = `_integer_tables(L, columns)`.  Over Q(i) both come from
-    `rref`.  `columns` = `_adapted_columns(L, flag)` and `tables` are computed
-    here when not passed in.
+    B_xi is taken as the integer form D B_{d xi} and the columns of F as
+    integer rows; nonzero scalings keep the pivot columns and the rank, so
+    both come from `rref_int` on the integer matrices summed from `tables` =
+    `_integer_tables(L, columns)`.  `columns` = `_adapted_columns(flag)` and
+    `tables` are computed here when not passed in.
     """
     if columns is None:
-        columns = _adapted_columns(L, flag)
-    if L.field == "Q":
-        if tables is None:
-            tables = _integer_tables(L, columns)
-        _, (p,) = clear_denominators(xi)
-        b, bf = [[0] * L.dim for _ in columns], [[0] * L.dim for _ in columns]
-        for pl, (form, prod) in zip(p, tables):
-            if pl:
-                for j, k, c in form:
-                    b[j][k] += pl * c
-                for j, i, c in prod:
-                    bf[j][i] += pl * c
-        eliminate = rref_int
-    else:
-        b, eliminate = _form_rows(L, _form_values(L.brackets, xi)), rref
-        bf = [[sum(x * y for x, y in zip(row, f)) for f in columns] for row in b]
-    # both eliminations return the pivot columns last
-    pivots = eliminate(bf)[-1]
-    if len(pivots) != len(eliminate(b)[-1]):
+        columns = _adapted_columns(flag)
+    if tables is None:
+        tables = _integer_tables(L, columns)
+    _, (p,) = zi_rows([xi])
+    b, bf = [[0] * L.dim for _ in columns], [[0] * L.dim for _ in columns]
+    for pl, (form, prod) in zip(p, tables):
+        if pl:
+            for j, k, c in form:
+                b[j][k] += pl * c
+            for j, i, c in prod:
+                bf[j][i] += pl * c
+    pivots = rref_int(bf)[2]
+    if len(pivots) != len(rref_int(b)[2]):
         raise AssertionError("jump count disagrees with the skew-form rank")
     return tuple(p + 1 for p in pivots)
 
@@ -243,8 +220,8 @@ def coadjoint_stratification(
     disagreement is a hard error rather than a silent repair.
     """
     flag = jordan_holder_flag(L)
-    columns = _adapted_columns(L, flag)
-    tables = _integer_tables(L, columns) if L.field == "Q" else None
+    columns = _adapted_columns(flag)
+    tables = _integer_tables(L, columns)
     pts, exhaustive = _sample_points(L.dim, samples, seed)
     buckets = _layers_by_line(pts, lambda p: jump_indices(L, flag, p, columns, tables))
     strata = [
@@ -325,7 +302,7 @@ def orbit_tangent_rank(M: LieModule, v) -> int:
 
 def point_isotropy(M: LieModule, v) -> Subspace:
     """Stabilizer subalgebra {x : a(x) v = 0}; verified closed under bracket."""
-    _, kernel = rank_kernel(Matrix.scaled(_orbit_rows(common_denominator(M.actions)[1], v)))
+    kernel, _, _ = kernel_int(_orbit_rows(common_denominator(M.actions)[1], v), M.algebra.dim)
     return checked_subalgebra(M.algebra, kernel, "point stabilizer")
 
 

@@ -44,7 +44,6 @@ from .exact import (
     scalar_im,
     scalar_re,
     zi,
-    zi_rows,
 )
 from .lie import LieAlgebra, LieModule, adjoint_module, derived_series, realify
 
@@ -144,7 +143,7 @@ def _weights_exact(M, derived):
     free = [j for j in range(M.algebra.dim) if j not in derived.pivots]
     S, ints = common_denominator(M.actions)
     d_acts = []
-    for w in zi_rows(derived.rows)[1]:
+    for w in derived.ints:
         d_acts.append(lowest_terms([[sum(c * a[i][j] for c, a in zip(w, ints) if c)
                                      for j in range(M.dim)] for i in range(M.dim)], S))
     c_acts = [(M.actions[j].ints, M.actions[j].denominator) for j in free]

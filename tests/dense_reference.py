@@ -21,7 +21,8 @@ interpolated and counted roots on integers; they are kept unchanged.
 
 `det_exact`, `solve_exact` and `matrix_inverse` are the `Fraction`
 elimination helpers that `exact.py` kept without a caller in the package;
-the tests still use them as independent exact references.
+the tests still use them as independent exact references, the last two
+eliminating with `ref_rref`.
 
 `ref_charpoly_exact` and `ref_gaussian_rational_roots` are the `Fraction`
 Faddeev-LeVerrier recursion and the root search that `exact.py` ran before
@@ -37,7 +38,10 @@ that `exact.py` kept without a caller in the package; it is kept unchanged.
 
 `ref_rref` is the generic `Fraction` Gauss-Jordan elimination that `rref` ran
 on rational rows before it scaled them to integers and eliminated
-fraction-free; it is kept unchanged.
+fraction-free; it is kept unchanged.  `RefSubspace` is `lie.Subspace` as it
+was before it stored integer echelon rows: the `Fraction` and
+`GaussianRational` reduced rows, here from `ref_rref`, with its `reduce` kept
+as `ref_reduce`.
 
 `ref_frobenius_test` is the seeded open-orbit search that `lie census` ran
 beside the census before it took the witness from the census's own first
@@ -48,7 +52,8 @@ integer rows: `Fraction` and `GaussianRational` entries with `identity`,
 `zeros`, `trace`, `+`, `-`, `@`, `scale` and `apply`.  `ref_action_of` is
 `LieModule.action_of` and `ref_law_failure` the representation-law check
 `make_module` ran on them.  They are kept unchanged, except that the class is
-renamed and `action_of` takes the module as an argument.  The oracles above
+renamed, `action_of` takes the module as an argument and `ref_law_failure`
+takes [Y_i, Y_j] from `LieAlgebra.bracket`.  The oracles above
 that compute with matrices run on `DenseMatrix`: `ref_weights_exact` and
 `ref_weights_joint_kernel` copy the library's actions into it on entry, and
 every `rank_kernel` call gets a library `Matrix` of the same entries.
@@ -76,13 +81,16 @@ the m^2 products with the flag-adapted columns, over points drawn by
 `ref_sample_points` as `Fraction` tuples.  `ref_is_ideal` is the `Fraction`
 bracket-and-membership loop that `jordan_holder_flag` ran on every flag
 member before it checked ideals over the integers.  They are kept unchanged,
-except for their names.
+except for their names, for `ref_rref` in place of `rref` on Q(i) algebras,
+and for `ref_adapted_columns`, the flag-adapted columns as `strata` read them
+from the `Fraction` rows of the flag.
 """
 import itertools
 import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from fractions import Fraction as Q
 from typing import Iterable, Sequence
 
@@ -93,7 +101,7 @@ from liegrpd.coadjoint import _always_degenerate, _det_at, _form_rows, _form_val
 from liegrpd.exact import ROOT_SEARCH_BUDGET, Matrix, NumericError, Scalar, _Budget
 from liegrpd.exact import _gaussian_divisors
 from liegrpd.exact import GaussianRational, format_scalar, gaussian, is_exact, poly_eval
-from liegrpd.exact import rank_kernel, rref, rref_int, to_complex
+from liegrpd.exact import rank_kernel, rref_int, to_complex, zi_rows
 from liegrpd.exact import scalar_im, scalar_key, scalar_re
 from liegrpd import groupoids
 from liegrpd.groupoids import (
@@ -111,7 +119,6 @@ from liegrpd.strata import (
     SAMPLE_BOUND,
     CoadjointStratification,
     CoadjointStratum,
-    _adapted_columns,
     index_order_leq,
     jordan_holder_flag,
 )
@@ -262,7 +269,7 @@ def ref_law_failure(L: LieAlgebra, actions):
     mod = LieModule(L, actions[0].rows, tuple(actions))
     for i in range(L.dim):
         for j in range(i + 1, L.dim):
-            lhs = ref_action_of(mod, L.basis_bracket(i, j))
+            lhs = ref_action_of(mod, L.bracket(L.basis_vector(i), L.basis_vector(j)))
             rhs = actions[i] @ actions[j] - actions[j] @ actions[i]
             if lhs != rhs:
                 return i, j
@@ -306,7 +313,8 @@ def ref_bracket(t, x, y):
 def ref_centralizer_mod(t, s):
     """{x : [Y_j, x] in s for every j}; kernel rows indexed by (j, k)."""
     m = len(t)
-    rows = [row for j in range(m) for row in zip(*(s.reduce(tuple(t[j][i])) for i in range(m)))]
+    rows = [row for j in range(m)
+            for row in zip(*(ref_reduce(s, tuple(t[j][i])) for i in range(m)))]
     _, kernel = rank_kernel(Matrix(rows))
     return Subspace.from_vectors(m, kernel)
 
@@ -1032,7 +1040,7 @@ def det_exact(m: DenseMatrix):
 def solve_exact(m: DenseMatrix, rhs):
     """Solve m x = rhs exactly; None when inconsistent, a particular solution else."""
     aug = [list(row) + [v] for row, v in zip(m.data, rhs)]
-    red, pivots = rref(aug)
+    red, pivots = ref_rref(aug)
     if m.cols in pivots:
         return None
     x = [Q(0)] * m.cols
@@ -1045,7 +1053,7 @@ def matrix_inverse(m: DenseMatrix) -> DenseMatrix:
     if m.rows != m.cols:
         raise ValueError("inverse of a non-square matrix")
     aug = [list(row) + list(ident_row) for row, ident_row in zip(m.data, DenseMatrix.identity(m.rows).data)]
-    red, pivots = rref(aug)
+    red, pivots = ref_rref(aug)
     if pivots != list(range(m.rows)):
         raise ValueError("matrix is singular")
     return DenseMatrix([row[m.rows:] for row in red])
@@ -1075,6 +1083,48 @@ def ref_rref(rows):
         if r == len(m):
             break
     return [tuple(row) for row in m[:r]], pivots
+
+
+@dataclass(frozen=True)
+class RefSubspace:
+    """Subspace of an ambient exact coordinate space.
+
+    The basis is stored as the reduced row-echelon rows, so two equal
+    subspaces compare equal structurally, and membership is a reduction
+    against those rows.
+    """
+
+    ambient: int
+    rows: tuple
+
+    @staticmethod
+    def from_vectors(ambient: int, vectors) -> "RefSubspace":
+        vectors = [v for v in vectors if not all(a == 0 for a in v)]
+        if not vectors:
+            return RefSubspace(ambient, ())
+        red, _ = ref_rref(vectors)
+        return RefSubspace(ambient, tuple(red))
+
+    @property
+    def dim(self) -> int:
+        return len(self.rows)
+
+    @cached_property
+    def pivots(self) -> tuple:
+        return tuple(next(i for i, x in enumerate(row) if x != 0) for row in self.rows)
+
+    def contains(self, v) -> bool:
+        return all(a == 0 for a in ref_reduce(self, v))
+
+
+def ref_reduce(s, v):
+    """v minus its component at each row's pivot: zero exactly on the span.
+    Reads the exact `rows` and `pivots` of s, a `RefSubspace` or `Subspace`."""
+    for row, p in zip(s.rows, s.pivots):
+        c = v[p]
+        if c != 0:
+            v = tuple(a - c * b for a, b in zip(v, row))
+    return tuple(v)
 
 
 def ref_pullback_isomorphism_verify(G: FiniteGroupoid) -> PullbackReport:
@@ -1227,15 +1277,25 @@ def ref_is_ideal(L: LieAlgebra, s: Subspace) -> bool:
     return True
 
 
+def ref_adapted_columns(L: LieAlgebra, flag: tuple):
+    """Column j of F is the row f_j of g_j whose pivot is not a pivot of
+    g_{j-1}, scaled to int tuples over Q and unchanged over Q(i)."""
+    adapted = []
+    for lower, upper in zip(flag, flag[1:]):
+        old = set(lower.pivots)
+        adapted.append(next(r for r, p in zip(upper.rows, upper.pivots) if p not in old))
+    return zi_rows(adapted)[1] if L.field == "Q" else adapted
+
+
 def ref_jump_indices(L: LieAlgebra, flag: tuple, xi, columns=None) -> tuple:
     """1-based flag steps not absorbed by the isotropy of xi: the pivot
     columns of B_xi F, with the skew-form rank as cross-check."""
     if columns is None:
-        columns = _adapted_columns(L, flag)
+        columns = ref_adapted_columns(L, flag)
     if L.field == "Q":
         b, eliminate = integer_bform(L, xi), rref_int
     else:
-        b, eliminate = _form_rows(L, _form_values(L.brackets, xi)), rref
+        b, eliminate = _form_rows(L, _form_values(L.brackets, xi)), ref_rref
     # both eliminations return the pivot columns last
     pivots = eliminate([[sum(x * y for x, y in zip(row, f)) for f in columns] for row in b])[-1]
     if len(pivots) != len(eliminate(b)[-1]):
@@ -1271,7 +1331,7 @@ def ref_coadjoint_stratification(
     disagreement is a hard error rather than a silent repair.
     """
     flag = jordan_holder_flag(L)
-    columns = _adapted_columns(L, flag)
+    columns = ref_adapted_columns(L, flag)
     pts, exhaustive = ref_sample_points(L.dim, samples, seed)
     buckets: dict = {}
     for p in pts:

@@ -49,8 +49,8 @@ from liegrpd.coadjoint import (
     open_component_census,
     orbit_dimension,
 )
-from liegrpd.exact import Matrix, gaussian, to_complex
-from liegrpd.lie import FieldError, Subspace, from_brackets
+from liegrpd.exact import GaussInt, Matrix, gaussian, scalar_im, scalar_re, to_complex, zi_parts
+from liegrpd.lie import Subspace, from_brackets
 
 
 class TestSkewForm:
@@ -437,9 +437,20 @@ def test_flow_float_form_equals_dense_reference(name, monkeypatch):
         assert np.allclose(a, dense_float @ np.array(xi), rtol=1e-12, atol=1e-12)
 
 
-def test_integer_tensor_needs_the_rational_field():
-    with pytest.raises(FieldError):
-        complex_borel().integer_tensor
+def test_integer_tensor_over_the_gaussian_rationals():
+    """A Q(i) algebra's integer tensor is D times its brackets, with int or
+    GaussInt constants and D the least positive integer making them so."""
+    assert complex_borel().integer_tensor == ((0, 1, ((1, 2),)),)
+    L = from_brackets(4, {(0, 1): {2: gaussian(Q(1, 2), Q(1, 3)), 3: Q(-3, 7)},
+                          (0, 2): {3: gaussian(0, Q(-2, 5))}}, field="Qi")
+    assert L.integer_tensor == ((0, 1, ((2, GaussInt(105, 70)), (3, -90))),
+                                (0, 2, ((3, GaussInt(0, -84)),)))
+    for L in (complex_borel(), L):
+        consts = [c for _, _, terms in L.brackets for _, c in terms]
+        d = math.lcm(*(x.denominator for c in consts for x in (scalar_re(c), scalar_im(c))))
+        assert [(j, k, [(l, gaussian(*zi_parts(c))) for l, c in terms])
+                for j, k, terms in L.integer_tensor] == [
+            (j, k, [(l, d * c) for l, c in terms]) for j, k, terms in L.brackets]
     for xi in [(Q(1), Q(2)), (gaussian(1, 1), gaussian(2, -3)), (gaussian(0, 1), Q(-5, 3))]:
         assert bform(complex_borel(), xi) == dense_bform(COMPLEX_BOREL, xi)
 

@@ -31,11 +31,11 @@ from liegrpd.exact import (
     pfaffian_int,
     poly_eval,
     rank_kernel,
-    rref,
     rref_int,
     scalar_key,
     sturm_root_count,
 )
+from liegrpd.lie import Subspace
 
 rationals = st.builds(Q, st.integers(-6, 6), st.integers(1, 4))
 
@@ -107,9 +107,11 @@ class TestElimination:
             assert r2 == len(kernel)
 
     def test_rref_idempotent(self):
-        red, piv = rref([[Q(2), Q(4)], [Q(1), Q(3)]])
-        red2, piv2 = rref(red)
-        assert red == list(red2) and piv == piv2
+        rows = [[Q(2), Q(4)], [Q(1), Q(3)]]
+        s = Subspace.from_vectors(2, rows)
+        s2 = Subspace.from_vectors(2, s.rows)
+        assert s.rows == s2.rows and s.pivots == s2.pivots
+        assert (list(s.rows), list(s.pivots)) == ref_rref(rows) == ref_rref(s.rows)
 
     def test_det_and_inverse(self):
         m = DenseMatrix([[1, 2], [3, 4]])
@@ -177,12 +179,13 @@ def ref_rank_kernel(rows):
 
 
 class TestEliminationAgainstReference:
-    """`rref` and `rank_kernel` against the generic `Fraction` elimination."""
+    """The rows and pivots of `Subspace.from_vectors`, and `rank_kernel`,
+    against the generic `Fraction` elimination."""
 
     def check(self, rows):
-        red, pivots = rref(rows)
-        assert (red, pivots) == ref_rref(rows)
-        assert all(type(x) in (Q, GaussianRational) for row in red for x in row)
+        s = Subspace.from_vectors(len(rows[0]), rows)
+        assert (list(s.rows), list(s.pivots)) == ref_rref(rows)
+        assert all(type(x) in (Q, GaussianRational) for row in s.rows for x in row)
         assert rank_kernel(Matrix(rows)) == ref_rank_kernel(rows)
 
     @settings(max_examples=300, deadline=None)

@@ -278,6 +278,11 @@ class TestVerifiersCanFail:
     def test_bimodule_not_ok(self):
         assert not equivalence_bimodule_verify(_tampered_s3()).ok
 
+    def test_regrep_raises(self):
+        rep = orbits_isotropy(s3_natural_groupoid()).representatives[0]
+        with pytest.raises(AxiomError, match="left cancellation"):
+            regular_representation_faithful(_tampered_s3(), rep)
+
 
 class TestOrbitsAndReduction:
     def test_negation_orbits(self):

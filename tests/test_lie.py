@@ -8,9 +8,12 @@ from hypothesis import strategies as st
 from dense_reference import (
     DENSE_CATALOG,
     DenseMatrix,
+    RefSubspace,
     random_tensor,
     ref_adjoint_actions,
     ref_brackets,
+    ref_reduce,
+    ref_rref,
 )
 from liegrpd.catalog import (
     LIE_CATALOG,
@@ -25,7 +28,7 @@ from liegrpd.catalog import (
     heisenberg,
     realified_borel,
 )
-from liegrpd.exact import Matrix, gaussian, rref
+from liegrpd.exact import GaussInt, GaussianRational, Matrix, gaussian, zi, zi_rows
 from liegrpd.lie import (
     AntisymmetryError,
     JacobiError,
@@ -376,7 +379,7 @@ class TestJson:
 
 # reference membership test: v lies in s iff appending it leaves the rank unchanged
 def _rank_contains(s, v):
-    return len(rref(list(s.rows) + [v])[0]) == s.dim
+    return len(ref_rref(list(s.rows) + [v])[0]) == s.dim
 
 
 _small = st.builds(Q, st.integers(-3, 3), st.integers(1, 3))
@@ -414,8 +417,69 @@ class TestSubspaceReduction:
     @settings(max_examples=80)
     @given(subspace_and_vector(_scalars))
     def test_reduce_is_v_minus_its_component_in_s(self, case):
+        """`reduce` takes an integer vector w and returns s (w minus its
+        component in the span), s the denominator of the echelon rows."""
         s, v = case
-        r = s.reduce(v)
+        _, (w,) = zi_rows([v])
+        r = s.reduce(w)
         assert vec_is_zero(r) == _rank_contains(s, v)
         assert all(r[p] == 0 for p in s.pivots)
-        assert _rank_contains(s, tuple(a - b for a, b in zip(v, r)))
+        assert _rank_contains(s, tuple(_exact(s.denominator * a - b) for a, b in zip(w, r)))
+        w = tuple(_exact(a) for a in w)
+        assert tuple(map(_exact, r)) == tuple(s.denominator * x for x in ref_reduce(s, w))
+
+
+_ints = st.integers(-3, 3)
+
+
+@st.composite
+def spans_and_vectors(draw):
+    """Two vector lists over Q or Q(i), with zero vectors, repeats and empty
+    lists mixed in, the second half the time a recombination of the first
+    (so the spans often agree), and vectors to test for membership."""
+    n = draw(st.integers(1, 5))
+    scalars = draw(st.sampled_from((_small, _scalars)))
+    vector = st.lists(scalars, min_size=n, max_size=n).map(tuple)
+    first = draw(st.lists(st.one_of(vector, st.just((Q(0),) * n)), max_size=4))
+    if first and draw(st.booleans()):
+        first.append(draw(st.sampled_from(first)))
+    if first and draw(st.booleans()):
+        coeffs = st.lists(scalars, min_size=len(first), max_size=len(first))
+        second = [tuple(sum((c * w[k] for c, w in zip(draw(coeffs), first)), Q(0))
+                        for k in range(n)) for _ in range(len(first))]
+    else:
+        second = draw(st.lists(vector, max_size=4))
+    members = [tuple(sum((c * w[k] for c, w in zip(draw(
+        st.lists(scalars, min_size=len(first), max_size=len(first))), first)), Q(0))
+        for k in range(n))] + draw(st.lists(vector, min_size=1, max_size=2))
+    integral = draw(st.lists(st.lists(st.one_of(_ints, st.builds(zi, _ints, _ints)),
+                                      min_size=n, max_size=n).map(tuple), max_size=2))
+    return n, first, second, members, integral
+
+
+def _exact(x):
+    """An int or GaussInt as a `Fraction` or `GaussianRational`."""
+    return gaussian(x.re, x.im) if type(x) is GaussInt else Q(x)
+
+
+class TestSubspaceAgainstReference:
+    """`Subspace` on integer echelon rows against `RefSubspace`, the
+    `Fraction` subspace it replaced."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(spans_and_vectors())
+    def test_rows_pivots_equality_and_membership(self, case):
+        n, first, second, members, integral = case
+        s, t = Subspace.from_vectors(n, first), Subspace.from_vectors(n, second)
+        rs, rt = RefSubspace.from_vectors(n, first), RefSubspace.from_vectors(n, second)
+        for lib, ref in ((s, rs), (t, rt)):
+            assert lib.rows == ref.rows and lib.pivots == ref.pivots and lib.dim == ref.dim
+            assert all(type(x) in (Q, GaussianRational) for row in lib.rows for x in row)
+        assert (s == t) == (rs == rt)
+        if s == t:
+            assert hash(s) == hash(t)
+        assert s == Subspace.from_vectors(n, s.rows) == Subspace.from_vectors(n, s.ints)
+        for v in members + [tuple(_exact(x) for x in w) for w in integral]:
+            assert s.contains(v) == rs.contains(v)
+        for w in integral:
+            assert s.contains(w) == rs.contains(tuple(_exact(x) for x in w))
