@@ -18,8 +18,10 @@ filiform4, on a Q(i) algebra, on filiform4 rescaled to rational structure
 constants, on a 5-dim filiform algebra (its whole 3,125-point grid) and on a
 nilpotent Q(i) algebra whose constants have imaginary parts and
 denominators; it also runs `validate`, `series` and `coadjoint` at
-(1/2+i, 2, -3i, 1) (JSON and text) on that Q(i) algebra, and `grpd regrep
---object 0` on the natural S4 action.  A fourth runs `grpd
+(1/2+i, 2, -3i, 1) (JSON and text) on that Q(i) algebra, then `roots`,
+`exptest` and `probe-minus-one` (JSON), which read its ad(x) matrices over
+the Gaussian integers with a denominator, and `grpd regrep --object 0` on
+the natural S4 action.  A fourth runs `grpd
 validate` (JSON and text) on two invalid action documents, C4 acting on 3
 points by x -> x + g mod 3 and natural S4 with its last row repeated in
 place of the one before, and
@@ -256,6 +258,8 @@ def third_ladder(names):
             yield ["lie", sub, "--in", QI_NILPOTENT, "--format", fmt]
         yield ["lie", "coadjoint", "--in", QI_NILPOTENT, "--format", fmt,
                "--point", "1/2+i,2,-3i,1"]
+    for sub in ("roots", "exptest", "probe-minus-one"):
+        yield ["lie", sub, "--in", QI_NILPOTENT]
     yield ["grpd", "regrep", "--in", "s4_natural.json", "--object", "0"]
 
 

@@ -267,7 +267,7 @@ def cmd_lie_coadjoint(args) -> int:
     L, meta = _load_algebra(args)
     xi = _parse_point(args.point, L.dim)
     form = bform(L, xi)
-    iso = isotropy_algebra(L, xi, form)
+    iso = isotropy_algebra(L, xi)
     # the isotropy algebra is the kernel of the skew form, so rank = dim - dim ker
     orbit_dim = L.dim - iso.dim
     report = {

@@ -2,8 +2,9 @@
 
 Every skew form B_xi = xi([., .]) is laid out by `_form_rows` from one value
 per entry of the bracket table.  `_form_values` computes the values from the
-exact table or its integer multiple; the flow takes them from a float copy
-of the constants.
+integer table D C (`LieAlgebra.integer_tensor`) at the point times s, so
+every exact form, rank and kernel comes from the integer form D s B_xi; the
+flow takes the values from a float copy of the constants.
 
 The census works on integer sample points and integer Pfaffians: det B =
 Pf(B)^2, so both vanish at the same points.  Two nondegenerate samples are
@@ -32,8 +33,9 @@ from .exact import (
     matrix_exp_numeric,
     newton_interpolate,
     numeric_rank,
+    kernel_int,
     pfaffian_int,
-    rank_kernel,
+    rref_int,
     sturm_root_count,
     to_complex,
     zi_rows,
@@ -47,20 +49,27 @@ class FlowError(RuntimeError):
 
 
 def bform(L: LieAlgebra, xi: Sequence) -> Matrix:
-    """Skew form B(x, y) = xi([x, y]) as a dim x dim matrix over the basis,
-    built from the bracket table."""
-    return Matrix(_form_rows(L, _form_values(L.brackets, xi)))
+    """Skew form B(x, y) = xi([x, y]) as a dim x dim matrix over the basis:
+    the integer form D B_{s xi} over D s, s clearing xi's denominators."""
+    s, (p,) = zi_rows([xi])
+    return Matrix.scaled(_form_rows(L, _form_values(L, p)), L.integer_scale * s)
 
 
-def _form_values(table, xi) -> list:
-    """Entries sum_l c_jkl xi_l of the skew form at xi, one per (j, k) of
-    `table`: `L.brackets`, or `L.integer_tensor` for the integer form D B_xi
-    at an integer point."""
+def integer_bform(L: LieAlgebra, xi) -> list:
+    """The integer form D B_{s xi} as int or GaussInt rows, s clearing xi's
+    denominators: a nonzero multiple of B_xi, with its rank and kernel."""
+    _, (p,) = zi_rows([xi])
+    return _form_rows(L, _form_values(L, p))
+
+
+def _form_values(L: LieAlgebra, p) -> list:
+    """Entries sum_l D c_jkl p_l of the integer form D B_p, one per (j, k) of
+    `L.integer_tensor`, at an int or GaussInt point p."""
     out = []
-    for _, _, terms in table:
+    for _, _, terms in L.integer_tensor:
         acc = 0
         for l, c in terms:
-            acc += c * xi[l]
+            acc += c * p[l]
         out.append(acc)
     return out
 
@@ -76,20 +85,17 @@ def _form_rows(L: LieAlgebra, values) -> list:
 
 
 def orbit_dimension(L: LieAlgebra, xi: Sequence) -> int:
-    """Rank of the skew form (always even)."""
-    rank, _ = rank_kernel(bform(L, xi))
-    return rank
+    """Rank of the skew form (always even), the pivot count of its integer form."""
+    return len(rref_int(integer_bform(L, xi))[2])
 
 
 def is_open_orbit(L: LieAlgebra, xi: Sequence) -> bool:
     return orbit_dimension(L, xi) == L.dim
 
 
-def isotropy_algebra(L: LieAlgebra, xi: Sequence, form: Matrix | None = None) -> Subspace:
-    """Kernel of the skew form `form` = bform(L, xi), built here when not
-    given; verified to be a subalgebra."""
-    _, kernel = rank_kernel(bform(L, xi) if form is None else form)
-    return checked_subalgebra(L, kernel, "isotropy")
+def isotropy_algebra(L: LieAlgebra, xi: Sequence) -> Subspace:
+    """Kernel of the integer skew form, verified to be a subalgebra."""
+    return checked_subalgebra(L, kernel_int(integer_bform(L, xi), L.dim)[0], "isotropy")
 
 
 def _always_degenerate(L: LieAlgebra) -> bool:
@@ -157,10 +163,7 @@ def coadjoint_flow(
         return numeric_rank(np.array(_form_rows(L, consts @ np.asarray(p))), rank_tol)
 
     exact0 = all(isinstance(v, (int, Fraction)) for v in xi0)
-    if exact0:
-        initial_rank, _ = rank_kernel(bform(L, tuple(Fraction(v) for v in xi0)))
-    else:
-        initial_rank = numeric_rank_at(points[0])
+    initial_rank = orbit_dimension(L, xi0) if exact0 else numeric_rank_at(points[0])
     check_idx = sorted(set(np.linspace(0, len(points) - 1, min(33, len(points))).astype(int)))
     ranks = tuple(numeric_rank_at(points[i]) for i in check_idx)
     return FlowResult(
@@ -174,13 +177,6 @@ def coadjoint_flow(
 
 # ---------------------------------------------------------------------------
 # open-component census
-
-
-def integer_bform(L: LieAlgebra, xi) -> list:
-    """The integer form D B_{d xi} as int rows, d clearing xi's denominators:
-    a nonzero multiple of B_xi, so it has the same rank and pivots."""
-    _, (p,) = zi_rows([xi])
-    return _form_rows(L, _form_values(L.integer_tensor, p))
 
 
 def _det_at(L, xi) -> int:
@@ -214,7 +210,7 @@ def _segment_nondegenerate(L: LieAlgebra, a, b, ends=None) -> bool:
         return False
     scale = h**h  # q(0) = Pf(D B_{h a}) = h^h Pf(D B_a)
     values = [pa * scale]
-    fa, fb = _form_values(L.integer_tensor, ia), _form_values(L.integer_tensor, ib)
+    fa, fb = _form_values(L, ia), _form_values(L, ib)
     for k in range(1, h):
         v = pfaffian_int(_form_rows(L, [(h - k) * x + k * y for x, y in zip(fa, fb)]))
         if v == 0 or (v > 0) != (pa > 0):

@@ -1,17 +1,18 @@
 """Exact linear algebra over the rationals and Gaussian rationals.
 
 Scalars are `Fraction` for real values and `GaussianRational` for values with
-a nonzero imaginary part; arithmetic never silently demotes to float.  A
-`Matrix` takes exact entries only and stores them as an integer or
-Gaussian-integer (`GaussInt`) matrix N over one positive integer denominator
-s, in lowest terms; its `Fraction` rows are rebuilt only for reports.  Pfaffians,
+a nonzero imaginary part; arithmetic never silently demotes to float.  Exact
+rows enter the integer side through `zi_rows`, which scales them to integer or
+Gaussian-integer (`GaussInt`) entries and raises TypeError on a float.  A
+`Matrix` stores such rows N over one positive integer denominator s, in
+lowest terms; its `Fraction` rows are rebuilt only for reports.  Pfaffians,
 interpolation and Sturm counts work on plain integers.  One elimination,
-`rref_int`, serves every echelon form and kernel, over the integers or the
-Gaussian integers; the characteristic polynomials and root searches work on
-them too.  The explicitly numeric operations at the end of the
-module take and return `numpy` arrays; `Matrix.to_numpy` is the one bridge
-from the exact side.  These three functions import numpy when first called,
-so the exact side never loads it.
+`rref_int`, serves every echelon form, rank and kernel, over the integers or
+the Gaussian integers; the characteristic polynomials and root searches work
+on them too.  The explicitly numeric operations at the end of the module
+take and return `numpy` arrays; `Matrix.to_numpy` is the one bridge from the
+exact side.  These three functions import numpy when first called, so the
+exact side never loads it.
 """
 from __future__ import annotations
 
@@ -292,11 +293,14 @@ def zi_content(values) -> int:
 def zi_rows(rows):
     """(s, rows times s as int or GaussInt entries), s the least positive
     integer that clears every denominator of the exact rows; rows of int and
-    GaussInt entries come back unchanged, with s = 1."""
+    GaussInt entries come back unchanged, with s = 1.  A float raises TypeError."""
     if all(type(x) is int or type(x) is GaussInt for row in rows for x in row):
         return 1, rows
     parts = [[(x.re, x.im) if type(x) is GaussianRational or type(x) is GaussInt else (x, 0)
               for x in row] for row in rows]
+    inexact = [x for row in parts for x, _ in row if not isinstance(x, (int, Fraction))]
+    if inexact:
+        raise TypeError(f"matrix entries must be exact, got {type(inexact[0]).__name__}")
     s = math.lcm(*(p.denominator for row in parts for pair in row for p in pair))
     return s, [[zi(a.numerator * (s // a.denominator), b.numerator * (s // b.denominator))
                 for a, b in row] for row in parts]
@@ -331,16 +335,15 @@ class Matrix:
     `ints` holds N as rows of int or `GaussInt` entries and `denominator` the
     positive integer s, in lowest terms (no integer above 1 divides s and
     every entry of N), so equal matrices have equal fields.  The constructor
-    takes exact entries (int, `Fraction`, `GaussianRational`) and refuses
-    floats; `data` gives the entries back as `Fraction` and
-    `GaussianRational` rows.
+    takes exact entries (int, `Fraction`, `GaussianRational`, `GaussInt`) and
+    refuses floats through `zi_rows`; `data` gives the entries back as
+    `Fraction` and `GaussianRational` rows.
     """
 
     __slots__ = ("rows", "cols", "ints", "denominator")
 
     def __init__(self, rows_data: Iterable[Iterable]):
-        s, ints = zi_rows([[x if type(x) is Fraction or type(x) is int else _exact_entry(x)
-                            for x in row] for row in rows_data])
+        s, ints = zi_rows([list(row) for row in rows_data])
         self._store(ints, s)
 
     @staticmethod
@@ -410,12 +413,6 @@ def common_denominator(mats) -> tuple:
     return s, [[[x * (s // m.denominator) for x in row] for row in m.ints] for m in mats]
 
 
-def _exact_entry(x) -> Scalar:
-    if isinstance(x, (int, Fraction, GaussianRational)):
-        return x
-    raise TypeError(f"matrix entries must be exact, got {type(x).__name__}")
-
-
 # ---------------------------------------------------------------------------
 # exact elimination
 
@@ -478,13 +475,6 @@ def kernel_int(rows, n: int):
                 v[p] = -row[j] * f
         vecs.append(v)
     return vecs, free, d * f
-
-
-def rank_kernel(m: Matrix):
-    """Exact rank and a kernel basis (list of tuples), each vector 1 at its
-    own free column, from `kernel_int` on the integer rows."""
-    vecs, free, e = kernel_int(m.ints, m.cols)
-    return m.cols - len(free), [tuple(zi_over(x, e) for x in v) for v in vecs]
 
 
 def pfaffian_int(rows: Sequence[Sequence[int]]) -> int:

@@ -8,7 +8,9 @@ as the input of `validate_lie_algebra`, which checks its antisymmetry and
 hands the upper triangle on.  A subspace keeps its echelon form as integer
 or Gaussian-integer rows, and the series, centralizers and subalgebra checks
 bracket those rows through `LieAlgebra.integer_brackets`.  Validation (field,
-Jacobi) is exact; nothing here touches floats.
+Jacobi) is exact; every other exact reader of the constants, from `bracket`
+and `ad_matrix` to the skew forms, reads `integer_tensor`: the table times D
+(`integer_scale`), found once.  Nothing here touches floats.
 """
 from __future__ import annotations
 
@@ -144,29 +146,35 @@ class LieAlgebra:
         return out
 
     def bracket(self, x: Vector, y: Vector) -> Vector:
-        pairs = self.pair_terms
-        ys = [(j, yj) for j, yj in enumerate(y) if yj != 0]
-        out = [Fraction(0)] * self.dim
-        for i, xi in enumerate(x):
-            if xi == 0:
-                continue
-            for j, yj in ys:
-                for l, c in pairs.get((i, j), ()):
-                    out[l] = out[l] + xi * yj * c
-        return tuple(out)
+        """[x, y] of exact, int or GaussInt vectors, as exact coordinates:
+        with s clearing both vectors' denominators, the row of s x against
+        `integer_brackets(s y)` is D s^2 [x, y]."""
+        s, (p, q) = zi_rows([x, y])
+        (row,) = matmul_int([p], self.integer_brackets(q))
+        return tuple(zi_over(a, self.integer_scale * s * s) for a in row)
 
     def basis_vector(self, i: int) -> Vector:
         return tuple(Fraction(1 if j == i else 0) for j in range(self.dim))
 
     @cached_property
-    def integer_tensor(self) -> tuple:
-        """The bracket table times D, the least positive integer that clears
-        every denominator of its constants, with int or GaussInt coefficients:
-        D B_xi is integral at an integral xi."""
-        _, (consts,) = zi_rows([[c for _, _, terms in self.brackets for _, c in terms]])
+    def _integer_table(self) -> tuple:
+        """(D, the table times D), D the least positive integer clearing
+        every denominator of the constants."""
+        d, (consts,) = zi_rows([[c for _, _, terms in self.brackets for _, c in terms]])
         consts = iter(consts)
-        return tuple((j, k, tuple((l, next(consts)) for l, _ in terms))
-                     for j, k, terms in self.brackets)
+        return d, tuple((j, k, tuple((l, next(consts)) for l, _ in terms))
+                        for j, k, terms in self.brackets)
+
+    @cached_property
+    def integer_scale(self) -> int:
+        """D, the scale of `integer_tensor`."""
+        return self._integer_table[0]
+
+    @cached_property
+    def integer_tensor(self) -> tuple:
+        """The bracket table times D, with int or GaussInt coefficients: D B_xi
+        is integral at an integral xi."""
+        return self._integer_table[1]
 
     def integer_brackets(self, v: Vector) -> list:
         """D [Y_i, v] for each basis vector Y_i, as int or GaussInt lists, at
@@ -267,9 +275,12 @@ def from_brackets(
 
 
 def ad_matrix(L: LieAlgebra, x: Vector) -> Matrix:
-    """Matrix of ad(x): y -> [x, y] in the algebra basis."""
-    cols = [L.bracket(x, L.basis_vector(j)) for j in range(L.dim)]
-    return Matrix([[cols[j][k] for j in range(L.dim)] for k in range(L.dim)])
+    """Matrix of ad(x): y -> [x, y] in the algebra basis.  With s clearing
+    x's denominators, row j of `integer_brackets(s x)` is D [Y_j, s x] =
+    -D s ad(x) Y_j, so ad(x) is minus their transpose over D s."""
+    s, (p,) = zi_rows([x])
+    return Matrix.scaled([[-a for a in col] for col in zip(*L.integer_brackets(p))],
+                         L.integer_scale * s)
 
 
 def subspace_bracket(L: LieAlgebra, a: Subspace, b: Subspace) -> Subspace:
@@ -365,7 +376,7 @@ def make_module(L: LieAlgebra, actions: Sequence[Matrix]) -> LieModule:
         if a.rows != n or a.cols != n:
             raise ValueError("action matrices must be square of equal size")
     s, ints = common_denominator(actions)
-    d = zi_rows([[c for _, _, terms in L.brackets for _, c in terms]])[0]
+    d = L.integer_scale
     table = {(j, k): terms for j, k, terms in L.integer_tensor}
     for i in range(L.dim):
         for j in range(i + 1, L.dim):
@@ -379,13 +390,9 @@ def make_module(L: LieAlgebra, actions: Sequence[Matrix]) -> LieModule:
 
 
 def adjoint_module(L: LieAlgebra) -> LieModule:
-    """ad(Y_i) per basis vector, read off the bracket table, unchecked: its
-    representation law is the Jacobi identity, which `from_brackets` verified."""
-    mats = [[[Fraction(0)] * L.dim for _ in range(L.dim)] for _ in range(L.dim)]
-    for (i, j), terms in L.pair_terms.items():
-        for l, c in terms:
-            mats[i][l][j] = c
-    return LieModule(L, L.dim, tuple(Matrix(m) for m in mats))
+    """ad(Y_i) per basis vector, unchecked: its representation law is the
+    Jacobi identity, which `from_brackets` verified."""
+    return LieModule(L, L.dim, tuple(ad_matrix(L, e) for e in Subspace.full(L.dim).ints))
 
 
 def dual_module(M: LieModule) -> LieModule:

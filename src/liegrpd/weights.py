@@ -17,9 +17,11 @@ The search runs on integers.  Each action enters as the integer or
 Gaussian-integer rows N and positive integer denominator s that its `Matrix`
 stores, the action being N / s, and every step keeps such a pair, reduced to
 lowest terms by `lowest_terms`; kernels and eigenspaces come from
-`kernel_int`, which `rank_kernel` uses too, the restricted characteristic
-polynomials from `charpoly_int`, and every scale stays a positive integer,
-so the least root of the scaled polynomial is the least eigenvalue.
+`kernel_int`, which gives the isotropy algebras too, the restricted
+characteristic polynomials from `charpoly_int`, and every scale stays a
+positive integer, so the least root of the scaled polynomial is the least
+eigenvalue.  The adjoint module's actions are ad(Y_i), read from the
+algebra's integer bracket table by `ad_matrix`.
 
 The search is exact over the Gaussian rationals.  When a restricted
 characteristic polynomial has no root there, a float path takes over and the

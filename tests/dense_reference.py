@@ -74,6 +74,16 @@ then associativity on every composable triple, refused above
 `TRIPLE_CAP` triples before any product.  It is kept unchanged, except that
 it reads the cap from the module, so a test can lower it.
 
+`ref_lie_bracket`, `ref_ad_matrix`, `ref_adjoint_module` and `ref_bform` are
+`LieAlgebra.bracket`, `ad_matrix`, `adjoint_module` and `bform` as `lie.py`
+and `coadjoint.py` ran them before they read the integer table D C and its
+scale D: `Fraction` and `GaussianRational` sums over `L.pair_terms` and
+`L.brackets`.  `rank_kernel` is the rank and `Fraction` kernel basis that
+`exact.py` kept over `kernel_int` before the orbit dimension and isotropy
+algebra eliminated the integer form directly.  They are kept unchanged,
+except that `ref_ad_matrix` brackets with `ref_lie_bracket` and `ref_bform`
+sums inline what `_form_values` summed over `L.brackets`.
+
 `ref_coadjoint_stratification` is the jump-index stratification that
 `strata.py` ran before it computed one jump set per line through the origin:
 `ref_jump_indices` at every sample point, on the integer form D B_{d xi} and
@@ -82,8 +92,9 @@ the m^2 products with the flag-adapted columns, over points drawn by
 bracket-and-membership loop that `jordan_holder_flag` ran on every flag
 member before it checked ideals over the integers.  They are kept unchanged,
 except for their names, for `ref_rref` in place of `rref` on Q(i) algebras,
-and for `ref_adapted_columns`, the flag-adapted columns as `strata` read them
-from the `Fraction` rows of the flag.
+for `ref_adapted_columns`, the flag-adapted columns as `strata` read them
+from the `Fraction` rows of the flag, and for the Q(i) form, which
+`ref_jump_indices` takes from `ref_bform`.
 """
 import itertools
 import math
@@ -97,11 +108,11 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from liegrpd.catalog import axb_tautological_module
-from liegrpd.coadjoint import _always_degenerate, _det_at, _form_rows, _form_values, integer_bform
+from liegrpd.coadjoint import _always_degenerate, _det_at, _form_rows, integer_bform
 from liegrpd.exact import ROOT_SEARCH_BUDGET, Matrix, NumericError, Scalar, _Budget
 from liegrpd.exact import _gaussian_divisors
 from liegrpd.exact import GaussianRational, format_scalar, gaussian, is_exact, poly_eval
-from liegrpd.exact import rank_kernel, rref_int, to_complex, zi_rows
+from liegrpd.exact import kernel_int, rref_int, to_complex, zi_over, zi_rows
 from liegrpd.exact import scalar_im, scalar_key, scalar_re
 from liegrpd import groupoids
 from liegrpd.groupoids import (
@@ -308,6 +319,54 @@ def ref_bracket(t, x, y):
                 if cij[k] != 0:
                     out[k] = out[k] + xi * yj * cij[k]
     return tuple(out)
+
+
+def ref_lie_bracket(L: LieAlgebra, x, y):
+    """[x, y] by `Fraction` sums over the sparse table `L.pair_terms`."""
+    pairs = L.pair_terms
+    ys = [(j, yj) for j, yj in enumerate(y) if yj != 0]
+    out = [Fraction(0)] * L.dim
+    for i, xi in enumerate(x):
+        if xi == 0:
+            continue
+        for j, yj in ys:
+            for l, c in pairs.get((i, j), ()):
+                out[l] = out[l] + xi * yj * c
+    return tuple(out)
+
+
+def ref_ad_matrix(L: LieAlgebra, x) -> Matrix:
+    """Matrix of ad(x): y -> [x, y] in the algebra basis."""
+    cols = [ref_lie_bracket(L, x, L.basis_vector(j)) for j in range(L.dim)]
+    return Matrix([[cols[j][k] for j in range(L.dim)] for k in range(L.dim)])
+
+
+def ref_adjoint_module(L: LieAlgebra) -> LieModule:
+    """ad(Y_i) per basis vector, read off the bracket table, unchecked."""
+    mats = [[[Fraction(0)] * L.dim for _ in range(L.dim)] for _ in range(L.dim)]
+    for (i, j), terms in L.pair_terms.items():
+        for l, c in terms:
+            mats[i][l][j] = c
+    return LieModule(L, L.dim, tuple(Matrix(m) for m in mats))
+
+
+def ref_bform(L: LieAlgebra, xi) -> Matrix:
+    """Skew form B(x, y) = xi([x, y]) as a dim x dim matrix over the basis,
+    built from the bracket table `L.brackets`."""
+    values = []
+    for _, _, terms in L.brackets:
+        acc = 0
+        for l, c in terms:
+            acc += c * xi[l]
+        values.append(acc)
+    return Matrix(_form_rows(L, values))
+
+
+def rank_kernel(m: Matrix):
+    """Exact rank and a kernel basis (list of tuples), each vector 1 at its
+    own free column, from `kernel_int` on the integer rows."""
+    vecs, free, e = kernel_int(m.ints, m.cols)
+    return m.cols - len(free), [tuple(zi_over(x, e) for x in v) for v in vecs]
 
 
 def ref_centralizer_mod(t, s):
@@ -1295,7 +1354,7 @@ def ref_jump_indices(L: LieAlgebra, flag: tuple, xi, columns=None) -> tuple:
     if L.field == "Q":
         b, eliminate = integer_bform(L, xi), rref_int
     else:
-        b, eliminate = _form_rows(L, _form_values(L.brackets, xi)), ref_rref
+        b, eliminate = ref_bform(L, xi).data, ref_rref
     # both eliminations return the pivot columns last
     pivots = eliminate([[sum(x * y for x, y in zip(row, f)) for f in columns] for row in b])[-1]
     if len(pivots) != len(eliminate(b)[-1]):

@@ -187,7 +187,7 @@ def test_05_jump_stratification():
     rng = random.Random(5)
     for L in (h3, catalog.filiform4()):
         from liegrpd.coadjoint import bform
-        from liegrpd.exact import rank_kernel
+        from dense_reference import rank_kernel
         flag = jordan_holder_flag(L)
         for _ in range(200):
             xi = tuple(Q(rng.randint(-9, 9), rng.randint(1, 4))

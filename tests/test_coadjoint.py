@@ -50,7 +50,7 @@ from liegrpd.coadjoint import (
     orbit_dimension,
 )
 from liegrpd.exact import GaussInt, Matrix, gaussian, scalar_im, scalar_re, to_complex, zi_parts
-from liegrpd.lie import Subspace, from_brackets
+from liegrpd.lie import Subspace, ad_matrix, from_brackets
 
 
 class TestSkewForm:
@@ -152,6 +152,22 @@ class TestIsotropy:
     def test_requires_exact_point(self):
         with pytest.raises(TypeError):
             isotropy_algebra(axb(), (0.5, 1.5))
+
+
+@pytest.mark.parametrize("entry", [
+    lambda L: ad_matrix(L, (Q(1), 0.5)),
+    lambda L: L.bracket((0.5, 2.0), (Q(1), Q(0))),
+    lambda L: L.bracket((1, 0), (Q(1, 2), 2.0)),
+    lambda L: Matrix([[Q(1), 0.5], [0, 1]]),
+    lambda L: bform(L, (Q(1), 0.5)),
+    lambda L: orbit_dimension(L, (0.5, 1)),
+    lambda L: Subspace.from_vectors(L.dim, [(1, 0.5)]),
+], ids=["ad_matrix", "bracket-x", "bracket-y", "Matrix", "bform", "orbit_dimension",
+        "Subspace"])
+def test_float_point_is_refused_at_every_entry(entry):
+    # `zi_rows` is the one gate into the integer side
+    with pytest.raises(TypeError, match="must be exact, got float"):
+        entry(axb())
 
 
 class TestFrobenius:

@@ -3,13 +3,19 @@
 `realify`, `semidirect_sum`, `LieAlgebra.bracket`, `centralizer_mod` and
 `algebra_to_json` are checked against the dense triple loops kept in
 `dense_reference.py`, on the catalog, seeded conjugates over Q and Q(i) and
-the valid draws of the random-tensor generator.
+the valid draws of the random-tensor generator.  `bracket`, `ad_matrix`,
+`adjoint_module`, `bform`, `orbit_dimension` and `isotropy_algebra`, which
+read the integer table D C, are checked against their `Fraction` versions
+kept there, on the catalog, its seeded conjugates and a Q(i) algebra whose
+constants need D = 210.
 """
 import functools
 import random
 from fractions import Fraction as Q
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dense_reference import (
     COMPLEX_BOREL,
@@ -17,8 +23,13 @@ from dense_reference import (
     DENSE_CATALOG,
     VALID_GAUSSIAN_DRAWS,
     VALID_RATIONAL_DRAWS,
+    dense,
+    rank_kernel,
     random_tensor,
+    ref_ad_matrix,
     ref_adjoint_actions,
+    ref_adjoint_module,
+    ref_bform,
     ref_bracket,
     ref_brackets,
     ref_centralizer_mod,
@@ -26,14 +37,17 @@ from dense_reference import (
     ref_conjugate,
     ref_direct_sum,
     ref_doc,
+    ref_lie_bracket,
     ref_realify,
     ref_semidirect_sum,
     upper,
 )
 from liegrpd.catalog import LIE_CATALOG, complex_borel, complex_heisenberg
-from liegrpd.exact import gaussian
+from liegrpd.coadjoint import bform, isotropy_algebra, orbit_dimension
+from liegrpd.exact import GaussInt, GaussianRational, gaussian, zi, zi_parts
 from liegrpd.lie import (
     Subspace,
+    ad_matrix,
     adjoint_module,
     algebra_to_json,
     centralizer_mod,
@@ -158,3 +172,60 @@ def test_centralizer_mod_equals_dense_reference(name):
         subspaces.add(Subspace.from_vectors(L.dim, vectors))
     for s in sorted(subspaces, key=lambda s: (s.dim, repr(s.rows))):
         assert centralizer_mod(L, s) == ref_centralizer_mod(t, s)
+
+
+# the Q(i) algebra whose integer table needs D = lcm(2, 3, 7, 5) = 210
+QI_D210 = dense(4, {(0, 1): {2: gaussian(Q(1, 2), Q(1, 3)), 3: Q(-3, 7)},
+                    (0, 2): {3: gaussian(0, Q(-2, 5))}})
+
+
+@functools.cache
+def _integer_table_cases():
+    """name -> (algebra, dense tensor): the catalog, its seeded unimodular
+    conjugates and the D = 210 algebra with its Gaussian conjugates."""
+    cases = {name: (LIE_CATALOG[name](), DENSE_CATALOG[name][0]) for name in LIE_CATALOG}
+    units = (1, -1, I, -I)
+    for name in LIE_CATALOG:
+        t, _, field = DENSE_CATALOG[name]
+        for seed in range(2):
+            tc = ref_conjugate(t, seed, units if field == "Qi" else (1, -1))
+            cases[f"{name}~{seed}"] = _case(tc, field)[:2]
+    cases["qi_d210"] = _case(QI_D210, "Qi")[:2]
+    for seed in range(2):
+        cases[f"qi_d210~{seed}"] = _case(ref_conjugate(QI_D210, seed, units), "Qi")[:2]
+    return cases
+
+
+ENTRIES = {
+    "int": st.integers(-5, 5),
+    "Fraction": st.builds(Q, st.integers(-5, 5), st.integers(1, 6)),
+    "GaussianRational": st.builds(gaussian, st.builds(Q, st.integers(-5, 5), st.integers(1, 6)),
+                                  st.builds(Q, st.integers(-5, 5), st.integers(1, 6))),
+    "GaussInt": st.builds(zi, st.integers(-5, 5), st.integers(-5, 5)),
+}
+
+
+def _exact(v):
+    """v with each GaussInt entry as the equal `GaussianRational`, which the
+    `Fraction` references take."""
+    return tuple(gaussian(*zi_parts(x)) if type(x) is GaussInt else x for x in v)
+
+
+@pytest.mark.parametrize("kind", sorted(ENTRIES))
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_integer_table_readers_equal_fraction_references(kind, data):
+    name = data.draw(st.sampled_from(sorted(_integer_table_cases())))
+    L, t = _integer_table_cases()[name]
+    vector = st.lists(ENTRIES[kind], min_size=L.dim, max_size=L.dim).map(tuple)
+    vector |= vector.map(lambda v: tuple(a * 0 for a in v))
+    x, y = data.draw(vector), data.draw(vector)
+    ex, ey = _exact(x), _exact(y)
+    assert L.bracket(x, y) == ref_lie_bracket(L, ex, ey) == ref_bracket(t, ex, ey)
+    assert all(type(c) in (Q, GaussianRational) for c in L.bracket(x, y))
+    assert ad_matrix(L, x) == ref_ad_matrix(L, ex)
+    assert adjoint_module(L) == ref_adjoint_module(L)
+    assert bform(L, x) == ref_bform(L, ex)
+    rank, kernel = rank_kernel(ref_bform(L, ex))
+    assert orbit_dimension(L, x) == rank
+    assert isotropy_algebra(L, x) == Subspace.from_vectors(L.dim, kernel)

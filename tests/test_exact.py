@@ -11,6 +11,7 @@ from dense_reference import (
     det_exact,
     eigenvalues_numeric,
     matrix_inverse,
+    rank_kernel,
     ref_lagrange_interpolate,
     ref_rref,
     ref_sturm_root_count,
@@ -30,7 +31,6 @@ from liegrpd.exact import (
     parse_scalar,
     pfaffian_int,
     poly_eval,
-    rank_kernel,
     rref_int,
     scalar_key,
     sturm_root_count,
@@ -179,8 +179,8 @@ def ref_rank_kernel(rows):
 
 
 class TestEliminationAgainstReference:
-    """The rows and pivots of `Subspace.from_vectors`, and `rank_kernel`,
-    against the generic `Fraction` elimination."""
+    """The rows and pivots of `Subspace.from_vectors`, and `kernel_int`
+    through `rank_kernel`, against the generic `Fraction` elimination."""
 
     def check(self, rows):
         s = Subspace.from_vectors(len(rows[0]), rows)

@@ -14,6 +14,7 @@ from fractions import Fraction
 
 import pytest
 from dense_reference import (
+    rank_kernel,
     ref_action_make,
     ref_pullback_isomorphism_verify,
     ref_validate_groupoid,
@@ -28,7 +29,7 @@ from liegrpd.catalog import (
     z4_parity_action,
     z4_parity_groupoid,
 )
-from liegrpd.exact import Matrix, rank_kernel
+from liegrpd.exact import Matrix
 from liegrpd.groupoids import (
     AxiomError,
     BimoduleReport,

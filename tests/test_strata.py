@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from dense_reference import (
     DenseMatrix,
     matrix_inverse,
+    rank_kernel,
     ref_coadjoint_stratification,
     ref_is_ideal,
     ref_rref,
@@ -34,7 +35,7 @@ from liegrpd.catalog import (
     realified_heisenberg,
 )
 from liegrpd.coadjoint import bform
-from liegrpd.exact import Matrix, rank_kernel
+from liegrpd.exact import Matrix
 from liegrpd.lie import (
     Subspace,
     ad_matrix,
