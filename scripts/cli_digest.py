@@ -39,8 +39,11 @@ exit 2), on S4 acting on itself by conjugation (five orbits; `regrep` at the
 transposition (0 1)), and on one explicit-table document of each family the
 groupoid benchmark validates: a pair groupoid, a bundle of cyclic groups and
 the transformation groupoid of a permutation-group action with a fixed
-point.  The documents of the second to seventh ladders are written by this script under
-fixed names in a temporary directory.  Every path is relative
+point.  An eighth runs `probe-minus-one` (JSON) at `--seed 1` and `--seed 2`
+on every catalog algebra and on the second ladder's sums, whose random
+directions change with the seed.  The documents of the second to eighth
+ladders are written by this script under fixed names in a temporary
+directory.  Every path is relative
 (corpus paths to the checkout, the written documents to that directory), so
 two checkouts print comparable lines:
 
@@ -309,6 +312,13 @@ def seventh_ladder(docs):
                 yield ["grpd", sub, "--in", name, "--format", fmt] + extra
 
 
+def probe_ladder(names):
+    inputs = [["--name", n] for n in catalog.LIE_CATALOG] + [["--in", n] for n in names]
+    for inp in inputs:
+        for seed in ("1", "2"):
+            yield ["lie", "probe-minus-one"] + inp + ["--seed", seed]
+
+
 def run(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -344,7 +354,7 @@ def main() -> None:
             Path(name).write_text(json.dumps(doc))
         for argv in itertools.chain(sum_ladder(algebras), third_ladder(docs),
                                     fourth_ladder(), fifth_ladder(), sixth_ladder(weighted),
-                                    seventh_ladder(grpd_docs)):
+                                    seventh_ladder(grpd_docs), probe_ladder(algebras)):
             code, digest = run(argv)
             print(f"{' '.join(argv)}\t{code}\t{digest}")
         os.chdir(ROOT)

@@ -12,6 +12,7 @@ import argparse
 import functools
 import hashlib
 import json
+import math
 import sys
 from fractions import Fraction
 
@@ -555,14 +556,17 @@ def cmd_grpd_regrep(args) -> int:
 # parser
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        value = 0
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
-    return value
+def _checked(convert, accept, expected: str):
+    """An argparse type: `convert` of the text, refused unless `accept` holds."""
+    def parse(text: str):
+        try:
+            value = convert(text)
+        except ValueError:
+            value = None
+        if value is None or not accept(value):
+            raise argparse.ArgumentTypeError(f"expected {expected}, got {text!r}")
+        return value
+    return parse
 
 
 def _add_io_flags(p, source=True):
@@ -576,8 +580,8 @@ def _add_io_flags(p, source=True):
 # every other flag, registered only on the subcommands that read it
 _FLAGS = {
     "--seed": dict(type=int, default=0),
-    "--samples": dict(type=_positive_int, default=512),
-    "--tol": dict(type=float, default=1e-9),
+    "--samples": dict(type=_checked(int, lambda n: n >= 1, "a positive integer"), default=512),
+    "--tol": dict(type=_checked(float, math.isfinite, "a finite number"), default=1e-9),
     "--point": dict(required=True, help="comma-separated rational coordinates"),
     "--object": dict(required=True, help="base object label"),
 }

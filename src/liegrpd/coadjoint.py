@@ -17,7 +17,8 @@ False merges are therefore impossible: samples from different components
 never share a class, though a connection the straight probes miss can split
 one component into several classes.  The census's first kept sample is
 the open-orbit witness.  Floats appear only in the numeric flow and the
-eigenvalue -1 probe.
+eigenvalue -1 probe, which screens its t grid with the eigenvalues of ad(x)
+before it confirms a witness by a Taylor exponential.
 """
 from __future__ import annotations
 
@@ -377,7 +378,11 @@ def minus_one_probe(L: LieAlgebra, seed: int = 0, tol: float = 1e-6) -> MinusOne
     """Scan exp(ad(t x)) for an eigenvalue -1 over basis and random directions.
 
     The grid includes rational multiples of pi, where rotation generators hit
-    -1 exactly.  Exponential algebras produce no witness.
+    -1 exactly.  Exponential algebras produce no witness.  exp(t A) has the
+    eigenvalues exp(t mu), mu those of A = ad(x), so one solve screens the
+    grid: a Taylor exponential of t A is taken only where some |exp(t mu) + 1|
+    is below tol + 1/2 or not finite (everywhere if the solve fails), and a
+    witness is one of its eigenvalues within tol of -1, first in scan order.
     """
     import numpy as np
     m = L.dim
@@ -393,9 +398,16 @@ def minus_one_probe(L: LieAlgebra, seed: int = 0, tol: float = 1e-6) -> MinusOne
     for k in range(1, 25):
         grid.append((k / 8.0, f"{k}/8"))
         grid.append((k * math.pi / 8.0, f"({k}/8)pi"))
+    ts = np.array([t for t, _ in grid])
     for x in directions:
         ad = ad_matrix(L, x).to_numpy()
-        for t, label in grid:
+        try:
+            with np.errstate(all="ignore"):
+                gap = np.abs(np.exp(np.outer(ts, np.linalg.eigvals(ad))) + 1.0)
+                screen = ((gap < tol + 0.5) | ~np.isfinite(gap)).any(axis=1)
+        except np.linalg.LinAlgError:
+            screen = [True] * len(grid)
+        for t, label in [point for point, kept in zip(grid, screen) if kept]:
             try:
                 e = matrix_exp_numeric(ad * t)
             except NumericError:

@@ -95,6 +95,13 @@ except for their names, for `ref_rref` in place of `rref` on Q(i) algebras,
 for `ref_adapted_columns`, the flag-adapted columns as `strata` read them
 from the `Fraction` rows of the flag, and for the Q(i) form, which
 `ref_jump_indices` takes from `ref_bform`.
+
+`ref_minus_one_probe` is `coadjoint.minus_one_probe` as it ran before it
+screened the grid with the eigenvalues of ad(x): a Taylor exponential and
+its eigenvalues at every grid value t of every direction.  It is kept
+unchanged, except that it reads `matrix_exp_numeric` and numpy from this
+module's imports, so a test that patches `coadjoint.matrix_exp_numeric`
+counts the library probe's exponentials only.
 """
 import itertools
 import math
@@ -108,8 +115,10 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from liegrpd.catalog import axb_tautological_module
-from liegrpd.coadjoint import _always_degenerate, _det_at, _form_rows, integer_bform
+from liegrpd.coadjoint import MinusOneProbe, _always_degenerate, _det_at, _form_rows
+from liegrpd.coadjoint import integer_bform
 from liegrpd.exact import ROOT_SEARCH_BUDGET, Matrix, NumericError, Scalar, _Budget
+from liegrpd.exact import matrix_exp_numeric
 from liegrpd.exact import _gaussian_divisors
 from liegrpd.exact import GaussianRational, format_scalar, gaussian, is_exact, poly_eval
 from liegrpd.exact import kernel_int, rref_int, to_complex, zi_over, zi_rows
@@ -124,7 +133,7 @@ from liegrpd.groupoids import (
     build_pullback,
     canonical_sections,
 )
-from liegrpd.lie import LieAlgebra, LieModule, Subspace
+from liegrpd.lie import LieAlgebra, LieModule, Subspace, ad_matrix
 from liegrpd.strata import (
     GRID_RADIUS,
     SAMPLE_BOUND,
@@ -1431,3 +1440,36 @@ def ref_coadjoint_stratification(
         exhaustive,
         notes,
     )
+
+
+def ref_minus_one_probe(L: LieAlgebra, seed: int = 0, tol: float = 1e-6) -> MinusOneProbe:
+    """Scan exp(ad(t x)) for an eigenvalue -1 over basis and random directions.
+
+    The grid includes rational multiples of pi, where rotation generators hit
+    -1 exactly.  Exponential algebras produce no witness.
+    """
+    m = L.dim
+    rng = random.Random(seed)
+    directions = [
+        tuple(Fraction(1 if j == i else 0) for j in range(m)) for i in range(m)
+    ]
+    for _ in range(5):
+        v = tuple(Fraction(rng.randint(-2, 2)) for _ in range(m))
+        if any(x != 0 for x in v):
+            directions.append(v)
+    grid = []
+    for k in range(1, 25):
+        grid.append((k / 8.0, f"{k}/8"))
+        grid.append((k * math.pi / 8.0, f"({k}/8)pi"))
+    for x in directions:
+        ad = ad_matrix(L, x).to_numpy()
+        for t, label in grid:
+            try:
+                e = matrix_exp_numeric(ad * t)
+            except NumericError:
+                continue
+            vals = np.linalg.eigvals(e)
+            for lam in vals:
+                if abs(lam + 1.0) < tol:
+                    return MinusOneProbe(True, x, label, t, complex(lam))
+    return MinusOneProbe(False, None, None, None, None)

@@ -17,6 +17,7 @@ from test_cli_contract import (
     NON_INTEGER_ALGEBRAS,
     REPEATED_POINT_ACTION,
 )
+from test_minus_one_screen import FALSE_WITNESS
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 
@@ -199,6 +200,17 @@ class TestLieCommands:
         code, doc = run_json(
             ["lie", "probe-minus-one", "--name", "heisenberg"], tmp_path
         )
+        assert code == 0 and not doc["found"]
+
+    def test_probe_minus_one_rejects_an_inaccurate_witness(self, tmp_path):
+        # an exponential algebra where exp((21/8)pi ad(-1, 2, 2)) has norm
+        # about 4e16: its float eigenvalues include -1+0j, which the
+        # unscreened scan reported as a witness at seed 3
+        p = tmp_path / "exponential.json"
+        p.write_text(json.dumps(FALSE_WITNESS))
+        code, doc = run_json(["lie", "exptest", "--in", str(p)], tmp_path)
+        assert code == 0 and doc["verdict"] is True
+        code, doc = run_json(["lie", "probe-minus-one", "--in", str(p), "--seed", "3"], tmp_path)
         assert code == 0 and not doc["found"]
 
     def test_roots_with_a_non_real_derived_basis(self, tmp_path):

@@ -6,7 +6,8 @@ malformed documents (out-of-range indices, repeated brackets, nonpositive
 dimension, exponent notation, wrong JSON types, broken groupoid tables) and
 with no input at all.  A malformed document, and a run with no document,
 exits 2 under every subcommand, except the four `validate` runs named in
-`VERIFIED_VIOLATIONS`, which exit 1.  A coefficient too large for a float is
+`VERIFIED_VIOLATIONS`, which exit 1.  A non-finite `--tol` exits 2 under
+every subcommand that reads it.  A coefficient too large for a float is
 left to `test_cli.py::TestNumericBridgeOverflow`.
 """
 import contextlib
@@ -158,6 +159,12 @@ VERIFIED_VIOLATIONS = {
 }
 
 
+# nan, +-inf and a literal past the float range, which parses to inf: the
+# probe reported no witness at nan and a "witness" 0.992+0.125i at inf
+NON_FINITE_TOLS = ("nan", "inf", "-inf", "1e400")
+TOL_SUBS = ("roots", "exptest", "probe-minus-one")
+
+
 def _cases(tmp_path):
     """(argv, expected exit code); the code is None on the catalog, the
     corpus and the cascade, where 0, 1 and 2 are all allowed."""
@@ -199,6 +206,10 @@ def _cases(tmp_path):
     yield ["cascade", "--table", "--max-rank", "25"], None
     yield ["cascade"], None
     yield ["lie", "coadjoint", "--name", "axb", "--point", "1e99999999,1"], None
+    for sub in TOL_SUBS:
+        for tol in NON_FINITE_TOLS:
+            yield ["lie", sub, "--name", "e2", f"--tol={tol}"], 2
+        yield ["lie", sub, "--name", "e2", "--tol", "0"], None
 
 
 def test_every_subcommand_keeps_the_exit_contract(tmp_path):
@@ -219,3 +230,14 @@ def test_every_subcommand_keeps_the_exit_contract(tmp_path):
         codes.add(first[0])
     assert codes == {0, 1, 2}
     assert violations == VERIFIED_VIOLATIONS
+
+
+def test_a_non_finite_tol_is_refused_with_a_reason():
+    for sub in TOL_SUBS:
+        for tol in NON_FINITE_TOLS:
+            code, out, err = _capture(["lie", sub, "--name", "e2", f"--tol={tol}"])
+            assert (code, out) == (2, ""), (sub, tol)
+            assert f"argument --tol: expected a finite number, got {tol!r}" in err
+    # a finite --tol below 1e-9 is still raised to 1e-9 by the probe
+    assert (_capture(["lie", "probe-minus-one", "--name", "e2", "--tol", "0"])
+            == _capture(["lie", "probe-minus-one", "--name", "e2"]))

@@ -24,6 +24,7 @@ from dense_reference import (
     ref_conjugate,
     ref_frobenius_test,
     ref_lagrange_interpolate,
+    ref_minus_one_probe,
     ref_sturm_root_count,
     upper,
 )
@@ -513,3 +514,20 @@ class TestMinusOneProbe:
         assert probe.direction == (Q(0), Q(0), Q(1), Q(0))
         assert probe.t_label == "(4/8)pi"
         assert abs(probe.eigenvalue + 1.0) < 1e-6
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_screen_leaves_few_exponentials(self, monkeypatch, seed):
+        # the eigenvalues of ad(x) screen the grid: exponential algebras
+        # take no Taylor exponential, and the witnesses of e2 and
+        # realified_borel are those of the unscreened scan
+        calls = []
+        exp = coadjoint.matrix_exp_numeric
+        monkeypatch.setattr(coadjoint, "matrix_exp_numeric", lambda a: calls.append(1) or exp(a))
+        for make in (axb, heisenberg, filiform4, axb_semidirect_plane, complex_borel):
+            assert not minus_one_probe(make(), seed=seed).found
+        assert calls == []
+        for make in (euclid2, realified_borel):
+            calls.clear()
+            probe = minus_one_probe(make(), seed=seed)
+            assert len(calls) <= 2
+            assert probe.found and probe == ref_minus_one_probe(make(), seed=seed)
