@@ -16,39 +16,9 @@ import math
 import sys
 from fractions import Fraction
 
-from . import catalog
-from .coadjoint import (
-    bform,
-    isotropy_algebra,
-    minus_one_probe,
-    open_component_census,
-)
+# the shared kernel; every other module is imported by the command or loader
+# that uses it, so a process compiles only its own command's side
 from .exact import NumericError, format_scalar, parse_scalar
-from .groupoids import (
-    AxiomError,
-    NotInvariant,
-    action_from_json,
-    algebra_profile,
-    classify,
-    equivalence_bimodule_verify,
-    groupoid_from_json,
-    orbits_isotropy,
-    piecewise_decompose,
-    pullback_isomorphism_verify,
-    regular_representation_faithful,
-    transformation_groupoid,
-    validate_groupoid,
-)
-from .lie import (
-    FieldError,
-    JacobiError,
-    algebra_from_json,
-    algebra_to_json,
-    structure_series,
-)
-from .rootsystems import build_root_system, cascade_classification, open_orbit_rank_test
-from .strata import coadjoint_stratification
-from .weights import SolvabilityError, algebra_is_exponential, algebra_roots
 
 
 class InputError(Exception):
@@ -84,7 +54,11 @@ def _load_json_file(path: str):
 
 
 def _load_algebra(args):
+    from .lie import algebra_from_json, algebra_to_json
+
     if args.name:
+        from . import catalog
+
         if args.name not in catalog.LIE_CATALOG:
             raise InputError(
                 f"unknown algebra {args.name!r}; available: "
@@ -110,8 +84,15 @@ def _load_groupoid(args, validate: bool = False):
     caller, the validation command, which reports them as findings;
     otherwise they are wrapped into InputError (exit 2).
     """
+    from .groupoids import (
+        AxiomError, action_from_json, groupoid_from_json, transformation_groupoid,
+        validate_groupoid,
+    )
+
     explicit = False
     if args.name:
+        from . import catalog
+
         if args.name not in catalog.GROUPOID_CATALOG:
             raise InputError(
                 f"unknown groupoid {args.name!r}; available: "
@@ -183,6 +164,8 @@ def _emit(report: dict, args) -> None:
 
 
 def cmd_lie_validate(args) -> int:
+    from .lie import FieldError, JacobiError, algebra_from_json
+
     if args.name or not args.infile:
         L, meta = _load_algebra(args)
     else:
@@ -209,6 +192,8 @@ def cmd_lie_validate(args) -> int:
 
 
 def cmd_lie_series(args) -> int:
+    from .lie import structure_series
+
     L, meta = _load_algebra(args)
     s = structure_series(L)
     report = {
@@ -226,6 +211,8 @@ def cmd_lie_series(args) -> int:
 
 
 def cmd_lie_roots(args) -> int:
+    from .weights import SolvabilityError, algebra_roots
+
     L, meta = _load_algebra(args)
     try:
         roots = algebra_roots(L, tol=args.tol)
@@ -244,6 +231,8 @@ def cmd_lie_roots(args) -> int:
 
 
 def cmd_lie_exptest(args) -> int:
+    from .weights import SolvabilityError, algebra_is_exponential
+
     L, meta = _load_algebra(args)
     try:
         res = algebra_is_exponential(L, tol=args.tol)
@@ -265,6 +254,8 @@ def cmd_lie_exptest(args) -> int:
 
 
 def cmd_lie_coadjoint(args) -> int:
+    from .coadjoint import bform, isotropy_algebra
+
     L, meta = _load_algebra(args)
     xi = _parse_point(args.point, L.dim)
     form = bform(L, xi)
@@ -286,6 +277,8 @@ def cmd_lie_coadjoint(args) -> int:
 
 
 def cmd_lie_census(args) -> int:
+    from .coadjoint import open_component_census
+
     L, meta = _load_algebra(args)
     try:
         census = open_component_census(L, samples=args.samples, seed=args.seed)
@@ -313,6 +306,8 @@ def cmd_lie_census(args) -> int:
 
 
 def cmd_lie_stratify(args) -> int:
+    from .strata import coadjoint_stratification
+
     L, meta = _load_algebra(args)
     try:
         s = coadjoint_stratification(L, samples=args.samples, seed=args.seed)
@@ -337,6 +332,8 @@ def cmd_lie_stratify(args) -> int:
 
 
 def cmd_lie_probe_minus_one(args) -> int:
+    from .coadjoint import minus_one_probe
+
     L, meta = _load_algebra(args)
     probe = minus_one_probe(L, seed=args.seed, tol=max(args.tol, 1e-9))
     report = {
@@ -360,6 +357,8 @@ MAX_RANK = 24
 
 
 def cmd_cascade(args) -> int:
+    from .rootsystems import build_root_system, cascade_classification, open_orbit_rank_test
+
     if args.table:
         if not 1 <= args.max_rank <= MAX_RANK:
             raise InputError(f"--max-rank must lie in 1..{MAX_RANK}, not {args.max_rank}")
@@ -398,6 +397,8 @@ def cmd_cascade(args) -> int:
 
 
 def cmd_grpd_validate(args) -> int:
+    from .groupoids import AxiomError, NotInvariant
+
     try:
         G, meta = _load_groupoid(args, validate=True)
     except (AxiomError, NotInvariant) as exc:
@@ -423,6 +424,8 @@ def cmd_grpd_validate(args) -> int:
 
 
 def cmd_grpd_classify(args) -> int:
+    from .groupoids import classify, orbits_isotropy
+
     G, meta = _load_groupoid(args)
     c = classify(G)
     orbs = orbits_isotropy(G)
@@ -445,6 +448,8 @@ def cmd_grpd_classify(args) -> int:
 
 
 def cmd_grpd_pullback_verify(args) -> int:
+    from .groupoids import pullback_isomorphism_verify
+
     G, meta = _load_groupoid(args)
     rep = pullback_isomorphism_verify(G)
     report = {
@@ -464,6 +469,8 @@ def cmd_grpd_pullback_verify(args) -> int:
 
 
 def cmd_grpd_bimodule_verify(args) -> int:
+    from .groupoids import equivalence_bimodule_verify
+
     G, meta = _load_groupoid(args)
     rep = equivalence_bimodule_verify(G)
     report = {
@@ -478,6 +485,8 @@ def cmd_grpd_bimodule_verify(args) -> int:
 
 
 def cmd_grpd_decompose(args) -> int:
+    from .groupoids import piecewise_decompose
+
     G, meta = _load_groupoid(args)
     rep = piecewise_decompose(G)
     report = {
@@ -494,6 +503,8 @@ def cmd_grpd_decompose(args) -> int:
 
 
 def cmd_grpd_profile(args) -> int:
+    from .groupoids import algebra_profile
+
     G, meta = _load_groupoid(args)
     p = algebra_profile(G)
     report = {
@@ -518,6 +529,8 @@ def cmd_grpd_profile(args) -> int:
 
 
 def cmd_grpd_regrep(args) -> int:
+    from .groupoids import regular_representation_faithful
+
     G, meta = _load_groupoid(args)
     base = None
     for x in G.objects:
@@ -577,14 +590,19 @@ def _add_io_flags(p, source=True):
     p.add_argument("--out", help="write the report to this file")
 
 
+_finite = _checked(float, math.isfinite, "a finite number")
 # every other flag, registered only on the subcommands that read it
 _FLAGS = {
     "--seed": dict(type=int, default=0),
     "--samples": dict(type=_checked(int, lambda n: n >= 1, "a positive integer"), default=512),
-    "--tol": dict(type=_checked(float, math.isfinite, "a finite number"), default=1e-9),
+    "--tol": dict(type=_finite, default=1e-9),
     "--point": dict(required=True, help="comma-separated rational coordinates"),
     "--object": dict(required=True, help="base object label"),
 }
+# a -1 witness lies within tol of -1; below 1 that disc lies in the left
+# half-plane, so a positive eigenvalue (1, on a nilpotent direction) is none
+_PROBE_TOL = dict(type=_checked(_finite, lambda t: t < 1, "a finite number below 1"),
+                  default=1e-9)
 
 
 def _add_subcommands(sub, table):
@@ -592,7 +610,8 @@ def _add_subcommands(sub, table):
         p = sub.add_parser(name)
         _add_io_flags(p)
         for flag in flags:
-            p.add_argument(flag, **_FLAGS[flag])
+            flag, spec = flag if isinstance(flag, tuple) else (flag, _FLAGS[flag])
+            p.add_argument(flag, **spec)
         p.set_defaults(fn=fn)
 
 
@@ -615,7 +634,7 @@ def build_parser() -> argparse.ArgumentParser:
         ("coadjoint", cmd_lie_coadjoint, ("--point",)),
         ("census", cmd_lie_census, ("--seed", "--samples")),
         ("stratify", cmd_lie_stratify, ("--seed", "--samples")),
-        ("probe-minus-one", cmd_lie_probe_minus_one, ("--seed", "--tol")),
+        ("probe-minus-one", cmd_lie_probe_minus_one, ("--seed", ("--tol", _PROBE_TOL))),
     ])
 
     cas = sub.add_parser("cascade", help="root-system cascade rank test")

@@ -117,7 +117,7 @@ class TestLieCommands:
         assert doc["skew_form"] == [["0", "1"], ["-1", "0"]]
 
     def test_coadjoint_builds_the_skew_form_once(self, tmp_path, monkeypatch):
-        from liegrpd import cli, coadjoint
+        from liegrpd import coadjoint
 
         calls = []
         original = coadjoint.bform
@@ -127,7 +127,6 @@ class TestLieCommands:
             return original(L, xi)
 
         monkeypatch.setattr(coadjoint, "bform", counting)
-        monkeypatch.setattr(cli, "bform", counting)
         code, doc = run_json(
             ["lie", "coadjoint", "--name", "filiform4", "--point", "1,2,3,4"], tmp_path
         )

@@ -7,8 +7,9 @@ dimension, exponent notation, wrong JSON types, broken groupoid tables) and
 with no input at all.  A malformed document, and a run with no document,
 exits 2 under every subcommand, except the four `validate` runs named in
 `VERIFIED_VIOLATIONS`, which exit 1.  A non-finite `--tol` exits 2 under
-every subcommand that reads it.  A coefficient too large for a float is
-left to `test_cli.py::TestNumericBridgeOverflow`.
+every subcommand that reads it, and so does a probe `--tol` of 1 or more.
+A coefficient too large for a float is left to
+`test_cli.py::TestNumericBridgeOverflow`.
 """
 import contextlib
 import io
@@ -163,6 +164,9 @@ VERIFIED_VIOLATIONS = {
 # probe reported no witness at nan and a "witness" 0.992+0.125i at inf
 NON_FINITE_TOLS = ("nan", "inf", "-inf", "1e400")
 TOL_SUBS = ("roots", "exptest", "probe-minus-one")
+# at tol 3 the probe reported the eigenvalue 1 of the nilpotent heisenberg as
+# a -1 witness
+PROBE_TOLS_AT_LEAST_ONE = ("1", "3", "1e300")
 
 
 def _cases(tmp_path):
@@ -210,6 +214,8 @@ def _cases(tmp_path):
         for tol in NON_FINITE_TOLS:
             yield ["lie", sub, "--name", "e2", f"--tol={tol}"], 2
         yield ["lie", sub, "--name", "e2", "--tol", "0"], None
+    for tol in PROBE_TOLS_AT_LEAST_ONE:
+        yield ["lie", "probe-minus-one", "--name", "heisenberg", "--tol", tol], 2
 
 
 def test_every_subcommand_keeps_the_exit_contract(tmp_path):
@@ -241,3 +247,14 @@ def test_a_non_finite_tol_is_refused_with_a_reason():
     # a finite --tol below 1e-9 is still raised to 1e-9 by the probe
     assert (_capture(["lie", "probe-minus-one", "--name", "e2", "--tol", "0"])
             == _capture(["lie", "probe-minus-one", "--name", "e2"]))
+
+
+def test_a_probe_tol_of_one_or_more_is_refused_with_a_reason():
+    for tol in PROBE_TOLS_AT_LEAST_ONE:
+        code, out, err = _capture(["lie", "probe-minus-one", "--name", "heisenberg",
+                                   "--tol", tol])
+        assert (code, out) == (2, ""), tol
+        assert f"argument --tol: expected a finite number below 1, got {tol!r}" in err
+    # roots and exptest keep any finite tol
+    for sub in ("roots", "exptest"):
+        assert _capture(["lie", sub, "--name", "heisenberg", "--tol", "3"])[0] == 0

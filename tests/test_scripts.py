@@ -17,6 +17,7 @@ ROOT = Path(__file__).resolve().parent.parent
         ("cascade_table.py", ["--max-rank", "4"]),
         ("census_demo.py", ["--samples", "8", "--axb-max", "2"]),
         ("cli_digest.py", []),
+        ("startup_times.py", ["--repeat", "1"]),
     ],
 )
 def test_script_runs(script, args):
