@@ -1,10 +1,12 @@
 """Command-line interface: deterministic JSON/text reports.
 
 Exit codes: 0 = command ran (and any verification passed), 1 = a verification
-command found a violation, 2 = bad usage or malformed input.  All output is
-byte-deterministic for fixed inputs and flags: JSON is emitted with sorted
-keys, rationals as "p/q" strings, and every report embeds a sha256 digest of
-the input it was computed from.
+command found a violation, 2 = bad usage, malformed input or an unwritable
+`--out`.  Each `cmd_*` returns its report; `main` is the one place that names
+the command in the report, writes it and turns its `ok` or `valid` verdict
+into the exit code.  All output is byte-deterministic for fixed inputs and
+flags: JSON is emitted with sorted keys, rationals as "p/q" strings, and
+every report embeds a sha256 digest of the input it was computed from.
 """
 from __future__ import annotations
 
@@ -153,8 +155,11 @@ def _emit(report: dict, args) -> None:
         walk("", report)
         text = "\n".join(lines) + "\n"
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise InputError(f"cannot write {args.out}: {exc}") from exc
     else:
         sys.stdout.write(text)
 
@@ -163,7 +168,7 @@ def _emit(report: dict, args) -> None:
 # lie subcommands
 
 
-def cmd_lie_validate(args) -> int:
+def cmd_lie_validate(args) -> dict:
     from .lie import FieldError, JacobiError, algebra_from_json
 
     if args.name or not args.infile:
@@ -174,30 +179,23 @@ def cmd_lie_validate(args) -> int:
         try:
             L = algebra_from_json(doc)
         except (JacobiError, FieldError) as exc:
-            report = {
-                "command": "lie validate",
+            return {
                 "input": meta,
                 "valid": False,
                 "violation": type(exc).__name__,
                 "detail": _jsonable(list(exc.args)),
             }
-            _emit(report, args)
-            return 1
         except (KeyError, TypeError, ValueError) as exc:
             raise InputError(f"bad algebra document: {exc}") from exc
-    report = {"command": "lie validate", "input": meta, "valid": True,
-              "dim": L.dim, "field": L.field}
-    _emit(report, args)
-    return 0
+    return {"input": meta, "valid": True, "dim": L.dim, "field": L.field}
 
 
-def cmd_lie_series(args) -> int:
+def cmd_lie_series(args) -> dict:
     from .lie import structure_series
 
     L, meta = _load_algebra(args)
     s = structure_series(L)
-    report = {
-        "command": "lie series",
+    return {
         "input": meta,
         "dim": L.dim,
         "derived_dims": [sp.dim for sp in s.derived_series],
@@ -206,11 +204,9 @@ def cmd_lie_series(args) -> int:
         "solvable": s.is_solvable,
         "nilpotent": s.is_nilpotent,
     }
-    _emit(report, args)
-    return 0
 
 
-def cmd_lie_roots(args) -> int:
+def cmd_lie_roots(args) -> dict:
     from .weights import SolvabilityError, algebra_roots
 
     L, meta = _load_algebra(args)
@@ -218,19 +214,16 @@ def cmd_lie_roots(args) -> int:
         roots = algebra_roots(L, tol=args.tol)
     except SolvabilityError as exc:
         raise InputError(f"roots need a solvable algebra: {exc}") from exc
-    report = {
-        "command": "lie roots",
+    return {
         "input": meta,
         "roots": [
             {"re": r.re, "im": r.im, "multiplicity": r.multiplicity, "exact": r.exact}
             for r in roots
         ],
     }
-    _emit(report, args)
-    return 0
 
 
-def cmd_lie_exptest(args) -> int:
+def cmd_lie_exptest(args) -> dict:
     from .weights import SolvabilityError, algebra_is_exponential
 
     L, meta = _load_algebra(args)
@@ -238,8 +231,7 @@ def cmd_lie_exptest(args) -> int:
         res = algebra_is_exponential(L, tol=args.tol)
     except SolvabilityError as exc:
         raise InputError(f"the test needs a solvable algebra: {exc}") from exc
-    report = {
-        "command": "lie exptest",
+    return {
         "input": meta,
         "verdict": res.verdict,
         "heuristic": res.heuristic,
@@ -249,11 +241,9 @@ def cmd_lie_exptest(args) -> int:
             for c in res.certificates
         ],
     }
-    _emit(report, args)
-    return 0
 
 
-def cmd_lie_coadjoint(args) -> int:
+def cmd_lie_coadjoint(args) -> dict:
     from .coadjoint import bform, isotropy_algebra
 
     L, meta = _load_algebra(args)
@@ -262,8 +252,7 @@ def cmd_lie_coadjoint(args) -> int:
     iso = isotropy_algebra(L, xi)
     # the isotropy algebra is the kernel of the skew form, so rank = dim - dim ker
     orbit_dim = L.dim - iso.dim
-    report = {
-        "command": "lie coadjoint",
+    return {
         "input": meta,
         "point": xi,
         "skew_form": form.data,
@@ -272,11 +261,9 @@ def cmd_lie_coadjoint(args) -> int:
         "isotropy_dim": iso.dim,
         "isotropy_basis": iso.rows,
     }
-    _emit(report, args)
-    return 0
 
 
-def cmd_lie_census(args) -> int:
+def cmd_lie_census(args) -> dict:
     from .coadjoint import open_component_census
 
     L, meta = _load_algebra(args)
@@ -284,8 +271,7 @@ def cmd_lie_census(args) -> int:
         census = open_component_census(L, samples=args.samples, seed=args.seed)
     except ValueError as exc:
         raise InputError(str(exc)) from exc
-    report = {
-        "command": "lie census",
+    return {
         "input": meta,
         "seed": args.seed,
         "samples_requested": args.samples,
@@ -301,11 +287,9 @@ def cmd_lie_census(args) -> int:
         "open_orbit_witness": census.representatives[0] if census.representatives else None,
         "notes": list(census.notes),
     }
-    _emit(report, args)
-    return 0
 
 
-def cmd_lie_stratify(args) -> int:
+def cmd_lie_stratify(args) -> dict:
     from .strata import coadjoint_stratification
 
     L, meta = _load_algebra(args)
@@ -313,8 +297,7 @@ def cmd_lie_stratify(args) -> int:
         s = coadjoint_stratification(L, samples=args.samples, seed=args.seed)
     except ValueError as exc:
         raise InputError(str(exc)) from exc
-    report = {
-        "command": "lie stratify",
+    return {
         "input": meta,
         "flag_dims": list(s.flag_dims),
         "generic_jump_set": list(s.generic_jump_set),
@@ -327,25 +310,20 @@ def cmd_lie_stratify(args) -> int:
         ],
         "notes": list(s.notes),
     }
-    _emit(report, args)
-    return 0
 
 
-def cmd_lie_probe_minus_one(args) -> int:
+def cmd_lie_probe_minus_one(args) -> dict:
     from .coadjoint import minus_one_probe
 
     L, meta = _load_algebra(args)
     probe = minus_one_probe(L, seed=args.seed, tol=max(args.tol, 1e-9))
-    report = {
-        "command": "lie probe-minus-one",
+    return {
         "input": meta,
         "found": probe.found,
         "direction": probe.direction if probe.found else None,
         "t": probe.t_label,
         "eigenvalue": _jsonable(probe.eigenvalue) if probe.found else None,
     }
-    _emit(report, args)
-    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -356,20 +334,14 @@ def cmd_lie_probe_minus_one(args) -> int:
 MAX_RANK = 24
 
 
-def cmd_cascade(args) -> int:
+def cmd_cascade(args) -> dict:
     from .rootsystems import build_root_system, cascade_classification, open_orbit_rank_test
 
     if args.table:
         if not 1 <= args.max_rank <= MAX_RANK:
             raise InputError(f"--max-rank must lie in 1..{MAX_RANK}, not {args.max_rank}")
-        table = cascade_classification(max_rank=args.max_rank)
-        report = {
-            "command": "cascade",
-            "max_rank": args.max_rank,
-            "open_orbit": table,
-        }
-        _emit(report, args)
-        return 0
+        return {"max_rank": args.max_rank,
+                "open_orbit": cascade_classification(max_rank=args.max_rank)}
     if not args.family or args.rank is None:
         raise InputError("provide --family and --rank, or --table")
     if args.rank > MAX_RANK:
@@ -379,8 +351,7 @@ def cmd_cascade(args) -> int:
     except ValueError as exc:
         raise InputError(str(exc)) from exc
     rep = open_orbit_rank_test(rs)
-    report = {
-        "command": "cascade",
+    return {
         "system": rep.name,
         "rank": rep.rank,
         "positive_root_count": rep.positive_count,
@@ -388,49 +359,40 @@ def cmd_cascade(args) -> int:
         "cascade_size": rep.cascade_size,
         "has_open_orbit": rep.has_open_orbit,
     }
-    _emit(report, args)
-    return 0
 
 
 # ---------------------------------------------------------------------------
 # grpd subcommands
 
 
-def cmd_grpd_validate(args) -> int:
+def cmd_grpd_validate(args) -> dict:
     from .groupoids import AxiomError, NotInvariant
 
     try:
         G, meta = _load_groupoid(args, validate=True)
     except (AxiomError, NotInvariant) as exc:
-        report = {
-            "command": "grpd validate",
+        return {
             "valid": False,
             "violation": type(exc).__name__,
             "detail": _jsonable([str(a) for a in exc.args]),
         }
-        _emit(report, args)
-        return 1
     except ValueError as exc:  # the composable-triple cap
         raise InputError(str(exc)) from exc
-    report = {
-        "command": "grpd validate",
+    return {
         "input": meta,
         "valid": True,
         "objects": len(G.objects),
         "morphisms": len(G.morphisms),
     }
-    _emit(report, args)
-    return 0
 
 
-def cmd_grpd_classify(args) -> int:
+def cmd_grpd_classify(args) -> dict:
     from .groupoids import classify, orbits_isotropy
 
     G, meta = _load_groupoid(args)
     c = classify(G)
     orbs = orbits_isotropy(G)
-    report = {
-        "command": "grpd classify",
+    return {
         "input": meta,
         "objects": len(G.objects),
         "morphisms": len(G.morphisms),
@@ -443,17 +405,14 @@ def cmd_grpd_classify(args) -> int:
         "isotropy_orders": list(orbs.isotropy_orders),
         "representatives": [_jsonable(r) for r in orbs.representatives],
     }
-    _emit(report, args)
-    return 0
 
 
-def cmd_grpd_pullback_verify(args) -> int:
+def cmd_grpd_pullback_verify(args) -> dict:
     from .groupoids import pullback_isomorphism_verify
 
     G, meta = _load_groupoid(args)
     rep = pullback_isomorphism_verify(G)
-    report = {
-        "command": "grpd pullback-verify",
+    return {
         "input": meta,
         "ok": rep.ok,
         "morphisms": rep.morphism_count,
@@ -464,33 +423,27 @@ def cmd_grpd_pullback_verify(args) -> int:
         "inverses_match": rep.inverses_match,
         "round_trip": rep.round_trip,
     }
-    _emit(report, args)
-    return 0 if rep.ok else 1
 
 
-def cmd_grpd_bimodule_verify(args) -> int:
+def cmd_grpd_bimodule_verify(args) -> dict:
     from .groupoids import equivalence_bimodule_verify
 
     G, meta = _load_groupoid(args)
     rep = equivalence_bimodule_verify(G)
-    report = {
-        "command": "grpd bimodule-verify",
+    return {
         "input": meta,
         "ok": rep.ok,
         "checks": dict(rep.checks),
         "linking_elements": rep.element_count,
     }
-    _emit(report, args)
-    return 0 if rep.ok else 1
 
 
-def cmd_grpd_decompose(args) -> int:
+def cmd_grpd_decompose(args) -> dict:
     from .groupoids import piecewise_decompose
 
     G, meta = _load_groupoid(args)
     rep = piecewise_decompose(G)
-    report = {
-        "command": "grpd decompose",
+    return {
         "input": meta,
         "representatives": [_jsonable(r) for r in rep.representatives],
         "orbit_sizes": list(rep.orbit_sizes),
@@ -498,17 +451,14 @@ def cmd_grpd_decompose(args) -> int:
         "layer_pullback_ok": list(rep.layer_pullback_ok),
         "total_morphisms": rep.total_morphisms,
     }
-    _emit(report, args)
-    return 0
 
 
-def cmd_grpd_profile(args) -> int:
+def cmd_grpd_profile(args) -> dict:
     from .groupoids import algebra_profile
 
     G, meta = _load_groupoid(args)
     p = algebra_profile(G)
-    report = {
-        "command": "grpd profile",
+    return {
         "input": meta,
         "blocks": [
             {
@@ -524,11 +474,9 @@ def cmd_grpd_profile(args) -> int:
         "matches_morphism_count": p.matches_morphism_count,
         "dual_total": p.dual_total,
     }
-    _emit(report, args)
-    return 0
 
 
-def cmd_grpd_regrep(args) -> int:
+def cmd_grpd_regrep(args) -> dict:
     from .groupoids import regular_representation_faithful
 
     G, meta = _load_groupoid(args)
@@ -552,8 +500,7 @@ def cmd_grpd_regrep(args) -> int:
             + ", ".join(str(x) for x in G.objects)
         )
     rep = regular_representation_faithful(G, base)
-    report = {
-        "command": "grpd regrep",
+    return {
         "input": meta,
         "object": _jsonable(base),
         "faithful": rep.faithful,
@@ -561,8 +508,6 @@ def cmd_grpd_regrep(args) -> int:
         "morphisms": rep.morphism_count,
         "orbit_covers_objects": rep.orbit_covers_objects,
     }
-    _emit(report, args)
-    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -605,14 +550,14 @@ _PROBE_TOL = dict(type=_checked(_finite, lambda t: t < 1, "a finite number below
                   default=1e-9)
 
 
-def _add_subcommands(sub, table):
+def _add_subcommands(sub, group, table):
     for name, fn, flags in table:
         p = sub.add_parser(name)
         _add_io_flags(p)
         for flag in flags:
             flag, spec = flag if isinstance(flag, tuple) else (flag, _FLAGS[flag])
             p.add_argument(flag, **spec)
-        p.set_defaults(fn=fn)
+        p.set_defaults(fn=fn, command_name=f"{group} {name}")
 
 
 @functools.cache
@@ -626,7 +571,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     lie = sub.add_parser("lie", help="solvable Lie algebra analysis")
     lie_sub = lie.add_subparsers(dest="subcommand", required=True)
-    _add_subcommands(lie_sub, [
+    _add_subcommands(lie_sub, "lie", [
         ("validate", cmd_lie_validate, ()),
         ("series", cmd_lie_series, ()),
         ("roots", cmd_lie_roots, ("--tol",)),
@@ -644,11 +589,11 @@ def build_parser() -> argparse.ArgumentParser:
     cas.add_argument("--table", action="store_true",
                      help="classify every system up to --max-rank")
     cas.add_argument("--max-rank", type=int, default=8)
-    cas.set_defaults(fn=cmd_cascade)
+    cas.set_defaults(fn=cmd_cascade, command_name="cascade")
 
     grpd = sub.add_parser("grpd", help="finite groupoid checks")
     grpd_sub = grpd.add_subparsers(dest="subcommand", required=True)
-    _add_subcommands(grpd_sub, [
+    _add_subcommands(grpd_sub, "grpd", [
         ("validate", cmd_grpd_validate, ()),
         ("classify", cmd_grpd_classify, ()),
         ("pullback-verify", cmd_grpd_pullback_verify, ()),
@@ -668,12 +613,14 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        return args.fn(args)
+        report = {"command": args.command_name, **args.fn(args)}
+        _emit(report, args)
     except (InputError, NumericError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
     except BrokenPipeError:
         return 0
+    return 0 if report.get("ok", True) and report.get("valid", True) else 1
 
 
 if __name__ == "__main__":

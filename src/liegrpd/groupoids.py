@@ -116,8 +116,10 @@ class FiniteGroup:
         )
 
     @staticmethod
-    def from_permutations(generators, n: int, name: str = "perm") -> "FiniteGroup":
-        """Subgroup of the symmetric group generated by the given permutations."""
+    def from_permutations(generators, n: int, name: str = "perm",
+                          max_order: int | None = None) -> "FiniteGroup":
+        """Subgroup of the symmetric group generated by the given permutations;
+        a closure that passes `max_order` elements raises the table-shape error."""
         identity = tuple(range(n))
         compose = _compose_permutations
         gens = tuple(tuple(g) for g in generators)
@@ -134,6 +136,8 @@ class FiniteGroup:
                     if b not in closure:
                         closure.add(b)
                         nxt.append(b)
+                if max_order is not None and len(closure) > max_order:
+                    raise AxiomError(_WRONG_SHAPE)
             frontier = nxt
         return FiniteGroup(
             name,
@@ -784,6 +788,9 @@ def _at(items, index, what: str):
     return items[index]
 
 
+_WRONG_SHAPE = "action table has wrong shape"
+
+
 def group_to_json(G: FiniteGroup) -> dict:
     if G.name.startswith("C") and G.name[1:].isdigit():
         return {"family": "cyclic", "n": int(G.name[1:])}
@@ -794,16 +801,26 @@ def group_to_json(G: FiniteGroup) -> dict:
     return {"family": "permutations", "n": n, "generators": gens}
 
 
-def group_from_json(data: dict) -> FiniteGroup:
+def group_from_json(data: dict, order: int) -> FiniteGroup:
+    """The group of an action document whose table has `order` rows; a cyclic
+    or symmetric group of another order, or a closure that passes `order`,
+    raises the table-shape error before more elements are listed."""
     family = data["family"]
     n = document_int(data["n"], "group n")
+    if n >= 1 and family in ("cyclic", "symmetric"):
+        size, k = (n, n) if family == "cyclic" else (1, 1)
+        while k < n and size <= order:  # n!, multiplied up only until it passes order
+            k += 1
+            size *= k
+        if size != order:
+            raise AxiomError(_WRONG_SHAPE)
     if family == "cyclic":
         return FiniteGroup.cyclic(n)
     if family == "symmetric":
         return FiniteGroup.symmetric(n)
     if family == "permutations":
         gens = [[document_int(x, "generator entry") for x in g] for g in data["generators"]]
-        return FiniteGroup.from_permutations(gens, n)
+        return FiniteGroup.from_permutations(gens, n, max_order=order)
     raise ValueError(f"unknown group family {family!r}")
 
 
@@ -823,14 +840,14 @@ def action_to_json(A: FiniteGroupAction) -> dict:
 def action_from_json(data: dict) -> FiniteGroupAction:
     if data.get("kind") != "group_action":
         raise ValueError("not a group action document")
-    group = group_from_json(data["group"])
+    group = group_from_json(data["group"], len(data["table"]))
     points = [tuple(p) if isinstance(p, list) else p for p in data["points"]]
     if len(set(points)) != len(points):
         repeated = next(p for i, p in enumerate(points) if p in points[:i])
         raise ValueError(f"point {_element_to_json(repeated)!r} is listed twice")
     table = data["table"]
     if len(table) != group.order or any(len(row) != len(points) for row in table):
-        raise AxiomError("action table has wrong shape")
+        raise AxiomError(_WRONG_SHAPE)
     lookup = {
         (g, points[xi]): _at(points, yi, "action table")
         for gi, g in enumerate(group.elements)

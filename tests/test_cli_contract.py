@@ -5,8 +5,10 @@ Every subcommand runs in-process on the catalog, the corpus and a set of
 malformed documents (out-of-range indices, repeated brackets, nonpositive
 dimension, exponent notation, wrong JSON types, broken groupoid tables) and
 with no input at all.  A malformed document, and a run with no document,
-exits 2 under every subcommand, except the four `validate` runs named in
-`VERIFIED_VIOLATIONS`, which exit 1.  A non-finite `--tol` exits 2 under
+exits 2 under every subcommand, except the `validate` runs named in
+`VERIFIED_VIOLATIONS`, which exit 1.  Every report that exits 0 or 1 names
+its command, and exits 1 exactly when its `ok` or `valid` verdict is false.
+An unwritable `--out` exits 2.  A non-finite `--tol` exits 2 under
 every subcommand that reads it, and so does a probe `--tol` of 1 or more.
 A coefficient too large for a float is left to
 `test_cli.py::TestNumericBridgeOverflow`.
@@ -128,6 +130,16 @@ BAD_INDEX_GROUPOIDS = {
                         "points": [0, 1], "table": [[0, 1], [1, 0]]},
 }
 
+# groups far larger than their one-row tables, refused before their elements
+# are listed: C_(10^12) escaped as MemoryError, and S10 listed 3,628,800
+ONE_ROW = {"kind": "group_action", "points": [0], "table": [[0]]}
+OVERSIZED_GROUPS = {
+    "cyclic_trillion": {**ONE_ROW, "group": {"family": "cyclic", "n": 10 ** 12}},
+    "symmetric_ten": {**ONE_ROW, "group": {"family": "symmetric", "n": 10}},
+    "permutations_s8": {**ONE_ROW, "group": {"family": "permutations", "n": 8, "generators": [
+        [1, 2, 3, 4, 5, 6, 7, 0], [1, 0, 2, 3, 4, 5, 6, 7]]}},
+}
+
 # a valid C2 table on the points [0, 0]: one object listed twice
 REPEATED_POINT_ACTION = {"kind": "group_action", "group": {"family": "cyclic", "n": 2},
                          "points": [0, 0], "table": [[0, 1], [1, 0]]}
@@ -140,6 +152,7 @@ MALFORMED_GROUPOIDS = {
                            "points": [0, 1, 2], "table": [[0, 1, 2]]},
     "groupoid_missing_tables": {"kind": "groupoid", "objects": [0]},
     "action_repeated_point": REPEATED_POINT_ACTION,
+    **OVERSIZED_GROUPS,
 }
 
 
@@ -157,6 +170,7 @@ VERIFIED_VIOLATIONS = {
     ("lie", "validate", "non_real_over_q"),
     ("lie", "validate", "unknown_field"),
     ("grpd", "validate", "action_short_table"),
+    *(("grpd", "validate", name) for name in OVERSIZED_GROUPS),
 }
 
 
@@ -233,9 +247,25 @@ def test_every_subcommand_keeps_the_exit_contract(tmp_path):
                 violations.add((argv[0], argv[1], Path(argv[3]).stem.split("_", 1)[1]))
         assert first == second, argv
         assert "Traceback" not in first[2], argv
+        if first[0] != 2:  # main names the report and reads its verdict
+            report = json.loads(first[1])
+            assert report["command"] == " ".join(argv[:1 if argv[0] == "cascade" else 2])
+            assert (first[0] == 1) == (False in (report.get("ok"), report.get("valid")))
         codes.add(first[0])
     assert codes == {0, 1, 2}
     assert violations == VERIFIED_VIOLATIONS
+
+
+def test_an_unwritable_out_exits_2(tmp_path):
+    # a missing directory, and a directory in place of the file
+    for out in (tmp_path / "missing" / "x.json", tmp_path):
+        for argv in (["lie", "series", "--name", "axb"],
+                     ["grpd", "classify", "--in", str(CORPUS / "s3_natural.json")],
+                     ["cascade", "--family", "B", "--rank", "3"]):
+            code, stdout, err = _capture(argv + ["--out", str(out)])
+            assert (code, stdout) == (2, ""), (argv, out)
+            assert err.startswith(f"error: cannot write {out}: "), (argv, out)
+            assert "Traceback" not in err
 
 
 def test_a_non_finite_tol_is_refused_with_a_reason():

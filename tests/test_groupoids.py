@@ -86,6 +86,20 @@ class TestGroups:
         with pytest.raises(AxiomError):
             FiniteGroup.from_permutations([(0, 0, 1)], 3)
 
+    def test_a_group_document_is_built_only_at_its_table_order(self):
+        for n in range(1, 7):
+            order = len(FiniteGroup.symmetric(n).elements)
+            for doc in ({"family": "cyclic", "n": order}, {"family": "symmetric", "n": n}):
+                assert groupoids.group_from_json(doc, order).order == order
+                for rows in (order - 1, order + 1):
+                    with pytest.raises(AxiomError, match="action table has wrong shape"):
+                        groupoids.group_from_json(doc, rows)
+        # a permutation closure stops as it passes the row count
+        s3 = {"family": "permutations", "n": 3, "generators": [[1, 2, 0], [1, 0, 2]]}
+        assert groupoids.group_from_json(s3, 6).order == 6
+        with pytest.raises(AxiomError, match="action table has wrong shape"):
+            groupoids.group_from_json(s3, 5)
+
 
 def _generated(group):
     """The elements reached from the identity by multiplying by generators."""
