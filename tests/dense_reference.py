@@ -13,7 +13,11 @@ joint kernel of the derived algebra's actions; it is kept unchanged.
 
 `ref_build_root_system` and `ref_kostant_cascade` are the root generation and
 cascade that `rootsystems.py` ran on `Fraction` coordinates before it worked on
-doubled integer coordinates; they are kept unchanged.
+doubled integer coordinates; they are kept unchanged.  `doubled_build_root_system`
+and `doubled_kostant_cascade` are that doubled-coordinate path, which ran before
+the search moved to simple-root coefficients and the cascade to Dynkin
+subdiagrams: the string test by dot products, and the components by a
+non-orthogonality search over every pair of remaining roots.
 
 `ref_lagrange_interpolate` and `ref_sturm_root_count` are the `Fraction`
 interpolation and Sturm chain that the census segment probe ran before it
@@ -105,6 +109,7 @@ counts the library probe's exponentials only.
 """
 import itertools
 import math
+import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -1000,6 +1005,165 @@ def ref_kostant_cascade(rs: RootSystem) -> tuple:
                 if comb in rootset or tuple(-x for x in comb) in rootset:
                     raise AssertionError("cascade members are not strongly orthogonal")
     return cascade
+
+
+# Doubled-coordinate root generation and cascade: the integer path that
+# `rootsystems.py` ran before it worked on simple-root coefficients.
+
+
+def _de(i: int, n: int) -> tuple:
+    """The doubled unit vector 2 e_i."""
+    return tuple(2 if j == i else 0 for j in range(n))
+
+
+def _dadd(a, b):
+    return tuple(map(operator.add, a, b))
+
+
+def _dsub(a, b):
+    return tuple(map(operator.sub, a, b))
+
+
+def _ddot(a, b):
+    return sum(map(operator.mul, a, b))
+
+
+def doubled_simple_roots(family: str, rank: int):
+    """Simple roots in doubled coordinates 2 alpha."""
+    l = rank
+    if family == "A":
+        return [_dsub(_de(i, l + 1), _de(i + 1, l + 1)) for i in range(l)]
+    chain = [_dsub(_de(i, l), _de(i + 1, l)) for i in range(l - 1)]  # e_i - e_{i+1}
+    if family == "B":
+        return chain + [_de(l - 1, l)]
+    if family == "C":
+        return chain + [_dadd(_de(l - 1, l), _de(l - 1, l))]
+    if family == "D":
+        return chain + [_dadd(_de(l - 2, l), _de(l - 1, l))]
+    if family == "E":
+        chain = [_dsub(_de(i + 1, 8), _de(i, 8)) for i in range(6)]  # e_{i+1} - e_i
+        return [(1, -1, -1, -1, -1, -1, -1, 1), _dadd(_de(0, 8), _de(1, 8))] + chain[:rank - 2]
+    if family == "F":
+        return [_dsub(_de(1, 4), _de(2, 4)), _dsub(_de(2, 4), _de(3, 4)), _de(3, 4),
+                (1, -1, -1, -1)]
+    if family == "G":
+        return [(2, -2, 0), (-4, 2, 2)]
+    raise ValueError(f"unknown family {family!r}")
+
+
+def _dhalve(roots) -> tuple:
+    half = {x: Q(x, 2) for x in set().union(*roots)}
+    return tuple(tuple(half[x] for x in r) for r in roots)
+
+
+@dataclass(frozen=True)
+class DoubledRootSystem:
+    name: str
+    family: str
+    rank: int
+    ambient_dim: int
+    simple_roots: tuple
+    positive_roots: tuple  # sorted by (height, coordinates)
+    heights: tuple  # parallel to positive_roots
+    doubled_roots: tuple  # 2r as int tuples
+
+
+def doubled_build_root_system(family: str, rank: int) -> DoubledRootSystem:
+    """Generate the positive roots on doubled coordinates: beta + alpha is a
+    root exactly when p <alpha, alpha> > 2 <beta, alpha>, p the depth of the
+    alpha-string below beta."""
+    family = family.upper()
+    if family not in _RANK_RANGE:
+        raise ValueError(f"unknown family {family!r}")
+    lo, hi = _RANK_RANGE[family]
+    if rank < lo or (hi is not None and rank > hi):
+        raise ValueError(f"{family}{rank} is out of range (rank >= {lo}"
+                         + (f", <= {hi})" if hi is not None else ")"))
+    simples = doubled_simple_roots(family, rank)
+    norms = [_ddot(a, a) for a in simples]
+    expected = _EXPECTED_POSITIVE_COUNTS[family](rank)
+    height = {r: 1 for r in simples}
+    frontier = list(simples)
+    while frontier and len(height) <= expected:  # a wrong string test fails, not hangs
+        nxt = []
+        for beta in frontier:
+            for alpha, norm in zip(simples, norms):
+                p = 0
+                probe = _dsub(beta, alpha)
+                while probe in height:
+                    p += 1
+                    probe = _dsub(probe, alpha)
+                if p * norm > 2 * _ddot(beta, alpha):  # p - <beta, alpha^vee> > 0
+                    cand = _dadd(beta, alpha)
+                    if cand not in height:
+                        height[cand] = height[beta] + 1
+                        nxt.append(cand)
+        frontier = nxt
+    positives = sorted(height, key=lambda r: (height[r], r))
+    if len(positives) != expected:
+        raise AssertionError(
+            f"{family}{rank}: generated {len(positives)} positive roots, "
+            f"expected {expected}"
+        )
+    return DoubledRootSystem(
+        f"{family}{rank}",
+        family,
+        rank,
+        len(simples[0]),
+        _dhalve(simples),
+        _dhalve(positives),
+        tuple(height[r] for r in positives),
+        tuple(positives),
+    )
+
+
+def _doubled_components(roots):
+    """Connected components under non-orthogonality, in order of least root."""
+    remaining = set(roots)
+    comps = []
+    while remaining:
+        seed = min(remaining)
+        remaining.discard(seed)
+        comp, stack = [seed], [seed]
+        while stack:
+            c = stack.pop()
+            linked = [r for r in remaining if _ddot(r, c) != 0]
+            remaining.difference_update(linked)
+            comp += linked
+            stack += linked
+        comps.append(comp)
+    return comps
+
+
+def doubled_kostant_cascade(rs: DoubledRootSystem) -> tuple:
+    """The cascade of highest roots, found by splitting the remaining roots
+    into components under non-orthogonality; validated as strongly
+    orthogonal."""
+    hmap = dict(zip(rs.doubled_roots, rs.heights))
+
+    def recurse(roots):
+        out = []
+        for comp in _doubled_components(roots):
+            top = max(hmap[r] for r in comp)
+            maxima = [r for r in comp if hmap[r] == top]
+            if len(maxima) != 1:
+                raise AssertionError(f"component has {len(maxima)} height maxima; expected one")
+            mu = maxima[0]
+            out.append(mu)
+            rest = [r for r in comp if r != mu and _ddot(r, mu) == 0]
+            out.extend(recurse(rest))
+        return out
+
+    cascade = recurse(list(rs.doubled_roots))
+    for i, a in enumerate(cascade):
+        for b in cascade[i + 1 :]:
+            if _ddot(a, b) != 0:
+                raise AssertionError("cascade members are not orthogonal")
+            for comb in (_dadd(a, b), _dsub(a, b), _dsub(b, a)):
+                if comb in hmap or tuple(-x for x in comb) in hmap:
+                    raise AssertionError("cascade members are not strongly orthogonal")
+    halved = dict(zip(rs.doubled_roots, rs.positive_roots))
+    return tuple(halved[r] for r in cascade)
 
 
 def _poly_trim(p):

@@ -6,19 +6,27 @@ hand-computed sets; the classification table records which split Borel
 subalgebras carry an open coadjoint orbit (cascade as large as the rank).
 Every system of rank <= 8, and A-D up to rank 10, is also built by the
 `Fraction` reference in `dense_reference.py`, which must give the same roots,
-heights and cascade in the same order.
+heights and cascade in the same order; every system of rank <= 12 must also
+match the doubled-coordinate reference there, field by field.
 """
 import itertools
+import time
 from fractions import Fraction as Q
 
 import pytest
 
-from dense_reference import ref_build_root_system, ref_kostant_cascade
+from dense_reference import (
+    doubled_build_root_system,
+    doubled_kostant_cascade,
+    ref_build_root_system,
+    ref_kostant_cascade,
+)
 from liegrpd.rootsystems import (
     build_root_system,
     cascade_classification,
     kostant_cascade,
     open_orbit_rank_test,
+    systems_up_to,
 )
 
 
@@ -223,3 +231,23 @@ def test_matches_the_fraction_reference(family, rank):
     # the reports format Fraction coordinates; an int would change their bytes
     for root in rs.simple_roots + rs.positive_roots + cascade:
         assert all(type(x) is Q for x in root), root
+
+
+DOUBLED_SYSTEMS = list(systems_up_to(12))
+
+
+def test_matches_the_doubled_reference_through_rank_12():
+    """Every system of rank <= 12 gives the fields and the cascade order of
+    the doubled-coordinate path it replaced."""
+    start = time.perf_counter()
+    for family, rank in DOUBLED_SYSTEMS:
+        rs = build_root_system(family, rank)
+        ref = doubled_build_root_system(family, rank)
+        name = f"{family}{rank}"
+        assert (rs.name, rs.ambient_dim) == (ref.name, ref.ambient_dim), name
+        assert rs.simple_roots == ref.simple_roots, name
+        assert rs.positive_roots == ref.positive_roots, name
+        assert rs.heights == ref.heights, name
+        assert rs.doubled_roots == ref.doubled_roots, name
+        assert kostant_cascade(rs) == doubled_kostant_cascade(ref), name
+    assert time.perf_counter() - start < 1.0
