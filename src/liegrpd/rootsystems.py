@@ -1,22 +1,25 @@
 """Finite crystallographic root systems and the cascade of highest roots.
 
-Every root lies in (1/2)Z^n, so the search runs on the int tuples 2r of
-doubled coordinates, which keep the coordinate order; the public fields and
-the cascade are converted to Fraction tuples once, at the end.  Positive
-roots are generated from the simple roots by breadth-first search on height,
-using the root-string criterion: beta + alpha is a root exactly when
-q = p - <beta, alpha^vee> is positive, where p is the depth of the string
-below beta; on doubled coordinates, p <alpha, alpha> > 2 <beta, alpha>.  The
-cascade picks the highest root of each irreducible component, discards
-everything not orthogonal to it, and recurses; its members are pairwise
-strongly orthogonal.  The Borel subalgebra of the split form has an open
-coadjoint orbit precisely when the cascade is as large as the rank.
+A positive root sum c_i alpha_i has coefficients 0..6, so the search keys it
+by the int sum c_i 16^i: beta - alpha_i is one subtraction and a string probe
+one dict lookup.  Positive roots are generated from the simple roots by
+breadth-first search on height, using the root-string criterion: beta +
+alpha_j is a root exactly when p > <beta, alpha_j^vee>, where p is the depth
+of the alpha_j-string below beta; the pairings of beta + alpha_j are those of
+beta plus row j of the integer Cartan matrix.  Each new root's doubled
+coordinates 2r (every root lies in (1/2)Z^n) are built once; the roots are
+sorted by (height, 2r) and converted to Fraction tuples at the end.  The
+cascade takes the highest root of each irreducible component, keeps the roots
+orthogonal to it, which are those on the simple roots it pairs to zero with,
+and recurses on Dynkin subdiagrams; its members are pairwise strongly
+orthogonal.  The Borel subalgebra of the split form has an open coadjoint
+orbit precisely when the cascade is as large as the rank.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from operator import add, mul, sub
+from operator import add, mul, neg, sub
 
 _EXPECTED_POSITIVE_COUNTS = {
     "A": lambda l: l * (l + 1) // 2,
@@ -81,7 +84,10 @@ def _simple_roots(family: str, rank: int):
 def _halve(roots) -> tuple:
     """The Fraction tuples r/2 of doubled roots r, one Fraction per distinct value."""
     half = {x: Fraction(x, 2) for x in set().union(*roots)}
-    return tuple(tuple(half[x] for x in r) for r in roots)
+    return tuple(tuple(map(half.__getitem__, r)) for r in roots)
+
+
+_BITS = 4  # a root is sum c_i alpha_i, keyed by sum c_i 16^i; c_i <= 6 (in E8)
 
 
 @dataclass(frozen=True)
@@ -94,6 +100,8 @@ class RootSystem:
     positive_roots: tuple  # sorted by (height, coordinates)
     heights: tuple  # parallel to positive_roots
     doubled_roots: tuple = field(repr=False, compare=False)  # 2r as int tuples
+    keys: tuple = field(repr=False, compare=False)  # sum c_i 16^i, parallel
+    cartan: tuple = field(repr=False, compare=False)  # cartan[i][j] = <alpha_i, alpha_j^vee>
 
 
 def build_root_system(family: str, rank: int) -> RootSystem:
@@ -106,31 +114,40 @@ def build_root_system(family: str, rank: int) -> RootSystem:
         raise ValueError(f"{family}{rank} is out of range (rank >= {lo}"
                          + (f", <= {hi})" if hi is not None else ")"))
     simples = _simple_roots(family, rank)
-    norms = [_dot(a, a) for a in simples]
+    norms = [_dot(b, b) for b in simples]
+    cartan = tuple(tuple(2 * _dot(a, b) // n for b, n in zip(simples, norms)) for a in simples)
+    units = [1 << _BITS * i for i in range(rank)]
     expected = _EXPECTED_POSITIVE_COUNTS[family](rank)
-    height = {r: 1 for r in simples}
-    frontier = list(simples)
+    height = dict.fromkeys(units, 1)
+    pairing = dict(zip(units, cartan))  # key -> (<beta, alpha_j^vee>)_j
+    doubled = dict(zip(units, simples))
+    frontier = list(units)
     while frontier and len(height) <= expected:  # a wrong string test fails, not hangs
         nxt = []
         for beta in frontier:
-            for alpha, norm in zip(simples, norms):
-                p = 0
-                probe = _sub(beta, alpha)
-                while probe in height:
-                    p += 1
-                    probe = _sub(probe, alpha)
-                if p * norm > 2 * _dot(beta, alpha):  # p - <beta, alpha^vee> > 0
-                    cand = _add(beta, alpha)
+            pairs = pairing[beta]
+            for j, c in enumerate(pairs):
+                p, unit = 0, units[j]
+                if c >= 0:  # else p > c at once
+                    probe = beta - unit  # a borrow leaves the digit 15, never a root's
+                    while probe in height:
+                        p += 1
+                        probe -= unit
+                if p > c:  # p - <beta, alpha_j^vee> > 0
+                    cand = beta + unit
                     if cand not in height:
                         height[cand] = height[beta] + 1
+                        pairing[cand] = tuple(map(add, pairs, cartan[j]))
+                        doubled[cand] = tuple(map(add, doubled[beta], simples[j]))
                         nxt.append(cand)
         frontier = nxt
-    positives = sorted(height, key=lambda r: (height[r], r))
-    if len(positives) != expected:
+    keys = sorted(height, key=lambda k: (height[k], doubled[k]))
+    if len(keys) != expected:
         raise AssertionError(
-            f"{family}{rank}: generated {len(positives)} positive roots, "
+            f"{family}{rank}: generated {len(keys)} positive roots, "
             f"expected {expected}"
         )
+    positives = [doubled[k] for k in keys]
     return RootSystem(
         f"{family}{rank}",
         family,
@@ -138,61 +155,61 @@ def build_root_system(family: str, rank: int) -> RootSystem:
         len(simples[0]),
         _halve(simples),
         _halve(positives),
-        tuple(height[r] for r in positives),
+        tuple(height[k] for k in keys),
         tuple(positives),
+        tuple(keys),
+        cartan,
     )
 
 
-def _components(roots):
-    """Connected components under non-orthogonality, in order of least root
-    (each seed is the least root left, so the seeds increase)."""
-    remaining = set(roots)
-    comps = []
-    while remaining:
-        seed = min(remaining)
-        remaining.discard(seed)
-        comp, stack = [seed], [seed]
-        while stack:
-            c = stack.pop()
-            linked = [r for r in remaining if _dot(r, c) != 0]
-            remaining.difference_update(linked)
-            comp += linked
-            stack += linked
-        comps.append(comp)
-    return comps
-
-
-def kostant_cascade(rs: RootSystem) -> tuple:
-    """Strongly orthogonal set built from recursive highest roots.
-
-    Components are visited in order of their least root; within each the
-    unique root of maximal height is taken and the recursion continues on the
-    roots orthogonal to it.  The result is validated: pairwise orthogonal,
-    and no sum or difference of two members is a root.
-    """
-    hmap = dict(zip(rs.doubled_roots, rs.heights))
-
-    def recurse(roots):
-        out = []
-        for comp in _components(roots):
-            top = max(hmap[r] for r in comp)
-            maxima = [r for r in comp if hmap[r] == top]
-            if len(maxima) != 1:
-                raise AssertionError(f"component has {len(maxima)} height maxima; expected one")
-            mu = maxima[0]
-            out.append(mu)
-            rest = [r for r in comp if r != mu and _dot(r, mu) == 0]
-            out.extend(recurse(rest))
-        return out
-
-    cascade = recurse(list(rs.doubled_roots))
+def _check_strongly_orthogonal(cascade, roots) -> None:
+    """Raise unless the doubled roots in `cascade` are pairwise orthogonal and
+    no sum or difference of two of them is in the set `roots` or its negative."""
     for i, a in enumerate(cascade):
         for b in cascade[i + 1 :]:
             if _dot(a, b) != 0:
                 raise AssertionError("cascade members are not orthogonal")
             for comb in (_add(a, b), _sub(a, b), _sub(b, a)):
-                if comb in hmap or tuple(-x for x in comb) in hmap:
+                if comb in roots or tuple(map(neg, comb)) in roots:
                     raise AssertionError("cascade members are not strongly orthogonal")
+
+
+def kostant_cascade(rs: RootSystem) -> tuple:
+    """Strongly orthogonal set built from recursive highest roots.
+
+    The roots supported on a connected Dynkin subdiagram form an irreducible
+    subsystem; its unique root theta of maximal height is dominant, so the
+    roots orthogonal to it are those supported on the simple roots alpha_i
+    with <theta, alpha_i^vee> = 0 (Humphreys, Introduction to Lie Algebras,
+    10.4).  The recursion runs on those subdiagrams, visiting components in
+    order of their least root.  The result is validated: pairwise orthogonal,
+    and no sum or difference of two members is a root.
+    """
+    bits = [15 << _BITS * i for i in range(rs.rank)]  # the digit of alpha_i in a key
+    adjacent = [sum(b for b, c in zip(bits, row) if c) for row in rs.cartan]
+    coroots = list(zip(*rs.cartan))  # coroots[i][k] = <alpha_k, alpha_i^vee>
+
+    def recurse(mask, roots):
+        comps = []  # the connected Dynkin subdiagrams on the simple roots in mask
+        for b, adj in zip(bits, adjacent):
+            if mask & b:
+                comps = [c for c in comps if not c & adj] + [b + sum(c for c in comps if c & adj)]
+        comps = [[r for r in roots if not r[0] & ~c] for c in comps]
+        out = []
+        for comp in sorted(comps, key=lambda comp: min(r[2] for r in comp)):
+            top = max(r[1] for r in comp)
+            maxima = [r for r in comp if r[1] == top]
+            if len(maxima) != 1:
+                raise AssertionError(f"component has {len(maxima)} height maxima; expected one")
+            key, _, theta = maxima[0]
+            out.append(theta)
+            coeffs = [key >> _BITS * k & 15 for k in range(rs.rank)]
+            out.extend(recurse(sum(b for b, col in zip(bits, coroots) if key & b
+                                   and not sum(map(mul, coeffs, col))), comp))
+        return out
+
+    cascade = recurse(sum(bits), list(zip(rs.keys, rs.heights, rs.doubled_roots)))
+    _check_strongly_orthogonal(cascade, set(rs.doubled_roots))
     halved = dict(zip(rs.doubled_roots, rs.positive_roots))
     return tuple(halved[r] for r in cascade)
 

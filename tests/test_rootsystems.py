@@ -9,6 +9,7 @@ Every system of rank <= 8, and A-D up to rank 10, is also built by the
 heights and cascade in the same order; every system of rank <= 12 must also
 match the doubled-coordinate reference there, field by field.
 """
+import dataclasses
 import itertools
 import time
 from fractions import Fraction as Q
@@ -209,6 +210,40 @@ class TestClassification:
         assert rep.positive_count == 63
         rep = open_orbit_rank_test(build_root_system("E", 6))
         assert rep.cascade_size == 4 and not rep.has_open_orbit
+
+
+class TestChecksCanFail:
+    @pytest.mark.parametrize("family,rank,index,bad", [
+        ("B", 4, 3, (0, 0, -2, 2)),  # doubled alpha_4 = 2 e_4, third entry wrong
+        ("G", 2, 0, (2, -4, 0)),  # doubled alpha_1 = (2, -2, 0), second entry wrong
+    ], ids=["B4", "G2"])
+    def test_a_wrong_simple_root_fails_the_count(self, monkeypatch, family, rank, index, bad):
+        from liegrpd import rootsystems
+
+        simples = rootsystems._simple_roots(family, rank)
+        assert sum(x != y for x, y in zip(simples[index], bad)) == 1
+        simples[index] = bad
+        monkeypatch.setattr(rootsystems, "_simple_roots", lambda family, rank: simples)
+        start = time.perf_counter()
+        with pytest.raises(AssertionError, match=f"{family}{rank}: generated"):
+            build_root_system(family, rank)
+        assert time.perf_counter() - start < 1.0
+
+    def test_validation_refuses_a_non_strongly_orthogonal_pair(self):
+        from liegrpd.rootsystems import _check_strongly_orthogonal
+
+        roots = set(build_root_system("B", 2).doubled_roots)  # e1 - e2, e2, e1, e1 + e2
+        _check_strongly_orthogonal([(2, 2), (2, -2)], roots)  # the B2 cascade
+        with pytest.raises(AssertionError, match="not strongly orthogonal"):
+            _check_strongly_orthogonal([(2, 0), (0, 2)], roots)  # e1 + e2 is a root
+        with pytest.raises(AssertionError, match="not orthogonal"):
+            _check_strongly_orthogonal([(2, 0), (2, 2)], roots)
+
+    def test_a_wrong_dynkin_diagram_fails_the_validation(self):
+        rs = build_root_system("B", 2)
+        cut = dataclasses.replace(rs, cartan=((2, 0), (0, 2)))  # A1 + A1: alpha_1, alpha_2
+        with pytest.raises(AssertionError, match="not orthogonal"):
+            kostant_cascade(cut)
 
 
 REFERENCE_SYSTEMS = [(family, rank) for family, lo in (("A", 1), ("B", 2), ("C", 2), ("D", 3))
