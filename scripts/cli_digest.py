@@ -8,8 +8,9 @@ every `lie` subcommand in JSON and text on the catalog and corpus algebras
 catalog Q-algebras also at (1/2, -2/3, 3/4, ...), whose skew form has
 denominators and both signs; `census` and `stratify` at
 `--samples 48 --seed 1`), `cascade --table` and `cascade --family F --rank r`
-for every system of the rank-8 table (JSON and text), two requests beyond the
-cascade's rank limit, and every `grpd` subcommand on the catalog and corpus
+for every system of the rank-8 table (JSON and text), the table and the
+rank-24 A, B, C and D systems at the cascade's rank limit (JSON), two requests
+beyond that limit, and every `grpd` subcommand on the catalog and corpus
 groupoids.  A second ladder runs `roots`, `exptest` and `census` (JSON and
 text) on (ax+b)^2, (ax+b)^3 and the dimension-8 sum realified_borel +
 axb_semidirect_plane.  A third runs `stratify` (JSON and text, `--samples 48
@@ -107,6 +108,9 @@ def ladder():
         yield ["cascade", "--table", "--format", fmt]
         for name in cascade_classification(8):
             yield ["cascade", "--family", name[0], "--rank", name[1:], "--format", fmt]
+    yield ["cascade", "--table", "--max-rank", "24"]
+    for family in "ABCD":
+        yield ["cascade", "--family", family, "--rank", "24"]
     yield ["cascade", "--family", "A", "--rank", "25"]
     yield ["cascade", "--table", "--max-rank", "0"]
     groupoids = [["--name", n] for n in catalog.GROUPOID_CATALOG]
