@@ -169,9 +169,9 @@ def _check_strongly_orthogonal(cascade, roots) -> None:
         for b in cascade[i + 1 :]:
             if _dot(a, b) != 0:
                 raise AssertionError("cascade members are not orthogonal")
-            for comb in (_add(a, b), _sub(a, b), _sub(b, a)):
-                if comb in roots or tuple(map(neg, comb)) in roots:
-                    raise AssertionError("cascade members are not strongly orthogonal")
+            total, diff = _add(a, b), _sub(a, b)  # -(a - b) = b - a
+            if not roots.isdisjoint((total, diff, _sub(b, a), tuple(map(neg, total)))):
+                raise AssertionError("cascade members are not strongly orthogonal")
 
 
 def kostant_cascade(rs: RootSystem) -> tuple:
@@ -197,8 +197,7 @@ def kostant_cascade(rs: RootSystem) -> tuple:
         comps = [[r for r in roots if not r[0] & ~c] for c in comps]
         out = []
         for comp in sorted(comps, key=lambda comp: min(r[2] for r in comp)):
-            top = max(r[1] for r in comp)
-            maxima = [r for r in comp if r[1] == top]
+            maxima = [r for r in comp if r[1] == comp[-1][1]]  # comp is sorted by height
             if len(maxima) != 1:
                 raise AssertionError(f"component has {len(maxima)} height maxima; expected one")
             key, _, theta = maxima[0]
