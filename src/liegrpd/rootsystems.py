@@ -192,9 +192,9 @@ def kostant_cascade(rs: RootSystem) -> tuple:
     def recurse(mask, roots):
         comps = []  # the connected Dynkin subdiagrams on the simple roots in mask
         for b, adj in zip(bits, adjacent):
-            if mask & b:
+            if mask & b:  # join alpha_i to the subdiagrams it is linked to
                 comps = [c for c in comps if not c & adj] + [b + sum(c for c in comps if c & adj)]
-        comps = [[r for r in roots if not r[0] & ~c] for c in comps]
+        comps = [[r for r in roots if not r[0] & ~c] for c in comps]  # the roots on each
         out = []
         for comp in sorted(comps, key=lambda comp: min(r[2] for r in comp)):
             maxima = [r for r in comp if r[1] == comp[-1][1]]  # comp is sorted by height
@@ -203,8 +203,9 @@ def kostant_cascade(rs: RootSystem) -> tuple:
             key, _, theta = maxima[0]
             out.append(theta)
             coeffs = [key >> _BITS * k & 15 for k in range(rs.rank)]
-            out.extend(recurse(sum(b for b, col in zip(bits, coroots) if key & b
-                                   and not sum(map(mul, coeffs, col))), comp))
+            zero = sum(b for b, col in zip(bits, coroots)  # theta's support is its component
+                       if key & b and not sum(map(mul, coeffs, col)))
+            out.extend(recurse(zero, comp))
         return out
 
     cascade = recurse(sum(bits), list(zip(rs.keys, rs.heights, rs.doubled_roots)))
