@@ -383,16 +383,7 @@ class TestGrpdCommands:
         code, out = run_json(["grpd", "validate", "--in", str(p)], tmp_path)
         assert code == 1 and not out["valid"]
         assert out["violation"] == "AxiomError"
-
-    def test_violation_report_embeds_the_input_digest(self, tmp_path):
-        # the action document fails validation after it is read; the report
-        # still names the bytes it judged
-        doc = json.loads((CORPUS / "z4_parity.json").read_text())
-        doc["table"][1] = [0, 0]
-        p = tmp_path / "broken.json"
-        p.write_text(json.dumps(doc))
-        code, out = run_json(["grpd", "validate", "--in", str(p)], tmp_path)
-        assert code == 1 and not out["valid"]
+        # the violation report names the bytes it judged, as every report does
         assert out["input"] == {"path": str(p),
                                 "sha256": hashlib.sha256(p.read_bytes()).hexdigest()}
 

@@ -268,14 +268,11 @@ def test_matches_the_fraction_reference(family, rank):
         assert all(type(x) is Q for x in root), root
 
 
-DOUBLED_SYSTEMS = list(systems_up_to(12))
-
-
 def test_matches_the_doubled_reference_through_rank_12():
     """Every system of rank <= 12 gives the fields and the cascade order of
     the doubled-coordinate path it replaced."""
     start = time.perf_counter()
-    for family, rank in DOUBLED_SYSTEMS:
+    for family, rank in systems_up_to(12):
         rs = build_root_system(family, rank)
         ref = doubled_build_root_system(family, rank)
         name = f"{family}{rank}"
