@@ -18,7 +18,7 @@ _EXPORTS = {
             "from_brackets", "load_algebra", "structure_series", "validate_lie_algebra"),
     "weights": ("ExponentialTypeResult", "RootFunctional", "algebra_is_exponential",
                 "algebra_roots", "exponential_type_test", "module_weights"),
-    "coadjoint": ("ComponentCensus", "bform", "coadjoint_flow", "isotropy_algebra",
+    "coadjoint": ("ComponentCensus", "bform", "isotropy_algebra",
                   "minus_one_probe", "open_component_census", "orbit_dimension"),
     "strata": ("coadjoint_stratification", "jordan_holder_flag", "jump_indices",
                "stratify_module"),

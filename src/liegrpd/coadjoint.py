@@ -1,10 +1,9 @@
-"""Coadjoint orbit structure: skew forms, isotropy, flows, open-orbit census.
+"""Coadjoint orbit structure: skew forms, isotropy, open-orbit census.
 
 Every skew form B_xi = xi([., .]) is laid out by `_form_rows` from one value
 per entry of the bracket table.  `_form_values` computes the values from the
 integer table D C (`LieAlgebra.integer_tensor`) at the point times s, so
-every exact form, rank and kernel comes from the integer form D s B_xi; the
-flow takes the values from a float copy of the constants.
+every form, rank and kernel comes from the integer form D s B_xi.
 
 The census works on integer sample points and integer Pfaffians: det B =
 Pf(B)^2, so both vanish at the same points.  Two nondegenerate samples are
@@ -16,9 +15,9 @@ roots are counted by a Sturm chain, both on integers.
 False merges are therefore impossible: samples from different components
 never share a class, though a connection the straight probes miss can split
 one component into several classes.  The census's first kept sample is
-the open-orbit witness.  Floats appear only in the numeric flow and the
-eigenvalue -1 probe, which screens its t grid with the eigenvalues of ad(x)
-before it confirms a witness by a Taylor exponential.
+the open-orbit witness.  Floats appear only in the eigenvalue -1 probe,
+which screens its t grid with the eigenvalues of ad(x) before it confirms a
+witness by a Taylor exponential.
 """
 from __future__ import annotations
 
@@ -33,20 +32,14 @@ from .exact import (
     NumericError,
     matrix_exp_numeric,
     newton_interpolate,
-    numeric_rank,
     kernel_int,
     pfaffian_int,
     rref_int,
     sturm_root_count,
-    to_complex,
     zi_rows,
 )
 from .lie import LieAlgebra, Subspace, ad_matrix, center_of, checked_subalgebra
 from .weights import algebra_is_exponential
-
-
-class FlowError(RuntimeError):
-    """The integrator exceeded its step cap."""
 
 
 def bform(L: LieAlgebra, xi: Sequence) -> Matrix:
@@ -103,77 +96,6 @@ def _always_degenerate(L: LieAlgebra) -> bool:
     """B_xi is singular for every xi: odd dimension, or a nonzero center z
     (B_xi(z, .) = xi([z, .]) = 0)."""
     return L.dim % 2 == 1 or center_of(L).dim > 0
-
-
-FLOW_STEP_SIZE = 0.01
-FLOW_STEP_CAP = 100000
-
-
-@dataclass(frozen=True)
-class FlowResult:
-    times: tuple
-    points: tuple  # float coordinate tuples
-    ranks: tuple  # numeric rank of the skew form at checked times
-    initial_rank: int
-    rank_conserved: bool
-
-
-def coadjoint_flow(
-    L: LieAlgebra,
-    xi0: Sequence,
-    x: Sequence,
-    t_final: float,
-    rank_tol: float = 1e-6,
-) -> FlowResult:
-    """Integrate the linear flow d(xi)/dt = -ad(x)^T xi by classical RK4.
-
-    The generator acts by (x . xi)(y) = -xi([x, y]).  The rank of the skew
-    form is checked along the way; it is conserved because the flow stays in
-    one orbit.
-    """
-    import numpy as np
-    gen = (-ad_matrix(L, x).transpose()).to_numpy()
-    if t_final == 0:
-        steps = 0
-    else:
-        steps = max(1, math.ceil(abs(t_final) / FLOW_STEP_SIZE))
-    if steps > FLOW_STEP_CAP:
-        raise FlowError(f"{steps} steps exceed the cap {FLOW_STEP_CAP}")
-    h = t_final / steps if steps else 0.0
-    point = np.array([float(v) for v in xi0], dtype=float)
-    times = [0.0]
-    points = [tuple(point.tolist())]
-    for k in range(steps):
-        k1 = gen @ point
-        k2 = gen @ (point + 0.5 * h * k1)
-        k3 = gen @ (point + 0.5 * h * k2)
-        k4 = gen @ (point + h * k3)
-        point = point + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        times.append((k + 1) * h)
-        points.append(tuple(point.tolist()))
-    # B_xi[j, k] = sum_l c_jkl xi_l over the bracket table: one float copy of
-    # the constants, a row per bracket, serves every point
-    consts = np.zeros((len(L.brackets), L.dim), dtype=complex)
-    for r, (_, _, terms) in enumerate(L.brackets):
-        for l, c in terms:
-            consts[r, l] = to_complex(c)
-    if not consts.imag.any():
-        consts = consts.real
-
-    def numeric_rank_at(p):
-        return numeric_rank(np.array(_form_rows(L, consts @ np.asarray(p))), rank_tol)
-
-    exact0 = all(isinstance(v, (int, Fraction)) for v in xi0)
-    initial_rank = orbit_dimension(L, xi0) if exact0 else numeric_rank_at(points[0])
-    check_idx = sorted(set(np.linspace(0, len(points) - 1, min(33, len(points))).astype(int)))
-    ranks = tuple(numeric_rank_at(points[i]) for i in check_idx)
-    return FlowResult(
-        tuple(times[i] for i in check_idx),
-        tuple(points),
-        ranks,
-        initial_rank,
-        all(r == initial_rank for r in ranks),
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -9,10 +9,10 @@ lowest terms; its `Fraction` rows are rebuilt only for reports.  Pfaffians,
 interpolation and Sturm counts work on plain integers.  One elimination,
 `rref_int`, serves every echelon form, rank and kernel, over the integers or
 the Gaussian integers; the characteristic polynomials and root searches work
-on them too.  The explicitly numeric operations at the end of the module
-take and return `numpy` arrays; `Matrix.to_numpy` is the one bridge from the
-exact side.  These three functions import numpy when first called, so the
-exact side never loads it.
+on them too.  The one numeric operation at the end of the module,
+`matrix_exp_numeric`, takes and returns `numpy` arrays; `Matrix.to_numpy` is
+the one bridge from the exact side.  Both import numpy when first called, so
+the exact side never loads it.
 """
 from __future__ import annotations
 
@@ -139,10 +139,6 @@ def scalar_im(x) -> Fraction:
 def scalar_key(x):
     """Deterministic sort key for exact scalars: (real, imaginary)."""
     return (scalar_re(x), scalar_im(x))
-
-
-def to_complex(x) -> complex:
-    return complex(x) if isinstance(x, GaussianRational) else complex(float(x), 0.0)
 
 
 def _rational(text: str) -> Fraction:
@@ -836,14 +832,3 @@ def matrix_exp_numeric(a: np.ndarray, tol: float = 1e-12) -> np.ndarray:
         raise NumericError("overflow in matrix exponential")
     return result
 
-
-def numeric_rank(a: np.ndarray, tol: float = 1e-9) -> int:
-    """Rank by singular-value threshold relative to the largest value."""
-    import numpy as np
-    if a.size == 0:
-        return 0
-    svals = np.linalg.svd(a, compute_uv=False)
-    top = svals[0] if len(svals) else 0.0
-    if top <= tol:
-        return 0
-    return int((svals > tol * top).sum())

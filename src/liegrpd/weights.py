@@ -37,6 +37,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .exact import (
+    NumericError,
     charpoly_int,
     common_denominator,
     gaussian_rational_roots,
@@ -229,7 +230,7 @@ def _weights_float(mats, tol):
         return []
     found = _common_eigenvector_float(mats, tol)
     if found is None:
-        raise ArithmeticError("float weight search failed to find a joint eigenvector")
+        raise NumericError("float weight search failed to find a joint eigenvector")
     lam, vec = found
     if n == 1:
         return [lam]

@@ -126,7 +126,7 @@ from liegrpd.exact import ROOT_SEARCH_BUDGET, Matrix, NumericError, Scalar, _Bud
 from liegrpd.exact import matrix_exp_numeric
 from liegrpd.exact import _gaussian_divisors
 from liegrpd.exact import GaussianRational, format_scalar, gaussian, is_exact, poly_eval
-from liegrpd.exact import kernel_int, rref_int, to_complex, zi_over, zi_rows
+from liegrpd.exact import kernel_int, rref_int, zi_over, zi_rows
 from liegrpd.exact import scalar_im, scalar_key, scalar_re
 from liegrpd import groupoids
 from liegrpd.groupoids import (
@@ -262,7 +262,7 @@ class DenseMatrix:
         for i, row in enumerate(self.data):
             for j, x in enumerate(row):
                 try:
-                    out[i, j] = to_complex(x) if is_complex else float(x)
+                    out[i, j] = complex(x) if is_complex else float(x)
                 except OverflowError:
                     raise NumericError(
                         f"matrix entry ({i}, {j}) does not fit a float"

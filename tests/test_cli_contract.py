@@ -10,6 +10,8 @@ exits 2 under every subcommand, except the `validate` runs named in
 its command, and exits 1 exactly when its `ok` or `valid` verdict is false.
 An unwritable `--out` exits 2.  A non-finite `--tol` exits 2 under
 every subcommand that reads it, and so does a probe `--tol` of 1 or more.
+A weight search that fails on a companion-form algebra exits 2 with a one-line
+reason under `roots`, `exptest` and `census`.
 A coefficient too large for a float is left to
 `test_cli.py::TestNumericBridgeOverflow`.
 """
@@ -182,6 +184,15 @@ TOL_SUBS = ("roots", "exptest", "probe-minus-one")
 # a -1 witness
 PROBE_TOLS_AT_LEAST_ONE = ("1", "3", "1e300")
 
+# R x_A Q^3 with A the companion matrix of (t - 10^7)(t - 1)(t - 2): the exact
+# root search gives up on the cubic, and the float weight search finds no
+# joint eigenvector; its ArithmeticError used to escape `main`
+COMPANION_FORM = {"dim": 4, "brackets": [
+    {"i": 0, "j": 1, "coeffs": {"2": "1"}},
+    {"i": 0, "j": 2, "coeffs": {"3": "1"}},
+    {"i": 0, "j": 3, "coeffs": {"1": "20000000", "2": "-30000002", "3": "10000003"}}]}
+WEIGHT_SUBS = ("roots", "exptest", "census")
+
 
 def _cases(tmp_path):
     """(argv, expected exit code); the code is None on the catalog, the
@@ -230,6 +241,10 @@ def _cases(tmp_path):
         yield ["lie", sub, "--name", "e2", "--tol", "0"], None
     for tol in PROBE_TOLS_AT_LEAST_ONE:
         yield ["lie", "probe-minus-one", "--name", "heisenberg", "--tol", tol], 2
+    companion = tmp_path / "alg_companion_form.json"
+    companion.write_text(json.dumps(COMPANION_FORM))
+    for sub in WEIGHT_SUBS:
+        yield ["lie", sub, "--in", str(companion)], 2
 
 
 def test_every_subcommand_keeps_the_exit_contract(tmp_path):
@@ -254,6 +269,15 @@ def test_every_subcommand_keeps_the_exit_contract(tmp_path):
         codes.add(first[0])
     assert codes == {0, 1, 2}
     assert violations == VERIFIED_VIOLATIONS
+
+
+def test_a_failed_weight_search_exits_2_with_one_line(tmp_path):
+    companion = tmp_path / "companion_form.json"
+    companion.write_text(json.dumps(COMPANION_FORM))
+    for sub in WEIGHT_SUBS:
+        code, out, err = _capture(["lie", sub, "--in", str(companion)])
+        assert (code, out) == (2, ""), sub
+        assert err == "error: float weight search failed to find a joint eigenvector\n", sub
 
 
 def test_an_unwritable_out_exits_2(tmp_path):

@@ -1,4 +1,4 @@
-"""Oracles for skew forms, isotropy, flows, and the open-component census.
+"""Oracles for skew forms, isotropy and the open-component census.
 
 Frozen values below were computed by hand from the structure constants:
 for the ax+b algebra ([Y1,Y2] = Y2) the form is [[0, xi2], [-xi2, 0]] with
@@ -11,7 +11,6 @@ import math
 import random
 from fractions import Fraction as Q
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -30,6 +29,7 @@ from dense_reference import (
 )
 from liegrpd import coadjoint
 from liegrpd.catalog import (
+    LIE_CATALOG,
     axb,
     axb_semidirect_plane,
     complex_borel,
@@ -43,15 +43,14 @@ from liegrpd.coadjoint import (
     _det_at,
     _segment_nondegenerate,
     bform,
-    coadjoint_flow,
     is_open_orbit,
     isotropy_algebra,
     minus_one_probe,
     open_component_census,
     orbit_dimension,
 )
-from liegrpd.exact import GaussInt, Matrix, gaussian, scalar_im, scalar_re, to_complex, zi_parts
-from liegrpd.lie import Subspace, ad_matrix, from_brackets
+from liegrpd.exact import GaussInt, Matrix, gaussian, scalar_im, scalar_re, zi_parts
+from liegrpd.lie import Subspace, ad_matrix, derived_series, from_brackets
 
 
 class TestSkewForm:
@@ -192,43 +191,6 @@ class TestFrobenius:
         # det of the 4x4 skew form vanishes identically (nilpotent, index 2)
         census = open_component_census(filiform4(), samples=2, seed=5)
         assert census.component_count == 0
-
-
-class TestFlow:
-    def test_axb_exponential_decay(self):
-        L = axb()
-        res = coadjoint_flow(L, (Q(0), Q(1)), (Q(1), Q(0)), 1.0)
-        final = res.points[-1]
-        assert abs(final[0]) < 1e-12
-        assert abs(final[1] - math.exp(-1.0)) < 1e-6
-
-    def test_heisenberg_center_coordinate_constant(self):
-        L = heisenberg()
-        res = coadjoint_flow(L, (Q(0), Q(0), Q(1)), (Q(1), Q(1), Q(0)), 2.0)
-        assert all(abs(p[2] - 1.0) < 1e-9 for p in res.points)
-
-    def test_rank_conserved_along_flow(self):
-        L = realified_borel()
-        res = coadjoint_flow(L, (Q(1), Q(2), Q(0), Q(1)), (Q(1), Q(0), Q(1), Q(0)), 1.5)
-        assert res.initial_rank == 4
-        assert res.rank_conserved
-
-    def test_zero_time(self):
-        res = coadjoint_flow(axb(), (Q(1), Q(1)), (Q(1), Q(0)), 0.0)
-        assert len(res.points) == 1 and res.rank_conserved
-
-    def test_linear_flow_matches_matrix_exponential(self):
-        # integrating the linear field must agree with exp(-t ad(x)^T) xi
-        from liegrpd.exact import matrix_exp_numeric
-        from liegrpd.lie import ad_matrix
-
-        L = euclid2()
-        x = (Q(1), Q(0), Q(0))
-        t = 1.25
-        res = coadjoint_flow(L, (Q(1), Q(2), Q(3)), x, t)
-        gen = (-ad_matrix(L, x).transpose()).to_numpy()
-        expected = matrix_exp_numeric(gen * t) @ np.array([1.0, 2.0, 3.0])
-        assert np.allclose(np.array(res.points[-1]), expected, atol=1e-7)
 
 
 class TestCensus:
@@ -439,19 +401,50 @@ def test_census_first_sample_is_the_reference_witness(name):
             assert (census.component_count > 0, witness) == ref_frobenius_test(L, seed=seed)
 
 
-@pytest.mark.parametrize("name", sorted(REFERENCE_CASES) + ["complex_borel"])
-def test_flow_float_form_equals_dense_reference(name, monkeypatch):
-    # the flow's float skew forms against the dense float tensor times xi
-    L, t = (complex_borel(), COMPLEX_BOREL) if name == "complex_borel" else REFERENCE_CASES[name]()
-    rng = random.Random(name)
-    xi = tuple(rng.uniform(-3, 3) for _ in range(L.dim))
-    forms = []
-    monkeypatch.setattr(coadjoint, "numeric_rank", lambda a, tol: forms.append(a) or 0)
-    coadjoint_flow(L, xi, (Q(0),) * L.dim, 0.0)  # float xi0: both ranks are numeric
-    dense_float = np.array([[[to_complex(c) for c in row] for row in plane] for plane in t])
-    assert len(forms) == 2
-    for a in forms:
-        assert np.allclose(a, dense_float @ np.array(xi), rtol=1e-12, atol=1e-12)
+def _coadjoint_action(L, x, xi, transpose=True):
+    """Ad*(exp x) xi = xi o exp(-ad x), the point exp(-ad x)^T xi, exactly:
+    ad x is nilpotent, so exp(-ad x) is the finite sum of (-ad x)^k / k!.
+    transpose=False applies exp(-ad x) itself, the mistake the check must
+    catch."""
+    m, ad = L.dim, ad_matrix(L, x).data
+    term = [[Q(int(i == j)) for j in range(m)] for i in range(m)]
+    exp = [row[:] for row in term]
+    for k in range(1, m + 1):
+        term = [[-sum((row[l] * ad[l][j] for l in range(m)), Q(0)) * Q(1, k)
+                 for j in range(m)] for row in term]
+        exp = [[a + b for a, b in zip(r, t)] for r, t in zip(exp, term)]
+    assert all(c == 0 for row in term for c in row), "ad x is not nilpotent"
+    if transpose:
+        exp = [list(col) for col in zip(*exp)]
+    return tuple(sum((a * b for a, b in zip(row, xi)), Q(0)) for row in exp)
+
+
+# the Q and Q(i) catalog algebras and the conjugated dense cases
+AD_STAR_CASES = dict(LIE_CATALOG, **{name: (lambda case=case: case()[0])
+                                     for name, case in REFERENCE_CASES.items() if "~" in name})
+
+
+@pytest.mark.parametrize("name", sorted(AD_STAR_CASES))
+def test_coadjoint_action_keeps_the_orbit_dimension(name):
+    # x in [L, L], where ad x is nilpotent because L is solvable
+    L, rng = AD_STAR_CASES[name](), random.Random(name)
+    derived, moved = derived_series(L)[1].rows, False
+    for _ in range(4):
+        coeffs = [Q(rng.randint(-3, 3), rng.randint(1, 3)) for _ in derived]
+        x = [sum((a * c for a, c in zip(coeffs, col)), Q(0)) for col in zip(*derived)]
+        xi = _random_point(rng, L.dim, denominators=(1, 2, 3))
+        eta = _coadjoint_action(L, x, xi)
+        assert orbit_dimension(L, eta) == orbit_dimension(L, xi), (x, xi)
+        moved |= eta != xi
+    assert moved or name == "heisenberg"  # heisenberg's [L, L] is its center
+
+
+def test_the_ad_star_check_catches_a_missing_transpose():
+    # heisenberg is nilpotent, so ad Y1 is nilpotent though Y1 is not in [L, L]
+    L, x, xi = heisenberg(), (Q(1), Q(0), Q(0)), (Q(0), Q(1), Q(1))
+    assert _coadjoint_action(L, x, xi) == (0, 0, 1)
+    assert orbit_dimension(L, _coadjoint_action(L, x, xi)) == orbit_dimension(L, xi) == 2
+    assert orbit_dimension(L, _coadjoint_action(L, x, xi, transpose=False)) == 0
 
 
 def test_integer_tensor_over_the_gaussian_rationals():

@@ -27,7 +27,6 @@ from liegrpd.exact import (
     gaussian_rational_roots,
     matrix_exp_numeric,
     newton_interpolate,
-    numeric_rank,
     parse_scalar,
     pfaffian_int,
     poly_eval,
@@ -395,12 +394,6 @@ class TestNumeric:
         m = np.array([[1.0, 2.0], [0.0, 3.0]])
         vals = eigenvalues_numeric(m)
         assert np.allclose(sorted(v.real for v in vals), [1.0, 3.0], atol=1e-9)
-
-    def test_numeric_rank(self):
-        a = np.array([[1.0, 2.0], [2.0, 4.0]])
-        assert numeric_rank(a) == 1
-        assert numeric_rank(np.eye(3)) == 3
-        assert numeric_rank(np.zeros((2, 2))) == 0
 
 
 def pfaffian_by_matchings(a):

@@ -1,12 +1,11 @@
 """numpy and the package's own modules are loaded on first use.
 
-Only the float helpers (`exact.to_numpy`, `matrix_exp_numeric`,
-`numeric_rank`, the float weight search, the coadjoint flow and the -1
-probe) and the groupoid index tables import numpy, inside the functions that
-use it.  `import liegrpd.cli` loads only `cli` and the kernel `exact`; each
-command imports the rest of its own side.  A fresh interpreter shows which
-commands load what; a `symtable` scan shows that no function can read `np`
-before it is bound.
+Only the float helpers (`exact.to_numpy`, `matrix_exp_numeric`, the float
+weight search and the -1 probe) and the groupoid index tables import numpy,
+inside the functions that use it.  `import liegrpd.cli` loads only `cli` and
+the kernel `exact`; each command imports the rest of its own side.  A fresh
+interpreter shows which commands load what; a `symtable` scan shows that no
+function can read `np` before it is bound.
 """
 import importlib
 import json

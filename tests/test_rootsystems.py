@@ -7,7 +7,10 @@ subalgebras carry an open coadjoint orbit (cascade as large as the rank).
 Every system of rank <= 8, and A-D up to rank 10, is also built by the
 `Fraction` reference in `dense_reference.py`, which must give the same roots,
 heights and cascade in the same order; every system of rank <= 12 must also
-match the doubled-coordinate reference there, field by field.
+match the doubled-coordinate reference there, field by field.  Every
+system of rank <= 8 has the standard Cartan matrix, written out here from the
+Dynkin diagrams, and every entry 2(alpha_i, alpha_j) / (alpha_j, alpha_j) of
+its simple roots is an integer.
 """
 import dataclasses
 import itertools
@@ -244,6 +247,82 @@ class TestChecksCanFail:
         cut = dataclasses.replace(rs, cartan=((2, 0), (0, 2)))  # A1 + A1: alpha_1, alpha_2
         with pytest.raises(AssertionError, match="not orthogonal"):
             kostant_cascade(cut)
+
+
+def standard_cartan(family, l):
+    """The Cartan matrix a_ij = <alpha_i, alpha_j^vee> = 2(alpha_i, alpha_j) /
+    (alpha_j, alpha_j) in Bourbaki's numbering (Humphreys, section 11.4),
+    from the Dynkin diagram's bonds (i, j, a_ij, a_ji)."""
+    chain = [(i, i + 1, -1, -1) for i in range(l - 1)]
+    bonds = {
+        "A": chain,
+        "B": chain[:-1] + [(l - 2, l - 1, -2, -1)],  # alpha_l short
+        "C": chain[:-1] + [(l - 2, l - 1, -1, -2)],  # alpha_l long
+        "D": chain[:-1] + [(l - 3, l - 1, -1, -1)],  # the fork at alpha_(l-2)
+        "E": [(0, 2, -1, -1), (1, 3, -1, -1)] + chain[2:],  # alpha_2 on alpha_4
+        "F": [(0, 1, -1, -1), (1, 2, -2, -1), (2, 3, -1, -1)],
+        "G": [(0, 1, -1, -3)],  # alpha_1 short
+    }[family]
+    a = [[2 if i == j else 0 for j in range(l)] for i in range(l)]
+    for i, j, a_ij, a_ji in bonds:
+        a[i][j], a[j][i] = a_ij, a_ji
+    return tuple(map(tuple, a))
+
+
+def cartan_problems(family, rank):
+    """How `build_root_system(family, rank)` departs from the standard Cartan
+    matrix: a ratio 2(alpha_i, alpha_j) / (alpha_j, alpha_j) of its simple
+    roots that is not an integer, a `cartan` entry that is not its ratio (a
+    floored one), or ratios that are not `standard_cartan(family, rank)`."""
+    rs = build_root_system(family, rank)
+
+    def dot(a, b):
+        return sum(x * y for x, y in zip(a, b))
+
+    ratios = tuple(tuple(2 * dot(a, b) / dot(b, b) for b in rs.simple_roots)
+                   for a in rs.simple_roots)
+    problems = []
+    if any(x.denominator != 1 for row in ratios for x in row):
+        problems.append("not integral")
+    if rs.cartan != ratios:
+        problems.append("floored")
+    if ratios != standard_cartan(family, rank):
+        problems.append("not standard")
+    return problems
+
+
+CARTAN_SYSTEMS = [(family, rank) for family, lo in (("A", 1), ("B", 2), ("C", 2), ("D", 3))
+                  for rank in range(lo, 9)]
+CARTAN_SYSTEMS += [("E", 6), ("E", 7), ("E", 8), ("F", 4), ("G", 2)]
+
+
+class TestCartanMatrix:
+    @pytest.mark.parametrize("family,rank", CARTAN_SYSTEMS,
+                             ids=[f"{f}{r}" for f, r in CARTAN_SYSTEMS])
+    def test_is_the_standard_integral_matrix(self, family, rank):
+        assert cartan_problems(family, rank) == []
+
+    def test_b4_with_a_doubled_short_root_has_the_matrix_of_c4(self, monkeypatch):
+        from liegrpd import rootsystems
+
+        simples = rootsystems._simple_roots("B", 4)
+        simples[3] = (0, 0, 0, 4)  # doubled alpha_4 = 2 e_4 in place of e_4
+        monkeypatch.setattr(rootsystems, "_simple_roots", lambda family, rank: simples)
+        assert cartan_problems("B", 4) == ["not standard"]
+        assert build_root_system("B", 4).cartan == standard_cartan("C", 4)
+
+    @pytest.mark.parametrize("index,bad", [
+        (0, (2, -2, 1)), (1, (-4, 1, 2)), (1, (-4, 2, 3)), (1, (-4, 2, 4)),
+    ])
+    def test_g2_with_one_wrong_entry_has_a_floored_matrix(self, monkeypatch, index, bad):
+        from liegrpd import rootsystems
+
+        simples = rootsystems._simple_roots("G", 2)
+        assert sum(x != y for x, y in zip(simples[index], bad)) == 1
+        simples[index] = bad
+        monkeypatch.setattr(rootsystems, "_simple_roots", lambda family, rank: simples)
+        assert len(build_root_system("G", 2).positive_roots) == 6  # the count passes
+        assert cartan_problems("G", 2)[:2] == ["not integral", "floored"]
 
 
 REFERENCE_SYSTEMS = [(family, rank) for family, lo in (("A", 1), ("B", 2), ("C", 2), ("D", 3))
