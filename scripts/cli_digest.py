@@ -42,7 +42,9 @@ groupoid benchmark validates: a pair groupoid, a bundle of cyclic groups and
 the transformation groupoid of a permutation-group action with a fixed
 point.  An eighth runs `probe-minus-one` (JSON) at `--seed 1` and `--seed 2`
 on every catalog algebra and on the second ladder's sums, whose random
-directions change with the seed.  The documents of the second to eighth
+directions change with the seed, and on two documents whose spectra floats
+cannot hold: [Y1, Y2] = 10^399 Y2, and R x_A Q^3 with A the companion
+matrix of (t - 10^7)(t - 1)(t - 2).  The documents of the second to eighth
 ladders are written by this script under fixed names in a temporary
 directory.  Every path is relative
 (corpus paths to the checkout, the written documents to that directory), so
@@ -316,6 +318,19 @@ def seventh_ladder(docs):
                 yield ["grpd", sub, "--in", name, "--format", fmt] + extra
 
 
+def probe_docs():
+    """file name -> algebra document for the eighth ladder's last runs."""
+    return {
+        "huge_weight.json": {"dim": 2, "field": "Q", "brackets": [
+            {"i": 0, "j": 1, "coeffs": {"1": "1" + "0" * 399}}]},
+        "companion_form.json": {"dim": 4, "field": "Q", "brackets": [
+            {"i": 0, "j": 1, "coeffs": {"2": "1"}},
+            {"i": 0, "j": 2, "coeffs": {"3": "1"}},
+            {"i": 0, "j": 3, "coeffs": {"1": "20000000", "2": "-30000002",
+                                        "3": "10000003"}}]},
+    }
+
+
 def probe_ladder(names):
     inputs = [["--name", n] for n in catalog.LIE_CATALOG] + [["--in", n] for n in names]
     for inp in inputs:
@@ -356,9 +371,13 @@ def main() -> None:
         grpd_docs = seventh_docs()
         for name, (doc, _) in grpd_docs.items():
             Path(name).write_text(json.dumps(doc))
+        probed = probe_docs()
+        for name, doc in probed.items():
+            Path(name).write_text(json.dumps(doc))
         for argv in itertools.chain(sum_ladder(algebras), third_ladder(docs),
                                     fourth_ladder(), fifth_ladder(), sixth_ladder(weighted),
-                                    seventh_ladder(grpd_docs), probe_ladder(algebras)):
+                                    seventh_ladder(grpd_docs),
+                                    probe_ladder([*algebras, *probed])):
             code, digest = run(argv)
             print(f"{' '.join(argv)}\t{code}\t{digest}")
         os.chdir(ROOT)

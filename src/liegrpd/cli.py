@@ -14,7 +14,6 @@ import argparse
 import functools
 import hashlib
 import json
-import math
 import sys
 from fractions import Fraction
 
@@ -30,8 +29,6 @@ class InputError(Exception):
 def _jsonable(x):
     if isinstance(x, Fraction) or hasattr(x, "re"):
         return format_scalar(x)
-    if isinstance(x, complex):
-        return {"re": x.real, "im": x.imag}
     if isinstance(x, dict):
         return {str(k): _jsonable(v) for k, v in x.items()}
     if isinstance(x, (list, tuple)):
@@ -223,7 +220,7 @@ def cmd_lie_roots(args) -> dict:
 
     L, meta = _load_algebra(args)
     try:
-        roots = algebra_roots(L, tol=args.tol)
+        roots = algebra_roots(L)
     except SolvabilityError as exc:
         raise InputError(f"roots need a solvable algebra: {exc}") from exc
     return {
@@ -240,7 +237,7 @@ def cmd_lie_exptest(args) -> dict:
 
     L, meta = _load_algebra(args)
     try:
-        res = algebra_is_exponential(L, tol=args.tol)
+        res = algebra_is_exponential(L)
     except SolvabilityError as exc:
         raise InputError(f"the test needs a solvable algebra: {exc}") from exc
     return {
@@ -328,13 +325,13 @@ def cmd_lie_probe_minus_one(args) -> dict:
     from .coadjoint import minus_one_probe
 
     L, meta = _load_algebra(args)
-    probe = minus_one_probe(L, seed=args.seed, tol=max(args.tol, 1e-9))
+    probe = minus_one_probe(L, seed=args.seed)
     return {
         "input": meta,
         "found": probe.found,
-        "direction": probe.direction if probe.found else None,
+        "direction": probe.direction,
         "t": probe.t_label,
-        "eigenvalue": _jsonable(probe.eigenvalue) if probe.found else None,
+        "eigenvalue": probe.eigenvalue,
     }
 
 
@@ -528,17 +525,14 @@ def cmd_grpd_regrep(args) -> dict:
 # parser
 
 
-def _checked(convert, accept, expected: str):
-    """An argparse type: `convert` of the text, refused unless `accept` holds."""
-    def parse(text: str):
-        try:
-            value = convert(text)
-        except ValueError:
-            value = None
-        if value is None or not accept(value):
-            raise argparse.ArgumentTypeError(f"expected {expected}, got {text!r}")
-        return value
-    return parse
+def _positive_int(text: str) -> int:
+    """An argparse type: a positive integer."""
+    try:
+        if int(text) >= 1:
+            return int(text)
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
 
 
 def _add_io_flags(p, source=True):
@@ -549,19 +543,13 @@ def _add_io_flags(p, source=True):
     p.add_argument("--out", help="write the report to this file")
 
 
-_finite = _checked(float, math.isfinite, "a finite number")
 # every other flag, registered only on the subcommands that read it
 _FLAGS = {
     "--seed": dict(type=int, default=0),
-    "--samples": dict(type=_checked(int, lambda n: n >= 1, "a positive integer"), default=512),
-    "--tol": dict(type=_finite, default=1e-9),
+    "--samples": dict(type=_positive_int, default=512),
     "--point": dict(required=True, help="comma-separated rational coordinates"),
     "--object": dict(required=True, help="base object label"),
 }
-# a -1 witness lies within tol of -1; below 1 that disc lies in the left
-# half-plane, so a positive eigenvalue (1, on a nilpotent direction) is none
-_PROBE_TOL = dict(type=_checked(_finite, lambda t: t < 1, "a finite number below 1"),
-                  default=1e-9)
 
 
 def _add_subcommands(sub, group, table):
@@ -569,8 +557,7 @@ def _add_subcommands(sub, group, table):
         p = sub.add_parser(name)
         _add_io_flags(p)
         for flag in flags:
-            flag, spec = flag if isinstance(flag, tuple) else (flag, _FLAGS[flag])
-            p.add_argument(flag, **spec)
+            p.add_argument(flag, **_FLAGS[flag])
         p.set_defaults(fn=fn, command_name=f"{group} {name}")
 
 
@@ -588,12 +575,12 @@ def build_parser() -> argparse.ArgumentParser:
     _add_subcommands(lie_sub, "lie", [
         ("validate", cmd_lie_validate, ()),
         ("series", cmd_lie_series, ()),
-        ("roots", cmd_lie_roots, ("--tol",)),
-        ("exptest", cmd_lie_exptest, ("--tol",)),
+        ("roots", cmd_lie_roots, ()),
+        ("exptest", cmd_lie_exptest, ()),
         ("coadjoint", cmd_lie_coadjoint, ("--point",)),
         ("census", cmd_lie_census, ("--seed", "--samples")),
         ("stratify", cmd_lie_stratify, ("--seed", "--samples")),
-        ("probe-minus-one", cmd_lie_probe_minus_one, ("--seed", ("--tol", _PROBE_TOL))),
+        ("probe-minus-one", cmd_lie_probe_minus_one, ("--seed",)),
     ])
 
     cas = sub.add_parser("cascade", help="root-system cascade rank test")

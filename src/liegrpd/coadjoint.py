@@ -15,13 +15,12 @@ roots are counted by a Sturm chain, both on integers.
 False merges are therefore impossible: samples from different components
 never share a class, though a connection the straight probes miss can split
 one component into several classes.  The census's first kept sample is
-the open-orbit witness.  Floats appear only in the eigenvalue -1 probe,
-which screens its t grid with the eigenvalues of ad(x) before it confirms a
-witness by a Taylor exponential.
+the open-orbit witness.  The eigenvalue -1 probe is exact too: it reads
+the purely imaginary eigenvalues of ad(x) off an integer characteristic
+polynomial, so the module holds no float.
 """
 from __future__ import annotations
 
-import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -29,8 +28,8 @@ from typing import Sequence
 
 from .exact import (
     Matrix,
-    NumericError,
-    matrix_exp_numeric,
+    charpoly_int,
+    imaginary_integer_roots,
     newton_interpolate,
     kernel_int,
     pfaffian_int,
@@ -291,51 +290,31 @@ def open_component_census(L: LieAlgebra, samples: int = 512, seed: int = 0) -> C
 class MinusOneProbe:
     found: bool
     direction: tuple | None  # rational direction x
-    t_label: str | None  # e.g. "5/8" or "(3/8)pi"
-    t_value: float | None
-    eigenvalue: complex | None
+    t_label: str | None  # t = (k/8)pi as "(k/8)pi"
+    eigenvalue: Fraction | None  # the exact -1 when found
 
 
-def minus_one_probe(L: LieAlgebra, seed: int = 0, tol: float = 1e-6) -> MinusOneProbe:
-    """Scan exp(ad(t x)) for an eigenvalue -1 over basis and random directions.
+def minus_one_probe(L: LieAlgebra, seed: int = 0) -> MinusOneProbe:
+    """Scan exp(t ad x) for an eigenvalue -1 over the basis and five seeded
+    random directions x, at t = k/8 and (k/8)pi for k = 1..24; report the
+    least k of the first direction with a hit.
 
-    The grid includes rational multiples of pi, where rotation generators hit
-    -1 exactly.  Exponential algebras produce no witness.  exp(t A) has the
-    eigenvalues exp(t mu), mu those of A = ad(x), so one solve screens the
-    grid: a Taylor exponential of t A is taken only where some |exp(t mu) + 1|
-    is below tol + 1/2 or not finite (everywhere if the solve fails), and a
-    witness is one of its eigenvalues within tol of -1, first in scan order.
+    exp(t A) has the eigenvalue -1 exactly when A = ad(x) has an eigenvalue
+    mu with t mu = i pi (2j + 1).  mu is algebraic, so no rational t hits.
+    With A = N/s, N integral, mu = iw/s for a root iw of the monic
+    P = charpoly_int(N): w is a rational algebraic integer, an integer, and
+    t = (k/8)pi hits exactly when wk/(8s) is odd.  An index whose row or
+    column of N is zero adds only a factor lambda to P, so it is dropped.
     """
-    import numpy as np
-    m = L.dim
-    rng = random.Random(seed)
-    directions = [
-        tuple(Fraction(1 if j == i else 0) for j in range(m)) for i in range(m)
-    ]
-    for _ in range(5):
-        v = tuple(Fraction(rng.randint(-2, 2)) for _ in range(m))
-        if any(x != 0 for x in v):
-            directions.append(v)
-    grid = []
-    for k in range(1, 25):
-        grid.append((k / 8.0, f"{k}/8"))
-        grid.append((k * math.pi / 8.0, f"({k}/8)pi"))
-    ts = np.array([t for t, _ in grid])
-    for x in directions:
-        ad = ad_matrix(L, x).to_numpy()
-        try:
-            with np.errstate(all="ignore"):
-                gap = np.abs(np.exp(np.outer(ts, np.linalg.eigvals(ad))) + 1.0)
-                screen = ((gap < tol + 0.5) | ~np.isfinite(gap)).any(axis=1)
-        except np.linalg.LinAlgError:
-            screen = [True] * len(grid)
-        for t, label in [point for point, kept in zip(grid, screen) if kept]:
-            try:
-                e = matrix_exp_numeric(ad * t)
-            except NumericError:
-                continue
-            vals = np.linalg.eigvals(e)
-            for lam in vals:
-                if abs(lam + 1.0) < tol:
-                    return MinusOneProbe(True, x, label, t, complex(lam))
-    return MinusOneProbe(False, None, None, None, None)
+    m, rng = L.dim, random.Random(seed)
+    drawn = [tuple(Fraction(rng.randint(-2, 2)) for _ in range(m)) for _ in range(5)]
+    basis = [tuple(Fraction(int(j == i)) for j in range(m)) for i in range(m)]
+    for x in basis + [v for v in drawn if any(v)]:
+        ad = ad_matrix(L, x)
+        n, q = ad.ints, 8 * ad.denominator
+        live = [i for i in range(m) if any(n[i]) and any(row[i] for row in n)]
+        ws = imaginary_integer_roots(charpoly_int([[n[i][j] for j in live] for i in live]))
+        for k in range(1, 25):
+            if any(w * k % q == 0 and w * k // q % 2 for w in ws):
+                return MinusOneProbe(True, x, f"({k}/8)pi", Fraction(-1))
+    return MinusOneProbe(False, None, None, None)

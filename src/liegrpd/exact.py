@@ -9,10 +9,9 @@ lowest terms; its `Fraction` rows are rebuilt only for reports.  Pfaffians,
 interpolation and Sturm counts work on plain integers.  One elimination,
 `rref_int`, serves every echelon form, rank and kernel, over the integers or
 the Gaussian integers; the characteristic polynomials and root searches work
-on them too.  The one numeric operation at the end of the module,
-`matrix_exp_numeric`, takes and returns `numpy` arrays; `Matrix.to_numpy` is
-the one bridge from the exact side.  Both import numpy when first called, so
-the exact side never loads it.
+on them too (`imaginary_integer_roots` bisects a Sturm chain, with no budget).
+`Matrix.to_numpy`, the float weight fallback's one bridge to floats, imports
+numpy when first called, so the exact side never loads it.
 """
 from __future__ import annotations
 
@@ -748,87 +747,88 @@ def newton_interpolate(values) -> list:
     return out
 
 
-def _prem(a, b):
-    """Pseudo-remainder lc(b)^(deg a - deg b + 1) a mod b of integer polynomials."""
-    a, lead, db = list(a), b[-1], len(b) - 1
+def _trim(p) -> list:
+    """The integer polynomial p without its zero leading coefficients ([0] for 0)."""
+    p = list(p)
+    while len(p) > 1 and p[-1] == 0:
+        p.pop()
+    return p
+
+
+def _pdivide(a, b) -> tuple:
+    """(q, r) with lc(b)^(deg a - deg b + 1) a = q b + r, deg r < deg b, b != 0."""
+    a, lead, db, q = list(a), b[-1], len(b) - 1, []
     for k in range(len(a) - len(b), -1, -1):
         c = a.pop()
         a = [lead * x for x in a]
         for i in range(db):
             a[k + i] -= c * b[i]
-    while len(a) > 1 and a[-1] == 0:
-        a.pop()
-    return a
+        q = [c] + [lead * x for x in q]
+    return q, _trim(a)
 
 
-def sturm_root_count(p, a: int, b: int) -> int:
-    """Number of distinct real roots of the integer polynomial p in (a, b].
+def _sturm_chain(p) -> list:
+    """The Sturm chain p, p', ..., c gcd(p, p') of a trimmed integer polynomial.
 
-    The chain p, p', ... continues with -rem(s_{i-1}, s_i) taken as the
-    pseudo-remainder lc(s_i)^(d+1) s_{i-1} mod s_i, d the degree drop, negated
-    unless that factor is negative and divided by its positive content: a
-    positive multiple of the rational chain's element, so every sign agrees.
+    Each next element -rem(s_{i-1}, s_i) is the pseudo-remainder
+    lc(s_i)^(d+1) s_{i-1} mod s_i, d the degree drop, negated unless that
+    factor is negative and divided by its positive content: a positive
+    multiple of the rational chain's element, so every sign agrees.
     """
-    p = list(p)
-    while len(p) > 1 and p[-1] == 0:
-        p.pop()
-    if len(p) == 1:
-        return 0
     chain = [p, [i * c for i, c in enumerate(p)][1:]]
     while len(chain[-1]) > 1:
         s, t = chain[-2], chain[-1]
-        rem = _prem(s, t)
+        rem = _pdivide(s, t)[1]
         if rem == [0]:
             break
         g = math.gcd(*rem)
         negative = t[-1] < 0 and (len(s) - len(t)) % 2 == 0
         chain.append([x // g if negative else -x // g for x in rem])
-
-    def variations(x):
-        signs = [v > 0 for v in (poly_eval(q, x) for q in chain) if v]
-        return sum(u != w for u, w in zip(signs, signs[1:]))
-
-    return variations(a) - variations(b)
+    return chain
 
 
-# ---------------------------------------------------------------------------
-# numeric operations
+def _variations(chain, x: int) -> int:
+    """Sign changes along the chain's values at x, zeros skipped."""
+    signs = [v > 0 for v in (poly_eval(q, x) for q in chain) if v]
+    return sum(u != w for u, w in zip(signs, signs[1:]))
 
 
-def matrix_exp_numeric(a: np.ndarray, tol: float = 1e-12) -> np.ndarray:
-    """Matrix exponential by scaling and squaring of a Taylor sum.
+def sturm_root_count(p, a: int, b: int) -> int:
+    """Number of distinct real roots of the integer polynomial p in (a, b]."""
+    chain = _sturm_chain(_trim(p))
+    return _variations(chain, a) - _variations(chain, b)
 
-    The input is scaled by 2^-s until its 1-norm is below 1/2, the series is
-    summed until the next term's norm drops below tol, and the result is
-    squared s times.
+
+def imaginary_integer_roots(p) -> list:
+    """The nonzero integers w with p(iw) = 0, ascending, for a nonzero
+    polynomial p over Z or Z[i] (lowest degree first).
+
+    Write p(iw) = r(w) + i m(w) over Z; the w are roots of g = gcd(r, m),
+    made squarefree and freed of zero roots, so they divide g(0).  Halving
+    (-|g(0)| - 1, |g(0)|] where g's Sturm count is positive leaves unit
+    intervals (w - 1, w]; p(iw) = 0 confirms each w.  No budget: about
+    log2 |g(0)| chain evaluations per real root of g.
     """
-    import numpy as np
-    a = np.asarray(a)
-    if a.shape[0] != a.shape[1]:
-        raise ValueError("exponential of a non-square matrix")
-    a = a.astype(complex) if np.iscomplexobj(a) else a.astype(float)
-    norm1 = np.abs(a).sum(axis=0).max()
-    s = 0
-    while norm1 >= 0.5:
-        norm1 /= 2.0
-        s += 1
-    b = a / (2.0**s)
-    n = a.shape[0]
-    result = np.eye(n, dtype=b.dtype)
-    term = np.eye(n, dtype=b.dtype)
-    k = 1
-    while True:
-        term = term @ b / k
-        result = result + term
-        tnorm = np.abs(term).sum(axis=0).max()
-        if tnorm < tol:
-            break
-        k += 1
-        if k > 200:
-            raise NumericError("Taylor series failed to converge")
-    for _ in range(s):
-        result = result @ result
-    if not np.all(np.isfinite(result)):
-        raise NumericError("overflow in matrix exponential")
-    return result
-
+    units = (1, GaussInt(0, 1), -1, GaussInt(0, -1))  # i^k
+    r, m = zip(*(zi_parts(c * units[k % 4]) for k, c in enumerate(p)))
+    g, h = _trim(r), _trim(m)
+    while any(h):
+        rem = _pdivide(g, h)[1]
+        g, h = h, [x // (math.gcd(*rem) or 1) for x in rem]
+    while g[0] == 0:
+        g = g[1:]
+    chain = _sturm_chain(g)
+    if len(chain[-1]) > 1:
+        g = _pdivide(g, chain[-1])[0]
+        chain = _sturm_chain(g)
+    n = abs(g[0])
+    found, stack = [], [(-n - 1, n, _variations(chain, -n - 1), _variations(chain, n))]
+    while stack:
+        a, b, va, vb = stack.pop()
+        if va > vb and b - a == 1 and poly_eval(p, zi(0, b)) == 0:
+            found.append(b)
+        elif va > vb and b - a > 1:
+            mid = (a + b) // 2
+            vm = _variations(chain, mid)
+            stack += [(a, mid, va, vm), (mid, b, vm, vb)]
+    return sorted(found)

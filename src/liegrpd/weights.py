@@ -170,27 +170,27 @@ def _weights_exact(M, derived):
 # float fallback
 
 
-def _nullspace_float(a, tol):
+def _nullspace_float(a):
     import numpy as np
     u, s, vh = np.linalg.svd(a)
     scale = max(s[0], 1.0) if len(s) else 1.0
-    null_mask = np.concatenate([s, np.zeros(a.shape[1] - len(s))]) <= tol * scale
+    null_mask = np.concatenate([s, np.zeros(a.shape[1] - len(s))]) <= _FLOAT_TOL * scale
     return vh[null_mask.nonzero()[0], :].conj().T  # columns orthonormal
 
 
-def _intersect_float(q1, q2, tol):
+def _intersect_float(q1, q2):
     import numpy as np
     stacked = np.hstack([q1, -q2])
-    ker = _nullspace_float(stacked, tol)
+    ker = _nullspace_float(stacked)
     if ker.shape[1] == 0:
         return np.zeros((q1.shape[0], 0))
     vecs = q1 @ ker[: q1.shape[1], :]
     q, r = np.linalg.qr(vecs)
-    keep = np.abs(np.diag(r)) > tol * max(1.0, np.abs(r).max())
+    keep = np.abs(np.diag(r)) > _FLOAT_TOL * max(1.0, np.abs(r).max())
     return q[:, : int(keep.sum())]
 
 
-def _common_eigenvector_float(mats, tol):
+def _common_eigenvector_float(mats):
     import numpy as np
     n = mats[0].shape[0]
 
@@ -207,10 +207,10 @@ def _common_eigenvector_float(mats, tol):
             return (), basis[:, 0]
         a = mats[idx]
         for lam in eig_candidates(a):
-            ker = _nullspace_float(a - lam * np.eye(n), tol)
+            ker = _nullspace_float(a - lam * np.eye(n))
             if ker.shape[1] == 0:
                 continue
-            nxt = ker if basis is None else _intersect_float(basis, ker, tol)
+            nxt = ker if basis is None else _intersect_float(basis, ker)
             if nxt.shape[1] == 0:
                 continue
             deeper = descend(idx + 1, nxt)
@@ -223,12 +223,12 @@ def _common_eigenvector_float(mats, tol):
     return descend(0, None)
 
 
-def _weights_float(mats, tol):
+def _weights_float(mats):
     import numpy as np
     n = mats[0].shape[0]
     if n == 0:
         return []
-    found = _common_eigenvector_float(mats, tol)
+    found = _common_eigenvector_float(mats)
     if found is None:
         raise NumericError("float weight search failed to find a joint eigenvector")
     lam, vec = found
@@ -239,14 +239,14 @@ def _weights_float(mats, tol):
     q, _ = np.linalg.qr(span)
     q = q[:, :n]
     quots = [(q.conj().T @ a @ q)[1:, 1:] for a in mats]
-    return [lam] + _weights_float(quots, tol)
+    return [lam] + _weights_float(quots)
 
 
 # ---------------------------------------------------------------------------
 # public API
 
 
-def module_weights(L: LieAlgebra, M: LieModule, tol: float = _FLOAT_TOL):
+def module_weights(L: LieAlgebra, M: LieModule):
     """All weights of a module over a solvable algebra, with multiplicity.
 
     Returns RootFunctionals sorted deterministically; multiplicities sum to
@@ -266,8 +266,7 @@ def module_weights(L: LieAlgebra, M: LieModule, tol: float = _FLOAT_TOL):
         tuples = _weights_exact(M, derived[1])
         exact = True
     except InexactSpectrum:
-        mats = [a.to_numpy().astype(complex) for a in M.actions]
-        tuples = _weights_float(mats, tol)
+        tuples = _weights_float([a.to_numpy().astype(complex) for a in M.actions])
         exact = False
     weights = []
     for lam in tuples:
@@ -307,9 +306,9 @@ def module_weights(L: LieAlgebra, M: LieModule, tol: float = _FLOAT_TOL):
     return fns
 
 
-def algebra_roots(L: LieAlgebra, tol: float = _FLOAT_TOL):
+def algebra_roots(L: LieAlgebra):
     """Weights of the adjoint module (the roots of the algebra)."""
-    return module_weights(L, adjoint_module(L), tol)
+    return module_weights(L, adjoint_module(L))
 
 
 @dataclass(frozen=True)
@@ -327,7 +326,7 @@ class ExponentialTypeResult:
     heuristic: bool
 
 
-def exponential_type_test(L: LieAlgebra, M: LieModule, tol: float = _FLOAT_TOL):
+def exponential_type_test(L: LieAlgebra, M: LieModule):
     """Decide whether every weight is a complex multiple (1 + i theta) of a
     real functional, with no purely imaginary weights.
 
@@ -335,7 +334,7 @@ def exponential_type_test(L: LieAlgebra, M: LieModule, tol: float = _FLOAT_TOL):
     certificate (theta, gamma) or a named violation: "purely imaginary
     weight" or "independent real and imaginary parts".
     """
-    weights = module_weights(L, M, tol)
+    weights = module_weights(L, M)
     heuristic = any(not w.exact for w in weights)
     certs = []
     verdict = True
@@ -375,9 +374,9 @@ def exponential_type_test(L: LieAlgebra, M: LieModule, tol: float = _FLOAT_TOL):
     return ExponentialTypeResult(verdict, tuple(certs), heuristic)
 
 
-def algebra_is_exponential(L: LieAlgebra, tol: float = _FLOAT_TOL):
+def algebra_is_exponential(L: LieAlgebra):
     """Exponential-type verdict for the adjoint module (group exponentiality);
     a Q(i) algebra is tested as its realification, whose verdict is basis-free."""
     if L.field == "Qi":
         L = realify(L)
-    return exponential_type_test(L, adjoint_module(L), tol)
+    return exponential_type_test(L, adjoint_module(L))

@@ -100,12 +100,10 @@ for `ref_adapted_columns`, the flag-adapted columns as `strata` read them
 from the `Fraction` rows of the flag, and for the Q(i) form, which
 `ref_jump_indices` takes from `ref_bform`.
 
-`ref_minus_one_probe` is `coadjoint.minus_one_probe` as it ran before it
-screened the grid with the eigenvalues of ad(x): a Taylor exponential and
-its eigenvalues at every grid value t of every direction.  It is kept
-unchanged, except that it reads `matrix_exp_numeric` and numpy from this
-module's imports, so a test that patches `coadjoint.matrix_exp_numeric`
-counts the library probe's exponentials only.
+`ref_minus_one_probe` is the eigenvalue -1 probe's scan by spectral
+mapping, an oracle independent of the integer search: the eigenvalues mu of
+ad(x) to 50 digits (`mpmath.eig`), and a hit at the first grid value t, in
+the probe's order, where some |exp(t mu) + 1| is below `MINUS_ONE_GAP`.
 """
 import itertools
 import math
@@ -117,13 +115,13 @@ from functools import cached_property
 from fractions import Fraction as Q
 from typing import Iterable, Sequence
 
+import mpmath
 import numpy as np
 
 from liegrpd.catalog import axb_tautological_module
 from liegrpd.coadjoint import MinusOneProbe, _always_degenerate, _det_at, _form_rows
 from liegrpd.coadjoint import integer_bform
 from liegrpd.exact import ROOT_SEARCH_BUDGET, Matrix, NumericError, Scalar, _Budget
-from liegrpd.exact import matrix_exp_numeric
 from liegrpd.exact import _gaussian_divisors
 from liegrpd.exact import GaussianRational, format_scalar, gaussian, is_exact, poly_eval
 from liegrpd.exact import kernel_int, rref_int, zi_over, zi_rows
@@ -1606,12 +1604,15 @@ def ref_coadjoint_stratification(
     )
 
 
-def ref_minus_one_probe(L: LieAlgebra, seed: int = 0, tol: float = 1e-6) -> MinusOneProbe:
-    """Scan exp(ad(t x)) for an eigenvalue -1 over basis and random directions.
+# on the 400 cases of test_minus_one_probe.py, at 50 digits, a true hit
+# leaves |exp(t mu) + 1| below 2e-48, Jordan blocks included, and every
+# other grid point keeps it above 3e-9 (the near misses)
+MINUS_ONE_GAP = mpmath.mpf(10) ** -12
 
-    The grid includes rational multiples of pi, where rotation generators hit
-    -1 exactly.  Exponential algebras produce no witness.
-    """
+
+def ref_minus_one_probe(L: LieAlgebra, seed: int = 0) -> MinusOneProbe:
+    """Scan exp(t ad x) for an eigenvalue -1 over the probe's directions and
+    its grid t = k/8, (k/8)pi for k = 1..24, by the eigenvalues of ad(x)."""
     m = L.dim
     rng = random.Random(seed)
     directions = [
@@ -1621,19 +1622,21 @@ def ref_minus_one_probe(L: LieAlgebra, seed: int = 0, tol: float = 1e-6) -> Minu
         v = tuple(Fraction(rng.randint(-2, 2)) for _ in range(m))
         if any(x != 0 for x in v):
             directions.append(v)
-    grid = []
-    for k in range(1, 25):
-        grid.append((k / 8.0, f"{k}/8"))
-        grid.append((k * math.pi / 8.0, f"({k}/8)pi"))
-    for x in directions:
-        ad = ad_matrix(L, x).to_numpy()
-        for t, label in grid:
-            try:
-                e = matrix_exp_numeric(ad * t)
-            except NumericError:
-                continue
-            vals = np.linalg.eigvals(e)
-            for lam in vals:
-                if abs(lam + 1.0) < tol:
-                    return MinusOneProbe(True, x, label, t, complex(lam))
-    return MinusOneProbe(False, None, None, None, None)
+    with mpmath.workdps(50):
+        for x in directions:
+            mus = eigenvalues_50(ad_matrix(L, x))
+            for k in range(1, 25):
+                for t, label in ((mpmath.mpf(k) / 8, f"{k}/8"),
+                                 (k * mpmath.pi / 8, f"({k}/8)pi")):
+                    if any(abs(mpmath.exp(t * mu) + 1) < MINUS_ONE_GAP for mu in mus):
+                        return MinusOneProbe(True, x, label, Fraction(-1))
+    return MinusOneProbe(False, None, None, None)
+
+
+def eigenvalues_50(a: Matrix) -> tuple:
+    """The eigenvalues of an exact matrix by `mpmath.eig` at 50 digits."""
+    def mp(q):
+        return mpmath.mpf(q.numerator) / q.denominator
+    with mpmath.workdps(50):
+        rows = [[mp(scalar_re(c)) + 1j * mp(scalar_im(c)) for c in row] for row in a.data]
+        return tuple(mpmath.eig(mpmath.matrix(rows), left=False, right=False))

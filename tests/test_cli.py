@@ -17,7 +17,7 @@ from test_cli_contract import (
     NON_INTEGER_ALGEBRAS,
     REPEATED_POINT_ACTION,
 )
-from test_minus_one_screen import FALSE_WITNESS
+from test_minus_one_probe import FALSE_WITNESS
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 
@@ -304,14 +304,17 @@ class TestNumericBridgeOverflow:
         big, twice = "1" + "0" * 399, "2" + "0" * 399
         path = _write_algebra(tmp_path, 3, [{"i": 0, "j": 1, "coeffs": {"1": big, "2": big}},
                                             {"i": 0, "j": 2, "coeffs": {"1": twice, "2": big}}])
-        for sub in ("roots", "exptest", "census", "probe-minus-one"):
+        for sub in ("roots", "exptest", "census"):
             extra = ["--samples", "8"] if sub == "census" else []
             assert main(["lie", sub, "--in", path] + extra) == 2
             out, err = capsys.readouterr()
             assert out == ""
             assert err == "error: matrix entry (1, 1) does not fit a float\n"
+        # the probe never leaves the integers; the spectrum is real
+        code, doc = run_json(["lie", "probe-minus-one", "--in", path], tmp_path)
+        assert code == 0 and doc["found"] is False
 
-    def test_huge_rational_weight_is_exact(self, tmp_path, capsys):
+    def test_huge_rational_weight_is_exact(self, tmp_path):
         # [Y1, Y2] = 10^399 Y2: the weight 10^399 on Y1 is a degree-1 root,
         # solved in closed form, where the divisor scan once ran out of budget
         big = "1" + "0" * 399
@@ -322,9 +325,9 @@ class TestNumericBridgeOverflow:
                                                                  ([big, "0"], True)]
         code, doc = run_json(["lie", "exptest", "--in", path], tmp_path)
         assert code == 0 and doc["verdict"] and not doc["heuristic"]
-        # the probe still works on floats
-        assert main(["lie", "probe-minus-one", "--in", path]) == 2
-        assert capsys.readouterr()[1] == "error: matrix entry (1, 1) does not fit a float\n"
+        # the probe reads the eigenvalues 0 and 10^399 off integers
+        code, doc = run_json(["lie", "probe-minus-one", "--in", path], tmp_path)
+        assert code == 0 and doc["found"] is False
 
 
 class TestCascadeCommand:

@@ -18,6 +18,7 @@ from dense_reference import (
     solve_exact,
 )
 from liegrpd.exact import (
+    GaussInt,
     GaussianRational,
     Matrix,
     NumericError,
@@ -25,7 +26,7 @@ from liegrpd.exact import (
     format_scalar,
     gaussian,
     gaussian_rational_roots,
-    matrix_exp_numeric,
+    imaginary_integer_roots,
     newton_interpolate,
     parse_scalar,
     pfaffian_int,
@@ -33,6 +34,7 @@ from liegrpd.exact import (
     rref_int,
     scalar_key,
     sturm_root_count,
+    zi,
 )
 from liegrpd.lie import Subspace
 
@@ -359,6 +361,31 @@ class TestPolynomials:
         # 3t - 1 = 3(t - 1/3)
         assert sturm_root_count([-1, 3], 0, 1) == 1
 
+    def test_imaginary_integer_roots(self):
+        big = 10**399
+        assert imaginary_integer_roots([0, -big, 1]) == []  # t (t - 10^399)
+        assert imaginary_integer_roots([0, 1, 0, 1]) == [-1, 1]  # t (t^2 + 1)
+        assert imaginary_integer_roots([16, 0, 8, 0, 1]) == [-2, 2]  # (t^2 + 4)^2
+        assert imaginary_integer_roots([10**40, 0, 1]) == [-10**20, 10**20]
+        assert imaginary_integer_roots([GaussInt(0, -3), 1]) == [3]  # t - 3i
+        assert imaginary_integer_roots([GaussInt(-2, -3), 1]) == []  # t - (2 + 3i)
+        assert imaginary_integer_roots([2, 0, 1]) == []  # t^2 + 2: w = +-sqrt 2
+        # (t - i)^2 (t - 2i), a double root
+        assert imaginary_integer_roots([GaussInt(0, 2), -5, GaussInt(0, -4), 1]) == [1, 2]
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.integers(-12, 12), max_size=3),
+           st.lists(st.tuples(st.integers(-3, 3), st.integers(-3, 3)), max_size=3),
+           st.booleans())
+    def test_imaginary_integer_roots_match_a_scan(self, ws, cofactor, gaussian_cofactor):
+        # p = q prod (t - i w): every root of q has modulus below 1 + 3 sqrt 2,
+        # so each integer w with p(iw) = 0 lies in [-12, 12]
+        p = [zi(a, b if gaussian_cofactor else 0) for a, b in cofactor] + [1]
+        for w in ws:
+            p = _times(p, [zi(0, -w), 1])
+        expect = [w for w in range(-12, 13) if w and poly_eval(p, zi(0, w)) == 0]
+        assert imaginary_integer_roots(p) == expect
+
     @settings(max_examples=30)
     @given(st.lists(st.integers(-6, 6), min_size=1, max_size=4))
     def test_newton_recovers_polynomial(self, coeffs):
@@ -368,23 +395,6 @@ class TestPolynomials:
 
 
 class TestNumeric:
-    def test_exp_of_rotation(self):
-        theta = 0.7
-        m = np.array([[0.0, -theta], [theta, 0.0]])
-        e = matrix_exp_numeric(m, tol=1e-14)
-        expect = np.array(
-            [[np.cos(theta), -np.sin(theta)], [np.sin(theta), np.cos(theta)]]
-        )
-        assert np.allclose(e, expect, atol=1e-12)
-
-    def test_exp_inverse_identity(self):
-        rng = np.random.RandomState(7)
-        for _ in range(10):
-            a = rng.uniform(-3, 3, size=(4, 4))
-            e1 = matrix_exp_numeric(a)
-            e2 = matrix_exp_numeric(-a)
-            assert np.abs(e1 @ e2 - np.eye(4)).max() < 1e-8
-
     def test_eigenvalues_residual_contract(self):
         m = np.array([[0.0, -1.0], [1.0, 0.0]])
         vals = eigenvalues_numeric(m, tol=1e-9)

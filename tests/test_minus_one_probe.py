@@ -1,38 +1,36 @@
-"""The screened -1 probe against the unscreened scan it replaced.
+"""The exact -1 probe against a 50-digit spectral-mapping oracle.
 
-`minus_one_probe` takes a Taylor exponential only at the grid values t that
-the eigenvalues mu of ad(x) keep; `ref_minus_one_probe` exponentiates at
-every t.  Both run at seeds 0-3 on the catalog, the corpus and seeded
-unimodular conjugates of the catalog, and the pair runs on 300 seeded
-semidirect algebras R x_A Q^n (n = 2..6, [Y0, v] = A v on the abelian ideal)
-from four families of A: random integer matrices; rotation blocks whose
-eigenvalues +-iy with y = 8(2j+1)/k hit -1 on the grid t = (k/8)pi; real
-Jordan blocks around +-iy and nilpotent Jordan blocks at 0; and rotation
-blocks within 10^-5..10^-9 of a hit.  Where the two probes agree nothing
-more is checked.  Where they differ, the eigenvalues of ad(x) to 50 digits
-(`mpmath.eig`) must refute the reference's hit, min |exp(t mu) + 1| > tol at
-the exact t, and must not refute a hit of the screened probe.
+`minus_one_probe` decides each grid point from the integer characteristic
+polynomial of ad(x); `ref_minus_one_probe` takes the eigenvalues mu of ad(x)
+to 50 digits (`mpmath.eig`) and scans exp(t mu) in the probe's order.  The
+cases are the catalog, the corpus, seeded unimodular conjugates of the
+catalog and `FALSE_WITNESS`, each at seeds 0-3, and 300 seeded semidirect
+algebras R x_A Q^n (n = 2..6, [Y0, v] = A v on the abelian ideal) from four
+families of A: random integer matrices; rotation blocks whose eigenvalues
++-iy with y = 8(2j+1)/k hit -1 on the grid t = (k/8)pi; real Jordan blocks
+around +-iy and nilpotent Jordan blocks at 0; and rotation blocks within
+10^-5..10^-9 of a hit.  On every case the probe's (found, direction, t) is
+the oracle's.
 """
 import json
 import random
 from fractions import Fraction as Q
 from pathlib import Path
 
-import mpmath
-
 from dense_reference import DENSE_CATALOG, ref_conjugate, ref_minus_one_probe, upper
+from liegrpd.cli import main
 from liegrpd.catalog import LIE_CATALOG
 from liegrpd.coadjoint import minus_one_probe
-from liegrpd.exact import scalar_im, scalar_re
-from liegrpd.lie import ad_matrix, algebra_from_json, from_brackets
+from liegrpd.lie import algebra_from_json, algebra_to_json, from_brackets
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 SEEDS = range(4)
 SEMIDIRECT_COUNT = 300
 
 # ad Y1 has the real eigenvalues (-3 +- sqrt 37)/2, so the algebra is
-# exponential; the unscreened scan reports exp((21/8)pi ad(-1, 2, 2)) as a
-# -1 witness at seed 3, where the exponential's norm is about 4e16
+# exponential; a float scan by Taylor exponentials once reported
+# exp((21/8)pi ad(-1, 2, 2)) as a -1 witness at seed 3, where the
+# exponential's norm is about 4e16
 FALSE_WITNESS = {"dim": 3, "field": "Q", "brackets": [
     {"i": 0, "j": 1, "coeffs": {"1": "-1", "2": "-3"}},
     {"i": 0, "j": 2, "coeffs": {"1": "-3", "2": "-2"}}]}
@@ -113,7 +111,7 @@ FAMILIES = (_random_integer, _rotation_hits, _jordan, _near_miss)
 
 
 def cases():
-    """(name, algebra, seed, tol) for every probe run."""
+    """(name, algebra, seed) for every probe run."""
     algebras = {name: make() for name, make in LIE_CATALOG.items()}
     for path in sorted(CORPUS.glob("*.json")):
         doc = json.loads(path.read_text())
@@ -125,42 +123,41 @@ def cases():
                 tc = ref_conjugate(t, seed)
                 algebras[f"{name}~{seed}"] = from_brackets(len(tc), upper(tc))
     algebras["false_witness"] = algebra_from_json(FALSE_WITNESS)
-    out = [(name, L, seed, 1e-9) for name, L in algebras.items() for seed in SEEDS]
+    out = [(name, L, seed) for name, L in algebras.items() for seed in SEEDS]
     rng = random.Random(2022)
     for i in range(SEMIDIRECT_COUNT):
         family = FAMILIES[i % len(FAMILIES)]
         a = family(rng)
         assert 2 <= len(a) <= 6
-        out.append((f"{family.__name__}#{i}", semidirect(a), (i // 4) % 4,
-                    (1e-6, 1e-9)[(i // 16) % 2]))
+        out.append((f"{family.__name__}#{i}", semidirect(a), (i // 4) % 4))
     return out
 
 
-def exact_gap(L, probe):
-    """min |exp(t mu) + 1| over the eigenvalues mu of ad(x) at the probe's
-    direction x, to 50 digits, at the exact t its label names."""
-    with mpmath.workdps(50):
-        a = mpmath.matrix([[_mp(scalar_re(c)) + 1j * _mp(scalar_im(c)) for c in row]
-                           for row in ad_matrix(L, probe.direction).data])
-        k = int(probe.t_label.strip("(").split("/")[0])
-        t = k * mpmath.pi / 8 if probe.t_label.endswith("pi") else mpmath.mpf(k) / 8
-        return min(abs(mpmath.exp(t * mu) + 1) for mu in mpmath.eig(a, left=False, right=False))
+def _verdict(probe):
+    return probe.found, probe.direction, probe.t_label
 
 
-def _mp(q):
-    return mpmath.mpf(q.numerator) / q.denominator
+def test_probe_equals_the_spectral_oracle():
+    all_cases = cases()
+    assert len(all_cases) == 400
+    differ = [name for name, L, seed in all_cases
+              if _verdict(minus_one_probe(L, seed=seed))
+              != _verdict(ref_minus_one_probe(L, seed=seed))]
+    assert differ == []
 
 
-def test_screened_probe_agrees_or_refutes_the_unscreened_hit():
-    differ = []
-    for name, L, seed, tol in cases():
-        new = minus_one_probe(L, seed=seed, tol=tol)
-        old = ref_minus_one_probe(L, seed=seed, tol=tol)
-        if new == old:
-            continue
-        differ.append(name)
-        assert old.found, name  # the screen only skips exponentials
-        assert exact_gap(L, old) > tol, f"{name}: a true hit was screened out"
-        if new.found:
-            assert exact_gap(L, new) <= tol, f"{name}: the screened probe's hit is refuted"
-    assert "false_witness" in differ
+def test_a_hit_on_a_jordan_block(tmp_path):
+    # ad Y1 has the eigenvalue 4i/3 in a Jordan block of size 3, so
+    # exp((6/8)pi ad Y1) has the eigenvalue -1; a float scan by Taylor
+    # exponentials found it 7e-9 from -1, outside its tolerance of 1e-9, and
+    # reported (18/8)pi
+    name, L, seed = next(case for case in cases() if case[0] == "_jordan#218")
+    assert seed == 2
+    assert _verdict(ref_minus_one_probe(L, seed=seed))[2] == "(6/8)pi"
+    doc, out = tmp_path / "jordan.json", tmp_path / "report.json"
+    doc.write_text(json.dumps(algebra_to_json(L)))
+    argv = ["lie", "probe-minus-one", "--in", str(doc), "--seed", "2", "--out", str(out)]
+    assert main(argv) == 0
+    report = json.loads(out.read_text())
+    assert (report["found"], report["t"], report["eigenvalue"]) == (True, "(6/8)pi", "-1")
+    assert report["direction"] == ["1"] + ["0"] * 6

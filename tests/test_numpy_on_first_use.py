@@ -1,8 +1,8 @@
 """numpy and the package's own modules are loaded on first use.
 
-Only the float helpers (`exact.to_numpy`, `matrix_exp_numeric`, the float
-weight search and the -1 probe) and the groupoid index tables import numpy,
-inside the functions that use it.  `import liegrpd.cli` loads only `cli` and
+Only the float helpers (`exact.to_numpy` and the float weight search) and
+the groupoid index tables import numpy, inside the functions that use it;
+the -1 probe is exact.  `import liegrpd.cli` loads only `cli` and
 the kernel `exact`; each command imports the rest of its own side.  A fresh
 interpreter shows which commands load what; a `symtable` scan shows that no
 function can read `np` before it is bound.
@@ -43,9 +43,9 @@ EXACT = [
     ["lie", "roots", "--name", "axb"],
     ["lie", "stratify", "--name", "filiform4"],
     ["cascade", "--table", "--max-rank", "4"],
+    ["lie", "probe-minus-one", "--name", "axb"],
 ]
 NUMERIC = [
-    ["lie", "probe-minus-one", "--name", "axb"],
     ["grpd", "pullback-verify", "--in", "corpus/s3_natural.json"],
 ]
 KERNEL = ["liegrpd", "liegrpd.cli", "liegrpd.exact"]
