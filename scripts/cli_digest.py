@@ -44,8 +44,10 @@ point.  An eighth runs `probe-minus-one` (JSON) at `--seed 1` and `--seed 2`
 on every catalog algebra and on the second ladder's sums, whose random
 directions change with the seed, and on two documents whose spectra floats
 cannot hold: [Y1, Y2] = 10^399 Y2, and R x_A Q^3 with A the companion
-matrix of (t - 10^7)(t - 1)(t - 2).  The documents of the second to eighth
-ladders are written by this script under fixed names in a temporary
+matrix of (t - 10^7)(t - 1)(t - 2).  A ninth runs `roots` and `exptest`
+(JSON) on that companion form and on its diagonal twin, ad(Y1) =
+diag(10^7, 1, 2), whose weights the root search finds exactly.  The
+documents of the second to ninth ladders are written by this script under fixed names in a temporary
 directory.  Every path is relative
 (corpus paths to the checkout, the written documents to that directory), so
 two checkouts print comparable lines:
@@ -318,6 +320,13 @@ def seventh_ladder(docs):
                 yield ["grpd", sub, "--in", name, "--format", fmt] + extra
 
 
+# ad(Y1) = diag(10^7, 1, 2) on Y2, Y3, Y4
+DIAGONAL_FORM = {"dim": 4, "field": "Q", "brackets": [
+    {"i": 0, "j": 1, "coeffs": {"1": "10000000"}},
+    {"i": 0, "j": 2, "coeffs": {"2": "1"}},
+    {"i": 0, "j": 3, "coeffs": {"3": "2"}}]}
+
+
 def probe_docs():
     """file name -> algebra document for the eighth ladder's last runs."""
     return {
@@ -329,6 +338,12 @@ def probe_docs():
             {"i": 0, "j": 3, "coeffs": {"1": "20000000", "2": "-30000002",
                                         "3": "10000003"}}]},
     }
+
+
+def ninth_ladder():
+    for name in ("companion_form.json", "diagonal_form.json"):
+        for sub in ("roots", "exptest"):
+            yield ["lie", sub, "--in", name]
 
 
 def probe_ladder(names):
@@ -374,10 +389,11 @@ def main() -> None:
         probed = probe_docs()
         for name, doc in probed.items():
             Path(name).write_text(json.dumps(doc))
+        Path("diagonal_form.json").write_text(json.dumps(DIAGONAL_FORM))
         for argv in itertools.chain(sum_ladder(algebras), third_ladder(docs),
                                     fourth_ladder(), fifth_ladder(), sixth_ladder(weighted),
                                     seventh_ladder(grpd_docs),
-                                    probe_ladder([*algebras, *probed])):
+                                    probe_ladder([*algebras, *probed]), ninth_ladder()):
             code, digest = run(argv)
             print(f"{' '.join(argv)}\t{code}\t{digest}")
         os.chdir(ROOT)

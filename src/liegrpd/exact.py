@@ -9,13 +9,16 @@ lowest terms; its `Fraction` rows are rebuilt only for reports.  Pfaffians,
 interpolation and Sturm counts work on plain integers.  One elimination,
 `rref_int`, serves every echelon form, rank and kernel, over the integers or
 the Gaussian integers; the characteristic polynomials and root searches work
-on them too (`imaginary_integer_roots` bisects a Sturm chain, with no budget).
+on them too, with no budget: `least_gaussian_root` bisects real parts by
+Routh-Hurwitz counts and `imaginary_integer_roots` bisects a Sturm chain,
+both read off one signed remainder chain.
 `Matrix.to_numpy`, the float weight fallback's one bridge to floats, imports
 numpy when first called, so the exact side never loads it.
 """
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
@@ -522,7 +525,7 @@ def _swap_skew_index(a, k: int, u: int, v: int) -> None:
 
 
 # ---------------------------------------------------------------------------
-# characteristic polynomial and exact roots
+# characteristic polynomial
 
 
 def charpoly_int(a):
@@ -566,163 +569,8 @@ def poly_eval(coeffs: Sequence[Scalar], x: Scalar) -> Scalar:
     return acc
 
 
-class _Budget:
-    def __init__(self, n):
-        self.left = n
-
-    def spend(self, k=1):
-        self.left -= k
-        return self.left >= 0
-
-
-def _gaussian_divisors(a: int, b: int, budget: _Budget):
-    """All Gaussian-integer divisors of a+bi (all unit multiples included)."""
-    norm = a * a + b * b
-    if norm == 0:
-        return []
-    if math.isqrt(norm) > budget.left:
-        return None  # the scan of divisors up to sqrt(norm) alone overspends
-    divisors_of_norm = []
-    d = 1
-    while d * d <= norm:
-        if not budget.spend():
-            return None
-        if norm % d == 0:
-            divisors_of_norm.append(d)
-            if d * d != norm:
-                divisors_of_norm.append(norm // d)
-        d += 1
-    found = set()
-    for nd in divisors_of_norm:
-        aa = 0
-        while aa * aa <= nd:
-            if not budget.spend():
-                return None
-            rest = nd - aa * aa
-            bb = math.isqrt(rest)
-            if bb * bb == rest:
-                for ca, cb in {(aa, bb), (bb, aa)}:
-                    for sa in (1, -1):
-                        for sb in (1, -1):
-                            ua, ub = sa * ca, sb * cb
-                            if ua == 0 and ub == 0:
-                                continue
-                            # exact divisibility: (a+bi)(ua-ub i)/nd integral
-                            num_re = a * ua + b * ub
-                            num_im = b * ua - a * ub
-                            if num_re % nd == 0 and num_im % nd == 0:
-                                found.add((ua, ub))
-            aa += 1
-    return sorted(found)
-
-
-ROOT_SEARCH_BUDGET = 10**6  # candidate divisors and ratios one root search may try
-
-
-def gaussian_rational_roots(coeffs: Sequence[Scalar]):
-    """All Gaussian-rational roots of an exact polynomial, with multiplicity.
-
-    Coefficients come lowest degree first, as int, Fraction,
-    GaussianRational or GaussInt.  Returns (roots, complete) where roots is a
-    list of (root, multiplicity) sorted by (re, im) and complete is True when
-    the multiplicities sum to the degree.
-
-    The coefficients are scaled to primitive Gaussian integers c_0..c_n and
-    the zero roots split off.  What is left of degree 1 or 2 is solved in
-    closed form: a Gaussian-rational root of c_2 t^2 + c_1 t + c_0 needs a
-    square root of the discriminant in Q(i), hence in Z[i].  Higher degrees
-    test every candidate p/q, p dividing c_0 and q dividing c_n in Z[i], by
-    the homogeneous value sum_k c_k p^k q^(n-k), and the multiplicity by the
-    derivatives' values.  A search whose divisor scans exhaust
-    ROOT_SEARCH_BUDGET returns no roots beyond zero with complete=False.
-    """
-    if not all(type(x) is int or type(x) is GaussInt for x in coeffs):
-        coeffs = zi_rows([coeffs])[1][0]
-    g = zi_content(coeffs)
-    c = [x // g for x in coeffs] if g > 1 else list(coeffs)
-    while len(c) > 1 and not c[-1]:
-        c.pop()
-    n = len(c) - 1
-    if n <= 0:
-        return [], True
-    zeros = next(k for k, x in enumerate(c) if x)
-    c = c[zeros:]
-    found = {(0, 0, 1): zeros} if zeros else {}
-    if len(c) == 2:
-        found[_zi_ratio(-c[0], c[1])] = 1
-    elif len(c) == 3:
-        r = _zi_sqrt(c[1] * c[1] - 4 * c[2] * c[0])
-        if r == 0:
-            found[_zi_ratio(-c[1], 2 * c[2])] = 2
-        elif r is not None:
-            found[_zi_ratio(r - c[1], 2 * c[2])] = 1
-            found[_zi_ratio(-r - c[1], 2 * c[2])] = 1
-    elif len(c) > 3:
-        for a, b, q in _zi_root_candidates(c[0], c[-1]):
-            p, f, mult = zi(a, b), c, 0
-            while len(f) > 1 and not _homogeneous_value(f, p, q):
-                mult += 1
-                f = [k * x for k, x in enumerate(f)][1:]
-            if mult:
-                found[a, b, q] = mult
-    roots = sorted(((gaussian(Fraction(a, q), Fraction(b, q)), m)
-                    for (a, b, q), m in found.items()), key=lambda rm: scalar_key(rm[0]))
-    return roots, sum(found.values()) == n
-
-
-def _zi_ratio(u, w) -> tuple:
-    """u / w for Gaussian integers, w != 0, as (a, b, q): (a + b i) / q in
-    lowest terms with q > 0."""
-    (ur, ui), (wr, wi) = zi_parts(u), zi_parts(w)
-    a, b, q = ur * wr + ui * wi, ui * wr - ur * wi, wr * wr + wi * wi
-    g = math.gcd(a, b, q)
-    return a // g, b // g, q // g
-
-
-def _zi_sqrt(x):
-    """A square root of a Gaussian integer in Z[i], or None when it has none:
-    (a + b i)^2 = x + y i with a^2 = (x + m) / 2, b^2 = (m - x) / 2 for
-    m = |x + y i| and ab of the sign of y."""
-    x, y = zi_parts(x)
-    m = math.isqrt(x * x + y * y)
-    if m * m != x * x + y * y or (x + m) % 2:
-        return None
-    a, b = math.isqrt((x + m) // 2), math.isqrt((m - x) // 2)
-    if a * a != (x + m) // 2 or b * b != (m - x) // 2:
-        return None
-    return zi(a, b if y >= 0 else -b)
-
-
-def _homogeneous_value(c, p, q: int):
-    """q^n f(p/q) = sum_k c_k p^k q^(n-k) for f = sum_k c_k t^k of degree n."""
-    acc, qk = 0, 1
-    for x in reversed(c):
-        acc = acc * p + x * qk
-        qk *= q
-    return acc
-
-
-def _zi_root_candidates(c0, cn) -> set:
-    """Every ratio p/q in lowest terms, as (a, b, q), with p a divisor of c0
-    and q one of cn in Z[i] (one q per class of associates); empty when the
-    divisor scans or the pairs exceed ROOT_SEARCH_BUDGET."""
-    bud = _Budget(ROOT_SEARCH_BUDGET)
-    nums = _gaussian_divisors(*zi_parts(c0), bud)
-    dens = None if nums is None else _gaussian_divisors(*zi_parts(cn), bud)
-    if dens is None:
-        return set()
-    canon = set()
-    for da, db in dens:
-        while not (da > 0 and db >= 0):
-            da, db = -db, da
-        canon.add((da, db))
-    if not bud.spend(len(nums) * len(canon)):
-        return set()
-    return {_zi_ratio(zi(*u), zi(*w)) for u in nums for w in canon}
-
-
 # ---------------------------------------------------------------------------
-# univariate integer polynomials: interpolation and Sturm counts
+# univariate integer polynomials: interpolation, Sturm counts and roots
 
 
 def newton_interpolate(values) -> list:
@@ -767,24 +615,30 @@ def _pdivide(a, b) -> tuple:
     return q, _trim(a)
 
 
-def _sturm_chain(p) -> list:
-    """The Sturm chain p, p', ..., c gcd(p, p') of a trimmed integer polynomial.
+def _remainder_chain(f0, f1) -> list:
+    """The signed remainder chain f0, f1, -rem(f0, f1), ..., c gcd(f0, f1) of
+    integer polynomials, f0 trimmed and nonzero; just [f0] when f1 is 0.
 
-    Each next element -rem(s_{i-1}, s_i) is the pseudo-remainder
-    lc(s_i)^(d+1) s_{i-1} mod s_i, d the degree drop, negated unless that
-    factor is negative and divided by its positive content: a positive
-    multiple of the rational chain's element, so every sign agrees.
+    Each next element -rem(s, t) is the pseudo-remainder lc(t)^e s mod t,
+    e = max(deg s - deg t + 1, 0), negated unless lc(t)^e is negative and
+    divided by its positive content: a positive multiple of the rational
+    chain's element, so every sign agrees.
     """
-    chain = [p, [i * c for i, c in enumerate(p)][1:]]
-    while len(chain[-1]) > 1:
-        s, t = chain[-2], chain[-1]
+    chain, t = [f0], _trim(f1)
+    while any(t):
+        s = chain[-1]
+        chain.append(t)
         rem = _pdivide(s, t)[1]
-        if rem == [0]:
-            break
-        g = math.gcd(*rem)
-        negative = t[-1] < 0 and (len(s) - len(t)) % 2 == 0
-        chain.append([x // g if negative else -x // g for x in rem])
+        g = math.gcd(*rem) or 1
+        if t[-1] > 0 or len(s) < len(t) or (len(s) - len(t)) % 2:
+            g = -g
+        t = [x // g for x in rem]
     return chain
+
+
+def _sturm_chain(p) -> list:
+    """The Sturm chain p, p', ..., c gcd(p, p') of a trimmed integer polynomial."""
+    return _remainder_chain(p, [i * c for i, c in enumerate(p)][1:])
 
 
 def _variations(chain, x: int) -> int:
@@ -793,10 +647,29 @@ def _variations(chain, x: int) -> int:
     return sum(u != w for u, w in zip(signs, signs[1:]))
 
 
+def _cauchy_index(chain) -> int:
+    """The Cauchy index of chain[1] / chain[0] over the reals, for their
+    remainder chain: its sign changes at -infinity less those at +infinity,
+    read off the leading coefficients and the degrees."""
+    plus = [q[-1] > 0 for q in chain]
+    minus = [s != (len(q) % 2 == 0) for s, q in zip(plus, chain)]
+    return sum(map(operator.ne, minus, minus[1:])) - sum(map(operator.ne, plus, plus[1:]))
+
+
 def sturm_root_count(p, a: int, b: int) -> int:
     """Number of distinct real roots of the integer polynomial p in (a, b]."""
     chain = _sturm_chain(_trim(p))
     return _variations(chain, a) - _variations(chain, b)
+
+
+_UNITS = (1, GaussInt(0, 1), -1, GaussInt(0, -1))  # i^k
+
+
+def _axis_parts(p, turn: int) -> tuple:
+    """The trimmed integer polynomials r, m with i^turn p(iy) = r(y) + i m(y),
+    for p over Z or Z[i]."""
+    r, m = zip(*(zi_parts(c * _UNITS[(k + turn) % 4]) for k, c in enumerate(p)))
+    return _trim(r), _trim(m)
 
 
 def imaginary_integer_roots(p) -> list:
@@ -809,12 +682,7 @@ def imaginary_integer_roots(p) -> list:
     intervals (w - 1, w]; p(iw) = 0 confirms each w.  No budget: about
     log2 |g(0)| chain evaluations per real root of g.
     """
-    units = (1, GaussInt(0, 1), -1, GaussInt(0, -1))  # i^k
-    r, m = zip(*(zi_parts(c * units[k % 4]) for k, c in enumerate(p)))
-    g, h = _trim(r), _trim(m)
-    while any(h):
-        rem = _pdivide(g, h)[1]
-        g, h = h, [x // (math.gcd(*rem) or 1) for x in rem]
+    g = _remainder_chain(*_axis_parts(p, 0))[-1]
     while g[0] == 0:
         g = g[1:]
     chain = _sturm_chain(g)
@@ -832,3 +700,86 @@ def imaginary_integer_roots(p) -> list:
             vm = _variations(chain, mid)
             stack += [(a, mid, va, vm), (mid, b, vm, vb)]
     return sorted(found)
+
+
+def _taylor_shift(p, c: int) -> list:
+    """p(t + c), lowest degree first, by repeated synthetic division."""
+    p = list(p)
+    for i in range(len(p) - 1):
+        for k in range(len(p) - 2, i - 1, -1):
+            p[k] += c * p[k + 1]
+    return p
+
+
+def _count_right(q, c: int) -> int:
+    """The number of roots u with Re u > c, with multiplicity, of a monic
+    polynomial q over Z or Z[i] with no root on the line Re u = c.
+
+    f(s) = q(s + c) has degree n; write i^-n f(iy) = P(y) + i Q(y), P monic
+    of degree n.  As y runs over the reals the argument of f(iy) turns by
+    pi (left - right), and its tangent Q/P passes each pole from +infinity
+    to -infinity as the argument rises, so right - left is the Cauchy index
+    of Q/P (the Routh-Hurwitz count).
+    """
+    f = _taylor_shift(q, c)
+    n = len(f) - 1
+    return (n + _cauchy_index(_remainder_chain(*_axis_parts(f, -n)))) // 2
+
+
+def least_gaussian_root(p):
+    """The least root by (re, im) of a monic polynomial p over Z or Z[i]
+    (lowest degree first) when p splits over Z[i]; None, or some
+    Gaussian-integer root, when it does not.
+
+    A root of a monic p in Q(i) is a Gaussian integer.  Zero roots are split
+    off, and what is left of degree 1 or 2 is solved in closed form (a
+    square root of the discriminant lies in Z[i]).  Above that, the roots
+    of a split p have integer real parts, so q(u) = 2^n p(u/2) has no root
+    on an odd line Re u = 2m + 1.  Bisecting m with `_count_right` finds the
+    least m with a root of p left of Re t = m + 1/2, and the least root on
+    the line Re t = m comes from `imaginary_integer_roots(p(t + m))`.  No
+    budget: about 2 log2 |m| counts, each one remainder chain; beyond the
+    roots every count is exact, so the search ends also when p does not split.
+    """
+    zeros = next(k for k, x in enumerate(p) if x)
+    c = p[zeros:]
+    n = len(c) - 1
+    if n == 0:
+        return 0
+    if n == 1:
+        roots = [-c[0]]
+    elif n == 2:
+        r = _zi_sqrt(c[1] * c[1] - 4 * c[0])
+        roots = [] if r is None else [(r - c[1]) // 2, (-r - c[1]) // 2]
+    else:
+        q = [x * 2 ** (n - k) for k, x in enumerate(c)]
+
+        def left(m):  # p has a root t with Re t < m + 1/2
+            return _count_right(q, 2 * m + 1) < n
+
+        lo, hi = -1, 0  # gallop out to not left(lo) and left(hi), then halve
+        while left(lo):
+            lo, hi = 2 * lo, lo
+        while not left(hi):
+            lo, hi = hi, 2 * hi + 1
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            lo, hi = (lo, mid) if left(mid) else (mid, hi)
+        f = _taylor_shift(c, hi)
+        ws = imaginary_integer_roots(f) + [0] * (f[0] == 0)
+        roots = [zi(hi, min(ws))] if ws else []
+    return min(roots + [0] * bool(zeros), key=zi_parts) if roots else None
+
+
+def _zi_sqrt(x):
+    """A square root of a Gaussian integer in Z[i], or None when it has none:
+    (a + b i)^2 = x + y i with a^2 = (x + m) / 2, b^2 = (m - x) / 2 for
+    m = |x + y i| and ab of the sign of y."""
+    x, y = zi_parts(x)
+    m = math.isqrt(x * x + y * y)
+    if m * m != x * x + y * y or (x + m) % 2:
+        return None
+    a, b = math.isqrt((x + m) // 2), math.isqrt((m - x) // 2)
+    if a * a != (x + m) // 2 or b * b != (m - x) // 2:
+        return None
+    return zi(a, b if y >= 0 else -b)

@@ -8,9 +8,10 @@ as the input of `validate_lie_algebra`, which checks its antisymmetry and
 hands the upper triangle on.  A subspace keeps its echelon form as integer
 or Gaussian-integer rows, and the series, centralizers and subalgebra checks
 bracket those rows through `LieAlgebra.integer_brackets`.  Validation (field,
-Jacobi) is exact; every other exact reader of the constants, from `bracket`
-and `ad_matrix` to the skew forms, reads `integer_tensor`: the table times D
-(`integer_scale`), found once.  Nothing here touches floats.
+Jacobi) is exact; the Jacobi sums and every other exact reader of the
+constants, from `bracket` and `ad_matrix` to the skew forms, read
+`integer_tensor`: the table times D (`integer_scale`), found once.  Nothing
+here touches floats.
 """
 from __future__ import annotations
 
@@ -255,21 +256,24 @@ def from_brackets(
         if c != 0:
             table.setdefault((i, j), []).append((k, Fraction(c) if isinstance(c, int) else c))
     alg = LieAlgebra(dim, names, tuple((i, j, tuple(t)) for (i, j), t in table.items()), field)
-    pair = alg.pair_terms
+    # the Jacobi sums on the integer table D C are D^2 times the residual
+    pair, d = {}, alg.integer_scale
+    for j, k, terms in alg.integer_tensor:
+        pair[j, k], pair[k, j] = terms, tuple((l, -c) for l, c in terms)
     # a triple whose three pair brackets all vanish has nothing to check
     triples = {tuple(sorted((i, j, k))) for i, j, _ in alg.brackets for k in range(dim)
                if k != i and k != j}
     for i, j, k in sorted(triples):
-        res = [Fraction(0)] * dim
+        res = [0] * dim
         for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
             for l, x in pair.get((a, b), ()):
                 for p, y in pair.get((l, c), ()):
-                    res[p] = res[p] + x * y
+                    res[p] += x * y
         if not vec_is_zero(res):
             raise JacobiError(
                 f"Jacobi fails on basis triple ({i+1},{j+1},{k+1})",
                 (i, j, k),
-                tuple(res),
+                tuple(zi_over(x, d * d) for x in res),
             )
     return alg
 

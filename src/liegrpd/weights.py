@@ -18,18 +18,18 @@ Gaussian-integer rows N and positive integer denominator s that its `Matrix`
 stores, the action being N / s, and every step keeps such a pair, reduced to
 lowest terms by `lowest_terms`; kernels and eigenspaces come from
 `kernel_int`, which gives the isotropy algebras too, the restricted
-characteristic polynomials from `charpoly_int`, and every scale stays a
-positive integer, so the least root of the scaled polynomial is the least
-eigenvalue.  The adjoint module's actions are ad(Y_i), read from the
+characteristic polynomials from `charpoly_int` and their least roots from
+`least_gaussian_root`; every scale stays a positive integer, so that root
+over the scale is the least eigenvalue.  The adjoint module's actions are ad(Y_i), read from the
 algebra's integer bracket table by `ad_matrix`.
 
 The search is exact over the Gaussian rationals.  When a restricted
-characteristic polynomial has no root there, a float path takes over and the
-results carry exact=False.  Every step yields one weight of the module's
-multiset, so this happens exactly when some weight is not Gaussian-rational
-on the complement, as it did for the earlier depth-first search over the full
-action matrices; only the root search's budget is spent on different
-polynomials (restricted ones here, full ones there).
+characteristic polynomial does not split over the Gaussian integers, a float
+path takes over and the results carry exact=False.  Every root of such a
+polynomial is the value of a weight of the module, and every step yields
+one weight of its multiset, so this happens exactly when some weight is not
+Gaussian-rational on the complement, as it did for the earlier depth-first
+search over the full action matrices.  The root search has no budget.
 """
 from __future__ import annotations
 
@@ -40,13 +40,13 @@ from .exact import (
     NumericError,
     charpoly_int,
     common_denominator,
-    gaussian_rational_roots,
     kernel_int,
+    least_gaussian_root,
     lowest_terms,
     positive_multiplier,
     scalar_im,
     scalar_re,
-    zi,
+    zi_over,
 )
 from .lie import LieAlgebra, LieModule, adjoint_module, derived_series, realify
 
@@ -104,20 +104,15 @@ def _eigenline(d_acts, c_acts):
     for a, s in c_acts:
         images = [[sum(x * y for x, y in zip(row, v) if x) for row in a] for v in vecs]
         r = [[img[c] for img in images] for c in coords]
-        sigma = s * e
-        # P(sigma t) for P the char. polynomial of R: its roots are mu / sigma
-        roots, _ = gaussian_rational_roots(
-            [x * sigma**k for k, x in enumerate(charpoly_int(r))])
-        if not roots:
+        mu = least_gaussian_root(charpoly_int(r))
+        if mu is None:
             raise InexactSpectrum("no eigenvalue over the Gaussian rationals")
-        lam = roots[0][0]  # the roots come sorted by scalar_key
-        mu = zi(int(scalar_re(lam) * sigma), int(scalar_im(lam) * sigma))
+        lams.append(zi_over(mu, s * e))
         ker, free, e2 = kernel_int([[x - mu if i == j else x for j, x in enumerate(row)]
                                  for i, row in enumerate(r)], len(r))
         vecs = [[sum(c * v[t] for c, v in zip(k, vecs) if c) for t in range(n)] for k in ker]
         coords, e = [coords[j] for j in free], e * e2
         vecs, e = lowest_terms(vecs, e)
-        lams.append(lam)
     return lams, vecs[0]
 
 
@@ -252,10 +247,9 @@ def module_weights(L: LieAlgebra, M: LieModule):
     Returns RootFunctionals sorted deterministically; multiplicities sum to
     the module dimension.  The flag search on the joint kernel of the
     [L, L]-actions (see the module docstring) needs no backtracking.  Exact
-    when every weight is Gaussian-rational on the complement of [L, L] and
-    the root search stays within its budget, float-tagged otherwise: the same
-    decision as a search over the full action matrices, because both yield
-    the whole weight multiset.
+    when every weight is Gaussian-rational on the complement of [L, L],
+    float-tagged otherwise: the same decision as a search over the full
+    action matrices, because both yield the whole weight multiset.
     """
     derived = derived_series(L)
     if derived[-1].dim:

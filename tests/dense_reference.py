@@ -32,7 +32,9 @@ eliminating with `ref_rref`.
 Faddeev-LeVerrier recursion and the root search that `exact.py` ran before
 the weight search worked on integer matrices: every candidate tried by
 `GaussianRational` evaluation and deflation by `poly_divide_linear`; they are
-kept unchanged, and `ref_weights_exact` runs on them.  `ref_weights_joint_kernel`
+kept unchanged, and `ref_weights_exact` runs on them.  The divisor scan
+`_gaussian_divisors`, its `_Budget` and `ROOT_SEARCH_BUDGET` are moved here
+unchanged from `exact.py`, whose root search now bisects real parts.  `ref_weights_joint_kernel`
 with `ref_eigenline` and `ref_quotient` is the joint-kernel flag search that
 `weights.py` ran on `Fraction` and `GaussianRational` matrices before it ran
 on integer matrices; it is kept unchanged.
@@ -121,8 +123,7 @@ import numpy as np
 from liegrpd.catalog import axb_tautological_module
 from liegrpd.coadjoint import MinusOneProbe, _always_degenerate, _det_at, _form_rows
 from liegrpd.coadjoint import integer_bform
-from liegrpd.exact import ROOT_SEARCH_BUDGET, Matrix, NumericError, Scalar, _Budget
-from liegrpd.exact import _gaussian_divisors
+from liegrpd.exact import Matrix, NumericError, Scalar
 from liegrpd.exact import GaussianRational, format_scalar, gaussian, is_exact, poly_eval
 from liegrpd.exact import kernel_int, rref_int, zi_over, zi_rows
 from liegrpd.exact import scalar_im, scalar_key, scalar_re
@@ -566,6 +567,59 @@ def poly_divide_linear(coeffs: Sequence[Scalar], root: Scalar):
     rem = out.pop()
     quots = list(reversed(out))
     return quots, rem
+
+
+class _Budget:
+    def __init__(self, n):
+        self.left = n
+
+    def spend(self, k=1):
+        self.left -= k
+        return self.left >= 0
+
+
+def _gaussian_divisors(a: int, b: int, budget: _Budget):
+    """All Gaussian-integer divisors of a+bi (all unit multiples included)."""
+    norm = a * a + b * b
+    if norm == 0:
+        return []
+    if math.isqrt(norm) > budget.left:
+        return None  # the scan of divisors up to sqrt(norm) alone overspends
+    divisors_of_norm = []
+    d = 1
+    while d * d <= norm:
+        if not budget.spend():
+            return None
+        if norm % d == 0:
+            divisors_of_norm.append(d)
+            if d * d != norm:
+                divisors_of_norm.append(norm // d)
+        d += 1
+    found = set()
+    for nd in divisors_of_norm:
+        aa = 0
+        while aa * aa <= nd:
+            if not budget.spend():
+                return None
+            rest = nd - aa * aa
+            bb = math.isqrt(rest)
+            if bb * bb == rest:
+                for ca, cb in {(aa, bb), (bb, aa)}:
+                    for sa in (1, -1):
+                        for sb in (1, -1):
+                            ua, ub = sa * ca, sb * cb
+                            if ua == 0 and ub == 0:
+                                continue
+                            # exact divisibility: (a+bi)(ua-ub i)/nd integral
+                            num_re = a * ua + b * ub
+                            num_im = b * ua - a * ub
+                            if num_re % nd == 0 and num_im % nd == 0:
+                                found.add((ua, ub))
+            aa += 1
+    return sorted(found)
+
+
+ROOT_SEARCH_BUDGET = 10**6  # candidate divisors and ratios one root search may try
 
 
 def ref_gaussian_rational_roots(coeffs: Sequence[Scalar]):

@@ -10,9 +10,11 @@ exits 2 under every subcommand, except the `validate` runs named in
 its command, and exits 1 exactly when its `ok` or `valid` verdict is false.
 An unwritable `--out` exits 2.  No `lie` subcommand takes `--tol`, so every
 `--tol` exits 2 with argparse's one-line error.
-A weight search that fails on a companion-form algebra exits 2 with a one-line
-reason under `roots`, `exptest` and `census`; the exact -1 probe exits 0 on
-it and on `[Y1, Y2] = 10^399 Y2`.
+The companion-form algebra of (t - 10^7)(t - 1)(t - 2) and its diagonal twin
+get exact weights; a weight search that fails, on the companion form of
+(t - 10^7)(t^2 - 2), exits 2 with a one-line reason under `roots`, `exptest`
+and `census`; the exact -1 probe exits 0 on the companion form and on
+`[Y1, Y2] = 10^399 Y2`.
 A coefficient too large for a float is left to
 `test_cli.py::TestNumericBridgeOverflow`.
 """
@@ -184,13 +186,24 @@ NON_FINITE_TOLS = ("nan", "inf", "-inf", "1e400")
 TOL_SUBS = ("roots", "exptest", "probe-minus-one")
 PROBE_TOLS_AT_LEAST_ONE = ("1", "3", "1e300")
 
-# R x_A Q^3 with A the companion matrix of (t - 10^7)(t - 1)(t - 2): the exact
-# root search gives up on the cubic, and the float weight search finds no
-# joint eigenvector; its ArithmeticError used to escape `main`
+# R x_A Q^3 with A the companion matrix of (t - 10^7)(t - 1)(t - 2): the
+# exact weight search finds its weights 0, 1, 2 and 10^7 on Y1 (the old
+# divisor scan gave up on the cubic, and the float search found no joint
+# eigenvector), and its diagonal twin, ad(Y1) = diag(10^7, 1, 2)
 COMPANION_FORM = {"dim": 4, "brackets": [
     {"i": 0, "j": 1, "coeffs": {"2": "1"}},
     {"i": 0, "j": 2, "coeffs": {"3": "1"}},
     {"i": 0, "j": 3, "coeffs": {"1": "20000000", "2": "-30000002", "3": "10000003"}}]}
+DIAGONAL_FORM = {"dim": 4, "brackets": [
+    {"i": 0, "j": 1, "coeffs": {"1": "10000000"}},
+    {"i": 0, "j": 2, "coeffs": {"2": "1"}},
+    {"i": 0, "j": 3, "coeffs": {"3": "2"}}]}
+# the companion of (t - 10^7)(t^2 - 2): the weights +-sqrt 2 leave Q(i), and
+# the float weight search finds no joint eigenvector; its ArithmeticError
+# used to escape `main`
+IRRATIONAL_COMPANION = {"dim": 4, "brackets": [
+    *COMPANION_FORM["brackets"][:2],
+    {"i": 0, "j": 3, "coeffs": {"1": "-20000000", "2": "2", "3": "10000000"}}]}
 WEIGHT_SUBS = ("roots", "exptest", "census")
 # its weight 10^399 does not fit a float
 HUGE_WEIGHT = _bracket_doc(2, {"1": "1" + "0" * 399})
@@ -246,7 +259,7 @@ def _cases(tmp_path):
     companion = tmp_path / "alg_companion_form.json"
     companion.write_text(json.dumps(COMPANION_FORM))
     for sub in WEIGHT_SUBS:
-        yield ["lie", sub, "--in", str(companion)], 2
+        yield ["lie", sub, "--in", str(companion)], 0
     huge = tmp_path / "alg_huge_weight.json"
     huge.write_text(json.dumps(HUGE_WEIGHT))
     for doc in (companion, huge):
@@ -278,12 +291,27 @@ def test_every_subcommand_keeps_the_exit_contract(tmp_path):
 
 
 def test_a_failed_weight_search_exits_2_with_one_line(tmp_path):
-    companion = tmp_path / "companion_form.json"
-    companion.write_text(json.dumps(COMPANION_FORM))
+    companion = tmp_path / "irrational_companion.json"
+    companion.write_text(json.dumps(IRRATIONAL_COMPANION))
     for sub in WEIGHT_SUBS:
         code, out, err = _capture(["lie", sub, "--in", str(companion)])
         assert (code, out) == (2, ""), sub
         assert err == "error: float weight search failed to find a joint eigenvector\n", sub
+
+
+def test_the_weights_0_1_2_and_10_7_are_exact(tmp_path):
+    for name, doc in (("companion", COMPANION_FORM), ("diagonal", DIAGONAL_FORM)):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = _capture(["lie", "roots", "--in", str(path)])
+        assert (code, err) == (0, ""), name
+        roots = json.loads(out)["roots"]
+        assert [(r["re"][0], r["multiplicity"], r["exact"]) for r in roots] == [
+            ("0", 1, True), ("1", 1, True), ("2", 1, True), ("10000000", 1, True)], name
+        assert all(x == "0" for r in roots for x in r["im"]), name
+        code, out, err = _capture(["lie", "exptest", "--in", str(path)])
+        report = json.loads(out)
+        assert (code, report["verdict"], report["heuristic"]) == (0, True, False), name
 
 
 def test_an_unwritable_out_exits_2(tmp_path):

@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 
 from dense_reference import (
     DenseMatrix,
+    _poly_rem,
+    _poly_trim,
     det_exact,
     eigenvalues_numeric,
     matrix_inverse,
@@ -22,19 +24,21 @@ from liegrpd.exact import (
     GaussianRational,
     Matrix,
     NumericError,
+    _count_right,
+    _remainder_chain,
     charpoly_int,
     format_scalar,
     gaussian,
-    gaussian_rational_roots,
     imaginary_integer_roots,
+    least_gaussian_root,
     newton_interpolate,
     parse_scalar,
     pfaffian_int,
     poly_eval,
     rref_int,
-    scalar_key,
     sturm_root_count,
     zi,
+    zi_parts,
 )
 from liegrpd.lie import Subspace
 
@@ -219,36 +223,26 @@ class TestEliminationAgainstReference:
         assert rref_int([[0, 0], [0, 0]]) == ([], 1, [])
 
 
-def charpoly_int_roots(rows):
-    """(monic charpoly, roots, complete) of an integer matrix."""
-    poly = charpoly_int(rows)
-    return (poly, *gaussian_rational_roots(poly))
-
-
 class TestCharpoly:
     def test_rotation_generator(self):
         # [[0,-1],[1,0]]: t^2 + 1, roots +-i
-        poly, roots, complete = charpoly_int_roots([[0, -1], [1, 0]])
-        assert poly == [Q(1), Q(0), Q(1)]
-        assert complete
-        assert roots == [(gaussian(0, -1), 1), (gaussian(0, 1), 1)]
+        poly = charpoly_int([[0, -1], [1, 0]])
+        assert poly == [1, 0, 1]
+        assert least_gaussian_root(poly) == zi(0, -1)
 
-    def test_irrational_spectrum_flagged_incomplete(self):
-        # [[0,1],[2,0]]: t^2 - 2, no Gaussian-rational roots
-        poly, roots, complete = charpoly_int_roots([[0, 1], [2, 0]])
-        assert poly == [Q(-2), Q(0), Q(1)]
-        assert roots == []
-        assert not complete
+    def test_irrational_spectrum_has_no_root(self):
+        # [[0,1],[2,0]]: t^2 - 2, no Gaussian-integer roots
+        poly = charpoly_int([[0, 1], [2, 0]])
+        assert poly == [-2, 0, 1]
+        assert least_gaussian_root(poly) is None
 
     def test_diagonal(self):
-        poly, roots, complete = charpoly_int_roots([[1, 0], [0, -1]])
-        assert poly == [Q(-1), Q(0), Q(1)]
-        assert complete
-        assert dict(roots) == {Q(1): 1, Q(-1): 1}
+        poly = charpoly_int([[1, 0], [0, -1]])
+        assert poly == [-1, 0, 1]
+        assert least_gaussian_root(poly) == -1
 
-    def test_repeated_root_multiplicity(self):
-        _, roots, complete = charpoly_int_roots([[2, 1], [0, 2]])
-        assert roots == [(Q(2), 2)] and complete
+    def test_repeated_root(self):
+        assert least_gaussian_root(charpoly_int([[2, 1], [0, 2]])) == 2
 
     @settings(max_examples=40)
     @given(st.lists(st.integers(-4, 4), min_size=2, max_size=5))
@@ -263,30 +257,97 @@ class TestCharpoly:
         assert charpoly_int(comp) == low + [1]
 
     @settings(max_examples=30)
-    @given(st.lists(st.builds(Q, st.integers(-3, 3), st.integers(1, 2)), min_size=1, max_size=4))
+    @given(st.lists(st.builds(zi, st.integers(-3, 3), st.integers(-3, 3)), min_size=1, max_size=4))
     def test_constructed_roots_are_found(self, roots):
-        poly = [Q(1)]
-        for r in roots:
-            poly = [Q(0)] + poly
-            for k in range(len(poly) - 1):
-                poly[k] -= r * poly[k + 1]
-        found, complete = gaussian_rational_roots(poly)
-        assert complete
-        assert sorted(
-            [r for r, mult in found for _ in range(mult)], key=scalar_key
-        ) == sorted(roots, key=scalar_key)
+        assert least_gaussian_root(_split(roots)) == min(roots, key=zi_parts)
 
     def test_gaussian_roots_with_gaussian_coeffs(self):
         # (t - i)(t - (1+i)) = t^2 - (1+2i) t + (i - 1)
-        i = gaussian(0, 1)
-        poly = [i - 1, -(1 + 2 * i), Q(1)]
-        found, complete = gaussian_rational_roots(poly)
-        assert complete
-        assert dict(found) == {i: 1, 1 + i: 1}
+        poly = [zi(-1, 1), zi(-1, -2), 1]
+        assert poly == _split([zi(0, 1), zi(1, 1)])
+        assert least_gaussian_root(poly) == zi(0, 1)
 
     def test_zero_root_stripped(self):
-        found, complete = gaussian_rational_roots([Q(0), Q(0), Q(1)])
-        assert complete and found == [(Q(0), 2)]
+        assert least_gaussian_root([0, 0, 1]) == 0
+        assert least_gaussian_root([0, 0, 0, 3, 1]) == -3  # t^3 (t + 3)
+
+
+def _split(roots, tail=(1,)):
+    """prod (t - r) times `tail`, lowest degree first."""
+    p = list(tail)
+    for r in roots:
+        p = _times(p, [-r, 1])
+    return p
+
+
+HUGE = (10**7, -10**7, zi(10**7, 1), zi(-3, -10**7), 10**399)
+gaussian_integers = st.one_of(st.builds(zi, st.integers(-6, 6), st.integers(-6, 6)),
+                              st.integers(-6, 6), st.just(0))
+
+
+@st.composite
+def split_roots(draw):
+    """1..7 Gaussian-integer roots: small ones, zeros, at most one of +-10^7,
+    10^7 + i, -3 - 10^7 i and 10^399, and maybe the first one doubled."""
+    roots = draw(st.lists(gaussian_integers, min_size=0, max_size=6))
+    if draw(st.booleans()):
+        roots.append(draw(st.sampled_from(HUGE)))
+    if roots and len(roots) < 7 and draw(st.booleans()):
+        roots.append(roots[0])
+    return roots or [draw(gaussian_integers)]
+
+
+IRREDUCIBLE_TAILS = {"t^2-2": [-2, 0, 1], "t^2+t+1": [1, 1, 1], "t^2-(1+i)": [zi(-1, -1), 0, 1],
+                     "t^3-3": [-3, 0, 0, 1], "t^4+2": [2, 0, 0, 0, 1]}
+
+
+class TestLeastGaussianRoot:
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(gaussian_integers, min_size=1, max_size=7), st.integers(-8, 8))
+    def test_the_count_of_roots_right_of_an_odd_line(self, roots, m):
+        # prod (u - 2r) has no root on the line Re u = 2m + 1
+        q = _split([2 * r for r in roots])
+        assert _count_right(q, 2 * m + 1) == sum(zi_parts(r)[0] > m for r in roots)
+
+    @settings(max_examples=300, deadline=None)
+    @given(split_roots())
+    def test_a_split_product_gives_its_least_root(self, roots):
+        assert least_gaussian_root(_split(roots)) == min(roots, key=zi_parts)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from(sorted(IRREDUCIBLE_TAILS)), st.lists(gaussian_integers, max_size=4),
+           st.sampled_from((1, 10**7)))
+    def test_an_irreducible_tail_gives_none_or_a_root(self, tail, roots, scale):
+        poly = _split([r * scale for r in roots], IRREDUCIBLE_TAILS[tail])
+        root = least_gaussian_root(poly)
+        assert root is None or poly_eval(poly, root) == 0
+
+    def test_the_weight_polynomials_of_the_diagonal_algebra(self):
+        # (t - 10^7)(t - 1)(t - 2): the divisor scan gave up on its constant term
+        assert least_gaussian_root(_split([10**7, 1, 2])) == 1
+        assert least_gaussian_root(_split([10**7, -1, zi(-1, -5), zi(-1, 5)])) == zi(-1, -5)
+        # (t - 10^7)(t^2 - 2): the line Re t = -1 holds no root
+        assert least_gaussian_root(_split([10**7], [-2, 0, 1])) is None
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.integers(-9, 9), min_size=1, max_size=6),
+           st.lists(st.integers(-9, 9), max_size=6))
+    def test_the_remainder_chain_is_a_positive_multiple_of_the_rational_one(self, f0, f1):
+        # either degree order, as in the gcd loop of imaginary_integer_roots
+        f0 = _poly_trim(f0)
+        assume(any(f0))
+        chain = _remainder_chain(f0, f1)
+        ref = [f0] + ([_poly_trim(f1)] if any(f1) else [])
+        while len(ref) > 1:
+            rem = _poly_rem([Q(x) for x in ref[-2]], [Q(x) for x in ref[-1]])
+            if not any(rem):
+                break
+            ref.append([-x for x in rem])
+        assert len(chain) == len(ref)
+        for got, want in zip(chain, ref):
+            assert len(got) == len(want)
+            ratio = Q(got[-1]) / want[-1]
+            assert ratio > 0 and all(Q(x) == ratio * y for x, y in zip(got, want))
 
 
 def _times(p, q):

@@ -2,11 +2,11 @@
 
 `charpoly_int` runs on integer and Gaussian-integer matrices; a rational or
 Gaussian-rational matrix A = N/s is compared through its numerator N with
-`ref_charpoly_exact(A)`.  `gaussian_rational_roots` solves degree 1 and 2 in
-closed form and tests divisor candidates by homogeneous integer evaluation
-above; it must return what `ref_gaussian_rational_roots` returns whenever that
-search stays within its budget, and it completes the degree <= 2 searches that
-used to exhaust it.  `GaussInt` arithmetic and `rref_int` on Gaussian-integer
+`ref_charpoly_exact(A)`.  `least_gaussian_root` solves degree 1 and 2 in
+closed form and bisects real parts above; on monic products over Z[i] it must
+return the least root of `ref_gaussian_rational_roots` whenever that search
+completes within its budget, and it completes the searches that used to
+exhaust it.  `GaussInt` arithmetic and `rref_int` on Gaussian-integer
 rows are checked against `GaussianRational` and `ref_rref`.  The flag search
 on integer matrices, `weights._weights_exact`, finds the weights of
 `ref_weights_joint_kernel`, the same search on `Fraction` matrices.
@@ -43,12 +43,12 @@ from liegrpd.exact import (
     GaussInt,
     charpoly_int,
     gaussian,
-    gaussian_rational_roots,
+    least_gaussian_root,
+    poly_eval,
     rref_int,
-    scalar_im,
     scalar_key,
-    scalar_re,
     zi,
+    zi_parts,
     zi_rows,
 )
 from liegrpd.lie import (
@@ -111,81 +111,85 @@ def _poly(roots, tail):
     """The monic polynomial prod (t - r) times `tail`, lowest degree first."""
     poly = list(tail)
     for r in roots:
-        poly = [Q(0)] + poly
+        poly = [0] + poly
         for k in range(len(poly) - 1):
             poly[k] -= r * poly[k + 1]
     return poly
 
 
-small_rationals = st.builds(Q, st.integers(-3, 3), st.integers(1, 2))
-ROOTS = st.one_of(small_rationals, st.builds(gaussian, small_rationals, small_rationals),
-                  st.just(Q(0)))
-TAILS = {"1": [Q(1)], "t^2-2": [Q(-2), Q(0), Q(1)], "t^2+t+1": [Q(1), Q(1), Q(1)]}
+ROOTS = st.one_of(st.integers(-3, 3), st.builds(zi, st.integers(-3, 3), st.integers(-3, 3)),
+                  st.just(0))
+TAILS = {"1": [1], "t^2-2": [-2, 0, 1], "t^2+t+1": [1, 1, 1]}
 
 
 @st.composite
 def root_products(draw):
-    """Products of linear factors (rational, Gaussian, zero, doubled roots),
-    possibly times t^2 - 2 or t^2 + t + 1, of degree 1..6, scaled by a
-    nonzero constant."""
+    """Monic products of linear factors over Z[i] (integer, Gaussian, zero,
+    doubled roots), possibly times t^2 - 2 or t^2 + t + 1, of degree 1..6."""
     tail = TAILS[draw(st.sampled_from(sorted(TAILS)))]
     k = draw(st.integers(1 if len(tail) == 1 else 0, 7 - len(tail)))
     roots = draw(st.lists(ROOTS, min_size=k, max_size=k))
     if roots and draw(st.booleans()):
         roots.append(roots[0])  # a doubled root
         roots = roots[: 7 - len(tail)]
-    lead = draw(st.sampled_from((Q(1), Q(-3, 2), 1 + I)))
-    return [lead * c for c in _poly(roots, tail)]
+    return _poly(roots, tail)
+
+
+def _oracle_least(poly):
+    """The least root that `ref_gaussian_rational_roots` finds, and whether
+    its search completed."""
+    roots, complete = ref_gaussian_rational_roots([_as_exact(c) for c in poly])
+    return (roots[0][0] if roots else None), complete
 
 
 @settings(max_examples=100, deadline=None)
 @given(root_products())
 def test_root_search_equals_reference(poly):
     assert 1 <= len(poly) - 1 <= 6
-    assert gaussian_rational_roots(poly) == ref_gaussian_rational_roots(poly)
+    root = least_gaussian_root(poly)
+    least, complete = _oracle_least(poly)
+    if complete:
+        assert _as_exact(root) == least
+    else:
+        assert root is None or poly_eval(poly, root) == 0
 
 
 @pytest.mark.parametrize("tail", sorted(TAILS))
-def test_root_search_reports_the_irreducible_factor_incomplete(tail):
-    poly = _poly([Q(1, 2), I, Q(0)], TAILS[tail])
-    roots, complete = gaussian_rational_roots(poly)
-    assert dict(roots) == {Q(1, 2): 1, I: 1, Q(0): 1}
-    assert complete == (tail == "1")
+def test_root_search_on_an_irreducible_factor(tail):
+    poly = _poly([2, zi(0, 1), 0], TAILS[tail])
+    root = least_gaussian_root(poly)
+    if tail == "1":
+        assert root == 0
+    else:
+        assert root is None or poly_eval(poly, root) == 0
 
 
 def test_root_search_takes_gaussian_integer_coefficients():
-    # (t - i)(t - 2)(t + 1 + i) over Z[i], as GaussInt and as GaussianRational
-    poly = _poly([I, Q(2), -1 - I], [Q(1)])
-    as_zi = [zi(int(scalar_re(c)), int(scalar_im(c))) for c in poly]
-    assert gaussian_rational_roots(as_zi) == gaussian_rational_roots(poly)
-    assert dict(gaussian_rational_roots(poly)[0]) == {I: 1, Q(2): 1, -1 - I: 1}
+    # (t - i)(t - 2)(t + 1 + i) over Z[i]
+    assert least_gaussian_root(_poly([zi(0, 1), 2, zi(-1, -1)], [1])) == zi(-1, -1)
 
 
 BIG = 10**7  # constant-term norms above 10^12 overspent the old divisor scan
 
 
-@pytest.mark.parametrize("roots, tail", [
-    ([Q(BIG), Q(1)], [Q(1)]),
-    ([Q(BIG, 3)], [Q(1)]),
-    ([gaussian(BIG, 1), gaussian(BIG, -1)], [Q(1)]),
-    ([Q(BIG), Q(BIG)], [Q(1)]),
-    ([gaussian(BIG, 3), Q(-BIG)], [Q(1)]),
+@pytest.mark.parametrize("roots", [
+    [BIG, 1],
+    [zi(BIG, 1), zi(BIG, -1)],
+    [BIG, BIG],
+    [zi(BIG, 3), -BIG],
+    [BIG, 1, 2],
+    [zi(BIG, 1), zi(BIG, -1), BIG, -BIG],
 ])
-def test_closed_form_completes_searches_that_exhausted_the_budget(roots, tail):
-    poly = _poly(roots, tail)
-    assert ref_gaussian_rational_roots(poly) == ([], False)
-    found, complete = gaussian_rational_roots(poly)
-    assert complete
-    expect = {}
-    for r in roots:
-        expect[r] = expect.get(r, 0) + 1
-    assert dict(found) == expect
+def test_searches_that_exhausted_the_budget_complete(roots):
+    poly = _poly(roots, [1])
+    assert ref_gaussian_rational_roots([_as_exact(c) for c in poly]) == ([], False)
+    assert least_gaussian_root(poly) == min(roots, key=zi_parts)
 
 
 def test_closed_form_without_a_square_root_finds_nothing():
     # t^2 - 2 * 10^14 and t^2 + t + 10^13: no square discriminant in Z[i]
-    for poly in ([Q(-2 * BIG * BIG), Q(0), Q(1)], [Q(BIG * 10**6), Q(1), Q(1)]):
-        assert gaussian_rational_roots(poly) == ([], False)
+    for poly in ([-2 * BIG * BIG, 0, 1], [BIG * 10**6, 1, 1]):
+        assert least_gaussian_root(poly) is None
 
 
 @settings(max_examples=200, deadline=None)
