@@ -10,6 +10,12 @@ with the same endpoints.  A single changed entry cannot keep the groupoid
 laws, so the exhaustive validation must raise AxiomError; the script also
 counts how many of these copies the pullback and bimodule verifiers flag.
 
+The off-hom side: one product g o z, z out of an orbit representative, is
+replaced by an arrow with other endpoints.  Validation, the pullback
+verifier and the bimodule verifier must each raise the same AxiomError,
+"composite has wrong endpoints" with the same witness; anything else
+counts as a failure.
+
 Usage:
     python3 scripts/fuzz_pullback.py [--trials N] [--seed S]
 """
@@ -25,6 +31,7 @@ from liegrpd.groupoids import (
     equivalence_bimodule_verify,
     groupoid_from_json,
     groupoid_to_json,
+    orbits_isotropy,
     pullback_isomorphism_verify,
     random_transformation_groupoid,
     validate_groupoid,
@@ -49,13 +56,38 @@ def tampered(G, rng):
         return None
     key = rng.choice(pairs)
     right = G.compose(*key)
-    wrong = rng.choice([k for k in G.hom(G.source[key[1]], G.target[key[0]])
-                        if k != right])
+    return replaced(G, key, rng.choice([k for k in G.hom(G.source[key[1]], G.target[key[0]])
+                                        if k != right]))
+
+
+def off_hom(G, rng):
+    """G with one product g o z, z out of an orbit representative, replaced
+    by an arrow with other endpoints, or None when G has one object."""
+    if len(G.objects) < 2:
+        return None
+    reps = set(orbits_isotropy(G).representatives)
+    key = rng.choice([(g, z) for g, z in G.composable_pairs() if G.source[z] in reps])
+    ends = (G.source[key[1]], G.target[key[0]])
+    return replaced(G, key, rng.choice([k for k in G.morphisms
+                                        if (G.source[k], G.target[k]) != ends]))
+
+
+def replaced(G, key, wrong):
+    """G with the product of the pair `key` replaced by `wrong`."""
     return FiniteGroupoid(
         G.objects, G.morphisms, G.source, G.target,
         lambda g, h: wrong if (g, h) == key else G.compose(g, h),
         G.identities, G.inverses,
     )
+
+
+def refusal(verify, G):
+    """The args of the AxiomError that verify(G) raises, or None."""
+    try:
+        verify(G)
+    except AxiomError as exc:
+        return exc.args
+    return None
 
 
 def main() -> int:
@@ -66,10 +98,11 @@ def main() -> int:
 
     rng = random.Random(args.seed)
     tamper_rng = random.Random(f"tamper-{args.seed}")
+    off_hom_rng = random.Random(f"off-hom-{args.seed}")
     t0 = time.perf_counter()
     failures = 0
     max_mor = 0
-    tampered_trials = pullback_flagged = bimodule_flagged = 0
+    tampered_trials = pullback_flagged = bimodule_flagged = off_hom_trials = 0
     for k in range(args.trials):
         G = random_transformation_groupoid(rng)
         max_mor = max(max_mor, len(G.morphisms))
@@ -91,6 +124,13 @@ def main() -> int:
                     pass
                 else:
                     raise AssertionError("a tampered product passed validation")
+            T = off_hom(G, off_hom_rng)
+            if T is not None:
+                off_hom_trials += 1
+                outcomes = [refusal(verify, T) for verify in (
+                    validate_groupoid, pullback_isomorphism_verify, equivalence_bimodule_verify)]
+                assert outcomes[0] and outcomes[0][0] == "composite has wrong endpoints", outcomes
+                assert outcomes.count(outcomes[0]) == 3, f"off-hom refusals differ: {outcomes}"
         except Exception as exc:  # noqa: BLE001 - report and keep fuzzing
             failures += 1
             print(f"[{k}] FAILED: {type(exc).__name__}: {exc}")
@@ -100,6 +140,8 @@ def main() -> int:
           f"{failures} failures, {dt:.1f}s")
     print(f"{tampered_trials} tampered copies: pullback flagged {pullback_flagged}, "
           f"bimodule flagged {bimodule_flagged}")
+    print(f"{off_hom_trials} off-hom copies: each refused alike by validate, "
+          f"pullback and bimodule, or counted as a failure above")
     return 1 if failures else 0
 
 

@@ -138,11 +138,6 @@ def scalar_im(x) -> Fraction:
     return x.im if isinstance(x, GaussianRational) else Fraction(0)
 
 
-def scalar_key(x):
-    """Deterministic sort key for exact scalars: (real, imaginary)."""
-    return (scalar_re(x), scalar_im(x))
-
-
 def _rational(text: str) -> Fraction:
     try:
         return Fraction(text)

@@ -7,6 +7,13 @@ built by numpy for permutation and cyclic groups, or a groupoid's own
 `groupoids.validate_groupoid`, run their loops over composable pairs and
 triples as numpy index operations on these ids, in chunks of at most CHUNK
 entries; `groupoids` exports them with the rest of the groupoid API.
+
+All three first refuse a product that is no morphism or leaves its
+hom-set, raising validate's AxiomError("composite has wrong endpoints",
+(g, h, g o h)) (`GroupoidIds.refuse_off_hom`).  Past that refusal the ids
+decide every check: on every other table, with identities and inverses in
+their hom-sets, the verdicts and witnesses are those of the label loops
+the verifiers replaced.
 """
 from __future__ import annotations
 
@@ -98,11 +105,6 @@ def chunks(lengths):
         lo = hi
 
 
-def first_false(items, holds):
-    """The first of `items` for which holds(item) is false, or None."""
-    return next((i for i in items if not holds(i)), None)
-
-
 class GroupoidIds:
     """The integer view of a FiniteGroupoid, `G.ids`.
 
@@ -114,7 +116,8 @@ class GroupoidIds:
     its isotropy group.  `compose(g, h)` maps arrays of composable id pairs
     to the ids of their products, -1 where a product is no morphism: the
     groupoid's `compose_ids`, or its product callable on each pair, once per
-    pair asked for.
+    pair asked for.  `pair_products` fills the table of all composable
+    pairs and refuses a product outside its hom-set.
     """
 
     def __init__(self, G):
@@ -124,7 +127,6 @@ class GroupoidIds:
         self.sources = [oid[G.source[g]] for g in G.morphisms]
         self.targets = [oid[G.target[g]] for g in G.morphisms]
         self._identities, self._inverses = G.identities, G.inverses
-        self.odd = {}  # (g, h) -> a product label that is no morphism
         self.compose = G.compose_ids or self._call_product
 
     @cached_property
@@ -137,11 +139,11 @@ class GroupoidIds:
 
     @cached_property
     def ends(self):
-        """(d, r): sources and targets as arrays followed by seven entries
-        -2 and -3, so that d[g] == r[h] is false where an id is -1 to -7."""
+        """(d, r): sources and targets as arrays followed by one entry -2
+        and -3, so that d[g] == r[h] is false where an id is -1."""
         import numpy as np
-        return (np.array(self.sources + [-2] * 7, dtype=np.intp),
-                np.array(self.targets + [-3] * 7, dtype=np.intp))
+        return (np.array(self.sources + [-2], dtype=np.intp),
+                np.array(self.targets + [-3], dtype=np.intp))
 
     @cached_property
     def into(self):
@@ -201,22 +203,37 @@ class GroupoidIds:
 
     def _call_product(self, g, h) -> np.ndarray:
         import numpy as np
-        mors, index, odd = self.morphisms, self.index, self.odd
-        out = []
-        for a, b in zip(g.tolist(), h.tolist()):
-            k = self.product(mors[a], mors[b])
-            out.append(index.get(k, -1))
-            if out[-1] < 0:
-                odd[a, b] = k
-        return np.array(out, dtype=np.intp)
+        mors, index, product = self.morphisms, self.index, self.product
+        return np.array([index.get(product(mors[a], mors[b]), -1)
+                         for a, b in zip(g.tolist(), h.tolist())], dtype=np.intp)
 
-    def label(self, g: int, h: int, k: int):
-        """The label of the product of ids g and h, whose id is k."""
-        if k >= 0:
-            return self.morphisms[k]
-        if (g, h) in self.odd:
-            return self.odd[g, h]
-        return self.product(self.morphisms[g], self.morphisms[h])
+    def refuse_off_hom(self, g, h, k) -> None:
+        """Raise validate's AxiomError where k, the products of the
+        composable id pairs (g, h), holds one that is no morphism or leaves
+        Hom(d h, r g): at the first such pair in validate's order (g in
+        input order, then h), with the product's label as the third entry
+        of the witness, computed again by the product callable."""
+        d, r = self.ends
+        bad = ((d[k] != d[h]) | (r[k] != r[g])).nonzero()[0]
+        if len(bad):
+            _, _, pos, _, start = self.pair_index
+            i = bad[(start[g[bad]] + pos[h[bad]]).argmin()]
+            a, b = self.morphisms[g[i]], self.morphisms[h[i]]
+            raise AxiomError("composite has wrong endpoints", (a, b, self.product(a, b)))
+
+    def pair_products(self) -> np.ndarray:
+        """The products of all composable pairs, (g, h) at start[g] + pos[h]
+        of `pair_index`, computed in chunks of at most CHUNK pairs, g in
+        input order and then h; the first product outside its hom-set
+        raises validate's AxiomError."""
+        import numpy as np
+        _, _, _, fan, start = self.pair_index
+        table = np.empty(start[-1], dtype=np.int32)
+        for lo, hi in chunks(fan):
+            g, h = self.pairs(lo, hi)
+            table[start[lo]:start[hi]] = k = self.compose(g, h)
+            self.refuse_off_hom(g, h, k)
+        return table
 
 
 class PullbackIds:
@@ -296,15 +313,18 @@ def pullback_isomorphism_verify(G: FiniteGroupoid) -> PullbackReport:
     functor law, identities, and inverses are checked on every morphism.
 
     The checks run on the integer view.  The products of all composable
-    pairs are computed once into a table, in chunks, and Phi, the isotropy
-    products and the inverse map read theirs from it; Phi(g) is held as the
-    id of its middle arrow and its pullback id (-1 outside the pullback).
-    A second pass over the chunks checks the functor law
-    Phi(g o h) = Phi(g) o Phi(h) as numpy index operations, in the label
-    loop's order (g in input order, then h).  An item the ids do not
-    settle, a product that is no morphism or a failure, is decided by the
-    label computation the loops made, in their order, so verdicts,
-    witnesses and raised errors are theirs.
+    pairs are computed once into a table by `GroupoidIds.pair_products`,
+    which raises validate's AxiomError at a product outside its hom-set,
+    and Phi, the isotropy products and the inverse map read theirs from
+    it; Phi(g) is held as the id of its middle arrow and its pullback id
+    (-1 outside the pullback).  A second pass over the chunks checks the
+    functor law Phi(g o h) = Phi(g) o Phi(h) as numpy index operations, g
+    in input order, then h.  Once every product is a morphism in its
+    hom-set the ids decide each check, and each reports the first item
+    they flag: where identities and inverses lie in their hom-sets, the
+    verdicts and witnesses are the label loops'.  (An inverse outside its
+    hom-set sends some Phi(g) out of the pullback, which the checks flag;
+    the label loops raised KeyError there.)
     """
     import numpy as np
     V = G.ids
@@ -312,15 +332,10 @@ def pullback_isomorphism_verify(G: FiniteGroupoid) -> PullbackReport:
     if -1 in P.sigma:
         raise AxiomError("no morphism from object to its representative",
                          G.objects[P.sigma.index(-1)])
-    labels, objects, product, inverses = G.morphisms, G.objects, G.product, G.inverses
+    table = V.pair_products()
     src, tgt, inv, sig = V.sources, V.targets, V.inverses, P.sigma
-    m = len(labels)
-    # the products of all composable pairs, read as products(g, h) below
+    m = len(G.morphisms)
     _, _, _, fan, start = V.pair_index
-    table, spans = np.empty(start[-1], dtype=np.int32), list(chunks(fan))
-    for lo, hi in spans:
-        pairs = V.pairs(lo, hi)
-        table[start[lo]:start[hi]] = V.compose(*pairs)
     found, at, pos = memoryview(table), start.tolist(), V.into[1]
 
     def products(g, h):
@@ -329,49 +344,17 @@ def pullback_isomorphism_verify(G: FiniteGroupoid) -> PullbackReport:
                 for a, b in zip(g, h)]
 
     # the isotropy products a o b, by rows a, and Phi's middle arrows
-    # sigma(r g) o g o sigma(d g)^-1; odd keeps those that are no morphism
+    # sigma(r g) o g o sigma(d g)^-1
     first = [a for ids in V.loops.values() for a in ids for _ in ids]
     second = [b for ids in V.loops.values() for _ in ids for b in ids]
-    a, b = products([sig[y] for y in tgt], range(m)), [inv[sig[x]] for x in src]
-    mid, odd = products(a, b), {}
-    for i in [i for i, h in enumerate(mid) if h < 0]:
-        if a[i] >= 0 <= b[i] and src[a[i]] == tgt[b[i]]:
-            h = V.label(a[i], b[i], -1)
-        else:
-            h = product(V.label(sig[tgt[i]], i, a[i]), inverses[labels[sig[src[i]]]])
-        mid[i] = V.index.get(h, -1)
-        if mid[i] < 0:
-            odd[i] = h
+    mid = products(products([sig[y] for y in tgt], range(m)), [inv[sig[x]] for x in src])
     image = [P.pid(y, h, x) for y, h, x in zip(tgt, mid, src)]
-
-    def phi(i):
-        return objects[tgt[i]], labels[mid[i]] if mid[i] >= 0 else odd[i], objects[src[i]]
-
-    def phi_of(g):
-        """Phi of a label; KeyError when it is no morphism, as a dict lookup."""
-        if g not in V.index:
-            raise KeyError(g)
-        return phi(V.index[g])
-
-    def phi_inv(x, h, y):
-        """The inverse map at object ids x, y and a middle label h."""
-        return product(inverses[labels[sig[x]]], product(h, labels[sig[y]]))
-
-    def functor_holds(g, h, gh):
-        gh = V.label(g, h, gh)
-        if gh not in V.index:
-            raise KeyError(gh)
-        x, a, _ = phi(g)
-        _, b, z = phi(h)
-        return phi(V.index[gh]) == (x, product(a, b), z)
-
     bijective = P.count == m and min(image, default=0) >= 0 and len(set(image)) == m
     # Phi(g) o Phi(h) has id base[r g] + spot[d h] size[r g] + slot[a o b], with
-    # slot[a o b] = square[row[g] + col[h]]; `far` there stands for an a o b
-    # outside the isotropy group and for a Phi(g) outside the pullback
+    # slot[a o b] = square[row[g] + col[h]]; `far` there stands for a Phi(g)
+    # outside the pullback
     far = -(1 << 40)
-    square = [P.slot[k] if P.loop_at[k] == P.loop_at[h] else far
-              for h, k in zip(first, products(first, second))] + [far] * (2 * len(first) + 2)
+    square = [P.slot[k] for k in products(first, second)] + [far] * (2 * len(first) + 2)
     rows = {}  # the first row of each loop a
     for k, h in enumerate(first):
         rows.setdefault(h, k)
@@ -380,46 +363,29 @@ def pullback_isomorphism_verify(G: FiniteGroupoid) -> PullbackReport:
     row, col, base, size, spot = np.array(
         [row, col, [P.base[y] for y in tgt], [P.size[y] for y in tgt], [P.spot[x] for x in src]],
         dtype=np.int64).reshape(5, m)
-    ids, square = np.array(image + [-2], dtype=np.int64), np.array(square, dtype=np.int64)
+    ids, square = np.array(image, dtype=np.int64), np.array(square, dtype=np.int64)
     failure = ()
-    for lo, hi in spans:
-        g, h = pairs if len(spans) == 1 else V.pairs(lo, hi)  # one span: its pairs are at hand
+    for lo, hi in chunks(fan):
+        g, h = V.pairs(lo, hi)
         gh = table[start[lo]:start[hi]]
-        wrong = ids[gh] != base[g] + spot[h] * size[g] + square[row[g] + col[h]]
-        if np.count_nonzero(wrong):
-            g, h, gh = g.tolist(), h.tolist(), gh.tolist()
-            i = first_false(wrong.nonzero()[0].tolist(),
-                            lambda i: functor_holds(g[i], h[i], gh[i]))
-            if i is not None:
-                failure = ("functor", labels[g[i]], labels[h[i]])
-                break
+        wrong = (ids[gh] != base[g] + spot[h] * size[g] + square[row[g] + col[h]]).nonzero()[0]
+        if len(wrong):
+            failure = ("functor", G.morphisms[g[wrong[0]]], G.morphisms[h[wrong[0]]])
+            break
 
     e = V.identities
-    identities_match = first_false(
-        (x for x in range(len(objects))
-         if e[x] < 0 or image[e[x]] != P.pid(x, e[P.rep[x]], x) or image[e[x]] < 0),
-        lambda x: phi_of(G.identity(objects[x]))
-        == (objects[x], G.identity(objects[P.rep[x]]), objects[x]),
-    ) is None
+    identities_match = all(e[x] >= 0 <= image[e[x]] == P.pid(x, e[P.rep[x]], x)
+                           for x in range(len(G.objects)))
     # the pullback's inverse of (x, h, y) is (y, h^-1, x)
-    inverses_match = first_false(
-        (g for g in range(m) if inv[g] < 0 or image[g] < 0
-         or not image[inv[g]] == P.pid(src[g], inv[mid[g]], tgt[g]) >= 0),
-        lambda g: phi_of(G.inverse(labels[g])) == _pullback_inverse(G, phi(g), image[g]),
-    ) is None
+    inverses_match = all(
+        inv[g] >= 0 <= image[g] and image[inv[g]] == P.pid(src[g], inv[mid[g]], tgt[g]) >= 0
+        for g in range(m))
     back = products([inv[sig[y]] for y in tgt], products(mid, [sig[x] for x in src]))
-    round_trip = first_false(
-        (g for g in range(m) if back[g] != g),
-        lambda g: phi_inv(tgt[g], phi(g)[1], src[g]) == labels[g],
-    ) is None
+    round_trip = back == list(range(m))
     if round_trip:
         back = products([inv[sig[x]] for x in P.target],
                         products(P.middle, [sig[y] for y in P.source]))
-        round_trip = first_false(
-            (p for p in range(P.count) if back[p] < 0 or image[back[p]] != p),
-            lambda p: phi_of(phi_inv(P.target[p], labels[P.middle[p]], P.source[p]))
-            == (objects[P.target[p]], labels[P.middle[p]], objects[P.source[p]]),
-        ) is None
+        round_trip = all(k >= 0 and image[k] == p for p, k in enumerate(back))
     ok = bijective and not failure and identities_match and inverses_match and round_trip
     return PullbackReport(
         ok,
@@ -432,15 +398,6 @@ def pullback_isomorphism_verify(G: FiniteGroupoid) -> PullbackReport:
         round_trip,
         failure,
     )
-
-
-def _pullback_inverse(G: FiniteGroupoid, image, pid):
-    """The pullback's inverse of a Phi image; KeyError when it is no
-    pullback morphism, as the pullback's inverse table raises."""
-    if pid < 0:
-        raise KeyError(image)
-    x, h, y = image
-    return y, G.inverse(h), x
 
 
 # ---------------------------------------------------------------------------
@@ -470,64 +427,55 @@ def equivalence_bimodule_verify(G: FiniteGroupoid) -> BimoduleReport:
 
     Both actions are tabulated once on the integer view, aligned by
     position in rows padded with -1: left[k] lists g o z_k for g out of
-    r(z_k), and right[k] lists z_k o b for b in the isotropy at d(z_k).
-    Check 1 runs over every (z, g, b) in chunks of rows, in the label loop's
-    order, and compares (g o z) o b, read from right[g o z], with
-    g o (z o b), read from left[z o b]; where a faulty product leaves Z or
-    moves an endpoint, the label loop's products are composed for that
-    item.  Checks 4 and 5 count how often each element occurs in the row of
-    z1, which is the hom-set scan for every z2 at once.  The checks stay
-    exhaustive over all pairs and report the first failure in the label
-    loops' order, so verdicts, witnesses and raised errors are theirs for
-    any deterministic product.
+    r(z_k), and right[k] lists z_k o b for b in the isotropy at d(z_k).  A
+    product there that is no morphism or leaves its hom-set raises
+    validate's AxiomError, at the first such pair in validate's order;
+    every other product is an element of Z, whose own row is then at hand.
+    Check 1 runs over every (z, g, b) in chunks of rows, in the label
+    loop's order, and compares (g o z) o b, read from right[g o z], with
+    g o (z o b), read from left[z o b].  Checks 4 and 5 count how often
+    each element occurs in the row of z1, which is the hom-set scan for
+    every z2 at once.  The checks stay exhaustive over all pairs and
+    report the first failure in the label loops' order, so verdicts and
+    witnesses are theirs.
     """
     import numpy as np
     V = G.ids
-    labels, compose, loops = G.morphisms, G.product, V.loops
-    (d, r), (out, out_pos) = V.ends, V.out
+    labels, loops = G.morphisms, V.loops
+    r, (out, out_pos) = V.ends[1], V.out
     z = [g for g, x in enumerate(V.sources) if x in loops]
-    place = [-1] * (len(labels) + 7)  # ids -1 to -7 read -1
+    place = [-1] * (len(labels) + 1)  # id -1 reads -1
     for k, g in enumerate(z):
         place[g] = k
     # gs[k] and bs[k] list the g out of r(z_k) and the b in the isotropy at
     # d(z_k), left[k] and right[k] the products g o z_k and z_k o b, with
-    # -1 as padding and -5 and -6 for products that are no morphism
+    # -1 as padding
     tz, sz = [V.targets[g] for g in z], [V.sources[g] for g in z]
-    sources, gs, bs = sz, [out[y] for y in tz], [loops[x] for x in sz]
-    firsts = [g for row in gs for g in row] + [k for k, row in zip(z, bs) for _ in row]
-    seconds = [k for k, row in zip(z, gs) for _ in row] + [b for row in bs for b in row]
-    found = V.compose(np.array(firsts, dtype=np.intp), np.array(seconds, dtype=np.intp))
+    gs, bs = [out[y] for y in tz], [loops[x] for x in sz]
+    firsts = np.array([g for row in gs for g in row] + [k for k, row in zip(z, bs) for _ in row],
+                      dtype=np.intp)
+    seconds = np.array([k for k, row in zip(z, gs) for _ in row] + [b for row in bs for b in row],
+                       dtype=np.intp)
+    found = V.compose(firsts, seconds)
+    V.refuse_off_hom(firsts, seconds, found)
     n = len(found) - sum(map(len, bs))
-    found[:n][found[:n] < 0], found[n:][found[n:] < 0] = -5, -6
     gs, bs = padded(gs), padded(bs)
     left, right = gs.copy(), bs.copy()
     left[gs >= 0], right[bs >= 0] = found[:n], found[n:]
     place, tz, sz = (np.array(v, dtype=np.intp) for v in (place, tz, sz))
-    # left[k] leaves z_k's source, right[k] z_k's target: no row is read there
-    off_left, off_right = d[left] != sz[:, None], r[right] != tz[:, None]
-
-    def commute_holds(k, i, j):
-        g, zz, b = labels[gs[k, i]], labels[z[k]], labels[bs[k, j]]
-        return compose(compose(g, zz), b) == compose(g, compose(zz, b))
 
     def check_commute():
-        # (g o z) o b is read from right[g o z] and g o (z o b) from left[z o b]
-        # where those rows exist, from an extra last row else: -7 on the
-        # right, never matched, and -1 on the left, matched by the right's
-        # padding only; what does not match is checked on its labels
+        # (g o z) o b is read from right[g o z] and g o (z o b) from left[z o b];
+        # padding reads an extra last row of -1, so only products can differ
         at_right, at_left = place[left], place[right]
-        at_right[off_left] = at_left[off_right] = -1
-        lhs = np.vstack((right, np.full(right.shape[1], -7)))
+        lhs = np.vstack((right, np.full(right.shape[1], -1)))
         rhs = np.vstack((left, np.full(left.shape[1], -1)))
         step = max(1, CHUNK // max(1, left.shape[1] * right.shape[1]))
         for lo in range(0, len(z), step):
             wrong = lhs[at_right[lo:lo + step]] != rhs[at_left[lo:lo + step]].transpose(0, 2, 1)
-            k, i, j = (axis.tolist() for axis in wrong.nonzero())
-            t = first_false(
-                (t for t in range(len(k)) if gs[lo + k[t], i[t]] >= 0 <= bs[lo + k[t], j[t]]),
-                lambda t: commute_holds(lo + k[t], i[t], j[t]))
-            if t is not None:
-                k, i, j = lo + k[t], i[t], j[t]
+            if np.count_nonzero(wrong):
+                k, i, j = (int(axis[0]) for axis in wrong.nonzero())
+                k += lo
                 return False, ("commute", labels[gs[k, i]], labels[z[k]], labels[bs[k, j]])
         return True, ()
 
@@ -543,19 +491,19 @@ def equivalence_bimodule_verify(G: FiniteGroupoid) -> BimoduleReport:
         sources = {G.source[labels[k]] for k in z}
         return False, ("right-moment", tuple({G.objects[x] for x in loops} - sources))
 
-    def first_wrong(order, widths, hits, also=False):
+    def first_wrong(order, widths, hits):
         """(row, column, count) at the first place, rows z1 = z[order[row]],
-        where the count is not 1 or `also` holds, or None; the row of z_k
-        has widths[k] columns of z2 and hits[k] holds the column hit by
-        each entry of z_k's row, -1 for none.  Rows that hit each of their
-        columns once, in some order, pass at once."""
+        where the count is not 1, or None; the row of z_k has widths[k]
+        columns of z2 and hits[k] holds the column hit by each entry of
+        z_k's row, -1 for none.  Rows that hit each of their columns once,
+        in some order, pass at once."""
         widths, width = np.array(widths, dtype=np.intp), max(widths, default=0)
         ranked = np.arange(hits.shape[1]) - (hits.shape[1] - widths)[:, None]
-        if also is False and not np.count_nonzero(np.sort(hits, axis=1) != np.maximum(ranked, -1)):
+        if not np.count_nonzero(np.sort(hits, axis=1) != np.maximum(ranked, -1)):
             return None
         rows, cols = (hits >= 0).nonzero()
         counts = np.bincount(rows * width + hits[rows, cols], minlength=len(z) * width)
-        wrong = (np.arange(width) < widths[:, None]) & ((counts.reshape(len(z), width) != 1) | also)
+        wrong = (np.arange(width) < widths[:, None]) & (counts.reshape(len(z), width) != 1)
         if not np.count_nonzero(wrong[order]):
             return None
         row, col = divmod(int(wrong[order].argmax()), width)
@@ -565,9 +513,8 @@ def equivalence_bimodule_verify(G: FiniteGroupoid) -> BimoduleReport:
         # z1 and z2 run over out_of(rep), rep in order; g o z1 = z2 is
         # counted for g ending at r(z2), at the place of z2 in out_of(rep)
         order = place[[k for x in loops for k in out[x]]]
-        hits = np.array(out_pos + [-1] * 7)[left]
-        hits[off_left | (r[gs] != r[left])] = -1
-        found = first_wrong(order, [len(out[x]) for x in sz.tolist()], hits)
+        found = first_wrong(order, [len(out[x]) for x in sz.tolist()],
+                            np.array(out_pos + [-1])[left])
         if found is None:
             return True, ()
         row, col, n = found
@@ -576,24 +523,16 @@ def equivalence_bimodule_verify(G: FiniteGroupoid) -> BimoduleReport:
 
     def check_right_free_transitive():
         # z1 and z2 run over the Z-elements into y, y in order; z1 o b = z2 is
-        # counted at the place of z2 among them; sources compare first
+        # counted at the place of z2 among them; these share their source,
+        # the representative of y
         into_z, z_pos = grouped(tz.tolist(), len(G.objects))
         order = [k for ks in into_z for k in ks]
-        columns = [into_z[y] for y in tz[order].tolist()]
-        hits = np.array(z_pos + [-1])[place[right]]
-        hits[off_right] = -1
-        # the z into one object share their source in a groupoid; else every
-        # pair's sources are compared
-        mismatch = False
-        if any(sources[ks[0]] != sources[k] for ks in into_z for k in ks):
-            mismatch = sz[:, None] != np.append(sz, -1)[padded([into_z[y] for y in tz.tolist()])]
-        found = first_wrong(order, [len(into_z[y]) for y in tz.tolist()], hits, mismatch)
+        found = first_wrong(order, [len(into_z[y]) for y in tz.tolist()],
+                            np.array(z_pos + [-1])[place[right]])
         if found is None:
             return True, ()
         row, col, n = found
-        z1, z2 = labels[z[order[row]]], labels[z[columns[row][col]]]
-        if mismatch is not False and mismatch[order[row], col]:
-            return False, ("right-torsor-sources", z1, z2)
+        z1, z2 = labels[z[order[row]]], labels[z[into_z[tz[order[row]]][col]]]
         return False, ("right-torsor", z1, z2, n)
 
     checks = (

@@ -17,7 +17,10 @@ explicit documents from their composition list; a groupoid built around an
 arbitrary product callable calls it once per pair asked for.  The
 exhaustive verifiers run their pair and triple loops on this view as numpy
 index operations, in chunks, visiting items in the order of the label loops
-they replaced, so a failure reports the same label witness.
+they replaced.  Each refuses a product outside its hom-set with
+validate's AxiomError("composite has wrong endpoints", ...); on every
+other table, with identities and inverses in their hom-sets, a failure
+reports the label loops' verdict and witness.
 """
 from __future__ import annotations
 
@@ -355,12 +358,13 @@ def validate_groupoid(G: FiniteGroupoid) -> None:
     TRIPLE_CAP composable triples are refused before any product is computed.
 
     After the label checks every loop runs on the integer view, in chunks
-    of at most CHUNK entries: the products of all composable pairs, g in
-    input order and then h, are computed once into a table, checked for
-    their endpoints, then read for the identity and inverse laws of each
-    morphism and for associativity on each triple (g, h, k).  Each loop
-    visits its items in the order of the label loops it replaced, so the
-    first failure gives their witness.
+    of at most CHUNK entries: `GroupoidIds.pair_products` computes the
+    products of all composable pairs, g in input order and then h, once
+    into a table and refuses the first one outside its hom-set; the table
+    is then read for the identity and inverse laws of each morphism and
+    for associativity on each triple (g, h, k).  Each loop visits its
+    items in the order of the label loops it replaced, so the first
+    failure gives their witness.
     """
     import numpy as np
     objs = set(G.objects)
@@ -384,15 +388,7 @@ def validate_groupoid(G: FiniteGroupoid) -> None:
     total = int(triples.sum())
     if total > TRIPLE_CAP:
         raise ValueError(f"{total} composable triples exceed the exhaustive-check cap of {TRIPLE_CAP}")
-    table = np.empty(start[-1], dtype=np.int32)  # the product of (g, h) at start[g] + pos[h]
-    for lo, hi in chunks(fan):
-        g, h = V.pairs(lo, hi)
-        k = table[start[lo]:start[hi]] = V.compose(g, h)
-        bad = (d[k] != src[h]) | (r[k] != tgt[g])
-        if np.count_nonzero(bad):
-            i = int(bad.argmax())
-            raise AxiomError("composite has wrong endpoints",
-                             (labels[g[i]], labels[h[i]], V.label(g[i], h[i], k[i])))
+    table = V.pair_products()  # the product of (g, h) at start[g] + pos[h]
     g, e, inv = np.arange(len(labels)), np.array(V.identities), np.array(V.inverses)
     e_d, e_r = e[src], e[tgt]
     identity_bad = (table[start[:-1] + pos[e_d]] != g) | (table[start[e_r] + pos] != g)

@@ -126,7 +126,7 @@ from liegrpd.coadjoint import integer_bform
 from liegrpd.exact import Matrix, NumericError, Scalar
 from liegrpd.exact import GaussianRational, format_scalar, gaussian, is_exact, poly_eval
 from liegrpd.exact import kernel_int, rref_int, zi_over, zi_rows
-from liegrpd.exact import scalar_im, scalar_key, scalar_re
+from liegrpd.exact import scalar_im, scalar_re
 from liegrpd import groupoids
 from liegrpd.groupoids import (
     AxiomError,
@@ -267,6 +267,11 @@ class DenseMatrix:
                         f"matrix entry ({i}, {j}) does not fit a float"
                     ) from None
         return out
+
+
+def scalar_key(x):
+    """Deterministic sort key for exact scalars: (real, imaginary)."""
+    return (scalar_re(x), scalar_im(x))
 
 
 def _exact_entry(x) -> Scalar:

@@ -714,9 +714,21 @@ def _tampered_copies(G, rng):
         ), wrong_within_hom
 
 
+def _refusal(G):
+    """validate's outcome on G when it stops at a product outside its
+    hom-set, else None; the pullback and bimodule verifiers must then give
+    exactly this outcome."""
+    outcome = _outcome(validate_groupoid, G)
+    if isinstance(outcome, tuple) and outcome[1][:1] == ("composite has wrong endpoints",):
+        return outcome
+    return None
+
+
 class TestBimoduleAgainstReference:
     """The bimodule verifier reports exactly what the exhaustive loops
-    report, witnesses included, on valid and on tampered groupoids."""
+    report, witnesses included, on valid and on tampered groupoids whose
+    products stay in their hom-sets, and refuses the others as validate
+    does."""
 
     def test_fifty_seeds_unaltered_and_tampered(self):
         rng = random.Random(6)
@@ -728,6 +740,11 @@ class TestBimoduleAgainstReference:
                     _reference_bimodule_verify(H)
                 )
                 for T, wrong_within_hom in _tampered_copies(H, rng):
+                    refusal = _refusal(T)
+                    if refusal:
+                        assert _outcome(equivalence_bimodule_verify, T) == refusal
+                        not_ok += 1
+                        continue
                     report = equivalence_bimodule_verify(T)
                     assert repr(report) == repr(_reference_bimodule_verify(T))
                     # a wrong arrow within the right hom-set breaks the left torsor
@@ -763,7 +780,9 @@ def _outcome(fn, *args):
 
 class TestPullbackAgainstReference:
     """The pullback verifier reports exactly what the verifier that composed
-    every product through the pullback reported, witnesses included."""
+    every product through the pullback reported, witnesses included, on
+    tables whose products stay in their hom-sets, and refuses the others
+    as validate does."""
 
     def test_fifty_seeds_unaltered_and_tampered(self):
         rng = random.Random(13)
@@ -776,7 +795,12 @@ class TestPullbackAgainstReference:
                 )
                 for T, wrong_within_hom in _tampered_copies(H, rng):
                     outcome = _outcome(pullback_isomorphism_verify, T)
-                    assert outcome == _outcome(ref_pullback_isomorphism_verify, T)
+                    refusal = _refusal(T)
+                    if refusal:
+                        assert outcome == refusal
+                        assert _outcome(equivalence_bimodule_verify, T) == refusal
+                    else:
+                        assert outcome == _outcome(ref_pullback_isomorphism_verify, T)
                     if wrong_within_hom:
                         not_ok += not pullback_isomorphism_verify(T).ok
         # the pullback is built with T's own product, so a wrong product can
@@ -785,8 +809,9 @@ class TestPullbackAgainstReference:
 
     def test_images_outside_the_isotropy(self):
         """k o e, for e an identity and k a loop at its object, replaced by
-        an arrow between other objects: some Phi(g) then leaves the isotropy
-        groups, and their products are composed directly."""
+        an arrow v with other endpoints: the product leaves Hom(y, y), so
+        the verifier refuses it with validate's witness (k, e, v) before
+        any Phi(g) is formed."""
         for seed in (11, 16):
             P = build_pullback(random_transformation_groupoid(random.Random(seed)))
             for y in P.objects:
@@ -799,9 +824,9 @@ class TestPullbackAgainstReference:
                             P, lambda g, h, v=v, key=(k, e): v if (g, h) == key
                             else P.compose(g, h)
                         )
-                        assert _outcome(pullback_isomorphism_verify, T) == _outcome(
-                            ref_pullback_isomorphism_verify, T
-                        )
+                        refusal = ("AxiomError", ("composite has wrong endpoints", (k, e, v)))
+                        assert _outcome(pullback_isomorphism_verify, T) == refusal
+                        assert _outcome(validate_groupoid, T) == refusal
 
     def test_tampered_s3_witness(self):
         T = _tampered_s3()
@@ -955,11 +980,17 @@ VERIFIERS = (
 class TestVerifiersAgainstReferences:
     """Each verifier's outcome, the report repr or the exception type and
     args, is its reference loop's outcome: on valid groupoids of every
-    construction, their JSON round trips, and every tampered copy."""
+    construction, their JSON round trips, and every tampered copy.  Where
+    validate stops at a product outside its hom-set, the pullback and
+    bimodule verifiers give validate's outcome instead."""
 
     def _same(self, G):
+        refusal = _refusal(G)
         for verify, reference in VERIFIERS:
-            assert _outcome(verify, G) == _outcome(reference, G), verify.__name__
+            expected = _outcome(reference, G)
+            if refusal and verify is not validate_groupoid:
+                expected = refusal
+            assert _outcome(verify, G) == expected, verify.__name__
 
     def test_random_groupoids_round_trips_and_tampered_copies(self):
         rng = random.Random(29)

@@ -30,6 +30,7 @@ from dense_reference import (
     ref_gaussian_rational_roots,
     ref_rref,
     ref_weights_joint_kernel,
+    scalar_key,
     upper,
 )
 from liegrpd import weights
@@ -46,7 +47,6 @@ from liegrpd.exact import (
     least_gaussian_root,
     poly_eval,
     rref_int,
-    scalar_key,
     zi,
     zi_parts,
     zi_rows,
