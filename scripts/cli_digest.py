@@ -35,9 +35,9 @@ search meets Gaussian weights or reaches its weights only mid-search: on
 e2 + axb, a fixed unimodular conjugate of realified_borel, the Q(i) sum
 complex_borel + complex_borel, and irrational_spectrum_algebra, which takes
 the float path.  A seventh runs every `grpd` subcommand (JSON and text) on
-the natural S4 and S5 actions (S5 `validate` is refused at the triple cap,
-exit 2), on S4 acting on itself by conjugation (five orbits; `regrep` at the
-transposition (0 1)), and on one explicit-table document of each family the
+the natural S4 and S5 actions (S5 `validate` passes by Light's test on its
+generators), on S4 acting on itself by conjugation (five orbits; `regrep` at
+the transposition (0 1)), and on one explicit-table document of each family the
 groupoid benchmark validates: a pair groupoid, a bundle of cyclic groups and
 the transformation groupoid of a permutation-group action with a fixed
 point.  An eighth runs `probe-minus-one` (JSON) at `--seed 1` and `--seed 2`

@@ -389,11 +389,14 @@ def cmd_grpd_validate(args) -> dict:
         }
     except ValueError as exc:  # the composable-triple cap
         raise InputError(str(exc)) from exc
+    mode, visited = G.ids.associativity
     return {
         "input": meta,
         "valid": True,
         "objects": len(G.objects),
         "morphisms": len(G.morphisms),
+        "associativity": mode,
+        "triples_visited": visited,
     }
 
 

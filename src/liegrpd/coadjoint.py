@@ -216,8 +216,7 @@ def open_component_census(L: LieAlgebra, samples: int = 512, seed: int = 0) -> C
     for s in kept:
         joined = False
         for comp in components:
-            probes = comp[:2] + comp[-2:]
-            for member in probes:
+            for member in dict.fromkeys(comp[:2] + comp[-2:]):
                 if joins(s, member):
                     comp.append(s)
                     joined = True

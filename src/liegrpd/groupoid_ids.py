@@ -117,7 +117,8 @@ class GroupoidIds:
     to the ids of their products, -1 where a product is no morphism: the
     groupoid's `compose_ids`, or its product callable on each pair, once per
     pair asked for.  `pair_products` fills the table of all composable
-    pairs and refuses a product outside its hom-set.
+    pairs and refuses a product outside its hom-set.  `associativity` is
+    (check, triples) once `groupoids.validate_groupoid` has passed.
     """
 
     def __init__(self, G):
@@ -128,6 +129,7 @@ class GroupoidIds:
         self.targets = [oid[G.target[g]] for g in G.morphisms]
         self._identities, self._inverses = G.identities, G.inverses
         self.compose = G.compose_ids or self._call_product
+        self.associativity = None
 
     @cached_property
     def identities(self) -> list:
@@ -162,7 +164,7 @@ class GroupoidIds:
                 rep[x] = x = rep[rep[x]]
             return x
 
-        for a, b in zip(self.sources, self.targets):
+        for a, b in set(zip(self.sources, self.targets)):  # roots stay least in any order
             a, b = find(a), find(b)
             rep[max(a, b)] = min(a, b)
         return [find(x) for x in range(len(rep))]

@@ -1,7 +1,8 @@
 """Finite groupoids: validation, transformation groupoids, pullback structure.
 
 A finite groupoid is stored as its source/target tables and a product rule
-and validated exhaustively.  `compose(g, h)` is "h then g" and is defined
+and validated exhaustively, associativity on its generators where it has
+them.  `compose(g, h)` is "h then g" and is defined
 exactly when d(g) = r(h).  The central constructions: canonical sections onto
 orbit representatives, the pullback of the isotropy bundle along the
 orbit-representative map together with an exhaustively verified isomorphism,
@@ -31,6 +32,7 @@ from functools import cached_property
 
 from .exact import document_int
 from .groupoid_ids import (  # the verifiers and reports are part of this module's API
+    CHUNK,
     AxiomError,
     BimoduleReport,
     GroupoidIds,
@@ -41,6 +43,7 @@ from .groupoid_ids import (  # the verifiers and reports are part of this module
     cyclic_table,
     equivalence_bimodule_verify,
     grouped,
+    padded,
     permutation_table,
     pullback_isomorphism_verify,
 )
@@ -279,6 +282,7 @@ class FiniteGroupoid:
     the source/target tables must be total first.  `compose_ids`, when
     given, computes products on the integer view `ids` (see `GroupoidIds`);
     the default None calls `product` on each pair asked for.
+    `validate_groupoid` decides associativity on `generators`, when given.
     """
 
     objects: tuple
@@ -289,6 +293,7 @@ class FiniteGroupoid:
     identities: dict  # object -> morphism
     inverses: dict  # morphism -> morphism
     compose_ids: object = field(default=None, repr=False)  # (g ids, h ids) -> ids
+    generators: tuple | None = field(default=None, repr=False)
 
     def d(self, g):
         return self.source[g]
@@ -350,21 +355,54 @@ class FiniteGroupoid:
         )
 
 
-TRIPLE_CAP = 2_000_000  # composable triples the associativity check visits at most
+TRIPLE_CAP = 2_000_000  # composable triples either associativity check visits at most
+
+
+def _refuse_over_cap(triples, check: str) -> None:
+    total = int(triples.sum())
+    if total > TRIPLE_CAP:
+        raise ValueError(f"{total} composable triples exceed the {check}-check cap of {TRIPLE_CAP}")
+
+
+def _generates(V: GroupoidIds, table, gens) -> bool:
+    """Whether the composites a1 o ... o an of the generator ids, read from
+    the pair table of `GroupoidIds.pair_products`, reach every morphism."""
+    import numpy as np
+    d, r = V.ends
+    _, _, pos, _, start = V.pair_index
+    # the generators ending at each object, padded with -1
+    into = np.append(gens, -1)[padded(grouped(r[gens].tolist(), len(V.objects))[0])]
+    reached = np.zeros(len(V.morphisms), dtype=bool)
+    reached[gens] = True
+    frontier = reached.nonzero()[0]
+    while len(frontier):
+        a = into[d[frontier]]
+        f, a = frontier.repeat(a.shape[1]), a.ravel()
+        hit = np.zeros_like(reached)
+        hit[table[start[f[a >= 0]] + pos[a[a >= 0]]]] = True
+        frontier = (hit & ~reached).nonzero()[0]
+        reached |= hit
+    return bool(reached.all())
 
 
 def validate_groupoid(G: FiniteGroupoid) -> None:
-    """Exhaustive axiom check; AxiomError carries a witness tuple.  More than
-    TRIPLE_CAP composable triples are refused before any product is computed.
+    """Axiom check; AxiomError carries a witness tuple.
 
     After the label checks every loop runs on the integer view, in chunks
     of at most CHUNK entries: `GroupoidIds.pair_products` computes the
     products of all composable pairs, g in input order and then h, once
     into a table and refuses the first one outside its hom-set; the table
     is then read for the identity and inverse laws of each morphism and
-    for associativity on each triple (g, h, k).  Each loop visits its
-    items in the order of the label loops it replaced, so the first
-    failure gives their witness.
+    for associativity.  With generators A, that is Light's test (Clifford
+    and Preston, *The Algebraic Theory of Semigroups* I, 1961, 1.2):
+    (g o a) o k = g o (a o k) for a in A, g out of r(a) and k into d(a).
+    The middles that pass are closed under composition, so it is exact
+    once a closure walk over the table shows that A generates.  Otherwise,
+    or when it fails, each triple (g, h, k) is checked in the label loops'
+    order, so a failure gives their witness.  A check of more than
+    TRIPLE_CAP triples is refused, counted before any product is computed
+    (and again before generators fall back to every triple).
+    `G.ids.associativity` records the check that passed and its triples.
     """
     import numpy as np
     objs = set(G.objects)
@@ -385,11 +423,13 @@ def validate_groupoid(G: FiniteGroupoid) -> None:
     src, tgt = d[:len(labels)], r[:len(labels)]
     # triples (g, h, k) of g: sum over the h into d(g) of |into(d(h))|
     triples = np.bincount(tgt, weights=fan, minlength=len(G.objects)).astype(np.int64)[src]
-    total = int(triples.sum())
-    if total > TRIPLE_CAP:
-        raise ValueError(f"{total} composable triples exceed the exhaustive-check cap of {TRIPLE_CAP}")
+    gens = np.array([V.index[a] for a in G.generators or () if a in V.index], dtype=np.intp)
+    light = G.generators is not None and len(gens) == len(G.generators)
+    # Light's test visits (g, a, k) for the g out of r(a) and the k into d(a)
+    visits = np.bincount(src, minlength=len(G.objects))[tgt[gens]] * fan[gens]
+    _refuse_over_cap(visits if light else triples, "generator" if light else "exhaustive")
     table = V.pair_products()  # the product of (g, h) at start[g] + pos[h]
-    g, e, inv = np.arange(len(labels)), np.array(V.identities), np.array(V.inverses)
+    g, e, inv = (np.array(v, dtype=np.intp) for v in (range(len(labels)), V.identities, V.inverses))
     e_d, e_r = e[src], e[tgt]
     identity_bad = (table[start[:-1] + pos[e_d]] != g) | (table[start[e_r] + pos] != g)
     # where the inverse's endpoints are wrong, an identity stands in for it
@@ -403,6 +443,24 @@ def validate_groupoid(G: FiniteGroupoid) -> None:
         reason = ("identity law fails" if identity_bad[i]
                   else "missing inverse" if inv[i] < 0 else "inverse law fails")
         raise AxiomError(reason, labels[i])
+    if light and _generates(V, table, gens):
+        # the g out of r(a) and the k into d(a), padded with -1, which reads
+        # clipped indices and is masked out
+        gs = padded([V.out[0][y] for y in tgt[gens].tolist()])
+        ks = padded([V.into[0][x] for x in src[gens].tolist()])
+        step = max(1, CHUNK // max(1, gs.shape[1] * ks.shape[1]))
+        for lo in range(0, len(gens), step):
+            a, g, k = gens[lo:lo + step, None], gs[lo:lo + step], ks[lo:lo + step]
+            ga = table.take(start[g] + pos[a], mode="clip")
+            ak = table.take(start[a] + pos[k], mode="clip")
+            lhs = table.take(start[ga][:, :, None] + pos[k][:, None, :], mode="clip")
+            rhs = table.take(start[g][:, :, None] + pos[ak][:, None, :], mode="clip")
+            if np.count_nonzero((lhs != rhs) & (g >= 0)[:, :, None] & (k >= 0)[:, None, :]):
+                break
+        else:
+            V.associativity = "generators", int(visits.sum())
+            return
+    _refuse_over_cap(triples, "exhaustive")
     for lo, hi in chunks(triples):
         g, h = V.pairs(lo, hi)
         gh = table[start[g] + pos[h]]
@@ -414,6 +472,7 @@ def validate_groupoid(G: FiniteGroupoid) -> None:
         if np.count_nonzero(bad):
             i = int(bad.argmax())
             raise AxiomError("associativity fails", (labels[g[i]], labels[h[i]], labels[k[i]]))
+    V.associativity = "exhaustive", int(triples.sum())
 
 
 def transformation_groupoid(A: FiniteGroupAction) -> FiniteGroupoid:
@@ -421,6 +480,7 @@ def transformation_groupoid(A: FiniteGroupAction) -> FiniteGroupoid:
 
     (g, x) has id i |X| + j for g the i-th element and x the j-th point, so
     products of ids are mult[i2, i1] |X| + j, read from the group's table.
+    Its generators are the (s, x) for s a generator of the group.
     """
     import numpy as np
     group, act = A.group, A.table
@@ -442,6 +502,8 @@ def transformation_groupoid(A: FiniteGroupAction) -> FiniteGroupoid:
         {x: (group.identity, x) for x in A.points},
         {m: (inv[m[0]], act[m]) for m in mors},
         compose_ids,
+        None if group.generators is None else tuple(
+            (s, x) for s in group.generators for x in A.points),
     )
 
 

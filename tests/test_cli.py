@@ -453,22 +453,57 @@ class TestGrpdCommands:
             ["grpd", "regrep", "--name", "s3_natural", "--object", "9"]
         ) == 2
 
-    def test_validate_over_triple_cap_is_exit_2(self, tmp_path):
-        # S5 on 5 points: 600 morphisms and 8.64M composable triples, over
-        # the 2M cap of the exhaustive associativity check
-        perms = sorted(itertools.permutations(range(5)))
-        doc = {"kind": "group_action", "group": {"family": "symmetric", "n": 5},
-               "points": list(range(5)), "table": [list(p) for p in perms]}
-        p = tmp_path / "s5.json"
-        p.write_text(json.dumps(doc))
-        proc = subprocess.run(
-            [sys.executable, "-m", "liegrpd.cli", "grpd", "validate", "--in", str(p)],
-            capture_output=True,
-            text=True,
-        )
+    def test_validate_over_triple_cap_is_exit_2(self, tmp_path, monkeypatch, capsys):
+        def natural(n):
+            perms = sorted(itertools.permutations(range(n)))
+            doc = {"kind": "group_action", "group": {"family": "symmetric", "n": n},
+                   "points": list(range(n)), "table": [list(p) for p in perms]}
+            p = tmp_path / f"s{n}.json"
+            p.write_text(json.dumps(doc))
+            return str(p)
+
+        def validate(path):
+            return subprocess.run(
+                [sys.executable, "-m", "liegrpd.cli", "grpd", "validate", "--in", path],
+                capture_output=True,
+                text=True,
+            )
+
+        # S5 on 5 points: 600 morphisms; Light's test on its 10 generators
+        # visits 10 * 120 * 120 triples, under the 2M cap (every triple
+        # would be 8.64M)
+        proc = validate(natural(5))
+        assert proc.returncode == 0 and proc.stderr == ""
+        report = json.loads(proc.stdout)
+        assert report["valid"] is True and report["morphisms"] == 600
+        assert report["associativity"] == "generators"
+        assert report["triples_visited"] == 144_000
+        # S6 on 6 points: 12 generators * 720 * 720 = 6,220,800 triples
+        s6 = natural(6)
+        proc = validate(s6)
         assert proc.returncode == 2 and proc.stdout == ""
-        assert proc.stderr.startswith("error: 8640000 composable triples")
+        assert proc.stderr.startswith("error: 6220800 composable triples")
+        assert proc.stderr.count("\n") == 1
         assert "2000000" in proc.stderr and "Traceback" not in proc.stderr
+        # refused before any product: in process, the pair table is never filled
+        from liegrpd import groupoid_ids
+
+        def no_products(self):
+            raise AssertionError("a product was computed")
+
+        monkeypatch.setattr(groupoid_ids.GroupoidIds, "pair_products", no_products)
+        assert main(["grpd", "validate", "--in", s6]) == 2
+        assert capsys.readouterr().err == proc.stderr
+
+
+    def test_validate_an_action_on_no_points(self, tmp_path, capsys):
+        doc = {"kind": "group_action", "group": {"family": "cyclic", "n": 1},
+               "points": [], "table": [[]]}
+        p = tmp_path / "empty.json"
+        p.write_text(json.dumps(doc))
+        assert main(["grpd", "validate", "--in", str(p)]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["valid"] is True and report["morphisms"] == report["triples_visited"] == 0
 
 
 class TestMalformedGroupoidDocuments:

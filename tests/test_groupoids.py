@@ -494,6 +494,14 @@ def _reference_triples(G):
     )
 
 
+def _generator_triples(G):
+    """The (g, a, k) of Light's test: a a generator, g out of r(a), k into d(a)."""
+    return sum(
+        len(G.out_of.get(G.target[a], ())) * len(G.into.get(G.source[a], ()))
+        for a in G.generators
+    )
+
+
 def _reports(G):
     return (
         pullback_isomorphism_verify(G),
@@ -526,10 +534,13 @@ class TestComposablePairTables:
                     if G.source[g] == x and G.target[g] == y
                 )
                 assert G.hom(x, y) == scan
-        triples = _reference_triples(G)
+        # the cap bracket counts the triples of the mode that runs
+        mode = "exhaustive" if G.generators is None else "generators"
+        triples = (_reference_triples if G.generators is None else _generator_triples)(G)
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(groupoids, "TRIPLE_CAP", triples)
             validate_groupoid(G)
+            assert G.ids.associativity == (mode, triples)
             patch.setattr(groupoids, "TRIPLE_CAP", triples - 1)
             with pytest.raises(ValueError, match=f"^{triples} composable triples"):
                 validate_groupoid(G)
@@ -550,24 +561,26 @@ class TestComposablePairTables:
                 build_pullback(G), lambda a, b: (a[0], G.compose(a[1], b[1]), b[2])
             )
 
-    def test_natural_s5_is_refused_at_the_triple_cap_before_any_product(self):
-        G = transformation_groupoid(
-            FiniteGroupAction.make(
-                FiniteGroup.symmetric(5), range(5), lambda g, x: g[x]
-            )
-        )
+    def test_natural_s5_validates_and_s6_is_refused_before_any_product(self):
+        G = _natural(5)
+        validate_groupoid(G)
+        # Light's test on the 10 generators: 10 * 120 * 120 triples, where
+        # every triple would be 600 * 120 * 120
+        assert len(G.morphisms) == 600 and G.ids.associativity == ("generators", 144_000)
+        assert 600 * 120 * 120 > groupoids.TRIPLE_CAP
+        S6 = _natural(6)
         calls = 0
 
         def counting(g, h):
             nonlocal calls
             calls += 1
-            return G.product(g, h)
+            return S6.product(g, h)
 
-        # 600 morphisms, each with 120 arrows into its source and 120 into theirs
-        triples = 600 * 120 * 120
+        # 12 generators, each with 720 arrows out of its target and 720 into its source
+        triples = 12 * 720 * 720
         assert triples > groupoids.TRIPLE_CAP
         with pytest.raises(ValueError, match=f"^{triples} composable triples exceed"):
-            validate_groupoid(_with_product(G, counting))
+            validate_groupoid(_with_product(S6, counting, keep_generators=True))
         assert calls == 0
 
 
@@ -677,10 +690,10 @@ def _reference_bimodule_verify(G):
     )
 
 
-def _with_product(G, product):
+def _with_product(G, product, keep_generators=False):
     return FiniteGroupoid(
         G.objects, G.morphisms, G.source, G.target, product,
-        G.identities, G.inverses,
+        G.identities, G.inverses, generators=G.generators if keep_generators else None,
     )
 
 
@@ -1016,9 +1029,71 @@ class TestVerifiersAgainstReferences:
 
     def test_triple_cap(self):
         G = _natural(5)
-        outcome = _outcome(validate_groupoid, G)
+        assert _outcome(validate_groupoid, G) == "None"
+        assert G.ids.associativity == ("generators", 144_000)
+        S6 = _natural(6)
+        assert _outcome(validate_groupoid, S6) == ("ValueError", (
+            "6220800 composable triples exceed the generator-check cap of 2000000",))
+        # without generators every triple counts, as in the reference
+        T = _with_product(S6, S6.product)
+        outcome = _outcome(validate_groupoid, T)
         assert outcome[0] == "ValueError"
-        assert outcome == _outcome(ref_validate_groupoid, G)
+        assert outcome == _outcome(ref_validate_groupoid, T)
+
+
+class TestGeneratorAssociativity:
+    """Light's test on the generators of a transformation groupoid gives the
+    outcome of the exhaustive reference loop, the exception type and args
+    with the witness included: on random actions and on their tampered
+    copies with the generators kept.  Claimed generators that do not
+    generate fall back to every triple."""
+
+    def test_random_actions_and_tampered_copies(self):
+        rng = random.Random(30)
+        passed = caught = 0
+        for seed in range(100):
+            G = random_transformation_groupoid(random.Random(seed))
+            # the bundle of its isotropy groups, all of whose morphisms are
+            # claimed as generators, has hom-sets of unequal sizes
+            groups = {x: G.isotropy_group(x) for x in G.objects}
+            B = group_bundle(groups, G.objects)
+            B = dataclasses.replace(B, generators=B.morphisms)
+            copies = [dataclasses.replace(T, generators=H.generators)
+                      for H in (G, B) for T, _ in _tampered_copies(H, rng)]
+            for T in (G, B, *copies):
+                outcome = _outcome(validate_groupoid, T)
+                assert outcome == _outcome(ref_validate_groupoid, T)
+                if outcome == "None":
+                    assert T.ids.associativity == ("generators", _generator_triples(T))
+                    passed += 1
+                else:
+                    caught += outcome[1][:1] == ("associativity fails",)
+        assert passed >= 200 and caught >= 20
+
+    def test_generators_that_do_not_generate(self):
+        G = s3_natural_groupoid()
+        assert G.ids.associativity is None and len(G.generators) == 6
+        validate_groupoid(G)
+        assert G.ids.associativity == ("generators", _generator_triples(G))
+        # Light's test passes on identities alone, whose composites are
+        # identities: the closure walk sends both tables to every triple
+        identities = tuple(G.identities.values())
+        H = dataclasses.replace(G, generators=identities)
+        validate_groupoid(H)
+        assert H.ids.associativity == ("exhaustive", _reference_triples(G))
+        T = dataclasses.replace(_tampered_s3(), generators=identities)
+        outcome = _outcome(validate_groupoid, T)
+        assert outcome[1][0] == "associativity fails"
+        assert outcome == _outcome(ref_validate_groupoid, T)
+        # the true generators catch the same table
+        T = dataclasses.replace(_tampered_s3(), generators=G.generators)
+        assert _outcome(validate_groupoid, T) == outcome
+        # a generator that is no morphism: every triple, from the start
+        U = dataclasses.replace(G, generators=G.generators + ("nowhere",))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(groupoids, "TRIPLE_CAP", _reference_triples(G) - 1)
+            with pytest.raises(ValueError, match="exceed the exhaustive-check cap"):
+                validate_groupoid(U)
 
 
 class TestProductCallCounts:
