@@ -33,12 +33,14 @@ fewest samples, and `coadjoint` on complex_borel at the Gaussian point
 (1+i, 2-3i).  A sixth runs `roots` and `exptest` (JSON) where the weight
 search meets Gaussian weights or reaches its weights only mid-search: on
 e2 + axb, a fixed unimodular conjugate of realified_borel, the Q(i) sum
-complex_borel + complex_borel, and irrational_spectrum_algebra, which takes
-the float path.  A seventh runs every `grpd` subcommand (JSON and text) on
-the natural S4 and S5 actions (S5 `validate` passes by Light's test on its
-generators), on S4 acting on itself by conjugation (five orbits; `regrep` at
-the transposition (0 1)), and on one explicit-table document of each family the
-groupoid benchmark validates: a pair groupoid, a bundle of cyclic groups and
+complex_borel + complex_borel, irrational_spectrum_algebra, which takes
+the float path, and fixed unimodular conjugates of (e2 + axb)^2 and
+(ax+b)^4, whose weights the search finds in two layers.  A seventh runs
+every `grpd` subcommand (JSON and text) on the natural S4 and S5 actions
+(S5 `validate` passes by Light's test on its generators), on S4 acting on
+itself by conjugation (five orbits; `regrep` at the transposition (0 1)),
+and on one explicit-table document of each family the groupoid benchmark
+validates: a pair groupoid, a bundle of cyclic groups and
 the transformation groupoid of a permutation-group action with a fixed
 point.  An eighth runs `probe-minus-one` (JSON) at `--seed 1` and `--seed 2`
 on every catalog algebra and on the second ladder's sums, whose random
@@ -166,6 +168,13 @@ def conjugate(L, ops):
     return from_brackets(n, brackets)
 
 
+def cyclic_conjugate(L):
+    """L conjugated by the cyclic steps Y_{i+1} += Y_i, then Y_{i+3} -= Y_i."""
+    n = L.dim
+    return conjugate(L, [(i, (i + 1) % n, 1) for i in range(n)]
+                     + [(i, (i + 3) % n, -1) for i in range(n)])
+
+
 def rescale(L, factors):
     """L in the basis Y'_i = factors[i] Y_i: rational structure constants."""
     brackets = {(j, k): {l: c * factors[j] * factors[k] / factors[l] for l, c in terms}
@@ -250,6 +259,8 @@ def weight_docs():
         "complex_borel+complex_borel.json":
             direct_sum(catalog.complex_borel(), catalog.complex_borel()),
         "irrational_spectrum.json": catalog.irrational_spectrum_algebra(),
+        "(e2+axb)^2~.json": cyclic_conjugate(direct_sum(*[catalog.euclid2(), catalog.axb()] * 2)),
+        "axb^4~.json": cyclic_conjugate(direct_sum(*[catalog.axb()] * 4)),
     }
 
 

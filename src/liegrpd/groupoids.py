@@ -563,7 +563,9 @@ def orbits_isotropy(G: FiniteGroupoid) -> OrbitReport:
 
 
 def reduce_invariant(G: FiniteGroupoid, subset) -> FiniteGroupoid:
-    """Full subgroupoid over an invariant object subset."""
+    """Full subgroupoid over an invariant object subset, with the generators
+    of G out of the subset: no composite of generators crosses an invariant
+    subset, so those generate it (and `validate_groupoid` checks that)."""
     subset_list = tuple(x for x in G.objects if x in set(subset))
     sub = set(subset_list)
     for g in G.morphisms:
@@ -579,6 +581,7 @@ def reduce_invariant(G: FiniteGroupoid, subset) -> FiniteGroupoid:
         {x: G.identities[x] for x in subset_list},
         {g: G.inverses[g] for g in mors},
         _restricted_compose(G, mors),
+        None if G.generators is None else tuple(a for a in G.generators if G.source[a] in sub),
     )
 
 

@@ -1,17 +1,18 @@
 """Module weights of solvable Lie algebras and the exponential-type test.
 
-Weights are read off a flag of the module, one step at a time, by Lie's
-theorem.  Write D = [L, L].  D acts nilpotently, so the joint kernel V0 of the
-D-actions is nonzero; V0 is invariant because D is an ideal; and on V0 the
-complement directions (the basis vectors off the pivot columns of D's echelon
-basis) commute, since their brackets lie in D.  A step takes V0 with one
-kernel, restricts each complement action in turn to the current subspace and
-shrinks the subspace to the eigenspace of the least Gaussian-rational root of
-the restricted characteristic polynomial.  The later actions commute with the
-earlier ones on it, so they keep it invariant and the search never
-backtracks.  A vector of the last subspace is a joint eigenvector.  The weight
-on a pivot column follows from vanishing on D; every action then passes to
-the quotient by that vector with a rank-one update, and the next step repeats.
+Weights are found a layer at a time, by Lie's theorem.  Write D = [L, L].  D
+acts nilpotently, so the joint kernel V0 of the D-actions is nonzero; V0 is
+invariant because D is an ideal; and on V0 the complement directions (the
+basis vectors off the pivot columns of D's echelon basis) commute, since
+their brackets lie in D.  A layer takes V0 with one kernel and restricts
+every complement action to it.  Commuting actions split V0 into joint
+eigenspace pieces: an action whose characteristic polynomial on a piece is
+(T - mu)^k gives mu to all k weights of the piece at once; otherwise the
+eigenspace of its least Gaussian-rational root is invariant under the other
+actions, and the piece splits into it and the quotient by it.  The weight on
+a pivot column follows from vanishing on D.  Every action then passes to
+V/V0 with one rank-k update, and the next layer repeats; each weight comes
+out once, with its multiplicity.
 
 The search runs on integers.  Each action enters as the integer or
 Gaussian-integer rows N and positive integer denominator s that its `Matrix`
@@ -20,19 +21,22 @@ lowest terms by `lowest_terms`; kernels and eigenspaces come from
 `kernel_int`, which gives the isotropy algebras too, the restricted
 characteristic polynomials from `charpoly_int` and their least roots from
 `least_gaussian_root`; every scale stays a positive integer, so that root
-over the scale is the least eigenvalue.  The adjoint module's actions are ad(Y_i), read from the
-algebra's integer bracket table by `ad_matrix`.
+over the scale is the least eigenvalue.  A weight's values are integers over
+the lcm of its eigenvalues' scales.  The adjoint module's actions are
+ad(Y_i), read from the algebra's integer bracket table by `ad_matrix`.
 
 The search is exact over the Gaussian rationals.  When a restricted
 characteristic polynomial does not split over the Gaussian integers, a float
 path takes over and the results carry exact=False.  Every root of such a
-polynomial is the value of a weight of the module, and every step yields
-one weight of its multiset, so this happens exactly when some weight is not
-Gaussian-rational on the complement, as it did for the earlier depth-first
-search over the full action matrices.  The root search has no budget.
+polynomial is the value of a weight of the module, and the pieces together
+hold the whole weight multiset, so this happens exactly when some weight is
+not Gaussian-rational on the complement, as it did for the earlier searches
+over one joint eigenvector at a time.  The root search has no budget.
 """
 from __future__ import annotations
 
+import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -43,7 +47,6 @@ from .exact import (
     kernel_int,
     least_gaussian_root,
     lowest_terms,
-    positive_multiplier,
     scalar_im,
     scalar_re,
     zi_over,
@@ -87,78 +90,107 @@ class RootFunctional:
         return re, im
 
 
-def _eigenline(d_acts, c_acts):
-    """A vector on which every action is scalar, and the scalars of c_acts.
+def _restrict(acts, vecs, coords, e):
+    """The actions N / s on the span of integer vectors W_k that are e at
+    coordinate c_k and 0 at the other coordinates, in the basis W_k: the
+    matrix R[j][k] = (N W_k)[c_j] over s e."""
+    supports = [[(t, x) for t, x in enumerate(v) if x] for v in vecs]
+    return [lowest_terms([[sum(a[c][t] * x for t, x in sup) for sup in supports] for c in coords],
+                         s * e) for a, s in acts]
 
-    Actions are pairs (N, s) of an integer matrix and a scale, the action
-    being N / s.  The joint kernel of d_acts is invariant and c_acts commute
-    on it; each c_act in turn shrinks it to the eigenspace of its least root.
-    The space is kept as integer vectors W_k that are e at coordinate c_k and
-    0 at the other coordinates, so the action restricted to it is R / (s e)
-    with R[j][k] = (N W_k)[c_j]: its eigenvalues are mu / (s e) for the
-    Gaussian-integer eigenvalues mu of R.
+
+def _modulo(acts, vecs, coords, e):
+    """The actions N / s on the quotient by the span of the W_k, in the basis
+    e_j, j off the coordinates c_k: the rank-k update
+    e N[i][j] - sum_k W_k[i] N[c_k][j] over e s, which is P^-1 A P for
+    P = (W_k, e_j) without the rows and columns of the W_k."""
+    keep = sorted(set(range(len(vecs[0]))) - set(coords))
+    out = []
+    for a, s in acts:
+        tops = [[a[c][j] for j in keep] for c in coords]
+        rows = []
+        for i in keep:
+            row = [e * a[i][j] for j in keep]
+            for v, top in zip(vecs, tops):
+                if v[i]:
+                    row = [x - v[i] * y for x, y in zip(row, top)]
+            rows.append(row)
+        out.append(lowest_terms(rows, e * s))
+    return out
+
+
+def _split(acts):
+    """(the eigenvalues (mu, t), dimension) of each joint eigenspace piece of
+    commuting actions R / t on one space, the eigenvalue of R_i being mu / t.
+
+    An action whose characteristic polynomial is (T - mu)^k gives mu to every
+    weight of the piece at once.  Otherwise its eigenspace ker(R - mu) for the
+    least root mu is invariant under the other actions: the later actions
+    go on there, restricted, and every action goes on on the quotient by it.
     """
-    n = len(c_acts[0][0])
-    vecs, coords, e = kernel_int([row for a, _ in d_acts for row in a], n)
-    lams = []
-    for a, s in c_acts:
-        images = [[sum(x * y for x, y in zip(row, v) if x) for row in a] for v in vecs]
-        r = [[img[c] for img in images] for c in coords]
-        mu = least_gaussian_root(charpoly_int(r))
+    stack = [(acts, ())]
+    while stack:
+        acts, lams = stack.pop()
+        (r, t), rest = acts[0], acts[1:]
+        p = charpoly_int(r)
+        mu = least_gaussian_root(p)
         if mu is None:
             raise InexactSpectrum("no eigenvalue over the Gaussian rationals")
-        lams.append(zi_over(mu, s * e))
-        ker, free, e2 = kernel_int([[x - mu if i == j else x for j, x in enumerate(row)]
-                                 for i, row in enumerate(r)], len(r))
-        vecs = [[sum(c * v[t] for c, v in zip(k, vecs) if c) for t in range(n)] for k in ker]
-        coords, e = [coords[j] for j in free], e * e2
-        vecs, e = lowest_terms(vecs, e)
-    return lams, vecs[0]
-
-
-def _quotient(act, v, p):
-    """The action N / s on V/<v> in the basis e_j, j != p (v[p] != 0): the
-    rank-one update v_p N[i][j] - v[i] N[p][j] with scale v_p s, which is
-    P^-1 A P for P = (v, e_j for j != p) without its first row and column.
-    Both are multiplied by the conjugate of v_p, or its sign, so that the
-    scale stays a positive integer."""
-    a, s = act
-    vp, top = v[p], a[p]
-    f = positive_multiplier(vp)
-    return lowest_terms([[(vp * x - vi * y) * f for j, (x, y) in enumerate(zip(row, top)) if j != p]
-                    for i, (row, vi) in enumerate(zip(a, v)) if i != p], vp * f * s)
+        power = [1]  # (T - mu)^k
+        for _ in r:
+            power = [-mu * power[0]] + [x - mu * y for x, y in zip(power, power[1:])] + [1]
+        if power == p:
+            piece, k = rest, len(r)
+        else:
+            vecs, coords, e = kernel_int([[x - mu if i == j else x for j, x in enumerate(row)]
+                                          for i, row in enumerate(r)], len(r))
+            stack.append((_modulo(acts, vecs, coords, e), lams))
+            piece, k = _restrict(rest, vecs, coords, e), len(coords)
+        if piece:
+            stack.append((piece, lams + ((mu, t),)))
+        else:
+            yield lams + ((mu, t),), k
 
 
 def _weights_exact(M, derived):
-    """The weight of each step of a flag of M, as its values on the basis.
+    """The weights of M with multiplicity, as their values on the basis, in
+    layers: the joint kernel V0 of the [L, L]-actions, split by `_split`,
+    then the quotient by V0.
 
     Values on the complement of [L, L] (the non-pivot columns of `derived`)
     are eigenvalues; on each pivot column p the weight is fixed by vanishing
-    on the derived row w_p: lambda(e_p) = -sum_j w_pj lambda(e_j).  Each
-    action enters as its integer rows and scale; the [L, L]-actions are
-    combined over the common scale S of all actions, A_i = N_i / S.
+    on the derived row w_p: lambda(e_p) = -sum_j w_pj lambda(e_j), all over
+    the lcm of the eigenvalues' scales.  Each action enters as its integer
+    rows and scale; the [L, L]-actions are combined over the common scale S
+    of all actions, A_i = N_i / S.
     """
     free = [j for j in range(M.algebra.dim) if j not in derived.pivots]
     S, ints = common_denominator(M.actions)
     d_acts = []
     for w in derived.ints:
-        d_acts.append(lowest_terms([[sum(c * a[i][j] for c, a in zip(w, ints) if c)
-                                     for j in range(M.dim)] for i in range(M.dim)], S))
+        rows = [[0] * M.dim for _ in range(M.dim)]
+        for c, a in zip(w, ints):
+            if c:
+                rows = [[x + c * y for x, y in zip(row, a_row)] for row, a_row in zip(rows, a)]
+        d_acts.append(lowest_terms(rows, S))
     c_acts = [(M.actions[j].ints, M.actions[j].denominator) for j in free]
     out = []
     while True:
-        lams, v = _eigenline(d_acts, c_acts)
-        lam = [Fraction(0)] * M.algebra.dim
-        for j, x in zip(free, lams):
-            lam[j] = x
-        for w, p in zip(derived.rows, derived.pivots):
-            lam[p] = -sum((w[j] * lam[j] for j in free), Fraction(0))
-        out.append(tuple(lam))
-        if len(v) == 1:
+        n = len(c_acts[0][0])
+        vecs, coords, e = kernel_int([row for a, _ in d_acts for row in a], n)
+        for lams, k in _split(_restrict(c_acts, vecs, coords, e)):
+            scale = math.lcm(*(t for _, t in lams))
+            xs = [mu * (scale // t) for mu, t in lams]
+            lam = [0] * M.algebra.dim
+            for j, x in zip(free, xs):
+                lam[j] = x * derived.denominator
+            for w, p in zip(derived.ints, derived.pivots):
+                lam[p] = -sum(w[j] * x for j, x in zip(free, xs))
+            out += [tuple(zi_over(x, scale * derived.denominator) for x in lam)] * k
+        if len(coords) == n:
             return out
-        p = next(i for i, x in enumerate(v) if x)
-        d_acts = [_quotient(a, v, p) for a in d_acts]
-        c_acts = [_quotient(a, v, p) for a in c_acts]
+        d_acts = _modulo(d_acts, vecs, coords, e)
+        c_acts = _modulo(c_acts, vecs, coords, e)
 
 
 # ---------------------------------------------------------------------------
@@ -245,7 +277,7 @@ def module_weights(L: LieAlgebra, M: LieModule):
     """All weights of a module over a solvable algebra, with multiplicity.
 
     Returns RootFunctionals sorted deterministically; multiplicities sum to
-    the module dimension.  The flag search on the joint kernel of the
+    the module dimension.  The layer search on the joint kernels of the
     [L, L]-actions (see the module docstring) needs no backtracking.  Exact
     when every weight is Gaussian-rational on the complement of [L, L],
     float-tagged otherwise: the same decision as a search over the full
@@ -258,45 +290,24 @@ def module_weights(L: LieAlgebra, M: LieModule):
         return []
     try:
         tuples = _weights_exact(M, derived[1])
-        exact = True
     except InexactSpectrum:
-        tuples = _weights_float([a.to_numpy().astype(complex) for a in M.actions])
-        exact = False
-    weights = []
-    for lam in tuples:
-        if exact:
-            re = tuple(scalar_re(x) for x in lam)
-            im = tuple(scalar_im(x) for x in lam)
-        else:
-            re = tuple(float(x.real) for x in lam)
-            im = tuple(float(x.imag) for x in lam)
-        weights.append((re, im, exact))
-    # aggregate multiplicities
-    out = []
-    for re, im, exact_flag in weights:
-        merged = False
-        for idx, existing in enumerate(out):
-            ere, eim, ecount = existing
-            if exact_flag:
-                same = ere == re and eim == im
-            else:
-                same = all(abs(a - b) < 1e-6 for a, b in zip(ere, re)) and all(
-                    abs(a - b) < 1e-6 for a, b in zip(eim, im)
-                )
-            if same:
-                out[idx] = (ere, eim, ecount + 1)
-                merged = True
-                break
-        if not merged:
-            out.append((re, im, 1))
-    fns = [
-        RootFunctional(re, im, exact, mult)
-        for re, im, mult in out
-    ]
-    if exact:
-        fns.sort(key=lambda f: tuple(zip(f.re, f.im)))
+        pass
     else:
-        fns.sort(key=lambda f: tuple((round(a, 9), round(b, 9)) for a, b in zip(f.re, f.im)))
+        counts = Counter((tuple(map(scalar_re, lam)), tuple(map(scalar_im, lam))) for lam in tuples)
+        return sorted((RootFunctional(re, im, True, m) for (re, im), m in counts.items()),
+                      key=lambda f: tuple(zip(f.re, f.im)))
+    out = []  # float weights, merged within 1e-6
+    for lam in _weights_float([a.to_numpy().astype(complex) for a in M.actions]):
+        re = tuple(float(x.real) for x in lam)
+        im = tuple(float(x.imag) for x in lam)
+        for idx, (ere, eim, count) in enumerate(out):
+            if all(abs(a - b) < 1e-6 for a, b in zip(ere + eim, re + im)):
+                out[idx] = (ere, eim, count + 1)
+                break
+        else:
+            out.append((re, im, 1))
+    fns = [RootFunctional(re, im, False, mult) for re, im, mult in out]
+    fns.sort(key=lambda f: tuple((round(a, 9), round(b, 9)) for a, b in zip(f.re, f.im)))
     return fns
 
 

@@ -37,7 +37,10 @@ kept unchanged, and `ref_weights_exact` runs on them.  The divisor scan
 unchanged from `exact.py`, whose root search now bisects real parts.  `ref_weights_joint_kernel`
 with `ref_eigenline` and `ref_quotient` is the joint-kernel flag search that
 `weights.py` ran on `Fraction` and `GaussianRational` matrices before it ran
-on integer matrices; it is kept unchanged.
+on integer matrices; it is kept unchanged.  `ref_weights_int_walk` with
+`ref_eigenline_int` and `ref_quotient_int` is that search on integer
+matrices, one weight a step, as `weights.py` ran it before it found the
+weights a layer at a time; it is kept unchanged, except for the names.
 
 `eigenvalues_numeric` is the residual-certified float eigenvalue routine
 that `exact.py` kept without a caller in the package; it is kept unchanged.
@@ -126,6 +129,8 @@ from liegrpd.coadjoint import integer_bform
 from liegrpd.exact import Matrix, NumericError, Scalar
 from liegrpd.exact import GaussianRational, format_scalar, gaussian, is_exact, poly_eval
 from liegrpd.exact import kernel_int, rref_int, zi_over, zi_rows
+from liegrpd.exact import charpoly_int, common_denominator, least_gaussian_root
+from liegrpd.exact import lowest_terms, positive_multiplier
 from liegrpd.exact import scalar_im, scalar_re
 from liegrpd import groupoids
 from liegrpd.groupoids import (
@@ -846,6 +851,80 @@ def ref_weights_joint_kernel(M, derived):
         p = next(i for i, x in enumerate(v) if x != 0)
         d_acts = [ref_quotient(a, v, p) for a in d_acts]
         c_acts = [ref_quotient(a, v, p) for a in c_acts]
+
+
+def ref_eigenline_int(d_acts, c_acts):
+    """A vector on which every action is scalar, and the scalars of c_acts.
+
+    Actions are pairs (N, s) of an integer matrix and a scale, the action
+    being N / s.  The joint kernel of d_acts is invariant and c_acts commute
+    on it; each c_act in turn shrinks it to the eigenspace of its least root.
+    The space is kept as integer vectors W_k that are e at coordinate c_k and
+    0 at the other coordinates, so the action restricted to it is R / (s e)
+    with R[j][k] = (N W_k)[c_j]: its eigenvalues are mu / (s e) for the
+    Gaussian-integer eigenvalues mu of R.
+    """
+    n = len(c_acts[0][0])
+    vecs, coords, e = kernel_int([row for a, _ in d_acts for row in a], n)
+    lams = []
+    for a, s in c_acts:
+        images = [[sum(x * y for x, y in zip(row, v) if x) for row in a] for v in vecs]
+        r = [[img[c] for img in images] for c in coords]
+        mu = least_gaussian_root(charpoly_int(r))
+        if mu is None:
+            raise InexactSpectrum("no eigenvalue over the Gaussian rationals")
+        lams.append(zi_over(mu, s * e))
+        ker, free, e2 = kernel_int([[x - mu if i == j else x for j, x in enumerate(row)]
+                                 for i, row in enumerate(r)], len(r))
+        vecs = [[sum(c * v[t] for c, v in zip(k, vecs) if c) for t in range(n)] for k in ker]
+        coords, e = [coords[j] for j in free], e * e2
+        vecs, e = lowest_terms(vecs, e)
+    return lams, vecs[0]
+
+
+def ref_quotient_int(act, v, p):
+    """The action N / s on V/<v> in the basis e_j, j != p (v[p] != 0): the
+    rank-one update v_p N[i][j] - v[i] N[p][j] with scale v_p s, which is
+    P^-1 A P for P = (v, e_j for j != p) without its first row and column.
+    Both are multiplied by the conjugate of v_p, or its sign, so that the
+    scale stays a positive integer."""
+    a, s = act
+    vp, top = v[p], a[p]
+    f = positive_multiplier(vp)
+    return lowest_terms([[(vp * x - vi * y) * f for j, (x, y) in enumerate(zip(row, top)) if j != p]
+                    for i, (row, vi) in enumerate(zip(a, v)) if i != p], vp * f * s)
+
+
+def ref_weights_int_walk(M, derived):
+    """The weight of each step of a flag of M, as its values on the basis.
+
+    Values on the complement of [L, L] (the non-pivot columns of `derived`)
+    are eigenvalues; on each pivot column p the weight is fixed by vanishing
+    on the derived row w_p: lambda(e_p) = -sum_j w_pj lambda(e_j).  Each
+    action enters as its integer rows and scale; the [L, L]-actions are
+    combined over the common scale S of all actions, A_i = N_i / S.
+    """
+    free = [j for j in range(M.algebra.dim) if j not in derived.pivots]
+    S, ints = common_denominator(M.actions)
+    d_acts = []
+    for w in derived.ints:
+        d_acts.append(lowest_terms([[sum(c * a[i][j] for c, a in zip(w, ints) if c)
+                                     for j in range(M.dim)] for i in range(M.dim)], S))
+    c_acts = [(M.actions[j].ints, M.actions[j].denominator) for j in free]
+    out = []
+    while True:
+        lams, v = ref_eigenline_int(d_acts, c_acts)
+        lam = [Fraction(0)] * M.algebra.dim
+        for j, x in zip(free, lams):
+            lam[j] = x
+        for w, p in zip(derived.rows, derived.pivots):
+            lam[p] = -sum((w[j] * lam[j] for j in free), Fraction(0))
+        out.append(tuple(lam))
+        if len(v) == 1:
+            return out
+        p = next(i for i, x in enumerate(v) if x)
+        d_acts = [ref_quotient_int(a, v, p) for a in d_acts]
+        c_acts = [ref_quotient_int(a, v, p) for a in c_acts]
 
 
 def eigenvalues_numeric(a: np.ndarray, tol: float = 1e-9):

@@ -319,6 +319,22 @@ class TestOrbitsAndReduction:
         assert len(R.morphisms) == 4
         assert classify(R).is_pair  # free transitive Z/2 on two points
 
+    def test_layers_keep_their_generators_for_lights_test(self):
+        # natural S5 on 7 points, 5 and 6 fixed: three orbits
+        G = transformation_groupoid(FiniteGroupAction.make(
+            FiniteGroup.symmetric(5), range(7), lambda g, x: g[x] if x < 5 else x))
+        moved = reduce_invariant(G, range(5))
+        validate_groupoid(moved)
+        # 10 generators (s, x), 120 arrows out of r(a) and 120 into d(a);
+        # every triple would be 600 * 120 * 120, over the cap
+        assert moved.ids.associativity == ("generators", 144_000)
+        assert 600 * 120 * 120 > groupoids.TRIPLE_CAP
+        for x in (5, 6):
+            fixed = reduce_invariant(G, {x})
+            validate_groupoid(fixed)
+            assert fixed.ids.associativity == ("generators", 2 * 120 * 120)
+            assert len(fixed.morphisms) ** 3 == 1_728_000  # every triple composes
+
     def test_reduce_non_invariant_rejected(self):
         G = negation_groupoid()
         with pytest.raises(NotInvariant):

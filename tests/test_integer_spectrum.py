@@ -7,16 +7,21 @@ closed form and bisects real parts above; on monic products over Z[i] it must
 return the least root of `ref_gaussian_rational_roots` whenever that search
 completes within its budget, and it completes the searches that used to
 exhaust it.  `GaussInt` arithmetic and `rref_int` on Gaussian-integer
-rows are checked against `GaussianRational` and `ref_rref`.  The flag search
+rows are checked against `GaussianRational` and `ref_rref`.  The layer search
 on integer matrices, `weights._weights_exact`, finds the weights of
-`ref_weights_joint_kernel`, the same search on `Fraction` matrices.
+`ref_weights_joint_kernel`, the flag search on `Fraction` matrices, and
+eliminates one [L, L]-kernel per layer, where the flag search eliminates
+one per weight.
 """
+import sys
 from fractions import Fraction as Q
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import dense_reference
 from dense_reference import (
     COMPLEX_BOREL,
     DENSE_CATALOG,
@@ -29,6 +34,7 @@ from dense_reference import (
     ref_direct_sum,
     ref_gaussian_rational_roots,
     ref_rref,
+    ref_weights_int_walk,
     ref_weights_joint_kernel,
     scalar_key,
     upper,
@@ -44,6 +50,7 @@ from liegrpd.exact import (
     GaussInt,
     charpoly_int,
     gaussian,
+    kernel_int,
     least_gaussian_root,
     poly_eval,
     rref_int,
@@ -282,6 +289,72 @@ def test_flag_cases_cover_both_fields_and_the_float_path():
     # e2's eigenvalues +-i come from a rational matrix and continue over Z[i]
     assert {x for w in _flag(weights._weights_exact, dict(FLAG_CASES)["adjoint_module:e2"])
             for x in w} == {Q(0), I, -I}
+
+
+def _layer_kernels(M):
+    """The [L, L]-kernels that `_weights_exact` eliminates, one per layer: the
+    `kernel_int` calls of its layer loop, not those of `_split`."""
+    callers = []
+
+    def counted(rows, n):
+        callers.append(sys._getframe(1).f_code.co_name)
+        return kernel_int(rows, n)
+
+    with mock.patch.object(weights, "kernel_int", counted):
+        _flag(weights._weights_exact, M)
+    return callers.count("_weights_exact")
+
+
+def _walk_kernels(M):
+    """The [L, L]-kernels of the one-line walk, one per weight of the flag."""
+    with mock.patch.object(dense_reference, "ref_eigenline_int",
+                           wraps=dense_reference.ref_eigenline_int) as eigenline:
+        ref_weights_int_walk(M, derived_series(M.algebra)[1])
+    return eigenline.call_count
+
+
+def _adjoint(t):
+    return adjoint_module(from_brackets(len(t), upper(t)))
+
+
+@pytest.mark.parametrize("k", range(1, 7))
+def test_the_layers_of_a_sum_of_affine_lines_are_two(k):
+    # [L, L] kills the Y_i, and acts as 0 on the quotient spanned by the X_i
+    axb = DENSE_CATALOG["axb"][0]
+    for t in (ref_direct_sum(*[axb] * k), ref_conjugate(ref_direct_sum(*[axb] * k), k)):
+        M = _adjoint(t)
+        assert (_layer_kernels(M), _walk_kernels(M)) == (2, 2 * k)
+
+
+@pytest.mark.parametrize("name, layers", [("heisenberg", 1), ("filiform4", 2)])
+def test_the_layer_count_does_not_depend_on_the_basis(name, layers):
+    t = DENSE_CATALOG[name][0]
+    for seed in (None, 0, 1):
+        M = _adjoint(t if seed is None else ref_conjugate(t, seed))
+        assert _layer_kernels(M) == layers
+
+
+@pytest.mark.parametrize("parts, k", [("e2+axb", 2), ("e2+axb", 3), ("axb", 4), ("axb", 6)])
+def test_layer_peel_equals_fraction_search_on_larger_sums(parts, k):
+    t = ref_direct_sum(*[DENSE_CATALOG[p][0] for p in parts.split("+")] * k)
+    for seed in range(2):
+        M = _adjoint(ref_conjugate(t, seed))
+        assert _flag(weights._weights_exact, M) == _flag(ref_weights_joint_kernel, M)
+
+
+def test_a_layer_with_an_irreducible_quadratic_factor_takes_the_float_path():
+    # R X + R^3 with ad(X) = A on R^3, A of characteristic polynomial
+    # t (t^2 - 2): the first layer is R^3, where ad(X) has the eigenvalues
+    # 0 and +-sqrt(2)
+    a = [[0, 0, 0], [1, 0, 2], [0, 1, 0]]
+    L = from_brackets(4, {(0, j + 1): {i + 1: a[i][j] for i in range(3) if a[i][j]}
+                          for j in range(3)})
+    assert charpoly_int(a) == [0, -2, 0, 1]
+    M = adjoint_module(L)
+    assert _layer_kernels(M) == 1  # the first layer's split raises
+    assert _flag(weights._weights_exact, M) is InexactSpectrum
+    assert _flag(ref_weights_joint_kernel, M) is InexactSpectrum
+    assert not any(w.exact for w in weights.module_weights(L, M))
 
 
 def test_derived_series_equals_the_series_of_brackets():
