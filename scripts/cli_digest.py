@@ -35,7 +35,9 @@ search meets Gaussian weights or reaches its weights only mid-search: on
 e2 + axb, a fixed unimodular conjugate of realified_borel, the Q(i) sum
 complex_borel + complex_borel, irrational_spectrum_algebra, which takes
 the float path, and fixed unimodular conjugates of (e2 + axb)^2 and
-(ax+b)^4, whose weights the search finds in two layers.  A seventh runs
+(ax+b)^4, whose weights the search finds in two layers; it also runs
+`series` (JSON) on those two conjugates, whose derived and lower central
+series bracket dense rows.  A seventh runs
 every `grpd` subcommand (JSON and text) on the natural S4 and S5 actions
 (S5 `validate` passes by Light's test on its generators), on S4 acting on
 itself by conjugation (five orbits; `regrep` at the transposition (0 1)),
@@ -268,6 +270,8 @@ def sixth_ladder(names):
     for name in names:
         for sub in ("roots", "exptest"):
             yield ["lie", sub, "--in", name]
+    for name in ("(e2+axb)^2~.json", "axb^4~.json"):
+        yield ["lie", "series", "--in", name]
 
 
 def third_ladder(names):

@@ -154,9 +154,6 @@ class LieAlgebra:
         (row,) = matmul_int([p], self.integer_brackets(q))
         return tuple(zi_over(a, self.integer_scale * s * s) for a in row)
 
-    def basis_vector(self, i: int) -> Vector:
-        return tuple(Fraction(1 if j == i else 0) for j in range(self.dim))
-
     @cached_property
     def _integer_table(self) -> tuple:
         """(D, the table times D), D the least positive integer clearing
@@ -288,8 +285,12 @@ def ad_matrix(L: LieAlgebra, x: Vector) -> Matrix:
 
 
 def subspace_bracket(L: LieAlgebra, a: Subspace, b: Subspace) -> Subspace:
-    return Subspace.from_vectors(
-        L.dim, [w for v in b.ints for w in matmul_int(a.ints, L.integer_brackets(v))])
+    """[a, b], spanned by D [u, v] over the integer rows u of a and v of b;
+    when a == b (the derived series) by the pairs u_i, u_j with i < j alone,
+    as [u_j, u_i] = -[u_i, u_j] and [u, u] = 0."""
+    return Subspace.from_vectors(L.dim, [
+        w for j, v in enumerate(b.ints)
+        for w in matmul_int(a.ints[:j] if a == b else a.ints, L.integer_brackets(v))])
 
 
 @dataclass(frozen=True)
@@ -320,7 +321,7 @@ def center_of(L: LieAlgebra) -> Subspace:
 def checked_subalgebra(L: LieAlgebra, vectors: Sequence[Vector], what: str) -> Subspace:
     """Span of the vectors, verified closed under the bracket."""
     s = Subspace.from_vectors(L.dim, vectors)
-    if not all(s.contains(w) for v in s.ints for w in matmul_int(s.ints, L.integer_brackets(v))):
+    if not s.contains_subspace(subspace_bracket(L, s, s)):
         raise AssertionError(f"{what} failed its subalgebra check")
     return s
 

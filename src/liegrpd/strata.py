@@ -3,14 +3,14 @@
 For a nilpotent algebra a full flag of ideals is built by refining the
 ascending central series deterministically (standard basis vectors in
 descending index order), every intermediate space between consecutive central
-terms being automatically an ideal (each is checked: every integer bracket
-D [Y_i, v] of a basis row v must lie in the member).  Each functional gets a
-jump set: the flag steps not absorbed by its isotropy, read off one
-elimination as the pivot columns of B_xi F, where the columns of F form a
-basis adapted to the flag.  Over Q and Q(i) alike, B_p and B_p F at an
-integral p are sums of p_l times integer or Gaussian-integer tables built
-once per algebra, and the elimination runs fraction-free.  The size of the
-jump set always equals the rank of the skew form, and the generic jump set is
+terms being automatically an ideal (checked a step at a time: the integer
+brackets D [Y_i, v] of the vector v added to g_{j-1} must lie in g_j).  Each
+functional gets a jump set: the flag steps not absorbed by its isotropy, read
+off one elimination as the pivot columns of B_xi F, where the columns of F
+form a basis adapted to the flag.  Over Q and Q(i) alike, B_p F at an
+integral p is a sum of p_l times integer or Gaussian-integer tables built and
+certified once per algebra, and the elimination runs fraction-free.  The size
+of the jump set equals the rank of the skew form, and the generic jump set is
 the unique minimum in the index order.  Since B_{c xi} = c B_xi and a(x)(c v)
 = c a(x) v, both stratifications compute one value per line through the
 origin, but count every sample point; a layer's representative is its first.
@@ -23,7 +23,8 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact import common_denominator, kernel_int, rref_int, zi_rows
+from .coadjoint import integer_bform
+from .exact import common_denominator, kernel_int, matmul_int, rref_int, zi_rows
 from .lie import LieAlgebra, LieModule, Subspace, centralizer_mod, checked_subalgebra
 
 
@@ -36,11 +37,6 @@ def ascending_central_series(L: LieAlgebra) -> tuple:
             break
         chain.append(nxt)
     return tuple(chain)
-
-
-def _is_ideal(L: LieAlgebra, s: Subspace) -> bool:
-    """D [Y_i, v] lies in s for every basis vector Y_i and integer row v of s."""
-    return all(s.contains(w) for v in s.ints for w in L.integer_brackets(v))
 
 
 def jordan_holder_flag(L: LieAlgebra) -> tuple:
@@ -67,12 +63,12 @@ def jordan_holder_flag(L: LieAlgebra) -> tuple:
                 break
             if upper.contains(v) and not cur.contains(v):
                 cur = Subspace.from_vectors(m, cur.ints + (v,))
+                # g_{j-1} is an ideal, so g_j = g_{j-1} + span(v) is one iff D [Y_i, v] lies in it
+                if not all(cur.contains(w) for w in L.integer_brackets(v)):
+                    raise AssertionError("flag member failed its ideal check")
                 flag.append(cur)
         if cur.dim != upper.dim:
             raise AssertionError("flag refinement failed to reach the next term")
-    for sub in flag:
-        if not _is_ideal(L, sub):
-            raise AssertionError("flag member failed its ideal check")
     return tuple(flag)
 
 
@@ -90,21 +86,33 @@ def _adapted_columns(flag: tuple) -> list:
 
 
 def _integer_tables(L: LieAlgebra, columns) -> list:
-    """Per coordinate l, the nonzero entries (j, k, c) of C_l and of C_l F,
-    where D B_p = sum_l p_l C_l at integral p (`L.integer_tensor`) and F has
-    the integer columns `columns`."""
-    forms = [[] for _ in range(L.dim)]
+    """Per coordinate l, the nonzero entries (j, i, c) of C_l F, where D B_p =
+    sum_l p_l C_l at integral p (`L.integer_tensor`) and F has the integer
+    columns `columns`; certified by `_certify_tables`."""
+    prods = [{} for _ in range(L.dim)]
     for j, k, terms in L.integer_tensor:
-        for l, c in terms:
-            forms[l] += [(j, k, c), (k, j, -c)]
-    tables = []
-    for form in forms:
-        prod: dict = {}
-        for j, k, c in form:
+        for l, c in terms:  # C_l[j][k] = c = -C_l[k][j]
+            prod = prods[l]
             for i, f in enumerate(columns):
                 prod[j, i] = prod.get((j, i), 0) + c * f[k]
-        tables.append((form, [(j, i, c) for (j, i), c in prod.items() if c]))
+                prod[k, i] = prod.get((k, i), 0) - c * f[j]
+    tables = [[(j, i, c) for (j, i), c in prod.items() if c] for prod in prods]
+    _certify_tables(L, columns, tables)
     return tables
+
+
+def _certify_tables(L: LieAlgebra, columns, tables) -> None:
+    """F has rank L.dim, and table l is the dense product of C_l =
+    `integer_bform(L, e_l)` and F: then the matrix `jump_indices` sums is
+    B_p F at every integral p, of the rank of B_p."""
+    if len(rref_int(columns)[2]) != L.dim:
+        raise AssertionError("the adapted columns are not a basis")
+    for e, prod in zip(Subspace.full(L.dim).ints, tables):
+        got = [[0] * L.dim for _ in columns]
+        for j, i, c in prod:
+            got[j][i] += c
+        if matmul_int(integer_bform(L, e), list(zip(*columns))) != got:
+            raise AssertionError("a table of B_p F is not the table of B_p times F")
 
 
 def jump_indices(L: LieAlgebra, flag: tuple, xi, columns=None, tables=None) -> tuple:
@@ -114,11 +122,11 @@ def jump_indices(L: LieAlgebra, flag: tuple, xi, columns=None, tables=None) -> t
     of g_j whose pivot is not a pivot of g_{j-1} (a basis adapted to the
     flag), that holds iff B_xi f_j is independent of B_xi f_1, ..., B_xi
     f_{j-1}: the jumps are the pivot columns of B_xi F, counted from 1.  Their
-    number equals the rank of the skew form at xi.
+    number is the rank of the skew form at xi, as F is invertible.
 
     B_xi is taken as the integer form D B_{d xi} and the columns of F as
-    integer rows; nonzero scalings keep the pivot columns and the rank, so
-    both come from `rref_int` on the integer matrices summed from `tables` =
+    integer rows; nonzero scalings keep the pivot columns, so they come from
+    one `rref_int` on the integer matrix summed from `tables` =
     `_integer_tables(L, columns)`.  `columns` = `_adapted_columns(flag)` and
     `tables` are computed here when not passed in.
     """
@@ -127,17 +135,12 @@ def jump_indices(L: LieAlgebra, flag: tuple, xi, columns=None, tables=None) -> t
     if tables is None:
         tables = _integer_tables(L, columns)
     _, (p,) = zi_rows([xi])
-    b, bf = [[0] * L.dim for _ in columns], [[0] * L.dim for _ in columns]
-    for pl, (form, prod) in zip(p, tables):
+    bf = [[0] * L.dim for _ in columns]
+    for pl, prod in zip(p, tables):
         if pl:
-            for j, k, c in form:
-                b[j][k] += pl * c
             for j, i, c in prod:
                 bf[j][i] += pl * c
-    pivots = rref_int(bf)[2]
-    if len(pivots) != len(rref_int(b)[2]):
-        raise AssertionError("jump count disagrees with the skew-form rank")
-    return tuple(p + 1 for p in pivots)
+    return tuple(p + 1 for p in rref_int(bf)[2])
 
 
 def index_order_leq(e: tuple, f: tuple) -> bool:

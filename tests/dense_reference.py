@@ -103,7 +103,12 @@ member before it checked ideals over the integers.  They are kept unchanged,
 except for their names, for `ref_rref` in place of `rref` on Q(i) algebras,
 for `ref_adapted_columns`, the flag-adapted columns as `strata` read them
 from the `Fraction` rows of the flag, and for the Q(i) form, which
-`ref_jump_indices` takes from `ref_bform`.
+`ref_jump_indices` takes from `ref_bform`; `ref_jump_indices` keeps the
+per-point skew-form rank check that `strata.jump_indices` replaced by a
+certificate of its tables.
+
+`basis_vector(L, i)` is the `Fraction` basis vector that `LieAlgebra` kept
+as a method after no module of the package called it.
 
 `ref_minus_one_probe` is the eigenvalue -1 probe's scan by spectral
 mapping, an oracle independent of the integer search: the eigenvalues mu of
@@ -303,7 +308,7 @@ def ref_law_failure(L: LieAlgebra, actions):
     mod = LieModule(L, actions[0].rows, tuple(actions))
     for i in range(L.dim):
         for j in range(i + 1, L.dim):
-            lhs = ref_action_of(mod, L.bracket(L.basis_vector(i), L.basis_vector(j)))
+            lhs = ref_action_of(mod, L.bracket(basis_vector(L, i), basis_vector(L, j)))
             rhs = actions[i] @ actions[j] - actions[j] @ actions[i]
             if lhs != rhs:
                 return i, j
@@ -344,6 +349,10 @@ def ref_bracket(t, x, y):
     return tuple(out)
 
 
+def basis_vector(L: LieAlgebra, i: int) -> tuple:
+    return tuple(Fraction(1 if j == i else 0) for j in range(L.dim))
+
+
 def ref_lie_bracket(L: LieAlgebra, x, y):
     """[x, y] by `Fraction` sums over the sparse table `L.pair_terms`."""
     pairs = L.pair_terms
@@ -360,7 +369,7 @@ def ref_lie_bracket(L: LieAlgebra, x, y):
 
 def ref_ad_matrix(L: LieAlgebra, x) -> Matrix:
     """Matrix of ad(x): y -> [x, y] in the algebra basis."""
-    cols = [ref_lie_bracket(L, x, L.basis_vector(j)) for j in range(L.dim)]
+    cols = [ref_lie_bracket(L, x, basis_vector(L, j)) for j in range(L.dim)]
     return Matrix([[cols[j][k] for j in range(L.dim)] for k in range(L.dim)])
 
 
@@ -1640,7 +1649,7 @@ def ref_validate_groupoid(G: FiniteGroupoid) -> None:
 def ref_is_ideal(L: LieAlgebra, s: Subspace) -> bool:
     for i in range(L.dim):
         for v in s.rows:
-            if not s.contains(L.bracket(L.basis_vector(i), v)):
+            if not s.contains(L.bracket(basis_vector(L, i), v)):
                 return False
     return True
 

@@ -23,6 +23,7 @@ from dense_reference import (
     DENSE_CATALOG,
     VALID_GAUSSIAN_DRAWS,
     VALID_RATIONAL_DRAWS,
+    basis_vector,
     dense,
     rank_kernel,
     random_tensor,
@@ -156,7 +157,7 @@ def test_bracket_equals_dense_reference(name):
         assert L.bracket(x, y) == ref_bracket(t, x, y)
     for i in range(L.dim):
         for j in range(L.dim):
-            x, y = L.basis_vector(i), L.basis_vector(j)
+            x, y = basis_vector(L, i), basis_vector(L, j)
             assert L.bracket(x, y) == ref_bracket(t, x, y)
 
 

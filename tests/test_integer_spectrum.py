@@ -28,6 +28,7 @@ from dense_reference import (
     DenseMatrix,
     VALID_GAUSSIAN_DRAWS,
     VALID_RATIONAL_DRAWS,
+    basis_vector,
     random_tensor,
     ref_charpoly_exact,
     ref_conjugate,
@@ -372,7 +373,7 @@ def test_derived_series_equals_the_series_of_brackets():
 def test_adjoint_module_equals_ad_matrices():
     for _, L in LIE_CATALOG_CASES + [(n, M.algebra) for n, M in FLAG_CASES]:
         assert adjoint_module(L).actions == tuple(
-            ad_matrix(L, L.basis_vector(i)) for i in range(L.dim))
+            ad_matrix(L, basis_vector(L, i)) for i in range(L.dim))
 
 
 @settings(max_examples=100, deadline=None)

@@ -1,5 +1,7 @@
 import random
+import sys
 from fractions import Fraction as Q
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -9,9 +11,11 @@ from dense_reference import (
     DENSE_CATALOG,
     DenseMatrix,
     RefSubspace,
+    basis_vector,
     random_tensor,
     ref_adjoint_actions,
     ref_brackets,
+    ref_lie_bracket,
     ref_reduce,
     ref_rref,
 )
@@ -28,7 +32,7 @@ from liegrpd.catalog import (
     heisenberg,
     realified_borel,
 )
-from liegrpd.exact import GaussInt, GaussianRational, Matrix, gaussian, zi, zi_rows
+from liegrpd.exact import GaussInt, GaussianRational, Matrix, gaussian, matmul_int, zi, zi_rows
 from liegrpd.lie import (
     AntisymmetryError,
     JacobiError,
@@ -39,7 +43,9 @@ from liegrpd.lie import (
     adjoint_module,
     algebra_from_json,
     algebra_to_json,
+    checked_subalgebra,
     coadjoint_module,
+    derived_series,
     dual_module,
     from_brackets,
     make_module,
@@ -52,16 +58,19 @@ from liegrpd.lie import (
     vec_is_zero,
 )
 
+sys.path.append(str(Path(__file__).resolve().parents[1] / "scripts"))
+import cli_digest  # noqa: E402
+
 
 class TestValidation:
     def test_heisenberg_valid(self):
         L = heisenberg()
         assert L.dim == 3
-        assert L.bracket(L.basis_vector(0), L.basis_vector(1)) == (Q(0), Q(0), Q(1))
+        assert L.bracket(basis_vector(L, 0), basis_vector(L, 1)) == (Q(0), Q(0), Q(1))
 
     def test_axb_valid(self):
         L = axb()
-        assert L.bracket(L.basis_vector(0), L.basis_vector(1)) == (Q(0), Q(1))
+        assert L.bracket(basis_vector(L, 0), basis_vector(L, 1)) == (Q(0), Q(1))
 
     def test_antisymmetry_error(self):
         # c[0][1][2] = 1 without the mirrored -1
@@ -89,7 +98,7 @@ class TestValidation:
         for i in range(3):
             for j in range(3):
                 for k in range(3):
-                    ei, ej, ek = (L.basis_vector(x) for x in (i, j, k))
+                    ei, ej, ek = (basis_vector(L, x) for x in (i, j, k))
                     res = tuple(
                         a + b + c
                         for a, b, c in zip(
@@ -189,7 +198,7 @@ class TestSparseJacobi:
 class TestAdAndSeries:
     def test_ad_heisenberg(self):
         L = heisenberg()
-        assert ad_matrix(L, L.basis_vector(0)) == Matrix(
+        assert ad_matrix(L, basis_vector(L, 0)) == Matrix(
             [[0, 0, 0], [0, 0, 0], [0, 1, 0]]
         )
 
@@ -304,24 +313,24 @@ class TestSemidirect:
         M = make_module(L, [Matrix([[1]])])
         S = semidirect_sum(L, M)
         assert S.dim == 2
-        assert S.bracket(S.basis_vector(0), S.basis_vector(1)) == (Q(0), Q(1))
+        assert S.bracket(basis_vector(S, 0), basis_vector(S, 1)) == (Q(0), Q(1))
 
     def test_axb_semidirect_plane(self):
         S = axb_semidirect_plane()
         assert S.dim == 4
         assert structure_series(S).is_solvable
         # [Y1, V1] = (1/2) V1
-        assert S.bracket(S.basis_vector(0), S.basis_vector(2)) == (
+        assert S.bracket(basis_vector(S, 0), basis_vector(S, 2)) == (
             Q(0), Q(0), Q(1, 2), Q(0),
         )
         # [Y2, V2] = V1
-        assert S.bracket(S.basis_vector(1), S.basis_vector(3)) == (
+        assert S.bracket(basis_vector(S, 1), basis_vector(S, 3)) == (
             Q(0), Q(0), Q(1), Q(0),
         )
 
     def test_module_part_is_abelian_ideal(self):
         S = axb_semidirect_plane()
-        v = Subspace.from_vectors(4, [S.basis_vector(2), S.basis_vector(3)])
+        v = Subspace.from_vectors(4, [basis_vector(S, 2), basis_vector(S, 3)])
         assert subspace_bracket(S, v, v).dim == 0
         assert v.contains_subspace(subspace_bracket(S, Subspace.full(4), v))
 
@@ -334,10 +343,10 @@ class TestRealify:
         assert rep.is_solvable and not rep.is_nilpotent
         # basis (H, E, iH, iE): [H, E] = 2E, [H, iE] = 2iE, [iH, E] = 2iE,
         # [iH, iE] = -2E
-        assert R.bracket(R.basis_vector(0), R.basis_vector(1)) == (0, Q(2), 0, 0)
-        assert R.bracket(R.basis_vector(0), R.basis_vector(3)) == (0, 0, 0, Q(2))
-        assert R.bracket(R.basis_vector(2), R.basis_vector(1)) == (0, 0, 0, Q(2))
-        assert R.bracket(R.basis_vector(2), R.basis_vector(3)) == (0, Q(-2), 0, 0)
+        assert R.bracket(basis_vector(R, 0), basis_vector(R, 1)) == (0, Q(2), 0, 0)
+        assert R.bracket(basis_vector(R, 0), basis_vector(R, 3)) == (0, 0, 0, Q(2))
+        assert R.bracket(basis_vector(R, 2), basis_vector(R, 1)) == (0, 0, 0, Q(2))
+        assert R.bracket(basis_vector(R, 2), basis_vector(R, 3)) == (0, Q(-2), 0, 0)
 
     def test_realified_heisenberg_nilpotent(self):
         R = realify(complex_heisenberg())
@@ -364,7 +373,7 @@ class TestJson:
     def test_unlisted_brackets_vanish(self):
         doc = {"dim": 2, "field": "Q", "basis": ["a", "b"], "brackets": []}
         L = algebra_from_json(doc)
-        assert L.bracket(L.basis_vector(0), L.basis_vector(1)) == (Q(0), Q(0))
+        assert L.bracket(basis_vector(L, 0), basis_vector(L, 1)) == (Q(0), Q(0))
 
     def test_gaussian_coefficients(self):
         doc = {
@@ -374,7 +383,7 @@ class TestJson:
             "brackets": [{"i": 0, "j": 1, "coeffs": {"1": "1/2+3/4i"}}],
         }
         L = algebra_from_json(doc)
-        assert L.bracket(L.basis_vector(0), L.basis_vector(1)) == (Q(0), gaussian(Q(1, 2), Q(3, 4)))
+        assert L.bracket(basis_vector(L, 0), basis_vector(L, 1)) == (Q(0), gaussian(Q(1, 2), Q(3, 4)))
 
 
 # reference membership test: v lies in s iff appending it leaves the rank unchanged
@@ -483,3 +492,63 @@ class TestSubspaceAgainstReference:
             assert s.contains(v) == rs.contains(v)
         for w in integral:
             assert s.contains(w) == rs.contains(tuple(_exact(x) for x in w))
+
+
+# ---------------------------------------------------------------------------
+# [s, s] from the pairs i < j against the span of all products
+
+
+def _bracket_inputs():
+    """(algebra, subspace): every derived term of the catalog algebras and of
+    the algebras of the digest's sixth ladder (among them the unimodular
+    conjugates of realified_borel, (e2 + axb)^2 and (ax+b)^4), and seeded
+    random subspaces of each algebra, Gaussian over Q(i)."""
+    algebras = [make() for make in LIE_CATALOG.values()] + list(cli_digest.weight_docs().values())
+    rng = random.Random(32)
+    cases = []
+    for L in algebras:
+        cases += [(L, s) for s in derived_series(L)]
+        for size in range(1, L.dim + 1):
+            vecs = [tuple(gaussian(Q(rng.randint(-3, 3), rng.randint(1, 3)), rng.randint(-1, 1))
+                          if L.field == "Qi" else Q(rng.randint(-3, 3), rng.randint(1, 3))
+                          for _ in range(L.dim)) for _ in range(size)]
+            cases.append((L, Subspace.from_vectors(L.dim, vecs)))
+    return cases
+
+
+BRACKET_INPUTS = _bracket_inputs()
+
+
+def _all_pairs_span(L, s):
+    return Subspace.from_vectors(L.dim, [ref_lie_bracket(L, u, v) for u in s.rows for v in s.rows])
+
+
+def _bracket_mismatches(bracket):
+    """The inputs on which bracket(L, s) is not the span of all [u, v]."""
+    return [(L, s) for L, s in BRACKET_INPUTS if bracket(L, s) != _all_pairs_span(L, s)]
+
+
+class TestPairHalving:
+    def test_derived_bracket_equals_the_all_pairs_span(self):
+        assert not _bracket_mismatches(lambda L, s: subspace_bracket(L, s, s))
+        # the inputs are not all abelian: many terms have a nonzero bracket
+        assert sum(bool(_all_pairs_span(L, s).dim) for L, s in BRACKET_INPUTS) >= 50
+
+    def test_a_pair_range_that_skips_one_pair_is_caught(self):
+        """The pairs a.ints[:j - 1] miss [u_{j-1}, u_j]: the property above
+        must see it."""
+        def skipping(L, s):
+            return Subspace.from_vectors(L.dim, [
+                w for j, v in enumerate(s.ints)
+                for w in matmul_int(s.ints[:j - 1], L.integer_brackets(v))])
+        assert _bracket_mismatches(skipping)
+
+    def test_subalgebra_check_decides_as_all_pairs(self):
+        for L, s in BRACKET_INPUTS:
+            closed = s.contains_subspace(_all_pairs_span(L, s))
+            try:
+                checked_subalgebra(L, s.rows, "subspace")
+            except AssertionError:
+                assert not closed
+            else:
+                assert closed

@@ -8,7 +8,9 @@ on the lower-dimensional slice xi4 = 0, xi3 != 0.
 """
 import itertools
 import random
+import sys
 from fractions import Fraction as Q
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -16,10 +18,13 @@ from hypothesis import strategies as st
 
 from dense_reference import (
     DenseMatrix,
+    basis_vector,
     matrix_inverse,
     rank_kernel,
+    ref_adapted_columns,
     ref_coadjoint_stratification,
     ref_is_ideal,
+    ref_jump_indices,
     ref_rref,
     ref_sample_points,
 )
@@ -34,12 +39,13 @@ from liegrpd.catalog import (
     heisenberg,
     realified_heisenberg,
 )
-from liegrpd.coadjoint import bform
-from liegrpd.exact import Matrix
+from liegrpd.coadjoint import bform, integer_bform
+from liegrpd.exact import Matrix, rref_int
 from liegrpd.lie import (
     Subspace,
     ad_matrix,
     adjoint_module,
+    algebra_from_json,
     center_of,
     coadjoint_module,
     from_brackets,
@@ -47,7 +53,8 @@ from liegrpd.lie import (
 from liegrpd import strata
 from liegrpd.strata import (
     _adapted_columns,
-    _is_ideal,
+    _certify_tables,
+    _integer_tables,
     _line_key,
     ascending_central_series,
     coadjoint_stratification,
@@ -58,6 +65,9 @@ from liegrpd.strata import (
     point_isotropy,
     stratify_module,
 )
+
+sys.path.append(str(Path(__file__).resolve().parents[1] / "scripts"))
+import cli_digest  # noqa: E402
 
 
 def span(dim, *vecs):
@@ -319,7 +329,7 @@ def rescale(L, factors):
 def reference_ascending_central_series(L):
     """z_{k+1} = kernel of (reduction mod z_k) o ad(Y_i), stacked over i."""
     m = L.dim
-    ads = [DenseMatrix(ad_matrix(L, L.basis_vector(i)).data) for i in range(m)]
+    ads = [DenseMatrix(ad_matrix(L, basis_vector(L, i)).data) for i in range(m)]
     chain = [Subspace.zero(m)]
     while True:
         cols = []
@@ -456,27 +466,17 @@ class TestStratificationAgainstReference:
             got = coadjoint_stratification(L, samples=samples, seed=seed)
             assert got == ref_coadjoint_stratification(L, samples=samples, seed=seed)
 
-    def test_integer_ideal_check_matches_fraction_check(self):
-        rng = random.Random(41)
-        outcomes = []
-        algebras = [L for _, L in STRATIFIED] + [make() for make in LIE_CATALOG.values()]
-        for L in algebras:
+    def test_every_flag_member_passes_the_fraction_ideal_check(self):
+        """The per-step check on the inserted vector decides, by induction,
+        that every member is an ideal: the `Fraction` check on all its rows
+        agrees."""
+        checked = 0
+        for L in [L for _, L in STRATIFIED] + [make() for make in LIE_CATALOG.values()]:
             if _is_nilpotent(L):
                 for member in jordan_holder_flag(L):
-                    assert _is_ideal(L, member) and ref_is_ideal(L, member)
-            for _ in range(12):
-                vecs = [
-                    tuple(Q(rng.randint(-3, 3), rng.randint(1, 3)) if rng.random() < 0.4 else Q(0)
-                          for _ in range(L.dim))
-                    for _ in range(rng.randint(1, L.dim))
-                ]
-                s = Subspace.from_vectors(L.dim, vecs)
-                expected = ref_is_ideal(L, s)
-                assert _is_ideal(L, s) == expected
-                outcomes.append(expected)
-        assert not _is_ideal(heisenberg(), span(3, (1, 0, 0)))
-        # the random subspaces reach both answers
-        assert outcomes.count(True) >= 20 and outcomes.count(False) >= 100
+                    assert ref_is_ideal(L, member)
+                    checked += 1
+        assert checked >= 100
 
     @pytest.mark.parametrize("make", [
         axb_tautological_module,
@@ -508,10 +508,11 @@ class TestLineCache:
         assert _line_key((0, 0, 0)) == (0, 0, 0)
 
     @pytest.mark.parametrize("make,pairs", [(heisenberg, 50), (filiform4, 273), (filiform5, 1442)])
-    def test_one_elimination_pair_per_line(self, monkeypatch, make, pairs):
+    def test_one_elimination_per_line(self, monkeypatch, make, pairs):
         """The grid {-2..2}^dim has 5^dim points on `pairs` lines through 0
-        (the origin is its own line): one jump set, that is two eliminations,
-        per line.  The ideal checks of the flag eliminate nothing."""
+        (the origin is its own line): one jump set, that is one elimination,
+        per line, plus the one elimination of the tables' certificate (the
+        rank of F).  The ideal checks of the flag eliminate nothing."""
         L = make()
         jumps, eliminations = [], []
         real_jumps, real_rref = strata.jump_indices, strata.rref_int
@@ -519,5 +520,77 @@ class TestLineCache:
         monkeypatch.setattr(strata, "rref_int", lambda rows: eliminations.append(1) or real_rref(rows))
         s = coadjoint_stratification(L)
         assert len(jumps) == pairs
-        assert len(eliminations) == 2 * pairs
+        assert len(eliminations) == pairs + 1
         assert sum(x.sample_count for x in s.strata) == 5 ** L.dim
+
+
+# ---------------------------------------------------------------------------
+# one elimination per line: jump sets against the rank-checked reference
+
+
+def _jump_inputs():
+    """(id, algebra): heisenberg, filiform4, filiform5 (3,125 grid points),
+    heisenberg + filiform4, the Q(i) nilpotent document of the digest's third
+    ladder and a seeded unimodular conjugate of each Q-algebra."""
+    base = [("heisenberg", heisenberg()), ("filiform4", filiform4()), ("filiform5", filiform5()),
+            ("heisenberg+filiform4", direct_sum(heisenberg(), filiform4()))]
+    cases = base + [("qi_nilpotent",
+                     algebra_from_json(cli_digest.stratify_docs()[cli_digest.QI_NILPOTENT]))]
+    return cases + [(f"{n}~{seed}", conjugate(L, seed))
+                    for seed, (n, L) in enumerate(base, start=11)]
+
+
+JUMP_INPUTS = _jump_inputs()
+
+
+class TestJumpSetsAgainstRankCheckedReference:
+    @pytest.mark.parametrize("name,L", JUMP_INPUTS, ids=[n for n, _ in JUMP_INPUTS])
+    def test_every_sample_point(self, name, L):
+        """At every point the stratification samples, the jump set is the
+        reference's, and its size is the rank of the skew form there."""
+        flag = jordan_holder_flag(L)
+        columns = _adapted_columns(flag)
+        tables = _integer_tables(L, columns)
+        ref_columns = ref_adapted_columns(L, flag)
+        pts, _ = ref_sample_points(L.dim, 400, 0)
+        for xi in pts:
+            jumps = jump_indices(L, flag, xi, columns, tables)
+            assert jumps == ref_jump_indices(L, flag, xi, ref_columns)
+            assert len(jumps) == len(rref_int(integer_bform(L, xi))[2])
+
+
+class TestChecksCanFail:
+    @pytest.mark.parametrize("make", [heisenberg, filiform4, filiform5, complex_heisenberg])
+    def test_a_corrupted_table_entry_fails_the_certificate(self, make):
+        L = make()
+        columns = _adapted_columns(jordan_holder_flag(L))
+        tables = _integer_tables(L, columns)
+        corrupted = 0
+        for l, prod in enumerate(tables):
+            for n, (j, i, c) in enumerate(prod + [(0, 0, 0)]):
+                bad = list(tables)
+                bad[l] = prod[:n] + [(j, i, c + 1)] + prod[n + 1:]
+                with pytest.raises(AssertionError, match="not the table of B_p times F"):
+                    _certify_tables(L, columns, bad)
+                corrupted += 1
+        assert corrupted > L.dim
+
+    def test_dependent_columns_fail_the_certificate(self):
+        L = filiform4()
+        columns = _adapted_columns(jordan_holder_flag(L))
+        columns[-1] = columns[0]
+        with pytest.raises(AssertionError, match="not a basis"):
+            _integer_tables(L, columns)
+
+    @pytest.mark.parametrize("make,terms", [
+        (heisenberg, [[(1, 0, 0)]]),  # span{Y1}: [Y2, Y1] = -Y3
+        (filiform4, [[(0, 0, 0, 1)], [(0, 1, 0, 0), (0, 0, 0, 1)]]),  # span{Y2, Y4}: [Y1, Y2] = Y3
+    ])
+    def test_a_non_ideal_flag_member_fails_its_step_check(self, monkeypatch, make, terms):
+        """A central series with a term that is no ideal (monkeypatched)
+        reaches the flag; the step that inserts its new vector must refuse it."""
+        L = make()
+        fake = (Subspace.zero(L.dim), *(span(L.dim, *t) for t in terms), Subspace.full(L.dim))
+        monkeypatch.setattr(strata, "ascending_central_series", lambda _: fake)
+        with pytest.raises(AssertionError, match="failed its ideal check"):
+            jordan_holder_flag(L)
