@@ -4,6 +4,9 @@ one of them passes the pullback-isomorphism and equivalence-bimodule
 verifications, and that the matrix-algebra dimension count matches the
 morphism count.  Each groupoid is also written as an explicit-table JSON
 document and read back; the copy must validate and get the same reports.
+Each groupoid's pullback (`build_pullback`) must validate, with
+associativity decided by Light's test on its generators; a pullback that
+fails validation or falls back to every triple counts as a failure.
 
 The failure side: one product per groupoid is replaced by another arrow
 with the same endpoints.  A single changed entry cannot keep the groupoid
@@ -28,6 +31,7 @@ from liegrpd.groupoids import (
     AxiomError,
     FiniteGroupoid,
     algebra_profile,
+    build_pullback,
     equivalence_bimodule_verify,
     groupoid_from_json,
     groupoid_to_json,
@@ -102,7 +106,7 @@ def main() -> int:
     t0 = time.perf_counter()
     failures = 0
     max_mor = 0
-    tampered_trials = pullback_flagged = bimodule_flagged = off_hom_trials = 0
+    tampered_trials = pullback_flagged = bimodule_flagged = off_hom_trials = pullbacks = 0
     for k in range(args.trials):
         G = random_transformation_groupoid(rng)
         max_mor = max(max_mor, len(G.morphisms))
@@ -113,6 +117,10 @@ def main() -> int:
             assert prof.matches_morphism_count
             table = groupoid_from_json(groupoid_to_json(G))
             assert verdicts(table) == reports, "explicit-table copy disagrees"
+            P = build_pullback(G)
+            validate_groupoid(P)
+            assert P.ids.associativity[0] == "generators", "the pullback fell back to every triple"
+            pullbacks += 1
             T = tampered(G, tamper_rng)
             if T is not None:
                 tampered_trials += 1
@@ -138,6 +146,7 @@ def main() -> int:
     print(f"{args.trials} random transformation groupoids, "
           f"largest had {max_mor} morphisms, "
           f"{failures} failures, {dt:.1f}s")
+    print(f"{pullbacks} pullbacks validated by Light's test on their generators")
     print(f"{tampered_trials} tampered copies: pullback flagged {pullback_flagged}, "
           f"bimodule flagged {bimodule_flagged}")
     print(f"{off_hom_trials} off-hom copies: each refused alike by validate, "

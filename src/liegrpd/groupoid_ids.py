@@ -239,7 +239,8 @@ class GroupoidIds:
 
 
 class PullbackIds:
-    """Ids of the pullback's morphisms (x, h, y), in `build_pullback`'s order.
+    """Ids of the pullback's morphisms (x, h, y): the one enumeration of
+    them, which `build_pullback` labels.
 
     Objects and morphisms of G are taken as ids.  `sigma[x]` is the first
     morphism from x to its representative rep[x] (the identity on

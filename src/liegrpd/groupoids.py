@@ -12,6 +12,8 @@ algebra, and the regular representation rank test at a base object.
 
 Every groupoid also has an integer view, `G.ids` (`groupoid_ids`): objects
 and morphisms numbered in input order, and products of ids from a table.
+It is the groupoid's only index: arrow lists, hom-sets, the classification
+and the pullback's morphisms are read off it.
 Transformation groupoids read it from their group's multiplication table
 (mult[g, h] |X| + x), full subgroupoids and pullbacks from their parent's,
 explicit documents from their composition list; a groupoid built around an
@@ -126,6 +128,8 @@ class FiniteGroup:
                           max_order: int | None = None) -> "FiniteGroup":
         """Subgroup of the symmetric group generated by the given permutations;
         a closure that passes `max_order` elements raises the table-shape error."""
+        if n < 0:
+            raise ValueError("permutation group needs n >= 0")
         identity = tuple(range(n))
         compose = _compose_permutations
         gens = tuple(tuple(g) for g in generators)
@@ -265,23 +269,16 @@ class FiniteGroupAction:
 # finite groupoids
 
 
-def _group_by(items, key) -> dict:
-    """key -> tuple of the items with that key, in input order."""
-    groups: dict = {}
-    for item in items:
-        groups.setdefault(key(item), []).append(item)
-    return {k: tuple(v) for k, v in groups.items()}
-
-
 @dataclass(frozen=True, eq=False)
 class FiniteGroupoid:
     """Groupoid given by a product rule; `compose(g, h)` means "h then g".
 
-    `product` is called only on composable pairs.  The hom-set, out-arrow and
-    in-arrow indexes are built on first use and keep morphism input order;
-    the source/target tables must be total first.  `compose_ids`, when
-    given, computes products on the integer view `ids` (see `GroupoidIds`);
-    the default None calls `product` on each pair asked for.
+    `product` is called only on composable pairs.  The one index is the
+    integer view `ids` (see `GroupoidIds`), built on first use once the
+    source/target tables are total: `out_of` and `into` label its groups of
+    arrows by source and by target, in morphism input order, and `hom`
+    filters `out_of`.  `compose_ids`, when given, computes products on that
+    view; the default None calls `product` on each pair asked for.
     `validate_groupoid` decides associativity on `generators`, when given.
     """
 
@@ -295,64 +292,39 @@ class FiniteGroupoid:
     compose_ids: object = field(default=None, repr=False)  # (g ids, h ids) -> ids
     generators: tuple | None = field(default=None, repr=False)
 
-    def d(self, g):
-        return self.source[g]
-
-    def r(self, g):
-        return self.target[g]
-
     def compose(self, g, h):
         return self.product(g, h)
-
-    def can_compose(self, g, h) -> bool:
-        return self.source[g] == self.target[h]
-
-    def identity(self, x):
-        return self.identities[x]
-
-    def inverse(self, g):
-        return self.inverses[g]
-
-    @cached_property
-    def homs(self) -> dict:
-        """(d, r) -> morphisms from d to r."""
-        return _group_by(self.morphisms, lambda g: (self.source[g], self.target[g]))
-
-    @cached_property
-    def out_of(self) -> dict:
-        """Object -> morphisms with that source."""
-        return _group_by(self.morphisms, self.source.__getitem__)
-
-    @cached_property
-    def into(self) -> dict:
-        """Object -> morphisms with that target."""
-        return _group_by(self.morphisms, self.target.__getitem__)
 
     @cached_property
     def ids(self) -> "GroupoidIds":
         """The integer view; source and target must be total and in `objects`."""
         return GroupoidIds(self)
 
+    def _labelled(self, groups) -> dict:
+        mors = self.morphisms
+        return {x: tuple(mors[g] for g in ids) for x, ids in zip(self.objects, groups) if ids}
+
+    @cached_property
+    def out_of(self) -> dict:
+        """Object -> morphisms with that source."""
+        return self._labelled(self.ids.out[0])
+
+    @cached_property
+    def into(self) -> dict:
+        """Object -> morphisms with that target."""
+        return self._labelled(self.ids.into[0])
+
     def hom(self, x, y) -> tuple:
         """Morphisms from x to y (d = x, r = y) in input order."""
-        return self.homs.get((x, y), ())
+        return tuple(g for g in self.out_of.get(x, ()) if self.target[g] == y)
 
     def composable_pairs(self):
         """Every (g, h) with d(g) = r(h): g in input order, then h."""
         return ((g, h) for g in self.morphisms for h in self.into.get(self.source[g], ()))
 
-    def isotropy_elements(self, x) -> tuple:
-        return self.hom(x, x)
-
     def isotropy_group(self, x) -> FiniteGroup:
-        elems = self.isotropy_elements(x)
-        return FiniteGroup(
-            f"iso@{x!r}",
-            elems,
-            lambda a, b: self.compose(a, b),
-            lambda a: self.inverse(a),
-            self.identity(x),
-        )
+        return FiniteGroup(f"iso@{x!r}", self.hom(x, x), self.product,
+                           self.inverses.__getitem__, self.identities[x])
 
 
 TRIPLE_CAP = 2_000_000  # composable triples either associativity check visits at most
@@ -616,11 +588,11 @@ class Classification:
 
 def classify(G: FiniteGroupoid) -> Classification:
     rep = orbits_isotropy(G)
-    bundle = all(G.source[g] == G.target[g] for g in G.morphisms)
+    V = G.ids
+    bundle = V.sources == V.targets
     transitive = len(rep.representatives) == 1
-    pair = all(
-        len(G.hom(x, y)) == 1 for x in G.objects for y in G.objects
-    )
+    # n^2 arrows with distinct endpoints cover each pair of n objects once
+    pair = len(G.morphisms) == len(G.objects) ** 2 == len(set(zip(V.sources, V.targets)))
     principal = transitive and all(n == 1 for n in rep.isotropy_orders)
     return Classification(bundle, transitive, pair, principal, len(rep.representatives))
 
@@ -640,7 +612,7 @@ def canonical_sections(G: FiniteGroupoid):
     for i, (x, r, s) in enumerate(zip(objects, V.rep, V.sigma)):
         theta[x] = objects[r]
         if i == r:
-            sigma[x] = G.identity(x)
+            sigma[x] = G.identities[x]
         elif s < 0:
             raise AxiomError("no morphism from object to its representative", x)
         else:
@@ -652,35 +624,37 @@ def build_pullback(G: FiniteGroupoid):
     """Pullback of the isotropy bundle along the representative map.
 
     Objects are those of G; a morphism (x, h, y): y -> x carries an isotropy
-    element h at the shared representative of x and y.  Its products of ids
-    are G's, placed by `PullbackIds`.
+    element h at the shared representative of x and y.  The morphisms are
+    the target, middle and source lists of `PullbackIds` labelled, so their
+    order is written there alone, and products of ids are G's, placed by
+    it.  The generators are the loops (r, h, r) at each representative r
+    and, for each other x in its orbit, (x, e_r, r) and (r, e_r, x): every
+    (x, h, y) is (x, e_r, r) o (r, h, r) o (r, e_r, y).
     """
-    theta, _ = canonical_sections(G)
-    orbit_of = _group_by(G.objects, theta.__getitem__)
-    mors = tuple(
-        (x, h, y)
-        for x in G.objects
-        for y in orbit_of[theta[x]]
-        for h in G.isotropy_elements(theta[x])
-    )
-    layout = []
+    theta, _ = canonical_sections(G)  # refuses an object with no arrow to its representative
+    V = G.ids
+    P = PullbackIds(V)
+    objs, labels = G.objects, G.morphisms
+    mors = tuple((objs[x], labels[h], objs[y]) for x, h, y in zip(P.target, P.middle, P.source))
+    e = {x: G.identities[theta[x]] for x in objs}  # the identity at x's representative
+    loops = tuple((objs[r], labels[h], objs[r]) for r, hs in V.loops.items() for h in hs)
+    links = tuple(m for x in objs if x != theta[x]
+                  for m in ((x, e[x], theta[x]), (theta[x], e[x], x)))
 
     def compose_ids(p, q):
-        if not layout:
-            layout.append(PullbackIds(G.ids))
-        P = layout[0]
         target, middle, source = P.arrays[6:]
-        return P.place(target[p], G.ids.compose(middle[p], middle[q]), source[q])
+        return P.place(target[p], V.compose(middle[p], middle[q]), source[q])
 
     return FiniteGroupoid(
-        G.objects,
+        objs,
         mors,
         {m: m[2] for m in mors},
         {m: m[0] for m in mors},
         lambda a, b: (a[0], G.compose(a[1], b[1]), b[2]),
-        {x: (x, G.identity(theta[x]), x) for x in G.objects},
-        {(x, h, y): (y, G.inverse(h), x) for (x, h, y) in mors},
+        {x: (x, e[x], x) for x in objs},
+        {(x, h, y): (y, G.inverses[h], x) for (x, h, y) in mors},
         compose_ids,
+        loops + links,
     )
 
 
@@ -919,20 +893,19 @@ def action_from_json(data: dict) -> FiniteGroupAction:
 
 
 def groupoid_to_json(G: FiniteGroupoid) -> dict:
-    mor_index = {m: i for i, m in enumerate(G.morphisms)}
-    obj_index = {x: i for i, x in enumerate(G.objects)}
+    V = G.ids
     return {
         "kind": "groupoid",
         "objects": [_element_to_json(x) for x in G.objects],
         "morphism_count": len(G.morphisms),
-        "source": [obj_index[G.source[m]] for m in G.morphisms],
-        "target": [obj_index[G.target[m]] for m in G.morphisms],
+        "source": list(V.sources),
+        "target": list(V.targets),
         "composition": [
-            [mor_index[g], mor_index[h], mor_index[G.compose(g, h)]]
+            [V.index[g], V.index[h], V.index[G.compose(g, h)]]
             for g, h in G.composable_pairs()
         ],
-        "identities": [mor_index[G.identities[x]] for x in G.objects],
-        "inverses": [mor_index[G.inverses[m]] for m in G.morphisms],
+        "identities": list(V.identities),
+        "inverses": list(V.inverses),
     }
 
 

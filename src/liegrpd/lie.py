@@ -452,17 +452,6 @@ def realify(L: LieAlgebra) -> LieAlgebra:
     return from_brackets(2 * m, brackets, names, "Q")
 
 
-def realify_vector(v: Vector) -> Vector:
-    """Real coordinates (Re z_1..Re z_m, Im z_1..Im z_m) of a complex vector."""
-    return tuple(scalar_re(z) for z in v) + tuple(scalar_im(z) for z in v)
-
-
-def realify_subspace(s: Subspace) -> Subspace:
-    """Real span of {v, iv} for v in a complex subspace, in doubled coordinates."""
-    return Subspace.from_vectors(2 * s.ambient, [realify_vector(tuple(c * a for a in v))
-                                                 for v in s.rows for c in (1, gaussian(0, 1))])
-
-
 # ---------------------------------------------------------------------------
 # JSON schema
 

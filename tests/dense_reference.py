@@ -70,18 +70,32 @@ every `rank_kernel` call gets a library `Matrix` of the same entries.
 `ref_pullback_isomorphism_verify` is the pullback verifier that
 `groupoids.py` ran before its functor loop read the isotropy products from
 a table: every product through `FiniteGroupoid.compose` and the pullback's
-own product.  `ref_action_make` is `FiniteGroupAction.make` as it was before
-it checked compatibility on generators: every pair (g, h) at every point.
-Both are kept unchanged, except that `ref_action_make` composes the
+own product.  `ref_action_make` is `FiniteGroupAction.make` as it was
+before it checked compatibility on generators: every pair (g, h) at every
+point.  Both are kept unchanged, except that `ref_action_make` composes the
 products with `FiniteGroup.op`, since the tabulated `FiniteGroup.rows` are
-gone.
+gone, and that the pullback verifier reads identities and inverses from the
+label dicts, its pairs from `ref_composable_pairs` and its pullback from
+`ref_build_pullback`, since the one-line accessors and the label index are
+gone from `FiniteGroupoid`.
 
 `ref_validate_groupoid` is the axiom check that `groupoids.py` ran as loops
 over labelled morphisms, every product through `FiniteGroupoid.product`:
 endpoints on every composable pair, identity and inverse laws per morphism,
 then associativity on every composable triple, refused above
 `TRIPLE_CAP` triples before any product.  It is kept unchanged, except that
-it reads the cap from the module, so a test can lower it.
+it reads the cap from the module, so a test can lower it, and its pairs
+from the label scans below.
+
+`ref_group_by` is the label-scan index that `FiniteGroupoid` kept beside
+its integer view (`homs`, `out_of`, `into` grouped by one pass over the
+labels); `ref_out_of`, `ref_into`, `ref_hom` and `ref_composable_pairs` read
+it.  `ref_classify` is `classify` as it decided "bundle" and "pair" by label
+loops and one hom-set lookup per pair of objects, and `ref_build_pullback`
+the pullback's nested-loop enumeration over labels that `build_pullback` ran
+before it labelled the lists of `PullbackIds`: x in object order, y in the
+orbit of x, h in the isotropy at their representative, with the label
+product and no integer view of its own.
 
 `ref_lie_bracket`, `ref_ad_matrix`, `ref_adjoint_module` and `ref_bform` are
 `LieAlgebra.bracket`, `ad_matrix`, `adjoint_module` and `bform` as `lie.py`
@@ -108,7 +122,9 @@ per-point skew-form rank check that `strata.jump_indices` replaced by a
 certificate of its tables.
 
 `basis_vector(L, i)` is the `Fraction` basis vector that `LieAlgebra` kept
-as a method after no module of the package called it.
+as a method after no module of the package called it, and
+`realify_subspace` the real span of a complex subspace that `lie.py` kept
+(with its `realify_vector`) after no module called it.
 
 `ref_minus_one_probe` is the eigenvalue -1 probe's scan by spectral
 mapping, an oracle independent of the integer search: the eigenvalues mu of
@@ -144,7 +160,6 @@ from liegrpd.groupoids import (
     FiniteGroupAction,
     FiniteGroupoid,
     PullbackReport,
-    build_pullback,
     canonical_sections,
 )
 from liegrpd.lie import LieAlgebra, LieModule, Subspace, ad_matrix
@@ -351,6 +366,14 @@ def ref_bracket(t, x, y):
 
 def basis_vector(L: LieAlgebra, i: int) -> tuple:
     return tuple(Fraction(1 if j == i else 0) for j in range(L.dim))
+
+
+def realify_subspace(s: Subspace) -> Subspace:
+    """Real span of {v, iv} for v in a complex subspace, in the doubled
+    coordinates (Re z_1..Re z_m, Im z_1..Im z_m) of `lie.realify`."""
+    vectors = [tuple(c * a for a in v) for v in s.rows for c in (1, gaussian(0, 1))]
+    return Subspace.from_vectors(2 * s.ambient, [
+        tuple(scalar_re(z) for z in v) + tuple(scalar_im(z) for z in v) for v in vectors])
 
 
 def ref_lie_bracket(L: LieAlgebra, x, y):
@@ -1512,16 +1535,16 @@ def ref_pullback_isomorphism_verify(G: FiniteGroupoid) -> PullbackReport:
     functor law, identities, and inverses are checked on every morphism.
     """
     theta, sigma = canonical_sections(G)
-    P = build_pullback(G)
+    P = ref_build_pullback(G)
 
     def phi(g):
         a = G.compose(sigma[G.target[g]], g)
-        h = G.compose(a, G.inverse(sigma[G.source[g]]))
+        h = G.compose(a, G.inverses[sigma[G.source[g]]])
         return (G.target[g], h, G.source[g])
 
     def phi_inv(m):
         x, h, y = m
-        return G.compose(G.inverse(sigma[x]), G.compose(h, sigma[y]))
+        return G.compose(G.inverses[sigma[x]], G.compose(h, sigma[y]))
 
     images = {g: phi(g) for g in G.morphisms}
     image_set = set(images.values())
@@ -1529,16 +1552,16 @@ def ref_pullback_isomorphism_verify(G: FiniteGroupoid) -> PullbackReport:
         len(image_set) == len(G.morphisms) and image_set == set(P.morphisms)
     )
     failure = ()
-    for g, h in G.composable_pairs():
+    for g, h in ref_composable_pairs(G):
         if images[G.compose(g, h)] != P.compose(images[g], images[h]):
             failure = ("functor", g, h)
             break
     functorial = not failure
     identities_match = all(
-        images[G.identity(x)] == P.identity(x) for x in G.objects
+        images[G.identities[x]] == P.identities[x] for x in G.objects
     )
     inverses_match = all(
-        images[G.inverse(g)] == P.inverse(images[g]) for g in G.morphisms
+        images[G.inverses[g]] == P.inverses[images[g]] for g in G.morphisms
     )
     round_trip = all(phi_inv(images[g]) == g for g in G.morphisms) and all(
         images[phi_inv(m)] == m for m in P.morphisms
@@ -1614,7 +1637,7 @@ def ref_validate_groupoid(G: FiniteGroupoid) -> None:
         e = G.identities.get(x)
         if e not in mors or G.source[e] != x or G.target[e] != x:
             raise AxiomError("bad identity", x)
-    product, source, target, into = G.product, G.source, G.target, G.into
+    product, source, target, into = G.product, G.source, G.target, ref_into(G)
     # triples (g, h, k) through y = d(g): sum over h into y of |into(d(h))|
     fan = {y: sum(len(into[source[h]]) for h in hs) for y, hs in into.items()}
     triples = sum(fan[source[g]] for g in G.morphisms)
@@ -1622,7 +1645,7 @@ def ref_validate_groupoid(G: FiniteGroupoid) -> None:
         raise ValueError(
             f"{triples} composable triples exceed the exhaustive-check cap of {groupoids.TRIPLE_CAP}"
         )
-    for g, h in G.composable_pairs():
+    for g, h in ref_composable_pairs(G):
         k = product(g, h)
         if k not in mors or source[k] != source[h] or target[k] != target[g]:
             raise AxiomError("composite has wrong endpoints", (g, h, k))
@@ -1639,11 +1662,69 @@ def ref_validate_groupoid(G: FiniteGroupoid) -> None:
             or product(ginv, g) != e_d
         ):
             raise AxiomError("inverse law fails", g)
-    for g, h in G.composable_pairs():
+    for g, h in ref_composable_pairs(G):
         gh = product(g, h)
         for k in into[source[h]]:
             if product(gh, k) != product(g, product(h, k)):
                 raise AxiomError("associativity fails", (g, h, k))
+
+
+def ref_group_by(items, key) -> dict:
+    """key -> tuple of the items with that key, in input order."""
+    groups: dict = {}
+    for item in items:
+        groups.setdefault(key(item), []).append(item)
+    return {k: tuple(v) for k, v in groups.items()}
+
+
+def ref_out_of(G: FiniteGroupoid) -> dict:
+    return ref_group_by(G.morphisms, G.source.__getitem__)
+
+
+def ref_into(G: FiniteGroupoid) -> dict:
+    return ref_group_by(G.morphisms, G.target.__getitem__)
+
+
+def ref_hom(G: FiniteGroupoid, x, y) -> tuple:
+    return ref_group_by(G.morphisms, lambda g: (G.source[g], G.target[g])).get((x, y), ())
+
+
+def ref_composable_pairs(G: FiniteGroupoid):
+    into = ref_into(G)
+    return [(g, h) for g in G.morphisms for h in into.get(G.source[g], ())]
+
+
+def ref_classify(G: FiniteGroupoid) -> groupoids.Classification:
+    rep = groupoids.orbits_isotropy(G)
+    homs = ref_group_by(G.morphisms, lambda g: (G.source[g], G.target[g]))
+    bundle = all(G.source[g] == G.target[g] for g in G.morphisms)
+    transitive = len(rep.representatives) == 1
+    pair = all(len(homs.get((x, y), ())) == 1 for x in G.objects for y in G.objects)
+    principal = transitive and all(n == 1 for n in rep.isotropy_orders)
+    return groupoids.Classification(bundle, transitive, pair, principal, len(rep.representatives))
+
+
+def ref_build_pullback(G: FiniteGroupoid) -> FiniteGroupoid:
+    """The pullback's morphisms (x, h, y), x in object order, then y in the
+    orbit of x, then h in the isotropy at their representative, with the
+    label product and no integer view of its own."""
+    theta, _ = canonical_sections(G)
+    orbit_of = ref_group_by(G.objects, theta.__getitem__)
+    mors = tuple(
+        (x, h, y)
+        for x in G.objects
+        for y in orbit_of[theta[x]]
+        for h in ref_hom(G, theta[x], theta[x])
+    )
+    return FiniteGroupoid(
+        G.objects,
+        mors,
+        {m: m[2] for m in mors},
+        {m: m[0] for m in mors},
+        lambda a, b: (a[0], G.product(a[1], b[1]), b[2]),
+        {x: (x, G.identities[theta[x]], x) for x in G.objects},
+        {(x, h, y): (y, G.inverses[h], x) for (x, h, y) in mors},
+    )
 
 
 def ref_is_ideal(L: LieAlgebra, s: Subspace) -> bool:

@@ -133,6 +133,10 @@ BAD_INDEX_GROUPOIDS = {
     "generator_bools": {"kind": "group_action",
                         "group": {"family": "permutations", "n": 2, "generators": [[True, False]]},
                         "points": [0, 1], "table": [[0, 1], [1, 0]]},
+    # the empty generator list closed to the one-element group on no points
+    "permutations_negative_n": {"kind": "group_action",
+                                "group": {"family": "permutations", "n": -1, "generators": []},
+                                "points": [0], "table": [[0]]},
 }
 
 # groups far larger than their one-row tables, refused before their elements

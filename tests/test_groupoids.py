@@ -16,12 +16,19 @@ import pytest
 from dense_reference import (
     rank_kernel,
     ref_action_make,
+    ref_build_pullback,
+    ref_classify,
+    ref_composable_pairs,
+    ref_hom,
+    ref_into,
+    ref_out_of,
     ref_pullback_isomorphism_verify,
     ref_validate_groupoid,
 )
 
 from liegrpd import groupoids
 from liegrpd.catalog import (
+    GROUPOID_CATALOG,
     negation_action,
     negation_groupoid,
     s3_natural_action,
@@ -85,6 +92,13 @@ class TestGroups:
     def test_bad_generator(self):
         with pytest.raises(AxiomError):
             FiniteGroup.from_permutations([(0, 0, 1)], 3)
+
+    def test_negative_degree_refused_and_zero_is_trivial(self):
+        with pytest.raises(ValueError, match="n >= 0"):
+            FiniteGroup.from_permutations([], -1)
+        G = FiniteGroup.from_permutations([], 0)
+        validate_group(G)
+        assert G.elements == ((),)
 
     def test_a_group_document_is_built_only_at_its_table_order(self):
         for n in range(1, 7):
@@ -227,7 +241,7 @@ class TestGroupoidConstruction:
         # (g2, g1.x) o (g1, x) = (g2 g1, x): apply the right factor first
         G = z4_parity_groupoid()
         first, second = (1, 0), (1, 1)  # 0 -> 1 -> 0
-        assert G.can_compose(second, first)
+        assert G.source[second] == G.target[first]
         assert G.compose(second, first) == (2, 0)
 
     def test_pair_groupoid(self):
@@ -353,7 +367,7 @@ class TestPullback:
         G = negation_groupoid()
         theta, sigma = canonical_sections(G)
         assert theta == {-1: -1, 1: -1, 0: 0}
-        assert sigma[-1] == G.identity(-1)
+        assert sigma[-1] == G.identities[-1]
         assert sigma[1] == (1, 1)  # the flip 1 -> -1
 
     def test_pullback_counts_match_profile(self):
@@ -600,6 +614,45 @@ class TestComposablePairTables:
         assert calls == 0
 
 
+class TestIndexAgainstLabelScan:
+    """The arrow lists, hom-sets, composable pairs, classification and
+    pullback read off the integer view are those of the label scans in
+    `dense_reference`: the pullback's morphisms in the same order, with the
+    same endpoints, identities, inverses and products."""
+
+    def _check(self, G):
+        assert G.out_of == ref_out_of(G) and G.into == ref_into(G)
+        assert list(G.composable_pairs()) == ref_composable_pairs(G)
+        for x in G.objects:
+            for y in G.objects:
+                assert G.hom(x, y) == ref_hom(G, x, y)
+        assert classify(G) == ref_classify(G)
+        P, R = build_pullback(G), ref_build_pullback(G)
+        for name in ("objects", "morphisms", "source", "target", "identities", "inverses"):
+            assert getattr(P, name) == getattr(R, name), name
+        V = P.ids
+        assert V.pair_products().tolist() == [
+            V.index[R.product(a, b)] for a, b in ref_composable_pairs(R)
+        ]
+
+    def test_catalog_and_natural_s3_to_s5(self):
+        # C2 over two objects has n^2 arrows and is no pair groupoid
+        square = group_bundle({0: FiniteGroup.cyclic(2), 1: FiniteGroup.cyclic(2)}, (0, 1))
+        for G in [make() for make in GROUPOID_CATALOG.values()] + [
+                _natural(n) for n in (3, 4, 5)] + [square]:
+            self._check(G)
+            self._check(build_pullback(G))
+
+    def test_fifty_random_actions_and_derived_groupoids(self):
+        for seed in range(50):
+            G = random_transformation_groupoid(random.Random(seed))
+            groups = {x: G.isotropy_group(x) for x in G.objects}
+            layers = [reduce_invariant(G, orbit) for orbit in orbits_isotropy(G).orbits]
+            for H in (G, pair_groupoid(G.objects), group_bundle(groups, G.objects),
+                      *layers, build_pullback(G)):
+                self._check(H)
+
+
 class TestJson:
     def test_action_round_trip(self):
         for make in (negation_action, z4_parity_action, s3_natural_action):
@@ -637,7 +690,7 @@ def _reference_bimodule_verify(G):
     reps = sorted(set(theta.values()), key=list(G.objects).index)
     rep_set = set(reps)
     Z = tuple(g for g in G.morphisms if G.source[g] in rep_set)
-    iso = {rep: G.isotropy_elements(rep) for rep in reps}
+    iso = {rep: G.hom(rep, rep) for rep in reps}
     failure = ()
 
     def check_commute():
@@ -1110,6 +1163,46 @@ class TestGeneratorAssociativity:
             patch.setattr(groupoids, "TRIPLE_CAP", _reference_triples(G) - 1)
             with pytest.raises(ValueError, match="exceed the exhaustive-check cap"):
                 validate_groupoid(U)
+
+
+class TestPullbackGenerators:
+    """`build_pullback` hands Light's test the loops at each representative
+    and the identity links to it; on pullbacks and their tampered copies
+    with the generators kept, the outcome is the exhaustive reference's."""
+
+    def test_natural_s5_decided_and_s6_refused_before_any_product(self):
+        P = build_pullback(_natural(5))
+        # 24 loops and 2 * 4 links, each with 120 arrows out of its target
+        # and 120 into its source; every triple would be 600 * 120 * 120
+        assert len(P.generators) == 32
+        validate_groupoid(P)
+        assert P.ids.associativity == ("generators", 460_800)
+        S6 = build_pullback(_natural(6))
+        calls = 0
+
+        def counting(g, h):
+            nonlocal calls
+            calls += 1
+            return S6.product(g, h)
+
+        triples = (120 + 2 * 5) * 720 * 720
+        with pytest.raises(ValueError, match=f"^{triples} composable triples exceed the generator"):
+            validate_groupoid(_with_product(S6, counting, keep_generators=True))
+        assert calls == 0
+
+    def test_random_pullbacks_and_tampered_copies(self):
+        rng = random.Random(33)
+        caught = 0
+        for seed in range(50):
+            P = build_pullback(random_transformation_groupoid(random.Random(seed)))
+            validate_groupoid(P)
+            assert P.ids.associativity == ("generators", _generator_triples(P))
+            for T, _ in _tampered_copies(P, rng):
+                T = dataclasses.replace(T, generators=P.generators)
+                outcome = _outcome(validate_groupoid, T)
+                assert outcome == _outcome(ref_validate_groupoid, T)
+                caught += outcome[1][:1] == ("associativity fails",)
+        assert caught >= 10
 
 
 class TestProductCallCounts:

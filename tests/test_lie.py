@@ -18,6 +18,7 @@ from dense_reference import (
     ref_lie_bracket,
     ref_reduce,
     ref_rref,
+    realify_subspace,
 )
 from liegrpd.catalog import (
     LIE_CATALOG,
@@ -50,7 +51,6 @@ from liegrpd.lie import (
     from_brackets,
     make_module,
     realify,
-    realify_subspace,
     semidirect_sum,
     structure_series,
     subspace_bracket,
