@@ -206,12 +206,6 @@ def open_component_census(L: LieAlgebra, samples: int = 512, seed: int = 0) -> C
         " no class spans two components (probes are exact), but a missed"
         " connection can split one component into several classes"
     ]
-    if not kept:
-        return ComponentCensus(
-            0, (), (), (), True, exp_result.verdict and not exp_result.heuristic,
-            exp_result.heuristic, 0, tuple(notes),
-        )
-
     components: list[list] = []
     for s in kept:
         joined = False

@@ -318,11 +318,14 @@ def pullback_isomorphism_verify(G: FiniteGroupoid) -> PullbackReport:
     The checks run on the integer view.  The products of all composable
     pairs are computed once into a table by `GroupoidIds.pair_products`,
     which raises validate's AxiomError at a product outside its hom-set,
-    and Phi, the isotropy products and the inverse map read theirs from
-    it; Phi(g) is held as the id of its middle arrow and its pullback id
-    (-1 outside the pullback).  A second pass over the chunks checks the
-    functor law Phi(g o h) = Phi(g) o Phi(h) as numpy index operations, g
-    in input order, then h.  Once every product is a morphism in its
+    and Phi and the inverse map read theirs from it; Phi(g) is held as the
+    id of its middle arrow mid(g), a loop at the orbit representative, and
+    its pullback id (-1 outside the pullback).  So the endpoints are
+    checked once, by the table: Phi(g o h) and Phi(g) o Phi(h) share them,
+    and a second pass over the chunks checks the functor law on middles,
+    mid(g o h) = mid(g) o mid(h), both read from the table as numpy index
+    operations, g in input order, then h; a Phi(g) outside the pullback
+    fails every pair of g.  Once every product is a morphism in its
     hom-set the ids decide each check, and each reports the first item
     they flag: where identities and inverses lie in their hom-sets, the
     verdicts and witnesses are the label loops'.  (An inverse outside its
@@ -338,7 +341,7 @@ def pullback_isomorphism_verify(G: FiniteGroupoid) -> PullbackReport:
     table = V.pair_products()
     src, tgt, inv, sig = V.sources, V.targets, V.inverses, P.sigma
     m = len(G.morphisms)
-    _, _, _, fan, start = V.pair_index
+    _, _, places, fan, start = V.pair_index
     found, at, pos = memoryview(table), start.tolist(), V.into[1]
 
     def products(g, h):
@@ -346,32 +349,18 @@ def pullback_isomorphism_verify(G: FiniteGroupoid) -> PullbackReport:
         return [found[at[a] + pos[b]] if a >= 0 <= b and src[a] == tgt[b] else -1
                 for a, b in zip(g, h)]
 
-    # the isotropy products a o b, by rows a, and Phi's middle arrows
-    # sigma(r g) o g o sigma(d g)^-1
-    first = [a for ids in V.loops.values() for a in ids for _ in ids]
-    second = [b for ids in V.loops.values() for _ in ids for b in ids]
+    # Phi's middle arrows sigma(r g) o g o sigma(d g)^-1
     mid = products(products([sig[y] for y in tgt], range(m)), [inv[sig[x]] for x in src])
     image = [P.pid(y, h, x) for y, h, x in zip(tgt, mid, src)]
     bijective = P.count == m and min(image, default=0) >= 0 and len(set(image)) == m
-    # Phi(g) o Phi(h) has id base[r g] + spot[d h] size[r g] + slot[a o b], with
-    # slot[a o b] = square[row[g] + col[h]]; `far` there stands for a Phi(g)
-    # outside the pullback
-    far = -(1 << 40)
-    square = [P.slot[k] for k in products(first, second)] + [far] * (2 * len(first) + 2)
-    rows = {}  # the first row of each loop a
-    for k, h in enumerate(first):
-        rows.setdefault(h, k)
-    row = [rows[h] if i >= 0 else len(first) for i, h in zip(image, mid)]
-    col = [P.slot[h] if i >= 0 else len(first) + 1 for i, h in zip(image, mid)]
-    row, col, base, size, spot = np.array(
-        [row, col, [P.base[y] for y in tgt], [P.size[y] for y in tgt], [P.spot[x] for x in src]],
-        dtype=np.int64).reshape(5, m)
-    ids, square = np.array(image, dtype=np.int64), np.array(square, dtype=np.int64)
+    # inside the pullback, mid(g) and mid(h) are loops at one representative
+    mids, inside = np.array(mid, dtype=np.intp), np.array(image, dtype=np.intp) >= 0
     failure = ()
     for lo, hi in chunks(fan):
         g, h = V.pairs(lo, hi)
-        gh = table[start[lo]:start[hi]]
-        wrong = (ids[gh] != base[g] + spot[h] * size[g] + square[row[g] + col[h]]).nonzero()[0]
+        both = inside[g] & inside[h]
+        composed = table[np.where(both, start[mids[g]] + places[mids[h]], 0)]
+        wrong = (~both | (mids[table[start[lo]:start[hi]]] != composed)).nonzero()[0]
         if len(wrong):
             failure = ("functor", G.morphisms[g[wrong[0]]], G.morphisms[h[wrong[0]]])
             break

@@ -836,12 +836,19 @@ def group_to_json(G: FiniteGroup) -> dict:
     return {"family": "permutations", "n": n, "generators": gens}
 
 
+MAX_PERMUTATION_DEGREE = 128
+
+
 def group_from_json(data: dict, order: int) -> FiniteGroup:
     """The group of an action document whose table has `order` rows; a cyclic
     or symmetric group of another order, or a closure that passes `order`,
-    raises the table-shape error before more elements are listed."""
+    raises the table-shape error before more elements are listed, and a
+    `permutations` degree above MAX_PERMUTATION_DEGREE a ValueError before
+    anything of that size is built."""
     family = data["family"]
     n = document_int(data["n"], "group n")
+    if family == "permutations" and n > MAX_PERMUTATION_DEGREE:
+        raise ValueError(f"permutation degree {n} exceeds the limit {MAX_PERMUTATION_DEGREE}")
     if n >= 1 and family in ("cyclic", "symmetric"):
         size, k = (n, n) if family == "cyclic" else (1, 1)
         while k < n and size <= order:  # n!, multiplied up only until it passes order
@@ -893,6 +900,8 @@ def action_from_json(data: dict) -> FiniteGroupAction:
 
 
 def groupoid_to_json(G: FiniteGroupoid) -> dict:
+    """G as a document; `composition` is the pair table, g in input order, then h."""
+    import numpy as np
     V = G.ids
     return {
         "kind": "groupoid",
@@ -900,10 +909,8 @@ def groupoid_to_json(G: FiniteGroupoid) -> dict:
         "morphism_count": len(G.morphisms),
         "source": list(V.sources),
         "target": list(V.targets),
-        "composition": [
-            [V.index[g], V.index[h], V.index[G.compose(g, h)]]
-            for g, h in G.composable_pairs()
-        ],
+        "composition": np.stack([*V.pairs(0, len(G.morphisms)), V.pair_products()],
+                                axis=1).tolist(),
         "identities": list(V.identities),
         "inverses": list(V.inverses),
     }

@@ -79,6 +79,13 @@ label dicts, its pairs from `ref_composable_pairs` and its pullback from
 `ref_build_pullback`, since the one-line accessors and the label index are
 gone from `FiniteGroupoid`.
 
+`ref_square_pullback_verify` is the pullback verifier that
+`groupoid_ids.py` ran before its functor pass compared middle arrows read
+from the pair table: the pullback id of Phi(g) o Phi(h) through a second
+table of the isotropy products (a square with row, column and slot offsets),
+with the endpoints checked again.  It is kept unchanged, except for its
+name.
+
 `ref_validate_groupoid` is the axiom check that `groupoids.py` ran as loops
 over labelled morphisms, every product through `FiniteGroupoid.product`:
 endpoints on every composable pair, identity and inverse laws per morphism,
@@ -162,6 +169,7 @@ from liegrpd.groupoids import (
     PullbackReport,
     canonical_sections,
 )
+from liegrpd.groupoid_ids import PullbackIds, chunks
 from liegrpd.lie import LieAlgebra, LieModule, Subspace, ad_matrix
 from liegrpd.strata import (
     GRID_RADIUS,
@@ -1573,6 +1581,101 @@ def ref_pullback_isomorphism_verify(G: FiniteGroupoid) -> PullbackReport:
         len(P.morphisms),
         bijective,
         functorial,
+        identities_match,
+        inverses_match,
+        round_trip,
+        failure,
+    )
+
+
+def ref_square_pullback_verify(G: FiniteGroupoid) -> PullbackReport:
+    """Exhaustively verify G ~ pullback of its isotropy bundle.
+
+    Phi(g) = (r(g), sigma(r(g)) o g o sigma(d(g))^{-1}, d(g)) and the inverse
+    map is (x, h, y) -> sigma(x)^{-1} o h o sigma(y); both directions, the
+    functor law, identities, and inverses are checked on every morphism.
+
+    The checks run on the integer view.  The products of all composable
+    pairs are computed once into a table by `GroupoidIds.pair_products`,
+    which raises validate's AxiomError at a product outside its hom-set,
+    and Phi, the isotropy products and the inverse map read theirs from
+    it; Phi(g) is held as the id of its middle arrow and its pullback id
+    (-1 outside the pullback).  A second pass over the chunks checks the
+    functor law Phi(g o h) = Phi(g) o Phi(h) as numpy index operations, g
+    in input order, then h.  Once every product is a morphism in its
+    hom-set the ids decide each check, and each reports the first item
+    they flag: where identities and inverses lie in their hom-sets, the
+    verdicts and witnesses are the label loops'.  (An inverse outside its
+    hom-set sends some Phi(g) out of the pullback, which the checks flag;
+    the label loops raised KeyError there.)
+    """
+    import numpy as np
+    V = G.ids
+    P = PullbackIds(V)
+    if -1 in P.sigma:
+        raise AxiomError("no morphism from object to its representative",
+                         G.objects[P.sigma.index(-1)])
+    table = V.pair_products()
+    src, tgt, inv, sig = V.sources, V.targets, V.inverses, P.sigma
+    m = len(G.morphisms)
+    _, _, _, fan, start = V.pair_index
+    found, at, pos = memoryview(table), start.tolist(), V.into[1]
+
+    def products(g, h):
+        """Products of id lists from the table, -1 for pairs that do not compose."""
+        return [found[at[a] + pos[b]] if a >= 0 <= b and src[a] == tgt[b] else -1
+                for a, b in zip(g, h)]
+
+    # the isotropy products a o b, by rows a, and Phi's middle arrows
+    # sigma(r g) o g o sigma(d g)^-1
+    first = [a for ids in V.loops.values() for a in ids for _ in ids]
+    second = [b for ids in V.loops.values() for _ in ids for b in ids]
+    mid = products(products([sig[y] for y in tgt], range(m)), [inv[sig[x]] for x in src])
+    image = [P.pid(y, h, x) for y, h, x in zip(tgt, mid, src)]
+    bijective = P.count == m and min(image, default=0) >= 0 and len(set(image)) == m
+    # Phi(g) o Phi(h) has id base[r g] + spot[d h] size[r g] + slot[a o b], with
+    # slot[a o b] = square[row[g] + col[h]]; `far` there stands for a Phi(g)
+    # outside the pullback
+    far = -(1 << 40)
+    square = [P.slot[k] for k in products(first, second)] + [far] * (2 * len(first) + 2)
+    rows = {}  # the first row of each loop a
+    for k, h in enumerate(first):
+        rows.setdefault(h, k)
+    row = [rows[h] if i >= 0 else len(first) for i, h in zip(image, mid)]
+    col = [P.slot[h] if i >= 0 else len(first) + 1 for i, h in zip(image, mid)]
+    row, col, base, size, spot = np.array(
+        [row, col, [P.base[y] for y in tgt], [P.size[y] for y in tgt], [P.spot[x] for x in src]],
+        dtype=np.int64).reshape(5, m)
+    ids, square = np.array(image, dtype=np.int64), np.array(square, dtype=np.int64)
+    failure = ()
+    for lo, hi in chunks(fan):
+        g, h = V.pairs(lo, hi)
+        gh = table[start[lo]:start[hi]]
+        wrong = (ids[gh] != base[g] + spot[h] * size[g] + square[row[g] + col[h]]).nonzero()[0]
+        if len(wrong):
+            failure = ("functor", G.morphisms[g[wrong[0]]], G.morphisms[h[wrong[0]]])
+            break
+
+    e = V.identities
+    identities_match = all(e[x] >= 0 <= image[e[x]] == P.pid(x, e[P.rep[x]], x)
+                           for x in range(len(G.objects)))
+    # the pullback's inverse of (x, h, y) is (y, h^-1, x)
+    inverses_match = all(
+        inv[g] >= 0 <= image[g] and image[inv[g]] == P.pid(src[g], inv[mid[g]], tgt[g]) >= 0
+        for g in range(m))
+    back = products([inv[sig[y]] for y in tgt], products(mid, [sig[x] for x in src]))
+    round_trip = back == list(range(m))
+    if round_trip:
+        back = products([inv[sig[x]] for x in P.target],
+                        products(P.middle, [sig[y] for y in P.source]))
+        round_trip = all(k >= 0 and image[k] == p for p, k in enumerate(back))
+    ok = bijective and not failure and identities_match and inverses_match and round_trip
+    return PullbackReport(
+        ok,
+        m,
+        P.count,
+        bijective,
+        not failure,
         identities_match,
         inverses_match,
         round_trip,

@@ -137,6 +137,11 @@ BAD_INDEX_GROUPOIDS = {
     "permutations_negative_n": {"kind": "group_action",
                                 "group": {"family": "permutations", "n": -1, "generators": []},
                                 "points": [0], "table": [[0]]},
+    # a degree this large once spent minutes building the one-element table
+    "permutations_degree_three_million": {
+        "kind": "group_action",
+        "group": {"family": "permutations", "n": 3_000_000, "generators": []},
+        "points": [0], "table": [[0]]},
 }
 
 # groups far larger than their one-row tables, refused before their elements

@@ -23,6 +23,7 @@ from dense_reference import (
     ref_into,
     ref_out_of,
     ref_pullback_isomorphism_verify,
+    ref_square_pullback_verify,
     ref_validate_groupoid,
 )
 
@@ -915,6 +916,52 @@ class TestPullbackAgainstReference:
         report = pullback_isomorphism_verify(T)
         assert report == ref_pullback_isomorphism_verify(T)
         assert report.failure[0] == "functor"
+
+
+def _tampered_sections(G, rng):
+    """G with one identity replaced by another arrow, and with one inverse
+    replaced by another arrow of the right hom-set, by any arrow, and by a
+    label that is no morphism; products stay G's."""
+    x = rng.choice(G.objects)
+    others = [k for k in G.morphisms if k != G.identities[x]]
+    if others:
+        yield dataclasses.replace(G, identities={**G.identities, x: rng.choice(others)})
+    g = rng.choice(G.morphisms)
+    within = [k for k in G.hom(G.target[g], G.source[g]) if k != G.inverses[g]]
+    values = [rng.choice(within)] if within else []
+    for value in values + [rng.choice(G.morphisms), "nowhere"]:
+        yield dataclasses.replace(G, inverses={**G.inverses, g: value})
+
+
+class TestPullbackAgainstSquareReference:
+    """The pullback verifier's outcome, the report repr or the exception
+    type and args, is that of the verifier that read Phi(g) o Phi(h) from a
+    square of isotropy products: on valid groupoids and on copies with one
+    wrong product, identity or inverse, where the label loops of
+    `ref_pullback_isomorphism_verify` mostly raise KeyError."""
+
+    def _same(self, G, rng):
+        assert _outcome(pullback_isomorphism_verify, G) == _outcome(ref_square_pullback_verify, G)
+        failed = 0
+        for T in [T for T, _ in _tampered_copies(G, rng)] + list(_tampered_sections(G, rng)):
+            outcome = _outcome(pullback_isomorphism_verify, T)
+            assert outcome == _outcome(ref_square_pullback_verify, T)
+            failed += "ok=False" in outcome or outcome[0] == "AxiomError"
+        return failed
+
+    def test_catalog_and_natural_s3_to_s5(self):
+        rng = random.Random(34)
+        for G in [make() for make in GROUPOID_CATALOG.values()] + [_natural(n) for n in (3, 4, 5)]:
+            self._same(G, rng)
+
+    def test_fifty_seeds_with_pullbacks_and_pair_groupoids(self):
+        rng = random.Random(35)
+        failed = 0
+        for seed in range(50):
+            G = random_transformation_groupoid(random.Random(seed))
+            for H in (G, build_pullback(G), pair_groupoid(G.objects)):
+                failed += self._same(H, rng)
+        assert failed >= 700
 
 
 def _random_action_parts(rng):
