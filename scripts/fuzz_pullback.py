@@ -19,10 +19,16 @@ verifier and the bimodule verifier must each raise the same AxiomError,
 "composite has wrong endpoints" with the same witness; anything else
 counts as a failure.
 
+The sections side: one identity is replaced by another loop at its object,
+and one inverse by another arrow of its hom-set.  Validation must raise
+AxiomError on each such copy and the pullback verifier must report it not
+ok; anything else counts as a failure.
+
 Usage:
     python3 scripts/fuzz_pullback.py [--trials N] [--seed S]
 """
 import argparse
+import dataclasses
 import random
 import sys
 import time
@@ -85,6 +91,21 @@ def replaced(G, key, wrong):
     )
 
 
+def wrong_sections(G, rng):
+    """G with one identity replaced by another loop at its object, and G
+    with one inverse replaced by another arrow of its hom-set, where G has
+    such arrows."""
+    loops = [(x, k) for x in G.objects for k in G.hom(x, x) if k != G.identities[x]]
+    if loops:
+        x, k = rng.choice(loops)
+        yield dataclasses.replace(G, identities={**G.identities, x: k})
+    arrows = [(g, k) for g in G.morphisms for k in G.hom(G.target[g], G.source[g])
+              if k != G.inverses[g]]
+    if arrows:
+        g, k = rng.choice(arrows)
+        yield dataclasses.replace(G, inverses={**G.inverses, g: k})
+
+
 def refusal(verify, G):
     """The args of the AxiomError that verify(G) raises, or None."""
     try:
@@ -103,10 +124,12 @@ def main() -> int:
     rng = random.Random(args.seed)
     tamper_rng = random.Random(f"tamper-{args.seed}")
     off_hom_rng = random.Random(f"off-hom-{args.seed}")
+    sections_rng = random.Random(f"sections-{args.seed}")
     t0 = time.perf_counter()
     failures = 0
     max_mor = 0
     tampered_trials = pullback_flagged = bimodule_flagged = off_hom_trials = pullbacks = 0
+    section_trials = 0
     for k in range(args.trials):
         G = random_transformation_groupoid(rng)
         max_mor = max(max_mor, len(G.morphisms))
@@ -139,6 +162,11 @@ def main() -> int:
                     validate_groupoid, pullback_isomorphism_verify, equivalence_bimodule_verify)]
                 assert outcomes[0] and outcomes[0][0] == "composite has wrong endpoints", outcomes
                 assert outcomes.count(outcomes[0]) == 3, f"off-hom refusals differ: {outcomes}"
+            for T in wrong_sections(G, sections_rng):
+                section_trials += 1
+                assert refusal(validate_groupoid, T), "a wrong identity or inverse passed validation"
+                assert not pullback_isomorphism_verify(T).ok, \
+                    "the pullback verifier passed a wrong identity or inverse"
         except Exception as exc:  # noqa: BLE001 - report and keep fuzzing
             failures += 1
             print(f"[{k}] FAILED: {type(exc).__name__}: {exc}")
@@ -151,6 +179,8 @@ def main() -> int:
           f"bimodule flagged {bimodule_flagged}")
     print(f"{off_hom_trials} off-hom copies: each refused alike by validate, "
           f"pullback and bimodule, or counted as a failure above")
+    print(f"{section_trials} wrong-identity and wrong-inverse copies: each refused by "
+          f"validate and flagged by the pullback verifier, or counted as a failure above")
     return 1 if failures else 0
 
 

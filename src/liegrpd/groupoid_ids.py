@@ -1,12 +1,13 @@
 """The integer view of a finite groupoid and the verifiers that run on it.
 
-Objects and morphisms are numbered in input order, and products of
-morphism ids come from an integer table: a group's multiplication table,
-built by numpy for permutation and cyclic groups, or a groupoid's own
-`compose_ids`.  The pullback and bimodule verifiers here, and
-`groupoids.validate_groupoid`, run their loops over composable pairs and
-triples as numpy index operations on these ids, in chunks of at most CHUNK
-entries; `groupoids` exports them with the rest of the groupoid API.
+Objects and morphisms are numbered in input order (transformation
+groupoids compute their id lists from the action's rows); products of ids
+come from an integer table: a group's multiplication table, built by numpy
+for permutation and cyclic groups, or a groupoid's own `compose_ids`.  The
+pullback and bimodule verifiers here, and `groupoids.validate_groupoid`,
+run their loops over composable pairs and triples as numpy index
+operations on these ids, in chunks of at most CHUNK entries; `groupoids`
+exports them with the rest of the groupoid API.
 
 All three first refuse a product that is no morphism or leaves its
 hom-set, raising validate's AxiomError("composite has wrong endpoints",
@@ -118,26 +119,25 @@ class GroupoidIds:
     groupoid's `compose_ids`, or its product callable on each pair, once per
     pair asked for.  `pair_products` fills the table of all composable
     pairs and refuses a product outside its hom-set.  `associativity` is
-    (check, triples) once `groupoids.validate_groupoid` has passed.
+    (check, triples) once `groupoids.validate_groupoid` has passed.  The
+    first four are read off G's labels unless its builder gives `lists`.
     """
 
-    def __init__(self, G):
+    def __init__(self, G, lists=None):
         self.morphisms, self.objects, self.product = G.morphisms, G.objects, G.product
-        self.index = index = {g: i for i, g in enumerate(G.morphisms)}
-        oid = {x: i for i, x in enumerate(G.objects)}
-        self.sources = [oid[G.source[g]] for g in G.morphisms]
-        self.targets = [oid[G.target[g]] for g in G.morphisms]
-        self._identities, self._inverses = G.identities, G.inverses
         self.compose = G.compose_ids or self._call_product
         self.associativity = None
+        if lists is None:
+            index, oid = self.index, {x: i for i, x in enumerate(G.objects)}
+            lists = ([oid[G.source[g]] for g in G.morphisms],
+                     [oid[G.target[g]] for g in G.morphisms],
+                     [index.get(G.identities.get(x), -1) for x in G.objects],
+                     [index.get(G.inverses.get(g), -1) for g in G.morphisms])
+        self.sources, self.targets, self.identities, self.inverses = lists
 
     @cached_property
-    def identities(self) -> list:
-        return [self.index.get(self._identities.get(x), -1) for x in self.objects]
-
-    @cached_property
-    def inverses(self) -> list:
-        return [self.index.get(self._inverses.get(g), -1) for g in self.morphisms]
+    def index(self) -> dict:
+        return {g: i for i, g in enumerate(self.morphisms)}
 
     @cached_property
     def ends(self):
@@ -237,6 +237,21 @@ class GroupoidIds:
             self.refuse_off_hom(g, h, k)
         return table
 
+    def law_failures(self, table):
+        """(identity_bad, inverse_bad): whether g o e = g = e o g or g o g^-1 =
+        e = g^-1 o g fails, per morphism, read from `pair_products`' table;
+        where a pair does not compose, its law fails and its lookup is masked."""
+        import numpy as np
+        d, r = self.ends
+        _, _, pos, _, start = self.pair_index
+        g = np.arange(len(self.morphisms))
+        e, inv = (np.array(v, dtype=np.intp) for v in (self.identities, self.inverses))
+        e_d, e_r = e[d[g]], e[r[g]]
+        left, right = np.concatenate((g, e_r, g, inv)), np.concatenate((e_d, g, inv, g))
+        bad = ((d[left] != r[right]) | (table.take(start[left] + pos[right], mode="clip")
+                                        != np.concatenate((g, g, e_r, e_d)))).reshape(4, -1)
+        return bad[0] | bad[1], bad[2] | bad[3]
+
 
 class PullbackIds:
     """Ids of the pullback's morphisms (x, h, y): the one enumeration of
@@ -330,7 +345,8 @@ def pullback_isomorphism_verify(G: FiniteGroupoid) -> PullbackReport:
     they flag: where identities and inverses lie in their hom-sets, the
     verdicts and witnesses are the label loops'.  (An inverse outside its
     hom-set sends some Phi(g) out of the pullback, which the checks flag;
-    the label loops raised KeyError there.)
+    the label loops raised KeyError there.)  The identity and inverse
+    checks also read e o g = g = g o e and g o g^-1 = e = g^-1 o g off it.
     """
     import numpy as np
     V = G.ids
@@ -366,10 +382,11 @@ def pullback_isomorphism_verify(G: FiniteGroupoid) -> PullbackReport:
             break
 
     e = V.identities
-    identities_match = all(e[x] >= 0 <= image[e[x]] == P.pid(x, e[P.rep[x]], x)
-                           for x in range(len(G.objects)))
+    identity_bad, inverse_bad = V.law_failures(table)
+    identities_match = not identity_bad.any() and all(
+        e[x] >= 0 <= image[e[x]] == P.pid(x, e[P.rep[x]], x) for x in range(len(G.objects)))
     # the pullback's inverse of (x, h, y) is (y, h^-1, x)
-    inverses_match = all(
+    inverses_match = not inverse_bad.any() and all(
         inv[g] >= 0 <= image[g] and image[inv[g]] == P.pid(src[g], inv[mid[g]], tgt[g]) >= 0
         for g in range(m))
     back = products([inv[sig[y]] for y in tgt], products(mid, [sig[x] for x in src]))

@@ -13,11 +13,12 @@ algebra, and the regular representation rank test at a base object.
 Every groupoid also has an integer view, `G.ids` (`groupoid_ids`): objects
 and morphisms numbered in input order, and products of ids from a table.
 It is the groupoid's only index: arrow lists, hom-sets, the classification
-and the pullback's morphisms are read off it.
-Transformation groupoids read it from their group's multiplication table
-(mult[g, h] |X| + x), full subgroupoids and pullbacks from their parent's,
-explicit documents from their composition list; a groupoid built around an
-arbitrary product callable calls it once per pair asked for.  The
+and the pullback's morphisms are read off it.  Transformation groupoids
+compute it from their action's integer rows and multiply through their
+group's table (mult[g, h] |X| + x), full subgroupoids and pullbacks read it
+from their parent's, explicit documents from their composition list; a
+groupoid built around an arbitrary product callable calls it once per pair
+asked for.  The
 exhaustive verifiers run their pair and triple loops on this view as numpy
 index operations, in chunks, visiting items in the order of the label loops
 they replaced.  Each refuses a product outside its hom-set with
@@ -27,6 +28,7 @@ reports the label loops' verdict and witness.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 from dataclasses import dataclass, field
@@ -79,13 +81,16 @@ class FiniteGroup:
         return len(self.elements)
 
     @cached_property
+    def index(self) -> dict:  # element -> its place in `elements`
+        return {e: i for i, e in enumerate(self.elements)}
+
+    @cached_property
     def table(self) -> np.ndarray:
         """mult[a, b] = index of ab, for elements numbered in input order."""
         import numpy as np
         if self.tabulate is not None:
             return self.tabulate(self.elements)
-        index = {e: i for i, e in enumerate(self.elements)}
-        op = self.op
+        index, op = self.index, self.op
         return np.array(
             [[index[op(a, b)] for b in self.elements] for a in self.elements],
             dtype=np.int32,
@@ -117,7 +122,7 @@ class FiniteGroup:
             f"S{n}",
             elements,
             _compose_permutations,
-            lambda p: tuple(sorted(range(n), key=lambda i: p[i])),
+            lambda p: tuple(sorted(range(n), key=p.__getitem__)),
             tuple(range(n)),
             (cycle, swap) if n > 2 else (cycle,),
             permutation_table,
@@ -153,7 +158,7 @@ class FiniteGroup:
             name,
             tuple(sorted(closure)),
             compose,
-            lambda p: tuple(sorted(range(n), key=lambda i: p[i])),
+            lambda p: tuple(sorted(range(n), key=p.__getitem__)),
             identity,
             gens,
             permutation_table,
@@ -208,61 +213,75 @@ def validate_group(G: FiniteGroup) -> None:
 # group actions
 
 
-def _first_incompatible(group: FiniteGroup, hs, points, table):
-    """The first (g, h, x) with pi(g h) x != pi(g) pi(h) x, over every element
-    g, every h in `hs` and every point, or None."""
-    op = group.op
-    for g in group.elements:
-        for h in hs:
-            gh = op(g, h)
-            for x in points:
-                if table[(g, table[(h, x)])] != table[(gh, x)]:
-                    return g, h, x
-    return None
-
-
 @dataclass(frozen=True, eq=False)
 class FiniteGroupAction:
+    """An action on distinct points as integer rows, built by `make` and
+    `action_from_json`: rows[i][j] is the place of g_i.x_j among the points."""
+
     group: FiniteGroup
     points: tuple
-    table: dict  # (element, point) -> point
+    rows: list
+
+    @cached_property
+    def table(self) -> dict:
+        """(element, point) -> point, elements before points."""
+        points = self.points
+        return {(g, x): points[y] for g, row in zip(self.group.elements, self.rows)
+                for x, y in zip(points, row)}
 
     def act(self, g, x):
         return self.table[(g, x)]
 
     @staticmethod
     def make(group: FiniteGroup, points, act) -> "FiniteGroupAction":
-        """Build and validate the action table from a callable or a mapping.
+        """Build and check the action from a callable or a mapping, read at
+        every (g, x), elements before points; each value must be a point."""
+        points = _distinct(points)
+        index = {x: i for i, x in enumerate(points)}
+        fn = act if callable(act) else lambda g, x: act[g, x]
+        values = [[fn(g, x) for x in points] for g in group.elements]
+        for g, x, y in ((g, x, y) for g, row in zip(group.elements, values)
+                        for x, y in zip(points, row) if y not in index):
+            raise AxiomError("action leaves the point set", (g, x, y))
+        return _checked(group, points, [[index[y] for y in row] for row in values])
 
-        A callable is tabulated at every (g, x), elements before points; a
-        mapping is copied as the table, so it must hold those keys in order.
 
-        Compatibility pi(g h) = pi(g) pi(h) is checked for every g, every
-        generator h of the group and every point.  With pi(e) = id, checked
-        first, that decides it for every pair (g, h), by induction on the
-        length of h as a word in the generators.  A group without
-        generators is checked on every pair.  When the generator check
-        fails, the check reruns on every pair, so the AxiomError witness
-        (g, h, x) is the first violation over all pairs.
-        """
-        points = tuple(points)
-        if callable(act):
-            table = {(g, x): act(g, x) for g in group.elements for x in points}
-        else:
-            table = dict(act)
-        pointset = set(points)
-        for (g, x), y in table.items():
-            if y not in pointset:
-                raise AxiomError("action leaves the point set", (g, x, y))
-        for x in points:
-            if table[(group.identity, x)] != x:
-                raise AxiomError("identity moves a point", x)
-        if _first_incompatible(group, group.generators or group.elements, points, table):
-            witness = _first_incompatible(group, group.elements, points, table)
-            if witness is None:
-                raise AssertionError("the generator check failed on a compatible action")
-            raise AxiomError("action is not compatible", witness)
-        return FiniteGroupAction(group, points, table)
+def _distinct(points) -> tuple:
+    points = tuple(points)
+    if len(set(points)) != len(points):
+        repeated = next(p for i, p in enumerate(points) if p in points[:i])
+        raise ValueError(f"point {_element_to_json(repeated)!r} is listed twice")
+    return points
+
+
+def _checked(group: FiniteGroup, points: tuple, rows: list) -> FiniteGroupAction:
+    """The action with these rows, once every entry is an int in range (else
+    `_at`'s ValueError), the identity row is 0..n-1 and rows[g h] =
+    [rows[g][y] for y in rows[h]] for every g and every generator h (every
+    h without generators): by induction on the length of h as a word in the
+    generators, that decides every pair.  When it fails, the check reruns on
+    every pair, so the witness (g, h, x) is the first violation over all."""
+    n, elements, index = len(points), group.elements, group.index
+    for y in (y for row in rows for y in row if type(y) is not int or not 0 <= y < n):
+        _at(points, y, "action table")  # raises
+    moved = [x for j, (x, y) in enumerate(zip(points, rows[index[group.identity]])) if y != j]
+    if moved:
+        raise AxiomError("identity moves a point", moved[0])
+
+    def first_incompatible(hs):
+        """The first (g, h, x) with rows[g h][x] != rows[g][rows[h][x]], or None."""
+        for g, row in zip(elements, rows):
+            for h in hs:
+                gh, hx = rows[index[group.op(g, h)]], rows[index[h]]
+                if list(map(row.__getitem__, hx)) != gh:
+                    return g, h, points[next(j for j, y in enumerate(hx) if row[y] != gh[j])]
+
+    if first_incompatible(group.generators or elements):
+        witness = first_incompatible(elements)
+        if witness is None:
+            raise AssertionError("the generator check failed on a compatible action")
+        raise AxiomError("action is not compatible", witness)
+    return FiniteGroupAction(group, points, rows)
 
 
 # ---------------------------------------------------------------------------
@@ -401,19 +420,12 @@ def validate_groupoid(G: FiniteGroupoid) -> None:
     visits = np.bincount(src, minlength=len(G.objects))[tgt[gens]] * fan[gens]
     _refuse_over_cap(visits if light else triples, "generator" if light else "exhaustive")
     table = V.pair_products()  # the product of (g, h) at start[g] + pos[h]
-    g, e, inv = (np.array(v, dtype=np.intp) for v in (range(len(labels)), V.identities, V.inverses))
-    e_d, e_r = e[src], e[tgt]
-    identity_bad = (table[start[:-1] + pos[e_d]] != g) | (table[start[e_r] + pos] != g)
-    # where the inverse's endpoints are wrong, an identity stands in for it
-    ends = (d[inv] == tgt) & (r[inv] == src)
-    right, left = np.where(ends, inv, e_d), np.where(ends, inv, e_r)
-    inverse_bad = (~ends | (table[start[:-1] + pos[right]] != e_r)
-                   | (table[start[left] + pos] != e_d))
+    identity_bad, inverse_bad = V.law_failures(table)
     bad = identity_bad | inverse_bad
     if np.count_nonzero(bad):
         i = int(bad.argmax())
         reason = ("identity law fails" if identity_bad[i]
-                  else "missing inverse" if inv[i] < 0 else "inverse law fails")
+                  else "missing inverse" if V.inverses[i] < 0 else "inverse law fails")
         raise AxiomError(reason, labels[i])
     if light and _generates(V, table, gens):
         # the g out of r(a) and the k into d(a), padded with -1, which reads
@@ -451,32 +463,38 @@ def transformation_groupoid(A: FiniteGroupAction) -> FiniteGroupoid:
     """Morphisms (g, x): x -> g.x; (g2, g1.x) o (g1, x) = (g2 g1, x).
 
     (g, x) has id i |X| + j for g the i-th element and x the j-th point, so
-    products of ids are mult[i2, i1] |X| + j, read from the group's table.
+    products of ids are mult[i2, i1] |X| + j, read from the group's table,
+    and the view's id lists and the label dicts are read off the rows.
     Its generators are the (s, x) for s a generator of the group.
     """
     import numpy as np
-    group, act = A.group, A.table
-    op = group.op
-    inv = {g: group.inv(g) for g in group.elements}
-    mors = tuple((g, x) for g in group.elements for x in A.points)
-    n = len(A.points)
+    group, points, rows = A.group, A.points, A.rows
+    op, n, order, e = group.op, len(points), group.order, group.index[group.identity]
+    inv = [group.index[group.inv(g)] for g in group.elements]
+    mors = tuple(itertools.product(group.elements, points))
+    targets = [y for row in rows for y in row]
+    inverses = [i * n + y for i, row in zip(inv, rows) for y in row]
 
     def compose_ids(g, h):
         i, x = np.divmod(h, n)
-        return group.table.ravel()[g // n * group.order + i] * n + x
+        return group.table.ravel()[g // n * order + i] * n + x
 
-    return FiniteGroupoid(
-        A.points,
+    G = FiniteGroupoid(
+        points,
         mors,
-        {m: m[1] for m in mors},
-        {m: act[m] for m in mors},
+        dict(zip(mors, points * order)),
+        dict(zip(mors, map(points.__getitem__, targets))),
         lambda g2, g1: (op(g2[0], g1[0]), g1[1]),
-        {x: (group.identity, x) for x in A.points},
-        {m: (inv[m[0]], act[m]) for m in mors},
+        dict(zip(points, mors[e * n:e * n + n])),
+        dict(zip(mors, map(mors.__getitem__, inverses))),
         compose_ids,
         None if group.generators is None else tuple(
-            (s, x) for s in group.generators for x in A.points),
+            (s, x) for s in group.generators for x in points),
     )
+    # fills the cached `ids`; a copy made by dataclasses.replace reads its labels
+    G.__dict__["ids"] = GroupoidIds(G, (list(range(n)) * order, targets,
+                                        list(range(e * n, e * n + n)), inverses))
+    return G
 
 
 def pair_groupoid(objects) -> FiniteGroupoid:
@@ -537,9 +555,12 @@ def orbits_isotropy(G: FiniteGroupoid) -> OrbitReport:
 def reduce_invariant(G: FiniteGroupoid, subset) -> FiniteGroupoid:
     """Full subgroupoid over an invariant object subset, with the generators
     of G out of the subset: no composite of generators crosses an invariant
-    subset, so those generate it (and `validate_groupoid` checks that)."""
-    subset_list = tuple(x for x in G.objects if x in set(subset))
-    sub = set(subset_list)
+    subset, so those generate it (and `validate_groupoid` checks that).
+    A subset that covers every object gives G itself."""
+    sub = set(subset)
+    subset_list = tuple(x for x in G.objects if x in sub)
+    if len(subset_list) == len(G.objects):
+        return G
     for g in G.morphisms:
         if (G.source[g] in sub) != (G.target[g] in sub):
             raise NotInvariant("subset is not invariant", g, G.source[g], G.target[g])
@@ -561,17 +582,16 @@ def _restricted_compose(G: FiniteGroupoid, mors):
     """compose_ids on the morphisms `mors` of G, read from G's: each id maps
     to G's id and back, and a product outside `mors` is no morphism."""
     import numpy as np
-    maps = []
+
+    @functools.cache
+    def maps():
+        parent = np.array([G.ids.index[m] for m in mors], dtype=np.intp)
+        back = np.full(len(G.morphisms) + 1, -1, dtype=np.intp)  # so id -1 maps to -1
+        back[parent] = np.arange(len(parent))
+        return parent, back
 
     def compose(g, h):
-        if not maps:
-            index = G.ids.index
-            parent = [index[m] for m in mors]
-            back = [-1] * (len(index) + 1)  # so id -1 maps to -1
-            for i, p in enumerate(parent):
-                back[p] = i
-            maps.extend((np.array(parent, dtype=np.intp), np.array(back, dtype=np.intp)))
-        parent, back = maps
+        parent, back = maps()
         return back[G.ids.compose(parent[g], parent[h])]
 
     return compose
@@ -677,13 +697,14 @@ def piecewise_decompose(G: FiniteGroupoid) -> PiecewiseReport:
     The increasing invariant subsets give a chain of ideals in the groupoid
     algebra whose dimensions are the morphism counts reported here.
     """
-    rep = orbits_isotropy(G)
+    rep, V = orbits_isotropy(G), G.ids
+    orbits, out = grouped(V.rep, len(G.objects))[0], V.out[0]
     ideal_dims = []
     layer_ok = []
     arrows = 0
-    for orbit in rep.orbits:
+    for r, orbit in zip(V.loops, rep.orbits):
         # a union of orbits is invariant: its arrows are those out of it
-        arrows += sum(len(G.out_of[x]) for x in orbit)
+        arrows += sum(len(out[x]) for x in orbits[r])
         ideal_dims.append(arrows)
         layer = reduce_invariant(G, orbit)
         layer_ok.append(pullback_isomorphism_verify(layer).ok)
@@ -867,15 +888,11 @@ def group_from_json(data: dict, order: int) -> FiniteGroup:
 
 
 def action_to_json(A: FiniteGroupAction) -> dict:
-    pt_index = {x: i for i, x in enumerate(A.points)}
-    table = [
-        [pt_index[A.act(g, x)] for x in A.points] for g in A.group.elements
-    ]
     return {
         "kind": "group_action",
         "group": group_to_json(A.group),
         "points": list(A.points),
-        "table": table,
+        "table": [list(row) for row in A.rows],
     }
 
 
@@ -883,20 +900,11 @@ def action_from_json(data: dict) -> FiniteGroupAction:
     if data.get("kind") != "group_action":
         raise ValueError("not a group action document")
     group = group_from_json(data["group"], len(data["table"]))
-    points = [tuple(p) if isinstance(p, list) else p for p in data["points"]]
-    if len(set(points)) != len(points):
-        repeated = next(p for i, p in enumerate(points) if p in points[:i])
-        raise ValueError(f"point {_element_to_json(repeated)!r} is listed twice")
+    points = _distinct(tuple(p) if isinstance(p, list) else p for p in data["points"])
     table = data["table"]
     if len(table) != group.order or any(len(row) != len(points) for row in table):
         raise AxiomError(_WRONG_SHAPE)
-    lookup = {
-        (g, points[xi]): _at(points, yi, "action table")
-        for gi, g in enumerate(group.elements)
-        for xi, yi in enumerate(table[gi])
-    }
-    # validate through the factory, which takes the checked table as it is
-    return FiniteGroupAction.make(group, points, lookup)
+    return _checked(group, points, [list(row) for row in table])
 
 
 def groupoid_to_json(G: FiniteGroupoid) -> dict:

@@ -74,17 +74,32 @@ own product.  `ref_action_make` is `FiniteGroupAction.make` as it was
 before it checked compatibility on generators: every pair (g, h) at every
 point.  Both are kept unchanged, except that `ref_action_make` composes the
 products with `FiniteGroup.op`, since the tabulated `FiniteGroup.rows` are
-gone, and that the pullback verifier reads identities and inverses from the
+gone, and returns the action as its integer rows, which
+`FiniteGroupAction` holds in place of the labelled table, and that the
+pullback verifier reads identities and inverses from the
 label dicts, its pairs from `ref_composable_pairs` and its pullback from
 `ref_build_pullback`, since the one-line accessors and the label index are
-gone from `FiniteGroupoid`.
+gone from `FiniteGroupoid`.  `ref_action_from_json` is the action document
+path that fed `FiniteGroupAction.make` a labelled mapping, every entry read
+through `groupoids._at`; it ends in `ref_action_make`.
 
 `ref_square_pullback_verify` is the pullback verifier that
 `groupoid_ids.py` ran before its functor pass compared middle arrows read
 from the pair table: the pullback id of Phi(g) o Phi(h) through a second
 table of the isotropy products (a square with row, column and slot offsets),
 with the endpoints checked again.  It is kept unchanged, except for its
-name.
+name.  Both pullback verifiers AND their identity and inverse verdicts with
+`ref_laws`, the identity and inverse laws by label loops, which the
+library's verifier has checked on its pair table since it stopped passing
+tables that break them.
+
+`ref_label_ids` is the integer view that `GroupoidIds` read off the label
+dicts of every groupoid, transformation groupoids included, before these
+computed theirs from the action's rows: sources, targets, identities and
+inverses, each through the label index, -1 where a label is no morphism.
+`ref_transformation_labels` gives the morphisms and label dicts that
+`transformation_groupoid` built from the labelled action table, the
+group's identity and `FiniteGroup.inv` before it filled them from the ids.
 
 `ref_validate_groupoid` is the axiom check that `groupoids.py` ran as loops
 over labelled morphisms, every product through `FiniteGroupoid.product`:
@@ -1535,6 +1550,41 @@ def ref_reduce(s, v):
     return tuple(v)
 
 
+def ref_label_ids(G: FiniteGroupoid):
+    """(sources, targets, identities, inverses) of G's integer view, read
+    off its label dicts."""
+    index = {g: i for i, g in enumerate(G.morphisms)}
+    oid = {x: i for i, x in enumerate(G.objects)}
+    return ([oid[G.source[g]] for g in G.morphisms],
+            [oid[G.target[g]] for g in G.morphisms],
+            [index.get(G.identities.get(x), -1) for x in G.objects],
+            [index.get(G.inverses.get(g), -1) for g in G.morphisms])
+
+
+def ref_transformation_labels(A: FiniteGroupAction):
+    """(morphisms, source, target, identities, inverses) of the
+    transformation groupoid of A, from A's labelled table."""
+    group, act = A.group, A.table
+    mors = tuple((g, x) for g in group.elements for x in A.points)
+    return (mors, {m: m[1] for m in mors}, {m: act[m] for m in mors},
+            {x: (group.identity, x) for x in A.points},
+            {m: (group.inv(m[0]), act[m]) for m in mors})
+
+
+def ref_laws(G: FiniteGroupoid):
+    """(identity law, inverse law): e o g = g = g o e and g o g^-1 = e =
+    g^-1 o g for every morphism g, by label loops through `G.compose`; an
+    identity or an inverse outside its hom-set fails its law."""
+    d, r, e, inv = G.source, G.target, G.identities, G.inverses
+    identity_law = all(d.get(e.get(x)) == x == r.get(e.get(x)) for x in G.objects) and all(
+        G.compose(g, e[d[g]]) == g == G.compose(e[r[g]], g) for g in G.morphisms)
+    inverse_law = all(
+        d.get(inv.get(g)) == r[g] and r.get(inv.get(g)) == d[g]
+        and G.compose(g, inv[g]) == e.get(r[g]) and G.compose(inv[g], g) == e.get(d[g])
+        for g in G.morphisms)
+    return identity_law, inverse_law
+
+
 def ref_pullback_isomorphism_verify(G: FiniteGroupoid) -> PullbackReport:
     """Exhaustively verify G ~ pullback of its isotropy bundle.
 
@@ -1565,10 +1615,11 @@ def ref_pullback_isomorphism_verify(G: FiniteGroupoid) -> PullbackReport:
             failure = ("functor", g, h)
             break
     functorial = not failure
-    identities_match = all(
+    identity_law, inverse_law = ref_laws(G)
+    identities_match = identity_law and all(
         images[G.identities[x]] == P.identities[x] for x in G.objects
     )
-    inverses_match = all(
+    inverses_match = inverse_law and all(
         images[G.inverses[g]] == P.inverses[images[g]] for g in G.morphisms
     )
     round_trip = all(phi_inv(images[g]) == g for g in G.morphisms) and all(
@@ -1657,10 +1708,11 @@ def ref_square_pullback_verify(G: FiniteGroupoid) -> PullbackReport:
             break
 
     e = V.identities
-    identities_match = all(e[x] >= 0 <= image[e[x]] == P.pid(x, e[P.rep[x]], x)
-                           for x in range(len(G.objects)))
+    identity_law, inverse_law = ref_laws(G)
+    identities_match = identity_law and all(
+        e[x] >= 0 <= image[e[x]] == P.pid(x, e[P.rep[x]], x) for x in range(len(G.objects)))
     # the pullback's inverse of (x, h, y) is (y, h^-1, x)
-    inverses_match = all(
+    inverses_match = inverse_law and all(
         inv[g] >= 0 <= image[g] and image[inv[g]] == P.pid(src[g], inv[mid[g]], tgt[g]) >= 0
         for g in range(m))
     back = products([inv[sig[y]] for y in tgt], products(mid, [sig[x] for x in src]))
@@ -1703,7 +1755,31 @@ def ref_action_make(group: FiniteGroup, points, act) -> FiniteGroupAction:
             for x in points:
                 if table[(g, table[(h, x)])] != table[(gh, x)]:
                     raise AxiomError("action is not compatible", (g, h, x))
-    return FiniteGroupAction(group, points, table)
+    index = {x: i for i, x in enumerate(points)}
+    return FiniteGroupAction(group, points, [[index[table[(g, x)]] for x in points]
+                                             for g in group.elements])
+
+
+def ref_action_from_json(data: dict) -> FiniteGroupAction:
+    """The action document path as it was: every entry through `_at`, into a
+    (element, point) -> point mapping, then the full check of
+    `ref_action_make`."""
+    if data.get("kind") != "group_action":
+        raise ValueError("not a group action document")
+    group = groupoids.group_from_json(data["group"], len(data["table"]))
+    points = [tuple(p) if isinstance(p, list) else p for p in data["points"]]
+    if len(set(points)) != len(points):
+        repeated = next(p for i, p in enumerate(points) if p in points[:i])
+        raise ValueError(f"point {groupoids._element_to_json(repeated)!r} is listed twice")
+    table = data["table"]
+    if len(table) != group.order or any(len(row) != len(points) for row in table):
+        raise AxiomError(groupoids._WRONG_SHAPE)
+    lookup = {
+        (g, points[xi]): groupoids._at(points, yi, "action table")
+        for gi, g in enumerate(group.elements)
+        for xi, yi in enumerate(table[gi])
+    }
+    return ref_action_make(group, points, lookup)
 
 
 def ref_frobenius_test(L: LieAlgebra, trials: int = 64, seed: int = 0):

@@ -8,6 +8,7 @@ Reference values, computed by hand from the action tables:
 - S3 on {0, 1, 2}: 18 morphisms, one orbit, isotropy of order 2.
 """
 import dataclasses
+import itertools
 import json
 import random
 from fractions import Fraction
@@ -15,15 +16,18 @@ from fractions import Fraction
 import pytest
 from dense_reference import (
     rank_kernel,
+    ref_action_from_json,
     ref_action_make,
     ref_build_pullback,
     ref_classify,
     ref_composable_pairs,
     ref_hom,
     ref_into,
+    ref_label_ids,
     ref_out_of,
     ref_pullback_isomorphism_verify,
     ref_square_pullback_verify,
+    ref_transformation_labels,
     ref_validate_groupoid,
 )
 
@@ -990,6 +994,16 @@ def _random_action_parts(rng):
     )
 
 
+def _action_outcome(fn, *args):
+    """The elements, points, rows and labelled table of the action fn(*args),
+    or the type and args of the exception it raises."""
+    try:
+        A = fn(*args)
+    except Exception as exc:  # noqa: BLE001 - compared, never swallowed
+        return type(exc).__name__, exc.args
+    return A.group.elements, A.points, A.rows, list(A.table.items())
+
+
 class TestActionAgainstReference:
     """`FiniteGroupAction.make` accepts exactly the tables the exhaustive
     |G|^2 |X| loop accepts and raises the same AxiomError witness."""
@@ -1046,6 +1060,104 @@ class TestActionAgainstReference:
                 action_to_json(ref_action_make(group, points, act)))))
             expected = ref_action_make(action.group, points, act)
             assert list(action.table.items()) == list(expected.table.items())
+
+    def test_documents_with_one_changed_entry(self):
+        """One entry of a valid document replaced by a bool, a float, a
+        string, a negative or an out-of-range index, or another point; the
+        identity row permuted; two rows exchanged.  The outcome, the action
+        or the exception type and args, is that of the old document path,
+        and where the entries are indices, that of `ref_action_make`."""
+        rng = random.Random(29)
+        seen = set()
+        for _ in range(150):
+            group, points, act = _random_action_parts(rng)
+            doc = json.loads(json.dumps(action_to_json(ref_action_make(group, points, act))))
+            A = action_from_json(doc)
+            group, points, table, n = A.group, A.points, doc["table"], len(A.points)
+            changes = [True, False, 1.0, float(n), "0", -1, -n, n, n + 3, rng.randrange(n)]
+            copies = []
+            for value in changes:
+                i, j = rng.randrange(len(table)), rng.randrange(n)
+                copies.append([row[:j] + [value] + row[j + 1:] if k == i else row
+                               for k, row in enumerate(table)])
+            unit = group.elements.index(group.identity)
+            if n > 1:
+                moved = table[unit][1:] + table[unit][:1]
+                copies.append([moved if k == unit else row for k, row in enumerate(table)])
+            if len(table) > 2:
+                i, j = rng.sample([k for k in range(len(table)) if k != unit], 2)
+                copies.append([table[j] if k == i else table[i] if k == j else row
+                               for k, row in enumerate(table)])
+            for rows in copies:
+                changed = {**doc, "table": rows}
+                outcome = _action_outcome(action_from_json, changed)
+                assert outcome == _action_outcome(ref_action_from_json, changed)
+                if all(type(y) is int and 0 <= y < n for row in rows for y in row):
+                    lookup = {(g, x): points[y] for g, row in zip(group.elements, rows)
+                              for x, y in zip(points, row)}
+                    assert outcome == _action_outcome(ref_action_make, group, points, lookup)
+                seen.add(outcome[1][0] if isinstance(outcome[0], str) else "accepted")
+        assert {"action table index True is not an integer", "action table index 1.0 is not "
+                "an integer", "action table index '0' is not an integer", "identity moves a "
+                "point", "action is not compatible", "accepted"} <= seen
+        assert any(reason.startswith("action table index -1 is outside") for reason in seen)
+
+
+class TestIdsFromRows:
+    """A transformation groupoid's integer view, computed from the action's
+    rows, is the one read off its labels; a layer that covers every object
+    is the groupoid itself."""
+
+    @staticmethod
+    def _lists(G):
+        V = G.ids
+        return V.sources, V.targets, V.identities, V.inverses
+
+    def _same_as_labels(self, A):
+        """The transformation groupoid of A, once its labels are those built
+        from A's labelled table and its view is the one read off them."""
+        G = transformation_groupoid(A)
+        assert (G.morphisms, G.source, G.target, G.identities, G.inverses) == \
+            ref_transformation_labels(A)
+        assert self._lists(G) == ref_label_ids(G)
+        return G
+
+    def test_natural_s3_to_s6(self):
+        for n in (3, 4, 5, 6):
+            G = self._same_as_labels(FiniteGroupAction.make(
+                FiniteGroup.symmetric(n), range(n), lambda g, x: g[x]))
+            assert reduce_invariant(G, G.objects) is G
+
+    def test_random_actions(self):
+        rng = random.Random(37)
+        for _ in range(200):
+            G = self._same_as_labels(FiniteGroupAction.make(*_random_action_parts(rng)))
+            assert reduce_invariant(G, list(G.objects) + ["elsewhere"]) is G
+            # a copy with replaced labels reads its view off those labels
+            H = dataclasses.replace(G, inverses={**G.inverses})
+            assert H.ids is not G.ids and self._lists(H) == self._lists(G)
+
+    def test_piecewise_on_multi_orbit_actions(self):
+        """Proper layers are full subgroupoids; the report equals that of
+        the explicit-table copy, and its ideal dimensions count the arrows
+        out of each union of orbits."""
+        rng = random.Random(43)
+        multi = 0
+        for _ in range(60):
+            G = transformation_groupoid(FiniteGroupAction.make(*_random_action_parts(rng)))
+            orbits = orbits_isotropy(G).orbits
+            multi += len(orbits) > 1
+            report = piecewise_decompose(G)
+            assert report == piecewise_decompose(groupoid_from_json(groupoid_to_json(G)))
+            out = ref_out_of(G)
+            assert report.ideal_dims == tuple(itertools.accumulate(
+                sum(len(out[x]) for x in orbit) for orbit in orbits))
+            for orbit in orbits:
+                layer = reduce_invariant(G, orbit)
+                assert (layer is G) == (len(orbit) == len(G.objects))
+                assert layer.morphisms == tuple(g for g in G.morphisms if G.source[g] in orbit)
+                assert self._lists(layer) == ref_label_ids(layer)
+        assert multi >= 20
 
 
 def _reference_regrep_rank(G, x):
