@@ -8,6 +8,12 @@ Each groupoid's pullback (`build_pullback`) must validate, with
 associativity decided by Light's test on its generators; a pullback that
 fails validation or falls back to every triple counts as a failure.
 
+The structural side: each groupoid is in structural mode, where it is a
+groupoid by construction and the verifiers run on generators, and its
+label-built copy `dataclasses.replace(G)` is not.  The copy must validate
+by Light's test, and its pullback, bimodule and decomposition reports must
+equal the structural ones; any disagreement counts as a failure.
+
 The failure side: one product per groupoid is replaced by another arrow
 with the same endpoints.  A single changed entry cannot keep the groupoid
 laws, so the exhaustive validation must raise AxiomError; the script also
@@ -42,6 +48,7 @@ from liegrpd.groupoids import (
     groupoid_from_json,
     groupoid_to_json,
     orbits_isotropy,
+    piecewise_decompose,
     pullback_isomorphism_verify,
     random_transformation_groupoid,
     validate_groupoid,
@@ -55,6 +62,13 @@ def verdicts(G):
         equivalence_bimodule_verify(G),
         algebra_profile(G),
     )
+
+
+def structural_reports(G):
+    """The validate mode, and the pullback, bimodule and decomposition reports."""
+    validate_groupoid(G)
+    return (G.ids.associativity[0], pullback_isomorphism_verify(G),
+            equivalence_bimodule_verify(G), piecewise_decompose(G))
 
 
 def tampered(G, rng):
@@ -129,7 +143,7 @@ def main() -> int:
     failures = 0
     max_mor = 0
     tampered_trials = pullback_flagged = bimodule_flagged = off_hom_trials = pullbacks = 0
-    section_trials = 0
+    section_trials = structural = 0
     for k in range(args.trials):
         G = random_transformation_groupoid(rng)
         max_mor = max(max_mor, len(G.morphisms))
@@ -140,6 +154,11 @@ def main() -> int:
             assert prof.matches_morphism_count
             table = groupoid_from_json(groupoid_to_json(G))
             assert verdicts(table) == reports, "explicit-table copy disagrees"
+            mode, *ours = structural_reports(G)
+            copy_mode, *theirs = structural_reports(dataclasses.replace(G))
+            assert (mode, copy_mode) == ("structural", "generators"), (mode, copy_mode)
+            assert ours == theirs, "the label-built copy disagrees with structural mode"
+            structural += 1
             P = build_pullback(G)
             validate_groupoid(P)
             assert P.ids.associativity[0] == "generators", "the pullback fell back to every triple"
@@ -175,6 +194,7 @@ def main() -> int:
           f"largest had {max_mor} morphisms, "
           f"{failures} failures, {dt:.1f}s")
     print(f"{pullbacks} pullbacks validated by Light's test on their generators")
+    print(f"{structural} structural groupoids agreed with their label-built copies")
     print(f"{tampered_trials} tampered copies: pullback flagged {pullback_flagged}, "
           f"bimodule flagged {bimodule_flagged}")
     print(f"{off_hom_trials} off-hom copies: each refused alike by validate, "

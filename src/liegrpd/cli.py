@@ -387,8 +387,6 @@ def cmd_grpd_validate(args) -> dict:
             "violation": type(exc).__name__,
             "detail": _jsonable([str(a) for a in exc.args]),
         }
-    except ValueError as exc:  # the composable-triple cap
-        raise InputError(str(exc)) from exc
     mode, visited = G.ids.associativity
     return {
         "input": meta,

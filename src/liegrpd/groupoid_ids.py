@@ -1,20 +1,19 @@
 """The integer view of a finite groupoid and the verifiers that run on it.
 
-Objects and morphisms are numbered in input order (transformation
-groupoids compute their id lists from the action's rows); products of ids
-come from an integer table: a group's multiplication table, built by numpy
-for permutation and cyclic groups, or a groupoid's own `compose_ids`.  The
-pullback and bimodule verifiers here, and `groupoids.validate_groupoid`,
-run their loops over composable pairs and triples as numpy index
-operations on these ids, in chunks of at most CHUNK entries; `groupoids`
-exports them with the rest of the groupoid API.
+Objects and morphisms are numbered in input order; products of ids come
+from a groupoid's `compose_ids`, which for the package's groups composes
+permutations or adds residues on demand.  The pullback and bimodule
+verifiers here, and `groupoids.validate_groupoid`, run their loops over
+composable pairs and triples, or in structural mode (`GroupoidIds`) over
+generators, as numpy index operations on these ids, in chunks of at most
+CHUNK entries; `groupoids` exports them with the rest of its API.
 
-All three first refuse a product that is no morphism or leaves its
-hom-set, raising validate's AxiomError("composite has wrong endpoints",
-(g, h, g o h)) (`GroupoidIds.refuse_off_hom`).  Past that refusal the ids
-decide every check: on every other table, with identities and inverses in
-their hom-sets, the verdicts and witnesses are those of the label loops
-the verifiers replaced.
+Outside structural mode all three first refuse a product that is no
+morphism or leaves its hom-set, raising validate's AxiomError("composite
+has wrong endpoints", (g, h, g o h)) (`GroupoidIds.refuse_off_hom`); past
+that the ids decide every check: on every other table, with identities
+and inverses in their hom-sets, the verdicts and witnesses are those of
+the label loops the verifiers replaced.
 """
 from __future__ import annotations
 
@@ -35,47 +34,52 @@ class NotInvariant(ValueError):
 CHUNK = 1 << 13  # index entries per numpy step of a table build or verifier loop
 
 
-def cyclic_table(elements) -> np.ndarray:
-    """(a + b) mod n on the residues 0..n-1."""
-    import numpy as np
-    residues = np.arange(len(elements), dtype=np.int32)
-    return (residues[:, None] + residues) % len(elements)
+@dataclass(frozen=True)
+class Permutations:
+    """`multiply(a, b)`: the ids of a o b on arrays of ids, for permutations
+    closed under composition and listed in lexicographic order (as
+    `symmetric` and `from_permutations` list them).
 
-
-def permutation_table(elements) -> np.ndarray:
-    """mult[a, b] = index of a o b, for permutations closed under composition
-    and listed in lexicographic order (as `symmetric` and
-    `from_permutations` list them), by numpy.
-
-    The rows a o b are composed for blocks of a at once and found among the
-    elements by an exact int64 code, which grows in lexicographic order: the
-    images are read in blocks of w columns with order * n^w < 2^62, and
-    before each further block the code so far is replaced by its rank among
-    the elements' codes, so no code overflows for any n.
+    a o b is composed as arrays, in chunks of at most CHUNK entries, and
+    found among the elements by an exact int64 code, which grows in
+    lexicographic order: the images are read in blocks of w columns with
+    order * n^w < 2^62, and before each further block the code so far is
+    replaced by its rank among the elements' codes, so no code overflows
+    for any n.  The codes are set up on the first call.
     """
-    import numpy as np
-    perms = np.array(elements, dtype=np.int64).reshape(len(elements), -1)
-    order, n = perms.shape
-    width = max(1, int((62 - math.log2(max(order, 2))) // math.log2(max(n, 2))))
-    powers = [n ** np.arange(len(range(n)[lo:lo + width]) - 1, -1, -1)
-              for lo in range(0, max(n, 1), width)]
-    stages = []  # the elements' distinct codes after each block but the last
 
-    def codes(rows):
-        code = rows[..., :width] @ powers[0]
-        for k, stage in enumerate(stages, 1):
-            block = rows[..., k * width:(k + 1) * width]
-            code = stage.searchsorted(code) * n ** len(powers[k]) + block @ powers[k]
-        return code
+    elements: tuple
 
-    for k in range(1, len(powers)):
-        stages.append(np.unique(codes(perms[:, :k * width])))
-    ranks = codes(perms)  # ascending: the elements are in lexicographic order
-    step = max(1, CHUNK // max(1, order * n))
-    if step >= order:
-        return ranks.searchsorted(codes(perms[:, perms])).astype(np.int32)
-    return np.concatenate([ranks.searchsorted(codes(perms[lo:lo + step][:, perms]))
-                           for lo in range(0, order, step)]).astype(np.int32)
+    @cached_property
+    def code(self):
+        import numpy as np
+        perms = np.array(self.elements, dtype=np.int64).reshape(len(self.elements), -1)
+        order, n = perms.shape
+        width = max(1, int((62 - math.log2(max(order, 2))) // math.log2(max(n, 2))))
+        powers = [n ** np.arange(len(range(n)[lo:lo + width]) - 1, -1, -1)
+                  for lo in range(0, max(n, 1), width)]
+        stages = []  # the elements' distinct codes after each block but the last
+
+        def codes(rows):
+            code = rows[..., :width] @ powers[0]
+            for k, stage in enumerate(stages, 1):
+                block = rows[..., k * width:(k + 1) * width]
+                code = stage.searchsorted(code) * n ** len(powers[k]) + block @ powers[k]
+            return code
+
+        for k in range(1, len(powers)):
+            stages.append(np.unique(codes(perms[:, :k * width])))
+        return perms, codes, codes(perms)  # the last ascending, as the elements
+
+    def multiply(self, a, b):
+        import numpy as np
+        perms, codes, ranks = self.code
+        n = perms.shape[1]
+        step = max(1, CHUNK // max(1, n))
+        if len(a) > step:
+            return np.concatenate([self.multiply(a[lo:lo + step], b[lo:lo + step])
+                                   for lo in range(0, len(a), step)])
+        return ranks.searchsorted(codes(perms.ravel()[a[:, None] * n + perms[b]]))  # a[b[i]]
 
 
 def grouped(keys, n: int):
@@ -121,12 +125,17 @@ class GroupoidIds:
     pairs and refuses a product outside its hom-set.  `associativity` is
     (check, triples) once `groupoids.validate_groupoid` has passed.  The
     first four are read off G's labels unless its builder gives `lists`.
+
+    Given the `action` of the package's own groups whose rows `_checked`
+    passed and the ids `gens` of G's generators, the view is in structural
+    mode: G is a groupoid by construction and the verifiers run on `gens`.
     """
 
-    def __init__(self, G, lists=None):
+    def __init__(self, G, lists=None, action=None, gens=None):
         self.morphisms, self.objects, self.product = G.morphisms, G.objects, G.product
         self.compose = G.compose_ids or self._call_product
         self.associativity = None
+        self.action, self.gens, self.structural = action, gens, action is not None
         if lists is None:
             index, oid = self.index, {x: i for i, x in enumerate(G.objects)}
             lists = ([oid[G.source[g]] for g in G.morphisms],
@@ -237,20 +246,77 @@ class GroupoidIds:
             self.refuse_off_hom(g, h, k)
         return table
 
-    def law_failures(self, table):
-        """(identity_bad, inverse_bad): whether g o e = g = e o g or g o g^-1 =
-        e = g^-1 o g fails, per morphism, read from `pair_products`' table;
-        where a pair does not compose, its law fails and its lookup is masked."""
+    def products(self, g, h, table=None):
+        """g o h on id arrays, -1 where an id is -1 or a pair does not
+        compose: read from a table of `lookup` when one is given, else
+        computed by `compose`, which in structural mode takes any ids."""
+        import numpy as np
+        if table is not None and table.ndim == 2:
+            return table[g, h]
+        d, r = self.ends
+        if table is None:
+            return np.where(d[g] == r[h], self.compose(g, h), -1)
+        _, _, pos, _, start = self.pair_index
+        return np.where(d[g] == r[h], table.take(start[g] + pos[h], mode="clip"), -1)
+
+    def lookup(self):
+        """The table `products` reads: a matrix of every g o h, with a last row
+        and column for id -1, where that fits one chunk (CHUNK entries); else
+        none in structural mode, which composes on demand, or the pair table."""
+        import numpy as np
+        m = len(self.morphisms)
+        if (m + 1) ** 2 > CHUNK:
+            return None if self.structural else self.pair_products()
+        matrix = np.full((m + 1, m + 1), -1, dtype=np.intp)
+        g, h = self.after(np.arange(m)) if self.structural else self.pairs(0, m)
+        matrix[g, h] = self.compose(g, h) if self.structural else self.pair_products()
+        return matrix
+
+    @cached_property
+    def laws(self):
+        """(left, right, expected): the pairs g o e, e o g, g o g^-1 and
+        g^-1 o g of every morphism g, and the ids of their products."""
         import numpy as np
         d, r = self.ends
-        _, _, pos, _, start = self.pair_index
         g = np.arange(len(self.morphisms))
         e, inv = (np.array(v, dtype=np.intp) for v in (self.identities, self.inverses))
         e_d, e_r = e[d[g]], e[r[g]]
-        left, right = np.concatenate((g, e_r, g, inv)), np.concatenate((e_d, g, inv, g))
-        bad = ((d[left] != r[right]) | (table.take(start[left] + pos[right], mode="clip")
-                                        != np.concatenate((g, g, e_r, e_d)))).reshape(4, -1)
+        return (np.concatenate((g, e_r, g, inv)), np.concatenate((e_d, g, inv, g)),
+                np.concatenate((g, g, e_r, e_d)))
+
+    def law_failures(self, found):
+        """(identity_bad, inverse_bad): whether g o e = g = e o g or g o g^-1 =
+        e = g^-1 o g fails, per morphism, given the products `found` of the
+        pairs of `laws` (-1 where a pair does not compose, and its law fails)."""
+        expected = self.laws[2]
+        bad = ((found != expected) | (expected < 0)).reshape(4, -1)
         return bad[0] | bad[1], bad[2] | bad[3]
+
+    def after(self, ids):
+        """(g, a): each id a in turn, with every g out of r(a)."""
+        gs = padded(self.out[0])[self.ends[1][ids]]
+        keep = gs >= 0
+        return gs[keep], ids.repeat(keep.sum(axis=1))
+
+    @cached_property
+    def schreier(self) -> dict:
+        """Generators of each representative's isotropy group: its loops, or
+        where those times the arrows out of it pass CHUNK, its distinct
+        sigma(r a) o a o sigma(d a)^-1 for the generators a out of its orbit
+        (Schreier's lemma; Seress, *Permutation Group Algorithms*, 2003, 4.1)."""
+        import numpy as np
+        d, r = self.ends
+        orbit = grouped([self.rep[y] for y in d[self.gens].tolist()], len(self.objects))[0]
+        large = {x: len(self.out[0][x]) * len(ids) > CHUNK for x, ids in self.loops.items()}
+        found = {x: {} if large[x] else dict.fromkeys(ids) for x, ids in self.loops.items()}
+        a = self.gens[[i for x in self.loops if large[x] for i in orbit[x]]]
+        if len(a):
+            sig = np.array(self.sigma, dtype=np.intp)
+            loops = self.products(self.products(sig[r[a]], a),
+                                  np.array(self.inverses, dtype=np.intp)[sig[d[a]]])
+            for y, k in zip(d[a].tolist(), loops.tolist()):
+                found[self.rep[y]][k] = None
+        return {x: list(ks) for x, ks in found.items()}
 
 
 class PullbackIds:
@@ -286,21 +352,16 @@ class PullbackIds:
                 self.middle += V.loops[r]
         self.count = len(self.target)
 
-    def pid(self, x: int, h: int, y: int) -> int:
-        """The id of (x, h, y), or -1 when h is no loop at x's representative."""
-        if self.loop_at[h] != self.rep[x]:
-            return -1
-        return self.base[x] + self.spot[y] * self.size[x] + self.slot[h]
-
     @cached_property
     def arrays(self):
-        import numpy as np
-        return [np.array(v, dtype=np.intp) for v in (
-            self.rep, self.base, self.spot, self.size, self.loop_at, self.slot,
-            self.target, self.middle, self.source)]
+        import numpy as np  # one call per length
+        return [*np.array([self.rep, self.base, self.spot, self.size], dtype=np.intp),
+                *np.array([self.loop_at, self.slot], dtype=np.intp),
+                *np.array([self.target, self.middle, self.source], dtype=np.intp)]
 
     def place(self, x, h, y):
-        """`pid` on arrays."""
+        """The ids of (x, h, y) on arrays, -1 where h is no loop at x's
+        representative."""
         import numpy as np
         rep, base, spot, size, loop_at, slot = self.arrays[:6]
         return np.where(loop_at[h] == rep[x], base[x] + spot[y] * size[x] + slot[h], -1)
@@ -324,29 +385,25 @@ class PullbackReport:
 
 
 def pullback_isomorphism_verify(G: FiniteGroupoid) -> PullbackReport:
-    """Exhaustively verify G ~ pullback of its isotropy bundle.
+    """Verify G ~ pullback of its isotropy bundle.
 
     Phi(g) = (r(g), sigma(r(g)) o g o sigma(d(g))^{-1}, d(g)) and the inverse
     map is (x, h, y) -> sigma(x)^{-1} o h o sigma(y); both directions, the
-    functor law, identities, and inverses are checked on every morphism.
+    identities and the inverses are checked on every morphism, and the
+    functor law on every composable pair, or in structural mode on the
+    pairs (g, a), a a generator: by induction on a word for h, that gives
+    Phi(g o h) = Phi(g) o Phi(h) for all h, once Phi keeps identities.
 
-    The checks run on the integer view.  The products of all composable
-    pairs are computed once into a table by `GroupoidIds.pair_products`,
-    which raises validate's AxiomError at a product outside its hom-set,
-    and Phi and the inverse map read theirs from it; Phi(g) is held as the
-    id of its middle arrow mid(g), a loop at the orbit representative, and
-    its pullback id (-1 outside the pullback).  So the endpoints are
-    checked once, by the table: Phi(g o h) and Phi(g) o Phi(h) share them,
-    and a second pass over the chunks checks the functor law on middles,
-    mid(g o h) = mid(g) o mid(h), both read from the table as numpy index
-    operations, g in input order, then h; a Phi(g) outside the pullback
-    fails every pair of g.  Once every product is a morphism in its
-    hom-set the ids decide each check, and each reports the first item
-    they flag: where identities and inverses lie in their hom-sets, the
-    verdicts and witnesses are the label loops'.  (An inverse outside its
-    hom-set sends some Phi(g) out of the pullback, which the checks flag;
-    the label loops raised KeyError there.)  The identity and inverse
-    checks also read e o g = g = g o e and g o g^-1 = e = g^-1 o g off it.
+    The checks are numpy index operations on the products of
+    `GroupoidIds.lookup`, one call per level of them.  Phi(g) is held as
+    its middle arrow mid(g), a loop at the orbit representative, and its
+    pullback id (-1 outside the pullback).  The endpoints are checked once,
+    by `pair_products` where it runs, and the functor law on middles,
+    mid(g o h) = mid(g) o mid(h), in chunks, g in input order, then h; a
+    Phi(g) outside the pullback fails every pair of g.  Once every product
+    lies in its hom-set the ids decide each check, and each reports the
+    first item they flag: where identities and inverses lie in their
+    hom-sets, the verdicts and witnesses are the label loops'.
     """
     import numpy as np
     V = G.ids
@@ -354,47 +411,50 @@ def pullback_isomorphism_verify(G: FiniteGroupoid) -> PullbackReport:
     if -1 in P.sigma:
         raise AxiomError("no morphism from object to its representative",
                          G.objects[P.sigma.index(-1)])
-    table = V.pair_products()
-    src, tgt, inv, sig = V.sources, V.targets, V.inverses, P.sigma
-    m = len(G.morphisms)
-    _, _, places, fan, start = V.pair_index
-    found, at, pos = memoryview(table), start.tolist(), V.into[1]
+    table = V.lookup()
 
     def products(g, h):
-        """Products of id lists from the table, -1 for pairs that do not compose."""
-        return [found[at[a] + pos[b]] if a >= 0 <= b and src[a] == tgt[b] else -1
-                for a, b in zip(g, h)]
+        return V.products(np.concatenate(g), np.concatenate(h), table)
 
-    # Phi's middle arrows sigma(r g) o g o sigma(d g)^-1
-    mid = products(products([sig[y] for y in tgt], range(m)), [inv[sig[x]] for x in src])
-    image = [P.pid(y, h, x) for y, h, x in zip(tgt, mid, src)]
-    bijective = P.count == m and min(image, default=0) >= 0 and len(set(image)) == m
+    m, n = len(G.morphisms), len(G.objects)
+    d, r = V.ends
+    src, tgt, g, x = d[:m], r[:m], np.arange(m), np.arange(n)
+    inv, sig, e = (np.array(v, dtype=np.intp) for v in (V.inverses, P.sigma, V.identities))
+    left, right, _ = V.laws
+    rep, target, middle, source = P.arrays[0], *P.arrays[6:]
+    # sigma(r g) o g, the law products and h o sigma(y) for the pullback's
+    # (x, h, y); then Phi's middle arrows mid(g) and sigma(x)^-1 o h o sigma(y)
+    first = products((sig[tgt], left, middle), (g, right, sig[source]))
+    second = products((first[:m], inv[sig[target]]), (inv[sig[src]], first[5 * m:]))
+    mid, back = second[:m], second[m:]
+    # Phi(g), Phi(e) as it should be, and (d g, mid(g)^-1, r g), the
+    # pullback's inverse of Phi(g)
+    ids = P.place(np.concatenate((tgt, x, src)), np.concatenate((mid, e[rep], inv[mid])),
+                  np.concatenate((src, x, tgt)))
+    image, ident, flipped = ids[:m], ids[m:m + n], ids[m + n:]
+    bijective = P.count == m and bool(
+        image.min(initial=0) >= 0 and (np.bincount(image, minlength=m) == 1).all())
     # inside the pullback, mid(g) and mid(h) are loops at one representative
-    mids, inside = np.array(mid, dtype=np.intp), np.array(image, dtype=np.intp) >= 0
+    inside = image >= 0
     failure = ()
-    for lo, hi in chunks(fan):
-        g, h = V.pairs(lo, hi)
-        both = inside[g] & inside[h]
-        composed = table[np.where(both, start[mids[g]] + places[mids[h]], 0)]
-        wrong = (~both | (mids[table[start[lo]:start[hi]]] != composed)).nonzero()[0]
+    pairs = ([V.after(V.gens)] if V.structural
+             else (V.pairs(lo, hi) for lo, hi in chunks(V.pair_index[3])))
+    for a, b in pairs:
+        k = products((a, mid[a]), (b, mid[b]))  # a o b, then mid(a) o mid(b)
+        wrong = (~(inside[a] & inside[b]) | (mid[k[:len(a)]] != k[len(a):])).nonzero()[0]
         if len(wrong):
-            failure = ("functor", G.morphisms[g[wrong[0]]], G.morphisms[h[wrong[0]]])
+            failure = ("functor", G.morphisms[a[wrong[0]]], G.morphisms[b[wrong[0]]])
             break
 
-    e = V.identities
-    identity_bad, inverse_bad = V.law_failures(table)
-    identities_match = not identity_bad.any() and all(
-        e[x] >= 0 <= image[e[x]] == P.pid(x, e[P.rep[x]], x) for x in range(len(G.objects)))
-    # the pullback's inverse of (x, h, y) is (y, h^-1, x)
-    inverses_match = not inverse_bad.any() and all(
-        inv[g] >= 0 <= image[g] and image[inv[g]] == P.pid(src[g], inv[mid[g]], tgt[g]) >= 0
-        for g in range(m))
-    back = products([inv[sig[y]] for y in tgt], products(mid, [sig[x] for x in src]))
-    round_trip = back == list(range(m))
-    if round_trip:
-        back = products([inv[sig[x]] for x in P.target],
-                        products(P.middle, [sig[y] for y in P.source]))
-        round_trip = all(k >= 0 and image[k] == p for p, k in enumerate(back))
+    identity_bad, inverse_bad = V.law_failures(first[m:5 * m])
+    identities_match = not identity_bad.any() and bool(
+        ((e >= 0) & (image[e] >= 0) & (image[e] == ident)).all())
+    inverses_match = not inverse_bad.any() and bool(
+        ((inv >= 0) & inside & (image[inv] == flipped) & (flipped >= 0)).all())
+    # sigma(r g)^-1 o mid(g) o sigma(d g) is g, and back[p] is the pullback id p
+    trip = V.products(inv[sig[tgt]], V.products(mid, sig[src], table), table)
+    round_trip = bool((trip == g).all() and (back >= 0).all()
+                      and (image[back] == np.arange(P.count)).all())
     ok = bijective and not failure and identities_match and inverses_match and round_trip
     return PullbackReport(
         ok,
@@ -447,6 +507,13 @@ def equivalence_bimodule_verify(G: FiniteGroupoid) -> BimoduleReport:
     every z2 at once.  The checks stay exhaustive over all pairs and
     report the first failure in the label loops' order, so verdicts and
     witnesses are theirs.
+
+    In structural mode g runs over the generators out of r(z_k) and b over
+    `GroupoidIds.schreier` at d(z_k).  Checks 4 and 5 walk each fiber along
+    the rows from its identity or first element, and each z's acting set
+    must be as large as its fiber, so that the transitive action is free;
+    the witness is the first z that fails, its start and its acting set's
+    size (0 if not reached).
     """
     import numpy as np
     V = G.ids
@@ -460,7 +527,11 @@ def equivalence_bimodule_verify(G: FiniteGroupoid) -> BimoduleReport:
     # d(z_k), left[k] and right[k] the products g o z_k and z_k o b, with
     # -1 as padding
     tz, sz = [V.targets[g] for g in z], [V.sources[g] for g in z]
-    gs, bs = [out[y] for y in tz], [loops[x] for x in sz]
+    lefts, rights = out, loops
+    if V.structural:  # the generators out of each object
+        lefts = [V.gens[ids].tolist() for ids in grouped(V.ends[0][V.gens], len(G.objects))[0]]
+        rights = V.schreier
+    gs, bs = [lefts[y] for y in tz], [rights[x] for x in sz]
     firsts = np.array([g for row in gs for g in row] + [k for k, row in zip(z, bs) for _ in row],
                       dtype=np.intp)
     seconds = np.array([k for k, row in zip(z, gs) for _ in row] + [b for row in bs for b in row],
@@ -518,7 +589,25 @@ def equivalence_bimodule_verify(G: FiniteGroupoid) -> BimoduleReport:
         row, col = divmod(int(wrong[order].argmax()), width)
         return row, col, int(counts[order[row] * width + col])
 
+    def walk(name, rows, start, acting, fiber):
+        """Structural checks 4 and 5: rows[k] holds the places one step from
+        z_k, and start[k] the place its fiber is walked from."""
+        steps, reached, todo = rows.tolist(), [False] * len(z) + [True], list(start)
+        while todo:  # padding reads place -1, reached from the start
+            k = todo.pop()
+            if not reached[k]:
+                reached[k] = True
+                todo += steps[k]
+        for k, (a, b) in enumerate(zip(acting, fiber)):
+            if not reached[k] or a != b:
+                return False, (name, labels[z[start[k]]], labels[z[k]], a * reached[k])
+        return True, ()
+
     def check_left_free_transitive():
+        if V.structural:
+            sizes, e = [len(ids) for ids in out], V.identities
+            return walk("left-torsor", place[left], [place[e[x]] for x in sz.tolist()],
+                        [sizes[y] for y in tz.tolist()], [sizes[x] for x in sz.tolist()])
         # z1 and z2 run over out_of(rep), rep in order; g o z1 = z2 is
         # counted for g ending at r(z2), at the place of z2 in out_of(rep)
         order = place[[k for x in loops for k in out[x]]]
@@ -535,6 +624,9 @@ def equivalence_bimodule_verify(G: FiniteGroupoid) -> BimoduleReport:
         # counted at the place of z2 among them; these share their source,
         # the representative of y
         into_z, z_pos = grouped(tz.tolist(), len(G.objects))
+        if V.structural:
+            return walk("right-torsor", place[right], [into_z[y][0] for y in tz.tolist()],
+                        [len(loops[x]) for x in sz.tolist()], [len(into_z[y]) for y in tz.tolist()])
         order = [k for ks in into_z for k in ks]
         found = first_wrong(order, [len(into_z[y]) for y in tz.tolist()],
                             np.array(z_pos + [-1])[place[right]])

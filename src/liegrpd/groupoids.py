@@ -1,36 +1,34 @@
 """Finite groupoids: validation, transformation groupoids, pullback structure.
 
-A finite groupoid is stored as its source/target tables and a product rule
-and validated exhaustively, associativity on its generators where it has
-them.  `compose(g, h)` is "h then g" and is defined
-exactly when d(g) = r(h).  The central constructions: canonical sections onto
-orbit representatives, the pullback of the isotropy bundle along the
-orbit-representative map together with an exhaustively verified isomorphism,
-a linking bimodule witnessing the equivalence with the bundle, the piecewise
-version over an invariant filtration, the block profile of the groupoid
-algebra, and the regular representation rank test at a base object.
+A finite groupoid is stored as its source/target tables and a product rule;
+`compose(g, h)` is "h then g" and is defined exactly when d(g) = r(h).  The
+central constructions: canonical sections onto orbit representatives, the
+pullback of the isotropy bundle along the orbit-representative map with a
+verified isomorphism, a linking bimodule witnessing the equivalence with
+the bundle, the piecewise version over an invariant filtration, the block
+profile of the groupoid algebra, and the regular representation rank test.
 
-Every groupoid also has an integer view, `G.ids` (`groupoid_ids`): objects
-and morphisms numbered in input order, and products of ids from a table.
-It is the groupoid's only index: arrow lists, hom-sets, the classification
-and the pullback's morphisms are read off it.  Transformation groupoids
-compute it from their action's integer rows and multiply through their
-group's table (mult[g, h] |X| + x), full subgroupoids and pullbacks read it
-from their parent's, explicit documents from their composition list; a
-groupoid built around an arbitrary product callable calls it once per pair
-asked for.  The
-exhaustive verifiers run their pair and triple loops on this view as numpy
-index operations, in chunks, visiting items in the order of the label loops
-they replaced.  Each refuses a product outside its hom-set with
-validate's AxiomError("composite has wrong endpoints", ...); on every
-other table, with identities and inverses in their hom-sets, a failure
-reports the label loops' verdict and witness.
+Every groupoid has an integer view, `G.ids` (`groupoid_ids`), its only
+index: objects and morphisms numbered in input order, and products of ids.
+Transformation groupoids compute it from their action's integer rows and
+compose through their group's `multiply`; for the package's own groups it
+is in structural mode, where G is a groupoid by construction and the
+verifiers run on generators.  Full subgroupoids and pullbacks compose
+through their parent's view, explicit documents read their composition
+list, and a groupoid built around an arbitrary product callable calls it
+once per pair asked for.  Otherwise the verifiers run their pair and triple
+loops as numpy index operations, in chunks, in the order of the label loops
+they replaced: each refuses a product outside its hom-set with validate's
+AxiomError("composite has wrong endpoints", ...), and on every other table,
+with identities and inverses in their hom-sets, a failure reports the label
+loops' verdict and witness.
 """
 from __future__ import annotations
 
 import functools
 import itertools
 import random
+from collections import UserDict
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -41,14 +39,13 @@ from .groupoid_ids import (  # the verifiers and reports are part of this module
     BimoduleReport,
     GroupoidIds,
     NotInvariant,
+    Permutations,
     PullbackIds,
     PullbackReport,
     chunks,
-    cyclic_table,
     equivalence_bimodule_verify,
     grouped,
     padded,
-    permutation_table,
     pullback_isomorphism_verify,
 )
 
@@ -63,9 +60,7 @@ class FiniteGroup:
 
     `generators`, when given, is a tuple of elements whose closure under `op`
     is `elements`; `FiniteGroupAction.make` then checks compatibility on
-    them.  The default None stands for every element.  `tabulate`, when
-    given, builds the multiplication table from the elements at once; the
-    default None calls `op` on every pair.
+    them.  The default None stands for every element.
     """
 
     name: str
@@ -74,7 +69,6 @@ class FiniteGroup:
     inv: object  # callable a -> a^{-1}
     identity: object
     generators: tuple | None = None
-    tabulate: object = field(default=None, repr=False)  # callable elements -> table
 
     @property
     def order(self) -> int:
@@ -85,30 +79,24 @@ class FiniteGroup:
         return {e: i for i, e in enumerate(self.elements)}
 
     @cached_property
-    def table(self) -> np.ndarray:
-        """mult[a, b] = index of ab, for elements numbered in input order."""
-        import numpy as np
-        if self.tabulate is not None:
-            return self.tabulate(self.elements)
-        index, op = self.index, self.op
-        return np.array(
-            [[index[op(a, b)] for b in self.elements] for a in self.elements],
-            dtype=np.int32,
-        ).reshape(self.order, self.order)
+    def multiply(self):
+        """(a, b) -> the ids of ab on arrays of element ids, set only by the
+        `cyclic`, `symmetric` and `from_permutations` constructors: any
+        other group, a dataclasses.replace copy included, has None."""
+        return None
 
     @staticmethod
     def cyclic(n: int) -> "FiniteGroup":
         if n < 1:
             raise ValueError("cyclic group needs n >= 1")
-        return FiniteGroup(
+        return _owned(FiniteGroup(
             f"C{n}",
             tuple(range(n)),
             lambda a, b: (a + b) % n,
             lambda a: (-a) % n,
             0,
             (1 % n,),
-            cyclic_table,
-        )
+        ), lambda a, b: (a + b) % n)
 
     @staticmethod
     def symmetric(n: int) -> "FiniteGroup":
@@ -118,15 +106,14 @@ class FiniteGroup:
         # the n-cycle i -> i + 1 and the transposition (0 1) generate S_n
         cycle = tuple((i + 1) % n for i in range(n))
         swap = (1, 0) + tuple(range(2, n))
-        return FiniteGroup(
+        return _owned(FiniteGroup(
             f"S{n}",
             elements,
             _compose_permutations,
             lambda p: tuple(sorted(range(n), key=p.__getitem__)),
             tuple(range(n)),
             (cycle, swap) if n > 2 else (cycle,),
-            permutation_table,
-        )
+        ), Permutations(elements).multiply)
 
     @staticmethod
     def from_permutations(generators, n: int, name: str = "perm",
@@ -154,15 +141,15 @@ class FiniteGroup:
                 if max_order is not None and len(closure) > max_order:
                     raise AxiomError(_WRONG_SHAPE)
             frontier = nxt
-        return FiniteGroup(
+        elements = tuple(sorted(closure))
+        return _owned(FiniteGroup(
             name,
-            tuple(sorted(closure)),
+            elements,
             compose,
             lambda p: tuple(sorted(range(n), key=p.__getitem__)),
             identity,
             gens,
-            permutation_table,
-        )
+        ), Permutations(elements).multiply)
 
     def conjugacy_class_count(self) -> int:
         seen = set()
@@ -175,38 +162,16 @@ class FiniteGroup:
                 seen.add(self.op(self.op(h, a), self.inv(h)))
         return count
 
-    def is_abelian(self) -> bool:
-        return all(
-            self.op(a, b) == self.op(b, a)
-            for a in self.elements
-            for b in self.elements
-        )
+
+def _owned(group: FiniteGroup, multiply) -> FiniteGroup:
+    """One of the package's own groups, whose products `multiply` computes."""
+    group.__dict__["multiply"] = multiply
+    return group
 
 
 def _compose_permutations(p, q):
     """p after q, for permutations as tuples of images."""
     return tuple(map(p.__getitem__, q))
-
-
-def validate_group(G: FiniteGroup) -> None:
-    """Exhaustive closure/associativity/identity/inverse check."""
-    elems = set(G.elements)
-    if G.identity not in elems:
-        raise AxiomError("identity not an element", G.identity)
-    for a in G.elements:
-        if G.op(G.identity, a) != a or G.op(a, G.identity) != a:
-            raise AxiomError("identity law fails", a)
-        b = G.inv(a)
-        if b not in elems or G.op(a, b) != G.identity or G.op(b, a) != G.identity:
-            raise AxiomError("inverse law fails", a)
-        for c in G.elements:
-            if G.op(a, c) not in elems:
-                raise AxiomError("not closed", (a, c))
-    for a in G.elements:
-        for b in G.elements:
-            for c in G.elements:
-                if G.op(G.op(a, b), c) != G.op(a, G.op(b, c)):
-                    raise AxiomError("associativity fails", (a, b, c))
 
 
 # ---------------------------------------------------------------------------
@@ -223,14 +188,9 @@ class FiniteGroupAction:
     rows: list
 
     @cached_property
-    def table(self) -> dict:
-        """(element, point) -> point, elements before points."""
-        points = self.points
-        return {(g, x): points[y] for g, row in zip(self.group.elements, self.rows)
-                for x, y in zip(points, row)}
-
-    def act(self, g, x):
-        return self.table[(g, x)]
+    def structural(self) -> bool:
+        """Whether `_checked` passed these rows for one of the package's groups."""
+        return False
 
     @staticmethod
     def make(group: FiniteGroup, points, act) -> "FiniteGroupAction":
@@ -281,7 +241,13 @@ def _checked(group: FiniteGroup, points: tuple, rows: list) -> FiniteGroupAction
         if witness is None:
             raise AssertionError("the generator check failed on a compatible action")
         raise AxiomError("action is not compatible", witness)
-    return FiniteGroupAction(group, points, rows)
+    return _structural(FiniteGroupAction(group, points, rows))
+
+
+def _structural(A: FiniteGroupAction) -> FiniteGroupAction:
+    """A, whose rows are an action of its group."""
+    A.__dict__["structural"] = A.group.multiply is not None
+    return A
 
 
 # ---------------------------------------------------------------------------
@@ -346,6 +312,20 @@ class FiniteGroupoid:
                            self.inverses.__getitem__, self.identities[x])
 
 
+class _Labels(UserDict):
+    """A label dict built on first read."""
+
+    def __init__(self, build):
+        self.build = build
+
+    @cached_property
+    def data(self) -> dict:
+        return self.build()
+
+    def __getitem__(self, key):
+        return self.data[key]
+
+
 TRIPLE_CAP = 2_000_000  # composable triples either associativity check visits at most
 
 
@@ -376,10 +356,25 @@ def _generates(V: GroupoidIds, table, gens) -> bool:
     return bool(reached.all())
 
 
+def _check_laws(V: GroupoidIds, table=None) -> None:
+    """Raise at the first morphism whose identity or inverse law fails."""
+    identity_bad, inverse_bad = V.law_failures(V.products(*V.laws[:2], table))
+    bad = identity_bad | inverse_bad
+    if bad.any():
+        i = int(bad.argmax())
+        reason = ("identity law fails" if identity_bad[i]
+                  else "missing inverse" if V.inverses[i] < 0 else "inverse law fails")
+        raise AxiomError(reason, V.morphisms[i])
+
+
 def validate_groupoid(G: FiniteGroupoid) -> None:
     """Axiom check; AxiomError carries a witness tuple.
 
-    After the label checks every loop runs on the integer view, in chunks
+    In structural mode (`GroupoidIds`) G is a groupoid by construction: its
+    group is associative, and the rows `_checked` passed put every product
+    in its hom-set.  The identity and inverse laws are checked on 4 |Mor|
+    products, and the mode is recorded with the row check's size |G| |S| |X|.
+    Otherwise, after the label checks every loop runs on the integer view, in chunks
     of at most CHUNK entries: `GroupoidIds.pair_products` computes the
     products of all composable pairs, g in input order and then h, once
     into a table and refuses the first one outside its hom-set; the table
@@ -396,6 +391,11 @@ def validate_groupoid(G: FiniteGroupoid) -> None:
     `G.ids.associativity` records the check that passed and its triples.
     """
     import numpy as np
+    V = G.__dict__.get("ids")  # a structural view is installed with G
+    if getattr(V, "structural", False):
+        _check_laws(V)
+        V.associativity = "structural", len(V.after(V.gens)[0])
+        return
     objs = set(G.objects)
     mors = set(G.morphisms)
     if len(objs) != len(G.objects) or len(mors) != len(G.morphisms):
@@ -420,13 +420,7 @@ def validate_groupoid(G: FiniteGroupoid) -> None:
     visits = np.bincount(src, minlength=len(G.objects))[tgt[gens]] * fan[gens]
     _refuse_over_cap(visits if light else triples, "generator" if light else "exhaustive")
     table = V.pair_products()  # the product of (g, h) at start[g] + pos[h]
-    identity_bad, inverse_bad = V.law_failures(table)
-    bad = identity_bad | inverse_bad
-    if np.count_nonzero(bad):
-        i = int(bad.argmax())
-        reason = ("identity law fails" if identity_bad[i]
-                  else "missing inverse" if V.inverses[i] < 0 else "inverse law fails")
-        raise AxiomError(reason, labels[i])
+    _check_laws(V, table)
     if light and _generates(V, table, gens):
         # the g out of r(a) and the k into d(a), padded with -1, which reads
         # clipped indices and is masked out
@@ -463,9 +457,11 @@ def transformation_groupoid(A: FiniteGroupAction) -> FiniteGroupoid:
     """Morphisms (g, x): x -> g.x; (g2, g1.x) o (g1, x) = (g2 g1, x).
 
     (g, x) has id i |X| + j for g the i-th element and x the j-th point, so
-    products of ids are mult[i2, i1] |X| + j, read from the group's table,
-    and the view's id lists and the label dicts are read off the rows.
-    Its generators are the (s, x) for s a generator of the group.
+    products of ids are (i2 i1) |X| + j, with i2 i1 from the group's
+    `multiply` (else the product is called per pair).  The view reads its
+    id lists off the rows and is in structural mode for a `structural`
+    action; the label dicts are built on first read.  Its generators are
+    the (s, x) for s a generator of the group.
     """
     import numpy as np
     group, points, rows = A.group, A.points, A.rows
@@ -477,23 +473,25 @@ def transformation_groupoid(A: FiniteGroupAction) -> FiniteGroupoid:
 
     def compose_ids(g, h):
         i, x = np.divmod(h, n)
-        return group.table.ravel()[g // n * order + i] * n + x
+        return group.multiply(g // n, i) * n + x
 
     G = FiniteGroupoid(
         points,
         mors,
-        dict(zip(mors, points * order)),
-        dict(zip(mors, map(points.__getitem__, targets))),
+        _Labels(lambda: dict(zip(mors, points * order))),
+        _Labels(lambda: dict(zip(mors, map(points.__getitem__, targets)))),
         lambda g2, g1: (op(g2[0], g1[0]), g1[1]),
-        dict(zip(points, mors[e * n:e * n + n])),
-        dict(zip(mors, map(mors.__getitem__, inverses))),
-        compose_ids,
+        _Labels(lambda: dict(zip(points, mors[e * n:e * n + n]))),
+        _Labels(lambda: dict(zip(mors, map(mors.__getitem__, inverses)))),
+        compose_ids if group.multiply else None,
         None if group.generators is None else tuple(
             (s, x) for s in group.generators for x in points),
     )
+    gens = [group.index[s] * n + j for s in group.generators or () for j in range(n)]
     # fills the cached `ids`; a copy made by dataclasses.replace reads its labels
-    G.__dict__["ids"] = GroupoidIds(G, (list(range(n)) * order, targets,
-                                        list(range(e * n, e * n + n)), inverses))
+    G.__dict__["ids"] = GroupoidIds(
+        G, (list(range(n)) * order, targets, list(range(e * n, e * n + n)), inverses),
+        *(A, np.array(gens, dtype=np.intp)) if A.structural else ())
     return G
 
 
@@ -556,15 +554,24 @@ def reduce_invariant(G: FiniteGroupoid, subset) -> FiniteGroupoid:
     """Full subgroupoid over an invariant object subset, with the generators
     of G out of the subset: no composite of generators crosses an invariant
     subset, so those generate it (and `validate_groupoid` checks that).
-    A subset that covers every object gives G itself."""
+    A subset that covers every object gives G itself; in structural mode a
+    layer is the transformation groupoid of the action on the subset."""
     sub = set(subset)
     subset_list = tuple(x for x in G.objects if x in sub)
     if len(subset_list) == len(G.objects):
         return G
-    for g in G.morphisms:
-        if (G.source[g] in sub) != (G.target[g] in sub):
-            raise NotInvariant("subset is not invariant", g, G.source[g], G.target[g])
-    mors = tuple(g for g in G.morphisms if G.source[g] in sub)
+    V = G.ids
+    inside = [x in sub for x in G.objects]
+    for g, (a, b) in enumerate(zip(V.sources, V.targets)):
+        if inside[a] != inside[b]:
+            objects = G.objects
+            raise NotInvariant("subset is not invariant", G.morphisms[g], objects[a], objects[b])
+    if V.structural:
+        keep = [j for j, x in enumerate(inside) if x]
+        place = {j: k for k, j in enumerate(keep)}
+        return transformation_groupoid(_structural(FiniteGroupAction(
+            V.action.group, subset_list, [[place[row[j]] for j in keep] for row in V.action.rows])))
+    mors = tuple(g for g, x in zip(G.morphisms, V.sources) if inside[x])
     return FiniteGroupoid(
         subset_list,
         mors,
@@ -847,16 +854,6 @@ def _at(items, index, what: str):
 _WRONG_SHAPE = "action table has wrong shape"
 
 
-def group_to_json(G: FiniteGroup) -> dict:
-    if G.name.startswith("C") and G.name[1:].isdigit():
-        return {"family": "cyclic", "n": int(G.name[1:])}
-    if G.name.startswith("S") and G.name[1:].isdigit():
-        return {"family": "symmetric", "n": int(G.name[1:])}
-    n = len(G.identity)
-    gens = [list(e) for e in G.elements]
-    return {"family": "permutations", "n": n, "generators": gens}
-
-
 MAX_PERMUTATION_DEGREE = 128
 
 
@@ -885,15 +882,6 @@ def group_from_json(data: dict, order: int) -> FiniteGroup:
         gens = [[document_int(x, "generator entry") for x in g] for g in data["generators"]]
         return FiniteGroup.from_permutations(gens, n, max_order=order)
     raise ValueError(f"unknown group family {family!r}")
-
-
-def action_to_json(A: FiniteGroupAction) -> dict:
-    return {
-        "kind": "group_action",
-        "group": group_to_json(A.group),
-        "points": list(A.points),
-        "table": [list(row) for row in A.rows],
-    }
 
 
 def action_from_json(data: dict) -> FiniteGroupAction:

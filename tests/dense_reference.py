@@ -148,6 +148,15 @@ as a method after no module of the package called it, and
 `realify_subspace` the real span of a complex subspace that `lie.py` kept
 (with its `realify_vector`) after no module called it.
 
+`validate_group`, `is_abelian(G)`, `group_to_json`, `action_to_json` and
+`action_table(A)` are the exhaustive group check, `FiniteGroup.is_abelian`,
+the action writer and `FiniteGroupAction.table` that `groupoids.py` kept
+after no module of the package called them; they are kept unchanged,
+except that `is_abelian` and `action_table` take the group or action as
+an argument.  `ref_pid` is the pullback id of one
+(x, h, y) that `PullbackIds.pid` gave before the pullback verifier read
+them as arrays.
+
 `ref_minus_one_probe` is the eigenvalue -1 probe's scan by spectral
 mapping, an oracle independent of the integer search: the eigenvalues mu of
 ad(x) to 50 digits (`mpmath.eig`), and a hit at the first grid value t, in
@@ -1564,7 +1573,7 @@ def ref_label_ids(G: FiniteGroupoid):
 def ref_transformation_labels(A: FiniteGroupAction):
     """(morphisms, source, target, identities, inverses) of the
     transformation groupoid of A, from A's labelled table."""
-    group, act = A.group, A.table
+    group, act = A.group, action_table(A)
     mors = tuple((g, x) for g in group.elements for x in A.points)
     return (mors, {m: m[1] for m in mors}, {m: act[m] for m in mors},
             {x: (group.identity, x) for x in A.points},
@@ -1639,6 +1648,68 @@ def ref_pullback_isomorphism_verify(G: FiniteGroupoid) -> PullbackReport:
     )
 
 
+def validate_group(G: FiniteGroup) -> None:
+    """Exhaustive closure/associativity/identity/inverse check."""
+    elems = set(G.elements)
+    if G.identity not in elems:
+        raise AxiomError("identity not an element", G.identity)
+    for a in G.elements:
+        if G.op(G.identity, a) != a or G.op(a, G.identity) != a:
+            raise AxiomError("identity law fails", a)
+        b = G.inv(a)
+        if b not in elems or G.op(a, b) != G.identity or G.op(b, a) != G.identity:
+            raise AxiomError("inverse law fails", a)
+        for c in G.elements:
+            if G.op(a, c) not in elems:
+                raise AxiomError("not closed", (a, c))
+    for a in G.elements:
+        for b in G.elements:
+            for c in G.elements:
+                if G.op(G.op(a, b), c) != G.op(a, G.op(b, c)):
+                    raise AxiomError("associativity fails", (a, b, c))
+
+
+def is_abelian(G: FiniteGroup) -> bool:
+    return all(
+        G.op(a, b) == G.op(b, a)
+        for a in G.elements
+        for b in G.elements
+    )
+
+
+def group_to_json(G: FiniteGroup) -> dict:
+    if G.name.startswith("C") and G.name[1:].isdigit():
+        return {"family": "cyclic", "n": int(G.name[1:])}
+    if G.name.startswith("S") and G.name[1:].isdigit():
+        return {"family": "symmetric", "n": int(G.name[1:])}
+    n = len(G.identity)
+    gens = [list(e) for e in G.elements]
+    return {"family": "permutations", "n": n, "generators": gens}
+
+
+def action_to_json(A: FiniteGroupAction) -> dict:
+    return {
+        "kind": "group_action",
+        "group": group_to_json(A.group),
+        "points": list(A.points),
+        "table": [list(row) for row in A.rows],
+    }
+
+
+def action_table(A: FiniteGroupAction) -> dict:
+    """(element, point) -> point, elements before points."""
+    points = A.points
+    return {(g, x): points[y] for g, row in zip(A.group.elements, A.rows)
+            for x, y in zip(points, row)}
+
+
+def ref_pid(P: PullbackIds, x: int, h: int, y: int) -> int:
+    """The id of (x, h, y), or -1 when h is no loop at x's representative."""
+    if P.loop_at[h] != P.rep[x]:
+        return -1
+    return P.base[x] + P.spot[y] * P.size[x] + P.slot[h]
+
+
 def ref_square_pullback_verify(G: FiniteGroupoid) -> PullbackReport:
     """Exhaustively verify G ~ pullback of its isotropy bundle.
 
@@ -1682,7 +1753,7 @@ def ref_square_pullback_verify(G: FiniteGroupoid) -> PullbackReport:
     first = [a for ids in V.loops.values() for a in ids for _ in ids]
     second = [b for ids in V.loops.values() for _ in ids for b in ids]
     mid = products(products([sig[y] for y in tgt], range(m)), [inv[sig[x]] for x in src])
-    image = [P.pid(y, h, x) for y, h, x in zip(tgt, mid, src)]
+    image = [ref_pid(P, y, h, x) for y, h, x in zip(tgt, mid, src)]
     bijective = P.count == m and min(image, default=0) >= 0 and len(set(image)) == m
     # Phi(g) o Phi(h) has id base[r g] + spot[d h] size[r g] + slot[a o b], with
     # slot[a o b] = square[row[g] + col[h]]; `far` there stands for a Phi(g)
@@ -1710,10 +1781,10 @@ def ref_square_pullback_verify(G: FiniteGroupoid) -> PullbackReport:
     e = V.identities
     identity_law, inverse_law = ref_laws(G)
     identities_match = identity_law and all(
-        e[x] >= 0 <= image[e[x]] == P.pid(x, e[P.rep[x]], x) for x in range(len(G.objects)))
+        e[x] >= 0 <= image[e[x]] == ref_pid(P, x, e[P.rep[x]], x) for x in range(len(G.objects)))
     # the pullback's inverse of (x, h, y) is (y, h^-1, x)
     inverses_match = inverse_law and all(
-        inv[g] >= 0 <= image[g] and image[inv[g]] == P.pid(src[g], inv[mid[g]], tgt[g]) >= 0
+        inv[g] >= 0 <= image[g] and image[inv[g]] == ref_pid(P, src[g], inv[mid[g]], tgt[g]) >= 0
         for g in range(m))
     back = products([inv[sig[y]] for y in tgt], products(mid, [sig[x] for x in src]))
     round_trip = back == list(range(m))

@@ -1,9 +1,11 @@
 """End-to-end command-line tests: exit codes, report content, determinism."""
+import dataclasses
 import hashlib
 import itertools
 import json
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -453,7 +455,7 @@ class TestGrpdCommands:
             ["grpd", "regrep", "--name", "s3_natural", "--object", "9"]
         ) == 2
 
-    def test_validate_over_triple_cap_is_exit_2(self, tmp_path, monkeypatch, capsys):
+    def test_validate_action_documents_in_structural_mode(self, tmp_path, monkeypatch, capsys):
         def natural(n):
             perms = sorted(itertools.permutations(range(n)))
             doc = {"kind": "group_action", "group": {"family": "symmetric", "n": n},
@@ -469,32 +471,46 @@ class TestGrpdCommands:
                 text=True,
             )
 
-        # S5 on 5 points: 600 morphisms; Light's test on its 10 generators
-        # visits 10 * 120 * 120 triples, under the 2M cap (every triple
-        # would be 8.64M)
+        # an action of the package's own groups is a groupoid by construction:
+        # validate checks the identity and inverse laws and counts the row
+        # check, 120 elements * 2 generators * 5 points on S5 (Light's test
+        # visited 144,000 triples, every triple would be 8.64M)
         proc = validate(natural(5))
         assert proc.returncode == 0 and proc.stderr == ""
         report = json.loads(proc.stdout)
         assert report["valid"] is True and report["morphisms"] == 600
-        assert report["associativity"] == "generators"
-        assert report["triples_visited"] == 144_000
-        # S6 on 6 points: 12 generators * 720 * 720 = 6,220,800 triples
+        assert report["associativity"] == "structural"
+        assert report["triples_visited"] == 1200
+        # S6 on 6 points: 720 * 2 * 6, where Light's test would visit
+        # 12 * 720 * 720 = 6,220,800 triples, over the cap
         s6 = natural(6)
         proc = validate(s6)
-        assert proc.returncode == 2 and proc.stdout == ""
-        assert proc.stderr.startswith("error: 6220800 composable triples")
-        assert proc.stderr.count("\n") == 1
-        assert "2000000" in proc.stderr and "Traceback" not in proc.stderr
-        # refused before any product: in process, the pair table is never filled
-        from liegrpd import groupoid_ids
+        assert proc.returncode == 0 and proc.stderr == ""
+        report = json.loads(proc.stdout)
+        assert report["valid"] is True and report["morphisms"] == 4320
+        assert report["associativity"] == "structural"
+        assert report["triples_visited"] == 8640
+        # in process, no verifier builds a pair table, and a group has no
+        # Cayley table to build
+        from liegrpd import groupoid_ids, groupoids
 
-        def no_products(self):
-            raise AssertionError("a product was computed")
+        def no_table(self):
+            raise AssertionError("a pair table was built")
 
-        monkeypatch.setattr(groupoid_ids.GroupoidIds, "pair_products", no_products)
-        assert main(["grpd", "validate", "--in", s6]) == 2
-        assert capsys.readouterr().err == proc.stderr
-
+        monkeypatch.setattr(groupoid_ids.GroupoidIds, "pair_products", no_table)
+        assert not hasattr(groupoids.FiniteGroup, "table")
+        assert main(["grpd", "validate", "--in", s6]) == 0
+        assert json.loads(capsys.readouterr().out) == report
+        for sub in ("pullback-verify", "bimodule-verify", "decompose"):
+            assert main(["grpd", sub, "--in", s6]) == 0
+            assert "true" in capsys.readouterr().out
+        # the label-built copy runs Light's test and is refused at the cap,
+        # before any product
+        G = groupoids.transformation_groupoid(groupoids.action_from_json(
+            json.loads(Path(s6).read_text())))
+        with pytest.raises(ValueError, match="^6220800 composable triples exceed the "
+                                             "generator-check cap of 2000000$"):
+            groupoids.validate_groupoid(dataclasses.replace(G))
 
     def test_validate_an_action_on_no_points(self, tmp_path, capsys):
         doc = {"kind": "group_action", "group": {"family": "cyclic", "n": 1},
@@ -504,6 +520,12 @@ class TestGrpdCommands:
         assert main(["grpd", "validate", "--in", str(p)]) == 0
         report = json.loads(capsys.readouterr().out)
         assert report["valid"] is True and report["morphisms"] == report["triples_visited"] == 0
+        # the structural verifiers compose nothing on no points, so no warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for sub in ("pullback-verify", "bimodule-verify", "decompose"):
+                assert main(["grpd", sub, "--in", str(p)]) == 0
+        assert capsys.readouterr().err == ""
 
 
 class TestMalformedGroupoidDocuments:

@@ -13,8 +13,12 @@ import json
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from dense_reference import (
+    action_table,
+    action_to_json,
+    is_abelian,
     rank_kernel,
     ref_action_from_json,
     ref_action_make,
@@ -29,9 +33,10 @@ from dense_reference import (
     ref_square_pullback_verify,
     ref_transformation_labels,
     ref_validate_groupoid,
+    validate_group,
 )
 
-from liegrpd import groupoids
+from liegrpd import groupoid_ids, groupoids
 from liegrpd.catalog import (
     GROUPOID_CATALOG,
     negation_action,
@@ -50,7 +55,6 @@ from liegrpd.groupoids import (
     FiniteGroupoid,
     NotInvariant,
     action_from_json,
-    action_to_json,
     algebra_profile,
     build_pullback,
     canonical_sections,
@@ -68,7 +72,6 @@ from liegrpd.groupoids import (
     reduce_invariant,
     regular_representation_faithful,
     transformation_groupoid,
-    validate_group,
     validate_groupoid,
 )
 
@@ -78,13 +81,13 @@ class TestGroups:
         G = FiniteGroup.cyclic(6)
         validate_group(G)
         assert G.order == 6 and G.op(4, 5) == 3 and G.inv(2) == 4
-        assert G.is_abelian() and G.conjugacy_class_count() == 6
+        assert is_abelian(G) and G.conjugacy_class_count() == 6
 
     def test_symmetric(self):
         G = FiniteGroup.symmetric(3)
         validate_group(G)
         assert G.order == 6
-        assert not G.is_abelian()
+        assert not is_abelian(G)
         assert G.conjugacy_class_count() == 3  # id, transpositions, 3-cycles
         a, b = (1, 0, 2), (0, 2, 1)
         assert G.op(a, b) == (1, 2, 0)  # apply b first, then a
@@ -135,6 +138,13 @@ def _generated(group):
     return seen
 
 
+def _table(group):
+    """mult[a][b], the id of ab, from `multiply` on every pair of ids."""
+    ids = np.arange(group.order)
+    return group.multiply(ids.repeat(group.order), np.tile(ids, group.order)).reshape(
+        group.order, group.order).tolist()
+
+
 class TestGenerators:
     """Each factory's generators close to its element set."""
 
@@ -158,18 +168,18 @@ class TestGenerators:
             assert _generated(group) == set(group.elements)
 
     def test_product_table_matches_op(self):
-        """The numpy tables of every factory, and the table called from op
-        for a group without one, index op(a, b) among the elements."""
+        """The products of every factory, composed on demand for every pair,
+        index op(a, b) among the elements; a group made otherwise has none."""
         rng = random.Random(41)
         groups = [FiniteGroup.cyclic(n) for n in (1, 2, 7)]
         groups += [FiniteGroup.symmetric(n) for n in range(1, 6)]
         groups += [random_permutation_group(rng) for _ in range(20)]
-        groups += [s3_natural_groupoid().isotropy_group(0)]
         for group in groups:
             index = {e: i for i, e in enumerate(group.elements)}
             expected = [[index[group.op(a, b)] for b in group.elements]
                         for a in group.elements]
-            assert group.table.tolist() == expected, group.name
+            assert _table(group) == expected, group.name
+        assert s3_natural_groupoid().isotropy_group(0).multiply is None
 
     def test_permutation_table_on_sixteen_points(self):
         """Base-16 codes of 16 images would overflow int64; the table is
@@ -180,12 +190,12 @@ class TestGenerators:
         group = FiniteGroup.from_permutations([shift, flip], n)
         assert group.order == 2 * n
         index = {e: i for i, e in enumerate(group.elements)}
-        assert group.table.tolist() == [
+        assert _table(group) == [
             [index[group.op(a, b)] for b in group.elements] for a in group.elements
         ]
         far = FiniteGroup.from_permutations([tuple(range(1, 40)) + (0,)], 40)
         index = {e: i for i, e in enumerate(far.elements)}
-        assert far.table.tolist() == [
+        assert _table(far) == [
             [index[far.op(a, b)] for b in far.elements] for a in far.elements
         ]
 
@@ -211,7 +221,8 @@ class TestGenerators:
 class TestActions:
     def test_validated_construction(self):
         A = negation_action()
-        assert A.act(1, -1) == 1 and A.act(1, 0) == 0 and A.act(0, 1) == 1
+        act = action_table(A)
+        assert act[1, -1] == 1 and act[1, 0] == 0 and act[0, 1] == 1
 
     def test_incompatible_action_rejected(self):
         G = FiniteGroup.cyclic(4)
@@ -344,14 +355,22 @@ class TestOrbitsAndReduction:
             FiniteGroup.symmetric(5), range(7), lambda g, x: g[x] if x < 5 else x))
         moved = reduce_invariant(G, range(5))
         validate_groupoid(moved)
-        # 10 generators (s, x), 120 arrows out of r(a) and 120 into d(a);
-        # every triple would be 600 * 120 * 120, over the cap
-        assert moved.ids.associativity == ("generators", 144_000)
+        # structural, like G: the row check of 120 elements, 2 generators
+        # and 5 points
+        assert moved.ids.associativity == ("structural", 1200)
+        # the label-built copy: 10 generators (s, x), 120 arrows out of r(a)
+        # and 120 into d(a); every triple would be 600 * 120 * 120, over the cap
+        copy = dataclasses.replace(moved)
+        validate_groupoid(copy)
+        assert copy.ids.associativity == ("generators", 144_000)
         assert 600 * 120 * 120 > groupoids.TRIPLE_CAP
         for x in (5, 6):
             fixed = reduce_invariant(G, {x})
             validate_groupoid(fixed)
-            assert fixed.ids.associativity == ("generators", 2 * 120 * 120)
+            assert fixed.ids.associativity == ("structural", 2 * 120)
+            copy = dataclasses.replace(fixed)
+            validate_groupoid(copy)
+            assert copy.ids.associativity == ("generators", 2 * 120 * 120)
             assert len(fixed.morphisms) ** 3 == 1_728_000  # every triple composes
 
     def test_reduce_non_invariant_rejected(self):
@@ -529,6 +548,11 @@ def _reference_triples(G):
     )
 
 
+def _generator_pairs(G):
+    """The (g, a) of the structural mode: a a generator, g out of r(a)."""
+    return sum(len(G.out_of.get(G.target[a], ())) for a in G.generators)
+
+
 def _generator_triples(G):
     """The (g, a, k) of Light's test: a a generator, g out of r(a), k into d(a)."""
     return sum(
@@ -569,7 +593,12 @@ class TestComposablePairTables:
                     if G.source[g] == x and G.target[g] == y
                 )
                 assert G.hom(x, y) == scan
-        # the cap bracket counts the triples of the mode that runs
+        # a structural G counts the pairs of its row check; the cap bracket
+        # counts the triples of the mode that runs on its label-built copy
+        if G.ids.structural:
+            validate_groupoid(G)
+            assert G.ids.associativity == ("structural", _generator_pairs(G))
+            G = dataclasses.replace(G)
         mode = "exhaustive" if G.generators is None else "generators"
         triples = (_reference_triples if G.generators is None else _generator_triples)(G)
         with pytest.MonkeyPatch.context() as patch:
@@ -597,7 +626,7 @@ class TestComposablePairTables:
             )
 
     def test_natural_s5_validates_and_s6_is_refused_before_any_product(self):
-        G = _natural(5)
+        G = dataclasses.replace(_natural(5))  # label-built, so not structural
         validate_groupoid(G)
         # Light's test on the 10 generators: 10 * 120 * 120 triples, where
         # every triple would be 600 * 120 * 120
@@ -665,7 +694,7 @@ class TestJson:
             doc = action_to_json(A)
             B = action_from_json(doc)
             assert B.points == A.points
-            assert B.table == A.table
+            assert action_table(B) == action_table(A)
 
     def test_action_rejects_bad_table(self):
         doc = action_to_json(z4_parity_action())
@@ -1001,7 +1030,7 @@ def _action_outcome(fn, *args):
         A = fn(*args)
     except Exception as exc:  # noqa: BLE001 - compared, never swallowed
         return type(exc).__name__, exc.args
-    return A.group.elements, A.points, A.rows, list(A.table.items())
+    return A.group.elements, A.points, A.rows, list(action_table(A).items())
 
 
 class TestActionAgainstReference:
@@ -1059,7 +1088,7 @@ class TestActionAgainstReference:
             action = action_from_json(json.loads(json.dumps(
                 action_to_json(ref_action_make(group, points, act)))))
             expected = ref_action_make(action.group, points, act)
-            assert list(action.table.items()) == list(expected.table.items())
+            assert list(action_table(action).items()) == list(action_table(expected).items())
 
     def test_documents_with_one_changed_entry(self):
         """One entry of a valid document replaced by a bool, a float, a
@@ -1258,9 +1287,15 @@ class TestVerifiersAgainstReferences:
     def test_triple_cap(self):
         G = _natural(5)
         assert _outcome(validate_groupoid, G) == "None"
+        assert G.ids.associativity == ("structural", 120 * 2 * 5)
+        G = dataclasses.replace(G)
+        assert _outcome(validate_groupoid, G) == "None"
         assert G.ids.associativity == ("generators", 144_000)
+        # structural S6 validates; its label-built copy is refused at the cap
         S6 = _natural(6)
-        assert _outcome(validate_groupoid, S6) == ("ValueError", (
+        assert _outcome(validate_groupoid, S6) == "None"
+        assert S6.ids.associativity == ("structural", 720 * 2 * 6)
+        assert _outcome(validate_groupoid, dataclasses.replace(S6)) == ("ValueError", (
             "6220800 composable triples exceed the generator-check cap of 2000000",))
         # without generators every triple counts, as in the reference
         T = _with_product(S6, S6.product)
@@ -1292,14 +1327,16 @@ class TestGeneratorAssociativity:
                 outcome = _outcome(validate_groupoid, T)
                 assert outcome == _outcome(ref_validate_groupoid, T)
                 if outcome == "None":
-                    assert T.ids.associativity == ("generators", _generator_triples(T))
+                    assert T.ids.associativity == (
+                        ("structural", _generator_pairs(T)) if T.ids.structural
+                        else ("generators", _generator_triples(T)))
                     passed += 1
                 else:
                     caught += outcome[1][:1] == ("associativity fails",)
         assert passed >= 200 and caught >= 20
 
     def test_generators_that_do_not_generate(self):
-        G = s3_natural_groupoid()
+        G = dataclasses.replace(s3_natural_groupoid())  # label-built, so not structural
         assert G.ids.associativity is None and len(G.generators) == 6
         validate_groupoid(G)
         assert G.ids.associativity == ("generators", _generator_triples(G))
@@ -1414,3 +1451,160 @@ class TestNaturalS6:
     def test_decompose(self, s6):
         report = piecewise_decompose(s6)
         assert report.layer_pullback_ok == (True,) and report.ideal_dims == (4320,)
+
+
+def _hom_swaps(G, rng):
+    """A composable id pair (a, b) and another arrow v of the hom-set of a o b,
+    or None when every hom-set holds one arrow."""
+    V = G.ids
+    pairs = [(a, b) for a, b in zip(*V.pairs(0, len(G.morphisms)))
+             if len(G.hom(G.objects[V.sources[b]], G.objects[V.targets[a]])) > 1]
+    if not pairs:
+        return None
+    a, b = rng.choice(pairs)
+    ab = int(V.compose(np.array([a]), np.array([b]))[0])
+    hom = G.hom(G.objects[V.sources[b]], G.objects[V.targets[a]])
+    return a, b, V.index[rng.choice([k for k in hom if V.index[k] != ab])]
+
+
+class TestStructuralMode:
+    """A transformation groupoid of the package's own groups, whose rows
+    `_checked` passed, and each of its layers run in structural mode.  Their
+    reports equal those of the label-built copy `dataclasses.replace(G)`,
+    which runs the exhaustive paths, apart from validate's mode; tampered
+    rows never reach it, and tampered copies leave it and are caught."""
+
+    def _same(self, G, validate=True):
+        C = dataclasses.replace(G)
+        assert G.ids.structural and not C.ids.structural
+        if validate:
+            assert _outcome(validate_groupoid, G) == _outcome(validate_groupoid, C) == "None"
+            assert G.ids.associativity == ("structural", _generator_pairs(G))
+            assert C.ids.associativity[0] == "generators"
+        for verify in (pullback_isomorphism_verify, equivalence_bimodule_verify,
+                       piecewise_decompose):
+            assert verify(G) == verify(C), verify.__name__
+
+    def test_natural_s3_to_s6(self):
+        for n in (3, 4, 5, 6):
+            # the copy of S6 is refused at the triple cap; see test_triple_cap
+            self._same(_natural(n), validate=n < 6)
+
+    def test_random_actions_and_their_layers(self):
+        rng = random.Random(47)
+        multi = 0
+        for _ in range(200):
+            G = transformation_groupoid(FiniteGroupAction.make(*_random_action_parts(rng)))
+            self._same(G)
+            orbits = orbits_isotropy(G).orbits
+            multi += len(orbits) > 1
+            for orbit in orbits:
+                self._same(reduce_invariant(G, orbit))
+        assert multi >= 100
+
+    def test_products_on_demand_and_schreier_generators(self):
+        """With CHUNK at 4, a structural groupoid composes every product on
+        demand, a few at a time, and generates most isotropy groups by their
+        Schreier generators; the reports stay those of the label-built copy."""
+        rng = random.Random(61)
+        fewer = 0
+        for _ in range(100):
+            G = transformation_groupoid(FiniteGroupAction.make(*_random_action_parts(rng)))
+            verifiers = (pullback_isomorphism_verify, equivalence_bimodule_verify,
+                         piecewise_decompose)
+            expected = [verify(dataclasses.replace(G)) for verify in verifiers]
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(groupoid_ids, "CHUNK", 4)
+                assert G.ids.lookup() is None or len(G.morphisms) == 1
+                assert [verify(G) for verify in verifiers] == expected
+                fewer += sum(len(G.ids.schreier[x]) < len(ids) for x, ids in G.ids.loops.items())
+        assert fewer >= 30
+
+    def test_corrupted_views_fail_the_structural_checks(self):
+        """Structural mode takes only associativity from construction: a
+        structural view whose identity, inverse or one product g o a of two
+        generators is corrupted in place fails validate or the pullback and
+        bimodule checks, at every size of `lookup`."""
+        for n in (3, 4, 5):
+            G = _natural(n)
+            G.ids.identities[0] = G.ids.identities[1]
+            with pytest.raises(AxiomError, match="bad identity|identity law"):
+                validate_groupoid(G)
+            assert not pullback_isomorphism_verify(G).ok
+            G = _natural(n)
+            G.ids.inverses[1] = G.ids.inverses[2]
+            with pytest.raises(AxiomError, match="inverse law"):
+                validate_groupoid(G)
+            assert not pullback_isomorphism_verify(G).ok
+            G = _natural(n)
+            V = G.ids
+            a = int(V.gens[0])
+            g = next(int(k) for k in V.gens if V.sources[k] == V.targets[a])
+            ga = int(V.compose(np.array([g]), np.array([a]))[0])
+            v = next(k for k in V.out[0][V.sources[a]]
+                     if V.targets[k] == V.targets[ga] and k != ga)
+            compose = V.compose
+            V.compose = lambda p, q: np.where((p == g) & (q == a), v, compose(p, q))
+            assert validate_groupoid(G) is None  # associativity is not checked
+            assert pullback_isomorphism_verify(G).failure[0] == "functor"
+            assert not equivalence_bimodule_verify(G).ok
+
+    def test_other_groups_and_copies_stay_out(self):
+        group = FiniteGroup.symmetric(3)
+        for other in (dataclasses.replace(group),
+                      FiniteGroup("S3", group.elements, group.op, group.inv, group.identity,
+                                  group.generators)):
+            assert other.multiply is None
+            G = transformation_groupoid(FiniteGroupAction.make(other, range(3), lambda g, x: g[x]))
+            assert not G.ids.structural
+            validate_groupoid(G)
+            assert G.ids.associativity == ("generators", 6 * 6 * 6)
+        A = FiniteGroupAction.make(group, range(3), lambda g, x: g[x])
+        assert A.structural and not dataclasses.replace(A).structural
+        assert not transformation_groupoid(dataclasses.replace(A)).ids.structural
+
+    def test_tampered_rows_are_refused(self):
+        rng = random.Random(53)
+        refused = 0
+        for _ in range(200):
+            A = FiniteGroupAction.make(*_random_action_parts(rng))
+            n = len(A.points)
+            if n < 2:
+                continue
+            rows = [list(row) for row in A.rows]
+            i, j = rng.randrange(len(rows)), rng.randrange(n)
+            rows[i][j] = (rows[i][j] + rng.randrange(1, n)) % n
+            with pytest.raises(AxiomError):
+                groupoids._checked(A.group, A.points, rows)
+            refused += 1
+        assert refused >= 150
+
+    def test_tampered_copies_leave_structural_mode_and_are_caught(self):
+        rng = random.Random(59)
+        caught = 0
+        for _ in range(200):
+            G = transformation_groupoid(FiniteGroupAction.make(*_random_action_parts(rng)))
+            if len(G.morphisms) < 2:
+                continue
+            copies = []
+            swap = _hom_swaps(G, rng)
+            if swap:
+                a, b, v = swap
+
+                def compose(g, h, a=a, b=b, v=v, compose=G.compose_ids):
+                    k = compose(g, h)
+                    return np.where((g == a) & (h == b), v, k)
+
+                copies.append(dataclasses.replace(G, compose_ids=compose))
+            x = rng.choice(G.objects)
+            copies.append(dataclasses.replace(G, identities={
+                **G.identities, x: rng.choice([k for k in G.morphisms if k != G.identities[x]])}))
+            g = rng.choice(G.morphisms)
+            copies.append(dataclasses.replace(G, inverses={
+                **G.inverses, g: rng.choice([k for k in G.morphisms if k != G.inverses[g]])}))
+            for T in copies:
+                assert not T.ids.structural
+                with pytest.raises(AxiomError):
+                    validate_groupoid(T)
+                caught += 1
+        assert caught >= 450
