@@ -260,27 +260,38 @@ class GroupoidIds:
         return np.where(d[g] == r[h], table.take(start[g] + pos[h], mode="clip"), -1)
 
     def lookup(self):
-        """The table `products` reads: a matrix of every g o h, with a last row
-        and column for id -1, where that fits one chunk (CHUNK entries); else
-        none in structural mode, which composes on demand, or the pair table."""
+        """The table `products` reads: a matrix of every g o h, -1 where a pair
+        does not compose, with a last row and column for id -1, where that
+        fits one chunk (CHUNK entries); else none in structural mode, which
+        composes on demand, or the pair table.  Outside structural mode
+        both refuse a product outside its hom-set (`refuse_off_hom`)."""
         import numpy as np
         m = len(self.morphisms)
         if (m + 1) ** 2 > CHUNK:
             return None if self.structural else self.pair_products()
         matrix = np.full((m + 1, m + 1), -1, dtype=np.intp)
-        g, h = self.after(np.arange(m)) if self.structural else self.pairs(0, m)
-        matrix[g, h] = self.compose(g, h) if self.structural else self.pair_products()
+        g, h = self.after(np.arange(m))
+        matrix[g, h] = k = self.compose(g, h)
+        if not self.structural:
+            self.refuse_off_hom(g, h, k)
         return matrix
+
+    @cached_property
+    def units(self):
+        """(e, inv): `identities` and `inverses` as arrays."""
+        import numpy as np
+        return [np.array(v, dtype=np.intp) for v in (self.identities, self.inverses)]
 
     @cached_property
     def laws(self):
         """(left, right, expected): the pairs g o e, e o g, g o g^-1 and
         g^-1 o g of every morphism g, and the ids of their products."""
         import numpy as np
+        m = len(self.morphisms)
         d, r = self.ends
-        g = np.arange(len(self.morphisms))
-        e, inv = (np.array(v, dtype=np.intp) for v in (self.identities, self.inverses))
-        e_d, e_r = e[d[g]], e[r[g]]
+        g = np.arange(m)
+        e, inv = self.units
+        e_d, e_r = e[d[:m]], e[r[:m]]
         return (np.concatenate((g, e_r, g, inv)), np.concatenate((e_d, g, inv, g)),
                 np.concatenate((g, g, e_r, e_d)))
 
@@ -300,22 +311,17 @@ class GroupoidIds:
 
     @cached_property
     def schreier(self) -> dict:
-        """Generators of each representative's isotropy group: its loops, or
-        where those times the arrows out of it pass CHUNK, its distinct
+        """Generators of each representative's isotropy group: its distinct
         sigma(r a) o a o sigma(d a)^-1 for the generators a out of its orbit
         (Schreier's lemma; Seress, *Permutation Group Algorithms*, 2003, 4.1)."""
         import numpy as np
         d, r = self.ends
-        orbit = grouped([self.rep[y] for y in d[self.gens].tolist()], len(self.objects))[0]
-        large = {x: len(self.out[0][x]) * len(ids) > CHUNK for x, ids in self.loops.items()}
-        found = {x: {} if large[x] else dict.fromkeys(ids) for x, ids in self.loops.items()}
-        a = self.gens[[i for x in self.loops if large[x] for i in orbit[x]]]
-        if len(a):
-            sig = np.array(self.sigma, dtype=np.intp)
-            loops = self.products(self.products(sig[r[a]], a),
-                                  np.array(self.inverses, dtype=np.intp)[sig[d[a]]])
-            for y, k in zip(d[a].tolist(), loops.tolist()):
-                found[self.rep[y]][k] = None
+        a, sig = self.gens, np.array(self.sigma, dtype=np.intp)
+        # each pair composes, so no product needs masking
+        loops = self.compose(self.compose(sig[r[a]], a), self.units[1][sig[d[a]]])
+        found = {x: {} for x in self.loops}
+        for y, k in zip(d[a].tolist(), loops.tolist()):
+            found[self.rep[y]][k] = None
         return {x: list(ks) for x, ks in found.items()}
 
 
@@ -330,40 +336,46 @@ class PullbackIds:
     group at `loop_at[h]` (-1 for a morphism that is no loop at a
     representative, and for id -1).
     (x, h, y) has id base[x] + spot[y] size[x] + slot[h], with spot[y] the
-    place of y in its orbit; `target`, `middle` and `source` list x, h and
-    y of each pullback id.
+    place of y in its orbit, for x in object order, then y in its orbit,
+    then h; `triples` lists x, h and y of each pullback id.
     """
 
     def __init__(self, V: GroupoidIds):
         self.rep = rep = V.rep
-        orbits, self.spot = grouped(rep, len(rep))
+        self.orbits, self.spot = grouped(rep, len(rep))
+        self.loops = V.loops
         self.loop_at, self.slot = [-1] * (len(V.morphisms) + 1), [-1] * (len(V.morphisms) + 1)
         for r, ids in V.loops.items():
             for k, h in enumerate(ids):
                 self.loop_at[h], self.slot[h] = r, k
         self.sigma = V.sigma
         self.size = [len(V.loops[r]) for r in rep]
-        self.base, self.target, self.source, self.middle = [], [], [], []
-        for x, r in enumerate(rep):
-            self.base.append(len(self.target))
-            for y in orbits[r]:
-                self.target += [x] * self.size[x]
-                self.source += [y] * self.size[x]
-                self.middle += V.loops[r]
-        self.count = len(self.target)
+        *self.base, self.count = itertools.accumulate(
+            (len(self.orbits[r]) * k for r, k in zip(rep, self.size)), initial=0)
 
     @cached_property
     def arrays(self):
         import numpy as np  # one call per length
         return [*np.array([self.rep, self.base, self.spot, self.size], dtype=np.intp),
-                *np.array([self.loop_at, self.slot], dtype=np.intp),
-                *np.array([self.target, self.middle, self.source], dtype=np.intp)]
+                *np.array([self.loop_at, self.slot], dtype=np.intp)]
+
+    @cached_property
+    def triples(self) -> np.ndarray:
+        """The rows target, middle and source: x, h and y of each pullback id."""
+        import numpy as np
+        target, middle, source = [], [], []
+        for x, r in enumerate(self.rep):
+            for y in self.orbits[r]:
+                target += [x] * self.size[x]
+                source += [y] * self.size[x]
+                middle += self.loops[r]
+        return np.array([target, middle, source], dtype=np.intp).reshape(3, self.count)
 
     def place(self, x, h, y):
         """The ids of (x, h, y) on arrays, -1 where h is no loop at x's
         representative."""
         import numpy as np
-        rep, base, spot, size, loop_at, slot = self.arrays[:6]
+        rep, base, spot, size, loop_at, slot = self.arrays
         return np.where(loop_at[h] == rep[x], base[x] + spot[y] * size[x] + slot[h], -1)
 
 
@@ -388,22 +400,24 @@ def pullback_isomorphism_verify(G: FiniteGroupoid) -> PullbackReport:
     """Verify G ~ pullback of its isotropy bundle.
 
     Phi(g) = (r(g), sigma(r(g)) o g o sigma(d(g))^{-1}, d(g)) and the inverse
-    map is (x, h, y) -> sigma(x)^{-1} o h o sigma(y); both directions, the
-    identities and the inverses are checked on every morphism, and the
-    functor law on every composable pair, or in structural mode on the
+    map is (x, h, y) -> sigma(x)^{-1} o h o sigma(y); both directions (the
+    second only where Phi is no bijection, since otherwise it follows from
+    the first), the identities and the inverses are checked on every
+    morphism, and the functor law on every composable pair, or in
+    structural mode, where `GroupoidIds.lookup` gives no matrix, on the
     pairs (g, a), a a generator: by induction on a word for h, that gives
     Phi(g o h) = Phi(g) o Phi(h) for all h, once Phi keeps identities.
 
-    The checks are numpy index operations on the products of
-    `GroupoidIds.lookup`, one call per level of them.  Phi(g) is held as
-    its middle arrow mid(g), a loop at the orbit representative, and its
-    pullback id (-1 outside the pullback).  The endpoints are checked once,
-    by `pair_products` where it runs, and the functor law on middles,
-    mid(g o h) = mid(g) o mid(h), in chunks, g in input order, then h; a
-    Phi(g) outside the pullback fails every pair of g.  Once every product
-    lies in its hom-set the ids decide each check, and each reports the
-    first item they flag: where identities and inverses lie in their
-    hom-sets, the verdicts and witnesses are the label loops'.
+    The checks are numpy index operations on the products of `lookup`, one
+    call per level of them.  Phi(g) is held as its middle arrow mid(g), a
+    loop at the orbit representative, and its pullback id (-1 outside the
+    pullback).  Outside structural mode `lookup` checks the endpoints once,
+    and the functor law is checked on middles, mid(g o h) = mid(g) o mid(h),
+    in chunks, g in input order, then h; a Phi(g) outside the pullback
+    fails every pair of g.  Once every product lies in its hom-set the ids
+    decide each check, and each reports the first item they flag: where
+    identities and inverses lie in their hom-sets, the verdicts and
+    witnesses are the label loops'.
     """
     import numpy as np
     V = G.ids
@@ -419,14 +433,12 @@ def pullback_isomorphism_verify(G: FiniteGroupoid) -> PullbackReport:
     m, n = len(G.morphisms), len(G.objects)
     d, r = V.ends
     src, tgt, g, x = d[:m], r[:m], np.arange(m), np.arange(n)
-    inv, sig, e = (np.array(v, dtype=np.intp) for v in (V.inverses, P.sigma, V.identities))
+    (e, inv), sig = V.units, np.array(P.sigma, dtype=np.intp)
     left, right, _ = V.laws
-    rep, target, middle, source = P.arrays[0], *P.arrays[6:]
-    # sigma(r g) o g, the law products and h o sigma(y) for the pullback's
-    # (x, h, y); then Phi's middle arrows mid(g) and sigma(x)^-1 o h o sigma(y)
-    first = products((sig[tgt], left, middle), (g, right, sig[source]))
-    second = products((first[:m], inv[sig[target]]), (inv[sig[src]], first[5 * m:]))
-    mid, back = second[:m], second[m:]
+    rep = P.arrays[0]
+    # sigma(r g) o g and the law products; then Phi's middle arrows mid(g)
+    first = products((sig[tgt], left), (g, right))
+    mid = V.products(first[:m], inv[sig[src]], table)
     # Phi(g), Phi(e) as it should be, and (d g, mid(g)^-1, r g), the
     # pullback's inverse of Phi(g)
     ids = P.place(np.concatenate((tgt, x, src)), np.concatenate((mid, e[rep], inv[mid])),
@@ -437,8 +449,11 @@ def pullback_isomorphism_verify(G: FiniteGroupoid) -> PullbackReport:
     # inside the pullback, mid(g) and mid(h) are loops at one representative
     inside = image >= 0
     failure = ()
-    pairs = ([V.after(V.gens)] if V.structural
-             else (V.pairs(lo, hi) for lo, hi in chunks(V.pair_index[3])))
+    if table is not None and table.ndim == 2:  # every composable pair, g then h
+        pairs = [(table[:m, :m] >= 0).nonzero()]
+    else:
+        pairs = ([V.after(V.gens)] if V.structural
+                 else (V.pairs(lo, hi) for lo, hi in chunks(V.pair_index[3])))
     for a, b in pairs:
         k = products((a, mid[a]), (b, mid[b]))  # a o b, then mid(a) o mid(b)
         wrong = (~(inside[a] & inside[b]) | (mid[k[:len(a)]] != k[len(a):])).nonzero()[0]
@@ -451,10 +466,15 @@ def pullback_isomorphism_verify(G: FiniteGroupoid) -> PullbackReport:
         ((e >= 0) & (image[e] >= 0) & (image[e] == ident)).all())
     inverses_match = not inverse_bad.any() and bool(
         ((inv >= 0) & inside & (image[inv] == flipped) & (flipped >= 0)).all())
-    # sigma(r g)^-1 o mid(g) o sigma(d g) is g, and back[p] is the pullback id p
+    # sigma(r g)^-1 o mid(g) o sigma(d g) is g; then Phi^-1(p), the product
+    # sigma(x)^-1 o h o sigma(y), is sent back to p, which a bijective Phi
+    # gives at once: p is some Phi(g), so Phi^-1(p) is g
     trip = V.products(inv[sig[tgt]], V.products(mid, sig[src], table), table)
-    round_trip = bool((trip == g).all() and (back >= 0).all()
-                      and (image[back] == np.arange(P.count)).all())
+    round_trip = bool((trip == g).all())
+    if round_trip and not bijective:
+        target, middle, source = P.triples
+        back = V.products(inv[sig[target]], V.products(middle, sig[source], table), table)
+        round_trip = bool((back >= 0).all() and (image[back] == np.arange(P.count)).all())
     ok = bijective and not failure and identities_match and inverses_match and round_trip
     return PullbackReport(
         ok,

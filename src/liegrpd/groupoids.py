@@ -61,6 +61,11 @@ class FiniteGroup:
     `generators`, when given, is a tuple of elements whose closure under `op`
     is `elements`; `FiniteGroupAction.make` then checks compatibility on
     them.  The default None stands for every element.
+
+    `multiply` maps arrays of element ids a, b to the ids of ab.  Only
+    `_owned`, which the `cyclic`, `symmetric` and `from_permutations`
+    constructors call, sets it; it is no argument of the constructor, so
+    every other group, a dataclasses.replace copy included, has None.
     """
 
     name: str
@@ -69,6 +74,7 @@ class FiniteGroup:
     inv: object  # callable a -> a^{-1}
     identity: object
     generators: tuple | None = None
+    multiply: object = field(default=None, init=False, repr=False)
 
     @property
     def order(self) -> int:
@@ -77,13 +83,6 @@ class FiniteGroup:
     @cached_property
     def index(self) -> dict:  # element -> its place in `elements`
         return {e: i for i, e in enumerate(self.elements)}
-
-    @cached_property
-    def multiply(self):
-        """(a, b) -> the ids of ab on arrays of element ids, set only by the
-        `cyclic`, `symmetric` and `from_permutations` constructors: any
-        other group, a dataclasses.replace copy included, has None."""
-        return None
 
     @staticmethod
     def cyclic(n: int) -> "FiniteGroup":
@@ -165,7 +164,7 @@ class FiniteGroup:
 
 def _owned(group: FiniteGroup, multiply) -> FiniteGroup:
     """One of the package's own groups, whose products `multiply` computes."""
-    group.__dict__["multiply"] = multiply
+    object.__setattr__(group, "multiply", multiply)
     return group
 
 
@@ -181,16 +180,27 @@ def _compose_permutations(p, q):
 @dataclass(frozen=True, eq=False)
 class FiniteGroupAction:
     """An action on distinct points as integer rows, built by `make` and
-    `action_from_json`: rows[i][j] is the place of g_i.x_j among the points."""
+    `action_from_json`: rows[i][j] is the place of g_i.x_j among the points.
+
+    `structural` is set only by `_structural`, once `_checked` has passed
+    the rows of one of the package's own groups (one with `multiply`); it
+    is no argument of the constructor, so a copy has False.
+    """
 
     group: FiniteGroup
     points: tuple
     rows: list
+    structural: bool = field(default=False, init=False, repr=False)
 
     @cached_property
-    def structural(self) -> bool:
-        """Whether `_checked` passed these rows for one of the package's groups."""
-        return False
+    def table(self) -> dict:
+        """(element, point) -> point, elements before points."""
+        points = self.points
+        return {(g, x): points[y] for g, row in zip(self.group.elements, self.rows)
+                for x, y in zip(points, row)}
+
+    def act(self, g, x):
+        return self.table[(g, x)]
 
     @staticmethod
     def make(group: FiniteGroup, points, act) -> "FiniteGroupAction":
@@ -246,7 +256,7 @@ def _checked(group: FiniteGroup, points: tuple, rows: list) -> FiniteGroupAction
 
 def _structural(A: FiniteGroupAction) -> FiniteGroupAction:
     """A, whose rows are an action of its group."""
-    A.__dict__["structural"] = A.group.multiply is not None
+    object.__setattr__(A, "structural", A.group.multiply is not None)
     return A
 
 
@@ -652,24 +662,24 @@ def build_pullback(G: FiniteGroupoid):
 
     Objects are those of G; a morphism (x, h, y): y -> x carries an isotropy
     element h at the shared representative of x and y.  The morphisms are
-    the target, middle and source lists of `PullbackIds` labelled, so their
-    order is written there alone, and products of ids are G's, placed by
-    it.  The generators are the loops (r, h, r) at each representative r
-    and, for each other x in its orbit, (x, e_r, r) and (r, e_r, x): every
-    (x, h, y) is (x, e_r, r) o (r, h, r) o (r, e_r, y).
+    the `PullbackIds` triples labelled, so their order is written there
+    alone, and products of ids are G's, placed by it.  The generators are
+    the loops (r, h, r) at each representative r and, for each other x in
+    its orbit, (x, e_r, r) and (r, e_r, x): every (x, h, y) is
+    (x, e_r, r) o (r, h, r) o (r, e_r, y).
     """
     theta, _ = canonical_sections(G)  # refuses an object with no arrow to its representative
     V = G.ids
     P = PullbackIds(V)
     objs, labels = G.objects, G.morphisms
-    mors = tuple((objs[x], labels[h], objs[y]) for x, h, y in zip(P.target, P.middle, P.source))
+    mors = tuple((objs[x], labels[h], objs[y]) for x, h, y in zip(*P.triples.tolist()))
     e = {x: G.identities[theta[x]] for x in objs}  # the identity at x's representative
     loops = tuple((objs[r], labels[h], objs[r]) for r, hs in V.loops.items() for h in hs)
     links = tuple(m for x in objs if x != theta[x]
                   for m in ((x, e[x], theta[x]), (theta[x], e[x], x)))
 
     def compose_ids(p, q):
-        target, middle, source = P.arrays[6:]
+        target, middle, source = P.triples
         return P.place(target[p], V.compose(middle[p], middle[q]), source[q])
 
     return FiniteGroupoid(
@@ -854,6 +864,16 @@ def _at(items, index, what: str):
 _WRONG_SHAPE = "action table has wrong shape"
 
 
+def group_to_json(G: FiniteGroup) -> dict:
+    if G.name.startswith("C") and G.name[1:].isdigit():
+        return {"family": "cyclic", "n": int(G.name[1:])}
+    if G.name.startswith("S") and G.name[1:].isdigit():
+        return {"family": "symmetric", "n": int(G.name[1:])}
+    n = len(G.identity)
+    gens = [list(e) for e in G.elements]
+    return {"family": "permutations", "n": n, "generators": gens}
+
+
 MAX_PERMUTATION_DEGREE = 128
 
 
@@ -882,6 +902,15 @@ def group_from_json(data: dict, order: int) -> FiniteGroup:
         gens = [[document_int(x, "generator entry") for x in g] for g in data["generators"]]
         return FiniteGroup.from_permutations(gens, n, max_order=order)
     raise ValueError(f"unknown group family {family!r}")
+
+
+def action_to_json(A: FiniteGroupAction) -> dict:
+    return {
+        "kind": "group_action",
+        "group": group_to_json(A.group),
+        "points": list(A.points),
+        "table": [list(row) for row in A.rows],
+    }
 
 
 def action_from_json(data: dict) -> FiniteGroupAction:

@@ -115,7 +115,7 @@ labels); `ref_out_of`, `ref_into`, `ref_hom` and `ref_composable_pairs` read
 it.  `ref_classify` is `classify` as it decided "bundle" and "pair" by label
 loops and one hom-set lookup per pair of objects, and `ref_build_pullback`
 the pullback's nested-loop enumeration over labels that `build_pullback` ran
-before it labelled the lists of `PullbackIds`: x in object order, y in the
+before it labelled the triples of `PullbackIds`: x in object order, y in the
 orbit of x, h in the isotropy at their representative, with the label
 product and no integer view of its own.
 
@@ -148,12 +148,10 @@ as a method after no module of the package called it, and
 `realify_subspace` the real span of a complex subspace that `lie.py` kept
 (with its `realify_vector`) after no module called it.
 
-`validate_group`, `is_abelian(G)`, `group_to_json`, `action_to_json` and
-`action_table(A)` are the exhaustive group check, `FiniteGroup.is_abelian`,
-the action writer and `FiniteGroupAction.table` that `groupoids.py` kept
-after no module of the package called them; they are kept unchanged,
-except that `is_abelian` and `action_table` take the group or action as
-an argument.  `ref_pid` is the pullback id of one
+`validate_group` and `is_abelian(G)` are the exhaustive group check and
+`FiniteGroup.is_abelian` that `groupoids.py` kept after no module of the
+package called them; they are kept unchanged, except that `is_abelian`
+takes the group as an argument.  `ref_pid` is the pullback id of one
 (x, h, y) that `PullbackIds.pid` gave before the pullback verifier read
 them as arrays.
 
@@ -1573,7 +1571,7 @@ def ref_label_ids(G: FiniteGroupoid):
 def ref_transformation_labels(A: FiniteGroupAction):
     """(morphisms, source, target, identities, inverses) of the
     transformation groupoid of A, from A's labelled table."""
-    group, act = A.group, action_table(A)
+    group, act = A.group, A.table
     mors = tuple((g, x) for g in group.elements for x in A.points)
     return (mors, {m: m[1] for m in mors}, {m: act[m] for m in mors},
             {x: (group.identity, x) for x in A.points},
@@ -1677,32 +1675,6 @@ def is_abelian(G: FiniteGroup) -> bool:
     )
 
 
-def group_to_json(G: FiniteGroup) -> dict:
-    if G.name.startswith("C") and G.name[1:].isdigit():
-        return {"family": "cyclic", "n": int(G.name[1:])}
-    if G.name.startswith("S") and G.name[1:].isdigit():
-        return {"family": "symmetric", "n": int(G.name[1:])}
-    n = len(G.identity)
-    gens = [list(e) for e in G.elements]
-    return {"family": "permutations", "n": n, "generators": gens}
-
-
-def action_to_json(A: FiniteGroupAction) -> dict:
-    return {
-        "kind": "group_action",
-        "group": group_to_json(A.group),
-        "points": list(A.points),
-        "table": [list(row) for row in A.rows],
-    }
-
-
-def action_table(A: FiniteGroupAction) -> dict:
-    """(element, point) -> point, elements before points."""
-    points = A.points
-    return {(g, x): points[y] for g, row in zip(A.group.elements, A.rows)
-            for x, y in zip(points, row)}
-
-
 def ref_pid(P: PullbackIds, x: int, h: int, y: int) -> int:
     """The id of (x, h, y), or -1 when h is no loop at x's representative."""
     if P.loop_at[h] != P.rep[x]:
@@ -1789,8 +1761,9 @@ def ref_square_pullback_verify(G: FiniteGroupoid) -> PullbackReport:
     back = products([inv[sig[y]] for y in tgt], products(mid, [sig[x] for x in src]))
     round_trip = back == list(range(m))
     if round_trip:
-        back = products([inv[sig[x]] for x in P.target],
-                        products(P.middle, [sig[y] for y in P.source]))
+        target, middle, source = P.triples.tolist()
+        back = products([inv[sig[x]] for x in target],
+                        products(middle, [sig[y] for y in source]))
         round_trip = all(k >= 0 and image[k] == p for p, k in enumerate(back))
     ok = bijective and not failure and identities_match and inverses_match and round_trip
     return PullbackReport(

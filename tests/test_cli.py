@@ -512,6 +512,25 @@ class TestGrpdCommands:
                                              "generator-check cap of 2000000$"):
             groupoids.validate_groupoid(dataclasses.replace(G))
 
+    def test_explicit_document_over_the_triple_cap_is_exit_2(self, tmp_path):
+        # C127 as a one-object groupoid, with no generators: the exhaustive
+        # check would visit 127^3 = 2,048,383 triples, over the cap
+        n = 127
+        doc = {"kind": "groupoid", "objects": [0], "morphism_count": n,
+               "source": [0] * n, "target": [0] * n,
+               "composition": [[g, h, (g + h) % n] for g in range(n) for h in range(n)],
+               "identities": [0], "inverses": [(-g) % n for g in range(n)]}
+        p = tmp_path / "c127.json"
+        p.write_text(json.dumps(doc))
+        proc = subprocess.run(
+            [sys.executable, "-m", "liegrpd.cli", "grpd", "validate", "--in", str(p)],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert proc.stderr == ("error: bad groupoid document: 2048383 composable triples "
+                               "exceed the exhaustive-check cap of 2000000\n")
+
     def test_validate_an_action_on_no_points(self, tmp_path, capsys):
         doc = {"kind": "group_action", "group": {"family": "cyclic", "n": 1},
                "points": [], "table": [[]]}

@@ -2,10 +2,9 @@
 import json
 from pathlib import Path
 
-from dense_reference import action_to_json
-
 from liegrpd import catalog
 from liegrpd.cli import main
+from liegrpd.groupoids import action_to_json
 from liegrpd.lie import algebra_from_json, algebra_to_json
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
