@@ -1607,3 +1607,46 @@ class TestStructuralMode:
                     validate_groupoid(T)
                 caught += 1
         assert caught >= 450
+
+
+def _reference_decompose(G):
+    """The piecewise report with each layer's pullback verdict taken from
+    the exhaustive label loops of `ref_pullback_isomorphism_verify`."""
+    orbits, out = orbits_isotropy(G), ref_out_of(G)
+    layers = [reduce_invariant(G, orbit) for orbit in orbits.orbits]
+    return groupoids.PiecewiseReport(
+        orbits.representatives,
+        tuple(map(len, orbits.orbits)),
+        tuple(itertools.accumulate(sum(len(out.get(x, ())) for x in orbit)
+                                   for orbit in orbits.orbits)),
+        tuple(ref_pullback_isomorphism_verify(layer).ok for layer in layers),
+        len(G.morphisms),
+    )
+
+
+class TestGeneratorPathAgainstExhaustive:
+    """On valid groupoids that are not in structural mode, the pullback,
+    bimodule and decomposition reports are those of the exhaustive label
+    loops: label-built copies of random actions, their pullbacks, pair
+    groupoids and isotropy bundles, the explicit-table round trip of each,
+    and every layer `reduce_invariant` cuts from them.  Each groupoid is
+    handed to the verifiers unvalidated."""
+
+    def test_two_hundred_valid_groupoids_and_their_layers(self):
+        seen = 0
+        for seed in range(30):
+            G = random_transformation_groupoid(random.Random(seed))
+            groups = {x: G.isotropy_group(x) for x in G.objects}
+            for make in (lambda: dataclasses.replace(G), lambda: build_pullback(G),
+                         lambda: pair_groupoid(G.objects),
+                         lambda: group_bundle(groups, G.objects)):
+                for H in (make(), groupoid_from_json(groupoid_to_json(make()))):
+                    assert not H.ids.structural
+                    layers = [reduce_invariant(H, orbit) for orbit in orbits_isotropy(H).orbits]
+                    for L in [H] + [L for L in layers if L is not H]:
+                        assert pullback_isomorphism_verify(L) == ref_pullback_isomorphism_verify(L)
+                        assert repr(equivalence_bimodule_verify(L)) == repr(
+                            _reference_bimodule_verify(L))
+                        assert piecewise_decompose(L) == _reference_decompose(L)
+                        seen += 1
+        assert seen >= 200
