@@ -2,18 +2,15 @@
 
 Objects and morphisms are numbered in input order; products of ids come
 from a groupoid's `compose_ids`, which for the package's groups composes
-permutations or adds residues on demand.  The pullback and bimodule
-verifiers here, and `groupoids.validate_groupoid`, run their loops over
-composable pairs and triples, or in structural mode (`GroupoidIds`) over
-generators, as numpy index operations on these ids, in chunks of at most
-CHUNK entries; `groupoids` exports them with the rest of its API.
-
-Outside structural mode all three first refuse a product that is no
-morphism or leaves its hom-set, raising validate's AxiomError("composite
-has wrong endpoints", (g, h, g o h)) (`GroupoidIds.refuse_off_hom`); past
-that the ids decide every check: on every other table, with identities
-and inverses in their hom-sets, the verdicts and witnesses are those of
-the label loops the verifiers replaced.
+permutations or adds residues on demand.  `groupoids.validate_groupoid` is
+the one place that decides the groupoid axioms: it runs its pair and
+triple loops as numpy index operations on these ids, in chunks of at most
+CHUNK entries, and records a generating set, `GroupoidIds.gens`, which a
+view in structural mode holds from construction.  The pullback and
+bimodule verifiers here validate a groupoid whose generators are not yet
+known, so a table that is no groupoid raises validate's AxiomError, and
+then check each law on the generators alone; `groupoids` exports them
+with the rest of its API.
 """
 from __future__ import annotations
 
@@ -123,12 +120,13 @@ class GroupoidIds:
     groupoid's `compose_ids`, or its product callable on each pair, once per
     pair asked for.  `pair_products` fills the table of all composable
     pairs and refuses a product outside its hom-set.  `associativity` is
-    (check, triples) once `groupoids.validate_groupoid` has passed.  The
-    first four are read off G's labels unless its builder gives `lists`.
+    (check, triples) and `gens` the ids of a generating set once
+    `groupoids.validate_groupoid` has passed.  The first four are read off
+    G's labels unless its builder gives `lists`.
 
     Given the `action` of the package's own groups whose rows `_checked`
     passed and the ids `gens` of G's generators, the view is in structural
-    mode: G is a groupoid by construction and the verifiers run on `gens`.
+    mode: G is a groupoid by construction, with `gens` known from the start.
     """
 
     def __init__(self, G, lists=None, action=None, gens=None):
@@ -218,38 +216,29 @@ class GroupoidIds:
         return np.array([index.get(product(mors[a], mors[b]), -1)
                          for a, b in zip(g.tolist(), h.tolist())], dtype=np.intp)
 
-    def refuse_off_hom(self, g, h, k) -> None:
-        """Raise validate's AxiomError where k, the products of the
-        composable id pairs (g, h), holds one that is no morphism or leaves
-        Hom(d h, r g): at the first such pair in validate's order (g in
-        input order, then h), with the product's label as the third entry
-        of the witness, computed again by the product callable."""
-        d, r = self.ends
-        bad = ((d[k] != d[h]) | (r[k] != r[g])).nonzero()[0]
-        if len(bad):
-            _, _, pos, _, start = self.pair_index
-            i = bad[(start[g[bad]] + pos[h[bad]]).argmin()]
-            a, b = self.morphisms[g[i]], self.morphisms[h[i]]
-            raise AxiomError("composite has wrong endpoints", (a, b, self.product(a, b)))
-
     def pair_products(self) -> np.ndarray:
         """The products of all composable pairs, (g, h) at start[g] + pos[h]
         of `pair_index`, computed in chunks of at most CHUNK pairs, g in
-        input order and then h; the first product outside its hom-set
-        raises validate's AxiomError."""
+        input order and then h.  The first product that is no morphism or
+        leaves Hom(d h, r g) raises validate's AxiomError, with its label,
+        computed again by the product callable, as the witness's third entry."""
         import numpy as np
+        d, r = self.ends
         _, _, _, fan, start = self.pair_index
         table = np.empty(start[-1], dtype=np.int32)
         for lo, hi in chunks(fan):
             g, h = self.pairs(lo, hi)
             table[start[lo]:start[hi]] = k = self.compose(g, h)
-            self.refuse_off_hom(g, h, k)
+            bad = ((d[k] != d[h]) | (r[k] != r[g])).nonzero()[0]
+            if len(bad):
+                a, b = self.morphisms[g[bad[0]]], self.morphisms[h[bad[0]]]
+                raise AxiomError("composite has wrong endpoints", (a, b, self.product(a, b)))
         return table
 
     def products(self, g, h, table=None):
         """g o h on id arrays, -1 where an id is -1 or a pair does not
-        compose: read from a table of `lookup` when one is given, else
-        computed by `compose`, which in structural mode takes any ids."""
+        compose: read from a table of `lookup` or `pair_products` when one
+        is given, else computed by `compose`."""
         import numpy as np
         if table is not None and table.ndim == 2:
             return table[g, h]
@@ -260,20 +249,16 @@ class GroupoidIds:
         return np.where(d[g] == r[h], table.take(start[g] + pos[h], mode="clip"), -1)
 
     def lookup(self):
-        """The table `products` reads: a matrix of every g o h, -1 where a pair
-        does not compose, with a last row and column for id -1, where that
-        fits one chunk (CHUNK entries); else none in structural mode, which
-        composes on demand, or the pair table.  Outside structural mode
-        both refuse a product outside its hom-set (`refuse_off_hom`)."""
+        """A matrix of every g o h for `products`, -1 where a pair does not
+        compose, with a last row and column for id -1, where that fits one
+        chunk (CHUNK entries); else None, and products are composed on demand."""
         import numpy as np
         m = len(self.morphisms)
         if (m + 1) ** 2 > CHUNK:
-            return None if self.structural else self.pair_products()
+            return None
         matrix = np.full((m + 1, m + 1), -1, dtype=np.intp)
         g, h = self.after(np.arange(m))
-        matrix[g, h] = k = self.compose(g, h)
-        if not self.structural:
-            self.refuse_off_hom(g, h, k)
+        matrix[g, h] = self.compose(g, h)
         return matrix
 
     @cached_property
@@ -303,9 +288,14 @@ class GroupoidIds:
         bad = ((found != expected) | (expected < 0)).reshape(4, -1)
         return bad[0] | bad[1], bad[2] | bad[3]
 
+    @cached_property
+    def out_rows(self):
+        """The morphisms out of each object as the rows of one array, padded with -1."""
+        return padded(self.out[0])
+
     def after(self, ids):
         """(g, a): each id a in turn, with every g out of r(a)."""
-        gs = padded(self.out[0])[self.ends[1][ids]]
+        gs = self.out_rows[self.ends[1][ids]]
         keep = gs >= 0
         return gs[keep], ids.repeat(keep.sum(axis=1))
 
@@ -396,31 +386,40 @@ class PullbackReport:
     failure: tuple = ()
 
 
+def validated(G: FiniteGroupoid) -> GroupoidIds:
+    """G's integer view with its generators `gens`: held by a structural
+    view, else recorded by `groupoids.validate_groupoid`, which runs first
+    unless it has passed and raises on a table that is no groupoid."""
+    from .groupoids import validate_groupoid
+    V = G.__dict__.get("ids")  # a view that exists before validation
+    if V is None or V.gens is None:
+        validate_groupoid(G)
+    return G.ids
+
+
 def pullback_isomorphism_verify(G: FiniteGroupoid) -> PullbackReport:
     """Verify G ~ pullback of its isotropy bundle.
 
-    Phi(g) = (r(g), sigma(r(g)) o g o sigma(d(g))^{-1}, d(g)) and the inverse
-    map is (x, h, y) -> sigma(x)^{-1} o h o sigma(y); both directions (the
-    second only where Phi is no bijection, since otherwise it follows from
-    the first), the identities and the inverses are checked on every
-    morphism, and the functor law on every composable pair, or in
-    structural mode, where `GroupoidIds.lookup` gives no matrix, on the
-    pairs (g, a), a a generator: by induction on a word for h, that gives
-    Phi(g o h) = Phi(g) o Phi(h) for all h, once Phi keeps identities.
+    G is validated first (`validated`).  Phi(g) = (r(g), sigma(r(g)) o g o
+    sigma(d(g))^{-1}, d(g)) and the inverse map is (x, h, y) -> sigma(x)^{-1}
+    o h o sigma(y); both directions (the second only where Phi is no
+    bijection, since otherwise it follows from the first), the identities
+    and the inverses are checked on every morphism, and the functor law on
+    the pairs (g, a), a a generator and g out of r(a): by induction on a
+    word for h, that gives Phi(g o h) = Phi(g) o Phi(h) for all h, once Phi
+    keeps identities.
 
-    The checks are numpy index operations on the products of `lookup`, one
-    call per level of them.  Phi(g) is held as its middle arrow mid(g), a
-    loop at the orbit representative, and its pullback id (-1 outside the
-    pullback).  Outside structural mode `lookup` checks the endpoints once,
-    and the functor law is checked on middles, mid(g o h) = mid(g) o mid(h),
-    in chunks, g in input order, then h; a Phi(g) outside the pullback
-    fails every pair of g.  Once every product lies in its hom-set the ids
-    decide each check, and each reports the first item they flag: where
-    identities and inverses lie in their hom-sets, the verdicts and
-    witnesses are the label loops'.
+    The checks are numpy index operations on products read from the matrix
+    of `GroupoidIds.lookup`, or composed on demand, one call per level of
+    them.  Phi(g) is held as its middle arrow mid(g), a loop at the orbit
+    representative, and its pullback id (-1 outside the pullback).  The
+    functor law is checked on middles, mid(g o a) = mid(g) o mid(a), in
+    chunks of at most CHUNK pairs, a in generator order, then g; a Phi(g)
+    outside the pullback fails every pair of g.  Each check reports the
+    first item it flags.
     """
     import numpy as np
-    V = G.ids
+    V = validated(G)
     P = PullbackIds(V)
     if -1 in P.sigma:
         raise AxiomError("no morphism from object to its representative",
@@ -449,12 +448,9 @@ def pullback_isomorphism_verify(G: FiniteGroupoid) -> PullbackReport:
     # inside the pullback, mid(g) and mid(h) are loops at one representative
     inside = image >= 0
     failure = ()
-    if table is not None and table.ndim == 2:  # every composable pair, g then h
-        pairs = [(table[:m, :m] >= 0).nonzero()]
-    else:
-        pairs = ([V.after(V.gens)] if V.structural
-                 else (V.pairs(lo, hi) for lo, hi in chunks(V.pair_index[3])))
-    for a, b in pairs:
+    pairs = V.after(V.gens)
+    for lo in range(0, len(pairs[0]), CHUNK):
+        a, b = (col[lo:lo + CHUNK] for col in pairs)
         k = products((a, mid[a]), (b, mid[b]))  # a o b, then mid(a) o mid(b)
         wrong = (~(inside[a] & inside[b]) | (mid[k[:len(a)]] != k[len(a):])).nonzero()[0]
         if len(wrong):
@@ -506,7 +502,8 @@ def equivalence_bimodule_verify(G: FiniteGroupoid) -> BimoduleReport:
 
     Z is the set of morphisms whose source is an orbit representative.  G
     acts on the left by composition with moment map r; the bundle acts on
-    the right at the source representative.  Checked exhaustively:
+    the right at the source representative.  G is validated first
+    (`validated`); then these are checked:
       1. the two actions commute;
       2. the left moment map r: Z -> objects is surjective;
       3. the right moment map d: Z -> representatives is surjective;
@@ -514,50 +511,37 @@ def equivalence_bimodule_verify(G: FiniteGroupoid) -> BimoduleReport:
          each orbit (one arrow between any two Z-elements sharing a source);
       5. the bundle acts freely and transitively on the fibers of r.
 
-    Both actions are tabulated once on the integer view, aligned by
-    position in rows padded with -1: left[k] lists g o z_k for g out of
-    r(z_k), and right[k] lists z_k o b for b in the isotropy at d(z_k).  A
-    product there that is no morphism or leaves its hom-set raises
-    validate's AxiomError, at the first such pair in validate's order;
-    every other product is an element of Z, whose own row is then at hand.
-    Check 1 runs over every (z, g, b) in chunks of rows, in the label
-    loop's order, and compares (g o z) o b, read from right[g o z], with
-    g o (z o b), read from left[z o b].  Checks 4 and 5 count how often
-    each element occurs in the row of z1, which is the hom-set scan for
-    every z2 at once.  The checks stay exhaustive over all pairs and
-    report the first failure in the label loops' order, so verdicts and
-    witnesses are theirs.
-
-    In structural mode g runs over the generators out of r(z_k) and b over
-    `GroupoidIds.schreier` at d(z_k).  Checks 4 and 5 walk each fiber along
-    the rows from its identity or first element, and each z's acting set
-    must be as large as its fiber, so that the transitive action is free;
-    the witness is the first z that fails, its start and its acting set's
-    size (0 if not reached).
+    Both actions are tabulated once on the integer view, for generators
+    only, aligned by position in rows padded with -1: left[k] lists g o z_k
+    for the generators g out of r(z_k), and right[k] lists z_k o b for b in
+    `GroupoidIds.schreier` at d(z_k), which generate the isotropy there.
+    Every product is an element of Z, whose own row is then at hand.
+    Check 1 runs over every (z, g, b) in chunks of rows and compares
+    (g o z) o b, read from right[g o z], with g o (z o b), read from
+    left[z o b].  Checks 4 and 5 walk each fiber along the rows from its
+    identity or first element, and each z's acting set must be as large as
+    its fiber, so that the transitive action is free; the witness is the
+    first z that fails, its start and its acting set's size (0 if not
+    reached).
     """
     import numpy as np
-    V = G.ids
-    labels, loops = G.morphisms, V.loops
-    r, (out, out_pos) = V.ends[1], V.out
+    V = validated(G)
+    labels, loops, out = G.morphisms, V.loops, V.out[0]
     z = [g for g, x in enumerate(V.sources) if x in loops]
     place = [-1] * (len(labels) + 1)  # id -1 reads -1
     for k, g in enumerate(z):
         place[g] = k
-    # gs[k] and bs[k] list the g out of r(z_k) and the b in the isotropy at
-    # d(z_k), left[k] and right[k] the products g o z_k and z_k o b, with
-    # -1 as padding
+    # gs[k] and bs[k] list the generators g out of r(z_k) and b of the
+    # isotropy at d(z_k), left[k] and right[k] the products g o z_k and
+    # z_k o b, with -1 as padding
     tz, sz = [V.targets[g] for g in z], [V.sources[g] for g in z]
-    lefts, rights = out, loops
-    if V.structural:  # the generators out of each object
-        lefts = [V.gens[ids].tolist() for ids in grouped(V.ends[0][V.gens], len(G.objects))[0]]
-        rights = V.schreier
-    gs, bs = [lefts[y] for y in tz], [rights[x] for x in sz]
+    lefts = [V.gens[ids].tolist() for ids in grouped(V.ends[0][V.gens], len(G.objects))[0]]
+    gs, bs = [lefts[y] for y in tz], [V.schreier[x] for x in sz]
     firsts = np.array([g for row in gs for g in row] + [k for k, row in zip(z, bs) for _ in row],
                       dtype=np.intp)
     seconds = np.array([k for k, row in zip(z, gs) for _ in row] + [b for row in bs for b in row],
                        dtype=np.intp)
     found = V.compose(firsts, seconds)
-    V.refuse_off_hom(firsts, seconds, found)
     n = len(found) - sum(map(len, bs))
     gs, bs = padded(gs), padded(bs)
     left, right = gs.copy(), bs.copy()
@@ -591,27 +575,9 @@ def equivalence_bimodule_verify(G: FiniteGroupoid) -> BimoduleReport:
         sources = {G.source[labels[k]] for k in z}
         return False, ("right-moment", tuple({G.objects[x] for x in loops} - sources))
 
-    def first_wrong(order, widths, hits):
-        """(row, column, count) at the first place, rows z1 = z[order[row]],
-        where the count is not 1, or None; the row of z_k has widths[k]
-        columns of z2 and hits[k] holds the column hit by each entry of
-        z_k's row, -1 for none.  Rows that hit each of their columns once,
-        in some order, pass at once."""
-        widths, width = np.array(widths, dtype=np.intp), max(widths, default=0)
-        ranked = np.arange(hits.shape[1]) - (hits.shape[1] - widths)[:, None]
-        if not np.count_nonzero(np.sort(hits, axis=1) != np.maximum(ranked, -1)):
-            return None
-        rows, cols = (hits >= 0).nonzero()
-        counts = np.bincount(rows * width + hits[rows, cols], minlength=len(z) * width)
-        wrong = (np.arange(width) < widths[:, None]) & (counts.reshape(len(z), width) != 1)
-        if not np.count_nonzero(wrong[order]):
-            return None
-        row, col = divmod(int(wrong[order].argmax()), width)
-        return row, col, int(counts[order[row] * width + col])
-
     def walk(name, rows, start, acting, fiber):
-        """Structural checks 4 and 5: rows[k] holds the places one step from
-        z_k, and start[k] the place its fiber is walked from."""
+        """Checks 4 and 5: rows[k] holds the places one step from z_k, and
+        start[k] the place its fiber is walked from."""
         steps, reached, todo = rows.tolist(), [False] * len(z) + [True], list(start)
         while todo:  # padding reads place -1, reached from the start
             k = todo.pop()
@@ -624,37 +590,15 @@ def equivalence_bimodule_verify(G: FiniteGroupoid) -> BimoduleReport:
         return True, ()
 
     def check_left_free_transitive():
-        if V.structural:
-            sizes, e = [len(ids) for ids in out], V.identities
-            return walk("left-torsor", place[left], [place[e[x]] for x in sz.tolist()],
-                        [sizes[y] for y in tz.tolist()], [sizes[x] for x in sz.tolist()])
-        # z1 and z2 run over out_of(rep), rep in order; g o z1 = z2 is
-        # counted for g ending at r(z2), at the place of z2 in out_of(rep)
-        order = place[[k for x in loops for k in out[x]]]
-        found = first_wrong(order, [len(out[x]) for x in sz.tolist()],
-                            np.array(out_pos + [-1])[left])
-        if found is None:
-            return True, ()
-        row, col, n = found
-        z1 = z[order[row]]
-        return False, ("left-torsor", labels[z1], labels[out[V.sources[z1]][col]], n)
+        sizes, e = [len(ids) for ids in out], V.identities
+        return walk("left-torsor", place[left], [place[e[x]] for x in sz.tolist()],
+                    [sizes[y] for y in tz.tolist()], [sizes[x] for x in sz.tolist()])
 
     def check_right_free_transitive():
-        # z1 and z2 run over the Z-elements into y, y in order; z1 o b = z2 is
-        # counted at the place of z2 among them; these share their source,
-        # the representative of y
-        into_z, z_pos = grouped(tz.tolist(), len(G.objects))
-        if V.structural:
-            return walk("right-torsor", place[right], [into_z[y][0] for y in tz.tolist()],
-                        [len(loops[x]) for x in sz.tolist()], [len(into_z[y]) for y in tz.tolist()])
-        order = [k for ks in into_z for k in ks]
-        found = first_wrong(order, [len(into_z[y]) for y in tz.tolist()],
-                            np.array(z_pos + [-1])[place[right]])
-        if found is None:
-            return True, ()
-        row, col, n = found
-        z1, z2 = labels[z[order[row]]], labels[z[into_z[tz[order[row]]][col]]]
-        return False, ("right-torsor", z1, z2, n)
+        # the Z-elements into y share their source, the representative of y
+        into_z = grouped(tz.tolist(), len(G.objects))[0]
+        return walk("right-torsor", place[right], [into_z[y][0] for y in tz.tolist()],
+                    [len(loops[x]) for x in sz.tolist()], [len(into_z[y]) for y in tz.tolist()])
 
     checks = (
         ("actions-commute", check_commute),

@@ -12,16 +12,13 @@ Every groupoid has an integer view, `G.ids` (`groupoid_ids`), its only
 index: objects and morphisms numbered in input order, and products of ids.
 Transformation groupoids compute it from their action's integer rows and
 compose through their group's `multiply`; for the package's own groups it
-is in structural mode, where G is a groupoid by construction and the
-verifiers run on generators.  Full subgroupoids and pullbacks compose
-through their parent's view, explicit documents read their composition
-list, and a groupoid built around an arbitrary product callable calls it
-once per pair asked for.  Otherwise the verifiers run their pair and triple
-loops as numpy index operations, in chunks, in the order of the label loops
-they replaced: each refuses a product outside its hom-set with validate's
-AxiomError("composite has wrong endpoints", ...), and on every other table,
-with identities and inverses in their hom-sets, a failure reports the label
-loops' verdict and witness.
+is in structural mode, where G is a groupoid by construction and its
+generators are known.  Full subgroupoids and pullbacks compose through
+their parent's view, explicit documents read their composition list, and
+a groupoid built around an arbitrary product callable calls it once per
+pair asked for.  `validate_groupoid` alone decides the axioms on any other
+groupoid and records the generators it checked; the pullback and bimodule
+verifiers validate first and then run on those generators.
 """
 from __future__ import annotations
 
@@ -398,7 +395,9 @@ def validate_groupoid(G: FiniteGroupoid) -> None:
     order, so a failure gives their witness.  A check of more than
     TRIPLE_CAP triples is refused, counted before any product is computed
     (and again before generators fall back to every triple).
-    `G.ids.associativity` records the check that passed and its triples.
+    `G.ids.associativity` records the check that passed and its triples,
+    and `G.ids.gens` the generators that the verifiers run on: the ids of
+    A after Light's test, every morphism after the exhaustive check.
     """
     import numpy as np
     V = G.__dict__.get("ids")  # a structural view is installed with G
@@ -446,7 +445,7 @@ def validate_groupoid(G: FiniteGroupoid) -> None:
             if np.count_nonzero((lhs != rhs) & (g >= 0)[:, :, None] & (k >= 0)[:, None, :]):
                 break
         else:
-            V.associativity = "generators", int(visits.sum())
+            V.associativity, V.gens = ("generators", int(visits.sum())), gens
             return
     _refuse_over_cap(triples, "exhaustive")
     for lo, hi in chunks(triples):
@@ -460,7 +459,7 @@ def validate_groupoid(G: FiniteGroupoid) -> None:
         if np.count_nonzero(bad):
             i = int(bad.argmax())
             raise AxiomError("associativity fails", (labels[g[i]], labels[h[i]], labels[k[i]]))
-    V.associativity = "exhaustive", int(triples.sum())
+    V.associativity, V.gens = ("exhaustive", int(triples.sum())), np.arange(len(labels))
 
 
 def transformation_groupoid(A: FiniteGroupAction) -> FiniteGroupoid:
@@ -780,27 +779,37 @@ def regular_representation_faithful(G: FiniteGroupoid, x) -> RegularRepReport:
     iff u = g o v); the representation of the groupoid algebra is faithful
     exactly when these matrices are linearly independent.  In a groupoid
     g o v = g' o v forces g = g', so the matrices have pairwise disjoint
-    supports and their rank is the number of nonzero ones: the cells (g o v, v)
-    are counted in a set, where a repeated cell raises AxiomError.  The
-    verdict is cross-checked against orbit coverage.
+    supports and their rank is the number of nonzero ones.  The cells
+    (g o v, v) are composed on the integer view for each arrow v out of x
+    in turn and every g out of r(v), in chunks of v's with at most CHUNK
+    cells together; a cell can repeat only within one v, and the first
+    repeat raises AxiomError with its (g, v).  The verdict is cross-checked
+    against orbit coverage.
     """
-    arrows = G.out_of.get(x, ())
-    cells, used = set(), set()
-    for v in arrows:
-        for g in G.out_of[G.target[v]]:
-            cell = (G.compose(g, v), v)
-            if cell in cells:
-                raise AxiomError("left cancellation fails", (g, v))
-            cells.add(cell)
-            used.add(g)
-    faithful = len(used) == len(G.morphisms)
-    orbit = {G.target[a] for a in arrows} | {x}
+    import numpy as np
+    V, labels = G.ids, G.morphisms
+    arrows = np.array([v for i, y in enumerate(G.objects) if y == x for v in V.out[0][i]],
+                      dtype=np.intp)
+    fan = np.array([len(V.out[0][y]) for y in V.ends[1][arrows].tolist()], dtype=np.intp)
+    used = np.zeros(len(labels), dtype=bool)
+    for lo, hi in chunks(fan):
+        g, v = V.after(arrows[lo:hi])
+        cell = v * (len(labels) + 1) + V.compose(g, v)  # (g o v, v) as one int
+        order = cell.argsort(kind="stable")
+        again = order[1:][cell[order[1:]] == cell[order[:-1]]]
+        if len(again):
+            i = again.min()
+            raise AxiomError("left cancellation fails", (labels[g[i]], labels[v[i]]))
+        used[g] = True
+    rank = int(used.sum())
+    faithful = rank == len(labels)
+    orbit = {G.objects[y] for y in V.ends[1][arrows].tolist()} | {x}
     covers = orbit == set(G.objects)
     if faithful != covers:
         raise AssertionError(
             "regular representation rank disagrees with orbit coverage"
         )
-    return RegularRepReport(x, faithful, len(used), len(G.morphisms), covers)
+    return RegularRepReport(x, faithful, rank, len(labels), covers)
 
 
 # ---------------------------------------------------------------------------

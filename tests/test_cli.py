@@ -512,6 +512,33 @@ class TestGrpdCommands:
                                              "generator-check cap of 2000000$"):
             groupoids.validate_groupoid(dataclasses.replace(G))
 
+    def test_explicit_document_reports_equal_the_action_reports(self, tmp_path):
+        """Natural S4 written with `groupoid_to_json` is validated as it is
+        read, by every triple, and the verifiers then run on every morphism
+        as a generator: their reports are those of the action document,
+        whose verifiers run on the generators (s, x), apart from `input`."""
+        from liegrpd import groupoids
+
+        action = {"kind": "group_action", "group": {"family": "symmetric", "n": 4},
+                  "points": list(range(4)),
+                  "table": [list(p) for p in sorted(itertools.permutations(range(4)))]}
+        explicit = groupoid_to_json(groupoids.transformation_groupoid(
+            groupoids.action_from_json(action)))
+        assert explicit["morphism_count"] == 96 and len(explicit["composition"]) == 2304
+        paths = []
+        for name, doc in (("action", action), ("explicit", explicit)):
+            paths.append(tmp_path / f"{name}.json")
+            paths[-1].write_text(json.dumps(doc))
+        for sub in ("pullback-verify", "bimodule-verify", "decompose"):
+            reports = []
+            for path in paths:
+                code, report = run_json(["grpd", sub, "--in", str(path)], tmp_path)
+                assert code == 0, sub
+                assert report.pop("input")["path"] == str(path)
+                reports.append(report)
+            assert reports[0] == reports[1], sub
+            assert "true" in json.dumps(reports[0]), sub
+
     def test_explicit_document_over_the_triple_cap_is_exit_2(self, tmp_path):
         # C127 as a one-object groupoid, with no generators: the exhaustive
         # check would visit 127^3 = 2,048,383 triples, over the cap

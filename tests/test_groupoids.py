@@ -309,17 +309,21 @@ def _tampered_s3():
 
 
 class TestVerifiersCanFail:
-    """One wrong product with the right endpoints fails every verifier."""
+    """One wrong product with the right endpoints fails every verifier: the
+    pullback and bimodule verifiers validate first, so they raise validate's
+    associativity failure."""
 
     def test_validate_raises(self):
         with pytest.raises(AxiomError, match="associativity"):
             validate_groupoid(_tampered_s3())
 
     def test_pullback_not_ok(self):
-        assert not pullback_isomorphism_verify(_tampered_s3()).ok
+        with pytest.raises(AxiomError, match="associativity"):
+            pullback_isomorphism_verify(_tampered_s3())
 
     def test_bimodule_not_ok(self):
-        assert not equivalence_bimodule_verify(_tampered_s3()).ok
+        with pytest.raises(AxiomError, match="associativity"):
+            equivalence_bimodule_verify(_tampered_s3())
 
     def test_regrep_raises(self):
         rep = orbits_isotropy(s3_natural_groupoid()).representatives[0]
@@ -828,25 +832,23 @@ def _tampered_copies(G, rng):
         ), wrong_within_hom
 
 
-def _refusal(G):
-    """validate's outcome on G when it stops at a product outside its
-    hom-set, else None; the pullback and bimodule verifiers must then give
-    exactly this outcome."""
-    outcome = _outcome(validate_groupoid, G)
-    if isinstance(outcome, tuple) and outcome[1][:1] == ("composite has wrong endpoints",):
-        return outcome
-    return None
+def _expected(T, reference, outcome):
+    """Assert that `outcome`, a pullback or bimodule verifier's on T, is
+    validate's exception where validate refuses T, else the outcome of the
+    `reference` loop; return whether validate refused T."""
+    refusal = _outcome(validate_groupoid, T)
+    assert outcome == (_outcome(reference, T) if refusal == "None" else refusal)
+    return refusal != "None"
 
 
 class TestBimoduleAgainstReference:
     """The bimodule verifier reports exactly what the exhaustive loops
-    report, witnesses included, on valid and on tampered groupoids whose
-    products stay in their hom-sets, and refuses the others as validate
-    does."""
+    report, witnesses included, on valid groupoids, and refuses a tampered
+    copy that is no groupoid exactly as validate does."""
 
     def test_fifty_seeds_unaltered_and_tampered(self):
         rng = random.Random(6)
-        not_ok = 0
+        refused = 0
         for seed in range(50):
             G = random_transformation_groupoid(random.Random(seed))
             for H in (G, build_pullback(G), pair_groupoid(G.objects)):
@@ -854,17 +856,13 @@ class TestBimoduleAgainstReference:
                     _reference_bimodule_verify(H)
                 )
                 for T, wrong_within_hom in _tampered_copies(H, rng):
-                    refusal = _refusal(T)
-                    if refusal:
-                        assert _outcome(equivalence_bimodule_verify, T) == refusal
-                        not_ok += 1
-                        continue
-                    report = equivalence_bimodule_verify(T)
-                    assert repr(report) == repr(_reference_bimodule_verify(T))
-                    # a wrong arrow within the right hom-set breaks the left torsor
-                    assert not (wrong_within_hom and report.ok)
-                    not_ok += not report.ok
-        assert not_ok >= 300
+                    outcome = _outcome(equivalence_bimodule_verify, T)
+                    was_refused = _expected(T, _reference_bimodule_verify, outcome)
+                    # a wrong arrow within the right hom-set breaks left cancellation
+                    assert was_refused or not wrong_within_hom
+                    refused += was_refused
+        assert refused >= 300
+
     def test_natural_s5_product_count(self):
         G = transformation_groupoid(
             FiniteGroupAction.make(
@@ -878,10 +876,19 @@ class TestBimoduleAgainstReference:
             calls += 1
             return G.product(g, h)
 
-        report = equivalence_bimodule_verify(_with_product(G, counting))
+        # the label-built copy with its 10 generators (s, x) validates by
+        # Light's test, which composes the 600 * 120 composable pairs once
+        T = _with_product(G, counting, keep_generators=True)
+        validate_groupoid(T)
+        assert calls == 72_000 and T.ids.associativity[0] == "generators"
+        calls = 0
+        report = equivalence_bimodule_verify(T)
         assert report.ok and report.element_count == 120
-        # |Z| * (|out of r(z)| + |isotropy|) = 120 * (120 + 24)
-        assert calls == 17_280
+        # 2 per generator for the Schreier generators, then |Z| * (the 2
+        # generators out of r(z) + the Schreier generators at d(z)), where
+        # the label loops composed 120 * (120 + 24)
+        schreier = len(T.ids.schreier[0])
+        assert calls == 2 * 10 + 120 * (2 + schreier) < 17_280
 
 
 def _outcome(fn, *args):
@@ -895,12 +902,12 @@ def _outcome(fn, *args):
 class TestPullbackAgainstReference:
     """The pullback verifier reports exactly what the verifier that composed
     every product through the pullback reported, witnesses included, on
-    tables whose products stay in their hom-sets, and refuses the others
-    as validate does."""
+    valid groupoids, and refuses a tampered copy that is no groupoid
+    exactly as validate does."""
 
     def test_fifty_seeds_unaltered_and_tampered(self):
         rng = random.Random(13)
-        not_ok = 0
+        within = refused = 0
         for seed in range(50):
             G = random_transformation_groupoid(random.Random(seed))
             for H in (G, build_pullback(G), pair_groupoid(G.objects)):
@@ -909,17 +916,15 @@ class TestPullbackAgainstReference:
                 )
                 for T, wrong_within_hom in _tampered_copies(H, rng):
                     outcome = _outcome(pullback_isomorphism_verify, T)
-                    refusal = _refusal(T)
-                    if refusal:
-                        assert outcome == refusal
-                        assert _outcome(equivalence_bimodule_verify, T) == refusal
-                    else:
-                        assert outcome == _outcome(ref_pullback_isomorphism_verify, T)
-                    if wrong_within_hom:
-                        not_ok += not pullback_isomorphism_verify(T).ok
+                    was_refused = _expected(T, ref_pullback_isomorphism_verify, outcome)
+                    if was_refused:
+                        assert _outcome(equivalence_bimodule_verify, T) == outcome
+                    within += wrong_within_hom
+                    refused += wrong_within_hom and was_refused
         # the pullback is built with T's own product, so a wrong product can
-        # be consistent with it: 46 of these 79 tampered copies fail
-        assert not_ok >= 40
+        # be consistent with it: the pullback checks alone passed 33 of these
+        # 79 tampered copies, and validation refuses every one
+        assert refused == within == 79
 
     def test_images_outside_the_isotropy(self):
         """k o e, for e an identity and k a loop at its object, replaced by
@@ -944,9 +949,9 @@ class TestPullbackAgainstReference:
 
     def test_tampered_s3_witness(self):
         T = _tampered_s3()
-        report = pullback_isomorphism_verify(T)
-        assert report == ref_pullback_isomorphism_verify(T)
-        assert report.failure[0] == "functor"
+        outcome = _outcome(pullback_isomorphism_verify, T)
+        assert outcome[1][0] == "associativity fails"
+        assert outcome == _outcome(validate_groupoid, T) == _outcome(ref_validate_groupoid, T)
 
 
 def _tampered_sections(G, rng):
@@ -967,17 +972,15 @@ def _tampered_sections(G, rng):
 class TestPullbackAgainstSquareReference:
     """The pullback verifier's outcome, the report repr or the exception
     type and args, is that of the verifier that read Phi(g) o Phi(h) from a
-    square of isotropy products: on valid groupoids and on copies with one
-    wrong product, identity or inverse, where the label loops of
-    `ref_pullback_isomorphism_verify` mostly raise KeyError."""
+    square of isotropy products on valid groupoids, and validate's on copies
+    with one wrong product, identity or inverse that are no groupoid."""
 
     def _same(self, G, rng):
         assert _outcome(pullback_isomorphism_verify, G) == _outcome(ref_square_pullback_verify, G)
         failed = 0
         for T in [T for T, _ in _tampered_copies(G, rng)] + list(_tampered_sections(G, rng)):
             outcome = _outcome(pullback_isomorphism_verify, T)
-            assert outcome == _outcome(ref_square_pullback_verify, T)
-            failed += "ok=False" in outcome or outcome[0] == "AxiomError"
+            failed += _expected(T, ref_square_pullback_verify, outcome)
         return failed
 
     def test_catalog_and_natural_s3_to_s5(self):
@@ -1246,19 +1249,21 @@ VERIFIERS = (
 
 
 class TestVerifiersAgainstReferences:
-    """Each verifier's outcome, the report repr or the exception type and
-    args, is its reference loop's outcome: on valid groupoids of every
-    construction, their JSON round trips, and every tampered copy.  Where
-    validate stops at a product outside its hom-set, the pullback and
-    bimodule verifiers give validate's outcome instead."""
+    """Validate's outcome, the report or the exception type and args, is
+    its reference loop's on valid groupoids of every construction, their
+    JSON round trips, and every tampered copy; the pullback and bimodule
+    verifiers give their reference loops' outcome where validate passes,
+    and validate's exact outcome where it refuses."""
 
     def _same(self, G):
-        refusal = _refusal(G)
+        # the verifiers first, so that each validates G itself
+        outcomes = {verify: _outcome(verify, G) for verify, _ in VERIFIERS[::-1]}
+        refusal = outcomes[validate_groupoid]
         for verify, reference in VERIFIERS:
             expected = _outcome(reference, G)
-            if refusal and verify is not validate_groupoid:
+            if refusal != "None" and verify is not validate_groupoid:
                 expected = refusal
-            assert _outcome(verify, G) == expected, verify.__name__
+            assert outcomes[verify] == expected, verify.__name__
 
     def test_random_groupoids_round_trips_and_tampered_copies(self):
         rng = random.Random(29)
@@ -1400,8 +1405,10 @@ class TestPullbackGenerators:
 
 
 class TestProductCallCounts:
-    """Calls of a groupoid's product callable per verifier on natural S4:
-    never more than the loops over labelled morphisms made."""
+    """Calls of a groupoid's product callable on label-built copies of
+    natural S4: validate's, and each verifier's own once validate has
+    passed.  A verifier validates a groupoid first, and the two together
+    never make more calls than the loops over labelled morphisms made."""
 
     # the label loops: validate 2,304 pairs twice, 4 per morphism and 3 per
     # composable triple; pullback Phi and its inverse (2 per morphism each
@@ -1412,22 +1419,39 @@ class TestProductCallCounts:
         "pullback_isomorphism_verify": 2_916,
         "equivalence_bimodule_verify": 720,
     }
-    # validate and pullback fill a table of the 2,304 composable pairs once
-    CALLS = dict(LABEL_LOOPS, validate_groupoid=2_304, pullback_isomorphism_verify=2_304)
+    # validate fills a table of the 2,304 composable pairs once
+    VALIDATE = 2_304
+    # the verifiers' own calls with every morphism as a generator (the copy
+    # without generators) and with the 8 generators (s, x): the pullback
+    # makes 8 per morphism (sigma(r g) o g, the 4 law products, mid(g) and
+    # the round trip's 2) and 2 per pair (g, a), a a generator; the
+    # bimodule 2 per generator for the Schreier generators, then |Z| = 24
+    # times the generators out of r(z) plus the Schreier generators at d(z)
+    OWN = {
+        "pullback_isomorphism_verify": (8 * 96 + 2 * 2_304, 8 * 96 + 2 * 8 * 24),
+        "equivalence_bimodule_verify": (2 * 96 + 24 * (24 + 6), 2 * 8 + 24 * (2 + 3)),
+    }
 
     def test_natural_s4(self):
         G = _natural(4)
-        for verify, _ in VERIFIERS:
-            calls = 0
+        for keep_generators in (False, True):
+            for verify, _ in VERIFIERS[1:]:
+                calls = 0
 
-            def counting(g, h):
-                nonlocal calls
-                calls += 1
-                return G.product(g, h)
+                def counting(g, h):
+                    nonlocal calls
+                    calls += 1
+                    return G.product(g, h)
 
-            verify(_with_product(G, counting))
-            assert calls == self.CALLS[verify.__name__], verify.__name__
-            assert calls <= self.LABEL_LOOPS[verify.__name__]
+                T = _with_product(G, counting, keep_generators)
+                validate_groupoid(T)
+                assert calls == self.VALIDATE
+                calls = 0
+                verify(T)
+                name = verify.__name__
+                assert calls == self.OWN[name][keep_generators], name
+                assert self.VALIDATE + calls <= (
+                    self.LABEL_LOOPS["validate_groupoid"] + self.LABEL_LOOPS[name])
 
 
 class TestNaturalS6:
@@ -1469,24 +1493,31 @@ class TestStructuralMode:
     """A transformation groupoid of the package's own groups, whose rows
     `_checked` passed, and each of its layers run in structural mode.  Their
     reports equal those of the label-built copy `dataclasses.replace(G)`,
-    which runs the exhaustive paths, apart from validate's mode; tampered
-    rows never reach it, and tampered copies leave it and are caught."""
+    which validate decides by Light's test, apart from validate's mode;
+    tampered rows never reach it, and tampered copies leave it and are caught."""
 
-    def _same(self, G, validate=True):
+    VERIFIERS = (pullback_isomorphism_verify, equivalence_bimodule_verify, piecewise_decompose)
+
+    def _same(self, G):
         C = dataclasses.replace(G)
         assert G.ids.structural and not C.ids.structural
-        if validate:
-            assert _outcome(validate_groupoid, G) == _outcome(validate_groupoid, C) == "None"
-            assert G.ids.associativity == ("structural", _generator_pairs(G))
-            assert C.ids.associativity[0] == "generators"
-        for verify in (pullback_isomorphism_verify, equivalence_bimodule_verify,
-                       piecewise_decompose):
+        assert _outcome(validate_groupoid, G) == _outcome(validate_groupoid, C) == "None"
+        assert G.ids.associativity == ("structural", _generator_pairs(G))
+        assert C.ids.associativity[0] == "generators"
+        for verify in self.VERIFIERS:
             assert verify(G) == verify(C), verify.__name__
 
     def test_natural_s3_to_s6(self):
-        for n in (3, 4, 5, 6):
-            # the copy of S6 is refused at the triple cap; see test_triple_cap
-            self._same(_natural(n), validate=n < 6)
+        for n in (3, 4, 5):
+            self._same(_natural(n))
+        # each verifier validates the label-built copy of S6 first, which is
+        # refused at the triple cap (see test_triple_cap); S6 itself passes
+        S6 = _natural(6)
+        refusal = ("ValueError", (
+            "6220800 composable triples exceed the generator-check cap of 2000000",))
+        for verify in self.VERIFIERS:
+            assert _outcome(verify, dataclasses.replace(S6)) == refusal, verify.__name__
+        assert pullback_isomorphism_verify(S6).ok and equivalence_bimodule_verify(S6).ok
 
     def test_random_actions_and_their_layers(self):
         rng = random.Random(47)
