@@ -1455,7 +1455,7 @@ class TestProductCallCounts:
 
 
 class TestNaturalS6:
-    """The exhaustive verifiers on natural S6: 4,320 morphisms, 3.1M
+    """The verifiers on natural S6: 4,320 morphisms, 3.1M
     composable pairs, one orbit with isotropy S5."""
 
     @pytest.fixture(scope="class")
