@@ -7,8 +7,8 @@ the one place that decides the groupoid axioms: it runs its pair and
 triple loops as numpy index operations on these ids, in chunks of at most
 CHUNK entries, and records a generating set, `GroupoidIds.gens`, which a
 view in structural mode holds from construction.  The pullback and
-bimodule verifiers here validate a groupoid whose generators are not yet
-known, so a table that is no groupoid raises validate's AxiomError, and
+bimodule verifiers here validate a groupoid that has not passed validate
+yet, so a table that is no groupoid raises validate's AxiomError, and
 then check each law on the generators alone; `groupoids` exports them
 with the rest of its API.
 """
@@ -268,27 +268,6 @@ class GroupoidIds:
         return [np.array(v, dtype=np.intp) for v in (self.identities, self.inverses)]
 
     @cached_property
-    def laws(self):
-        """(left, right, expected): the pairs g o e, e o g, g o g^-1 and
-        g^-1 o g of every morphism g, and the ids of their products."""
-        import numpy as np
-        m = len(self.morphisms)
-        d, r = self.ends
-        g = np.arange(m)
-        e, inv = self.units
-        e_d, e_r = e[d[:m]], e[r[:m]]
-        return (np.concatenate((g, e_r, g, inv)), np.concatenate((e_d, g, inv, g)),
-                np.concatenate((g, g, e_r, e_d)))
-
-    def law_failures(self, found):
-        """(identity_bad, inverse_bad): whether g o e = g = e o g or g o g^-1 =
-        e = g^-1 o g fails, per morphism, given the products `found` of the
-        pairs of `laws` (-1 where a pair does not compose, and its law fails)."""
-        expected = self.laws[2]
-        bad = ((found != expected) | (expected < 0)).reshape(4, -1)
-        return bad[0] | bad[1], bad[2] | bad[3]
-
-    @cached_property
     def out_rows(self):
         """The morphisms out of each object as the rows of one array, padded with -1."""
         return padded(self.out[0])
@@ -387,12 +366,12 @@ class PullbackReport:
 
 
 def validated(G: FiniteGroupoid) -> GroupoidIds:
-    """G's integer view with its generators `gens`: held by a structural
-    view, else recorded by `groupoids.validate_groupoid`, which runs first
-    unless it has passed and raises on a table that is no groupoid."""
+    """G's integer view once `groupoids.validate_groupoid` has passed on it,
+    with its generators `gens`; validate runs first unless it has passed,
+    and raises on a table that is no groupoid."""
     from .groupoids import validate_groupoid
     V = G.__dict__.get("ids")  # a view that exists before validation
-    if V is None or V.gens is None:
+    if V is None or V.associativity is None:
         validate_groupoid(G)
     return G.ids
 
@@ -400,13 +379,14 @@ def validated(G: FiniteGroupoid) -> GroupoidIds:
 def pullback_isomorphism_verify(G: FiniteGroupoid) -> PullbackReport:
     """Verify G ~ pullback of its isotropy bundle.
 
-    G is validated first (`validated`).  Phi(g) = (r(g), sigma(r(g)) o g o
-    sigma(d(g))^{-1}, d(g)) and the inverse map is (x, h, y) -> sigma(x)^{-1}
-    o h o sigma(y); both directions (the second only where Phi is no
-    bijection, since otherwise it follows from the first), the identities
-    and the inverses are checked on every morphism, and the functor law on
-    the pairs (g, a), a a generator and g out of r(a): by induction on a
-    word for h, that gives Phi(g o h) = Phi(g) o Phi(h) for all h, once Phi
+    G is validated first (`validated`), which decides the identity and
+    inverse laws.  Phi(g) = (r(g), sigma(r(g)) o g o sigma(d(g))^{-1}, d(g))
+    and the inverse map is (x, h, y) -> sigma(x)^{-1} o h o sigma(y); both
+    directions (the second only where Phi is no bijection, since otherwise
+    it follows from the first) and Phi's images of the identities and the
+    inverses are checked on every morphism, and the functor law on the
+    pairs (g, a), a a generator and g out of r(a): by induction on a word
+    for h, that gives Phi(g o h) = Phi(g) o Phi(h) for all h, once Phi
     keeps identities.
 
     The checks are numpy index operations on products read from the matrix
@@ -420,24 +400,15 @@ def pullback_isomorphism_verify(G: FiniteGroupoid) -> PullbackReport:
     """
     import numpy as np
     V = validated(G)
-    P = PullbackIds(V)
-    if -1 in P.sigma:
-        raise AxiomError("no morphism from object to its representative",
-                         G.objects[P.sigma.index(-1)])
+    P = PullbackIds(V)  # validated, each object has an arrow to its representative
     table = V.lookup()
-
-    def products(g, h):
-        return V.products(np.concatenate(g), np.concatenate(h), table)
-
     m, n = len(G.morphisms), len(G.objects)
     d, r = V.ends
     src, tgt, g, x = d[:m], r[:m], np.arange(m), np.arange(n)
     (e, inv), sig = V.units, np.array(P.sigma, dtype=np.intp)
-    left, right, _ = V.laws
     rep = P.arrays[0]
-    # sigma(r g) o g and the law products; then Phi's middle arrows mid(g)
-    first = products((sig[tgt], left), (g, right))
-    mid = V.products(first[:m], inv[sig[src]], table)
+    # Phi's middle arrows mid(g) = sigma(r g) o g o sigma(d g)^-1
+    mid = V.products(V.products(sig[tgt], g, table), inv[sig[src]], table)
     # Phi(g), Phi(e) as it should be, and (d g, mid(g)^-1, r g), the
     # pullback's inverse of Phi(g)
     ids = P.place(np.concatenate((tgt, x, src)), np.concatenate((mid, e[rep], inv[mid])),
@@ -451,17 +422,15 @@ def pullback_isomorphism_verify(G: FiniteGroupoid) -> PullbackReport:
     pairs = V.after(V.gens)
     for lo in range(0, len(pairs[0]), CHUNK):
         a, b = (col[lo:lo + CHUNK] for col in pairs)
-        k = products((a, mid[a]), (b, mid[b]))  # a o b, then mid(a) o mid(b)
+        # a o b, then mid(a) o mid(b)
+        k = V.products(np.concatenate((a, mid[a])), np.concatenate((b, mid[b])), table)
         wrong = (~(inside[a] & inside[b]) | (mid[k[:len(a)]] != k[len(a):])).nonzero()[0]
         if len(wrong):
             failure = ("functor", G.morphisms[a[wrong[0]]], G.morphisms[b[wrong[0]]])
             break
 
-    identity_bad, inverse_bad = V.law_failures(first[m:5 * m])
-    identities_match = not identity_bad.any() and bool(
-        ((e >= 0) & (image[e] >= 0) & (image[e] == ident)).all())
-    inverses_match = not inverse_bad.any() and bool(
-        ((inv >= 0) & inside & (image[inv] == flipped) & (flipped >= 0)).all())
+    identities_match = bool((image[e] == ident).all())
+    inverses_match = bool((inside & (image[inv] == flipped) & (flipped >= 0)).all())
     # sigma(r g)^-1 o mid(g) o sigma(d g) is g; then Phi^-1(p), the product
     # sigma(x)^-1 o h o sigma(y), is sent back to p, which a bijective Phi
     # gives at once: p is some Phi(g), so Phi^-1(p) is g

@@ -16,9 +16,10 @@ is in structural mode, where G is a groupoid by construction and its
 generators are known.  Full subgroupoids and pullbacks compose through
 their parent's view, explicit documents read their composition list, and
 a groupoid built around an arbitrary product callable calls it once per
-pair asked for.  `validate_groupoid` alone decides the axioms on any other
-groupoid and records the generators it checked; the pullback and bimodule
-verifiers validate first and then run on those generators.
+pair asked for.  `validate_groupoid` alone decides the axioms and records
+a generating set: the generators it checked, or a small set that a closure
+walk over its pair table finds; the pullback and bimodule verifiers
+validate first and then run on those generators.
 """
 from __future__ import annotations
 
@@ -363,10 +364,44 @@ def _generates(V: GroupoidIds, table, gens) -> bool:
     return bool(reached.all())
 
 
+def _generating_set(V: GroupoidIds, table) -> np.ndarray:
+    """Ids of a generating set, read off the pair table of `pair_products`:
+    sigma(x) and sigma(x)^-1 for each object x off its representative, as
+    g = sigma(r g)^-1 o (sigma(r g) o g o sigma(d g)^-1) o sigma(d g), then
+    at each representative, in input order with the identity last, each
+    loop outside the group that those taken so far generate: at most log2
+    of its order, as each one at least doubles that group."""
+    import numpy as np
+    pos, start = V.pair_index[2].tolist(), V.pair_index[4].tolist()
+    off = [s for x, s in enumerate(V.sigma) if V.rep[x] != x]
+    gens = off + [V.inverses[s] for s in off]
+    for r, ids in V.loops.items():
+        taken, group = [], set()
+        for h in sorted(ids, key=V.identities[r].__eq__):
+            if h not in group:  # the new f o h, f in the group or f = e, and their multiples
+                taken.append(h)
+                todo = [h, *(int(table[start[f] + pos[h]]) for f in group)]
+                while todo:
+                    f = todo.pop()
+                    if f not in group:
+                        group.add(f)
+                        todo += [int(table[start[f] + pos[a]]) for a in taken]
+        gens += taken
+    return np.array(gens, dtype=np.intp)
+
+
 def _check_laws(V: GroupoidIds, table=None) -> None:
-    """Raise at the first morphism whose identity or inverse law fails."""
-    identity_bad, inverse_bad = V.law_failures(V.products(*V.laws[:2], table))
-    bad = identity_bad | inverse_bad
+    """Raise at the first morphism g for which g o e = g = e o g or
+    g o g^-1 = e = g^-1 o g fails, its products read from `table` when one
+    is given, else composed (-1 where a pair does not compose)."""
+    import numpy as np
+    m, (d, r), (e, inv) = len(V.morphisms), V.ends, V.units
+    g, e_d, e_r = np.arange(m), e[d[:m]], e[r[:m]]
+    expected = np.concatenate((g, g, e_r, e_d))
+    found = V.products(np.concatenate((g, e_r, g, inv)), np.concatenate((e_d, g, inv, g)), table)
+    bad = ((found != expected) | (expected < 0)).reshape(4, -1)
+    identity_bad = bad[0] | bad[1]
+    bad = identity_bad | bad[2] | bad[3]
     if bad.any():
         i = int(bad.argmax())
         reason = ("identity law fails" if identity_bad[i]
@@ -397,7 +432,7 @@ def validate_groupoid(G: FiniteGroupoid) -> None:
     (and again before generators fall back to every triple).
     `G.ids.associativity` records the check that passed and its triples,
     and `G.ids.gens` the generators that the verifiers run on: the ids of
-    A after Light's test, every morphism after the exhaustive check.
+    A after Light's test, `_generating_set` after the exhaustive check.
     """
     import numpy as np
     V = G.__dict__.get("ids")  # a structural view is installed with G
@@ -459,7 +494,7 @@ def validate_groupoid(G: FiniteGroupoid) -> None:
         if np.count_nonzero(bad):
             i = int(bad.argmax())
             raise AxiomError("associativity fails", (labels[g[i]], labels[h[i]], labels[k[i]]))
-    V.associativity, V.gens = ("exhaustive", int(triples.sum())), np.arange(len(labels))
+    V.associativity, V.gens = ("exhaustive", int(triples.sum())), _generating_set(V, table)
 
 
 def transformation_groupoid(A: FiniteGroupAction) -> FiniteGroupoid:
