@@ -267,6 +267,25 @@ class GroupoidIds:
         import numpy as np
         return [np.array(v, dtype=np.intp) for v in (self.identities, self.inverses)]
 
+    def check_laws(self, table=None) -> None:
+        """Validate's check of the identity and inverse laws: raise at the
+        first morphism g for which g o e = g = e o g or g o g^-1 = e = g^-1 o g
+        fails, its products read from `table` when one is given, else
+        composed (-1 where a pair does not compose, and its law fails)."""
+        import numpy as np
+        m, (d, r), (e, inv) = len(self.morphisms), self.ends, self.units
+        g, e_d, e_r = np.arange(m), e[d[:m]], e[r[:m]]
+        expected = np.concatenate((g, g, e_r, e_d))
+        found = self.products(np.concatenate((g, e_r, g, inv)), np.concatenate((e_d, g, inv, g)),
+                              table)
+        bad = ((found != expected) | (expected < 0)).reshape(4, -1)
+        identity_bad, bad = bad[0] | bad[1], bad.any(axis=0)
+        if bad.any():
+            i = int(bad.argmax())
+            reason = ("identity law fails" if identity_bad[i]
+                      else "missing inverse" if self.inverses[i] < 0 else "inverse law fails")
+            raise AxiomError(reason, self.morphisms[i])
+
     @cached_property
     def out_rows(self):
         """The morphisms out of each object as the rows of one array, padded with -1."""
@@ -366,12 +385,12 @@ class PullbackReport:
 
 
 def validated(G: FiniteGroupoid) -> GroupoidIds:
-    """G's integer view once `groupoids.validate_groupoid` has passed on it,
-    with its generators `gens`; validate runs first unless it has passed,
-    and raises on a table that is no groupoid."""
+    """G's integer view with its generators `gens`: held by a structural
+    view, else recorded by `groupoids.validate_groupoid`, which runs first
+    unless it has passed and raises on a table that is no groupoid."""
     from .groupoids import validate_groupoid
     V = G.__dict__.get("ids")  # a view that exists before validation
-    if V is None or V.associativity is None:
+    if V is None or V.gens is None:
         validate_groupoid(G)
     return G.ids
 
@@ -379,8 +398,10 @@ def validated(G: FiniteGroupoid) -> GroupoidIds:
 def pullback_isomorphism_verify(G: FiniteGroupoid) -> PullbackReport:
     """Verify G ~ pullback of its isotropy bundle.
 
-    G is validated first (`validated`), which decides the identity and
-    inverse laws.  Phi(g) = (r(g), sigma(r(g)) o g o sigma(d(g))^{-1}, d(g))
+    G is validated first (`validated`), and validate's check of the
+    identity and inverse laws (`GroupoidIds.check_laws`) runs again, for a
+    structural view, which skips validation, on the products of `lookup`.
+    Phi(g) = (r(g), sigma(r(g)) o g o sigma(d(g))^{-1}, d(g))
     and the inverse map is (x, h, y) -> sigma(x)^{-1} o h o sigma(y); both
     directions (the second only where Phi is no bijection, since otherwise
     it follows from the first) and Phi's images of the identities and the
@@ -407,6 +428,7 @@ def pullback_isomorphism_verify(G: FiniteGroupoid) -> PullbackReport:
     src, tgt, g, x = d[:m], r[:m], np.arange(m), np.arange(n)
     (e, inv), sig = V.units, np.array(P.sigma, dtype=np.intp)
     rep = P.arrays[0]
+    V.check_laws(table)
     # Phi's middle arrows mid(g) = sigma(r g) o g o sigma(d g)^-1
     mid = V.products(V.products(sig[tgt], g, table), inv[sig[src]], table)
     # Phi(g), Phi(e) as it should be, and (d g, mid(g)^-1, r g), the
@@ -504,8 +526,9 @@ def equivalence_bimodule_verify(G: FiniteGroupoid) -> BimoduleReport:
     # isotropy at d(z_k), left[k] and right[k] the products g o z_k and
     # z_k o b, with -1 as padding
     tz, sz = [V.targets[g] for g in z], [V.sources[g] for g in z]
-    lefts = [V.gens[ids].tolist() for ids in grouped(V.ends[0][V.gens], len(G.objects))[0]]
-    gs, bs = [lefts[y] for y in tz], [V.schreier[x] for x in sz]
+    gens = V.gens.tolist()
+    lefts = grouped(V.ends[0][V.gens].tolist(), len(G.objects))[0]  # places in gens
+    gs, bs = [[gens[i] for i in lefts[y]] for y in tz], [V.schreier[x] for x in sz]
     firsts = np.array([g for row in gs for g in row] + [k for k, row in zip(z, bs) for _ in row],
                       dtype=np.intp)
     seconds = np.array([k for k, row in zip(z, gs) for _ in row] + [b for row in bs for b in row],

@@ -1423,12 +1423,13 @@ class TestProductCallCounts:
     # the verifiers' own calls on 8 generators: the 8 (s, x), or, without
     # them, sigma(x) and sigma(x)^-1 for the 3 objects off the
     # representative and 2 loops that generate its isotropy S3; the
-    # pullback makes 4 per morphism (sigma(r g) o g, mid(g) and the round
-    # trip's 2) and 2 per pair (g, a), a a generator; the bimodule 2 per
-    # generator for the Schreier generators, then |Z| = 24 times the 2
-    # generators out of r(z) plus the 3 Schreier generators at d(z)
+    # pullback makes 8 per morphism (the 4 law products, sigma(r g) o g,
+    # mid(g) and the round trip's 2) and 2 per pair (g, a), a a generator;
+    # the bimodule 2 per generator for the Schreier generators, then
+    # |Z| = 24 times the 2 generators out of r(z) plus the 3 Schreier
+    # generators at d(z)
     OWN = {
-        "pullback_isomorphism_verify": 4 * 96 + 2 * 8 * 24,
+        "pullback_isomorphism_verify": 8 * 96 + 2 * 8 * 24,
         "equivalence_bimodule_verify": 2 * 8 + 24 * (2 + 3),
     }
 
@@ -1552,9 +1553,9 @@ class TestStructuralMode:
     def test_corrupted_views_fail_the_structural_checks(self):
         """Structural mode takes only associativity from construction: a
         structural view whose identity, inverse or one product g o a of two
-        generators is corrupted in place is refused by validate, which the
-        pullback verifier runs first, or fails the pullback and bimodule
-        checks, at every size of `lookup`."""
+        generators is corrupted in place is refused by validate's law check,
+        which the pullback verifier runs too, or fails the pullback and
+        bimodule checks, at every size of `lookup`."""
         for n in (3, 4, 5):
             G = _natural(n)
             G.ids.identities[0] = G.ids.identities[1]
