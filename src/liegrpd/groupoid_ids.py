@@ -7,8 +7,8 @@ the one place that decides the groupoid axioms: it runs its pair and
 triple loops as numpy index operations on these ids, in chunks of at most
 CHUNK entries, and records a generating set, `GroupoidIds.gens`, which a
 view in structural mode holds from construction.  The pullback and
-bimodule verifiers here validate a groupoid that has not passed validate
-yet, so a table that is no groupoid raises validate's AxiomError, and
+bimodule verifiers here validate a groupoid whose generators are not yet
+known, so a table that is no groupoid raises validate's AxiomError, and
 then check each law on the generators alone; `groupoids` exports them
 with the rest of its API.
 """
