@@ -18,6 +18,9 @@ and `doubled_kostant_cascade` are that doubled-coordinate path, which ran before
 the search moved to simple-root coefficients and the cascade to Dynkin
 subdiagrams: the string test by dot products, and the components by a
 non-orthogonality search over every pair of remaining roots.
+`doubled_check_strongly_orthogonal` is the validation of the cascade on
+doubled coordinates that ran before it tested sums and differences by
+coefficient keys; it is kept unchanged.
 
 `ref_lagrange_interpolate` and `ref_sturm_root_count` are the `Fraction`
 interpolation and Sturm chain that the census segment probe ran before it
@@ -1362,6 +1365,18 @@ def doubled_kostant_cascade(rs: DoubledRootSystem) -> tuple:
                     raise AssertionError("cascade members are not strongly orthogonal")
     halved = dict(zip(rs.doubled_roots, rs.positive_roots))
     return tuple(halved[r] for r in cascade)
+
+
+def doubled_check_strongly_orthogonal(cascade, roots) -> None:
+    """Raise unless the doubled roots in `cascade` are pairwise orthogonal and
+    no sum or difference of two of them is in the set `roots` or its negative."""
+    for i, a in enumerate(cascade):
+        for b in cascade[i + 1 :]:
+            if _ddot(a, b) != 0:
+                raise AssertionError("cascade members are not orthogonal")
+            total, diff = _dadd(a, b), _dsub(a, b)  # -(a - b) = b - a
+            if not roots.isdisjoint((total, diff, _dsub(b, a), tuple(-x for x in total))):
+                raise AssertionError("cascade members are not strongly orthogonal")
 
 
 def _poly_trim(p):

@@ -12,6 +12,7 @@ system of rank <= 8 has the standard Cartan matrix, written out here from the
 Dynkin diagrams, and every entry 2(alpha_i, alpha_j) / (alpha_j, alpha_j) of
 its simple roots is an integer.
 """
+import collections
 import dataclasses
 import itertools
 import time
@@ -21,6 +22,7 @@ import pytest
 
 from dense_reference import (
     doubled_build_root_system,
+    doubled_check_strongly_orthogonal,
     doubled_kostant_cascade,
     ref_build_root_system,
     ref_kostant_cascade,
@@ -247,6 +249,42 @@ class TestChecksCanFail:
         cut = dataclasses.replace(rs, cartan=((2, 0), (0, 2)))  # A1 + A1: alpha_1, alpha_2
         with pytest.raises(AssertionError, match="not orthogonal"):
             kostant_cascade(cut)
+
+
+def refusal(check, *args):
+    """The message of the AssertionError that `check(*args)` raises, else None."""
+    try:
+        check(*args)
+    except AssertionError as exc:
+        return str(exc)
+    return None
+
+
+def test_the_key_check_refuses_what_the_doubled_check_refuses():
+    """On every pair of distinct positive roots of every system of rank <= 8,
+    `_check_strongly_orthogonal` refuses exactly the pairs that the check on
+    doubled coordinates refuses, with the same message.  The pairs include
+    differences with coefficients of both signs, whose key difference
+    borrows, in G2, F4 and E8, and orthogonal ones among them in F4 and E8."""
+    from liegrpd.rootsystems import _check_strongly_orthogonal
+
+    verdicts, mixed, orthogonal_mixed = collections.Counter(), set(), set()
+    for family, rank in systems_up_to(8):
+        rs = build_root_system(family, rank)
+        roots = set(rs.doubled_roots)
+        coeffs = [[k >> 4 * i & 15 for i in range(rank)] for k in rs.keys]
+        for (ca, a), (cb, b) in itertools.combinations(zip(coeffs, rs.doubled_roots), 2):
+            expected = refusal(doubled_check_strongly_orthogonal, [a, b], roots)
+            assert refusal(_check_strongly_orthogonal, [a, b], roots) == expected, (a, b)
+            verdicts[expected] += 1
+            diff = [x - y for x, y in zip(ca, cb)]
+            if min(diff) < 0 < max(diff):
+                mixed.add(rs.name)
+                if expected != "cascade members are not orthogonal":
+                    orthogonal_mixed.add(rs.name)
+    assert {"G2", "F4", "E8"} <= mixed and {"F4", "E8"} <= orthogonal_mixed
+    assert set(verdicts) == {None, "cascade members are not orthogonal",
+                             "cascade members are not strongly orthogonal"}
 
 
 def standard_cartan(family, l):
