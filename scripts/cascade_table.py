@@ -30,7 +30,7 @@ def main() -> None:
         cas = kostant_cascade(rs)
         verdict = "yes" if len(cas) == ell else "no"
         print(f"{fam}{ell:<2}".rjust(7)
-              + f"  {ell:>4}  {len(rs.positive_roots):>7}  {len(cas):>7}  {verdict}")
+              + f"  {ell:>4}  {len(rs.doubled_roots):>7}  {len(cas):>7}  {verdict}")
         if args.show_cascades:
             for r in cas:
                 print(" " * 9 + fmt_root(r))

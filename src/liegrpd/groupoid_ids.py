@@ -121,8 +121,9 @@ class GroupoidIds:
     pair asked for.  `pair_products` fills the table of all composable
     pairs and refuses a product outside its hom-set.  `associativity` is
     (check, triples) and `gens` the ids of a generating set once
-    `groupoids.validate_groupoid` has passed.  The first four are read off
-    G's labels unless its builder gives `lists`.
+    `groupoids.validate_groupoid` has passed (found on first read after its
+    exhaustive check).  The first four are read off G's labels unless its
+    builder gives `lists`.
 
     Given the `action` of the package's own groups whose rows `_checked`
     passed and the ids `gens` of G's generators, the view is in structural
@@ -133,7 +134,9 @@ class GroupoidIds:
         self.morphisms, self.objects, self.product = G.morphisms, G.objects, G.product
         self.compose = G.compose_ids or self._call_product
         self.associativity = None
-        self.action, self.gens, self.structural = action, gens, action is not None
+        self.action, self.structural = action, action is not None
+        if gens is not None:
+            self.gens = gens
         if lists is None:
             index, oid = self.index, {x: i for i, x in enumerate(G.objects)}
             lists = ([oid[G.source[g]] for g in G.morphisms],
@@ -145,6 +148,34 @@ class GroupoidIds:
     @cached_property
     def index(self) -> dict:
         return {g: i for i, g in enumerate(self.morphisms)}
+
+    @cached_property
+    def gens(self):
+        """After validate's exhaustive check, the ids of a generating set read
+        off the pair table it kept, which is then released: sigma(x) and
+        sigma(x)^-1 for each object x off its representative, as
+        g = sigma(r g)^-1 o (sigma(r g) o g o sigma(d g)^-1) o sigma(d g), then
+        at each representative, in input order with the identity last, each
+        loop outside the group that those taken so far generate: at most log2
+        of its order, as each one at least doubles that group."""
+        import numpy as np
+        table = self.__dict__.pop("pair_table")
+        pos, start = self.pair_index[2].tolist(), self.pair_index[4].tolist()
+        gens = [k for x, s in enumerate(self.sigma) if self.rep[x] != x
+                for k in (s, self.inverses[s])]
+        for r, ids in self.loops.items():
+            taken, group = [], set()
+            for h in sorted(ids, key=self.identities[r].__eq__):
+                if h not in group:  # the new f o h, f in the group or f = e, and their multiples
+                    taken.append(h)
+                    todo = [h, *(int(table[start[f] + pos[h]]) for f in group)]
+                    while todo:
+                        f = todo.pop()
+                        if f not in group:
+                            group.add(f)
+                            todo += [int(table[start[f] + pos[a]]) for a in taken]
+            gens += taken
+        return np.array(gens, dtype=np.intp)
 
     @cached_property
     def ends(self):
@@ -390,7 +421,7 @@ def validated(G: FiniteGroupoid) -> GroupoidIds:
     unless it has passed and raises on a table that is no groupoid."""
     from .groupoids import validate_groupoid
     V = G.__dict__.get("ids")  # a view that exists before validation
-    if V is None or V.gens is None:
+    if V is None or not (V.structural or V.associativity):
         validate_groupoid(G)
     return G.ids
 

@@ -364,31 +364,6 @@ def _generates(V: GroupoidIds, table, gens) -> bool:
     return bool(reached.all())
 
 
-def _generating_set(V: GroupoidIds, table) -> np.ndarray:
-    """Ids of a generating set, read off the pair table of `pair_products`:
-    sigma(x) and sigma(x)^-1 for each object x off its representative, as
-    g = sigma(r g)^-1 o (sigma(r g) o g o sigma(d g)^-1) o sigma(d g), then
-    at each representative, in input order with the identity last, each
-    loop outside the group that those taken so far generate: at most log2
-    of its order, as each one at least doubles that group."""
-    import numpy as np
-    pos, start = V.pair_index[2].tolist(), V.pair_index[4].tolist()
-    gens = [k for x, s in enumerate(V.sigma) if V.rep[x] != x for k in (s, V.inverses[s])]
-    for r, ids in V.loops.items():
-        taken, group = [], set()
-        for h in sorted(ids, key=V.identities[r].__eq__):
-            if h not in group:  # the new f o h, f in the group or f = e, and their multiples
-                taken.append(h)
-                todo = [h, *(int(table[start[f] + pos[h]]) for f in group)]
-                while todo:
-                    f = todo.pop()
-                    if f not in group:
-                        group.add(f)
-                        todo += [int(table[start[f] + pos[a]]) for a in taken]
-        gens += taken
-    return np.array(gens, dtype=np.intp)
-
-
 def validate_groupoid(G: FiniteGroupoid) -> None:
     """Axiom check; AxiomError carries a witness tuple.
 
@@ -412,7 +387,7 @@ def validate_groupoid(G: FiniteGroupoid) -> None:
     (and again before generators fall back to every triple).
     `G.ids.associativity` records the check that passed and its triples,
     and `G.ids.gens` the generators that the verifiers run on: the ids of
-    A after Light's test, `_generating_set` after the exhaustive check.
+    A after Light's test, else found from the pair table when first read.
     """
     import numpy as np
     V = G.__dict__.get("ids")  # a structural view is installed with G
@@ -474,7 +449,7 @@ def validate_groupoid(G: FiniteGroupoid) -> None:
         if np.count_nonzero(bad):
             i = int(bad.argmax())
             raise AxiomError("associativity fails", (labels[g[i]], labels[h[i]], labels[k[i]]))
-    V.associativity, V.gens = ("exhaustive", int(triples.sum())), _generating_set(V, table)
+    V.associativity, V.pair_table = ("exhaustive", int(triples.sum())), table
 
 
 def transformation_groupoid(A: FiniteGroupAction) -> FiniteGroupoid:

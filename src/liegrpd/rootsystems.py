@@ -6,12 +6,12 @@ one dict lookup.  Positive roots are generated from the simple roots by
 breadth-first search on height, using the root-string criterion: beta +
 alpha_j is a root exactly when p > <beta, alpha_j^vee>, where p is the depth
 of the alpha_j-string below beta; the pairings of beta + alpha_j are those of
-beta plus row j of the integer Cartan matrix.  Each new root's doubled
-coordinates 2r (every root lies in (1/2)Z^n) are built once; the roots are
-sorted by (height, 2r) and converted to Fraction tuples at the end.  The
-cascade takes the highest root of each irreducible component, keeps the roots
-orthogonal to it, which are those on the simple roots it pairs to zero with,
-and recurses on Dynkin subdiagrams; its members are pairwise strongly
+beta plus row j of the integer Cartan matrix, which must be the family's.
+Each new root's doubled coordinates 2r (every root lies in (1/2)Z^n) are
+built once; Fraction tuples only for the roots a report prints.  The
+cascade takes the highest root of each irreducible component, keeps the
+roots orthogonal to it, which are those on the simple roots it pairs to zero
+with, and recurses on Dynkin subdiagrams; its members are pairwise strongly
 orthogonal.  The Borel subalgebra of the split form has an open coadjoint
 orbit precisely when the cascade is as large as the rank.
 """
@@ -19,40 +19,35 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from operator import add, mul, neg, sub
+from functools import cached_property
+from operator import add, mul
 
-_EXPECTED_POSITIVE_COUNTS = {
-    "A": lambda l: l * (l + 1) // 2,
-    "B": lambda l: l * l,
-    "C": lambda l: l * l,
-    "D": lambda l: l * (l - 1),
-    "E": lambda l: {6: 36, 7: 63, 8: 120}[l],
-    "F": lambda l: 24,
-    "G": lambda l: 6,
+
+def _chain(l: int) -> list:
+    return [(i, i + 1, -1, -1) for i in range(l - 1)]  # alpha_1 - ... - alpha_l
+
+
+# family: (least rank, greatest rank, positive-root count, the bonds (i, j,
+# a_ij, a_ji), i < j, of its Dynkin diagram in Bourbaki's numbering (Humphreys,
+# 11.4), off which a_ij = <alpha_i, alpha_j^vee> is 0 but on the diagonal)
+_FAMILIES = {
+    "A": (1, None, lambda l: l * (l + 1) // 2, _chain),
+    "B": (2, None, lambda l: l * l, lambda l: _chain(l - 1) + [(l - 2, l - 1, -2, -1)]),
+    "C": (2, None, lambda l: l * l, lambda l: _chain(l - 1) + [(l - 2, l - 1, -1, -2)]),
+    "D": (3, None, lambda l: l * (l - 1), lambda l: _chain(l - 1) + [(l - 3, l - 1, -1, -1)]),
+    "E": (6, 8, lambda l: {6: 36, 7: 63, 8: 120}[l],
+          lambda l: [(0, 2, -1, -1), (1, 3, -1, -1)] + _chain(l)[2:]),  # alpha_2 on alpha_4
+    "F": (4, 4, lambda l: 24, lambda l: [(0, 1, -1, -1), (1, 2, -2, -1), (2, 3, -1, -1)]),
+    "G": (2, 2, lambda l: 6, lambda l: [(0, 1, -1, -3)]),
 }
 
-_RANK_RANGE = {
-    "A": (1, None),
-    "B": (2, None),
-    "C": (2, None),
-    "D": (3, None),
-    "E": (6, 8),
-    "F": (4, 4),
-    "G": (2, 2),
-}
 
-
-def _e(i: int, n: int) -> tuple:
-    """The doubled unit vector 2 e_i."""
-    return tuple(2 if j == i else 0 for j in range(n))
-
-
-def _add(a, b):
-    return tuple(map(add, a, b))
-
-
-def _sub(a, b):
-    return tuple(map(sub, a, b))
+def _root(n: int, *entries) -> tuple:
+    """The doubled root in Z^n with the entries (i, x), zero elsewhere."""
+    v = [0] * n
+    for i, x in entries:
+        v[i] = x
+    return tuple(v)
 
 
 def _dot(a, b):
@@ -63,19 +58,19 @@ def _simple_roots(family: str, rank: int):
     """Simple roots in doubled coordinates 2 alpha."""
     l = rank
     if family == "A":
-        return [_sub(_e(i, l + 1), _e(i + 1, l + 1)) for i in range(l)]
-    chain = [_sub(_e(i, l), _e(i + 1, l)) for i in range(l - 1)]  # e_i - e_{i+1}
+        return [_root(l + 1, (i, 2), (i + 1, -2)) for i in range(l)]
+    chain = [_root(l, (i, 2), (i + 1, -2)) for i in range(l - 1)]  # e_i - e_{i+1}
     if family == "B":
-        return chain + [_e(l - 1, l)]
+        return chain + [_root(l, (l - 1, 2))]
     if family == "C":
-        return chain + [_add(_e(l - 1, l), _e(l - 1, l))]
+        return chain + [_root(l, (l - 1, 4))]
     if family == "D":
-        return chain + [_add(_e(l - 2, l), _e(l - 1, l))]
+        return chain + [_root(l, (l - 2, 2), (l - 1, 2))]
     if family == "E":
-        chain = [_sub(_e(i + 1, 8), _e(i, 8)) for i in range(6)]  # e_{i+1} - e_i
-        return [(1, -1, -1, -1, -1, -1, -1, 1), _add(_e(0, 8), _e(1, 8))] + chain[:rank - 2]
+        chain = [_root(8, (i, -2), (i + 1, 2)) for i in range(6)]  # e_{i+1} - e_i
+        return [(1, -1, -1, -1, -1, -1, -1, 1), _root(8, (0, 2), (1, 2))] + chain[:rank - 2]
     if family == "F":
-        return [_sub(_e(1, 4), _e(2, 4)), _sub(_e(2, 4), _e(3, 4)), _e(3, 4), (1, -1, -1, -1)]
+        return [(0, 2, -2, 0), (0, 0, 2, -2), (0, 0, 0, 2), (1, -1, -1, -1)]
     if family == "G":
         return [(2, -2, 0), (-4, 2, 2)]
     raise ValueError(f"unknown family {family!r}")
@@ -96,28 +91,36 @@ class RootSystem:
     family: str
     rank: int
     ambient_dim: int
-    simple_roots: tuple
-    positive_roots: tuple  # sorted by (height, coordinates)
-    heights: tuple  # parallel to positive_roots
-    doubled_roots: tuple = field(repr=False, compare=False)  # 2r as int tuples
+    heights: tuple  # parallel to doubled_roots
+    doubled_roots: tuple  # 2r as int tuples, sorted by (height, 2r)
     keys: tuple = field(repr=False, compare=False)  # sum c_i 16^i, parallel
     cartan: tuple = field(repr=False, compare=False)  # cartan[i][j] = <alpha_i, alpha_j^vee>
+
+    @cached_property  # the Fraction tuples r that reports print, built on first read
+    def positive_roots(self) -> tuple:
+        return _halve(self.doubled_roots)
+
+    @cached_property
+    def simple_roots(self) -> tuple:
+        return _halve(_simple_roots(self.family, self.rank))
 
 
 def build_root_system(family: str, rank: int) -> RootSystem:
     """Construct the named system and generate its positive roots exactly."""
     family = family.upper()
-    if family not in _RANK_RANGE:
+    if family not in _FAMILIES:
         raise ValueError(f"unknown family {family!r}")
-    lo, hi = _RANK_RANGE[family]
+    lo, hi, count, diagram = _FAMILIES[family]
     if rank < lo or (hi is not None and rank > hi):
         raise ValueError(f"{family}{rank} is out of range (rank >= {lo}"
                          + (f", <= {hi})" if hi is not None else ")"))
     simples = _simple_roots(family, rank)
-    norms = [_dot(b, b) for b in simples]
-    cartan = tuple(tuple(2 * _dot(a, b) // n for b, n in zip(simples, norms)) for a in simples)
+    lower = [[_dot(a, b) for b in simples[:i + 1]] for i, a in enumerate(simples)]
+    gram = [row + [lower[j][i] for j in range(i + 1, rank)] for i, row in enumerate(lower)]
+    norms = [row[-1] for row in lower]
+    cartan = tuple(tuple(2 * g // n for g, n in zip(row, norms)) for row in gram)
     units = [1 << _BITS * i for i in range(rank)]
-    expected = _EXPECTED_POSITIVE_COUNTS[family](rank)
+    expected = count(rank)
     height = dict.fromkeys(units, 1)
     pairing = dict(zip(units, cartan))  # key -> (<beta, alpha_j^vee>)_j
     doubled = dict(zip(units, simples))
@@ -142,35 +145,38 @@ def build_root_system(family: str, rank: int) -> RootSystem:
                         nxt.append(cand)
         frontier = nxt
     keys = sorted(height, key=lambda k: (height[k], doubled[k]))
+    name = f"{family}{rank}"
     if len(keys) != expected:
-        raise AssertionError(
-            f"{family}{rank}: generated {len(keys)} positive roots, "
-            f"expected {expected}"
-        )
-    positives = [doubled[k] for k in keys]
+        raise AssertionError(f"{name}: generated {len(keys)} positive roots, expected {expected}")
+    # every 2 (alpha_i, alpha_j) / |alpha_j|^2 is the family's a_ij when the Gram matrix
+    # is 0 off the diagonal and the bonds, on which 2 (alpha_i, alpha_j) = a_ij |alpha_j|^2
+    bonds = diagram(rank)
+    if sum(len(row) - row.count(0) for row in lower) != rank + len(bonds) or any(
+            not 2 * gram[i][j] == a_ij * norms[j] == a_ji * norms[i] for i, j, a_ij, a_ji in bonds):
+        raise AssertionError(f"{name}: the ratios 2(alpha_i, alpha_j) / (alpha_j, alpha_j) "
+                             f"of the simple roots are not the Cartan matrix of {name}")
     return RootSystem(
-        f"{family}{rank}",
+        name,
         family,
         rank,
         len(simples[0]),
-        _halve(simples),
-        _halve(positives),
         tuple(height[k] for k in keys),
-        tuple(positives),
+        tuple(doubled[k] for k in keys),
         tuple(keys),
         cartan,
     )
 
 
-def _check_strongly_orthogonal(cascade, roots) -> None:
-    """Raise unless the doubled roots in `cascade` are pairwise orthogonal and
-    no sum or difference of two of them is in the set `roots` or its negative."""
-    for i, a in enumerate(cascade):
-        for b in cascade[i + 1 :]:
+def _check_strongly_orthogonal(cascade, keys) -> None:
+    """Raise unless the members (key, 2r) of `cascade` are pairwise orthogonal
+    and no sum or difference of two of them is in the set `keys` of positive
+    roots: key digits are coefficients 0..6, so k_a + k_b never carries and a
+    borrow in k_a - k_b leaves a digit >= 10; -(a + b) is never positive."""
+    for i, (ka, a) in enumerate(cascade):
+        for kb, b in cascade[i + 1 :]:
             if _dot(a, b) != 0:
                 raise AssertionError("cascade members are not orthogonal")
-            total, diff = _add(a, b), _sub(a, b)  # -(a - b) = b - a
-            if not roots.isdisjoint((total, diff, _sub(b, a), tuple(map(neg, total)))):
+            if ka + kb in keys or abs(ka - kb) in keys:
                 raise AssertionError("cascade members are not strongly orthogonal")
 
 
@@ -188,6 +194,7 @@ def kostant_cascade(rs: RootSystem) -> tuple:
     bits = [15 << _BITS * i for i in range(rs.rank)]  # the digit of alpha_i in a key
     adjacent = [sum(b for b, c in zip(bits, row) if c) for row in rs.cartan]
     coroots = list(zip(*rs.cartan))  # coroots[i][k] = <alpha_k, alpha_i^vee>
+    cascade = []  # (key, 2r) of each member
 
     def recurse(mask, roots):
         comps = []  # the connected Dynkin subdiagrams on the simple roots in mask
@@ -195,23 +202,23 @@ def kostant_cascade(rs: RootSystem) -> tuple:
             if mask & b:  # join alpha_i to the subdiagrams it is linked to
                 comps = [c for c in comps if not c & adj] + [b + sum(c for c in comps if c & adj)]
         comps = [[r for r in roots if not r[0] & ~c] for c in comps]  # the roots on each
-        out = []
-        for comp in sorted(comps, key=lambda comp: min(r[2] for r in comp)):
-            maxima = [r for r in comp if r[1] == comp[-1][1]]  # comp is sorted by height
-            if len(maxima) != 1:
-                raise AssertionError(f"component has {len(maxima)} height maxima; expected one")
-            key, _, theta = maxima[0]
-            out.append(theta)
+        if len(comps) > 1:
+            comps.sort(key=lambda comp: min(r[2] for r in comp))
+        for comp in comps:
+            key, top, theta = comp[-1]  # comp is sorted by height
+            if len(comp) > 1 and comp[-2][1] == top:
+                raise AssertionError(f"component has {sum(r[1] == top for r in comp)} "
+                                     "height maxima; expected one")
+            cascade.append((key, theta))
             coeffs = [key >> _BITS * k & 15 for k in range(rs.rank)]
             zero = sum(b for b, col in zip(bits, coroots)  # theta's support is its component
                        if key & b and not sum(map(mul, coeffs, col)))
-            out.extend(recurse(zero, comp))
-        return out
+            if zero:
+                recurse(zero, comp)
 
-    cascade = recurse(sum(bits), list(zip(rs.keys, rs.heights, rs.doubled_roots)))
-    _check_strongly_orthogonal(cascade, set(rs.doubled_roots))
-    halved = dict(zip(rs.doubled_roots, rs.positive_roots))
-    return tuple(halved[r] for r in cascade)
+    recurse(sum(bits), list(zip(rs.keys, rs.heights, rs.doubled_roots)))
+    _check_strongly_orthogonal(cascade, set(rs.keys))
+    return _halve([r for _, r in cascade])
 
 
 @dataclass(frozen=True)
@@ -229,7 +236,7 @@ def open_orbit_rank_test(rs: RootSystem) -> OpenOrbitReport:
     return OpenOrbitReport(
         rs.name,
         rs.rank,
-        len(rs.positive_roots),
+        len(rs.doubled_roots),
         cascade,
         len(cascade),
         len(cascade) == rs.rank,
@@ -238,7 +245,7 @@ def open_orbit_rank_test(rs: RootSystem) -> OpenOrbitReport:
 
 def systems_up_to(max_rank: int):
     """(family, rank) for every system of rank <= max_rank, family by family."""
-    for family, (lo, hi) in _RANK_RANGE.items():
+    for family, (lo, hi, _, _) in _FAMILIES.items():
         top = min(hi, max_rank) if hi is not None else max_rank
         for rank in range(lo, top + 1):
             yield family, rank

@@ -209,6 +209,12 @@ class TestClassification:
             "E7", "E8", "F4", "G2",
         }
 
+    def test_the_table_builds_no_fraction_roots(self):
+        for family, rank in systems_up_to(8):
+            rs = build_root_system(family, rank)
+            open_orbit_rank_test(rs)
+            assert "positive_roots" not in vars(rs), rs.name
+
     def test_report_fields(self):
         rep = open_orbit_rank_test(build_root_system("E", 7))
         assert rep.rank == 7 and rep.cascade_size == 7 and rep.has_open_orbit
@@ -237,12 +243,15 @@ class TestChecksCanFail:
     def test_validation_refuses_a_non_strongly_orthogonal_pair(self):
         from liegrpd.rootsystems import _check_strongly_orthogonal
 
-        roots = set(build_root_system("B", 2).doubled_roots)  # e1 - e2, e2, e1, e1 + e2
-        _check_strongly_orthogonal([(2, 2), (2, -2)], roots)  # the B2 cascade
+        rs = build_root_system("B", 2)
+        assert dict(zip(rs.keys, rs.doubled_roots)) == {  # e1 - e2, e2, e1, e1 + e2
+            1: (2, -2), 16: (0, 2), 17: (2, 0), 33: (2, 2)}
+        keys = set(rs.keys)
+        _check_strongly_orthogonal([(33, (2, 2)), (1, (2, -2))], keys)  # the B2 cascade
         with pytest.raises(AssertionError, match="not strongly orthogonal"):
-            _check_strongly_orthogonal([(2, 0), (0, 2)], roots)  # e1 + e2 is a root
+            _check_strongly_orthogonal([(17, (2, 0)), (16, (0, 2))], keys)  # e1 + e2 is a root
         with pytest.raises(AssertionError, match="not orthogonal"):
-            _check_strongly_orthogonal([(2, 0), (2, 2)], roots)
+            _check_strongly_orthogonal([(17, (2, 0)), (33, (2, 2))], keys)
 
     def test_a_wrong_dynkin_diagram_fails_the_validation(self):
         rs = build_root_system("B", 2)
@@ -273,9 +282,11 @@ def test_the_key_check_refuses_what_the_doubled_check_refuses():
         rs = build_root_system(family, rank)
         roots = set(rs.doubled_roots)
         coeffs = [[k >> 4 * i & 15 for i in range(rank)] for k in rs.keys]
-        for (ca, a), (cb, b) in itertools.combinations(zip(coeffs, rs.doubled_roots), 2):
+        members = zip(coeffs, rs.keys, rs.doubled_roots)
+        for (ca, ka, a), (cb, kb, b) in itertools.combinations(members, 2):
             expected = refusal(doubled_check_strongly_orthogonal, [a, b], roots)
-            assert refusal(_check_strongly_orthogonal, [a, b], roots) == expected, (a, b)
+            got = refusal(_check_strongly_orthogonal, [(ka, a), (kb, b)], set(rs.keys))
+            assert got == expected, (a, b)
             verdicts[expected] += 1
             diff = [x - y for x, y in zip(ca, cb)]
             if min(diff) < 0 < max(diff):
@@ -307,18 +318,22 @@ def standard_cartan(family, l):
     return tuple(map(tuple, a))
 
 
+def cartan_ratios(simple_roots):
+    """The ratios 2(alpha_i, alpha_j) / (alpha_j, alpha_j) as Fractions."""
+    def dot(a, b):
+        return sum(x * y for x, y in zip(a, b))
+
+    return tuple(tuple(Q(2 * dot(a, b)) / dot(b, b) for b in simple_roots)
+                 for a in simple_roots)
+
+
 def cartan_problems(family, rank):
     """How `build_root_system(family, rank)` departs from the standard Cartan
     matrix: a ratio 2(alpha_i, alpha_j) / (alpha_j, alpha_j) of its simple
     roots that is not an integer, a `cartan` entry that is not its ratio (a
     floored one), or ratios that are not `standard_cartan(family, rank)`."""
     rs = build_root_system(family, rank)
-
-    def dot(a, b):
-        return sum(x * y for x, y in zip(a, b))
-
-    ratios = tuple(tuple(2 * dot(a, b) / dot(b, b) for b in rs.simple_roots)
-                   for a in rs.simple_roots)
+    ratios = cartan_ratios(rs.simple_roots)
     problems = []
     if any(x.denominator != 1 for row in ratios for x in row):
         problems.append("not integral")
@@ -340,27 +355,30 @@ class TestCartanMatrix:
     def test_is_the_standard_integral_matrix(self, family, rank):
         assert cartan_problems(family, rank) == []
 
-    def test_b4_with_a_doubled_short_root_has_the_matrix_of_c4(self, monkeypatch):
+    def test_b4_with_a_doubled_short_root_is_refused(self, monkeypatch):
         from liegrpd import rootsystems
 
         simples = rootsystems._simple_roots("B", 4)
         simples[3] = (0, 0, 0, 4)  # doubled alpha_4 = 2 e_4 in place of e_4
         monkeypatch.setattr(rootsystems, "_simple_roots", lambda family, rank: simples)
-        assert cartan_problems("B", 4) == ["not standard"]
-        assert build_root_system("B", 4).cartan == standard_cartan("C", 4)
+        assert cartan_ratios(simples) == standard_cartan("C", 4)  # and C4 has B4's root count
+        with pytest.raises(AssertionError, match="B4: the ratios .* are not the Cartan matrix of B4"):
+            build_root_system("B", 4)
 
     @pytest.mark.parametrize("index,bad", [
         (0, (2, -2, 1)), (1, (-4, 1, 2)), (1, (-4, 2, 3)), (1, (-4, 2, 4)),
     ])
-    def test_g2_with_one_wrong_entry_has_a_floored_matrix(self, monkeypatch, index, bad):
+    def test_g2_with_one_wrong_entry_is_refused(self, monkeypatch, index, bad):
         from liegrpd import rootsystems
 
         simples = rootsystems._simple_roots("G", 2)
         assert sum(x != y for x, y in zip(simples[index], bad)) == 1
         simples[index] = bad
         monkeypatch.setattr(rootsystems, "_simple_roots", lambda family, rank: simples)
-        assert len(build_root_system("G", 2).positive_roots) == 6  # the count passes
-        assert cartan_problems("G", 2)[:2] == ["not integral", "floored"]
+        assert any(x.denominator != 1 for row in cartan_ratios(simples) for x in row)
+        # the count, checked first, passes: the floored matrix gives 6 "roots"
+        with pytest.raises(AssertionError, match="G2: the ratios .* are not the Cartan matrix of G2"):
+            build_root_system("G", 2)
 
 
 REFERENCE_SYSTEMS = [(family, rank) for family, lo in (("A", 1), ("B", 2), ("C", 2), ("D", 3))
