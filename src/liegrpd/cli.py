@@ -338,7 +338,7 @@ def cmd_lie_probe_minus_one(args) -> dict:
 # ---------------------------------------------------------------------------
 # cascade subcommand
 
-# `cascade --table --max-rank 24` takes 0.3-0.5 s as a whole process on a
+# `cascade --table --max-rank 24` takes 0.21-0.27 s as a whole process on a
 # 2-CPU Xeon VM with Python 3.11.7; time grows faster than rank^3
 MAX_RANK = 24
 
