@@ -21,6 +21,8 @@ polynomial, so the module holds no float.
 """
 from __future__ import annotations
 
+import itertools
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -28,13 +30,16 @@ from typing import Sequence
 
 from .exact import (
     Matrix,
+    Poly,
     charpoly_int,
     imaginary_integer_roots,
     newton_interpolate,
     kernel_int,
     pfaffian_int,
+    poly_eval,
     rref_int,
     sturm_root_count,
+    zi,
     zi_rows,
 )
 from .lie import LieAlgebra, Subspace, ad_matrix, center_of, checked_subalgebra
@@ -89,6 +94,141 @@ def is_open_orbit(L: LieAlgebra, xi: Sequence) -> bool:
 def isotropy_algebra(L: LieAlgebra, xi: Sequence) -> Subspace:
     """Kernel of the integer skew form, verified to be a subalgebra."""
     return checked_subalgebra(L, kernel_int(integer_bform(L, xi), L.dim)[0], "isotropy")
+
+
+# ---------------------------------------------------------------------------
+# the Pfaffian as a polynomial, and its certified linear factors
+
+
+def pfaffian_poly(L: LieAlgebra):
+    """Pf of the symbolic integer form D B_xi, a homogeneous `Poly` of degree
+    dim/2 in xi, from `pfaffian_int` on `Poly` rows; the zero `Poly` when Pf
+    vanishes identically (odd dimension among others)."""
+    xi = [Poly.var(l) for l in range(L.dim)]
+    return Poly.lift(pfaffian_int(_form_rows(L, _form_values(L, xi))))
+
+
+@dataclass(frozen=True)
+class PfaffianFactors:
+    """Pf = cofactor * prod forms[i]^exponents[i]: distinct primitive integer
+    linear forms, and a cofactor that is a nonzero constant or a semidefinite
+    quadratic form of rank >= 2, whose zeros lie in a subspace of codimension
+    >= 2.  Removing that subspace leaves each chamber of the arrangement
+    {l_i = 0} connected, so the chambers are the components of {Pf != 0}."""
+
+    forms: tuple
+    exponents: tuple
+    cofactor: Poly
+
+    def signs(self, w):
+        """The sign vector (l_i(w) > 0) of the point w, or None where Pf(w) = 0."""
+        values = [sum(c * x for c, x in zip(form, w)) for form in self.forms]
+        if 0 in values or not self.cofactor(w):
+            return None
+        return tuple(v > 0 for v in values)
+
+    def chamber_count(self) -> int:
+        """The number of chambers (Zaslavsky): the sum over subsets B of the
+        forms of (-1)^(|B| - rank B), which is 2^m for m independent forms."""
+        return sum((-1) ** (k - len(rref_int(B)[2]))
+                   for k in range(len(self.forms) + 1)
+                   for B in itertools.combinations(self.forms, k))
+
+
+_NEG_I_POWERS = (1, zi(0, -1), -1, zi(0, 1))  # (-i)^k
+
+
+def _seeded_lines(n: int, count: int = 3):
+    rng = random.Random(0)
+    for _ in range(count):
+        yield [rng.randint(-10, 10) for _ in range(n)], [rng.randint(-10, 10) for _ in range(n)]
+
+
+def certify_pfaffian(P: Poly, n: int, lines=None):
+    """`PfaffianFactors` of the nonzero homogeneous P in n variables, found on
+    the first of the integer `lines` (a, b) that certifies it (by default
+    three seeded lines in [-10, 10]^n), or None when none does.
+
+    On a line a + x b with P(a), P(b) != 0, f = P(a + x b) has degree
+    h = deg P and no root at 0; its integer multiple from `newton_interpolate`
+    at the nodes x = 0..h, made primitive, has the rational roots w / lead of
+    the monic g(y) = lead^(h-1) f(y / lead), whose integer roots w
+    `imaginary_integer_roots` bisects with a Sturm chain (they are the w with
+    g(-i (i w)) = 0).  A root r of multiplicity e is where a factor l^e of P
+    meets the line, when one factor does: there the gradient of the e-1st
+    derivative of P along b is a multiple of l.  Its primitive multiple is
+    accepted only when l^e divides P exactly, and the quotient left after
+    every root must be a nonzero constant or a quadratic form that
+    `_semidefinite_rank` finds semidefinite of rank >= 2.  A root two
+    factors share, or a factor the line misses, fails one of these tests, so
+    a wrong certificate is impossible; the next line is tried instead.
+    """
+    h = max(map(len, P.terms))
+    for a, b in lines or _seeded_lines(n):
+        if P(a) and P(b):
+            factors = _split_on_line(P, a, b, h)
+            if factors is not None:
+                return factors
+    return None
+
+
+def _split_on_line(P: Poly, a, b, h: int):
+    f = newton_interpolate([P([x + k * y for x, y in zip(a, b)]) for k in range(h + 1)])
+    content = math.gcd(*f)
+    f = [c // content for c in f]
+    lead = f[-1]
+    monic = [c * lead ** (h - 1 - k) for k, c in enumerate(f[:-1])] + [1]
+    rest, forms, exponents = P, [], []
+    for w in imaginary_integer_roots([c * _NEG_I_POWERS[k % 4] for k, c in enumerate(monic)]):
+        r, e, d = Fraction(w, lead), 0, f
+        while poly_eval(d, r) == 0:
+            e, d = e + 1, [k * c for k, c in enumerate(d)][1:]
+        g = P
+        for _ in range(e - 1):
+            g = sum((y * g.diff(i) for i, y in enumerate(b) if y), 0)
+        q = [r.denominator * x + r.numerator * y for x, y in zip(a, b)]
+        grad = [g.diff(j)(q) for j in range(len(a))]
+        if not any(grad):
+            return None
+        c = math.gcd(*grad) * (1 if next(x for x in grad if x) > 0 else -1)
+        form = tuple(x // c for x in grad)
+        try:
+            rest //= math.prod([Poly({(j,): x for j, x in enumerate(form) if x})] * e)
+        except ArithmeticError:
+            return None
+        forms.append(form)
+        exponents.append(e)
+    degree = max(map(len, rest.terms))
+    if degree == 0 or degree == 2 and _semidefinite_rank(rest, len(a)) >= 2:
+        return PfaffianFactors(tuple(forms), tuple(exponents), rest)
+    return None
+
+
+def _semidefinite_rank(Q: Poly, n: int) -> int:
+    """The rank of the quadratic form Q when an exact LDL^T shows it is
+    semidefinite, else 0.
+
+    The Hessian of Q is eliminated on its diagonal, each step scaled by the
+    pivot's absolute value, so every pivot has the sign of D's entry.  A
+    zero pivot with a nonzero row left makes Q indefinite, since the zero
+    diagonal entry of a semidefinite matrix has a zero row.
+    """
+    a = [[0] * n for _ in range(n)]
+    for (i, j), c in Q.terms.items():
+        a[i][j] += c
+        a[j][i] += c
+    signs = []
+    for k in range(n):
+        p = a[k][k]
+        if p == 0:
+            if any(a[k][k + 1:]):
+                return 0
+            continue
+        signs.append(p > 0)
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = abs(p) * a[i][j] - (1 if p > 0 else -1) * a[i][k] * a[k][j]
+    return len(signs) if len(set(signs)) == 1 else 0
 
 
 def _always_degenerate(L: LieAlgebra) -> bool:

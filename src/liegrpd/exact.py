@@ -520,6 +520,98 @@ def _swap_skew_index(a, k: int, u: int, v: int) -> None:
 
 
 # ---------------------------------------------------------------------------
+# integer polynomials in several variables
+
+
+def _graded(monomial) -> tuple:
+    """Sort key of the graded lex order, x_0 > x_1 > ..., on sorted index tuples."""
+    return len(monomial), [-i for i in monomial]
+
+
+class Poly:
+    """A polynomial over Z in x_0, x_1, ...: a dict from monomials, sorted
+    tuples of variable indices, to nonzero int coefficients.  Mixed freely
+    with `int`, it has what `pfaffian_int` and `rref_int` use: `+`, `-`, `*`,
+    truth, `==` and an exact `//`, which raises ArithmeticError on a nonzero
+    remainder; `p(point)` evaluates and `p.diff(i)` differentiates."""
+
+    __slots__ = ("terms",)
+    __hash__ = None
+
+    def __init__(self, terms=()):
+        self.terms = {m: c for m, c in dict(terms).items() if c}
+
+    @staticmethod
+    def var(i: int) -> "Poly":
+        return Poly({(i,): 1})
+
+    @staticmethod
+    def lift(x) -> "Poly":
+        return x if isinstance(x, Poly) else Poly({(): x})
+
+    def __bool__(self):
+        return bool(self.terms)
+
+    def __eq__(self, other):
+        return self.terms == Poly.lift(other).terms
+
+    def __neg__(self):
+        return Poly({m: -c for m, c in self.terms.items()})
+
+    def __add__(self, other):
+        out = dict(self.terms)
+        for m, c in Poly.lift(other).terms.items():
+            out[m] = out.get(m, 0) + c
+        return Poly(out)
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        return self + -Poly.lift(other)
+
+    def __rsub__(self, other):
+        return -self + other
+
+    def __mul__(self, other):
+        out = {}
+        for n, d in Poly.lift(other).terms.items():
+            for m, c in self.terms.items():
+                k = tuple(sorted(m + n))
+                out[k] = out.get(k, 0) + c * d
+        return Poly(out)
+
+    __rmul__ = __mul__
+
+    def __floordiv__(self, other):
+        other, q, r = Poly.lift(other), {}, self
+        lead = max(other.terms, key=_graded)
+        while r:
+            m = max(r.terms, key=_graded)
+            rest = list(m)
+            for i in lead:
+                if i not in rest:
+                    raise ArithmeticError("inexact polynomial division")
+                rest.remove(i)
+            c, rem = divmod(r.terms[m], other.terms[lead])
+            if rem:
+                raise ArithmeticError("inexact polynomial division")
+            q[tuple(rest)] = c
+            r = r - Poly({tuple(rest): c}) * other
+        return Poly(q)
+
+    def __call__(self, point):
+        return sum(c * math.prod(point[i] for i in m) for m, c in self.terms.items())
+
+    def diff(self, i: int) -> "Poly":
+        out = {}
+        for m, c in self.terms.items():
+            if i in m:
+                k = m.index(i)
+                out[m[:k] + m[k + 1:]] = c * m.count(i)
+        return Poly(out)
+
+
+# ---------------------------------------------------------------------------
 # characteristic polynomial
 
 

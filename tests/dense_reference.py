@@ -57,7 +57,13 @@ as `ref_reduce`.
 
 `ref_frobenius_test` is the seeded open-orbit search that `lie census` ran
 beside the census before it took the witness from the census's own first
-kept sample; it is kept unchanged.
+kept sample; it is kept unchanged.  `_always_degenerate`, the odd-dimension
+and center test by which the census drew no sample before it computed the
+Pfaffian as a polynomial, is moved here unchanged for it.
+`ref_probe_census` is `open_component_census` as it ran before it classed
+the samples of a certified Pfaffian by the signs of its linear factors:
+every input through segment probes.  It is kept unchanged, except for its
+name.
 
 `DenseMatrix` is the `Matrix` that `exact.py` kept before it stored scaled
 integer rows: `Fraction` and `GaussianRational` entries with `identity`,
@@ -177,7 +183,8 @@ import mpmath
 import numpy as np
 
 from liegrpd.catalog import axb_tautological_module
-from liegrpd.coadjoint import MinusOneProbe, _always_degenerate, _det_at, _form_rows
+from liegrpd.coadjoint import ComponentCensus, MinusOneProbe, _det_at, _form_rows
+from liegrpd.coadjoint import _segment_nondegenerate
 from liegrpd.coadjoint import integer_bform
 from liegrpd.exact import Matrix, NumericError, Scalar
 from liegrpd.exact import GaussianRational, format_scalar, gaussian, is_exact, poly_eval
@@ -195,7 +202,7 @@ from liegrpd.groupoids import (
     canonical_sections,
 )
 from liegrpd.groupoid_ids import PullbackIds, chunks
-from liegrpd.lie import LieAlgebra, LieModule, Subspace, ad_matrix
+from liegrpd.lie import LieAlgebra, LieModule, Subspace, ad_matrix, center_of
 from liegrpd.strata import (
     GRID_RADIUS,
     SAMPLE_BOUND,
@@ -204,7 +211,7 @@ from liegrpd.strata import (
     index_order_leq,
     jordan_holder_flag,
 )
-from liegrpd.weights import InexactSpectrum
+from liegrpd.weights import InexactSpectrum, algebra_is_exponential
 
 
 class DenseMatrix:
@@ -1839,6 +1846,128 @@ def ref_action_from_json(data: dict) -> FiniteGroupAction:
         for xi, yi in enumerate(table[gi])
     }
     return ref_action_make(group, points, lookup)
+
+
+def _always_degenerate(L: LieAlgebra) -> bool:
+    """B_xi is singular for every xi: odd dimension, or a nonzero center z
+    (B_xi(z, .) = xi([z, .]) = 0)."""
+    return L.dim % 2 == 1 or center_of(L).dim > 0
+
+
+def ref_probe_census(L: LieAlgebra, samples: int = 512, seed: int = 0) -> ComponentCensus:
+    """Census of connected components of the nondegenerate set.
+
+    Integer points in [-10, 10]^dim, each with its negation, are kept when
+    the Pfaffian of the skew form is nonzero, until `samples` are kept or
+    40 * samples points are drawn; connections are established by exact
+    segment probes only.  Probes can miss connections but never create false
+    ones, so each class lies inside one component of the nondegenerate set.
+    No point is drawn when every skew form is singular.
+
+    Merges only extend earlier classes, so the first kept sample stays the
+    first representative and witnesses an open orbit.  A census that keeps
+    nothing proves nothing: by the Schwartz-Zippel bound a Pfaffian that is
+    not identically zero, a polynomial of degree dim/2, vanishes at each
+    draw with probability at most dim/42, so such misses decay geometrically
+    in the number of draws.
+    """
+    if L.field != "Q":
+        raise ValueError("the census works over the rational field; realify first")
+    m = L.dim
+    rng = random.Random(seed)
+    exp_result = algebra_is_exponential(L)
+    kept = []
+    pf = {}  # kept integer sample -> _det_at value
+    seen = set()
+    attempts = 0
+    budget = 0 if _always_degenerate(L) else 40 * samples
+    while len(kept) < samples and attempts < budget:
+        attempts += 1
+        v = tuple(rng.randint(-10, 10) for _ in range(m))
+        for w in (v, tuple(-x for x in v)):
+            if w in seen or all(x == 0 for x in w):
+                continue
+            seen.add(w)
+            p = _det_at(L, w)
+            if p != 0:
+                kept.append(w)
+                pf[w] = p
+
+    def joins(u, v):
+        return _segment_nondegenerate(L, u, v, (pf[u], pf[v]))
+
+    notes = [
+        f"census from {len(kept)} nondegenerate integer samples;"
+        " no class spans two components (probes are exact), but a missed"
+        " connection can split one component into several classes"
+    ]
+    components: list[list] = []
+    for s in kept:
+        joined = False
+        for comp in components:
+            for member in dict.fromkeys(comp[:2] + comp[-2:]):
+                if joins(s, member):
+                    comp.append(s)
+                    joined = True
+                    break
+            if joined:
+                break
+        if not joined:
+            components.append([s])
+
+    def merge_pass():
+        nonlocal components
+        changed = False
+        i = 0
+        while i < len(components):
+            j = i + 1
+            while j < len(components):
+                hit = False
+                for u in components[i][:6]:
+                    for v in components[j][:6]:
+                        if joins(u, v):
+                            hit = True
+                            break
+                    if hit:
+                        break
+                if hit:
+                    components[i].extend(components[j])
+                    del components[j]
+                    changed = True
+                else:
+                    j += 1
+            i += 1
+        return changed
+
+    for _ in range(3):
+        if not merge_pass():
+            break
+
+    reps = tuple(tuple(Fraction(x) for x in comp[0]) for comp in components)
+    sizes = tuple(len(comp) for comp in components)
+    index_of = {}
+    for idx, comp in enumerate(components):
+        for s in comp:
+            index_of[s] = idx
+    pairing = []
+    for idx, rep in enumerate(reps):
+        neg = tuple(-x for x in rep)
+        pairing.append((idx, index_of.get(neg, -1)))
+    even = (
+        len(components) % 2 == 0
+        and all(j != i and j != -1 for i, j in pairing)
+    )
+    return ComponentCensus(
+        len(components),
+        reps,
+        sizes,
+        tuple(pairing),
+        even,
+        exp_result.verdict and not exp_result.heuristic,
+        exp_result.heuristic,
+        len(kept),
+        tuple(notes),
+    )
 
 
 def ref_frobenius_test(L: LieAlgebra, trials: int = 64, seed: int = 0):

@@ -24,6 +24,7 @@ from liegrpd.exact import (
     GaussianRational,
     Matrix,
     NumericError,
+    Poly,
     _count_right,
     _remainder_chain,
     charpoly_int,
@@ -543,3 +544,59 @@ class TestPfaffian:
         a = skew_from_upper(4, [0, 2, 3, 5, 7, 11])
         garbage = [[99 if j <= i else x for j, x in enumerate(row)] for i, row in enumerate(a)]
         assert pfaffian_int(garbage) == pfaffian_int(a) == pfaffian_by_matchings(a)
+
+
+# polynomials over Z as dicts {exponent tuple: coefficient}, the oracle for Poly
+_polys = st.dictionaries(st.tuples(*[st.integers(0, 2)] * 3), st.integers(-4, 4), max_size=4)
+
+
+def _as_poly(d):
+    return sum((c * math.prod(Poly.var(i) for i, e in enumerate(m) for _ in range(e))
+                for m, c in d.items()), Poly())
+
+
+def _dict_mul(f, g):
+    out = {}
+    for m, c in f.items():
+        for n, d in g.items():
+            k = tuple(a + b for a, b in zip(m, n))
+            out[k] = out.get(k, 0) + c * d
+    return out
+
+
+class TestPoly:
+    @settings(max_examples=60, deadline=None)
+    @given(_polys, _polys, st.tuples(*[st.integers(-5, 5)] * 3))
+    def test_ring_operations_evaluate_pointwise(self, f, g, point):
+        p, q = _as_poly(f), _as_poly(g)
+        at = lambda d: sum(c * math.prod(x**e for x, e in zip(point, m)) for m, c in d.items())
+        assert (p + q)(point) == at(f) + at(g)
+        assert (p - q)(point) == at(f) - at(g) == -(q - p)(point)
+        assert (p * q)(point) == at(f) * at(g) == (3 * p * q - 2 * (q * p))(point)
+        assert (p * q == _as_poly(_dict_mul(f, g))) and (p - p == 0) and not (p - p)
+        if q:
+            assert (p * q) // q == p
+        if p and q.terms.keys() - {()}:
+            with pytest.raises(ArithmeticError):
+                (p * q + 1) // q
+
+    def test_mixed_with_int_and_derivatives(self):
+        x0, x1 = Poly.var(0), Poly.var(1)
+        p = (x0 + 2 * x1) * (x0 - x1) + 3
+        assert 1 - x0 == -(x0 - 1) and 0 * x0 == 0 and Poly.lift(5) == 5
+        assert p.diff(0) == 2 * x0 + x1 and p.diff(1) == x0 - 4 * x1
+        assert (6 * x0 * x1) // 3 == 2 * x1 * x0
+        with pytest.raises(ArithmeticError):
+            (6 * x0 * x1) // 4
+        with pytest.raises(ArithmeticError):
+            (x0 * x0) // x1
+
+    def test_pfaffian_int_runs_unchanged_on_polys(self):
+        # Pf of the generic 4 x 4 skew matrix is a12 a34 - a13 a24 + a14 a23
+        a = [[0] * 4 for _ in range(4)]
+        for k, (i, j) in enumerate([(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]):
+            a[i][j], a[j][i] = Poly.var(k), -Poly.var(k)
+        v = Poly.var
+        assert pfaffian_int(a) == v(0) * v(5) - v(1) * v(4) + v(2) * v(3)
+        a[0][1] = a[1][0] = 0  # a zero pivot swaps indices
+        assert pfaffian_int(a) == -v(1) * v(4) + v(2) * v(3)
