@@ -50,8 +50,14 @@ directions change with the seed, and on two documents whose spectra floats
 cannot hold: [Y1, Y2] = 10^399 Y2, and R x_A Q^3 with A the companion
 matrix of (t - 10^7)(t - 1)(t - 2).  A ninth runs `roots` and `exptest`
 (JSON) on that companion form and on its diagonal twin, ad(Y1) =
-diag(10^7, 1, 2), whose weights the root search finds exactly.  The
-documents of the second to ninth ladders are written by this script under fixed names in a temporary
+diag(10^7, 1, 2), whose weights the root search finds exactly.  A tenth
+runs `census` (JSON, `--samples 48 --seed 1`) on one Pfaffian of each shape:
+4 linear factors on the sixth ladder's conjugate of (ax+b)^4, a squared
+linear factor on a fixed unimodular conjugate of axb_semidirect_plane, a
+semidefinite quadratic on the sixth ladder's conjugate of realified_borel,
+Pf = 0 on e2 + e2 and an indefinite quadratic cofactor, which leaves the
+probe census, on the Borel of sp(4).  The
+documents of the second to tenth ladders are written by this script under fixed names in a temporary
 directory.  Every path is relative
 (corpus paths to the checkout, the written documents to that directory), so
 two checkouts print comparable lines:
@@ -379,6 +385,24 @@ def run(argv):
     return code, digest
 
 
+def census_docs():
+    """file name -> algebra for the tenth ladder, beside two of `weight_docs`."""
+    return {
+        "axb_semidirect_plane~.json": conjugate(
+            catalog.axb_semidirect_plane(), [(0, 2, 1), (3, 1, -1), (1, 0, 2), (2, 3, 1)]),
+        "e2+e2.json": direct_sum(catalog.euclid2(), catalog.euclid2()),
+        "b(sp4).json": from_brackets(6, {  # H1, H2, E_a, E_b, E_a+b, E_2a+b
+            (0, 2): {2: 1}, (1, 2): {2: -1}, (1, 3): {3: 2}, (0, 4): {4: 1}, (1, 4): {4: 1},
+            (0, 5): {5: 2}, (2, 3): {4: 1}, (2, 4): {5: 1}}),
+    }
+
+
+def tenth_ladder():
+    for name in ("axb^4~.json", "axb_semidirect_plane~.json", "realified_borel~.json",
+                 "e2+e2.json", "b(sp4).json"):
+        yield ["lie", "census", "--in", name, "--samples", "48", "--seed", "1"]
+
+
 def main() -> None:
     os.chdir(ROOT)
     for argv in ladder():
@@ -405,10 +429,13 @@ def main() -> None:
         for name, doc in probed.items():
             Path(name).write_text(json.dumps(doc))
         Path("diagonal_form.json").write_text(json.dumps(DIAGONAL_FORM))
+        for name, L in census_docs().items():
+            Path(name).write_text(json.dumps(algebra_to_json(L)))
         for argv in itertools.chain(sum_ladder(algebras), third_ladder(docs),
                                     fourth_ladder(), fifth_ladder(), sixth_ladder(weighted),
                                     seventh_ladder(grpd_docs),
-                                    probe_ladder([*algebras, *probed]), ninth_ladder()):
+                                    probe_ladder([*algebras, *probed]), ninth_ladder(),
+                                    tenth_ladder()):
             code, digest = run(argv)
             print(f"{' '.join(argv)}\t{code}\t{digest}")
         os.chdir(ROOT)

@@ -280,7 +280,7 @@ def cmd_lie_census(args) -> dict:
         census = open_component_census(L, samples=args.samples, seed=args.seed)
     except ValueError as exc:
         raise InputError(str(exc)) from exc
-    return {
+    report = {
         "input": meta,
         "seed": args.seed,
         "samples_requested": args.samples,
@@ -296,6 +296,10 @@ def cmd_lie_census(args) -> dict:
         "open_orbit_witness": census.representatives[0] if census.representatives else None,
         "notes": list(census.notes),
     }
+    if census.certified_open_orbits is not None:  # absent when uncertified: bytes unchanged
+        report.update(certified_open_orbits=census.certified_open_orbits,
+                      dense_open_orbit=census.dense_open_orbit)
+    return report
 
 
 def cmd_lie_stratify(args) -> dict:

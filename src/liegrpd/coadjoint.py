@@ -5,17 +5,21 @@ per entry of the bracket table.  `_form_values` computes the values from the
 integer table D C (`LieAlgebra.integer_tensor`) at the point times s, so
 every form, rank and kernel comes from the integer form D s B_xi.
 
-The census works on integer sample points and integer Pfaffians: det B =
-Pf(B)^2, so both vanish at the same points.  Two nondegenerate samples are
-joined only when the Pfaffian of the skew form along the straight segment
-between them, an exact polynomial of degree at most dim/2, has no root on the
-segment.  Endpoints whose Pfaffians differ in sign are rejected at once, since
-a sign change forces a root; otherwise the polynomial is interpolated and its
-roots are counted by a Sturm chain, both on integers.
-False merges are therefore impossible: samples from different components
-never share a class, though a connection the straight probes miss can split
-one component into several classes.  The census's first kept sample is
-the open-orbit witness.  The eigenvalue -1 probe is exact too: it reads
+The open orbits are the components of {Pf != 0} (det B = Pf(B)^2).  Up to
+dimension `SYMBOLIC_MAX_DIM` the census first computes Pf as a polynomial,
+running `pfaffian_int` on the symbolic form's `Poly` rows: when it is zero
+there is no open orbit and no sample is drawn.  When `certify_pfaffian` splits it as c * prod l_i^e_i * Q,
+with linear forms l_i and Q constant or semidefinite of rank >= 2, the
+components are the chambers of the arrangement {l_i = 0}: samples are
+classed by their sign vectors, each class is exactly one component, and
+Zaslavsky's theorem counts them all.  Otherwise two integer samples are
+joined only when Pf along the segment between them, an exact polynomial of
+degree at most dim/2, has no root on it: endpoints of opposite sign are
+rejected at once, and otherwise the polynomial is interpolated and its
+roots counted by a Sturm chain, both on integers.  Such a class never spans
+two components, though a connection the straight probes miss can split one
+component into several classes.  On both paths the first kept sample is the
+open-orbit witness.  The eigenvalue -1 probe is exact too: it reads
 the purely imaginary eigenvalues of ad(x) off an integer characteristic
 polynomial, so the module holds no float.
 """
@@ -100,104 +104,92 @@ def isotropy_algebra(L: LieAlgebra, xi: Sequence) -> Subspace:
 # the Pfaffian as a polynomial, and its certified linear factors
 
 
-def pfaffian_poly(L: LieAlgebra):
-    """Pf of the symbolic integer form D B_xi, a homogeneous `Poly` of degree
-    dim/2 in xi, from `pfaffian_int` on `Poly` rows; the zero `Poly` when Pf
-    vanishes identically (odd dimension among others)."""
-    xi = [Poly.var(l) for l in range(L.dim)]
+def pfaffian_poly(L: LieAlgebra) -> Poly:
+    """Pf of the symbolic form D B_xi, homogeneous of degree dim/2 in xi
+    (zero when Pf vanishes identically), by `pfaffian_int` on `Poly` rows."""
+    xi = [Poly({(l,): 1}) for l in range(L.dim)]
     return Poly.lift(pfaffian_int(_form_rows(L, _form_values(L, xi))))
 
 
 @dataclass(frozen=True)
 class PfaffianFactors:
-    """Pf = cofactor * prod forms[i]^exponents[i]: distinct primitive integer
-    linear forms, and a cofactor that is a nonzero constant or a semidefinite
-    quadratic form of rank >= 2, whose zeros lie in a subspace of codimension
-    >= 2.  Removing that subspace leaves each chamber of the arrangement
-    {l_i = 0} connected, so the chambers are the components of {Pf != 0}."""
+    """Pf = cofactor * prod forms[i]^exponents[i], with distinct primitive
+    integer linear forms and a cofactor that is a nonzero constant or a
+    semidefinite quadratic form of rank >= 2.  The cofactor vanishes only on
+    a subspace of codimension >= 2, which leaves each chamber of the
+    arrangement {l_i = 0} connected: the chambers are the components of
+    {Pf != 0}."""
 
     forms: tuple
     exponents: tuple
     cofactor: Poly
 
     def signs(self, w):
-        """The sign vector (l_i(w) > 0) of the point w, or None where Pf(w) = 0."""
+        """The sign vector (l_i(w) > 0) at w, or None where Pf(w) = 0."""
         values = [sum(c * x for c, x in zip(form, w)) for form in self.forms]
-        if 0 in values or not self.cofactor(w):
-            return None
-        return tuple(v > 0 for v in values)
+        return None if 0 in values or not self.cofactor(w) else tuple(v > 0 for v in values)
 
     def chamber_count(self) -> int:
-        """The number of chambers (Zaslavsky): the sum over subsets B of the
-        forms of (-1)^(|B| - rank B), which is 2^m for m independent forms."""
-        return sum((-1) ** (k - len(rref_int(B)[2]))
-                   for k in range(len(self.forms) + 1)
+        """Zaslavsky's count: the sum over subsets B of the forms of
+        (-1)^(|B| - rank B), which is 2^m for m independent forms."""
+        return sum((-1) ** (k - len(rref_int(B)[2])) for k in range(len(self.forms) + 1)
                    for B in itertools.combinations(self.forms, k))
 
 
-_NEG_I_POWERS = (1, zi(0, -1), -1, zi(0, 1))  # (-i)^k
+def certify_pfaffian(P: Poly, n: int):
+    """`PfaffianFactors` of the nonzero homogeneous P in n variables, from the
+    first of three seeded integer lines a + x b that certifies it, or None.
+    a and b are drawn from [-10, 10]^n where P is nonzero, which fails at
+    each draw with probability at most deg P / 21 (Schwartz-Zippel).
 
-
-def _seeded_lines(n: int, count: int = 3):
-    rng = random.Random(0)
-    for _ in range(count):
-        yield [rng.randint(-10, 10) for _ in range(n)], [rng.randint(-10, 10) for _ in range(n)]
-
-
-def certify_pfaffian(P: Poly, n: int, lines=None):
-    """`PfaffianFactors` of the nonzero homogeneous P in n variables, found on
-    the first of the integer `lines` (a, b) that certifies it (by default
-    three seeded lines in [-10, 10]^n), or None when none does.
-
-    On a line a + x b with P(a), P(b) != 0, f = P(a + x b) has degree
-    h = deg P and no root at 0; its integer multiple from `newton_interpolate`
-    at the nodes x = 0..h, made primitive, has the rational roots w / lead of
-    the monic g(y) = lead^(h-1) f(y / lead), whose integer roots w
-    `imaginary_integer_roots` bisects with a Sturm chain (they are the w with
-    g(-i (i w)) = 0).  A root r of multiplicity e is where a factor l^e of P
-    meets the line, when one factor does: there the gradient of the e-1st
-    derivative of P along b is a multiple of l.  Its primitive multiple is
-    accepted only when l^e divides P exactly, and the quotient left after
-    every root must be a nonzero constant or a quadratic form that
-    `_semidefinite_rank` finds semidefinite of rank >= 2.  A root two
-    factors share, or a factor the line misses, fails one of these tests, so
-    a wrong certificate is impossible; the next line is tried instead.
+    The rational roots of f = P(a + x b), with P(a) P(b) != 0, are w / lead
+    for the integer roots w of the monic lead^(h-1) f(y / lead), which
+    `imaginary_integer_roots` finds by Sturm bisection.  Where one factor
+    l^e of P meets the line, at a root of multiplicity e, the gradient of
+    the (e-1)st derivative of P along b is a multiple of l.  That l is kept
+    only if l^e divides P exactly, and the quotient left must be a constant
+    or pass `_semidefinite_rank`.  A root two factors share, or a factor
+    the line misses, fails a test, so the next line is tried instead.
     """
-    h = max(map(len, P.terms))
-    for a, b in lines or _seeded_lines(n):
-        if P(a) and P(b):
-            factors = _split_on_line(P, a, b, h)
-            if factors is not None:
-                return factors
+    rng = random.Random(0)
+    draws = ([rng.randint(-10, 10) for _ in range(n)] for _ in range(60))
+    points = (p for p in draws if P(p))
+    for _, a, b in zip(range(3), points, points):
+        factors = _split_on_line(P, a, b)
+        if factors:
+            return factors
     return None
 
 
-def _split_on_line(P: Poly, a, b, h: int):
+def _split_on_line(P: Poly, a, b):
+    """`PfaffianFactors` found on the line a + x b, or None."""
+    h = max(map(len, P.terms))
+    if not (P(a) and P(b)):
+        return None
     f = newton_interpolate([P([x + k * y for x, y in zip(a, b)]) for k in range(h + 1)])
-    content = math.gcd(*f)
-    f = [c // content for c in f]
+    f = [c // math.gcd(*f) for c in f]
     lead = f[-1]
     monic = [c * lead ** (h - 1 - k) for k, c in enumerate(f[:-1])] + [1]
     rest, forms, exponents = P, [], []
-    for w in imaginary_integer_roots([c * _NEG_I_POWERS[k % 4] for k, c in enumerate(monic)]):
-        r, e, d = Fraction(w, lead), 0, f
-        while poly_eval(d, r) == 0:
+    units = (1, zi(0, -1), -1, zi(0, 1))  # (-i)^k
+    for w in imaginary_integer_roots([c * units[k % 4] for k, c in enumerate(monic)]):
+        e, d, g, r = 0, monic, P, Fraction(w, lead)
+        while poly_eval(d, w) == 0:
             e, d = e + 1, [k * c for k, c in enumerate(d)][1:]
-        g = P
         for _ in range(e - 1):
             g = sum((y * g.diff(i) for i, y in enumerate(b) if y), 0)
-        q = [r.denominator * x + r.numerator * y for x, y in zip(a, b)]
-        grad = [g.diff(j)(q) for j in range(len(a))]
-        if not any(grad):
+        q = [r.denominator * x + r.numerator * y for x, y in zip(a, b)]  # v (a + r b)
+        grad = [g.diff(j)(q) for j in range(len(q))]
+        first = next((x for x in grad if x), 0)
+        if not first:
             return None
-        c = math.gcd(*grad) * (1 if next(x for x in grad if x) > 0 else -1)
-        form = tuple(x // c for x in grad)
+        c = math.gcd(*grad) * (1 if first > 0 else -1)
+        forms.append(tuple(x // c for x in grad))
+        exponents.append(e)
         try:
-            rest //= math.prod([Poly({(j,): x for j, x in enumerate(form) if x})] * e)
+            rest //= math.prod([Poly({(j,): x for j, x in enumerate(forms[-1]) if x})] * e)
         except ArithmeticError:
             return None
-        forms.append(form)
-        exponents.append(e)
     degree = max(map(len, rest.terms))
     if degree == 0 or degree == 2 and _semidefinite_rank(rest, len(a)) >= 2:
         return PfaffianFactors(tuple(forms), tuple(exponents), rest)
@@ -205,36 +197,22 @@ def _split_on_line(P: Poly, a, b, h: int):
 
 
 def _semidefinite_rank(Q: Poly, n: int) -> int:
-    """The rank of the quadratic form Q when an exact LDL^T shows it is
-    semidefinite, else 0.
-
-    The Hessian of Q is eliminated on its diagonal, each step scaled by the
-    pivot's absolute value, so every pivot has the sign of D's entry.  A
-    zero pivot with a nonzero row left makes Q indefinite, since the zero
-    diagonal entry of a semidefinite matrix has a zero row.
-    """
-    a = [[0] * n for _ in range(n)]
-    for (i, j), c in Q.terms.items():
-        a[i][j] += c
-        a[j][i] += c
+    """The rank of the quadratic form Q if an exact LDL^T shows it is
+    semidefinite, else 0.  Its Hessian is eliminated on the diagonal, each
+    step scaled by |pivot|, so the pivots keep the signs of D; a zero pivot
+    with a nonzero row left makes Q indefinite."""
+    a = [[Q.terms.get((min(i, j), max(i, j)), 0) * (1 + (i == j)) for j in range(n)]
+         for i in range(n)]
     signs = []
-    for k in range(n):
-        p = a[k][k]
-        if p == 0:
-            if any(a[k][k + 1:]):
-                return 0
-            continue
-        signs.append(p > 0)
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = abs(p) * a[i][j] - (1 if p > 0 else -1) * a[i][k] * a[k][j]
+    for k, row in enumerate(a):
+        p, s = row[k], 1 if row[k] > 0 else -1
+        if p == 0 and any(row[k + 1:]):
+            return 0
+        if p:
+            signs.append(s)
+            for r in a[k + 1:]:
+                r[k:] = [abs(p) * x - s * r[k] * y for x, y in zip(r[k:], row[k:])]
     return len(signs) if len(set(signs)) == 1 else 0
-
-
-def _always_degenerate(L: LieAlgebra) -> bool:
-    """B_xi is singular for every xi: odd dimension, or a nonzero center z
-    (B_xi(z, .) = xi([z, .]) = 0)."""
-    return L.dim % 2 == 1 or center_of(L).dim > 0
 
 
 # ---------------------------------------------------------------------------
@@ -282,6 +260,12 @@ def _segment_nondegenerate(L: LieAlgebra, a, b, ends=None) -> bool:
     return sturm_root_count(newton_interpolate(values), 0, h) == 0
 
 
+# The census expands Pf only up to this dimension: a dense Pf there has at
+# most C(11, 4) = 330 monomials, while expanding that of a dense conjugate
+# of (ax+b)^5, in dimension 10, takes about 1.7 s on a 2-CPU Xeon VM.
+SYMBOLIC_MAX_DIM = 8
+
+
 @dataclass(frozen=True)
 class ComponentCensus:
     """The classes `open_component_census` found.  `representatives[0]`, when
@@ -297,6 +281,9 @@ class ComponentCensus:
     heuristic_weights: bool
     nondegenerate_samples: int
     notes: tuple
+    certified_open_orbits: int | None = None  # the chamber count of a certified Pf
+    dense_open_orbit: bool | None = None  # that count is 1
+    classes: tuple = ()  # the kept integer samples of each class
 
 
 def open_component_census(L: LieAlgebra, samples: int = 512, seed: int = 0) -> ComponentCensus:
@@ -304,28 +291,39 @@ def open_component_census(L: LieAlgebra, samples: int = 512, seed: int = 0) -> C
 
     Integer points in [-10, 10]^dim, each with its negation, are kept when
     the Pfaffian of the skew form is nonzero, until `samples` are kept or
-    40 * samples points are drawn; connections are established by exact
-    segment probes only.  Probes can miss connections but never create false
-    ones, so each class lies inside one component of the nondegenerate set.
-    No point is drawn when every skew form is singular.
+    40 * samples points are drawn.  Up to dimension `SYMBOLIC_MAX_DIM`, Pf is
+    computed as a polynomial, and no point is drawn when it vanishes
+    identically: then there is no open orbit.  Above it, no point is drawn
+    in odd dimension or with a nonzero center, and probes class the samples.
 
-    Merges only extend earlier classes, so the first kept sample stays the
-    first representative and witnesses an open orbit.  A census that keeps
-    nothing proves nothing: by the Schwartz-Zippel bound a Pfaffian that is
-    not identically zero, a polynomial of degree dim/2, vanishes at each
-    draw with probability at most dim/42, so such misses decay geometrically
-    in the number of draws.
+    When `certify_pfaffian` splits Pf, a sample is kept where no factor
+    vanishes, and the samples are classed by the signs of the linear
+    factors, in order of first appearance: each class is exactly one
+    component, and `certified_open_orbits` counts them all.  Otherwise
+    connections are established by exact segment probes only.  Probes can
+    miss connections but never create false ones, so each class lies inside
+    one component of the nondegenerate set.  Merges only extend earlier
+    classes, so on both paths the first kept sample stays the first
+    representative and witnesses an open orbit.  A nonzero Pf vanishes at
+    each draw with probability at most dim/42 (Schwartz-Zippel).
     """
     if L.field != "Q":
         raise ValueError("the census works over the rational field; realify first")
     m = L.dim
     rng = random.Random(seed)
     exp_result = algebra_is_exponential(L)
+    if m <= SYMBOLIC_MAX_DIM:
+        P = pfaffian_poly(L)
+        factors, degenerate = certify_pfaffian(P, m) if P else None, not P
+    else:  # odd dimension, or a center z: B_xi(z, .) = xi([z, .]) = 0
+        factors, degenerate = None, m % 2 == 1 or center_of(L).dim > 0
+    # a kept sample's class key: its sign vector, or its Pfaffian for the probes
+    key = factors.signs if factors else (lambda w: _det_at(L, w) or None)
     kept = []
-    pf = {}  # kept integer sample -> _det_at value
+    pf = {}  # kept integer sample -> its key
     seen = set()
     attempts = 0
-    budget = 0 if _always_degenerate(L) else 40 * samples
+    budget = 0 if degenerate else 40 * samples
     while len(kept) < samples and attempts < budget:
         attempts += 1
         v = tuple(rng.randint(-10, 10) for _ in range(m))
@@ -333,19 +331,22 @@ def open_component_census(L: LieAlgebra, samples: int = 512, seed: int = 0) -> C
             if w in seen or all(x == 0 for x in w):
                 continue
             seen.add(w)
-            p = _det_at(L, w)
-            if p != 0:
+            k = key(w)
+            if k is not None:
                 kept.append(w)
-                pf[w] = p
+                pf[w] = k
 
     def joins(u, v):
+        if factors:  # one sign vector, one chamber
+            return pf[u] == pf[v]
         return _segment_nondegenerate(L, u, v, (pf[u], pf[v]))
 
-    notes = [
-        f"census from {len(kept)} nondegenerate integer samples;"
-        " no class spans two components (probes are exact), but a missed"
-        " connection can split one component into several classes"
-    ]
+    notes = [f"census from {len(kept)} nondegenerate integer samples; " + (
+        f"Pf is certified as {len(factors.forms)} rational linear factor(s) times a"
+        " cofactor that vanishes only in codimension >= 2, so each class, a sign"
+        " vector of the factors, is exactly one component" if factors else
+        "no class spans two components (probes are exact), but a missed"
+        " connection can split one component into several classes")]
     components: list[list] = []
     for s in kept:
         joined = False
@@ -402,6 +403,7 @@ def open_component_census(L: LieAlgebra, samples: int = 512, seed: int = 0) -> C
         len(components) % 2 == 0
         and all(j != i and j != -1 for i, j in pairing)
     )
+    count = factors.chamber_count() if factors else None
     return ComponentCensus(
         len(components),
         reps,
@@ -412,6 +414,9 @@ def open_component_census(L: LieAlgebra, samples: int = 512, seed: int = 0) -> C
         exp_result.heuristic,
         len(kept),
         tuple(notes),
+        count,
+        None if count is None else count == 1,
+        tuple(map(tuple, components)),
     )
 
 

@@ -6,7 +6,8 @@ rows enter the integer side through `zi_rows`, which scales them to integer or
 Gaussian-integer (`GaussInt`) entries and raises TypeError on a float.  A
 `Matrix` stores such rows N over one positive integer denominator s, in
 lowest terms; its `Fraction` rows are rebuilt only for reports.  Pfaffians,
-interpolation and Sturm counts work on plain integers.  One elimination,
+interpolation and Sturm counts work on plain integers; `pfaffian_int` runs
+unchanged on `Poly`, sparse integer polynomials.  One elimination,
 `rref_int`, serves every echelon form, rank and kernel, over the integers or
 the Gaussian integers; the characteristic polynomials and root searches work
 on them too, with no budget: `least_gaussian_root` bisects real parts by
@@ -17,6 +18,7 @@ numpy when first called, so the exact side never loads it.
 """
 from __future__ import annotations
 
+import heapq
 import math
 import operator
 from dataclasses import dataclass
@@ -523,27 +525,17 @@ def _swap_skew_index(a, k: int, u: int, v: int) -> None:
 # integer polynomials in several variables
 
 
-def _graded(monomial) -> tuple:
-    """Sort key of the graded lex order, x_0 > x_1 > ..., on sorted index tuples."""
-    return len(monomial), [-i for i in monomial]
-
-
 class Poly:
-    """A polynomial over Z in x_0, x_1, ...: a dict from monomials, sorted
-    tuples of variable indices, to nonzero int coefficients.  Mixed freely
-    with `int`, it has what `pfaffian_int` and `rref_int` use: `+`, `-`, `*`,
-    truth, `==` and an exact `//`, which raises ArithmeticError on a nonzero
-    remainder; `p(point)` evaluates and `p.diff(i)` differentiates."""
+    """A polynomial over Z: a dict from monomials, sorted tuples of variable
+    indices, to nonzero int coefficients.  Mixed freely with `int`, it has
+    what `pfaffian_int` and `rref_int` use: `+`, `-`, `*`, truth, `==` and an
+    exact `//`, which raises ArithmeticError on a nonzero remainder."""
 
     __slots__ = ("terms",)
     __hash__ = None
 
     def __init__(self, terms=()):
         self.terms = {m: c for m, c in dict(terms).items() if c}
-
-    @staticmethod
-    def var(i: int) -> "Poly":
-        return Poly({(i,): 1})
 
     @staticmethod
     def lift(x) -> "Poly":
@@ -556,7 +548,7 @@ class Poly:
         return self.terms == Poly.lift(other).terms
 
     def __neg__(self):
-        return Poly({m: -c for m, c in self.terms.items()})
+        return self * -1
 
     def __add__(self, other):
         out = dict(self.terms)
@@ -564,13 +556,8 @@ class Poly:
             out[m] = out.get(m, 0) + c
         return Poly(out)
 
-    __radd__ = __add__
-
     def __sub__(self, other):
-        return self + -Poly.lift(other)
-
-    def __rsub__(self, other):
-        return -self + other
+        return self + other * -1
 
     def __mul__(self, other):
         out = {}
@@ -580,35 +567,38 @@ class Poly:
                 out[k] = out.get(k, 0) + c * d
         return Poly(out)
 
-    __rmul__ = __mul__
+    __radd__, __rmul__ = __add__, __mul__
 
     def __floordiv__(self, other):
-        other, q, r = Poly.lift(other), {}, self
-        lead = max(other.terms, key=_graded)
-        while r:
-            m = max(r.terms, key=_graded)
+        # divide leading terms in the graded lex order, kept by a heap on
+        # (-degree, monomial), whose least key is the greatest monomial
+        order = sorted(Poly.lift(other).terms.items(), key=lambda t: (-len(t[0]), t[0]))
+        (lead, lc), tail, r, q = order[0], order[1:], dict(self.terms), {}
+        heap = sorted((-len(m), m) for m in r)
+        while heap:
+            m = heapq.heappop(heap)[1]
+            c, rem = divmod(r.pop(m), lc)
+            if not (c or rem):
+                continue
             rest = list(m)
             for i in lead:
-                if i not in rest:
-                    raise ArithmeticError("inexact polynomial division")
-                rest.remove(i)
-            c, rem = divmod(r.terms[m], other.terms[lead])
+                rem = rem or i not in rest or rest.remove(i)  # rest = m / x^lead
             if rem:
                 raise ArithmeticError("inexact polynomial division")
             q[tuple(rest)] = c
-            r = r - Poly({tuple(rest): c}) * other
+            for n, d in tail:  # r -= c x^rest other, below m
+                k = tuple(sorted(rest + list(n)))
+                if k not in r:
+                    heapq.heappush(heap, (-len(k), k))
+                r[k] = r.get(k, 0) - c * d
         return Poly(q)
 
     def __call__(self, point):
         return sum(c * math.prod(point[i] for i in m) for m, c in self.terms.items())
 
     def diff(self, i: int) -> "Poly":
-        out = {}
-        for m, c in self.terms.items():
-            if i in m:
-                k = m.index(i)
-                out[m[:k] + m[k + 1:]] = c * m.count(i)
-        return Poly(out)
+        return Poly({m[:m.index(i)] + m[m.index(i) + 1:]: c * m.count(i)
+                     for m, c in self.terms.items() if i in m})
 
 
 # ---------------------------------------------------------------------------

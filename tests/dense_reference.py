@@ -63,7 +63,7 @@ Pfaffian as a polynomial, is moved here unchanged for it.
 `ref_probe_census` is `open_component_census` as it ran before it classed
 the samples of a certified Pfaffian by the signs of its linear factors:
 every input through segment probes.  It is kept unchanged, except for its
-name.
+name and for the `classes` it returns, the kept samples of each class.
 
 `DenseMatrix` is the `Matrix` that `exact.py` kept before it stored scaled
 integer rows: `Fraction` and `GaussianRational` entries with `identity`,
@@ -1967,6 +1967,7 @@ def ref_probe_census(L: LieAlgebra, samples: int = 512, seed: int = 0) -> Compon
         exp_result.heuristic,
         len(kept),
         tuple(notes),
+        classes=tuple(map(tuple, components)),
     )
 
 

@@ -18,12 +18,17 @@ from dense_reference import dense, ref_conjugate, upper
 from liegrpd.catalog import LIE_CATALOG
 from liegrpd.coadjoint import (
     _semidefinite_rank,
+    _split_on_line,
     certify_pfaffian,
     integer_bform,
     pfaffian_poly,
 )
 from liegrpd.exact import Poly, pfaffian_int
 from liegrpd.lie import from_brackets
+
+
+def var(i):
+    return Poly({(i,): 1})
 
 
 def axb_power(k):
@@ -36,24 +41,20 @@ def e2_plus_e2():
 
 
 def aff2():
-    """gl(2) + R^2 (basis E11, E12, E21, E22, X1, X2): Frobenius, and its Pf
-    is an irreducible cubic."""
-    brackets = {}
-    units = [(0, 0), (0, 1), (1, 0), (1, 1)]
-    for a, (i, j) in enumerate(units):
-        for b, (k, l) in enumerate(units):
-            if a < b:  # [E_ij, E_kl] = d_jk E_il - d_li E_kj
-                c = {}
-                if j == k:
-                    c[units.index((i, l))] = c.get(units.index((i, l)), 0) + 1
-                if l == i:
-                    c[units.index((k, j))] = c.get(units.index((k, j)), 0) - 1
-                if any(c.values()):
-                    brackets[(a, b)] = {x: y for x, y in c.items() if y}
-        for k in range(2):  # [E_ij, X_k] = d_jk X_i
-            if j == k:
-                brackets[(a, 4 + k)] = {4 + i: 1}
-    return from_brackets(6, brackets)
+    """gl(2) + R^2 in the basis E11, E12, E21, E22, X1, X2: Frobenius, with
+    an irreducible cubic Pf."""
+    return from_brackets(6, {
+        (0, 1): {1: 1}, (0, 2): {2: -1}, (1, 2): {0: 1, 3: -1}, (1, 3): {1: 1},
+        (2, 3): {2: -1}, (0, 4): {4: 1}, (1, 5): {4: 1}, (2, 4): {5: 1}, (3, 5): {5: 1}})
+
+
+def borel_sp4():
+    """The Borel of sp(4) in the basis H1, H2, E_a, E_b, E_a+b, E_2a+b, with
+    a = e1 - e2 and b = 2 e2: solvable, and Pf = -2 x5 (2 x3 x5 - x4^2),
+    whose quadratic cofactor is indefinite."""
+    return from_brackets(6, {
+        (0, 2): {2: 1}, (1, 2): {2: -1}, (1, 3): {3: 2}, (0, 4): {4: 1}, (1, 4): {4: 1},
+        (0, 5): {5: 2}, (2, 3): {4: 1}, (2, 4): {5: 1}})
 
 
 def conjugated(L, seed):
@@ -64,12 +65,12 @@ def conjugated(L, seed):
 
 BASE = {name: make for name, make in LIE_CATALOG.items() if make().field == "Q"}
 BASE.update({f"axb^{k}": (lambda k=k: axb_power(k)) for k in (2, 3, 4)})
-BASE.update({"e2+e2": e2_plus_e2, "aff2": aff2})
+BASE.update({"e2+e2": e2_plus_e2, "aff2": aff2, "b(sp4)": borel_sp4})
 CASES = dict(BASE)
 CASES.update({f"{name}~{seed}": (lambda make=make, seed=seed: conjugated(make(), seed))
               for name, make in BASE.items() for seed in range(2)})
 VANISHING = ("heisenberg", "e2", "filiform4", "e2+e2")
-UNCERTIFIED = ("aff2",)
+UNCERTIFIED = ("aff2", "b(sp4)")
 
 
 def base(name):
@@ -135,15 +136,26 @@ def test_chamber_counts_on_the_catalog_and_powers():
             assert certify_pfaffian(pfaffian_poly(L), L.dim).chamber_count() == want, case
 
 
+@pytest.mark.parametrize("name, chambers", [("axb^2", 4), ("axb_semidirect_plane", 2),
+                                             ("realified_borel", 1)])
+def test_every_seeded_conjugate_is_certified(name, chambers):
+    # a factor vanishing at a fixed draw must not cost a line: the lines
+    # are drawn through points where Pf is nonzero
+    for seed in range(2, 42):
+        L = conjugated(BASE[name](), seed)
+        factors = certify_pfaffian(pfaffian_poly(L), L.dim)
+        assert factors is not None and factors.chamber_count() == chambers, seed
+
+
 def test_chamber_count_of_dependent_forms():
     # three lines through the origin of the plane cut it into six chambers
-    x0, x1 = Poly.var(0), Poly.var(1)
+    x0, x1 = var(0), var(1)
     P = x0 * x1 * (x0 + x1)
     factors = certify_pfaffian(P, 2)
     assert factors.chamber_count() == 6 and len(factors.forms) == 3
 
 
-x = [Poly.var(i) for i in range(6)]
+x = [var(i) for i in range(6)]
 
 
 class TestRefusals:
@@ -169,7 +181,7 @@ class TestRefusals:
         P = (x[0] - x[1]) * (x[0] - x[1])
         factors = certify_pfaffian(P, 2)
         assert factors.forms == ((1, -1),) and factors.exponents == (2,)
-        assert certify_pfaffian(P, 2, [([1, 0], [1, 1])]) is None
+        assert _split_on_line(P, [1, 0], [1, 1]) is None
         assert _semidefinite_rank(P, 2) == 1
 
     def test_irreducible_cubic_cofactor(self):
@@ -177,8 +189,8 @@ class TestRefusals:
         assert certify_pfaffian(x[0] * cubic, 4) is None
         assert certify_pfaffian(pfaffian_poly(aff2()), 6) is None
 
-    def test_a_shared_root_retries_then_refuses(self):
-        # l1 and l2 vanish at a + b, where the first line meets both
+    def test_a_shared_root_refuses_its_line_and_another_line_certifies(self):
+        # l1 and l2 vanish at a + b, where the line a + x b meets both
         a, b = [3, -1, 2, 5], [1, 4, -2, 1]
         q = [u + v for u, v in zip(a, b)]
         u1, u2 = [2, 1, 0, 3], [-1, 5, 7, 2]
@@ -186,8 +198,8 @@ class TestRefusals:
         forms = [[c * qq - sum(p * s for p, s in zip(u, q)) * s for c, s in zip(u, q)]
                  for u in (u1, u2)]
         P = linear(forms[0]) * linear(forms[1])
-        assert certify_pfaffian(P, 4, [(a, b)]) is None
-        factors = certify_pfaffian(P, 4, [(a, b), ([1, 2, 3, 4], [-2, 0, 1, 3])])
+        assert _split_on_line(P, a, b) is None
+        factors = certify_pfaffian(P, 4)  # the seeded lines meet them apart
         primitive = set()
         for form in forms:
             g = math.gcd(*form) * (1 if next(c for c in form if c) > 0 else -1)
@@ -196,8 +208,9 @@ class TestRefusals:
 
     @pytest.mark.parametrize("seed", range(12))
     def test_shared_roots_never_give_a_wrong_certificate(self, seed):
-        # three forms through one point of the first line, the third squared,
-        # times a definite quadratic: a certificate, when given, is exact
+        # three forms through one point of the line a + x b, the third
+        # squared, times a semidefinite quadratic of rank 2: that line is
+        # refused, and the seeded lines give the exact certificate
         rng = random.Random(seed)
         n = 5
         a, b = ([rng.randint(-4, 4) for _ in range(n)] for _ in range(2))
@@ -211,12 +224,8 @@ class TestRefusals:
             return
         P = linear(forms[0]) * linear(forms[1]) * linear(forms[2]) * linear(forms[2])
         P = P * (x[3] * x[3] + x[4] * x[4])
-        lines = [(a, b)] + list(zip(*[iter([[rng.randint(-9, 9) for _ in range(n)]
-                                           for _ in range(4)])] * 2))
-        assert certify_pfaffian(P, n, lines[:1]) is None
-        factors = certify_pfaffian(P, n, lines)
-        if factors is None:
-            return
+        assert _split_on_line(P, a, b) is None
+        factors = certify_pfaffian(P, n)
         product = factors.cofactor
         for form, e in zip(factors.forms, factors.exponents):
             product = product * math.prod([linear(form)] * e)
