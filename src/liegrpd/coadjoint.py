@@ -8,11 +8,12 @@ every form, rank and kernel comes from the integer form D s B_xi.
 The open orbits are the components of {Pf != 0} (det B = Pf(B)^2).  Up to
 dimension `SYMBOLIC_MAX_DIM` the census first computes Pf as a polynomial,
 running `pfaffian_int` on the symbolic form's `Poly` rows: when it is zero
-there is no open orbit and no sample is drawn.  When `certify_pfaffian` splits it as c * prod l_i^e_i * Q,
-with linear forms l_i and Q constant or semidefinite of rank >= 2, the
-components are the chambers of the arrangement {l_i = 0}: samples are
-classed by their sign vectors, each class is exactly one component, and
-Zaslavsky's theorem counts them all.  Otherwise two integer samples are
+there is no open orbit and no sample is drawn.  When `certify_pfaffian`
+splits it as c * prod l_i^e_i * Q, with linear forms l_i and Q constant or
+semidefinite of rank >= 2, the components are the chambers of the
+arrangement {l_i = 0}: samples are classed by their sign vectors, each
+class is exactly one component, and Zaslavsky's theorem counts them all.
+Otherwise, and above that dimension, two integer samples are
 joined only when Pf along the segment between them, an exact polynomial of
 degree at most dim/2, has no root on it: endpoints of opposite sign are
 rejected at once, and otherwise the polynomial is interpolated and its
@@ -162,12 +163,11 @@ def certify_pfaffian(P: Poly, n: int):
 
 
 def _split_on_line(P: Poly, a, b):
-    """`PfaffianFactors` found on the line a + x b, or None."""
+    """`PfaffianFactors` found on the line a + x b, P(a), P(b) != 0, or None."""
     h = max(map(len, P.terms))
-    if not (P(a) and P(b)):
-        return None
     f = newton_interpolate([P([x + k * y for x, y in zip(a, b)]) for k in range(h + 1)])
-    f = [c // math.gcd(*f) for c in f]
+    content = math.gcd(*f)
+    f = [c // content for c in f]
     lead = f[-1]
     monic = [c * lead ** (h - 1 - k) for k, c in enumerate(f[:-1])] + [1]
     rest, forms, exponents = P, [], []

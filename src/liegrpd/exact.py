@@ -527,9 +527,10 @@ def _swap_skew_index(a, k: int, u: int, v: int) -> None:
 
 class Poly:
     """A polynomial over Z: a dict from monomials, sorted tuples of variable
-    indices, to nonzero int coefficients.  Mixed freely with `int`, it has
-    what `pfaffian_int` and `rref_int` use: `+`, `-`, `*`, truth, `==` and an
-    exact `//`, which raises ArithmeticError on a nonzero remainder."""
+    indices, to nonzero int coefficients.  It has what `pfaffian_int` and
+    `rref_int` use, with `int` operands anywhere but left of `-` and `//`:
+    `+`, `-`, `*`, truth, `==` and an exact `//`, which raises
+    ArithmeticError on a nonzero remainder."""
 
     __slots__ = ("terms",)
     __hash__ = None

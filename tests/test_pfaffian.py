@@ -175,13 +175,11 @@ class TestRefusals:
         assert certify_pfaffian(Q, 3).forms == ()
 
     def test_rank_one_cofactor(self):
-        # a square factor is split off with its exponent; a line parallel to
-        # its hyperplane (P(b) = 0) is skipped, and a rank-1 quadratic
-        # cofactor would not be accepted
+        # a square factor is split off with its exponent, and a rank-1
+        # quadratic cofactor would not be accepted
         P = (x[0] - x[1]) * (x[0] - x[1])
         factors = certify_pfaffian(P, 2)
         assert factors.forms == ((1, -1),) and factors.exponents == (2,)
-        assert _split_on_line(P, [1, 0], [1, 1]) is None
         assert _semidefinite_rank(P, 2) == 1
 
     def test_irreducible_cubic_cofactor(self):
@@ -198,7 +196,7 @@ class TestRefusals:
         forms = [[c * qq - sum(p * s for p, s in zip(u, q)) * s for c, s in zip(u, q)]
                  for u in (u1, u2)]
         P = linear(forms[0]) * linear(forms[1])
-        assert _split_on_line(P, a, b) is None
+        assert P(a) and P(b) and _split_on_line(P, a, b) is None
         factors = certify_pfaffian(P, 4)  # the seeded lines meet them apart
         primitive = set()
         for form in forms:
@@ -224,7 +222,7 @@ class TestRefusals:
             return
         P = linear(forms[0]) * linear(forms[1]) * linear(forms[2]) * linear(forms[2])
         P = P * (x[3] * x[3] + x[4] * x[4])
-        assert _split_on_line(P, a, b) is None
+        assert P(a) and P(b) and _split_on_line(P, a, b) is None
         factors = certify_pfaffian(P, n)
         product = factors.cofactor
         for form, e in zip(factors.forms, factors.exponents):
