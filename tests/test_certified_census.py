@@ -31,7 +31,7 @@ CERTIFIED = [f"{name}{tag}" for name in CHAMBERS for tag in ("", "~0", "~1")]
 
 @pytest.mark.parametrize("samples", [32, 128, 512])
 @pytest.mark.parametrize("name", CERTIFIED)
-def test_sign_classes_refine_nothing_and_merge_probe_classes(name, samples, monkeypatch):
+def test_sign_classes_keep_the_samples_and_merge_probe_classes(name, samples, monkeypatch):
     L = CASES[name]()
     reference = ref_probe_census(L, samples=samples, seed=1)
     with monkeypatch.context() as patch:
@@ -55,21 +55,20 @@ def test_sign_classes_refine_nothing_and_merge_probe_classes(name, samples, monk
     assert census.component_sizes == tuple(map(len, census.classes))
 
 
-def test_the_report_gains_the_certified_keys(tmp_path):
-    for make, count, dense in ((axb_semidirect_plane, 2, False), (realified_borel, 1, True)):
-        doc = tmp_path / "alg.json"
-        doc.write_text(json.dumps(algebra_to_json(make())))
-        out = tmp_path / "out.json"
-        assert main(["lie", "census", "--in", str(doc), "--samples", "32", "--out", str(out)]) == 0
-        report = json.loads(out.read_text())
-        assert (report["certified_open_orbits"], report["dense_open_orbit"]) == (count, dense)
-        assert "exactly one component" in report["notes"][0]
-
-
 def _report(argv, tmp_path, name):
     out = tmp_path / name
     assert main(argv + ["--out", str(out)]) == 0
     return out.read_bytes()
+
+
+def test_the_report_gains_the_certified_keys(tmp_path):
+    for make, count, dense in ((axb_semidirect_plane, 2, False), (realified_borel, 1, True)):
+        doc = tmp_path / "alg.json"
+        doc.write_text(json.dumps(algebra_to_json(make())))
+        argv = ["lie", "census", "--in", str(doc), "--samples", "32"]
+        report = json.loads(_report(argv, tmp_path, "out.json"))
+        assert (report["certified_open_orbits"], report["dense_open_orbit"]) == (count, dense)
+        assert "exactly one component" in report["notes"][0]
 
 
 @pytest.mark.parametrize("fmt", ["json", "text"])
