@@ -5,24 +5,18 @@ per entry of the bracket table.  `_form_values` computes the values from the
 integer table D C (`LieAlgebra.integer_tensor`) at the point times s, so
 every form, rank and kernel comes from the integer form D s B_xi.
 
-The open orbits are the components of {Pf != 0} (det B = Pf(B)^2).  Up to
-dimension `SYMBOLIC_MAX_DIM` the census first computes Pf as a polynomial,
-running `pfaffian_int` on the symbolic form's `Poly` rows: when it is zero
-there is no open orbit and no sample is drawn.  When `certify_pfaffian`
-splits it as c * prod l_i^e_i * Q, with linear forms l_i and Q constant or
-semidefinite of rank >= 2, the components are the chambers of the
-arrangement {l_i = 0}: samples are classed by their sign vectors, each
-class is exactly one component, and Zaslavsky's theorem counts them all.
-Otherwise, and above that dimension, two integer samples are
-joined only when Pf along the segment between them, an exact polynomial of
-degree at most dim/2, has no root on it: endpoints of opposite sign are
-rejected at once, and otherwise the polynomial is interpolated and its
-roots counted by a Sturm chain, both on integers.  Such a class never spans
-two components, though a connection the straight probes miss can split one
-component into several classes.  On both paths the first kept sample is the
-open-orbit witness.  The eigenvalue -1 probe is exact too: it reads
-the purely imaginary eigenvalues of ad(x) off an integer characteristic
-polynomial, so the module holds no float.
+The open orbits are the components of {Pf != 0} (det B = Pf(B)^2).  Within
+`PF_TERM_BUDGET` the census runs `pfaffian_int` on the symbolic form's `Poly`
+rows; Pf = 0 means no open orbit.  When `certify_pfaffian` splits Pf into
+linear forms l_i and a cofactor that vanishes only in codimension >= 2, the
+components are the chambers of {l_i = 0}: samples are classed by their sign
+vectors.  Otherwise two integer samples are joined only when Pf, an exact
+polynomial of degree dim/2 along the segment between them, has no root on it
+(opposite signs at the ends, or a Sturm count on integers).  A probe class
+never spans two components, but a missed connection can split one.  The first
+kept sample is the open-orbit witness.  The eigenvalue -1 probe is exact too:
+it reads the purely imaginary eigenvalues of ad(x) off an integer
+characteristic polynomial, so the module holds no float.
 """
 from __future__ import annotations
 
@@ -114,12 +108,10 @@ def pfaffian_poly(L: LieAlgebra) -> Poly:
 
 @dataclass(frozen=True)
 class PfaffianFactors:
-    """Pf = cofactor * prod forms[i]^exponents[i], with distinct primitive
-    integer linear forms and a cofactor that is a nonzero constant or a
-    semidefinite quadratic form of rank >= 2.  The cofactor vanishes only on
-    a subspace of codimension >= 2, which leaves each chamber of the
-    arrangement {l_i = 0} connected: the chambers are the components of
-    {Pf != 0}."""
+    """Pf = cofactor * prod forms[i]^exponents[i]: distinct primitive integer
+    linear forms, and a nonzero constant or semidefinite quadratic of rank
+    >= 2, which vanishes only in codimension >= 2, so the chambers of
+    {l_i = 0} are the components of {Pf != 0}."""
 
     forms: tuple
     exponents: tuple
@@ -138,33 +130,35 @@ class PfaffianFactors:
 
 
 def certify_pfaffian(P: Poly, n: int):
-    """`PfaffianFactors` of the nonzero homogeneous P in n variables, from the
-    first of three seeded integer lines a + x b that certifies it, or None.
-    a and b are drawn from [-10, 10]^n where P is nonzero, which fails at
-    each draw with probability at most deg P / 21 (Schwartz-Zippel).
+    """`PfaffianFactors` of the nonzero homogeneous P in n variables, or None.
 
-    The rational roots of f = P(a + x b), with P(a) P(b) != 0, are w / lead
-    for the integer roots w of the monic lead^(h-1) f(y / lead), which
-    `imaginary_integer_roots` finds by Sturm bisection.  Where one factor
-    l^e of P meets the line, at a root of multiplicity e, the gradient of
-    the (e-1)st derivative of P along b is a multiple of l.  That l is kept
-    only if l^e divides P exactly, and the quotient left must be a constant
-    or pass `_semidefinite_rank`.  A root two factors share, or a factor
-    the line misses, fails a test, so the next line is tried instead.
+    a and b are drawn from [-10, 10]^n where P != 0.  On the line a + x b
+    every rational linear factor l^e of P has a rational root of multiplicity
+    e, unless another factor vanishes there too; then `_split_on_line` fails
+    and the next line is tried, three at most.  Once it succeeds, the
+    cofactor left has no rational linear factor, so no line would change it.
     """
     rng = random.Random(0)
     draws = ([rng.randint(-10, 10) for _ in range(n)] for _ in range(60))
     points = (p for p in draws if P(p))
     for _, a, b in zip(range(3), points, points):
-        factors = _split_on_line(P, a, b)
-        if factors:
-            return factors
+        split = _split_on_line(P, a, b)
+        if split:
+            forms, exponents, rest = split
+            degree = max(map(len, rest.terms))
+            if degree == 0 or degree == 2 and _semidefinite_rank(rest, n) >= 2:
+                return PfaffianFactors(forms, exponents, rest)
+            return None
     return None
 
 
 def _split_on_line(P: Poly, a, b):
-    """`PfaffianFactors` found on the line a + x b, P(a), P(b) != 0, or None."""
-    h = max(map(len, P.terms))
+    """(forms, exponents, P / prod forms^exponents) from the rational roots of
+    f = P(a + x b), P(a) P(b) != 0, or None.  At a root of multiplicity e the
+    gradient of the (e-1)st derivative of P along b is a multiple of the
+    factor l, kept only if l^e divides P exactly."""
+    h = max(map(len, P.terms))  # the rational roots are w / lead, w the integer
+    # roots of the monic lead^(h-1) f(y / lead), found by Sturm bisection
     f = newton_interpolate([P([x + k * y for x, y in zip(a, b)]) for k in range(h + 1)])
     content = math.gcd(*f)
     f = [c // content for c in f]
@@ -190,10 +184,7 @@ def _split_on_line(P: Poly, a, b):
             rest //= math.prod([Poly({(j,): x for j, x in enumerate(forms[-1]) if x})] * e)
         except ArithmeticError:
             return None
-    degree = max(map(len, rest.terms))
-    if degree == 0 or degree == 2 and _semidefinite_rank(rest, len(a)) >= 2:
-        return PfaffianFactors(tuple(forms), tuple(exponents), rest)
-    return None
+    return tuple(forms), tuple(exponents), rest
 
 
 def _semidefinite_rank(Q: Poly, n: int) -> int:
@@ -260,10 +251,11 @@ def _segment_nondegenerate(L: LieAlgebra, a, b, ends=None) -> bool:
     return sturm_root_count(newton_interpolate(values), 0, h) == 0
 
 
-# The census expands Pf only up to this dimension: a dense Pf there has at
-# most C(11, 4) = 330 monomials, while expanding that of a dense conjugate
-# of (ax+b)^5, in dimension 10, takes about 1.7 s on a 2-CPU Xeon VM.
-SYMBOLIC_MAX_DIM = 8
+# Pf is expanded when C(v + h, h), which bounds its terms and those of every
+# entry `pfaffian_int` makes (degree <= h = dim/2 in the v coordinates the
+# bracket reaches), is at most this: 84 in dense dimension 6, a 2 ms expansion;
+# 495 in dense dimension 8 takes 70 ms (BENCH_39.json, "expansion_cut").
+PF_TERM_BUDGET = 84
 
 
 @dataclass(frozen=True)
@@ -283,7 +275,6 @@ class ComponentCensus:
     notes: tuple
     certified_open_orbits: int | None = None  # the chamber count of a certified Pf
     dense_open_orbit: bool | None = None  # that count is 1
-    classes: tuple = ()  # the kept integer samples of each class
 
 
 def open_component_census(L: LieAlgebra, samples: int = 512, seed: int = 0) -> ComponentCensus:
@@ -291,32 +282,27 @@ def open_component_census(L: LieAlgebra, samples: int = 512, seed: int = 0) -> C
 
     Integer points in [-10, 10]^dim, each with its negation, are kept when
     the Pfaffian of the skew form is nonzero, until `samples` are kept or
-    40 * samples points are drawn.  Up to dimension `SYMBOLIC_MAX_DIM`, Pf is
-    computed as a polynomial, and no point is drawn when it vanishes
-    identically: then there is no open orbit.  Above it, no point is drawn
-    in odd dimension or with a nonzero center, and probes class the samples.
-
-    When `certify_pfaffian` splits Pf, a sample is kept where no factor
-    vanishes, and the samples are classed by the signs of the linear
-    factors, in order of first appearance: each class is exactly one
-    component, and `certified_open_orbits` counts them all.  Otherwise
-    connections are established by exact segment probes only.  Probes can
-    miss connections but never create false ones, so each class lies inside
-    one component of the nondegenerate set.  Merges only extend earlier
-    classes, so on both paths the first kept sample stays the first
-    representative and witnesses an open orbit.  A nonzero Pf vanishes at
-    each draw with probability at most dim/42 (Schwartz-Zippel).
+    40 * samples points are drawn; none is drawn when Pf = 0 (within
+    `PF_TERM_BUDGET`) or, beyond it, when the center is nonzero.  Where
+    `certify_pfaffian` splits Pf, each class is the kept samples of one sign
+    vector, exactly one component, and `certified_open_orbits` counts them
+    all.  Otherwise exact segment probes join samples: they can miss
+    connections but never create false ones.  Merges only extend earlier
+    classes, so the first kept sample stays the first representative and
+    witnesses an open orbit.  A nonzero Pf vanishes at each draw with
+    probability at most dim/42 (Schwartz-Zippel).
     """
     if L.field != "Q":
         raise ValueError("the census works over the rational field; realify first")
     m = L.dim
     rng = random.Random(seed)
     exp_result = algebra_is_exponential(L)
-    if m <= SYMBOLIC_MAX_DIM:
+    h, reached = m // 2, {l for _, _, terms in L.integer_tensor for l, _ in terms}
+    if m % 2 or math.comb(len(reached) + h, h) <= PF_TERM_BUDGET:  # odd: Pf = 0 at once
         P = pfaffian_poly(L)
         factors, degenerate = certify_pfaffian(P, m) if P else None, not P
-    else:  # odd dimension, or a center z: B_xi(z, .) = xi([z, .]) = 0
-        factors, degenerate = None, m % 2 == 1 or center_of(L).dim > 0
+    else:  # a center z: B_xi(z, .) = xi([z, .]) = 0
+        factors, degenerate = None, center_of(L).dim > 0
     # a kept sample's class key: its sign vector, or its Pfaffian for the probes
     key = factors.signs if factors else (lambda w: _det_at(L, w) or None)
     kept = []
@@ -416,7 +402,6 @@ def open_component_census(L: LieAlgebra, samples: int = 512, seed: int = 0) -> C
         tuple(notes),
         count,
         None if count is None else count == 1,
-        tuple(map(tuple, components)),
     )
 
 

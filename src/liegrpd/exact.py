@@ -527,10 +527,9 @@ def _swap_skew_index(a, k: int, u: int, v: int) -> None:
 
 class Poly:
     """A polynomial over Z: a dict from monomials, sorted tuples of variable
-    indices, to nonzero int coefficients.  It has what `pfaffian_int` and
-    `rref_int` use, with `int` operands anywhere but left of `-` and `//`:
-    `+`, `-`, `*`, truth, `==` and an exact `//`, which raises
-    ArithmeticError on a nonzero remainder."""
+    indices, to nonzero ints.  It has what `pfaffian_int` uses (`int` operands
+    may stand anywhere but left of `-` and `//`, which is exact and raises
+    ArithmeticError on a remainder), evaluation `p(point)` and `diff`."""
 
     __slots__ = ("terms",)
     __hash__ = None
@@ -571,24 +570,24 @@ class Poly:
     __radd__, __rmul__ = __add__, __mul__
 
     def __floordiv__(self, other):
-        # divide leading terms in the graded lex order, kept by a heap on
-        # (-degree, monomial), whose least key is the greatest monomial
-        order = sorted(Poly.lift(other).terms.items(), key=lambda t: (-len(t[0]), t[0]))
-        (lead, lc), tail, r, q = order[0], order[1:], dict(self.terms), {}
+        # cancel leading monomials in graded lex order: least (-degree, monomial) first
+        (lead, lc), *tail = sorted(Poly.lift(other).terms.items(),
+                                   key=lambda t: (-len(t[0]), t[0]))
+        r, q = dict(self.terms), {}
         heap = sorted((-len(m), m) for m in r)
         while heap:
             m = heapq.heappop(heap)[1]
             c, rem = divmod(r.pop(m), lc)
-            if not (c or rem):
+            if not (c or rem):  # cancelled
                 continue
             rest = list(m)
-            for i in lead:
-                rem = rem or i not in rest or rest.remove(i)  # rest = m / x^lead
+            for i in lead:  # rest = m / lead, or rem is set
+                rem = rem or i not in rest or rest.remove(i)
             if rem:
                 raise ArithmeticError("inexact polynomial division")
-            q[tuple(rest)] = c
-            for n, d in tail:  # r -= c x^rest other, below m
-                k = tuple(sorted(rest + list(n)))
+            q[rest := tuple(rest)] = c
+            for n, d in tail:  # r -= c x^rest * tail, whose monomials are below m
+                k = tuple(sorted(rest + n))
                 if k not in r:
                     heapq.heappush(heap, (-len(k), k))
                 r[k] = r.get(k, 0) - c * d

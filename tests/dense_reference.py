@@ -60,10 +60,12 @@ beside the census before it took the witness from the census's own first
 kept sample; it is kept unchanged.  `_always_degenerate`, the odd-dimension
 and center test by which the census drew no sample before it computed the
 Pfaffian as a polynomial, is moved here unchanged for it.
-`ref_probe_census` is `open_component_census` as it ran before it classed
+`ref_probe_classes` is `open_component_census` as it ran before it classed
 the samples of a certified Pfaffian by the signs of its linear factors:
 every input through segment probes.  It is kept unchanged, except for its
-name and for the `classes` it returns, the kept samples of each class.
+name and for returning, beside the census, the kept samples in the order
+they were kept and the kept samples of each class; `ref_probe_census`
+returns the census alone.
 
 `DenseMatrix` is the `Matrix` that `exact.py` kept before it stored scaled
 integer rows: `Fraction` and `GaussianRational` entries with `identity`,
@@ -1855,6 +1857,10 @@ def _always_degenerate(L: LieAlgebra) -> bool:
 
 
 def ref_probe_census(L: LieAlgebra, samples: int = 512, seed: int = 0) -> ComponentCensus:
+    return ref_probe_classes(L, samples, seed)[0]
+
+
+def ref_probe_classes(L: LieAlgebra, samples: int = 512, seed: int = 0):
     """Census of connected components of the nondegenerate set.
 
     Integer points in [-10, 10]^dim, each with its negation, are kept when
@@ -1967,8 +1973,7 @@ def ref_probe_census(L: LieAlgebra, samples: int = 512, seed: int = 0) -> Compon
         exp_result.heuristic,
         len(kept),
         tuple(notes),
-        classes=tuple(map(tuple, components)),
-    )
+    ), kept, components
 
 
 def ref_frobenius_test(L: LieAlgebra, trials: int = 64, seed: int = 0):

@@ -15,6 +15,7 @@ import pytest
 import sympy
 
 from dense_reference import dense, ref_conjugate, upper
+from liegrpd import coadjoint
 from liegrpd.catalog import LIE_CATALOG
 from liegrpd.coadjoint import (
     _semidefinite_rank,
@@ -186,6 +187,25 @@ class TestRefusals:
         cubic = x[1] * x[1] * x[2] - x[3] * x[3] * x[3] + x[1] * x[3] * x[2]
         assert certify_pfaffian(x[0] * cubic, 4) is None
         assert certify_pfaffian(pfaffian_poly(aff2()), 6) is None
+
+    @pytest.mark.parametrize("name", ["aff2", "b(sp4)", "aff2~0", "b(sp4)~1"])
+    def test_the_first_line_that_splits_decides(self, name, monkeypatch):
+        # once every rational linear factor is divided out, the cofactor is
+        # the same on every line, so a refused cofactor ends the search
+        L = CASES[name]()
+        P, rng, cofactors = pfaffian_poly(L), random.Random(5), set()
+        for _ in range(12):
+            a, b = ([rng.randint(-9, 9) for _ in range(L.dim)] for _ in range(2))
+            split = P(a) and P(b) and _split_on_line(P, a, b)
+            if split:
+                cofactors.add((split[:2], tuple(sorted(split[2].terms.items()))))
+        assert len(cofactors) == 1
+        results = []
+        real = coadjoint._split_on_line
+        monkeypatch.setattr(coadjoint, "_split_on_line",
+                            lambda *line: results.append(real(*line)) or results[-1])
+        assert certify_pfaffian(P, L.dim) is None
+        assert results[-1] is not None and not any(results[:-1])
 
     def test_a_shared_root_refuses_its_line_and_another_line_certifies(self):
         # l1 and l2 vanish at a + b, where the line a + x b meets both
