@@ -52,6 +52,7 @@ from liegrpd.lie import (
 )
 from liegrpd import strata
 from liegrpd.strata import (
+    GRID_RADIUS,
     _adapted_columns,
     _certify_tables,
     _integer_tables,
@@ -557,6 +558,49 @@ class TestJumpSetsAgainstRankCheckedReference:
             jumps = jump_indices(L, flag, xi, columns, tables)
             assert jumps == ref_jump_indices(L, flag, xi, ref_columns)
             assert len(jumps) == len(rref_int(integer_bform(L, xi))[2])
+
+
+def _grid_inputs():
+    """(id, algebra): `JUMP_INPUTS`, the rescaled filiform5 (rational
+    constants on the 3,125-point grid) and abelian algebras, whose tables are
+    empty."""
+    return JUMP_INPUTS + [("filiform5*", rescale(filiform5(), RATIONAL_FACTORS)),
+                          ("abelian1", abelian(1)), ("abelian4", abelian(4))]
+
+
+GRID_INPUTS = _grid_inputs()
+
+
+def _wide_filiform4():
+    """filiform4 with [Y1, Y2] = 2^64 Y3, with [Y1, Y3] = 2^64 Y4, and a
+    seeded conjugate of the first: the grid's entries of B_p F reach 2^65 in
+    one slot and stay small in the other, so any fixed 64-bit slot lets the
+    layers ξ3 != 0 = ξ4 and ξ4 != 0 share a packed value."""
+    one, big = Q(1), Q(2 ** 64)
+    first = rescale(filiform4(), (one, big, one, one))
+    second = rescale(filiform4(), (one, one, one, 1 / big))
+    return [("f4_wide_Y3", first), ("f4_wide_Y4", second), ("f4_wide_Y3~", conjugate(first, 5))]
+
+
+WIDE_INPUTS = _wide_filiform4()
+
+
+class TestStratificationAgainstPointwiseReference:
+    @pytest.mark.parametrize("name,L", GRID_INPUTS, ids=[n for n, _ in GRID_INPUTS])
+    def test_layers_counts_and_first_representatives(self, name, L):
+        """The layers, each layer's count and its first point equal those of
+        `ref_jump_indices` at every grid (or sample) point."""
+        got = coadjoint_stratification(L)
+        assert got.exhaustive == (L.dim <= 5)
+        assert got == ref_coadjoint_stratification(L)
+
+    @pytest.mark.parametrize("name,L", WIDE_INPUTS, ids=[n for n, _ in WIDE_INPUTS])
+    def test_entries_beyond_64_bits(self, name, L):
+        tables = _integer_tables(L, _adapted_columns(jordan_holder_flag(L)))
+        assert max(abs(c) for prod in tables for _, _, c in prod) * GRID_RADIUS > 2 ** 63
+        got = coadjoint_stratification(L)
+        assert got.exhaustive and len(got.strata) == 3
+        assert got == ref_coadjoint_stratification(L)
 
 
 class TestChecksCanFail:
