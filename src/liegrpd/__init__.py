@@ -20,8 +20,7 @@ _EXPORTS = {
                 "algebra_roots", "exponential_type_test", "module_weights"),
     "coadjoint": ("ComponentCensus", "bform", "isotropy_algebra",
                   "minus_one_probe", "open_component_census", "orbit_dimension"),
-    "strata": ("coadjoint_stratification", "jordan_holder_flag", "jump_indices",
-               "stratify_module"),
+    "strata": ("coadjoint_stratification", "jordan_holder_flag", "jump_indices"),
     "rootsystems": ("build_root_system", "cascade_classification", "kostant_cascade",
                     "open_orbit_rank_test"),
     "groupoids": ("AxiomError", "FiniteGroup", "FiniteGroupAction", "FiniteGroupoid",

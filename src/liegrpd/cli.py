@@ -530,14 +530,20 @@ def cmd_grpd_regrep(args) -> dict:
 # parser
 
 
-def _positive_int(text: str) -> int:
-    """An argparse type: a positive integer."""
+# seeded samples are distinct points of [-9, 9]^dim, and the census draws up
+# to 40 points per sample, so `--samples` has a limit
+MAX_SAMPLES = 100_000
+
+
+def _sample_count(text: str) -> int:
+    """An argparse type: a positive integer of at most MAX_SAMPLES."""
     try:
-        if int(text) >= 1:
+        if 1 <= int(text) <= MAX_SAMPLES:
             return int(text)
     except ValueError:
         pass
-    raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    raise argparse.ArgumentTypeError(
+        f"expected a positive integer of at most {MAX_SAMPLES}, got {text!r}")
 
 
 def _add_io_flags(p, source=True):
@@ -551,7 +557,7 @@ def _add_io_flags(p, source=True):
 # every other flag, registered only on the subcommands that read it
 _FLAGS = {
     "--seed": dict(type=int, default=0),
-    "--samples": dict(type=_positive_int, default=512),
+    "--samples": dict(type=_sample_count, default=512),
     "--point": dict(required=True, help="comma-separated rational coordinates"),
     "--object": dict(required=True, help="base object label"),
 }

@@ -154,6 +154,13 @@ from the `Fraction` rows of the flag, and for the Q(i) form, which
 per-point skew-form rank check that `strata.jump_indices` replaced by a
 certificate of its tables.
 
+`stratify_module`, `orbit_tangent_rank`, `point_isotropy` (with `_orbit_rows`,
+`_tangent_rank`, `ModuleStratum` and `ModuleStratification`) are the module
+orbit layers that `strata.py` kept after only tests reached them: one orbit
+dimension per line through the origin, with openness probes at each layer's
+first point.  They are kept unchanged, except that `stratify_module` makes
+a list of the grid, which `_sample_points` now gives as an iterator.
+
 `basis_vector(L, i)` is the `Fraction` basis vector that `LieAlgebra` kept
 as a method after no module of the package called it, and
 `realify_subspace` the real span of a complex subspace that `lie.py` kept
@@ -204,12 +211,14 @@ from liegrpd.groupoids import (
     canonical_sections,
 )
 from liegrpd.groupoid_ids import PullbackIds, chunks
-from liegrpd.lie import LieAlgebra, LieModule, Subspace, ad_matrix, center_of
+from liegrpd.lie import LieAlgebra, LieModule, Subspace, ad_matrix, center_of, checked_subalgebra
 from liegrpd.strata import (
     GRID_RADIUS,
     SAMPLE_BOUND,
     CoadjointStratification,
     CoadjointStratum,
+    _layers_by_line,
+    _sample_points,
     index_order_leq,
     jordan_holder_flag,
 )
@@ -2209,6 +2218,93 @@ def ref_coadjoint_stratification(
 # leaves |exp(t mu) + 1| below 2e-48, Jordan blocks included, and every
 # other grid point keeps it above 3e-9 (the near misses)
 MINUS_ONE_GAP = mpmath.mpf(10) ** -12
+
+
+# ---------------------------------------------------------------------------
+# module orbit layers, as `strata` ran them
+
+
+@dataclass(frozen=True)
+class ModuleStratum:
+    orbit_dim: int
+    isotropy_dim: int
+    sample_count: int
+    representative: tuple
+    isotropy_basis: tuple  # basis of the stabilizer subalgebra at the representative
+    open_layer: bool  # top layer whose perturbation probes stay in the layer
+
+
+@dataclass(frozen=True)
+class ModuleStratification:
+    algebra_dim: int
+    module_dim: int
+    generic_dim: int
+    strata: tuple  # ModuleStratum, descending orbit dimension
+    exhaustive: bool
+    notes: tuple
+
+
+def _orbit_rows(ints, v) -> list:
+    """The matrix of x -> a(x) v, one column per basis element, as integer
+    rows: a positive multiple of it, with the same rank and kernel.  `ints`
+    are the action matrices' integer rows, `common_denominator(M.actions)`."""
+    w = zi_rows([v])[1][0]
+    return list(zip(*([sum(x * y for x, y in zip(row, w) if x) for row in a] for a in ints)))
+
+
+def _tangent_rank(ints, v) -> int:
+    return len(rref_int(_orbit_rows(ints, v))[2])
+
+
+def orbit_tangent_rank(M: LieModule, v) -> int:
+    """Dimension of the orbit through v: rank of x -> a(x) v."""
+    return _tangent_rank(common_denominator(M.actions)[1], v)
+
+
+def point_isotropy(M: LieModule, v) -> Subspace:
+    """Stabilizer subalgebra {x : a(x) v = 0}; verified closed under bracket."""
+    kernel, _, _ = kernel_int(_orbit_rows(common_denominator(M.actions)[1], v), M.algebra.dim)
+    return checked_subalgebra(M.algebra, kernel, "point stabilizer")
+
+
+def stratify_module(
+    M: LieModule, samples: int = 400, seed: int = 0
+) -> ModuleStratification:
+    """Layer module points by orbit dimension with openness probes.
+
+    Each layer representative is perturbed by +/- 1/16 along every coordinate;
+    rank lower semicontinuity demands the perturbed dimension never drops
+    below the layer on a small enough step, and the top layer is flagged open
+    when all its probes stay in the layer.
+    """
+    pts, exhaustive = _sample_points(M.dim, samples, seed)
+    pts = list(pts)
+    _, ints = common_denominator(M.actions)
+    buckets = _layers_by_line(pts, lambda p: _tangent_rank(ints, p))
+    eps = Fraction(1, 16)
+    strata = []
+    generic_dim = max(buckets)
+    for d in sorted(buckets, reverse=True):
+        count, rep = buckets[d]
+        iso = point_isotropy(M, rep)
+        probes = []
+        for k in range(M.dim):
+            for s in (eps, -eps):
+                q = tuple(
+                    rep[j] + s if j == k else rep[j] for j in range(M.dim)
+                )
+                probes.append(_tangent_rank(ints, q))
+        open_layer = d == generic_dim and all(pd == d for pd in probes)
+        strata.append(
+            ModuleStratum(d, iso.dim, count, rep, iso.rows, open_layer)
+        )
+    notes = (
+        f"{len(pts)} sample points, "
+        + ("exhaustive integer grid" if exhaustive else "seeded integer samples"),
+    )
+    return ModuleStratification(
+        M.algebra.dim, M.dim, generic_dim, tuple(strata), exhaustive, notes
+    )
 
 
 def ref_minus_one_probe(L: LieAlgebra, seed: int = 0) -> MinusOneProbe:

@@ -34,7 +34,6 @@ from liegrpd.strata import (
     coadjoint_stratification,
     jordan_holder_flag,
     jump_indices,
-    stratify_module,
 )
 from liegrpd.weights import algebra_is_exponential, algebra_roots, module_weights
 
@@ -42,7 +41,7 @@ sys.path.insert(0, str(__import__("pathlib").Path(__file__).resolve().parent))
 # alias: a Test-prefixed import would be re-collected as a test class here
 from test_weights import TestRandomTriangularPairs as _RandomPairs  # noqa: E402
 from test_weights import weight_multiset  # noqa: E402
-from dense_reference import eigenvalues_numeric  # noqa: E402
+from dense_reference import eigenvalues_numeric, stratify_module  # noqa: E402
 
 
 RESULTS = []  # (criterion number, description, passed) — printed by conftest

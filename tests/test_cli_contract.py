@@ -8,7 +8,8 @@ with no input at all.  A malformed document, and a run with no document,
 exits 2 under every subcommand, except the `validate` runs named in
 `VERIFIED_VIOLATIONS`, which exit 1.  Every report that exits 0 or 1 names
 its command, and exits 1 exactly when its `ok` or `valid` verdict is false.
-An unwritable `--out` exits 2.  No `lie` subcommand takes `--tol`, so every
+An unwritable `--out` exits 2, and so does a `--samples` above
+`MAX_SAMPLES`, before anything is sampled.  No `lie` subcommand takes `--tol`, so every
 `--tol` exits 2 with argparse's one-line error.
 The companion-form algebra of (t - 10^7)(t - 1)(t - 2) and its diagonal twin
 get exact weights; a weight search that fails, on the companion form of
@@ -24,8 +25,10 @@ import itertools
 import json
 from pathlib import Path
 
-from liegrpd import catalog
-from liegrpd.cli import main
+import pytest
+
+from liegrpd import catalog, coadjoint, strata
+from liegrpd.cli import MAX_SAMPLES, build_parser, main
 from liegrpd.groupoids import groupoid_to_json, pair_groupoid
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
@@ -342,3 +345,22 @@ def test_tol_is_refused_with_one_line():
             assert (code, out) == (2, ""), (sub, tol)
             assert err.endswith(f"error: unrecognized arguments: --tol={tol}\n"), (sub, tol)
             assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("sub", ["census", "stratify"])
+def test_samples_above_the_limit_exit_2_before_sampling(sub, tmp_path, monkeypatch):
+    """[-9, 9]^6 has 19^6 = 47,045,881 points, so distinct seeded samples
+    beyond that never end; the limit refuses far fewer at parse time."""
+    def sampled(*_, **__):
+        raise AssertionError("sampled")
+    monkeypatch.setattr(coadjoint, "open_component_census", sampled)
+    monkeypatch.setattr(strata, "coadjoint_stratification", sampled)
+    doc = tmp_path / "abelian6.json"
+    doc.write_text(json.dumps({"dim": 6, "brackets": []}))
+    for samples in (MAX_SAMPLES + 1, 19 ** 6 + 1):
+        code, out, err = _capture(["lie", sub, "--in", str(doc), "--samples", str(samples)])
+        assert (code, out) == (2, ""), samples
+        assert f"--samples: expected a positive integer of at most {MAX_SAMPLES}" in err
+        assert "Traceback" not in err
+    args = build_parser().parse_args(["lie", sub, "--in", str(doc), "--samples", str(MAX_SAMPLES)])
+    assert args.samples == MAX_SAMPLES == 100_000

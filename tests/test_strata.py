@@ -20,6 +20,8 @@ from dense_reference import (
     DenseMatrix,
     basis_vector,
     matrix_inverse,
+    orbit_tangent_rank,
+    point_isotropy,
     rank_kernel,
     ref_adapted_columns,
     ref_coadjoint_stratification,
@@ -27,6 +29,7 @@ from dense_reference import (
     ref_jump_indices,
     ref_rref,
     ref_sample_points,
+    stratify_module,
 )
 from liegrpd.catalog import (
     LIE_CATALOG,
@@ -62,9 +65,6 @@ from liegrpd.strata import (
     index_order_leq,
     jordan_holder_flag,
     jump_indices,
-    orbit_tangent_rank,
-    point_isotropy,
-    stratify_module,
 )
 
 sys.path.append(str(Path(__file__).resolve().parents[1] / "scripts"))
@@ -508,20 +508,21 @@ class TestLineCache:
         assert _line_key((3, 0, -6)) == (1, 0, -2)
         assert _line_key((0, 0, 0)) == (0, 0, 0)
 
-    @pytest.mark.parametrize("make,pairs", [(heisenberg, 50), (filiform4, 273), (filiform5, 1442)])
-    def test_one_elimination_per_line(self, monkeypatch, make, pairs):
-        """The grid {-2..2}^dim has 5^dim points on `pairs` lines through 0
-        (the origin is its own line): one jump set, that is one elimination,
-        per line, plus the one elimination of the tables' certificate (the
-        rank of F).  The ideal checks of the flag eliminate nothing."""
+    @pytest.mark.parametrize("make,lines", [(heisenberg, 2), (filiform4, 9), (filiform5, 50)])
+    def test_one_elimination_per_line(self, monkeypatch, make, lines):
+        """The grid {-2..2}^dim has 5^dim points, whose q(p) (`_grid_forms`)
+        lie on `lines` lines through 0 (the origin is its own line): one jump
+        set, that is one elimination, per line, plus the one elimination of
+        the tables' certificate (the rank of F) and the one that picks the
+        forms q.  The ideal checks of the flag eliminate nothing."""
         L = make()
         jumps, eliminations = [], []
         real_jumps, real_rref = strata.jump_indices, strata.rref_int
         monkeypatch.setattr(strata, "jump_indices", lambda *a: jumps.append(a) or real_jumps(*a))
         monkeypatch.setattr(strata, "rref_int", lambda rows: eliminations.append(1) or real_rref(rows))
         s = coadjoint_stratification(L)
-        assert len(jumps) == pairs
-        assert len(eliminations) == pairs + 1
+        assert len(jumps) == lines
+        assert len(eliminations) == lines + 2
         assert sum(x.sample_count for x in s.strata) == 5 ** L.dim
 
 
