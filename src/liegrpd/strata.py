@@ -252,14 +252,13 @@ def _layers_by_projection(dim, forms, value) -> dict:
     per_line: dict = {}
     layers: dict = {}
     for v, n in Counter(packed).items():  # in the order of first points
-        i, p = first[v], []
+        i, p = first[v], ()
         for _ in range(dim):
             i, d = divmod(i, len(steps))
-            p.append(d - GRID_RADIUS)
-        p.reverse()
+            p = (d - GRID_RADIUS, *p)
         key = _line_key(tuple(sum(x * y for x, y in zip(p, f)) for f in forms))
         if key not in per_line:
-            per_line[key] = value(_line_key(tuple(p)))
+            per_line[key] = value(_line_key(p))
         layers.setdefault(per_line[key], [0, p])[0] += n
     return {v: (n, tuple(Fraction(x) for x in p)) for v, (n, p) in layers.items()}
 

@@ -2214,12 +2214,6 @@ def ref_coadjoint_stratification(
     )
 
 
-# on the 400 cases of test_minus_one_probe.py, at 50 digits, a true hit
-# leaves |exp(t mu) + 1| below 2e-48, Jordan blocks included, and every
-# other grid point keeps it above 3e-9 (the near misses)
-MINUS_ONE_GAP = mpmath.mpf(10) ** -12
-
-
 # ---------------------------------------------------------------------------
 # module orbit layers, as `strata` ran them
 
@@ -2305,6 +2299,12 @@ def stratify_module(
     return ModuleStratification(
         M.algebra.dim, M.dim, generic_dim, tuple(strata), exhaustive, notes
     )
+
+
+# on the 400 cases of test_minus_one_probe.py, at 50 digits, a true hit
+# leaves |exp(t mu) + 1| below 2e-48, Jordan blocks included, and every
+# other grid point keeps it above 3e-9 (the near misses)
+MINUS_ONE_GAP = mpmath.mpf(10) ** -12
 
 
 def ref_minus_one_probe(L: LieAlgebra, seed: int = 0) -> MinusOneProbe:

@@ -9,8 +9,8 @@ exits 2 under every subcommand, except the `validate` runs named in
 `VERIFIED_VIOLATIONS`, which exit 1.  Every report that exits 0 or 1 names
 its command, and exits 1 exactly when its `ok` or `valid` verdict is false.
 An unwritable `--out` exits 2, and so does a `--samples` above
-`MAX_SAMPLES`, before anything is sampled.  No `lie` subcommand takes `--tol`, so every
-`--tol` exits 2 with argparse's one-line error.
+`MAX_SAMPLES`, before anything is sampled.  No `lie` subcommand takes
+`--tol`, so every `--tol` exits 2 with argparse's one-line error.
 The companion-form algebra of (t - 10^7)(t - 1)(t - 2) and its diagonal twin
 get exact weights; a weight search that fails, on the companion form of
 (t - 10^7)(t^2 - 2), exits 2 with a one-line reason under `roots`, `exptest`

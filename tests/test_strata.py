@@ -429,6 +429,21 @@ def filiform5():
     return from_brackets(5, {(0, 1): {2: 1}, (0, 2): {3: 1}, (0, 3): {4: 1}, (1, 2): {4: 1}})
 
 
+def _jump_inputs():
+    """(id, algebra): heisenberg, filiform4, filiform5 (3,125 grid points),
+    heisenberg + filiform4, the Q(i) nilpotent document of the digest's third
+    ladder and a seeded unimodular conjugate of each Q-algebra."""
+    base = [("heisenberg", heisenberg()), ("filiform4", filiform4()), ("filiform5", filiform5()),
+            ("heisenberg+filiform4", direct_sum(heisenberg(), filiform4()))]
+    cases = base + [("qi_nilpotent",
+                     algebra_from_json(cli_digest.stratify_docs()[cli_digest.QI_NILPOTENT]))]
+    return cases + [(f"{n}~{seed}", conjugate(L, seed))
+                    for seed, (n, L) in enumerate(base, start=11)]
+
+
+JUMP_INPUTS = _jump_inputs()
+
+
 def _is_nilpotent(L):
     return ascending_central_series(L)[-1].dim == L.dim
 
@@ -439,8 +454,9 @@ RATIONAL_FACTORS = (Q(1), Q(1, 2), Q(-3), Q(2, 3), Q(5, 4), Q(-1, 6), Q(7))
 def _stratified_inputs():
     """(id, algebra): the catalog's nilpotent algebras, the complex
     Heisenberg algebra (over Q(i)) and its realification, heisenberg +
-    filiform4, seeded unimodular conjugates, rational rescalings (D > 1) and
-    filiform5, whose exhaustive grid has 3,125 points."""
+    filiform4, seeded unimodular conjugates, rational rescalings (D > 1),
+    filiform5, whose exhaustive grid has 3,125 points, the rest of
+    `JUMP_INPUTS` and abelian algebras, whose tables are empty."""
     cases = [(n, make()) for n, make in LIE_CATALOG.items() if _is_nilpotent(make())]
     cases += [("complex_heisenberg", complex_heisenberg()),
               ("realified_heisenberg", realified_heisenberg())]
@@ -449,16 +465,40 @@ def _stratified_inputs():
               for seed, (n, L) in enumerate(list(cases), start=3) if L.field == "Q"]
     cases += [(f"{n}*", rescale(L, RATIONAL_FACTORS)) for n, L in list(cases) if L.field == "Q"]
     cases += [("filiform5", filiform5()), ("filiform5*", rescale(filiform5(), RATIONAL_FACTORS))]
-    return cases
+    names = {n for n, _ in cases}
+    return cases + [(n, L) for n, L in JUMP_INPUTS if n not in names] + [
+        ("abelian1", abelian(1)), ("abelian4", abelian(4))]
 
 
 STRATIFIED = _stratified_inputs()
+
+
+def _wide_filiform4():
+    """filiform4 with [Y1, Y2] = 2^64 Y3, with [Y1, Y3] = 2^64 Y4, and a
+    seeded conjugate of the first: the grid's entries of B_p F reach 2^65 in
+    one form and stay small in the other, so a fixed 64-bit slot can give a
+    point with ξ3 != 0 = ξ4 and one with ξ4 != 0 the same packed value."""
+    one, big = Q(1), Q(2 ** 64)
+    first = rescale(filiform4(), (one, big, one, one))
+    second = rescale(filiform4(), (one, one, one, 1 / big))
+    return [("f4_wide_Y3", first), ("f4_wide_Y4", second), ("f4_wide_Y3~", conjugate(first, 5))]
+
+
+WIDE_INPUTS = _wide_filiform4()
 
 
 class TestStratificationAgainstReference:
     @pytest.mark.parametrize("name,L", STRATIFIED, ids=[n for n, _ in STRATIFIED])
     def test_matches_per_point_reference(self, name, L):
         assert coadjoint_stratification(L) == ref_coadjoint_stratification(L)
+
+    @pytest.mark.parametrize("name,L", WIDE_INPUTS, ids=[n for n, _ in WIDE_INPUTS])
+    def test_entries_beyond_64_bits(self, name, L):
+        tables = _integer_tables(L, _adapted_columns(jordan_holder_flag(L)))
+        assert max(abs(c) for prod in tables for _, _, c in prod) * GRID_RADIUS > 2 ** 63
+        got = coadjoint_stratification(L)
+        assert got.exhaustive and len(got.strata) == 3
+        assert got == ref_coadjoint_stratification(L)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_seeded_samples_match_reference(self, seed):
@@ -530,21 +570,6 @@ class TestLineCache:
 # one elimination per line: jump sets against the rank-checked reference
 
 
-def _jump_inputs():
-    """(id, algebra): heisenberg, filiform4, filiform5 (3,125 grid points),
-    heisenberg + filiform4, the Q(i) nilpotent document of the digest's third
-    ladder and a seeded unimodular conjugate of each Q-algebra."""
-    base = [("heisenberg", heisenberg()), ("filiform4", filiform4()), ("filiform5", filiform5()),
-            ("heisenberg+filiform4", direct_sum(heisenberg(), filiform4()))]
-    cases = base + [("qi_nilpotent",
-                     algebra_from_json(cli_digest.stratify_docs()[cli_digest.QI_NILPOTENT]))]
-    return cases + [(f"{n}~{seed}", conjugate(L, seed))
-                    for seed, (n, L) in enumerate(base, start=11)]
-
-
-JUMP_INPUTS = _jump_inputs()
-
-
 class TestJumpSetsAgainstRankCheckedReference:
     @pytest.mark.parametrize("name,L", JUMP_INPUTS, ids=[n for n, _ in JUMP_INPUTS])
     def test_every_sample_point(self, name, L):
@@ -559,49 +584,6 @@ class TestJumpSetsAgainstRankCheckedReference:
             jumps = jump_indices(L, flag, xi, columns, tables)
             assert jumps == ref_jump_indices(L, flag, xi, ref_columns)
             assert len(jumps) == len(rref_int(integer_bform(L, xi))[2])
-
-
-def _grid_inputs():
-    """(id, algebra): `JUMP_INPUTS`, the rescaled filiform5 (rational
-    constants on the 3,125-point grid) and abelian algebras, whose tables are
-    empty."""
-    return JUMP_INPUTS + [("filiform5*", rescale(filiform5(), RATIONAL_FACTORS)),
-                          ("abelian1", abelian(1)), ("abelian4", abelian(4))]
-
-
-GRID_INPUTS = _grid_inputs()
-
-
-def _wide_filiform4():
-    """filiform4 with [Y1, Y2] = 2^64 Y3, with [Y1, Y3] = 2^64 Y4, and a
-    seeded conjugate of the first: the grid's entries of B_p F reach 2^65 in
-    one slot and stay small in the other, so any fixed 64-bit slot lets the
-    layers ξ3 != 0 = ξ4 and ξ4 != 0 share a packed value."""
-    one, big = Q(1), Q(2 ** 64)
-    first = rescale(filiform4(), (one, big, one, one))
-    second = rescale(filiform4(), (one, one, one, 1 / big))
-    return [("f4_wide_Y3", first), ("f4_wide_Y4", second), ("f4_wide_Y3~", conjugate(first, 5))]
-
-
-WIDE_INPUTS = _wide_filiform4()
-
-
-class TestStratificationAgainstPointwiseReference:
-    @pytest.mark.parametrize("name,L", GRID_INPUTS, ids=[n for n, _ in GRID_INPUTS])
-    def test_layers_counts_and_first_representatives(self, name, L):
-        """The layers, each layer's count and its first point equal those of
-        `ref_jump_indices` at every grid (or sample) point."""
-        got = coadjoint_stratification(L)
-        assert got.exhaustive == (L.dim <= 5)
-        assert got == ref_coadjoint_stratification(L)
-
-    @pytest.mark.parametrize("name,L", WIDE_INPUTS, ids=[n for n, _ in WIDE_INPUTS])
-    def test_entries_beyond_64_bits(self, name, L):
-        tables = _integer_tables(L, _adapted_columns(jordan_holder_flag(L)))
-        assert max(abs(c) for prod in tables for _, _, c in prod) * GRID_RADIUS > 2 ** 63
-        got = coadjoint_stratification(L)
-        assert got.exhaustive and len(got.strata) == 3
-        assert got == ref_coadjoint_stratification(L)
 
 
 class TestChecksCanFail:
