@@ -13,19 +13,17 @@ certified once per algebra, and the elimination runs fraction-free.  The size
 of the jump set equals the rank of the skew form, and the generic jump set is
 the unique minimum in the index order.  B_p F is a fixed linear function of r
 integer forms q(p), read off the tables' pivot columns, so the jump set is
-constant on each line of q(p) through the origin: the exhaustive grid packs
-q(p) into one int per point, groups equal packings, and computes one jump set
-per line of q (2 / 9 / 50 on heisenberg / filiform4 / filiform5, against
-50 / 273 / 1,442 lines of p).  Seeded samples compute one per line of p,
-since B_{c xi} = c B_xi.  Every point is counted; a layer's representative
-is its first.
+constant on each line of q(p) through the origin, and one is computed per
+such line (2 / 9 / 50 on the grids of heisenberg / filiform4 / filiform5,
+against 50 / 273 / 1,442 lines of p), grid and seeded samples alike.  Every
+point is counted; a layer's representative is its first.
 """
 from __future__ import annotations
 
 import itertools
 import math
+import operator
 import random
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -182,12 +180,11 @@ SAMPLE_BOUND = 9  # seeded samples lie in {-9..9}^dim
 
 
 def _sample_points(dim, extra_samples, seed):
-    """(integer points, exhaustive): the whole grid {-2..2}^dim, as an
-    iterator, when it has at most 4,000 points, else `extra_samples` distinct
-    seeded points."""
+    """(integer points, exhaustive): the whole grid {-2..2}^dim when it has at
+    most 4,000 points, else `extra_samples` distinct seeded points."""
     grid_size = (2 * GRID_RADIUS + 1) ** dim
     if grid_size <= 4000:
-        return itertools.product(range(-GRID_RADIUS, GRID_RADIUS + 1), repeat=dim), True
+        return list(itertools.product(range(-GRID_RADIUS, GRID_RADIUS + 1), repeat=dim)), True
     rng = random.Random(seed)
     pts, seen = [], set()
     while len(pts) < extra_samples:
@@ -207,20 +204,7 @@ def _line_key(p: tuple) -> tuple:
     return tuple(x // g for x in p) if g else p
 
 
-def _layers_by_line(points, value) -> dict:
-    """value -> [number of points, first point as Fractions], with `value`
-    called once per line through the origin, at its `_line_key`."""
-    per_line: dict = {}
-    layers: dict = {}
-    for p in points:
-        key = _line_key(p)
-        if key not in per_line:
-            per_line[key] = value(key)
-        layers.setdefault(per_line[key], [0, p])[0] += 1
-    return {v: (n, tuple(Fraction(x) for x in p)) for v, (n, p) in layers.items()}
-
-
-def _grid_forms(tables) -> list:
+def _projection_forms(tables) -> list:
     """Integer forms f_k, with B_p F a fixed linear function of q(p) =
     (sum_l p_l f_k[l])_k: T (row l the entries of table l) is T[:, C] A for
     its pivot columns C, so B_p F = (p^T T[:, C]) A.  A Gaussian-integer
@@ -234,32 +218,31 @@ def _grid_forms(tables) -> list:
     return [f for k in rref_int(t)[2] for f in zip(*(zi_parts(row[k]) for row in t)) if any(f)]
 
 
-def _layers_by_projection(dim, forms, value) -> dict:
-    """`_layers_by_line` over the grid {-2..2}^dim, with `value` called once
-    per line of q(p) (`_grid_forms`), at the `_line_key` of its first point.
+def _layers_by_projection(points, forms, value) -> dict:
+    """value -> (number of points, first point as Fractions), with `value`
+    called once per line of q(p) (`_projection_forms`) through the origin,
+    at its first point.
 
-    q(p) is packed as sum_k q_k 2^(w k) in balanced digits, with |q_k| <=
-    2 sum_l |f_k[l]| < 2^(w - 1): equal packings are equal q.  The packings
-    are built in grid order, one add per point, and grouped by value."""
-    bound = max((GRID_RADIUS * sum(map(abs, f)) for f in forms), default=0)
+    Each point's q(p) is first packed as sum_k q_k 2^(w k) in balanced
+    digits, one dot product of p; with |q_k| <= 9 sum_l |f_k[l]| < 2^(w - 1)
+    on {-9..9}^dim, equal packings are equal q, so the line of q is found
+    once per packing."""
+    bound = max((SAMPLE_BOUND * sum(map(abs, f)) for f in forms), default=0)
     w = bound.bit_length() + 1
-    steps = range(-GRID_RADIUS, GRID_RADIUS + 1)
-    packed = [0]
-    for l in range(dim):
-        unit = sum(f[l] << (w * k) for k, f in enumerate(forms))
-        packed = [v + x * unit for v in packed for x in steps]
-    first = dict(zip(reversed(packed), range(len(packed) - 1, -1, -1)))
+    units = [sum(c << (w * k) for k, c in enumerate(col)) for col in zip(*forms)]
+    per_q: dict = {}
     per_line: dict = {}
     layers: dict = {}
-    for v, n in Counter(packed).items():  # in the order of first points
-        i, p = first[v], ()
-        for _ in range(dim):
-            i, d = divmod(i, len(steps))
-            p = (d - GRID_RADIUS, *p)
-        key = _line_key(tuple(sum(x * y for x, y in zip(p, f)) for f in forms))
-        if key not in per_line:
-            per_line[key] = value(_line_key(p))
-        layers.setdefault(per_line[key], [0, p])[0] += n
+    for p in points:
+        v = sum(map(operator.mul, p, units))
+        js = per_q.get(v)
+        if js is None:
+            key = _line_key(tuple([sum(map(operator.mul, p, f)) for f in forms]))
+            js = per_line.get(key)
+            if js is None:
+                js = per_line[key] = value(p)
+            per_q[v] = js
+        layers.setdefault(js, [0, p])[0] += 1
     return {v: (n, tuple(Fraction(x) for x in p)) for v, (n, p) in layers.items()}
 
 
@@ -276,11 +259,9 @@ def coadjoint_stratification(
     columns = _adapted_columns(flag)
     tables = _integer_tables(L, columns)
     pts, exhaustive = _sample_points(L.dim, samples, seed)
-    value = lambda p: jump_indices(L, flag, p, columns, tables)
-    if exhaustive:
-        buckets = _layers_by_projection(L.dim, _grid_forms(tables), value)
-    else:
-        buckets = _layers_by_line(pts, value)
+    buckets = _layers_by_projection(
+        pts, _projection_forms(tables), lambda p: jump_indices(L, flag, p, columns, tables)
+    )
     strata = [
         CoadjointStratum(js, len(js), count, rep)
         for js, (count, rep) in buckets.items()
@@ -303,7 +284,7 @@ def coadjoint_stratification(
         )
     strata.sort(key=lambda s: (s.jump_set != generic, -s.rank, s.jump_set))
     notes = (
-        f"{sum(s.sample_count for s in strata)} sample functionals, "
+        f"{len(pts)} sample functionals, "
         + ("exhaustive integer grid" if exhaustive else "seeded integer samples"),
     )
     return CoadjointStratification(

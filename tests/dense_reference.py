@@ -155,11 +155,10 @@ per-point skew-form rank check that `strata.jump_indices` replaced by a
 certificate of its tables.
 
 `stratify_module`, `orbit_tangent_rank`, `point_isotropy` (with `_orbit_rows`,
-`_tangent_rank`, `ModuleStratum` and `ModuleStratification`) are the module
-orbit layers that `strata.py` kept after only tests reached them: one orbit
-dimension per line through the origin, with openness probes at each layer's
-first point.  They are kept unchanged, except that `stratify_module` makes
-a list of the grid, which `_sample_points` now gives as an iterator.
+`_tangent_rank`, `_layers_by_line`, `ModuleStratum` and `ModuleStratification`)
+are the module orbit layers that `strata.py` kept after only tests reached
+them: one orbit dimension per line through the origin, with openness probes
+at each layer's first point.  They are kept unchanged.
 
 `basis_vector(L, i)` is the `Fraction` basis vector that `LieAlgebra` kept
 as a method after no module of the package called it, and
@@ -217,7 +216,7 @@ from liegrpd.strata import (
     SAMPLE_BOUND,
     CoadjointStratification,
     CoadjointStratum,
-    _layers_by_line,
+    _line_key,
     _sample_points,
     index_order_leq,
     jordan_holder_flag,
@@ -2246,6 +2245,19 @@ def _orbit_rows(ints, v) -> list:
     return list(zip(*([sum(x * y for x, y in zip(row, w) if x) for row in a] for a in ints)))
 
 
+def _layers_by_line(points, value) -> dict:
+    """value -> [number of points, first point as Fractions], with `value`
+    called once per line through the origin, at its `_line_key`."""
+    per_line: dict = {}
+    layers: dict = {}
+    for p in points:
+        key = _line_key(p)
+        if key not in per_line:
+            per_line[key] = value(key)
+        layers.setdefault(per_line[key], [0, p])[0] += 1
+    return {v: (n, tuple(Fraction(x) for x in p)) for v, (n, p) in layers.items()}
+
+
 def _tangent_rank(ints, v) -> int:
     return len(rref_int(_orbit_rows(ints, v))[2])
 
@@ -2272,7 +2284,6 @@ def stratify_module(
     when all its probes stay in the layer.
     """
     pts, exhaustive = _sample_points(M.dim, samples, seed)
-    pts = list(pts)
     _, ints = common_denominator(M.actions)
     buckets = _layers_by_line(pts, lambda p: _tangent_rank(ints, p))
     eps = Fraction(1, 16)

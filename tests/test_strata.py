@@ -507,6 +507,14 @@ class TestStratificationAgainstReference:
             got = coadjoint_stratification(L, samples=samples, seed=seed)
             assert got == ref_coadjoint_stratification(L, samples=samples, seed=seed)
 
+    def test_seeded_entries_beyond_64_bits(self):
+        """Seeded samples pack q(p) as the grid does, with slots read off
+        the sample bound 9."""
+        L = direct_sum(heisenberg(), WIDE_INPUTS[0][1])
+        got = coadjoint_stratification(L, samples=300, seed=2)
+        assert not got.exhaustive
+        assert got == ref_coadjoint_stratification(L, samples=300, seed=2)
+
     def test_every_flag_member_passes_the_fraction_ideal_check(self):
         """The per-step check on the inserted vector decides, by induction,
         that every member is an ideal: the `Fraction` check on all its rows
@@ -550,7 +558,7 @@ class TestLineCache:
 
     @pytest.mark.parametrize("make,lines", [(heisenberg, 2), (filiform4, 9), (filiform5, 50)])
     def test_one_elimination_per_line(self, monkeypatch, make, lines):
-        """The grid {-2..2}^dim has 5^dim points, whose q(p) (`_grid_forms`)
+        """The grid {-2..2}^dim has 5^dim points, whose q(p) (`_projection_forms`)
         lie on `lines` lines through 0 (the origin is its own line): one jump
         set, that is one elimination, per line, plus the one elimination of
         the tables' certificate (the rank of F) and the one that picks the
@@ -564,6 +572,16 @@ class TestLineCache:
         assert len(jumps) == lines
         assert len(eliminations) == lines + 2
         assert sum(x.sample_count for x in s.strata) == 5 ** L.dim
+
+    def test_seeded_samples_one_elimination_per_line_of_q(self, monkeypatch):
+        """512 seeded points of heisenberg + heisenberg lie on 512 lines of p
+        but on 107 lines of q(p), two forms' worth: one jump set per line of q."""
+        L = direct_sum(heisenberg(), heisenberg())
+        jumps, real_jumps = [], strata.jump_indices
+        monkeypatch.setattr(strata, "jump_indices", lambda *a: jumps.append(a) or real_jumps(*a))
+        s = coadjoint_stratification(L, samples=512)
+        assert not s.exhaustive and sum(x.sample_count for x in s.strata) == 512
+        assert len(jumps) == 107
 
 
 # ---------------------------------------------------------------------------
